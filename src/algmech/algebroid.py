@@ -13,17 +13,22 @@ Index conventions used throughout the package:
 Axioms are checked pointwise on a sample set: the engine is numeric, and for
 the polynomial data this library targets, pointwise residuals at a few dozen
 random points are decisive in practice.
+
+An :class:`Algebroid` is the per-system object every derived-tree
+constructor receives, so it owns the two caches that make derived trees and
+point evaluation shared: the derivative memo (:meth:`Algebroid.derivative`)
+and the evaluator of the current point (:meth:`Algebroid.evaluator`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EvaluationDomainError, FiberDependenceError
-from .expr import Expr, differentiate, e_mul, e_sub, e_sum, variables
+from .expr import Expr, cached_derivative, e_mul, e_sub, e_sum, variables
 from .jets import EvalPoint, PointEvaluator
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
@@ -68,6 +73,12 @@ class Algebroid:
     fiber_coords: tuple[str, ...]
     anchor: tuple[tuple[Expr, ...], ...]  # [i][a], entries in x only
     structure: tuple[tuple[tuple[Expr, ...], ...], ...]  # [a][b][c], in x only
+    # derivative memo: (id(node), name) -> (node, derivative), see derivative()
+    _derivatives: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # (point, evaluator) of the last point asked for, replaced as one tuple
+    _current: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -81,12 +92,33 @@ class Algebroid:
     def coords(self) -> tuple[str, ...]:
         return self.base_coords + self.fiber_coords
 
+    def derivative(self, e: Expr, name: str) -> Expr:
+        """Partial derivative tree of ``e``, built once per node for this system.
+
+        Every derived-tree constructor goes through here, so a tree that two
+        constructors differentiate (say S, for the connection and for the
+        covariant derivative) is differentiated once and its derivative is
+        one shared subtree.
+        """
+        return cached_derivative(e, name, self._derivatives)
+
     def evaluator(self, p: EvalPoint) -> PointEvaluator:
+        """The evaluator at ``p``, shared by every tensor computed there.
+
+        The system keeps one evaluator, for the last point asked for (by
+        object identity, so -0.0 and 0.0 never share one); asking for another
+        point replaces it.
+        """
+        current = self._current
+        if current is not None and current[0] is p:
+            return current[1]
         if len(p.x) != self.n or len(p.y) != self.m:
             raise ValueError(
                 f"point has dims ({len(p.x)},{len(p.y)}), system is ({self.n},{self.m})"
             )
-        return PointEvaluator(self.coords, p.values())
+        ev = PointEvaluator(self.coords, p.values())
+        object.__setattr__(self, "_current", (p, ev))
+        return ev
 
     # -- pointwise data ----------------------------------------------------
 
@@ -153,7 +185,7 @@ class Algebroid:
 
     def _anchor_derivative_expr(self, s: BaseSection, f: Expr) -> Expr:
         return e_sum(
-            e_mul(e_mul(s.components[a], self.anchor[i][a]), differentiate(f, self.base_coords[i]))
+            e_mul(e_mul(s.components[a], self.anchor[i][a]), self.derivative(f, self.base_coords[i]))
             for a in range(self.m)
             for i in range(self.n)
         )

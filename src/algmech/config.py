@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .algebroid import Algebroid, BaseSection
@@ -62,11 +63,21 @@ class SystemConfig:
     reference: dict | None
 
     def semispray(self) -> Semispray:
+        """The configured field, or the canonical one of the Lagrangian (built once)."""
+        return self._semispray
+
+    def connection(self) -> Connection:
+        """The configured connection, or the canonical one of ``semispray()`` (built once)."""
+        return self._connection
+
+    @cached_property
+    def _semispray(self) -> Semispray:
         if self.semispray_override is not None:
             return self.semispray_override
         return canonical_semispray(self.algebroid, self.lagrangian)
 
-    def connection(self) -> Connection:
+    @cached_property
+    def _connection(self) -> Connection:
         if self.connection_override is not None:
             return self.connection_override
         return canonical_connection(self.algebroid, self.semispray())

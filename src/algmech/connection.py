@@ -30,7 +30,6 @@ from .expr import (
     ONE,
     ZERO,
     Var,
-    differentiate,
     e_add,
     e_mul,
     e_neg,
@@ -120,7 +119,7 @@ def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
                 e_mul(
                     half,
                     e_add(
-                        e_neg(differentiate(S.components[b], alg.fiber_coords[a])),
+                        e_neg(alg.derivative(S.components[b], alg.fiber_coords[a])),
                         twist,
                     ),
                 )
@@ -452,7 +451,7 @@ def nabla_vertical_coeffs(
         for b in range(m):
             coeff = e_add(
                 N.coeffs[b][a],
-                differentiate(S.components[a], alg.fiber_coords[b]),
+                alg.derivative(S.components[a], alg.fiber_coords[b]),
             )
             terms.append(e_neg(e_mul(coeff, comps[b])))
         out.append(e_sum(terms))

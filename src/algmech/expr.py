@@ -13,9 +13,13 @@ so ``^`` binds tighter than unary minus and is right-associative, and
 ``-x^2`` means ``-(x^2)``.  Trees are immutable; identical sub-objects may be
 shared freely, which the evaluators exploit for memoisation.
 
-Derivative trees built by :func:`differentiate` apply light constant folding
-(0/1 absorption) so repeated differentiation stays compact; folding never
-changes the value of any expression at any point.
+Derivative trees apply light constant folding (0/1 absorption) so repeated
+differentiation stays compact; folding never changes the value of any
+expression at any point.  Derivatives are memoised by node identity, so a
+subtree shared in the input is differentiated once and its derivative is
+shared in the output: :func:`differentiate` keeps a memo for one call, and
+:func:`cached_derivative` takes a memo that the caller keeps across calls
+(each :class:`~algmech.algebroid.Algebroid` owns one for its system).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "to_source",
     "variables",
     "differentiate",
+    "cached_derivative",
     "e_num",
     "e_add",
     "e_sub",
@@ -45,9 +50,7 @@ __all__ = [
     "e_div",
     "e_neg",
     "e_pow",
-    "e_call",
     "e_sum",
-    "directional_derivative_expr",
     "ZERO",
     "ONE",
 ]
@@ -351,10 +354,6 @@ def e_pow(base: Expr, exponent: Expr) -> Expr:
     return BinOp("^", base, exponent)
 
 
-def e_call(func: str, operand: Expr) -> Expr:
-    return Call(func, operand)
-
-
 def e_sum(terms: Iterable[Expr]) -> Expr:
     acc: Expr = ZERO
     for t in terms:
@@ -377,37 +376,49 @@ _CHAIN = {
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Partial derivative tree with respect to the named coordinate."""
+    return cached_derivative(e, name, {})
+
+
+def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
+    """:func:`differentiate` through a caller-owned memo.
+
+    ``memo`` maps ``(id(node), name)`` to ``(node, derivative)``; the stored
+    node keeps its id from being reused while the entry lives.  An entry only
+    ever receives a structurally identical tree, so concurrent writers agree.
+    Leaves are answered without an entry.
+    """
     if isinstance(e, Num):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
+    key = (id(e), name)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Neg):
-        return e_neg(differentiate(e.operand, name))
-    if isinstance(e, Call):
-        return _CHAIN[e.func](e.operand, differentiate(e.operand, name))
-    da = differentiate(e.left, name)
-    db = differentiate(e.right, name)
-    if e.op == "+":
-        return e_add(da, db)
-    if e.op == "-":
-        return e_sub(da, db)
-    if e.op == "*":
-        return e_add(e_mul(da, e.right), e_mul(e.left, db))
-    if e.op == "/":
-        return e_div(
-            e_sub(e_mul(da, e.right), e_mul(e.left, db)), e_mul(e.right, e.right)
-        )
-    # power
-    if isinstance(e.right, Num):
-        c = e.right.value
-        return e_mul(e_mul(e.right, e_pow(e.left, Num(c - 1.0))), da)
-    # general exponent: a^b * (db*ln(a) + b*da/a)
-    return e_mul(
-        e,
-        e_add(e_mul(db, Call("ln", e.left)), e_div(e_mul(e.right, da), e.left)),
-    )
-
-
-def directional_derivative_expr(f: Expr, direction: Sequence[tuple[str, Expr]]) -> Expr:
-    """Tree for sum(coeff * df/dname) over (name, coeff) pairs."""
-    return e_sum(e_mul(coeff, differentiate(f, name)) for name, coeff in direction)
+        r = e_neg(cached_derivative(e.operand, name, memo))
+    elif isinstance(e, Call):
+        r = _CHAIN[e.func](e.operand, cached_derivative(e.operand, name, memo))
+    else:
+        da = cached_derivative(e.left, name, memo)
+        db = cached_derivative(e.right, name, memo)
+        if e.op == "+":
+            r = e_add(da, db)
+        elif e.op == "-":
+            r = e_sub(da, db)
+        elif e.op == "*":
+            r = e_add(e_mul(da, e.right), e_mul(e.left, db))
+        elif e.op == "/":
+            r = e_div(
+                e_sub(e_mul(da, e.right), e_mul(e.left, db)), e_mul(e.right, e.right)
+            )
+        elif isinstance(e.right, Num):  # power with a constant exponent
+            c = e.right.value
+            r = e_mul(e_mul(e.right, e_pow(e.left, Num(c - 1.0))), da)
+        else:  # general exponent: a^b * (db*ln(a) + b*da/a)
+            r = e_mul(
+                e,
+                e_add(e_mul(db, Call("ln", e.left)), e_div(e_mul(e.right, da), e.left)),
+            )
+    memo[key] = (e, r)
+    return r

@@ -8,7 +8,11 @@ products ``g g^T`` or the symmetrized ``a b^T + b a^T``.
 
 :class:`PointEvaluator` evaluates expression trees at a fixed point, either
 as plain floats or as jets, memoising per node object so shared subtrees are
-visited once.
+visited once.  A system hands out one evaluator per point
+(:meth:`~algmech.algebroid.Algebroid.evaluator`), so every tensor computed at
+that point shares the memo; values depend only on the tree and the point, so
+sharing never changes a result.  Its ``cache`` holds per-point tensors, keyed
+by the identity of the object they belong to where that can vary.
 """
 
 from __future__ import annotations

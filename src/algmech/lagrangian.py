@@ -31,7 +31,6 @@ from .expr import (
     ONE,
     Var,
     ZERO,
-    differentiate,
     e_div,
     e_mul,
     e_neg,
@@ -74,14 +73,14 @@ class Lagrangian:
 
     @staticmethod
     def define(alg: Algebroid, expr: Expr) -> "Lagrangian":
-        dx = tuple(differentiate(expr, c) for c in alg.base_coords)
-        dy = tuple(differentiate(expr, c) for c in alg.fiber_coords)
+        dx = tuple(alg.derivative(expr, c) for c in alg.base_coords)
+        dy = tuple(alg.derivative(expr, c) for c in alg.fiber_coords)
         dxy = tuple(
-            tuple(differentiate(dx[i], c) for c in alg.fiber_coords)
+            tuple(alg.derivative(dx[i], c) for c in alg.fiber_coords)
             for i in range(alg.n)
         )
         g = tuple(
-            tuple(differentiate(dy[a], c) for c in alg.fiber_coords)
+            tuple(alg.derivative(dy[a], c) for c in alg.fiber_coords)
             for a in range(alg.m)
         )
         e = e_sub(
@@ -221,12 +220,16 @@ def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> list[list[Expr]]:
 
 
 def cartan_pairing(alg: Algebroid, L: Lagrangian, ev: PointEvaluator) -> np.ndarray:
-    cached = ev.cache.get("cartan_pairing")
-    if cached is None:
-        W = cartan_pairing_exprs(alg, L)
-        cached = np.array([[ev.value(e) for e in row] for row in W])
-        ev.cache["cartan_pairing"] = cached
-    return cached
+    """Values of :func:`cartan_pairing_exprs` at the evaluator's point, cached
+    on the evaluator per Lagrangian."""
+    key = ("cartan_pairing", id(L))
+    cached = ev.cache.get(key)
+    if cached is not None and cached[0] is L:
+        return cached[1]
+    W = cartan_pairing_exprs(alg, L)
+    values = np.array([[ev.value(e) for e in row] for row in W])
+    ev.cache[key] = (L, values)
+    return values
 
 
 def cartan_two_section(

@@ -25,7 +25,6 @@ from .expr import (
     ONE,
     ZERO,
     Var,
-    differentiate,
     e_mul,
     e_num,
     e_sub,
@@ -130,7 +129,7 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
         for eps in range(m):
             coeff = e_sub(
                 e_sum(
-                    e_mul(alg.anchor[i][eps], differentiate(s.components[a], alg.base_coords[i]))
+                    e_mul(alg.anchor[i][eps], alg.derivative(s.components[a], alg.base_coords[i]))
                     for i in range(n)
                 ),
                 e_sum(e_mul(alg.structure[b][eps][a], s.components[b]) for b in range(m)),
@@ -227,7 +226,7 @@ def sode_flow(alg: Algebroid, S: Semispray) -> tuple[tuple[str, Expr], ...]:
 def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
     """Tree for S(f), the derivative of f along the second-order field."""
     return e_sum(
-        e_mul(vel, differentiate(f, name)) for name, vel in sode_flow(alg, S)
+        e_mul(vel, alg.derivative(f, name)) for name, vel in sode_flow(alg, S)
     )
 
 
@@ -269,7 +268,7 @@ def spray_test(
         euler_bracket=brk,
         tol=tol,
         samples=len(samples),
-        is_spray=hom <= tol,
+        is_spray=bool(hom <= tol),
     )
 
 

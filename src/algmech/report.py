@@ -187,12 +187,16 @@ def run_symmetry(
     tol: float,
 ) -> dict:
     alg = cfg.algebroid
+    # the invariant form of the Lie check is stated for the canonical connection
+    N_lie = N if N.canonical else None
     rows = []
     all_ok = True
     for cand in cfg.candidates:
         checks: dict = {}
         if cand.kind == "base_section":
-            checks["lie"] = lie_symmetry_check(alg, S, cand.base, samples, tol).to_dict()
+            checks["lie"] = lie_symmetry_check(
+                alg, S, cand.base, samples, tol, N_lie
+            ).to_dict()
         elif cand.kind == "prolongation_section":
             checks["dynamical"] = dynamical_symmetry_check(
                 alg, S, cand.section, samples, tol

@@ -161,6 +161,45 @@ class TestExitCodes:
         assert f"# System report: {name}" in out.read_text()
 
 
+class TestJsonOutputOfInexactFields:
+    """JSON reports of fields whose homogeneity residual is not exactly zero."""
+
+    WOBBLE = {
+        "name": "wobble",
+        "base_dim": 1,
+        "fiber_rank": 1,
+        "base_coords": ["x"],
+        "fiber_coords": ["y"],
+        "anchor": [["1"]],
+        "lagrangian": "0.5*(2+sin(x))*y^2",
+    }
+
+    def run_json(self, tmp_path, capsys, raw, command):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(raw))
+        code = main([command, "--config", str(path), "--format", "json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_report_and_spray_check(self, tmp_path, capsys):
+        code, spray = self.run_json(tmp_path, capsys, self.WOBBLE, "spray-check")
+        assert code == 0
+        assert 0.0 < spray["homogeneity"] <= spray["tol"]
+        assert spray["is_spray"] is True
+        code, report = self.run_json(tmp_path, capsys, self.WOBBLE, "report")
+        assert code == 0
+        assert report["spray"]["is_spray"] is True
+
+    def test_non_spray_fails_with_a_json_verdict(self, tmp_path, capsys):
+        raw = json.loads(fixture_bytes("driftless"))
+        raw["lagrangian"] = "0.5*(u1^2+u2^2)+x3"
+        del raw["reference"]
+        code, spray = self.run_json(tmp_path, capsys, raw, "spray-check")
+        assert code == 1
+        assert spray["is_spray"] is False
+        _, report = self.run_json(tmp_path, capsys, raw, "report")
+        assert report["spray"]["is_spray"] is False
+
+
 class TestGeometryCommand:
     def test_values_at_point(self, tmp_path, capsys):
         code = main(

@@ -3,11 +3,12 @@ import pytest
 
 from algmech.errors import IntegrationAbortError, SingularMetricError
 from algmech.expr import parse_expression
-from algmech.jets import EvalPoint
+from algmech.jets import EvalPoint, PointEvaluator
 from algmech.lagrangian import (
     Lagrangian,
     canonical_semispray,
     cartan_one_section,
+    cartan_pairing,
     cartan_two_section,
     energy,
     euler_lagrange_residual,
@@ -156,6 +157,19 @@ class TestCartanSections:
         assert cartan_two_section(alg, L, X1, V1, P0) == -1.0
         # frame-frame block picks up the structure torsion: -u1 here
         assert cartan_two_section(alg, L, X1, X2, P0) == -1.0
+
+    def test_pairing_cache_is_per_lagrangian(self, driftless):
+        # two Lagrangians on one system, evaluated through one shared evaluator
+        alg = driftless.algebroid
+        L1 = driftless.lagrangian
+        L2 = define(driftless, "0.5*(3*u1^2+u2^2)+u1*u2*x1")
+        ev = alg.evaluator(P0)
+        W1 = cartan_pairing(alg, L1, ev)
+        W2 = cartan_pairing(alg, L2, ev)
+        fresh = PointEvaluator(alg.coords, P0.values())
+        assert np.array_equal(W2, cartan_pairing(alg, L2, fresh))
+        assert not np.array_equal(W1, W2)
+        assert cartan_pairing(alg, L1, ev) is W1
 
     def test_antisymmetry(self, driftless):
         alg = driftless.algebroid
