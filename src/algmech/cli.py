@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import SystemConfig, load_config
-from .errors import AlgmechError, ConfigError
+from .errors import AlgmechError, ConfigError, IntegrationAbortError
 from .jets import EvalPoint
 from .lagrangian import integrate_sode
 from .prolongation import spray_test
@@ -173,9 +173,18 @@ def cmd_integrate(args) -> int:
     x0, y0 = floats(args.x0), floats(args.y0)
     if len(x0) != alg.n or len(y0) != alg.m:
         raise ConfigError("--x0/--y0", f"expected {alg.n} and {alg.m} values")
-    traj = integrate_sode(
-        alg, cfg.semispray(), x0, y0, args.dt, args.steps, lagrangian=cfg.lagrangian
-    )
+    try:
+        traj = integrate_sode(
+            alg, cfg.semispray(), x0, y0, args.dt, args.steps, lagrangian=cfg.lagrangian
+        )
+    except IntegrationAbortError as err:
+        err.partial.to_csv(args.output, alg)
+        rows = len(err.partial.times)
+        print(
+            f"integration aborted: {err}; wrote the {rows} finite rows before it to {args.output}",
+            file=sys.stderr,
+        )
+        return 1
     traj.to_csv(args.output, alg)
     summary = {
         "steps": args.steps,

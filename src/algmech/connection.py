@@ -27,6 +27,7 @@ import numpy as np
 from .algebroid import Algebroid
 from .expr import (
     Expr,
+    Num,
     ONE,
     ZERO,
     Var,
@@ -154,7 +155,7 @@ def berwald_derivative(
 ) -> float:
     """Derivative of f along the horizontal frame section delta_a."""
     ev = alg.evaluator(p)
-    g = ev.jet(f).grad
+    g = ev.jet1(f).grad
     sigma = alg.anchor_at(ev)
     Nv = N.at(ev)
     return float(sigma[:, a] @ g[: alg.n] - Nv[a] @ g[alg.n :])
@@ -164,7 +165,7 @@ def _delta_gradient(
     alg: Algebroid, ev: PointEvaluator, Nv: np.ndarray, f: Expr
 ) -> np.ndarray:
     """delta_a(f) for all a at once."""
-    g = ev.jet(f).grad
+    g = ev.jet1(f).grad
     sigma = alg.anchor_at(ev)
     return sigma.T @ g[: alg.n] - Nv @ g[alg.n :]
 
@@ -217,14 +218,20 @@ def curvature_apply(
 
 
 def _sode_apply_values(
-    alg: Algebroid, S: Semispray, ev: PointEvaluator, f: Expr
+    alg: Algebroid, ev: PointEvaluator, s_vals: np.ndarray, f: Expr
 ) -> float:
-    """S(f) at the point (directional derivative along the second-order field)."""
-    g = ev.jet(f).grad
+    """S(f) at the point, given the values of S's components.
+
+    Kept apart from ``directional_derivative``: it sums (sigma y) . df/dx,
+    not y . (sigma^T df/dx), and the reported Jacobi endomorphism depends on
+    that order in the last bit when the anchor depends on x.
+    """
+    if isinstance(f, Num):
+        return 0.0
+    g = ev.jet1(f).grad
     sigma = alg.anchor_at(ev)
     y = np.array(ev.values[alg.n :])
-    svals = ev.values_of(S.components)
-    return float((sigma @ y) @ g[: alg.n] + svals @ g[alg.n :])
+    return float((sigma @ y) @ g[: alg.n] + s_vals @ g[alg.n :])
 
 
 def jacobi_endomorphism(
@@ -244,13 +251,14 @@ def jacobi_endomorphism(
     dS_x = np.zeros((m, n))  # [g][i] = dS^g/dx^i
     dS_y = np.zeros((m, m))  # [g][a] = dS^g/dy^a
     for g in range(m):
-        grad = ev.jet(S.components[g]).grad
+        grad = ev.jet1(S.components[g]).grad
         dS_x[g] = grad[:n]
         dS_y[g] = grad[n:]
-    SN = np.zeros((m, m))
+    s_vals = ev.values_of(S.components)
+    SN = np.zeros((m, m))  # [b][g] = S(N_b^g)
     for b in range(m):
         for g in range(m):
-            SN[b, g] = _sode_apply_values(alg, S, ev, N.coeffs[b][g])
+            SN[b, g] = _sode_apply_values(alg, ev, s_vals, N.coeffs[b][g])
     R = np.zeros((m, m))
     for b in range(m):
         for g in range(m):
@@ -563,7 +571,7 @@ def berwald_coefficients(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndar
     out = np.zeros((m, m, m))
     for a in range(m):
         for g in range(m):
-            out[a, :, g] = ev.jet(N.coeffs[a][g]).grad[alg.n :]
+            out[a, :, g] = ev.jet1(N.coeffs[a][g]).grad[alg.n :]
     return out
 
 
@@ -622,7 +630,7 @@ def geometry_frame(
 
     homogeneity = 0.0
     for a in range(m):
-        jet = ev.jet(S.components[a])
+        jet = ev.jet1(S.components[a])
         homogeneity = max(
             homogeneity, abs(float(y @ jet.grad[alg.n :]) - 2.0 * jet.value)
         )

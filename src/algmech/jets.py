@@ -1,14 +1,25 @@
-"""Second-order jets: exact values, gradients, and Hessians of expressions.
+"""Jets: exact values, gradients and, where read, Hessians of expressions.
 
 A :class:`Jet2` over ``k`` coordinates carries ``(value, grad, hess)`` with a
-``(k,)`` gradient and a symmetric ``(k, k)`` Hessian.  All arithmetic
-propagates both derivative orders exactly (no numeric differencing); the
-Hessian stays bit-exactly symmetric because every update is built from outer
-products ``g g^T`` or the symmetrized ``a b^T + b a^T``.
+``(k,)`` gradient and a symmetric ``(k, k)`` Hessian, or ``hess = None`` at
+first order.  All arithmetic propagates the derivatives exactly (no numeric
+differencing); the Hessian stays bit-exactly symmetric because every update
+is built from outer products ``g g^T`` or the symmetrized ``a b^T + b a^T``.
+The Hessian never feeds the value or the gradient, so both orders give the
+same value and gradient bit for bit.
 
-:class:`PointEvaluator` evaluates expression trees at a fixed point, either
-as plain floats or as jets, memoising per node object so shared subtrees are
-visited once.  A system hands out one evaluator per point
+:class:`PointEvaluator` evaluates trees at a fixed point as floats
+(``value``), first-order jets (``jet1``) or second-order jets (``jet``),
+memoising each per node object so shared subtrees are visited once.  The
+symmetry, bracket, connection and validation checks are first order in their
+component functions and take ``jet1``; only the fiber metric and the
+Euler-Lagrange residual read a Hessian (of the Lagrangian itself) and call
+``jet``, which stays second order as the public way to get one.  A jet's
+value can differ from ``value`` in the last bit (``a/b`` is ``a * (1/b)`` in
+jet arithmetic), so callers comparing a value with a gradient read both from
+one jet.
+
+A system hands out one evaluator per point
 (:meth:`~algmech.algebroid.Algebroid.evaluator`), so every tensor computed at
 that point shares the memo; values depend only on the tree and the point, so
 sharing never changes a result.  Its ``cache`` holds per-point tensors, keyed
@@ -48,44 +59,52 @@ class EvalPoint:
 
 
 class Jet2:
-    """Truncated second-order Taylor data of a scalar quantity."""
+    """Truncated Taylor data of a scalar quantity; ``hess`` is ``None`` at
+    first order, and an operation with a first-order operand is first order."""
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray | None):
         self.value = value
         self.grad = grad
         self.hess = hess
 
     @staticmethod
-    def constant(value: float, k: int) -> "Jet2":
-        return Jet2(float(value), np.zeros(k), np.zeros((k, k)))
+    def constant(value: float, k: int, second: bool = True) -> "Jet2":
+        return Jet2(float(value), np.zeros(k), np.zeros((k, k)) if second else None)
 
     @staticmethod
-    def coordinate(value: float, index: int, k: int) -> "Jet2":
+    def coordinate(value: float, index: int, k: int, second: bool = True) -> "Jet2":
         g = np.zeros(k)
         g[index] = 1.0
-        return Jet2(float(value), g, np.zeros((k, k)))
+        return Jet2(float(value), g, np.zeros((k, k)) if second else None)
 
     def __add__(self, o: "Jet2") -> "Jet2":
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        h = None if self.hess is None or o.hess is None else self.hess + o.hess
+        return Jet2(self.value + o.value, self.grad + o.grad, h)
 
     def __sub__(self, o: "Jet2") -> "Jet2":
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        h = None if self.hess is None or o.hess is None else self.hess - o.hess
+        return Jet2(self.value - o.value, self.grad - o.grad, h)
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
     def __mul__(self, o: "Jet2") -> "Jet2":
+        grad = self.value * o.grad + o.value * self.grad
+        if self.hess is None or o.hess is None:
+            return Jet2(self.value * o.value, grad, None)
         cross = np.outer(self.grad, o.grad)
         return Jet2(
             self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
+            grad,
             self.value * o.hess + o.value * self.hess + cross + cross.T,
         )
 
     def chain(self, f0: float, f1: float, f2: float) -> "Jet2":
         """Compose with a scalar function given f(v), f'(v), f''(v)."""
+        if self.hess is None:
+            return Jet2(f0, f1 * self.grad, None)
         return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * np.outer(self.grad, self.grad))
 
     def reciprocal(self) -> "Jet2":
@@ -98,13 +117,10 @@ class Jet2:
     def pow_int(self, k: int) -> "Jet2":
         if k < 0:
             return self.pow_int(-k).reciprocal()
-        result = Jet2.constant(1.0, self.grad.shape[0])
+        result = Jet2.constant(1.0, self.grad.shape[0], self.hess is not None)
         for _ in range(k):
             result = result * self
         return result
-
-    def scaled(self, c: float) -> "Jet2":
-        return Jet2(c * self.value, c * self.grad, c * self.hess)
 
 
 def _call_jet(func: str, a: Jet2, node: Expr) -> Jet2:
@@ -170,7 +186,8 @@ class PointEvaluator:
         self.k = len(self.names)
         # memo entries store (node, result): the node reference keeps the id
         # unique for the evaluator's lifetime (ids of dead objects get reused)
-        self._jets: dict[int, tuple[Expr, Jet2]] = {}
+        self._jets: dict[int, tuple[Expr, Jet2]] = {}  # second order
+        self._jet1s: dict[int, tuple[Expr, Jet2]] = {}  # first order
         self._floats: dict[int, tuple[Expr, float]] = {}
         self.cache: dict = {}  # scratch space for callers (per-point tensors etc.)
 
@@ -223,27 +240,38 @@ class PointEvaluator:
         return math.exp(b * math.log(a))
 
     def jet(self, e: Expr) -> Jet2:
-        memo = self._jets
+        """Second-order jet of ``e``: value, gradient and Hessian."""
+        return self._walk(e, self._jets, True)
+
+    def jet1(self, e: Expr) -> Jet2:
+        """First-order jet of ``e`` (``hess`` is ``None``); its value and
+        gradient equal those of :meth:`jet` bit for bit."""
+        return self._walk(e, self._jet1s, False)
+
+    def gradient(self, e: Expr) -> np.ndarray:
+        return self.jet1(e).grad
+
+    def _walk(self, e: Expr, memo: dict, second: bool) -> Jet2:
         key = id(e)
         hit = memo.get(key)
         if hit is not None:
             return hit[1]
         if isinstance(e, Num):
-            r = Jet2.constant(e.value, self.k)
+            r = Jet2.constant(e.value, self.k, second)
         elif isinstance(e, Var):
             i = self.index[e.name]
-            r = Jet2.coordinate(self.values[i], i, self.k)
+            r = Jet2.coordinate(self.values[i], i, self.k, second)
         elif isinstance(e, Neg):
-            r = -self.jet(e.operand)
+            r = -self._walk(e.operand, memo, second)
         elif isinstance(e, Call):
-            r = _call_jet(e.func, self.jet(e.operand), e)
+            r = _call_jet(e.func, self._walk(e.operand, memo, second), e)
         else:
             op = e.op
             if op == "^":
-                r = self._pow_jet(e)
+                r = self._pow_jet(e, memo, second)
             else:
-                a = self.jet(e.left)
-                b = self.jet(e.right)
+                a = self._walk(e.left, memo, second)
+                b = self._walk(e.right, memo, second)
                 if op == "+":
                     r = a + b
                 elif op == "-":
@@ -257,8 +285,8 @@ class PointEvaluator:
         memo[key] = (e, r)
         return r
 
-    def _pow_jet(self, e: BinOp) -> Jet2:
-        a = self.jet(e.left)
+    def _pow_jet(self, e: BinOp, memo: dict, second: bool) -> Jet2:
+        a = self._walk(e.left, memo, second)
         if isinstance(e.right, Num):
             k = _int_exponent(e.right.value)
             if k is not None:
@@ -273,7 +301,7 @@ class PointEvaluator:
             v = a.value
             f0 = math.exp(c * math.log(v))
             return a.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
-        b = self.jet(e.right)
+        b = self._walk(e.right, memo, second)
         if a.value <= 0.0:
             raise EvaluationDomainError(
                 f"non-integer power of non-positive base {a.value!r}", e
@@ -283,9 +311,6 @@ class PointEvaluator:
         prod = b * ln_a
         ev = math.exp(prod.value)
         return prod.chain(ev, ev, ev)
-
-    def gradient(self, e: Expr) -> np.ndarray:
-        return self.jet(e).grad
 
     def values_of(self, exprs: Sequence[Expr]) -> np.ndarray:
         return np.array([self.value(x) for x in exprs])

@@ -19,7 +19,9 @@ omega(S, .) = -dE(.) identically; the test suite pins this down.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ from .expr import (
     e_sum,
 )
 from .jets import EvalPoint, PointEvaluator
-from .prolongation import ProlongationSection, Semispray
+from .prolongation import ProlongationSection, Semispray, directional_derivative
 
 __all__ = [
     "Lagrangian",
@@ -91,6 +93,31 @@ class Lagrangian:
         )
         return Lagrangian(alg, expr, dx, dy, dxy, g, e)
 
+    @cached_property
+    def pairing_exprs(self) -> tuple[tuple[Expr, ...], ...]:
+        """The two-section trees of :func:`cartan_pairing_exprs`, built on
+        first use and then shared by every caller."""
+        alg = self.alg
+        m, n = alg.m, alg.n
+        c_block = [[None] * m for _ in range(m)]
+        for a in range(m):
+            for b in range(m):
+                mixed = e_sub(
+                    e_sum(e_mul(alg.anchor[i][a], self.dxy[i][b]) for i in range(n)),
+                    e_sum(e_mul(alg.anchor[i][b], self.dxy[i][a]) for i in range(n)),
+                )
+                torsion = e_sum(
+                    e_mul(self.dy[e], alg.structure[a][b][e]) for e in range(m)
+                )
+                c_block[a][b] = e_sub(mixed, torsion)
+        W: list[list[Expr]] = [[ZERO] * (2 * m) for _ in range(2 * m)]
+        for a in range(m):
+            for b in range(m):
+                W[a][b] = c_block[a][b]
+                W[a][m + b] = e_neg(self.metric_exprs[a][b])
+                W[m + a][b] = self.metric_exprs[b][a]
+        return tuple(tuple(row) for row in W)
+
 
 def fiber_metric(
     L: Lagrangian, p: EvalPoint
@@ -113,47 +140,49 @@ def fiber_metric(
     return g, ginv, float(np.linalg.cond(g))
 
 
-def _minor(mat: list[list[Expr]], row: int, col: int) -> list[list[Expr]]:
-    return [
-        [entry for j, entry in enumerate(r) if j != col]
-        for i, r in enumerate(mat)
-        if i != row
-    ]
-
-
-def _det_expr(mat: list[list[Expr]]) -> Expr:
-    k = len(mat)
-    if k == 0:
-        return ONE  # empty minor, reached by the rank-one cofactor
-    if k == 1:
-        return mat[0][0]
-    terms = []
-    for j in range(k):
-        term = e_mul(mat[0][j], _det_expr(_minor(mat, 0, j)))
-        terms.append(term if j % 2 == 0 else e_neg(term))
-    return e_sum(terms)
-
-
 def matrix_inverse_exprs(
     mat: Sequence[Sequence[Expr]],
 ) -> tuple[tuple[tuple[Expr, ...], ...], Expr]:
     """Adjugate-over-determinant inverse of a small expression matrix.
 
-    Laplace expansion; fine for the fiber ranks this library targets.
+    Laplace expansion along the first remaining row.  Each minor, named by
+    its (rows, columns) of the original matrix, is built once and shared by
+    every cofactor that contains it; the trees are those of the plain
+    expansion, so their values are too.  O(k^2 2^k) minors.
     """
     rows = [list(r) for r in mat]
     k = len(rows)
-    det = _det_expr(rows)
+    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], Expr] = {}
+
+    def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> Expr:
+        if not rs:
+            return ONE  # empty minor, reached by the rank-one cofactor
+        if len(rs) == 1:
+            return rows[rs[0]][cs[0]]
+        key = (rs, cs)
+        hit = minors.get(key)
+        if hit is not None:
+            return hit
+        top = rows[rs[0]]
+        terms = []
+        for j, c in enumerate(cs):
+            term = e_mul(top[c], det(rs[1:], cs[:j] + cs[j + 1 :]))
+            terms.append(term if j % 2 == 0 else e_neg(term))
+        r = minors[key] = e_sum(terms)
+        return r
+
+    idx = tuple(range(k))
+    full = det(idx, idx)
     inv = []
     for i in range(k):
         inv_row = []
         for j in range(k):
-            cof = _det_expr(_minor(rows, j, i))
+            cof = det(idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :])
             if (i + j) % 2 == 1:
                 cof = e_neg(cof)
             inv_row.append(cof)
         inv.append(inv_row)
-    return tuple(tuple(e_div(c, det) for c in row) for row in inv), det
+    return tuple(tuple(e_div(c, full) for c in row) for row in inv), full
 
 
 def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
@@ -192,31 +221,16 @@ def cartan_one_section(L: Lagrangian, p: EvalPoint) -> np.ndarray:
     return L.alg.evaluator(p).values_of(L.dy)
 
 
-def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> list[list[Expr]]:
+def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> tuple[tuple[Expr, ...], ...]:
     """Expression matrix of the two-section on frame pairs.
 
     ``W[r][c] = omega(frame_r, frame_c)`` with the X-frame first, so that
     ``omega(A, B) = concat(A)^T W concat(B)`` on stacked component columns.
+    Built once per Lagrangian; ``alg`` must be the system L was defined on.
     """
-    m, n = alg.m, alg.n
-    c_block = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            mixed = e_sub(
-                e_sum(e_mul(alg.anchor[i][a], L.dxy[i][b]) for i in range(n)),
-                e_sum(e_mul(alg.anchor[i][b], L.dxy[i][a]) for i in range(n)),
-            )
-            torsion = e_sum(
-                e_mul(L.dy[e], alg.structure[a][b][e]) for e in range(m)
-            )
-            c_block[a][b] = e_sub(mixed, torsion)
-    W: list[list[Expr]] = [[ZERO] * (2 * m) for _ in range(2 * m)]
-    for a in range(m):
-        for b in range(m):
-            W[a][b] = c_block[a][b]
-            W[a][m + b] = e_neg(L.metric_exprs[a][b])
-            W[m + a][b] = L.metric_exprs[b][a]
-    return W
+    if alg is not L.alg:
+        raise ValueError("the Lagrangian was defined on another system")
+    return L.pairing_exprs
 
 
 def cartan_pairing(alg: Algebroid, L: Lagrangian, ev: PointEvaluator) -> np.ndarray:
@@ -260,10 +274,7 @@ def symplectic_residual(
     sx, sv = S.section(alg).values_at(ev)
     ax, av = A.values_at(ev)
     pairing = float(np.concatenate([sx, sv]) @ W @ np.concatenate([ax, av]))
-    grad_e = ev.jet(L.energy_expr).grad
-    sigma = alg.anchor_at(ev)
-    d_energy = float(ax @ (sigma.T @ grad_e[: alg.n]) + av @ grad_e[alg.n :])
-    return pairing + d_energy
+    return pairing + directional_derivative(alg, ev, ax, av, L.energy_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +306,8 @@ class Trajectory:
     def energy_drift(self) -> float:
         if not self.energy:
             return 0.0
-        e0 = self.energy[0]
-        return max(abs(e - e0) for e in self.energy)
+        # numpy's max propagates NaN, where the builtin would skip it
+        return float(np.max(np.abs(np.array(self.energy) - self.energy[0])))
 
 
 def integrate_sode(
@@ -311,7 +322,9 @@ def integrate_sode(
     """Classical fixed-step RK4 for dx = sigma(x) y dt, dy = S(x, y) dt.
 
     The step is fixed (no adaptivity) so repeated runs are byte-identical.
-    Domain errors abort with the partial trajectory attached.
+    A domain error, or a state or energy that is not finite, aborts with
+    :class:`IntegrationAbortError` carrying the trajectory up to the last
+    finite step.
     """
     if dt <= 0.0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
@@ -332,23 +345,30 @@ def integrate_sode(
     def point(z: np.ndarray) -> EvalPoint:
         return EvalPoint.of(z[:n], z[n:])
 
-    times = [0.0]
-    states = [(tuple(state[:n]), tuple(state[n:]))]
-    energies = None
-    if lagrangian is not None:
-        energies = [energy(lagrangian, point(state))]
-    traj = Trajectory(times, states, energies)
+    traj = Trajectory([], [], [] if lagrangian is not None else None)
+
+    def record(t: float, z: np.ndarray) -> None:
+        x, y = tuple(z[:n]), tuple(z[n:])
+        # on the tuples the step stores anyway: a numpy test costs 5x more
+        if not all(map(math.isfinite, x + y)):
+            raise IntegrationAbortError(f"non-finite state at t = {t!r}", traj)
+        if traj.energy is not None:
+            e = energy(lagrangian, point(z))
+            if not math.isfinite(e):
+                raise IntegrationAbortError(f"non-finite energy at t = {t!r}", traj)
+            traj.energy.append(e)
+        traj.times.append(t)
+        traj.states.append((x, y))
+
     try:
+        record(0.0, state)
         for k in range(steps):
             k1 = rhs(state)
             k2 = rhs(state + 0.5 * dt * k1)
             k3 = rhs(state + 0.5 * dt * k2)
             k4 = rhs(state + dt * k3)
             state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times.append((k + 1) * dt)
-            states.append((tuple(state[:n]), tuple(state[n:])))
-            if energies is not None:
-                energies.append(energy(lagrangian, point(state)))
+            record((k + 1) * dt, state)
     except EvaluationDomainError as err:
         raise IntegrationAbortError(str(err), traj) from err
     return traj

@@ -22,6 +22,7 @@ import numpy as np
 from .algebroid import Algebroid, BaseSection
 from .expr import (
     Expr,
+    Num,
     ONE,
     ZERO,
     Var,
@@ -39,6 +40,7 @@ __all__ = [
     "ExprTensor",
     "bracket",
     "bracket_at",
+    "directional_derivative",
     "sigma1_apply",
     "tangent_structure_apply",
     "euler_section",
@@ -144,11 +146,18 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
 # ---------------------------------------------------------------------------
 
 
-def _dir_values(
+def directional_derivative(
     alg: Algebroid, ev: PointEvaluator, ax: np.ndarray, av: np.ndarray, f: Expr
 ) -> float:
-    """sigma1(A)(f) at the point, with A given by component values ax, av."""
-    g = ev.jet(f).grad
+    """sigma1(A)(f) at the point, with A given by component values ax, av.
+
+    The one directional derivative of the package: brackets, Lie derivatives
+    and conservation checks all go through here.  A constant ``f`` (such as
+    a component of a frame section) is answered 0.0 without evaluation.
+    """
+    if isinstance(f, Num):
+        return 0.0
+    g = ev.jet1(f).grad
     sigma = alg.anchor_at(ev)
     return float(ax @ (sigma.T @ g[: alg.n]) + av @ g[alg.n :])
 
@@ -159,7 +168,7 @@ def sigma1_apply(
     """Derivative of a function on the total space along the anchor image of A."""
     ev = alg.evaluator(p)
     ax, av = A.values_at(ev)
-    return _dir_values(alg, ev, ax, av, f)
+    return directional_derivative(alg, ev, ax, av, f)
 
 
 def bracket_at(
@@ -174,13 +183,10 @@ def bracket_at(
     bx, bv = B.values_at(ev)
     x_part = np.einsum("a,b,abg->g", ax, bx, L)
     v_part = np.zeros(m)
+    d = directional_derivative
     for g in range(m):
-        x_part[g] += _dir_values(alg, ev, ax, av, B.x_comps[g]) - _dir_values(
-            alg, ev, bx, bv, A.x_comps[g]
-        )
-        v_part[g] = _dir_values(alg, ev, ax, av, B.v_comps[g]) - _dir_values(
-            alg, ev, bx, bv, A.v_comps[g]
-        )
+        x_part[g] += d(alg, ev, ax, av, B.x_comps[g]) - d(alg, ev, bx, bv, A.x_comps[g])
+        v_part[g] = d(alg, ev, ax, av, B.v_comps[g]) - d(alg, ev, bx, bv, A.v_comps[g])
     return x_part, v_part
 
 
@@ -255,7 +261,7 @@ def spray_test(
         ev = alg.evaluator(p)
         y = np.array(p.y)
         for a in range(alg.m):
-            jet = ev.jet(S.components[a])
+            jet = ev.jet1(S.components[a])
             euler = 0.0
             for b in range(alg.m):
                 euler += y[b] * jet.grad[alg.n + b]

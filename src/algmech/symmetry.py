@@ -33,13 +33,14 @@ from .expr import (
     e_sum,
 )
 from .jets import EvalPoint, Jet2, PointEvaluator
-from .lagrangian import Lagrangian, cartan_pairing_exprs
+from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
     ProlongationSection,
     Semispray,
     basis_sections,
     bracket_at,
     complete_lift,
+    directional_derivative,
     sode_derivative_expr,
 )
 
@@ -88,13 +89,6 @@ class ConservedQuantity:
     per_sample: tuple[tuple[EvalPoint, float], ...]
     passed: bool
     tol: float
-
-
-def _dir_along(
-    alg: Algebroid, ev: PointEvaluator, ax: np.ndarray, av: np.ndarray, f: Expr
-) -> float:
-    g = ev.jet(f).grad
-    return float(ax @ (alg.anchor_at(ev).T @ g[: alg.n]) + av @ g[alg.n :])
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +261,12 @@ def lie_symmetry_check(
         xt_vals = ev.values_of(Xt.components)
         for b in range(m):
             pde1 = sum(
-                s_vals[a] * ev.jet(Xt.components[b]).grad[alg.n + a] for a in range(m)
+                s_vals[a] * ev.jet1(Xt.components[b]).grad[alg.n + a] for a in range(m)
             )
             pde1_max = max(pde1_max, abs(pde1))
-            grad_s = ev.jet(S.components[b]).grad
+            grad_s = ev.jet1(S.components[b]).grad
             term1 = sum(
-                y[al] * y[e] * float(sigma[:, al] @ ev.jet(slash[e][b]).grad[:n])
+                y[al] * y[e] * float(sigma[:, al] @ ev.jet1(slash[e][b]).grad[:n])
                 for al in range(m)
                 for e in range(m)
             )
@@ -322,16 +316,16 @@ def cartan_symmetry_check(
     two_max = energy_max = 0.0
     for p in samples:
         ev = alg.evaluator(p)
-        W = np.array([[ev.value(e) for e in row] for row in W_exprs])
+        W = cartan_pairing(alg, L, ev)
         ax, av = A.values_at(ev)
         brackets = [np.concatenate(bracket_at(alg, A, B, ev)) for B in basis]
         res1 = 0.0
         for r in range(2 * m):
             for c in range(r + 1, 2 * m):
-                lie_w = _dir_along(alg, ev, ax, av, W_exprs[r][c])
+                lie_w = directional_derivative(alg, ev, ax, av, W_exprs[r][c])
                 val = lie_w - float(brackets[r] @ W[:, c]) - float(W[r] @ brackets[c])
                 res1 = max(res1, abs(val))
-        res2 = abs(_dir_along(alg, ev, ax, av, L.energy_expr))
+        res2 = abs(directional_derivative(alg, ev, ax, av, L.energy_expr))
         per.append((p, (res1, res2)))
         two_max = max(two_max, res1)
         energy_max = max(energy_max, res2)
@@ -361,7 +355,7 @@ def conservation_check(
     for p in samples:
         ev = alg.evaluator(p)
         sx, sv = Ssec.values_at(ev)
-        val = _dir_along(alg, ev, sx, sv, f)
+        val = directional_derivative(alg, ev, sx, sv, f)
         per.append((p, float(val)))
         worst = max(worst, abs(val))
     return ConservedQuantity(
@@ -385,7 +379,7 @@ def _d_function_on_basis(
 ) -> np.ndarray:
     """(d f)(B) over the 2m frame sections: anchored x-derivatives, then
     fiber partials."""
-    g = ev.jet(f).grad
+    g = ev.jet1(f).grad
     sigma = alg.anchor_at(ev)
     return np.concatenate([sigma.T @ g[: alg.n], g[alg.n :]])
 
@@ -417,7 +411,7 @@ def conserved_from_cartan(
         df = _d_function_on_basis(alg, ev, f)
         for k, B in enumerate(basis):
             bx, _ = bracket_at(alg, A, B, ev)
-            lie_theta = _dir_along(alg, ev, ax, av, theta_trees[k]) - float(
+            lie_theta = directional_derivative(alg, ev, ax, av, theta_trees[k]) - float(
                 theta_vals @ bx
             )
             worst = max(worst, abs(lie_theta - df[k]))
@@ -504,15 +498,15 @@ def cartan_from_conservation(
         sigma = alg.anchor_at(ev)
         L_struct = alg.structure_at(ev)
         # omega(X, B_r) = sum_c X^c W[c][r]; system matrix is the transpose
-        M = [[ev.jet(W_exprs[c][r]) for c in range(2 * m)] for r in range(2 * m)]
-        rhs = [ev.jet(t) for t in rhs_trees]
+        M = [[ev.jet1(W_exprs[c][r]) for c in range(2 * m)] for r in range(2 * m)]
+        rhs = [ev.jet1(t) for t in rhs_trees]
         sol = _jet_solve(M, rhs)
         xs = np.array([s.value for s in sol[:m]])
         vs = np.array([s.value for s in sol[m:]])
         points.append(p)
         sections.append((xs, vs))
 
-        W = np.array([[ev.value(e) for e in row] for row in W_exprs])
+        W = cartan_pairing(alg, L, ev)
         # brackets of the reconstructed section with the frame sections
         brackets = []
         for b in range(m):  # B = X_b
@@ -533,16 +527,11 @@ def cartan_from_conservation(
             brackets.append(np.concatenate([bx, bv]))
         for r in range(2 * m):
             for c in range(r + 1, 2 * m):
-                lie_w = float(
-                    xs @ (sigma.T @ ev.jet(W_exprs[r][c]).grad[:n])
-                    + vs @ ev.jet(W_exprs[r][c]).grad[n:]
-                )
+                lie_w = directional_derivative(alg, ev, xs, vs, W_exprs[r][c])
                 val = lie_w - float(brackets[r] @ W[:, c]) - float(W[r] @ brackets[c])
                 two_max = max(two_max, abs(val))
-        grad_e = ev.jet(L.energy_expr).grad
         energy_max = max(
-            energy_max,
-            abs(float(xs @ (sigma.T @ grad_e[:n]) + vs @ grad_e[n:])),
+            energy_max, abs(directional_derivative(alg, ev, xs, vs, L.energy_expr))
         )
     return CartanReconstruction(
         points=points,

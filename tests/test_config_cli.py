@@ -1,4 +1,5 @@
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -315,6 +316,41 @@ class TestIntegrateCommand:
         # the energy column itself shows the drift bound
         energies = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-9
+
+    def test_blow_up_aborts_with_the_finite_prefix(self, tmp_path, capsys):
+        # x'' = -4 x^3 with dt = 0.1 overflows within ten steps
+        cfg = tmp_path / "quartic.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "name": "quartic",
+                    "base_dim": 1,
+                    "fiber_rank": 1,
+                    "base_coords": ["x"],
+                    "fiber_coords": ["y"],
+                    "anchor": [["1"]],
+                    "structure": [],
+                    "lagrangian": "0.5*y^2+x^4",
+                    "candidates": [],
+                    "samples": {"count": 5, "seed": 1, "box": {}},
+                    "tolerance": 1e-9,
+                }
+            )
+        )
+        out = tmp_path / "traj.csv"
+        argv = ["integrate", "--config", str(cfg), "--x0=1", "--y0=1"]
+        argv += ["--dt", "0.1", "--steps", "400", "--output", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.strip()
+        assert "\n" not in message and "Traceback" not in message
+        assert message.startswith("integration aborted: non-finite state")
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == "t,x,y,E"
+        assert 2 <= len(rows) < 400
+        for row in rows[1:]:
+            assert all(math.isfinite(float(v)) for v in row.split(","))
 
     def test_wrong_dimension_is_usage_error(self, tmp_path, capsys):
         code = main(

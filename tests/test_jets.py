@@ -147,6 +147,29 @@ def test_jets_match_finite_differences_on_corpus():
             assert np.max(np.abs(exact.hess - approx.hess)) <= 1e-4, src
 
 
+def test_first_order_jets_equal_second_order_on_corpus():
+    """jet1 runs the same arithmetic without the Hessian, so its value and
+    gradient are those of the second-order jet bit for bit."""
+    for src in CORPUS:
+        tree = parse_expression(src, COORDS)
+        for values in corpus_points(count=20, seed=5150):
+            full = eval_jet(tree, COORDS, values)
+            first = PointEvaluator(COORDS, values).jet1(tree)
+            assert first.hess is None
+            assert first.value == full.value, src
+            assert np.array_equal(first.grad, full.grad), src
+
+
+def test_first_and_second_order_memos_are_separate():
+    tree = parse_expression("sin(x1)*u1/(1+x2^2)", COORDS)
+    ev = PointEvaluator(COORDS, [0.3, -0.4, 1.2, 0.0])
+    first = ev.jet1(tree)
+    full = ev.jet(tree)
+    assert first.hess is None and full.hess is not None
+    assert ev.jet1(tree) is first and ev.jet(tree) is full
+    assert ev.gradient(tree) is first.grad
+
+
 def test_sum_and_product_rules_exact():
     a = parse_expression("sin(x1)*u1+x2^2", COORDS)
     b = parse_expression("exp(0.2*x2)-u2*x1", COORDS)

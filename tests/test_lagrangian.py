@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from algmech.expr import parse_expression
 from algmech.jets import EvalPoint, PointEvaluator
 from algmech.lagrangian import (
     Lagrangian,
+    Trajectory,
     canonical_semispray,
     cartan_one_section,
     cartan_pairing,
@@ -292,6 +295,23 @@ class TestIntegration:
             driftless.algebroid, driftless.semispray(), [0.3, 0.7, 0.1], [0.0, 0.0], 1e-3, 50
         )
         assert traj.states[-1] == traj.states[0]
+
+    def test_non_finite_state_aborts_with_finite_prefix(self, abelian):
+        # y1' = y1^2 blows up in finite time (t = 1 from y1 = 1)
+        alg = abelian.algebroid
+        S = Semispray(
+            (parse_expression("v1^2", alg.coords), parse_expression("0", alg.coords))
+        )
+        with pytest.raises(IntegrationAbortError) as exc:
+            integrate_sode(alg, S, [0.0, 0.0], [1.0, 0.0], 0.25, 100, abelian.lagrangian)
+        partial = exc.value.partial
+        assert 1 <= len(partial.times) < 100
+        assert len(partial.states) == len(partial.energy) == len(partial.times)
+        assert all(np.isfinite(x + y).all() for x, y in partial.states)
+
+    def test_energy_drift_does_not_skip_nan(self):
+        traj = Trajectory([0.0, 1.0, 2.0], [((), ())] * 3, [1.0, float("nan"), 1.5])
+        assert math.isnan(traj.energy_drift())
 
     def test_domain_error_carries_partial_trajectory(self, abelian):
         # x1 grows monotonically, so the log argument must cross zero

@@ -1,7 +1,9 @@
-"""Derived trees are built once per system and evaluated once per point.
+"""Derived trees are built once per system and evaluated once per point,
+and only to the order their callers read.
 
 These tests pin the sharing itself (node counts, constructor calls,
-evaluator instances), not any value; the golden reports pin the values.
+evaluator instances, jet orders), not any value; the golden reports pin the
+values.
 """
 
 import math
@@ -9,13 +11,17 @@ from importlib import resources
 
 import pytest
 
+import numpy as np
+
 import algmech.algebroid
 import algmech.config
 import algmech.symmetry
 from algmech.cli import main
 from algmech.connection import geometry_frame
-from algmech.expr import BinOp, Call, Neg, Var, differentiate
+from algmech.expr import BinOp, Call, Neg, Num, Var, differentiate, parse_expression
 from algmech.jets import EvalPoint, PointEvaluator
+from algmech.lagrangian import cartan_pairing_exprs, matrix_inverse_exprs
+from algmech.prolongation import directional_derivative
 
 
 def unique_nodes(root) -> int:
@@ -100,3 +106,74 @@ def test_one_evaluator_per_point(driftless, monkeypatch):
     q = EvalPoint.of(p.x, p.y)
     assert alg.evaluator(q) is not made[0]
     assert alg.evaluator(p) is not made[0]
+
+
+def test_report_takes_second_order_jets_only_of_the_lagrangian(
+    tmp_path, capsys, monkeypatch
+):
+    # the walker recurses internally, so jet() sees top-level requests only
+    asked = []
+    real = PointEvaluator.jet
+
+    def recording(self, e):
+        asked.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(PointEvaluator, "jet", recording)
+    path = fixture_file(tmp_path, "heisenberg")
+    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    L = algmech.config.load_config(path).lagrangian
+    assert asked, "the fiber metric reads the Hessian of L"
+    # every request is for the Lagrangian's own tree (one config load per run)
+    sources = {id(e) for e in asked}
+    assert len(sources) == 1
+    assert all(e == L.expr for e in asked)
+
+
+def test_directional_derivative_of_a_constant_evaluates_nothing(driftless):
+    alg = driftless.algebroid
+    ev = PointEvaluator(alg.coords, (0.5, 1.0, 0.0, 1.0, 2.0))
+    ax, av = np.ones(alg.m), np.ones(alg.m)
+    assert directional_derivative(alg, ev, ax, av, Num(3.0)) == 0.0
+    assert not ev._jet1s and not ev._jets and not ev._floats and not ev.cache
+    f = parse_expression("x1*u2", alg.coords)
+    assert directional_derivative(alg, ev, ax, av, f) != 0.0
+    assert ev._jet1s and not ev._jets
+
+
+def test_pairing_trees_are_built_once_per_lagrangian(driftless):
+    alg, L = driftless.algebroid, driftless.lagrangian
+    assert cartan_pairing_exprs(alg, L) is cartan_pairing_exprs(alg, L)
+    other = algmech.config.load_config(
+        resources.files("algmech").joinpath("fixtures/driftless.json")
+    )
+    with pytest.raises(ValueError):
+        cartan_pairing_exprs(other.algebroid, L)
+
+
+def test_adjugate_shares_its_minors():
+    k = 7
+    names = [f"a{i}{j}" for i in range(k) for j in range(k)]
+    mat = [[Var(f"a{i}{j}") for j in range(k)] for i in range(k)]
+    inv, det = matrix_inverse_exprs(mat)
+    roots = [c for row in inv for c in row]
+    seen = set()
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if isinstance(node, BinOp):
+                stack += [node.left, node.right]
+            elif isinstance(node, (Neg, Call)):
+                stack.append(node.operand)
+    # a plain Laplace expansion builds about e * 6! nodes per cofactor
+    # (140,698 unique nodes in all here); shared minors stay O(k^2 2^k)
+    assert len(seen) <= k * k * 2**k
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, size=(k, k)) + 3.0 * np.eye(k)
+    ev = PointEvaluator(names, values.ravel())
+    got = np.array([[ev.value(c) for c in row] for row in inv])
+    assert np.max(np.abs(got - np.linalg.inv(values))) <= 1e-12
+    assert ev.value(det) == pytest.approx(np.linalg.det(values), rel=1e-12)
