@@ -9,9 +9,8 @@ values.
 import math
 from importlib import resources
 
-import pytest
-
 import numpy as np
+import pytest
 
 import algmech.algebroid
 import algmech.config
@@ -24,9 +23,9 @@ from algmech.lagrangian import cartan_pairing_exprs, matrix_inverse_exprs
 from algmech.prolongation import directional_derivative
 
 
-def unique_nodes(root) -> int:
+def unique_nodes(*roots) -> int:
     seen = set()
-    stack = [root]
+    stack = list(roots)
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -124,10 +123,9 @@ def test_report_takes_second_order_jets_only_of_the_lagrangian(
     assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
     L = algmech.config.load_config(path).lagrangian
     assert asked, "the fiber metric reads the Hessian of L"
-    # every request is for the Lagrangian's own tree (one config load per run)
-    sources = {id(e) for e in asked}
-    assert len(sources) == 1
-    assert all(e == L.expr for e in asked)
+    # every request is for the one tree of the report's Lagrangian
+    assert len({id(e) for e in asked}) == 1
+    assert asked[0] == L.expr
 
 
 def test_directional_derivative_of_a_constant_evaluates_nothing(driftless):
@@ -156,22 +154,9 @@ def test_adjugate_shares_its_minors():
     names = [f"a{i}{j}" for i in range(k) for j in range(k)]
     mat = [[Var(f"a{i}{j}") for j in range(k)] for i in range(k)]
     inv, det = matrix_inverse_exprs(mat)
-    roots = [c for row in inv for c in row]
-    seen = set()
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, BinOp):
-                stack += [node.left, node.right]
-            elif isinstance(node, (Neg, Call)):
-                stack.append(node.operand)
     # a plain Laplace expansion builds about e * 6! nodes per cofactor
     # (140,698 unique nodes in all here); shared minors stay O(k^2 2^k)
-    assert len(seen) <= k * k * 2**k
+    assert unique_nodes(*(c for row in inv for c in row)) <= k * k * 2**k
     values = np.random.default_rng(3).uniform(-1.0, 1.0, size=(k, k)) + 3.0 * np.eye(k)
     ev = PointEvaluator(names, values.ravel())
     got = np.array([[ev.value(c) for c in row] for row in inv])
