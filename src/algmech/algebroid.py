@@ -123,21 +123,10 @@ class Algebroid:
     # -- pointwise data ----------------------------------------------------
 
     def anchor_at(self, ev: PointEvaluator) -> np.ndarray:
-        cached = ev.cache.get("anchor")
-        if cached is None:
-            cached = np.array([[ev.value(e) for e in row] for row in self.anchor])
-            ev.cache["anchor"] = cached
-        return cached
+        return ev.array(self.anchor)
 
     def structure_at(self, ev: PointEvaluator) -> np.ndarray:
-        cached = ev.cache.get("structure")
-        if cached is None:
-            m = self.m
-            cached = np.array(
-                [[[ev.value(self.structure[a][b][c]) for c in range(m)] for b in range(m)] for a in range(m)]
-            )
-            ev.cache["structure"] = cached
-        return cached
+        return ev.array(self.structure)
 
     # -- base calculus -----------------------------------------------------
 
@@ -205,7 +194,6 @@ class Algebroid:
         """
         if not samples:
             raise ValueError("at least one sample point is required")
-        n, m = self.n, self.m
         anti = cyc = compat = 0.0
         for p in samples:
             try:
@@ -226,39 +214,35 @@ class Algebroid:
     def _validate_at(
         self, p: EvalPoint, anti: float, cyc: float, compat: float
     ) -> tuple[float, float, float]:
-        n, m = self.n, self.m
         ev = self.evaluator(p)
         sigma = self.anchor_at(ev)
         L = self.structure_at(ev)
-        anti = max(anti, float(np.max(np.abs(L + L.transpose(1, 0, 2)))) if m else 0.0)
+        anti = max(anti, float(np.max(np.abs(L + L.transpose(1, 0, 2)))))
 
         # first partials of structure functions and anchor entries
-        dL = np.zeros((m, m, m, n))
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    dL[a, b, c] = ev.gradient(self.structure[a][b][c])[:n]
-        dsig = np.zeros((n, m, n))
-        for i in range(n):
-            for a in range(m):
-                dsig[i, a] = ev.gradient(self.anchor[i][a])[:n]
+        n = self.n
+        dL = np.array(
+            [[[ev.gradient(e)[:n] for e in row] for row in plane] for plane in self.structure]
+        )
+        dsig = np.array([[ev.gradient(e)[:n] for e in row] for row in self.anchor])
 
-        # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    for d in range(m):
-                        total = 0.0
-                        for aa, bb, cc in ((a, b, c), (b, c, a), (c, a, b)):
-                            total += float(sigma[:, aa] @ dL[bb, cc, d])
-                            total += float(L[aa, :, d] @ L[bb, cc, :])
-                        cyc = max(cyc, abs(total))
+        # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
+        # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
+        flow = _dots(sigma.T[:, None, None, None], dL[None])
+        prod = _dots(L.transpose(0, 2, 1)[:, None, None], L[None, :, :, None])
+        cycle = ((0, 1, 2, 3), (2, 0, 1, 3), (1, 2, 0, 3))
+        total = sum(t.transpose(s) for s in cycle for t in (flow, prod))
+        cyc = max(cyc, float(np.max(np.abs(total))))
 
         # anchor compatibility with the bracket
-        for a in range(m):
-            for b in range(m):
-                for i in range(n):
-                    lhs = float(sigma[:, a] @ dsig[i, b] - sigma[:, b] @ dsig[i, a])
-                    rhs = float(sigma[i, :] @ L[a, b, :])
-                    compat = max(compat, abs(lhs - rhs))
+        lie = _dots(sigma.T[:, None, None], dsig.transpose(1, 0, 2)[None])
+        rhs = _dots(sigma[None, None], L[:, :, None])
+        compat = max(compat, float(np.max(np.abs(lie - lie.transpose(1, 0, 2) - rhs))))
         return anti, cyc, compat
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[..., :] @ y[..., :]`` over broadcast leading axes.  numpy hands each
+    (1, k) @ (k, 1) product to the BLAS dot, so entries round as ``np.dot``
+    does on the same views (einsum adds in another order)."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]

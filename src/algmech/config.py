@@ -268,6 +268,9 @@ def parse_config(raw: dict, origin: str = "<memory>") -> SystemConfig:
     name = _need(raw, "name", str, "")
     n = _need(raw, "base_dim", int, "")
     m = _need(raw, "fiber_rank", int, "")
+    for key, dim in (("base_dim", n), ("fiber_rank", m)):
+        if dim < 1:
+            raise ConfigError(f"/{key}", "expected a positive integer")
     base = _need(raw, "base_coords", list, "")
     fiber = _need(raw, "fiber_coords", list, "")
     if len(base) != n or not all(isinstance(c, str) for c in base):

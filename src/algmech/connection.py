@@ -96,13 +96,7 @@ class Connection:
         return len(self.coeffs)
 
     def at(self, ev: PointEvaluator) -> np.ndarray:
-        key = ("connection", id(self))
-        cached = ev.cache.get(key)
-        if cached is not None and cached[0] is self:
-            return cached[1]
-        values = np.array([[ev.value(e) for e in row] for row in self.coeffs])
-        ev.cache[key] = (self, values)
-        return values
+        return ev.array(self.coeffs)
 
 
 def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:

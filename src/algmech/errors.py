@@ -28,7 +28,7 @@ class UnknownIdentifierError(AlgmechError):
 
 
 class EvaluationDomainError(AlgmechError):
-    """Numeric domain violation (log/sqrt of a non-positive value, zero division)."""
+    """Numeric domain violation (log/sqrt domain, zero division) or overflow."""
 
     def __init__(self, message: str, subexpression=None):
         self.subexpression = subexpression

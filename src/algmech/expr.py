@@ -13,6 +13,10 @@ so ``^`` binds tighter than unary minus and is right-associative, and
 ``-x^2`` means ``-(x^2)``.  Trees are immutable; identical sub-objects may be
 shared freely, which the evaluators exploit for memoisation.
 
+:data:`FUNCTIONS` is the one table of elementary functions (f, f', f'' and
+the derivative-tree rule); the parser, :func:`cached_derivative` and every
+evaluation mode of :class:`~algmech.jets.PointEvaluator` read it.
+
 Derivative trees apply light constant folding (0/1 absorption) so repeated
 differentiation stays compact; folding never changes the value of any
 expression at any point.  Derivatives are memoised by node identity, so a
@@ -24,9 +28,10 @@ shared in the output: :func:`differentiate` keeps a memo for one call, and
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ExprSyntaxError, UnknownIdentifierError
 
@@ -54,9 +59,6 @@ __all__ = [
     "ZERO",
     "ONE",
 ]
-
-FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
-
 
 @dataclass(frozen=True, slots=True)
 class Num:
@@ -220,7 +222,8 @@ def parse_expression(source: str, coords: Sequence[str]) -> Expr:
 
     Raises :class:`ExprSyntaxError` with the byte offset of the problem, or
     :class:`UnknownIdentifierError` if an identifier is not a declared
-    coordinate (the five function names are reserved when followed by ``(``).
+    coordinate (the names in :data:`FUNCTIONS` are reserved when followed by
+    ``(``).
     """
     return _Parser(source, frozenset(coords)).parse()
 
@@ -362,15 +365,31 @@ def e_sum(terms: Iterable[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Derivative construction
+# Elementary functions and derivative construction
 # ---------------------------------------------------------------------------
 
-_CHAIN = {
-    "sin": lambda x, dx: e_mul(Call("cos", x), dx),
-    "cos": lambda x, dx: e_neg(e_mul(Call("sin", x), dx)),
-    "exp": lambda x, dx: e_mul(Call("exp", x), dx),
-    "ln": lambda x, dx: e_div(dx, x),
-    "sqrt": lambda x, dx: e_div(dx, e_mul(Num(2.0), Call("sqrt", x))),
+
+class Elementary(NamedTuple):
+    """f, f', f'' on floats (math's errors mark the domain); rule(x, dx) = d f(x)."""
+
+    f: Callable[[float], float]
+    d1: Callable[[float], float]
+    d2: Callable[[float], float]
+    rule: Callable[[Expr, Expr], Expr]
+
+
+FUNCTIONS: dict[str, Elementary] = {
+    "sin": Elementary(math.sin, math.cos, lambda v: -math.sin(v),
+                      lambda x, dx: e_mul(Call("cos", x), dx)),
+    "cos": Elementary(math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v),
+                      lambda x, dx: e_neg(e_mul(Call("sin", x), dx))),
+    "exp": Elementary(math.exp, math.exp, math.exp,
+                      lambda x, dx: e_mul(Call("exp", x), dx)),
+    "ln": Elementary(math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v),
+                     lambda x, dx: e_div(dx, x)),
+    "sqrt": Elementary(math.sqrt, lambda v: 0.5 / math.sqrt(v),
+                       lambda v: -0.25 / (math.sqrt(v) * v),
+                       lambda x, dx: e_div(dx, e_mul(Num(2.0), Call("sqrt", x)))),
 }
 
 
@@ -398,7 +417,7 @@ def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
     if isinstance(e, Neg):
         r = e_neg(cached_derivative(e.operand, name, memo))
     elif isinstance(e, Call):
-        r = _CHAIN[e.func](e.operand, cached_derivative(e.operand, name, memo))
+        r = FUNCTIONS[e.func].rule(e.operand, cached_derivative(e.operand, name, memo))
     else:
         da = cached_derivative(e.left, name, memo)
         db = cached_derivative(e.right, name, memo)

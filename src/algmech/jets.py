@@ -22,8 +22,9 @@ one jet.
 A system hands out one evaluator per point
 (:meth:`~algmech.algebroid.Algebroid.evaluator`), so every tensor computed at
 that point shares the memo; values depend only on the tree and the point, so
-sharing never changes a result.  Its ``cache`` holds per-point tensors, keyed
-by the identity of the object they belong to where that can vary.
+sharing never changes a result; :meth:`PointEvaluator.array` keeps per-point
+arrays.  Every mode reads :data:`~algmech.expr.FUNCTIONS`; one guard turns
+math's own errors into :class:`EvaluationDomainError`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .expr import BinOp, Call, Expr, Neg, Num, Var
+from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var
 
 __all__ = ["Jet2", "EvalPoint", "PointEvaluator", "eval_jet", "finite_difference_jet"]
 
@@ -123,50 +124,23 @@ class Jet2:
         return result
 
 
-def _call_jet(func: str, a: Jet2, node: Expr) -> Jet2:
-    v = a.value
-    if func == "sin":
-        return a.chain(math.sin(v), math.cos(v), -math.sin(v))
-    if func == "cos":
-        return a.chain(math.cos(v), -math.sin(v), -math.cos(v))
-    if func == "exp":
-        e = math.exp(v)
-        return a.chain(e, e, e)
-    if func == "ln":
-        if v <= 0.0:
-            raise EvaluationDomainError(f"ln of non-positive value {v!r}", node)
-        return a.chain(math.log(v), 1.0 / v, -1.0 / (v * v))
-    if func == "sqrt":
-        if v < 0.0:
-            raise EvaluationDomainError(f"sqrt of negative value {v!r}", node)
-        if v == 0.0:
-            raise EvaluationDomainError("sqrt derivative singular at 0", node)
-        s = math.sqrt(v)
-        return a.chain(s, 0.5 / s, -0.25 / (s * v))
-    raise AssertionError(func)
+_MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def _call_float(func: str, v: float, node: Expr) -> float:
-    if func == "sin":
-        return math.sin(v)
-    if func == "cos":
-        return math.cos(v)
-    if func == "exp":
-        return math.exp(v)
-    if func == "ln":
-        if v <= 0.0:
-            raise EvaluationDomainError(f"ln of non-positive value {v!r}", node)
-        return math.log(v)
-    if func == "sqrt":
-        if v < 0.0:
-            raise EvaluationDomainError(f"sqrt of negative value {v!r}", node)
-        return math.sqrt(v)
-    raise AssertionError(func)
+def _domain_error(what: str, at: str, node: Expr, err: Exception) -> EvaluationDomainError:
+    """The guard: the domain error for a math error raised by ``what`` at ``at``."""
+    verb = "overflows" if isinstance(err, OverflowError) else "is undefined"
+    return EvaluationDomainError(f"{what} {verb} at {at}", node)
 
 
-def _int_exponent(c: float) -> int | None:
-    if c == int(c) and abs(c) <= 1_000_000:
+def _power_exponent(base: float, c: float, node: BinOp) -> int | None:
+    """Integer exponent of ``node`` (or None: a real power), base checked."""
+    if isinstance(node.right, Num) and c == int(c) and abs(c) <= 1_000_000:
+        if c < 0 and base == 0.0:
+            raise EvaluationDomainError("zero base with negative exponent", node)
         return int(c)
+    if base <= 0.0:
+        raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}", node)
     return None
 
 
@@ -189,7 +163,7 @@ class PointEvaluator:
         self._jets: dict[int, tuple[Expr, Jet2]] = {}  # second order
         self._jet1s: dict[int, tuple[Expr, Jet2]] = {}  # first order
         self._floats: dict[int, tuple[Expr, float]] = {}
-        self.cache: dict = {}  # scratch space for callers (per-point tensors etc.)
+        self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def value(self, e: Expr) -> float:
         memo = self._floats
@@ -204,7 +178,11 @@ class PointEvaluator:
         elif isinstance(e, Neg):
             r = -self.value(e.operand)
         elif isinstance(e, Call):
-            r = _call_float(e.func, self.value(e.operand), e)
+            v = self.value(e.operand)
+            try:
+                r = FUNCTIONS[e.func].f(v)
+            except _MATH_ERRORS as err:
+                raise _domain_error(e.func, repr(v), e, err) from err
         else:
             a = self.value(e.left)
             b = self.value(e.right)
@@ -224,20 +202,17 @@ class PointEvaluator:
         memo[key] = (e, r)
         return r
 
-    def _pow_float(self, a: float, b: float, node: Expr) -> float:
-        k = _int_exponent(b) if isinstance(node.right, Num) else None
-        if k is not None:
-            if k < 0 and a == 0.0:
-                raise EvaluationDomainError("zero base with negative exponent", node)
+    def _pow_float(self, a: float, b: float, node: BinOp) -> float:
+        k = _power_exponent(a, b, node)
+        try:
+            if k is None:
+                return math.exp(b * math.log(a))
             r = 1.0
             for _ in range(abs(k)):
                 r *= a
             return 1.0 / r if k < 0 else r
-        if a <= 0.0:
-            raise EvaluationDomainError(
-                f"non-integer power of non-positive base {a!r}", node
-            )
-        return math.exp(b * math.log(a))
+        except _MATH_ERRORS as err:
+            raise _domain_error("power", f"base {a!r}", node, err) from err
 
     def jet(self, e: Expr) -> Jet2:
         """Second-order jet of ``e``: value, gradient and Hessian."""
@@ -264,7 +239,12 @@ class PointEvaluator:
         elif isinstance(e, Neg):
             r = -self._walk(e.operand, memo, second)
         elif isinstance(e, Call):
-            r = _call_jet(e.func, self._walk(e.operand, memo, second), e)
+            a = self._walk(e.operand, memo, second)
+            fn, v = FUNCTIONS[e.func], a.value
+            try:
+                r = a.chain(fn.f(v), fn.d1(v), fn.d2(v) if second else 0.0)
+            except _MATH_ERRORS as err:
+                raise _domain_error(e.func, repr(v), e, err) from err
         else:
             op = e.op
             if op == "^":
@@ -287,33 +267,35 @@ class PointEvaluator:
 
     def _pow_jet(self, e: BinOp, memo: dict, second: bool) -> Jet2:
         a = self._walk(e.left, memo, second)
-        if isinstance(e.right, Num):
-            k = _int_exponent(e.right.value)
+        b = None if isinstance(e.right, Num) else self._walk(e.right, memo, second)
+        v = a.value
+        c = e.right.value if b is None else b.value
+        k = _power_exponent(v, c, e)
+        try:
             if k is not None:
-                if k < 0 and a.value == 0.0:
-                    raise EvaluationDomainError("zero base with negative exponent", e)
                 return a.pow_int(k)
-            c = e.right.value
-            if a.value <= 0.0:
-                raise EvaluationDomainError(
-                    f"non-integer power of non-positive base {a.value!r}", e
-                )
-            v = a.value
             f0 = math.exp(c * math.log(v))
-            return a.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
-        b = self._walk(e.right, memo, second)
-        if a.value <= 0.0:
-            raise EvaluationDomainError(
-                f"non-integer power of non-positive base {a.value!r}", e
-            )
-        # a^b = exp(b ln a)
-        ln_a = a.chain(math.log(a.value), 1.0 / a.value, -1.0 / (a.value * a.value))
-        prod = b * ln_a
-        ev = math.exp(prod.value)
-        return prod.chain(ev, ev, ev)
+            if b is None:
+                return a.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
+            ln = FUNCTIONS["ln"]  # a^b = exp(b ln a)
+            return (b * a.chain(ln.f(v), ln.d1(v), ln.d2(v))).chain(f0, f0, f0)
+        except _MATH_ERRORS as err:
+            raise _domain_error("power", f"base {v!r}", e, err) from err
 
     def values_of(self, exprs: Sequence[Expr]) -> np.ndarray:
         return np.array([self.value(x) for x in exprs])
+
+    def array(self, trees: tuple) -> np.ndarray:
+        """Values of a nested tuple of trees, as an array of its shape,
+        computed once per point: keyed by the identity of ``trees``, which
+        the entry keeps alive, so callers pass a tuple they keep."""
+        hit = self._arrays.get(id(trees))
+        if hit is None:
+            hit = self._arrays[id(trees)] = (trees, np.array(self._nested(trees)))
+        return hit[1]
+
+    def _nested(self, t):
+        return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
 
 
 def eval_jet(e: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:

@@ -234,16 +234,8 @@ def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> tuple[tuple[Expr, ...
 
 
 def cartan_pairing(alg: Algebroid, L: Lagrangian, ev: PointEvaluator) -> np.ndarray:
-    """Values of :func:`cartan_pairing_exprs` at the evaluator's point, cached
-    on the evaluator per Lagrangian."""
-    key = ("cartan_pairing", id(L))
-    cached = ev.cache.get(key)
-    if cached is not None and cached[0] is L:
-        return cached[1]
-    W = cartan_pairing_exprs(alg, L)
-    values = np.array([[ev.value(e) for e in row] for row in W])
-    ev.cache[key] = (L, values)
-    return values
+    """Values of :func:`cartan_pairing_exprs` at the evaluator's point."""
+    return ev.array(cartan_pairing_exprs(alg, L))
 
 
 def cartan_two_section(

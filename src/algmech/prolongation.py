@@ -351,10 +351,7 @@ class ExprTensor:
         )
 
     def at(self, ev: PointEvaluator) -> TensorBlock11:
-        def block(rows: _Block) -> np.ndarray:
-            return np.array([[ev.value(e) for e in row] for row in rows])
-
-        return TensorBlock11(block(self.xx), block(self.xv), block(self.vx), block(self.vv))
+        return TensorBlock11(*(ev.array(b) for b in (self.xx, self.xv, self.vx, self.vv)))
 
 
 def j_tensor(m: int) -> ExprTensor:

@@ -368,12 +368,6 @@ def conservation_check(
     )
 
 
-def _one_section_values(
-    alg: Algebroid, L: Lagrangian, ev: PointEvaluator
-) -> np.ndarray:
-    return ev.values_of(L.dy)
-
-
 def _d_function_on_basis(
     alg: Algebroid, ev: PointEvaluator, f: Expr
 ) -> np.ndarray:
@@ -407,7 +401,7 @@ def conserved_from_cartan(
     for p in samples:
         ev = alg.evaluator(p)
         ax, av = A.values_at(ev)
-        theta_vals = _one_section_values(alg, L, ev)
+        theta_vals = ev.values_of(L.dy)
         df = _d_function_on_basis(alg, ev, f)
         for k, B in enumerate(basis):
             bx, _ = bracket_at(alg, A, B, ev)

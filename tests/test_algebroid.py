@@ -3,7 +3,7 @@ import pytest
 
 from algmech.algebroid import Algebroid, BaseSection
 from algmech.errors import FiberDependenceError
-from algmech.expr import parse_expression
+from algmech.expr import ZERO, e_neg, parse_expression
 from algmech.jets import EvalPoint
 from algmech.prolongation import complete_lift, vertical_lift
 from algmech.sampling import sample_points
@@ -76,6 +76,33 @@ class TestValidation:
         assert not rep.passed
         assert rep.compatibility == pytest.approx(1.0, abs=1e-12)
         assert rep.cyclic == 0.0
+
+    @pytest.mark.parametrize(
+        "n,cyclic,compatibility",
+        [(2, 31.956393456450883, 44.99799731614849), (4, 48.74251985367074, 95.64180371696402)],
+    )
+    def test_non_algebroid_residuals_are_pinned(self, n, cyclic, compatibility):
+        # x-dependent anchor and structure satisfying neither structure
+        # equation; the residuals are those of one np.dot per index tuple,
+        # which einsum's order of addition misses in the last bit here
+        m = 3
+        base, fiber = tuple(f"x{i + 1}" for i in range(n)), ("u1", "u2", "u3")
+        x = lambda i: base[i % n]  # noqa: E731
+        P = lambda src: parse_expression(src, base)  # noqa: E731
+        anchor = tuple(
+            tuple(P(f"{1 + i + a}*{x(i + a)}+sin({x(i * a + 1)})") for a in range(m))
+            for i in range(n)
+        )
+        L = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+        for a, b, c in ((a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)):
+            L[a][b][c] = P(f"{x(a + b + c)}*{x(c)}-{a + c + 1}*cos({x(b)})")
+            L[b][a][c] = e_neg(L[a][b][c])
+        alg = Algebroid(base, fiber, anchor, tuple(tuple(map(tuple, p_)) for p_ in L))
+        rep = alg.validate(sample_points(base, fiber, 20, seed=11), tol=1e-9)
+        assert not rep.passed
+        assert rep.antisymmetry == 0.0
+        assert rep.cyclic == cyclic
+        assert rep.compatibility == compatibility
 
     def test_domain_error_names_the_sample_point(self, abelian):
         alg = abelian.algebroid

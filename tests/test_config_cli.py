@@ -23,6 +23,23 @@ def fixture_path(tmp_path: Path, name: str = "driftless") -> Path:
     return out
 
 
+def line_system(lagrangian: str, base_dim: int = 1, fiber_rank: int = 1) -> dict:
+    """A system on a line (identity anchor), or with the dimensions given."""
+    return {
+        "name": "line",
+        "base_dim": base_dim,
+        "fiber_rank": fiber_rank,
+        "base_coords": ["x"][:base_dim],
+        "fiber_coords": ["y"][:fiber_rank],
+        "anchor": [["1"][:fiber_rank]][:base_dim],
+        "structure": [],
+        "lagrangian": lagrangian,
+        "candidates": [],
+        "samples": {"count": 5, "seed": 1, "box": {}},
+        "tolerance": 1e-9,
+    }
+
+
 def edited_fixture(tmp_path: Path, mutate, name="driftless") -> Path:
     raw = json.loads(fixture_bytes(name))
     mutate(raw)
@@ -133,6 +150,25 @@ class TestExitCodes:
     def test_config_error_is_usage_error(self, tmp_path, capsys):
         path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian="u1**2"))
         assert main(["validate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "dims,lagrangian,command",
+        [
+            ((0, 1), "0.5*y^2", "validate"),
+            ((0, 1), "0.5*y^2", "report"),
+            ((1, 0), "x^2", "spray-check"),
+            ((1, 0), "x^2", "report"),
+        ],
+    )
+    def test_dimension_below_one_is_usage_error(
+        self, tmp_path, capsys, dims, lagrangian, command
+    ):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(line_system(lagrangian, *dims)))
+        assert main([command, "--config", str(path)]) == 2
+        message = capsys.readouterr().err.strip()
+        field = "/base_dim" if dims[0] == 0 else "/fiber_rank"
+        assert message == f"config error: {field}: expected a positive integer"
 
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["validate", "--config", "/no/such/file.json"]) == 2
@@ -317,40 +353,35 @@ class TestIntegrateCommand:
         energies = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-9
 
-    def test_blow_up_aborts_with_the_finite_prefix(self, tmp_path, capsys):
-        # x'' = -4 x^3 with dt = 0.1 overflows within ten steps
-        cfg = tmp_path / "quartic.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "name": "quartic",
-                    "base_dim": 1,
-                    "fiber_rank": 1,
-                    "base_coords": ["x"],
-                    "fiber_coords": ["y"],
-                    "anchor": [["1"]],
-                    "structure": [],
-                    "lagrangian": "0.5*y^2+x^4",
-                    "candidates": [],
-                    "samples": {"count": 5, "seed": 1, "box": {}},
-                    "tolerance": 1e-9,
-                }
-            )
-        )
+    def abort(self, tmp_path, capsys, lagrangian, dt):
+        """Integrate L on a line from x = y = 1; return the stderr line."""
+        cfg = tmp_path / "line.json"
+        cfg.write_text(json.dumps(line_system(lagrangian)))
         out = tmp_path / "traj.csv"
         argv = ["integrate", "--config", str(cfg), "--x0=1", "--y0=1"]
-        argv += ["--dt", "0.1", "--steps", "400", "--output", str(out)]
+        argv += ["--dt", dt, "--steps", "400", "--output", str(out)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         message = captured.err.strip()
         assert "\n" not in message and "Traceback" not in message
-        assert message.startswith("integration aborted: non-finite state")
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "t,x,y,E"
         assert 2 <= len(rows) < 400
         for row in rows[1:]:
             assert all(math.isfinite(float(v)) for v in row.split(","))
+        return message
+
+    def test_blow_up_aborts_with_the_finite_prefix(self, tmp_path, capsys):
+        # x'' = -4 x^3 with dt = 0.1 overflows within ten steps
+        message = self.abort(tmp_path, capsys, "0.5*y^2+x^4", "0.1")
+        assert message.startswith("integration aborted: non-finite state")
+
+    def test_function_overflow_aborts_with_the_finite_prefix(self, tmp_path, capsys):
+        # x'' = exp(x) runs away until exp itself overflows inside a step
+        message = self.abort(tmp_path, capsys, "0.5*y^2+exp(x)", "0.5")
+        assert message.startswith("integration aborted: exp overflows at ")
+        assert "in 'exp(x)'" in message
 
     def test_wrong_dimension_is_usage_error(self, tmp_path, capsys):
         code = main(

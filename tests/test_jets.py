@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algmech.errors import EvaluationDomainError
-from algmech.expr import parse_expression
+from algmech.expr import FUNCTIONS, parse_expression, to_source
 from algmech.jets import PointEvaluator, eval_jet, finite_difference_jet
 from algmech.sampling import SplitMix64
 
@@ -66,11 +66,32 @@ class TestJetValues:
             ("sqrt(x1)", {"x1": -4.0}),
             ("x1/x2", {"x1": 1.0, "x2": 0.0}),
             ("x1^-1", {"x1": 0.0}),
+            ("exp(x1)", {"x1": 1000.0}),
+            ("sin(x1*x1)", {"x1": 1e200}),
+            ("x1^2.5", {"x1": 1e300}),
         ],
     )
     def test_domain_errors(self, src, kwargs):
-        with pytest.raises(EvaluationDomainError):
-            jet(src, **kwargs)
+        tree = parse_expression(src, COORDS)
+        ev = PointEvaluator(COORDS, [kwargs.get(c, 0.0) for c in COORDS])
+        for mode in (ev.value, ev.jet1, ev.jet):
+            with pytest.raises(EvaluationDomainError) as exc:
+                mode(tree)
+            assert str(exc.value).endswith(f" in '{to_source(tree)}'")
+
+    @pytest.mark.parametrize(
+        "src,x1,says",
+        [
+            ("ln(x1)", 0.0, "ln is undefined at 0.0"),
+            ("exp(x1)", 1000.0, "exp overflows at 1000.0"),
+            ("sin(x1*x1)", 1e200, "sin is undefined at inf"),
+            ("x1^2.5", 1e300, "power overflows at base 1e+300"),
+        ],
+    )
+    def test_math_errors_name_the_function_and_its_argument(self, src, x1, says):
+        with pytest.raises(EvaluationDomainError) as exc:
+            PointEvaluator(COORDS, [x1, 0.0, 0.0, 0.0]).value(parse_expression(src, COORDS))
+        assert str(exc.value) == f"{says} in '{src}'"
 
     def test_domain_error_carries_subexpression(self):
         with pytest.raises(EvaluationDomainError) as exc:
@@ -128,6 +149,16 @@ CORPUS = [
     "u1^2*u2/(1+x1^2)",
     "2^-3*x1+(x2+3)^0.5+ln(exp(u1))",
 ]
+
+
+def test_corpus_covers_every_function():
+    used, stack = set(), [parse_expression(src, COORDS) for src in CORPUS]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Call):
+            used.add(e.func)
+        stack += [getattr(e, f) for f in ("operand", "left", "right") if hasattr(e, f)]
+    assert used == set(FUNCTIONS)
 
 
 def corpus_points(count=100, seed=74201):

@@ -133,7 +133,7 @@ def test_directional_derivative_of_a_constant_evaluates_nothing(driftless):
     ev = PointEvaluator(alg.coords, (0.5, 1.0, 0.0, 1.0, 2.0))
     ax, av = np.ones(alg.m), np.ones(alg.m)
     assert directional_derivative(alg, ev, ax, av, Num(3.0)) == 0.0
-    assert not ev._jet1s and not ev._jets and not ev._floats and not ev.cache
+    assert not ev._jet1s and not ev._jets and not ev._floats and not ev._arrays
     f = parse_expression("x1*u2", alg.coords)
     assert directional_derivative(alg, ev, ax, av, f) != 0.0
     assert ev._jet1s and not ev._jets
