@@ -15,20 +15,23 @@ the polynomial data this library targets, pointwise residuals at a few dozen
 random points are decisive in practice.
 
 An :class:`Algebroid` is the per-system object every derived-tree
-constructor receives, so it owns the two caches that make derived trees and
-point evaluation shared: the derivative memo (:meth:`Algebroid.derivative`)
-and the evaluator of the current point (:meth:`Algebroid.evaluator`).
+constructor receives, so it owns the caches that make derived trees and
+point evaluation shared: the derivative memo (:meth:`Algebroid.derivative`),
+the evaluator of the current point (:meth:`Algebroid.evaluator`), and the
+trees that depend on the system alone (:attr:`Algebroid.base_velocity`,
+:attr:`Algebroid.twisted_structure`), built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EvaluationDomainError, FiberDependenceError
-from .expr import Expr, cached_derivative, e_mul, e_sub, e_sum, variables
+from .expr import Expr, Var, cached_derivative, e_mul, e_sub, e_sum, variables
 from .jets import EvalPoint, PointEvaluator
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
@@ -102,6 +105,26 @@ class Algebroid:
         """
         return cached_derivative(e, name, self._derivatives)
 
+    @cached_property
+    def base_velocity(self) -> tuple[Expr, ...]:
+        """The anchored velocity trees xdot^i = sigma_a^i y^a."""
+        return tuple(
+            e_sum(e_mul(Var(self.fiber_coords[a]), self.anchor[i][a]) for a in range(self.m))
+            for i in range(self.n)
+        )
+
+    @cached_property
+    def twisted_structure(self) -> tuple[tuple[Expr, ...], ...]:
+        """[b][a] = y^e L_eb^a, the structure functions contracted with the fiber."""
+        m = self.m
+        return tuple(
+            tuple(
+                e_sum(e_mul(Var(self.fiber_coords[e]), self.structure[e][b][a]) for e in range(m))
+                for a in range(m)
+            )
+            for b in range(m)
+        )
+
     def evaluator(self, p: EvalPoint) -> PointEvaluator:
         """The evaluator at ``p``, shared by every tensor computed there.
 
@@ -141,12 +164,8 @@ class Algebroid:
         """Derivative of a base function along the anchored vector field of s."""
         if not s.x_only:
             raise FiberDependenceError("section must not depend on fiber coordinates")
-        self._require_x_only(f, "function")
-        ev = self.evaluator(p)
-        sigma = self.anchor_at(ev)
-        rho = ev.values_of(s.components)
-        grad_x = ev.gradient(f)[: self.n]
-        return float(rho @ (sigma.T @ grad_x))
+        df = self.differential(f, p)
+        return float(self.evaluator(p).values_of(s.components) @ df)
 
     def differential(self, f: Expr, p: EvalPoint) -> np.ndarray:
         """Components of the exterior derivative of a base function."""

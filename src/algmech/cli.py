@@ -8,10 +8,13 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 from .config import SystemConfig, load_config
 from .errors import AlgmechError, ConfigError, IntegrationAbortError
@@ -86,24 +89,36 @@ def _emit(args, payload: dict, markdown: str | None = None) -> None:
     else:
         text = emit_json(payload) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        with _writing(args.output):
+            Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+@contextmanager
+def _writing(path) -> Iterator[None]:
+    """Turns a failed write to ``path`` (say, into a missing directory) into
+    a config error on ``--output``."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError("--output", f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _floats(chunk: str, flag: str) -> list[float]:
+    """The comma- or space-separated numbers of a command-line value."""
+    parts = [p for p in re.split(r"[,\s]+", chunk.strip(" ,")) if p]
+    try:
+        return [float(p) for p in parts]
+    except ValueError as err:
+        raise ConfigError(flag, f"bad number: {err}") from err
 
 
 def _parse_at(text: str, cfg: SystemConfig) -> EvalPoint:
     mo = re.fullmatch(r"\s*x\s*=\s*(.*?)[,\s]*y\s*=\s*(.*?)\s*", text)
     if mo is None:
         raise ConfigError("--at", 'expected "x=<values>,y=<values>"')
-
-    def floats(chunk: str) -> list[float]:
-        parts = [p for p in re.split(r"[,\s]+", chunk.strip(" ,")) if p]
-        try:
-            return [float(p) for p in parts]
-        except ValueError as err:
-            raise ConfigError("--at", f"bad number: {err}") from err
-
-    x, y = floats(mo.group(1)), floats(mo.group(2))
+    x, y = _floats(mo.group(1), "--at"), _floats(mo.group(2), "--at")
     alg = cfg.algebroid
     if len(x) != alg.n or len(y) != alg.m:
         raise ConfigError(
@@ -166,26 +181,28 @@ def cmd_symmetry(args) -> int:
 def cmd_integrate(args) -> int:
     cfg = load_config(args.config)
     alg = cfg.algebroid
-
-    def floats(chunk: str) -> list[float]:
-        return [float(p) for p in re.split(r"[,\s]+", chunk.strip()) if p]
-
-    x0, y0 = floats(args.x0), floats(args.y0)
+    x0, y0 = _floats(args.x0, "--x0"), _floats(args.y0, "--y0")
     if len(x0) != alg.n or len(y0) != alg.m:
         raise ConfigError("--x0/--y0", f"expected {alg.n} and {alg.m} values")
+    if not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ConfigError("--dt", "must be a positive finite number")
+    if args.steps < 1:
+        raise ConfigError("--steps", "must be at least 1")
     try:
         traj = integrate_sode(
             alg, cfg.semispray(), x0, y0, args.dt, args.steps, lagrangian=cfg.lagrangian
         )
     except IntegrationAbortError as err:
-        err.partial.to_csv(args.output, alg)
+        with _writing(args.output):
+            err.partial.to_csv(args.output, alg)
         rows = len(err.partial.times)
         print(
             f"integration aborted: {err}; wrote the {rows} finite rows before it to {args.output}",
             file=sys.stderr,
         )
         return 1
-    traj.to_csv(args.output, alg)
+    with _writing(args.output):
+        traj.to_csv(args.output, alg)
     summary = {
         "steps": args.steps,
         "dt": args.dt,
@@ -201,7 +218,8 @@ def cmd_example(args) -> int:
         resources.files("algmech").joinpath(f"fixtures/{args.name}.json").read_bytes()
     )
     out = Path(args.output) if args.output else Path(f"{args.name}.json")
-    out.write_bytes(data)
+    with _writing(out):
+        out.write_bytes(data)
     sys.stdout.write(f"wrote {out}\n")
     return 0
 
@@ -250,6 +268,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("config error: expression nests too deeply", file=sys.stderr)
         return 2
     except AlgmechError as err:
         print(f"check failed: {err}", file=sys.stderr)

@@ -126,6 +126,12 @@ def _parse_expr_at(source, coords, path: str) -> Expr:
         raise ConfigError(path, str(err)) from err
 
 
+def _parse_list(raw, count: int, coords, path: str) -> tuple[Expr, ...]:
+    if not isinstance(raw, list) or len(raw) != count:
+        raise ConfigError(path, f"expected {count} expressions")
+    return tuple(_parse_expr_at(c, coords, f"{path}/{j}") for j, c in enumerate(raw))
+
+
 def _parse_matrix(raw, rows: int, cols: int, coords, path: str) -> tuple[tuple[Expr, ...], ...]:
     if not isinstance(raw, list) or len(raw) != rows:
         raise ConfigError(path, f"expected {rows} rows")
@@ -187,32 +193,14 @@ def _parse_candidates(raw, alg: Algebroid, path: str) -> tuple[Candidate, ...]:
         ):
             raise ConfigError(f"{here}/expect", "expected a map of booleans")
         if kind == "base_section":
-            comps = entry.get("components")
-            if not isinstance(comps, list) or len(comps) != alg.m:
-                raise ConfigError(f"{here}/components", f"expected {alg.m} expressions")
-            exprs = [
-                _parse_expr_at(c, alg.coords, f"{here}/components/{j}")
-                for j, c in enumerate(comps)
-            ]
+            exprs = _parse_list(entry.get("components"), alg.m, alg.coords, f"{here}/components")
             out.append(
                 Candidate(kind, name, dict(expect), base=BaseSection.define(alg, exprs))
             )
         elif kind == "prolongation_section":
-            xs = entry.get("x")
-            vs = entry.get("v")
-            if not isinstance(xs, list) or len(xs) != alg.m:
-                raise ConfigError(f"{here}/x", f"expected {alg.m} expressions")
-            if not isinstance(vs, list) or len(vs) != alg.m:
-                raise ConfigError(f"{here}/v", f"expected {alg.m} expressions")
             sec = ProlongationSection(
-                tuple(
-                    _parse_expr_at(c, alg.coords, f"{here}/x/{j}")
-                    for j, c in enumerate(xs)
-                ),
-                tuple(
-                    _parse_expr_at(c, alg.coords, f"{here}/v/{j}")
-                    for j, c in enumerate(vs)
-                ),
+                _parse_list(entry.get("x"), alg.m, alg.coords, f"{here}/x"),
+                _parse_list(entry.get("v"), alg.m, alg.coords, f"{here}/v"),
             )
             out.append(Candidate(kind, name, dict(expect), section=sec))
         else:
@@ -291,15 +279,7 @@ def parse_config(raw: dict, origin: str = "<memory>") -> SystemConfig:
         )
     semispray = None
     if raw.get("semispray") is not None:
-        comps = raw["semispray"]
-        if not isinstance(comps, list) or len(comps) != m:
-            raise ConfigError("/semispray", f"expected {m} expressions")
-        semispray = Semispray(
-            tuple(
-                _parse_expr_at(c, alg.coords, f"/semispray/{j}")
-                for j, c in enumerate(comps)
-            )
-        )
+        semispray = Semispray(_parse_list(raw["semispray"], m, alg.coords, "/semispray"))
     if lagrangian is None and semispray is None:
         raise ConfigError("", "at least one of lagrangian/semispray is required")
 

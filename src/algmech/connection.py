@@ -15,6 +15,14 @@ Horizontal frame: delta_a = X_a - N_a^b V_b.  The almost complex structure
 maps X_b -> N_b^a delta_a - V_b and V_b -> delta_b, which is the unique
 reading of its coframe form under which F o J = h, J o F = v, and
 F^2 = -Id all hold (the shipped tests enforce them).
+
+The projectors h and v and the structures J and F are expression-backed
+tensors (``h_tensor`` and friends); every tree-level use, from delta_a = h(X_a)
+to the four brackets of the Berwald connection, applies them with
+:meth:`~algmech.prolongation.ExprTensor.apply`.  The covariant-derivative
+coefficients read the system's y^e L_eb^a trees
+(:attr:`~algmech.algebroid.Algebroid.twisted_structure`), so each call builds
+only its O(m^2) wrapper nodes.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .prolongation import (
     basis_sections,
     bracket_at,
     eye_block,
+    frame_derivation,
     j_tensor,
     lie_derivative_tensor,
     sode_derivative_expr,
@@ -68,10 +77,6 @@ __all__ = [
     "h_tensor",
     "v_tensor",
     "f_tensor",
-    "h_section_exprs",
-    "v_section_exprs",
-    "j_section_exprs",
-    "fj_section_exprs",
     "nabla_exprs",
     "nabla_section",
     "nabla_horizontal_coeffs",
@@ -136,12 +141,8 @@ def connection_from_lie_derivative(
 
 
 def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> ProlongationSection:
-    """delta_a = X_a - N_a^b V_b as an expression-backed section."""
-    m = alg.m
-    return ProlongationSection(
-        tuple(ONE if r == a else ZERO for r in range(m)),
-        tuple(e_neg(N.coeffs[a][b]) for b in range(m)),
-    )
+    """delta_a = h(X_a) = X_a - N_a^b V_b as an expression-backed section."""
+    return h_tensor(alg, N).apply(ProlongationSection.basis_x(alg.m, a))
 
 
 def berwald_derivative(
@@ -186,7 +187,8 @@ def curvature_from_brackets(alg: Algebroid, N: Connection, p: EvalPoint) -> np.n
     m = alg.m
     ev = alg.evaluator(p)
     Nv = N.at(ev)
-    deltas = [horizontal_basis_exprs(alg, N, a) for a in range(m)]
+    h = h_tensor(alg, N)
+    deltas = [h.apply(X) for X in basis_sections(m)[:m]]
     R = np.zeros((m, m, m))
     for a in range(m):
         for b in range(m):
@@ -205,9 +207,8 @@ def curvature_apply(
     """Vertical components of Omega(A, B) = v[hA, hB] at a point."""
     ev = alg.evaluator(p)
     Nv = N.at(ev)
-    cx, cv = bracket_at(
-        alg, h_section_exprs(alg, N, A), h_section_exprs(alg, N, B), ev
-    )
+    h = h_tensor(alg, N)
+    cx, cv = bracket_at(alg, h.apply(A), h.apply(B), ev)
     return cv + cx @ Nv
 
 
@@ -285,9 +286,10 @@ def jacobi_from_bracket(
     ev = alg.evaluator(p)
     Nv = N.at(ev)
     Ssec = S.section(alg)
+    h = h_tensor(alg, N)
     R = np.zeros((m, m))
-    for b in range(m):
-        cx, cv = bracket_at(alg, Ssec, horizontal_basis_exprs(alg, N, b), ev)
+    for b, X in enumerate(basis_sections(m)[:m]):
+        cx, cv = bracket_at(alg, Ssec, h.apply(X), ev)
         R[b] = cv + cx @ Nv
     return R
 
@@ -362,61 +364,6 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
     )
 
 
-def h_section_exprs(
-    alg: Algebroid, N: Connection, A: ProlongationSection
-) -> ProlongationSection:
-    """Horizontal part of an expression-backed section, as trees."""
-    m = alg.m
-    return ProlongationSection(
-        A.x_comps,
-        tuple(
-            e_neg(e_sum(e_mul(A.x_comps[a], N.coeffs[a][g]) for a in range(m)))
-            for g in range(m)
-        ),
-    )
-
-
-def v_section_exprs(
-    alg: Algebroid, N: Connection, A: ProlongationSection
-) -> ProlongationSection:
-    m = alg.m
-    return ProlongationSection(
-        tuple(ZERO for _ in range(m)),
-        tuple(
-            e_add(
-                A.v_comps[g],
-                e_sum(e_mul(A.x_comps[a], N.coeffs[a][g]) for a in range(m)),
-            )
-            for g in range(m)
-        ),
-    )
-
-
-def j_section_exprs(alg: Algebroid, A: ProlongationSection) -> ProlongationSection:
-    return ProlongationSection(tuple(ZERO for _ in range(alg.m)), A.x_comps)
-
-
-def fj_section_exprs(
-    alg: Algebroid, N: Connection, A: ProlongationSection
-) -> ProlongationSection:
-    """(F + J)(A), which sends X_b to N_b^a delta_a and V_b to delta_b."""
-    m = alg.m
-    c = tuple(
-        e_add(
-            e_sum(e_mul(A.x_comps[b], N.coeffs[b][a]) for b in range(m)),
-            A.v_comps[a],
-        )
-        for a in range(m)
-    )
-    return ProlongationSection(
-        c,
-        tuple(
-            e_neg(e_sum(e_mul(c[a], N.coeffs[a][g]) for a in range(m)))
-            for g in range(m)
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dynamical covariant derivative
 # ---------------------------------------------------------------------------
@@ -428,15 +375,12 @@ def nabla_horizontal_coeffs(
     """Coefficient trees of the covariant derivative on the horizontal frame:
     S(c^a) + (N_b^a + y^e L_eb^a) c^b."""
     m = alg.m
-    y = [Var(c) for c in alg.fiber_coords]
+    twisted = alg.twisted_structure
     out = []
     for a in range(m):
         terms = [sode_derivative_expr(alg, S, comps[a])]
         for b in range(m):
-            coeff = e_add(
-                N.coeffs[b][a],
-                e_sum(e_mul(y[e], alg.structure[e][b][a]) for e in range(m)),
-            )
+            coeff = e_add(N.coeffs[b][a], twisted[b][a])
             terms.append(e_mul(coeff, comps[b]))
         out.append(e_sum(terms))
     return tuple(out)
@@ -497,16 +441,8 @@ def nabla_tensor(
     alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, p: EvalPoint
 ) -> TensorBlock11:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section."""
-    m = alg.m
     ev = alg.evaluator(p)
-    T_at = T.at(ev)
-    cols = []
-    for k, B in enumerate(basis_sections(m)):
-        dx, dv = nabla_exprs(alg, S, N, T.column(k)).values_at(ev)
-        bx, bv = nabla_exprs(alg, S, N, B).values_at(ev)
-        tx, tv = T_at.apply(bx, bv)
-        cols.append(np.concatenate([dx - tx, dv - tv]))
-    return TensorBlock11.from_matrix(np.stack(cols, axis=1))
+    return frame_derivation(T, ev, lambda X: nabla_exprs(alg, S, N, X).values_at(ev))
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +463,12 @@ def berwald_connection(
     """
     ev = alg.evaluator(p)
     Nv = N.at(ev)
-    hA = h_section_exprs(alg, N, A)
-    vA = v_section_exprs(alg, N, A)
-    hB = h_section_exprs(alg, N, B)
-    vB = v_section_exprs(alg, N, B)
-    jB = j_section_exprs(alg, B)
-    fjB = fj_section_exprs(alg, N, B)
+    h, v = h_tensor(alg, N), v_tensor(alg, N)
+    hA, vA = h.apply(A), v.apply(A)
+    hB, vB = h.apply(B), v.apply(B)
+    jB = j_tensor(alg.m).apply(B)
+    # (F + J)B = h of the X-frame section carrying the V-components of vB
+    fjB = h.apply(ProlongationSection(vB.v_comps, tuple(ZERO for _ in range(alg.m))))
 
     def v_proj(cx, cv):
         return np.zeros_like(cx), cv + cx @ Nv

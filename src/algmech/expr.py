@@ -46,6 +46,7 @@ __all__ = [
     "parse_expression",
     "to_source",
     "variables",
+    "literal_value",
     "differentiate",
     "cached_derivative",
     "e_num",
@@ -286,6 +287,14 @@ def variables(e: Expr) -> frozenset[str]:
     return frozenset()
 
 
+def literal_value(e: Expr) -> float | None:
+    """The value of a numeric literal: a ``Num``, or the ``Neg`` of one (the
+    parser reads ``x^-2`` as ``x ^ Neg(2)``); None for any other tree."""
+    if isinstance(e, Neg) and isinstance(e.operand, Num):
+        return -e.operand.value
+    return e.value if isinstance(e, Num) else None
+
+
 # ---------------------------------------------------------------------------
 # Folding constructors
 # ---------------------------------------------------------------------------
@@ -431,8 +440,7 @@ def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
             r = e_div(
                 e_sub(e_mul(da, e.right), e_mul(e.left, db)), e_mul(e.right, e.right)
             )
-        elif isinstance(e.right, Num):  # power with a constant exponent
-            c = e.right.value
+        elif (c := literal_value(e.right)) is not None:  # constant exponent
             r = e_mul(e_mul(e.right, e_pow(e.left, Num(c - 1.0))), da)
         else:  # general exponent: a^b * (db*ln(a) + b*da/a)
             r = e_mul(

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var
+from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var, literal_value
 
 __all__ = ["Jet2", "EvalPoint", "PointEvaluator", "eval_jet", "finite_difference_jet"]
 
@@ -110,7 +110,8 @@ class Jet2:
 
     def reciprocal(self) -> "Jet2":
         v = self.value
-        return self.chain(1.0 / v, -1.0 / (v * v), 2.0 / (v * v * v))
+        f2 = 0.0 if self.hess is None else 2.0 / (v * v * v)
+        return self.chain(1.0 / v, -1.0 / (v * v), f2)
 
     def __truediv__(self, o: "Jet2") -> "Jet2":
         return self * o.reciprocal()
@@ -135,7 +136,7 @@ def _domain_error(what: str, at: str, node: Expr, err: Exception) -> EvaluationD
 
 def _power_exponent(base: float, c: float, node: BinOp) -> int | None:
     """Integer exponent of ``node`` (or None: a real power), base checked."""
-    if isinstance(node.right, Num) and c == int(c) and abs(c) <= 1_000_000:
+    if literal_value(node.right) is not None and c == int(c) and abs(c) <= 1_000_000:
         if c < 0 and base == 0.0:
             raise EvaluationDomainError("zero base with negative exponent", node)
         return int(c)
@@ -261,15 +262,19 @@ class PointEvaluator:
                 else:
                     if b.value == 0.0:
                         raise EvaluationDomainError("division by zero", e)
-                    r = a / b
+                    try:
+                        r = a / b
+                    except _MATH_ERRORS as err:
+                        raise _domain_error("division", f"divisor {b.value!r}", e, err) from err
         memo[key] = (e, r)
         return r
 
     def _pow_jet(self, e: BinOp, memo: dict, second: bool) -> Jet2:
         a = self._walk(e.left, memo, second)
-        b = None if isinstance(e.right, Num) else self._walk(e.right, memo, second)
+        lit = literal_value(e.right)
+        b = None if lit is not None else self._walk(e.right, memo, second)
         v = a.value
-        c = e.right.value if b is None else b.value
+        c = lit if b is None else b.value
         k = _power_exponent(v, c, e)
         try:
             if k is not None:

@@ -190,24 +190,21 @@ def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
     m, n = alg.m, alg.n
     ginv, _ = matrix_inverse_exprs(L.metric_exprs)
     y = [Var(c) for c in alg.fiber_coords]
-    comps = []
-    for e in range(m):
-        rhs_terms = []
-        for b in range(m):
-            force = e_sum(e_mul(alg.anchor[i][b], L.dx[i]) for i in range(n))
-            drift = e_sum(
-                e_mul(e_mul(alg.anchor[i][a], L.dxy[i][b]), y[a])
-                for i in range(n)
-                for a in range(m)
-            )
-            twist = e_sum(
-                e_mul(e_mul(alg.structure[b][a][g], y[a]), L.dy[g])
-                for a in range(m)
-                for g in range(m)
-            )
-            rhs = e_sub(e_sub(force, drift), twist)
-            rhs_terms.append(e_mul(ginv[e][b], rhs))
-        comps.append(e_sum(rhs_terms))
+    rhs = []  # force - drift - twist, one tree per b, shared by every component
+    for b in range(m):
+        force = e_sum(e_mul(alg.anchor[i][b], L.dx[i]) for i in range(n))
+        drift = e_sum(
+            e_mul(e_mul(alg.anchor[i][a], L.dxy[i][b]), y[a])
+            for i in range(n)
+            for a in range(m)
+        )
+        twist = e_sum(
+            e_mul(e_mul(alg.structure[b][a][g], y[a]), L.dy[g])
+            for a in range(m)
+            for g in range(m)
+        )
+        rhs.append(e_sub(e_sub(force, drift), twist))
+    comps = [e_sum(e_mul(ginv[e][b], rhs[b]) for b in range(m)) for e in range(m)]
     return Semispray(tuple(comps))
 
 
@@ -261,11 +258,9 @@ def symplectic_residual(
     p: EvalPoint,
 ) -> float:
     """omega(S, A) + dE(A); vanishes for the canonical field, any A."""
+    pairing = cartan_two_section(alg, L, S.section(alg), A, p)
     ev = alg.evaluator(p)
-    W = cartan_pairing(alg, L, ev)
-    sx, sv = S.section(alg).values_at(ev)
     ax, av = A.values_at(ev)
-    pairing = float(np.concatenate([sx, sv]) @ W @ np.concatenate([ax, av]))
     return pairing + directional_derivative(alg, ev, ax, av, L.energy_expr)
 
 

@@ -10,12 +10,17 @@ coefficients through the anchored derivations
 Pointwise (1,1)-tensors are stored as four m-by-m blocks acting on component
 columns; expression-backed tensors (:class:`ExprTensor`) keep the blocks as
 trees so that Lie and covariant derivatives can differentiate them.
+:meth:`ExprTensor.apply` is the one way to apply such a tensor to a section,
+and :func:`frame_derivation` the one loop (D T)(B) = D(T B) - T(D B) behind
+both derivatives of a tensor.  The trees of S(f) read the system's anchored
+velocity (:attr:`Algebroid.base_velocity`), and the complete lift is built
+from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +51,7 @@ __all__ = [
     "euler_section",
     "vertical_lift",
     "complete_lift",
+    "covariant_slash_exprs",
     "sode_flow",
     "sode_derivative",
     "sode_derivative_expr",
@@ -56,6 +62,7 @@ __all__ = [
     "eye_block",
     "basis_sections",
     "identity_tensor",
+    "frame_derivation",
     "lie_derivative_tensor",
 ]
 
@@ -120,25 +127,37 @@ def vertical_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
     return ProlongationSection(tuple(ZERO for _ in range(alg.m)), s.components)
 
 
-def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
-    """Lift whose flow projects onto the anchored flow of the base section."""
-    if not s.x_only:
-        raise ValueError("complete lift requires an x-only section")
+def covariant_slash_exprs(alg: Algebroid, s: BaseSection) -> tuple[tuple[Expr, ...], ...]:
+    """slash[e][a] = sigma_e^i ds^a/dx^i - L_be^a s^b, the coefficient trees
+    of the complete lift and of the local Lie-symmetry equations."""
     m, n = alg.m, alg.n
-    v_comps = []
-    for a in range(m):
-        terms = []
-        for eps in range(m):
-            coeff = e_sub(
+    return tuple(
+        tuple(
+            e_sub(
                 e_sum(
-                    e_mul(alg.anchor[i][eps], alg.derivative(s.components[a], alg.base_coords[i]))
+                    e_mul(alg.anchor[i][e], alg.derivative(s.components[a], alg.base_coords[i]))
                     for i in range(n)
                 ),
-                e_sum(e_mul(alg.structure[b][eps][a], s.components[b]) for b in range(m)),
+                e_sum(e_mul(alg.structure[b][e][a], s.components[b]) for b in range(m)),
             )
-            terms.append(e_mul(coeff, Var(alg.fiber_coords[eps])))
-        v_comps.append(e_sum(terms))
-    return ProlongationSection(tuple(s.components), tuple(v_comps))
+            for a in range(m)
+        )
+        for e in range(m)
+    )
+
+
+def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
+    """Lift whose flow projects onto the anchored flow of the base section:
+    fiber components y^e slash[e][a]."""
+    if not s.x_only:
+        raise ValueError("complete lift requires an x-only section")
+    m = alg.m
+    slash = covariant_slash_exprs(alg, s)
+    v_comps = tuple(
+        e_sum(e_mul(slash[e][a], Var(alg.fiber_coords[e])) for e in range(m))
+        for a in range(m)
+    )
+    return ProlongationSection(tuple(s.components), v_comps)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +220,7 @@ def tangent_structure_apply(
     A: ProlongationSection, alg: Algebroid, p: EvalPoint
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vertical endomorphism: kills V-components, sends X_a to V_a."""
-    ev = alg.evaluator(p)
-    ax, _ = A.values_at(ev)
-    return np.zeros(alg.m), ax
+    return j_tensor(alg.m).apply(A).values_at(alg.evaluator(p))
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +229,17 @@ def tangent_structure_apply(
 
 
 def sode_flow(alg: Algebroid, S: Semispray) -> tuple[tuple[str, Expr], ...]:
-    """(coordinate, velocity-tree) pairs of the anchored flow of S."""
-    pairs = []
-    for i in range(alg.n):
-        pairs.append(
-            (
-                alg.base_coords[i],
-                e_sum(
-                    e_mul(Var(alg.fiber_coords[a]), alg.anchor[i][a])
-                    for a in range(alg.m)
-                ),
-            )
-        )
-    for a in range(alg.m):
-        pairs.append((alg.fiber_coords[a], S.components[a]))
-    return tuple(pairs)
+    """(coordinate, velocity-tree) pairs of the anchored flow of S; the base
+    velocities are the system's :attr:`~Algebroid.base_velocity` trees."""
+    return tuple(zip(alg.base_coords, alg.base_velocity)) + tuple(
+        zip(alg.fiber_coords, S.components)
+    )
 
 
 def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
     """Tree for S(f), the derivative of f along the second-order field."""
+    if isinstance(f, Num):
+        return ZERO
     return e_sum(
         e_mul(vel, alg.derivative(f, name)) for name, vel in sode_flow(alg, S)
     )
@@ -336,22 +345,18 @@ class ExprTensor:
     def m(self) -> int:
         return len(self.xx)
 
-    def column(self, k: int) -> ProlongationSection:
-        """Image of the k-th frame section (X-frame first, then V-frame)."""
-        m = self.m
-        if k < m:
-            return ProlongationSection(
-                tuple(self.xx[r][k] for r in range(m)),
-                tuple(self.vx[r][k] for r in range(m)),
-            )
-        k -= m
-        return ProlongationSection(
-            tuple(self.xv[r][k] for r in range(m)),
-            tuple(self.vv[r][k] for r in range(m)),
-        )
-
     def at(self, ev: PointEvaluator) -> TensorBlock11:
         return TensorBlock11(*(ev.array(b) for b in (self.xx, self.xv, self.vx, self.vv)))
+
+    def apply(self, A: ProlongationSection) -> ProlongationSection:
+        """T(A) as trees: each output component sums block entry times input
+        component, X-frame inputs first."""
+        comps = A.x_comps + A.v_comps
+
+        def image(rows) -> tuple[Expr, ...]:
+            return tuple(e_sum(e_mul(t, c) for t, c in zip(x + v, comps)) for x, v in rows)
+
+        return ProlongationSection(image(zip(self.xx, self.xv)), image(zip(self.vx, self.vv)))
 
 
 def j_tensor(m: int) -> ExprTensor:
@@ -367,6 +372,23 @@ def identity_tensor(m: int) -> ExprTensor:
     )
 
 
+def frame_derivation(
+    T: ExprTensor,
+    ev: PointEvaluator,
+    D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]],
+) -> TensorBlock11:
+    """(D T)(B) = D(T(B)) - T(D B) on every frame section B, for a derivation
+    D of sections that returns component values at the evaluator's point."""
+    T_at = T.at(ev)
+    cols = []
+    for B in basis_sections(T.m):
+        dx, dv = D(T.apply(B))
+        bx, bv = D(B)
+        tx, tv = T_at.apply(bx, bv)
+        cols.append(np.concatenate([dx - tx, dv - tv]))
+    return TensorBlock11.from_matrix(np.stack(cols, axis=1))
+
+
 def lie_derivative_tensor(
     alg: Algebroid, A: ProlongationSection, T: ExprTensor, p: EvalPoint
 ) -> TensorBlock11:
@@ -375,14 +397,5 @@ def lie_derivative_tensor(
     T must be expression-backed: the first bracket differentiates the
     coefficient functions of T(B).
     """
-    m = alg.m
     ev = alg.evaluator(p)
-    T_at = T.at(ev)
-    cols = []
-    for k, B in enumerate(basis_sections(m)):
-        t1x, t1v = bracket_at(alg, A, T.column(k), ev)
-        bx, bv = bracket_at(alg, A, B, ev)
-        t2x, t2v = T_at.apply(bx, bv)
-        cols.append(np.concatenate([t1x - t2x, t1v - t2v]))
-    mat = np.stack(cols, axis=1)
-    return TensorBlock11.from_matrix(mat)
+    return frame_derivation(T, ev, lambda X: bracket_at(alg, A, X, ev))

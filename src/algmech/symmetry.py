@@ -40,7 +40,9 @@ from .prolongation import (
     basis_sections,
     bracket_at,
     complete_lift,
+    covariant_slash_exprs,
     directional_derivative,
+    sode_derivative,
     sode_derivative_expr,
 )
 
@@ -204,28 +206,6 @@ def invariant_equation_residual(
 # ---------------------------------------------------------------------------
 
 
-def _covariant_slash_exprs(alg: Algebroid, Xt: BaseSection) -> list[list[Expr]]:
-    """slash[e][a] = sigma_e^i dXt^a/dx^i - L_be^a Xt^b."""
-    m, n = alg.m, alg.n
-    out = []
-    for e in range(m):
-        row = []
-        for a in range(m):
-            row.append(
-                e_sub(
-                    e_sum(
-                        e_mul(alg.anchor[i][e], alg.derivative(Xt.components[a], alg.base_coords[i]))
-                        for i in range(n)
-                    ),
-                    e_sum(
-                        e_mul(alg.structure[b][e][a], Xt.components[b]) for b in range(m)
-                    ),
-                )
-            )
-        out.append(row)
-    return out
-
-
 def lie_symmetry_check(
     alg: Algebroid,
     S: Semispray,
@@ -247,7 +227,7 @@ def lie_symmetry_check(
         N = canonical_connection(alg, S)
     dyn = dynamical_symmetry_check(alg, S, lift, samples, tol)
 
-    slash = _covariant_slash_exprs(alg, Xt)
+    slash = covariant_slash_exprs(alg, Xt)
     vert1 = nabla_vertical_coeffs(alg, S, N, Xt.components)
     vert2 = nabla_vertical_coeffs(alg, S, N, vert1)
 
@@ -301,6 +281,28 @@ def lie_symmetry_check(
 # ---------------------------------------------------------------------------
 
 
+def _two_section_lie_residual(
+    alg: Algebroid,
+    ev: PointEvaluator,
+    L: Lagrangian,
+    ax: np.ndarray,
+    av: np.ndarray,
+    brackets: Sequence[np.ndarray],
+) -> float:
+    """max over frame pairs r < c of |(L_A omega)(B_r, B_c)|, where A has
+    component values (ax, av) and ``brackets[k]`` stacks [A, B_k]."""
+    W_exprs = cartan_pairing_exprs(alg, L)
+    W = cartan_pairing(alg, L, ev)
+    k = len(brackets)
+    res = 0.0
+    for r in range(k):
+        for c in range(r + 1, k):
+            lie_w = directional_derivative(alg, ev, ax, av, W_exprs[r][c])
+            val = lie_w - float(brackets[r] @ W[:, c]) - float(W[r] @ brackets[c])
+            res = max(res, abs(val))
+    return res
+
+
 def cartan_symmetry_check(
     alg: Algebroid,
     L: Lagrangian,
@@ -309,22 +311,14 @@ def cartan_symmetry_check(
     tol: float,
 ) -> SymmetryVerdict:
     """Invariance of the symplectic two-section and of the energy along A."""
-    m = alg.m
-    W_exprs = cartan_pairing_exprs(alg, L)
-    basis = basis_sections(m)
+    basis = basis_sections(alg.m)
     per = []
     two_max = energy_max = 0.0
     for p in samples:
         ev = alg.evaluator(p)
-        W = cartan_pairing(alg, L, ev)
         ax, av = A.values_at(ev)
         brackets = [np.concatenate(bracket_at(alg, A, B, ev)) for B in basis]
-        res1 = 0.0
-        for r in range(2 * m):
-            for c in range(r + 1, 2 * m):
-                lie_w = directional_derivative(alg, ev, ax, av, W_exprs[r][c])
-                val = lie_w - float(brackets[r] @ W[:, c]) - float(W[r] @ brackets[c])
-                res1 = max(res1, abs(val))
+        res1 = _two_section_lie_residual(alg, ev, L, ax, av, brackets)
         res2 = abs(directional_derivative(alg, ev, ax, av, L.energy_expr))
         per.append((p, (res1, res2)))
         two_max = max(two_max, res1)
@@ -349,13 +343,10 @@ def conservation_check(
     provenance: str = "user",
 ) -> ConservedQuantity:
     """Constancy of f along the dynamics: S(f) = 0 on the sample set."""
-    Ssec = S.section(alg)
     per = []
     worst = 0.0
     for p in samples:
-        ev = alg.evaluator(p)
-        sx, sv = Ssec.values_at(ev)
-        val = directional_derivative(alg, ev, sx, sv, f)
+        val = sode_derivative(alg, S, f, p)
         per.append((p, float(val)))
         worst = max(worst, abs(val))
     return ConservedQuantity(
@@ -500,7 +491,6 @@ def cartan_from_conservation(
         points.append(p)
         sections.append((xs, vs))
 
-        W = cartan_pairing(alg, L, ev)
         # brackets of the reconstructed section with the frame sections
         brackets = []
         for b in range(m):  # B = X_b
@@ -519,11 +509,7 @@ def cartan_from_conservation(
             bx = np.array([-sol[g].grad[n + b] for g in range(m)])
             bv = np.array([-sol[m + g].grad[n + b] for g in range(m)])
             brackets.append(np.concatenate([bx, bv]))
-        for r in range(2 * m):
-            for c in range(r + 1, 2 * m):
-                lie_w = directional_derivative(alg, ev, xs, vs, W_exprs[r][c])
-                val = lie_w - float(brackets[r] @ W[:, c]) - float(W[r] @ brackets[c])
-                two_max = max(two_max, abs(val))
+        two_max = max(two_max, _two_section_lie_residual(alg, ev, L, xs, vs, brackets))
         energy_max = max(
             energy_max, abs(directional_derivative(alg, ev, xs, vs, L.energy_expr))
         )

@@ -20,6 +20,7 @@ from algmech.connection import (
     jacobi_endomorphism,
     jacobi_from_bracket,
     nabla_exprs,
+    nabla_tensor,
     structure_tensors,
     v_tensor,
     berwald_connection,
@@ -150,22 +151,7 @@ def test_c3_structural_properties(all_systems):
         J = j_tensor(m)
 
         def tensor_sweep(connection, T):
-            """Hoists the covariant-derivative trees out of the point loop."""
-            d_cols = [nabla_exprs(alg, S, connection, T.column(k)) for k in range(2 * m)]
-            d_basis = [nabla_exprs(alg, S, connection, B) for B in basis]
-
-            def at(p):
-                ev = alg.evaluator(p)
-                T_at = T.at(ev)
-                cols = []
-                for k in range(2 * m):
-                    dx, dv = d_cols[k].values_at(ev)
-                    bx, bv = d_basis[k].values_at(ev)
-                    tx, tv = T_at.apply(bx, bv)
-                    cols.append(np.concatenate([dx - tx, dv - tv]))
-                return np.stack(cols, axis=1)
-
-            return at
+            return lambda p: nabla_tensor(alg, S, connection, T, p).matrix
 
         nabla_j_at = tensor_sweep(N, J)
         nabla_f_at = tensor_sweep(N, f_tensor(alg, N))

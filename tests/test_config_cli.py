@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from importlib import resources
@@ -5,6 +7,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algmech.cli import main
 from algmech.config import load_config, parse_config
@@ -396,6 +399,96 @@ class TestIntegrateCommand:
             ]
         )
         assert code == 2
+
+
+class TestBadArguments:
+    """Every bad argument exits 2 with a one-line message and no traceback."""
+
+    def usage_error(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        message = captured.err.strip()
+        assert message.startswith("config error: ")
+        assert "\n" not in message and "Traceback" not in message
+        return message
+
+    def integrate(self, tmp_path, *extra):
+        argv = ["integrate", "--config", str(fixture_path(tmp_path)), "--x0=0,1,0"]
+        return argv + ["--y0=1,0", "--output", str(tmp_path / "t.csv"), *extra]
+
+    def test_unparsable_x0(self, tmp_path, capsys):
+        argv = self.integrate(tmp_path, "--x0=abc")
+        assert "--x0: bad number" in self.usage_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--dt", "0"), ("--dt", "-1"), ("--steps", "0")]
+    )
+    def test_step_size_and_count(self, tmp_path, capsys, flag, value):
+        argv = self.integrate(tmp_path, f"{flag}={value}")
+        assert flag in self.usage_error(capsys, argv)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_report_output_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        argv = ["report", "--config", str(fixture_path(tmp_path)), "--output", str(out)]
+        assert "--output: cannot write" in self.usage_error(capsys, argv)
+
+    def test_integrate_output_in_missing_directory(self, tmp_path, capsys):
+        argv = self.integrate(tmp_path, "--steps=3", "--output", str(tmp_path / "no" / "t.csv"))
+        assert "--output: cannot write" in self.usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("command", ["validate", "report", "spray-check"])
+    def test_deeply_nested_lagrangian(self, tmp_path, capsys, command):
+        terms = "+".join(f"{k % 7}*x1" for k in range(3000))
+        cfg = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=f"0.5*(u1^2+u2^2)+{terms}"))
+        message = self.usage_error(capsys, [command, "--config", str(cfg)])
+        assert message == "config error: expression nests too deeply"
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "abc", "1e999", "-", "1,,2", " 0.5 ", "nan", "-inf"]),
+)
+
+
+def _number_lists(count: int):
+    return st.one_of(
+        st.lists(st.floats(-3.0, 3.0).map(repr), min_size=count, max_size=count).map(",".join),
+        st.lists(_NUMBERS, min_size=count, max_size=count).map(",".join),
+        st.text(alphabet="xy=0123456789.,-+e ", max_size=16),
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    at=st.one_of(
+        st.tuples(_number_lists(3), _number_lists(2)).map(lambda t: f"x={t[0]},y={t[1]}"),
+        st.text(alphabet="xy=0123456789.,-e ", max_size=20),
+    ),
+    x0=_number_lists(3),
+    y0=_number_lists(2),
+    dt=st.sampled_from(["0.01", "1e-3", "0", "-1", "1e308", "nan", "inf", "abc", ""]),
+    steps=st.sampled_from(["1", "3", "0", "-2", "1.5", "x", ""]),
+)
+def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, at, x0, y0, dt, steps):
+    """Random --at, --x0, --y0, --dt and --steps strings on driftless: the
+    exit code is 0, 1 or 2, and no traceback reaches stderr."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = fixture_path(tmp)
+    runs = [
+        ["geometry", "--config", str(cfg), f"--at={at}"],
+        ["integrate", "--config", str(cfg), f"--x0={x0}", f"--y0={y0}", f"--dt={dt}",
+         f"--steps={steps}", "--output", str(tmp / "t.csv")],
+    ]
+    for argv in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # argparse rejects the value
+                code = exit_.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestReports:

@@ -13,17 +13,14 @@ from algmech.connection import (
     curvature_from_brackets,
     f_tensor,
     geometry_frame,
-    h_section_exprs,
     h_tensor,
     horizontal_basis_exprs,
-    j_section_exprs,
     jacobi_endomorphism,
     jacobi_from_bracket,
     nabla_exprs,
     nabla_section,
     nabla_tensor,
     structure_tensors,
-    v_section_exprs,
     v_tensor,
 )
 from algmech.expr import parse_expression
@@ -279,7 +276,7 @@ class TestJacobiEndomorphism:
         S = driftless.semispray()
         Ssec = S.section(alg)
         for N in (arbitrary_connection(driftless), driftless.connection()):
-            vS = v_section_exprs(alg, N, Ssec)
+            vS = v_tensor(alg, N).apply(Ssec)
             basis = basis_sections(alg.m)
             for p in pts(driftless, 10, seed=47):
                 ev = alg.evaluator(p)
@@ -287,7 +284,7 @@ class TestJacobiEndomorphism:
                 R2 = jacobi_endomorphism(alg, S, N, p)
                 for b in range(alg.m):
                     omega = curvature_apply(alg, N, Ssec, basis[b], p)
-                    hB = h_section_exprs(alg, N, basis[b])
+                    hB = h_tensor(alg, N).apply(basis[b])
                     t1x, t1v = bracket_at(alg, vS, hB, ev)
                     got = omega + (t1v + t1x @ Nv)
                     assert np.max(np.abs(got - R2[b])) <= 1e-9
@@ -479,10 +476,10 @@ class TestNabla:
                 cols_h = []
                 cols_j = []
                 for k, B in enumerate(basis_sections(alg.m)):
-                    jB = j_section_exprs(alg, B)
+                    jB = j_tensor(alg.m).apply(B)
                     bx, bv = bracket_at(alg, Ssec, jB, ev)
                     cols_h.append(np.concatenate(h.apply(bx, bv)))
-                    vB = v_section_exprs(alg, N, B)
+                    vB = v_tensor(alg, N).apply(B)
                     cx, cv = bracket_at(alg, Ssec, vB, ev)
                     cols_j.append(np.concatenate([np.zeros(alg.m), cx]))
                 got_h = np.stack(cols_h, axis=1)

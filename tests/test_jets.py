@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algmech.errors import EvaluationDomainError
-from algmech.expr import FUNCTIONS, parse_expression, to_source
+from algmech.expr import FUNCTIONS, differentiate, parse_expression, to_source
 from algmech.jets import PointEvaluator, eval_jet, finite_difference_jet
 from algmech.sampling import SplitMix64
 
@@ -92,6 +92,29 @@ class TestJetValues:
         with pytest.raises(EvaluationDomainError) as exc:
             PointEvaluator(COORDS, [x1, 0.0, 0.0, 0.0]).value(parse_expression(src, COORDS))
         assert str(exc.value) == f"{says} in '{src}'"
+
+    def test_jet_division_with_an_underflowing_cube(self):
+        # 1/v^3 underflows to a division by zero; only the Hessian needs it
+        tree = parse_expression("x1/x2", COORDS)
+        ev = PointEvaluator(COORDS, [1.0, 1e-110, 0.0, 0.0])
+        assert ev.value(tree) == 1e110
+        assert ev.jet1(tree).value == 1e110
+        with pytest.raises(EvaluationDomainError) as exc:
+            ev.jet(tree)
+        assert str(exc.value).endswith(" in 'x1/x2'")
+
+    @pytest.mark.parametrize("x1", [-2.0, 3.0])
+    def test_negative_literal_exponent_is_an_integer_power(self, x1):
+        power = parse_expression("x1^-2", COORDS)
+        quotient = parse_expression("1/x1^2", COORDS)
+        ev = PointEvaluator(COORDS, [x1, 0.0, 0.0, 0.0])
+        assert ev.value(power) == ev.value(quotient)
+        for mode in (ev.jet1, ev.jet):
+            assert mode(power).value == mode(quotient).value
+            assert np.array_equal(mode(power).grad, mode(quotient).grad)
+        assert np.array_equal(ev.jet(power).hess, ev.jet(quotient).hess)
+        d_power, d_quotient = differentiate(power, "x1"), differentiate(quotient, "x1")
+        assert ev.value(d_power) == ev.value(d_quotient)
 
     def test_domain_error_carries_subexpression(self):
         with pytest.raises(EvaluationDomainError) as exc:

@@ -252,8 +252,6 @@ class TestLieDerivativeTensor:
 
     def test_sode_identity_j_brackets(self, all_systems):
         """J[S, J A] = -J A for every section A."""
-        from algmech.connection import j_section_exprs
-
         for cfg in all_systems:
             alg = cfg.algebroid
             m = alg.m
@@ -268,7 +266,7 @@ class TestLieDerivativeTensor:
                     tuple(parse_expression(s, alg.coords) for s in x_sources),
                     tuple(parse_expression("1", alg.coords) for _ in range(m)),
                 )
-                JA = j_section_exprs(alg, A)
+                JA = j_tensor(m).apply(A)
                 for p in pts(cfg, 50, seed=13):
                     ev = alg.evaluator(p)
                     bx, bv = bracket(alg, S, JA, p)

@@ -8,6 +8,7 @@ values.
 
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ import algmech.config
 import algmech.symmetry
 from algmech.cli import main
 from algmech.connection import geometry_frame
-from algmech.expr import BinOp, Call, Neg, Num, Var, differentiate, parse_expression
+from algmech.expr import ZERO, BinOp, Call, Neg, Num, Var, differentiate, parse_expression
 from algmech.jets import EvalPoint, PointEvaluator
 from algmech.lagrangian import cartan_pairing_exprs, matrix_inverse_exprs
-from algmech.prolongation import directional_derivative
+from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def unique_nodes(*roots) -> int:
@@ -57,6 +60,29 @@ def test_system_memo_returns_one_tree_per_node(driftless):
     S = driftless.semispray()
     first = alg.derivative(S.components[0], "u1")
     assert alg.derivative(S.components[0], "u1") is first
+
+
+def test_sode_flow_reads_the_one_base_velocity(heisenberg):
+    alg = heisenberg.algebroid
+    S = heisenberg.semispray()
+    assert alg.base_velocity is alg.base_velocity
+    flow = sode_flow(alg, S)
+    assert [name for name, _ in flow] == list(alg.base_coords + alg.fiber_coords)
+    assert all(flow[i][1] is alg.base_velocity[i] for i in range(alg.n))
+    assert all(flow[alg.n + a][1] is S.components[a] for a in range(alg.m))
+
+
+def test_sode_derivative_of_a_constant_is_zero_without_a_memo_entry(driftless):
+    alg = driftless.algebroid
+    before = len(alg._derivatives)
+    assert sode_derivative_expr(alg, driftless.semispray(), Num(3.0)) is ZERO
+    assert len(alg._derivatives) == before
+
+
+def test_semispray_components_share_their_right_hand_sides():
+    cfg = algmech.config.load_config(GOLDEN / "dense-4.json")
+    # one force - drift - twist tree per b, shared by all m components
+    assert unique_nodes(*cfg.semispray().components) == 418
 
 
 def fixture_file(tmp_path, name="driftless"):
