@@ -11,6 +11,7 @@ moves any reported number fails here; if the move is intended, regenerate the
 files and list each changed number in CHANGES.md.
 """
 
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -44,3 +45,61 @@ def test_synthetic_report_matches_golden(capsys, name):
     got = capsys.readouterr().out
     want = (GOLDEN / f"report-{name}.json").read_text()
     assert got == want
+
+
+# -- integrate: the RK4 trajectory, pinned byte for byte ----------------------
+#
+# ``integrate-{driftless,heisenberg}.csv`` are 300 RK4 steps at dt = 1e-3 from
+# the start point below, with the energy column.  ``integrate-abort.*`` are the
+# finite CSV prefix and the stderr line of an integration that aborts when
+# ``exp`` overflows inside a step (L = 0.5*y^2 + exp(x) on a line, dt = 0.5).
+
+LINE_EXP = {
+    "name": "line",
+    "base_dim": 1,
+    "fiber_rank": 1,
+    "base_coords": ["x"],
+    "fiber_coords": ["y"],
+    "anchor": [["1"]],
+    "structure": [],
+    "lagrangian": "0.5*y^2+exp(x)",
+    "candidates": [],
+    "samples": {"count": 5, "seed": 1, "box": {}},
+    "tolerance": 1e-9,
+}
+
+INTEGRATE_RUNS = {
+    "driftless": ("--x0=0.3,-0.2,0.1", "--y0=1,0.5", "--dt=1e-3", "--steps=300"),
+    "heisenberg": ("--x0=0.3,-0.2,0.1", "--y0=1,0.5,-0.25", "--dt=1e-3", "--steps=300"),
+    "abort": ("--x0=1", "--y0=1", "--dt=0.5", "--steps=400"),
+}
+
+
+def run_integrate(tmp_path, capsys, monkeypatch, name):
+    """Exit code, CSV text and stderr of one ``INTEGRATE_RUNS`` entry, with
+    the output written to a relative path so stderr names no directory."""
+    config = tmp_path / f"{name}.json"
+    if name == "abort":
+        config.write_text(json.dumps(LINE_EXP))
+    else:
+        config.write_bytes(
+            resources.files("algmech").joinpath(f"fixtures/{name}.json").read_bytes()
+        )
+    monkeypatch.chdir(tmp_path)
+    out = f"integrate-{name}.csv"
+    code = main(["integrate", "--config", str(config), *INTEGRATE_RUNS[name], "--output", out])
+    return code, (tmp_path / out).read_text(), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["driftless", "heisenberg"])
+def test_integrate_matches_golden(tmp_path, capsys, monkeypatch, name):
+    code, csv_text, err = run_integrate(tmp_path, capsys, monkeypatch, name)
+    assert (code, err) == (0, "")
+    assert csv_text == (GOLDEN / f"integrate-{name}.csv").read_text()
+
+
+def test_integrate_abort_matches_golden(tmp_path, capsys, monkeypatch):
+    code, csv_text, err = run_integrate(tmp_path, capsys, monkeypatch, "abort")
+    assert code == 1
+    assert csv_text == (GOLDEN / "integrate-abort.csv").read_text()
+    assert err == (GOLDEN / "integrate-abort.stderr").read_text()
