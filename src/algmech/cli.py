@@ -48,8 +48,16 @@ def _add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
     p.add_argument("--output", default=None, help="write the report to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``config error:`` line, exit code 2;
+    subcommand parsers are of this class too (argparse's ``parser_class``)."""
+
+    def error(self, message: str):
+        self.exit(2, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algmech",
         description=(
             "Second-order dynamics on Lie algebroids: validation, geometry, "

@@ -25,6 +25,16 @@ that point shares the memo; values depend only on the tree and the point, so
 sharing never changes a result; :meth:`PointEvaluator.array` keeps per-point
 arrays.  Every mode reads :data:`~algmech.expr.FUNCTIONS`; one guard turns
 math's own errors into :class:`EvaluationDomainError`.
+
+:class:`ValueKernel` compiles a fixed tuple of trees once into straight-line
+Python and returns their values, bit for bit those of ``value``, at any
+point.  Use it for value-only evaluation of the same trees at many points
+(the RK4 right-hand side and energy): it costs about 10 us per unique node
+to compile and then a few hundred ns per call.  Use ``PointEvaluator`` for
+everything else: a per-point memo shared across many trees, jets, and the
+error path that names the failing subexpression, which the kernel reaches by
+walking its trees again with ``value``.  Both compute ``^`` with one helper,
+``_power``.
 """
 
 from __future__ import annotations
@@ -38,7 +48,14 @@ import numpy as np
 from .errors import EvaluationDomainError
 from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var, literal_value
 
-__all__ = ["Jet2", "EvalPoint", "PointEvaluator", "eval_jet", "finite_difference_jet"]
+__all__ = [
+    "Jet2",
+    "EvalPoint",
+    "PointEvaluator",
+    "ValueKernel",
+    "eval_jet",
+    "finite_difference_jet",
+]
 
 
 @dataclass(frozen=True)
@@ -134,15 +151,37 @@ def _domain_error(what: str, at: str, node: Expr, err: Exception) -> EvaluationD
     return EvaluationDomainError(f"{what} {verb} at {at}", node)
 
 
-def _power_exponent(base: float, c: float, node: BinOp) -> int | None:
-    """Integer exponent of ``node`` (or None: a real power), base checked."""
-    if literal_value(node.right) is not None and c == int(c) and abs(c) <= 1_000_000:
-        if c < 0 and base == 0.0:
-            raise EvaluationDomainError("zero base with negative exponent", node)
+def _integer_exponent(node: BinOp) -> int | None:
+    """The exponent of a ``^`` node when it is a literal integer of size up
+    to 1e6 (an integer power, defined for every nonzero base), else None."""
+    c = literal_value(node.right)
+    if c is not None and abs(c) <= 1_000_000 and c == int(c):
         return int(c)
-    if base <= 0.0:
-        raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}", node)
     return None
+
+
+def _power_exponent(base: float, node: BinOp) -> int | None:
+    """Integer exponent of ``node`` (or None: a real power), base checked."""
+    k = _integer_exponent(node)
+    if k is not None:
+        if k < 0 and base == 0.0:
+            raise EvaluationDomainError("zero base with negative exponent", node)
+    elif base <= 0.0:
+        raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}", node)
+    return k
+
+
+def _power(a: float, c: float, k: int | None) -> float:
+    """``a^c`` as every float path computes it: ``|k|`` repeated
+    multiplications for an integer exponent ``k`` (see ``_integer_exponent``),
+    else ``exp(c ln a)``.  Outside the domain math's own errors signal it:
+    ``ln`` of a non-positive base, or ``1/0`` for a zero base and ``k < 0``."""
+    if k is None:
+        return math.exp(c * math.log(a))
+    r = 1.0
+    for _ in range(abs(k)):
+        r *= a
+    return 1.0 / r if k < 0 else r
 
 
 class PointEvaluator:
@@ -204,14 +243,9 @@ class PointEvaluator:
         return r
 
     def _pow_float(self, a: float, b: float, node: BinOp) -> float:
-        k = _power_exponent(a, b, node)
+        k = _power_exponent(a, node)
         try:
-            if k is None:
-                return math.exp(b * math.log(a))
-            r = 1.0
-            for _ in range(abs(k)):
-                r *= a
-            return 1.0 / r if k < 0 else r
+            return _power(a, b, k)
         except _MATH_ERRORS as err:
             raise _domain_error("power", f"base {a!r}", node, err) from err
 
@@ -275,11 +309,11 @@ class PointEvaluator:
         b = None if lit is not None else self._walk(e.right, memo, second)
         v = a.value
         c = lit if b is None else b.value
-        k = _power_exponent(v, c, e)
+        k = _power_exponent(v, e)
         try:
             if k is not None:
                 return a.pow_int(k)
-            f0 = math.exp(c * math.log(v))
+            f0 = _power(v, c, None)
             if b is None:
                 return a.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
             ln = FUNCTIONS["ln"]  # a^b = exp(b ln a)
@@ -301,6 +335,73 @@ class PointEvaluator:
 
     def _nested(self, t):
         return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
+
+
+class ValueKernel:
+    """Values of a fixed tuple of trees, compiled once and then called at
+    many points: ``kernel(values)`` returns one float per tree, for
+    ``values`` in the order of ``names``.
+
+    The unique nodes the trees reach are lowered, in the post-order of
+    :meth:`PointEvaluator.value` and memoised by identity as it is, to one
+    straight-line function with one statement per node (Griewank & Walther,
+    *Evaluating Derivatives*, 2nd ed., 2008, ch. 3).  Each statement is the
+    walker's own float operation, so every value is the walker's bit for
+    bit.  Constants are names bound in the function's globals, never printed.
+    The kernel formats no errors: when a math error escapes it, the trees
+    are walked again at the same values, which raises the
+    :class:`EvaluationDomainError` that names the subexpression.
+    """
+
+    __slots__ = ("names", "trees", "source", "_run")
+
+    def __init__(self, names: Sequence[str], trees: Sequence[Expr]):
+        self.names = tuple(names)
+        self.trees = tuple(trees)  # keeps every node, hence its id, alive
+        index = {name: i for i, name in enumerate(self.names)}
+        env: dict = {"power": _power}
+        slot: dict[int, str] = {}
+        lines = ["def kernel(v):"]
+        stack = [(t, False) for t in reversed(self.trees)]
+        while stack:
+            e, expanded = stack.pop()
+            if id(e) in slot:
+                continue
+            if not expanded and not isinstance(e, (Num, Var)):
+                stack.append((e, True))
+                kids = (e.left, e.right) if isinstance(e, BinOp) else (e.operand,)
+                stack.extend((c, False) for c in reversed(kids))
+                continue
+            name = slot[id(e)] = f"_{len(slot)}"
+            if isinstance(e, Num):
+                rhs = f"c{name}"
+                env[rhs] = e.value
+            elif isinstance(e, Var):
+                rhs = f"v[{index[e.name]}]"
+            elif isinstance(e, Neg):
+                rhs = f"-{slot[id(e.operand)]}"
+            elif isinstance(e, Call):
+                env[f"f_{e.func}"] = FUNCTIONS[e.func].f
+                rhs = f"f_{e.func}({slot[id(e.operand)]})"
+            elif e.op == "^":
+                a, b = slot[id(e.left)], slot[id(e.right)]
+                rhs = f"power({a}, {b}, {_integer_exponent(e)!r})"
+            else:
+                rhs = f"{slot[id(e.left)]} {e.op} {slot[id(e.right)]}"
+            lines.append(f"    {name} = {rhs}")
+        lines.append(f"    return [{', '.join(slot[id(t)] for t in self.trees)}]")
+        self.source = "\n".join(lines) + "\n"
+        exec(compile(self.source, "<value kernel>", "exec"), env)
+        self._run = env["kernel"]
+
+    def __call__(self, values: Sequence[float]) -> list[float]:
+        try:
+            return self._run(values)
+        except _MATH_ERRORS:
+            ev = PointEvaluator(self.names, values)
+            for t in self.trees:
+                ev.value(t)  # raises the domain error that names the node
+            raise
 
 
 def eval_jet(e: Expr, names: Sequence[str], values: Sequence[float]) -> Jet2:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -386,6 +387,18 @@ class TestIntegrateCommand:
         assert message.startswith("integration aborted: exp overflows at ")
         assert "in 'exp(x)'" in message
 
+    def test_matmul_overflow_aborts_in_one_line(self, tmp_path, capsys):
+        # sigma @ y overflows in the first step: one abort line, no numpy warning
+        out = tmp_path / "traj.csv"
+        argv = ["integrate", "--config", str(fixture_path(tmp_path)), "--x0=1e160,1,0"]
+        argv += ["--y0=0,1e154", "--dt", "1", "--steps", "3", "--output", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("integration aborted: "), lines
+
     def test_wrong_dimension_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -405,7 +418,11 @@ class TestBadArguments:
     """Every bad argument exits 2 with a one-line message and no traceback."""
 
     def usage_error(self, capsys, argv) -> str:
-        assert main(argv) == 2
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse rejects the value
+            code = exit_.code
+        assert code == 2
         captured = capsys.readouterr()
         message = captured.err.strip()
         assert message.startswith("config error: ")
@@ -421,7 +438,8 @@ class TestBadArguments:
         assert "--x0: bad number" in self.usage_error(capsys, argv)
 
     @pytest.mark.parametrize(
-        "flag,value", [("--dt", "0"), ("--dt", "-1"), ("--steps", "0")]
+        "flag,value",
+        [("--dt", "0"), ("--dt", "-1"), ("--steps", "0"), ("--steps", "1.5"), ("--dt", "abc")],
     )
     def test_step_size_and_count(self, tmp_path, capsys, flag, value):
         argv = self.integrate(tmp_path, f"{flag}={value}")
@@ -489,6 +507,9 @@ def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, at, x0, y0, dt, steps):
                 code = exit_.code
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: "), (argv, lines)
 
 
 class TestReports:

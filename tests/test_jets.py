@@ -298,3 +298,101 @@ def test_product_rule_is_componentwise_exact(a, b, seed):
         jprod.hess,
         ja.value * jb.hess + jb.value * ja.hess + cross + cross.T,
     )
+
+
+# -- the value kernel equals the walker --------------------------------------
+
+import struct  # noqa: E402
+from importlib import resources  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from hypothesis import settings  # noqa: E402
+
+from algmech.config import load_config  # noqa: E402
+from algmech.jets import ValueKernel  # noqa: E402
+
+from test_sharing import unique_nodes  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(resources.files("algmech").joinpath(f"fixtures/{name}.json")
+          for name in ("driftless", "abelian", "heisenberg")),
+        GOLDEN / "dense-4.json",
+        GOLDEN / "diag-8.json",
+    ],
+    ids=["driftless", "abelian", "heisenberg", "dense-4", "diag-8"],
+)
+def test_kernel_equals_walker_at_config_samples(config):
+    """Anchor, semispray and energy: the kernel's bits are the walker's."""
+    cfg = load_config(config)
+    alg = cfg.algebroid
+    trees = (
+        *(e for row in alg.anchor for e in row),
+        *cfg.semispray().components,
+        cfg.lagrangian.energy_expr,
+    )
+    kernel = ValueKernel(alg.coords, trees)
+    for p in cfg.sample_points():
+        ev = PointEvaluator(alg.coords, p.values())
+        assert bits(kernel(list(p.values()))) == bits(ev.value(t) for t in trees), p
+
+
+_EDGE_VALUES = [0.0, -0.0, -1.5, 0.7, 2.0, -3.0, 1e200, -1e200]
+_KERNEL_LEAF = st.one_of(
+    st.sampled_from([Var(c) for c in COORDS]),
+    st.sampled_from(_EDGE_VALUES).map(Num),
+)
+_EXPONENT = st.sampled_from(
+    [Num(2.0), Num(3.0), Num(0.0), Num(-1.0), Neg(Num(2.0)), Num(0.5), Num(-1.5), Num(1e200)]
+)
+
+
+def _kernel_node(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(*t)),
+        st.tuples(children, st.one_of(_EXPONENT, children)).map(lambda t: BinOp("^", *t)),
+        children.map(Neg),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda t: Call(*t)),
+    )
+
+
+def _outcome(run):
+    try:
+        return bits(run())
+    except EvaluationDomainError as err:
+        return str(err)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    st.recursive(_KERNEL_LEAF, _kernel_node, max_leaves=10),
+    st.lists(st.sampled_from(_EDGE_VALUES), min_size=len(COORDS), max_size=len(COORDS)),
+)
+def test_kernel_equals_walker_on_random_trees(tree, values):
+    """Same bits, or the same EvaluationDomainError, on any tree and point."""
+    kernel = ValueKernel(COORDS, (tree,))
+    walker = _outcome(lambda: [PointEvaluator(COORDS, values).value(tree)])
+    assert _outcome(lambda: kernel(values)) == walker
+
+
+def test_kernel_source_has_one_line_per_node():
+    power = parse_expression("x1^200000", COORDS)
+    kernel = ValueKernel(COORDS, (power,))
+    assert kernel([1.0 + 1e-6, 0.0, 0.0, 0.0]) == [PointEvaluator(COORDS, [1.0 + 1e-6] * 4).value(power)]
+    assert len(kernel.source.splitlines()) == unique_nodes(power) + 2
+    # 3,000 nested sums: deeper than the recursion limit, lowered iteratively
+    long_sum = parse_expression("+".join(f"{k % 7}*x1" for k in range(3000)), COORDS)
+    kernel = ValueKernel(COORDS, (long_sum, power))
+    assert len(kernel.source.splitlines()) == unique_nodes(long_sum, power) + 2
+    total = 0.0
+    for k in range(3000):
+        total = (k % 7) * 2.0 if k == 0 else total + (k % 7) * 2.0
+    assert kernel([2.0, 0.0, 0.0, 0.0])[0] == total
