@@ -49,12 +49,7 @@ from .errors import EvaluationDomainError
 from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var, literal_value
 
 __all__ = [
-    "Jet2",
-    "EvalPoint",
-    "PointEvaluator",
-    "ValueKernel",
-    "eval_jet",
-    "finite_difference_jet",
+    "Jet2", "EvalPoint", "PointEvaluator", "ValueKernel", "eval_jet", "finite_difference_jet"
 ]
 
 

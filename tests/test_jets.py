@@ -386,7 +386,8 @@ def test_kernel_equals_walker_on_random_trees(tree, values):
 def test_kernel_source_has_one_line_per_node():
     power = parse_expression("x1^200000", COORDS)
     kernel = ValueKernel(COORDS, (power,))
-    assert kernel([1.0 + 1e-6, 0.0, 0.0, 0.0]) == [PointEvaluator(COORDS, [1.0 + 1e-6] * 4).value(power)]
+    point = [1.0 + 1e-6, 0.0, 0.0, 0.0]
+    assert kernel(point) == [PointEvaluator(COORDS, point).value(power)]
     assert len(kernel.source.splitlines()) == unique_nodes(power) + 2
     # 3,000 nested sums: deeper than the recursion limit, lowered iteratively
     long_sum = parse_expression("+".join(f"{k % 7}*x1" for k in range(3000)), COORDS)
@@ -394,5 +395,5 @@ def test_kernel_source_has_one_line_per_node():
     assert len(kernel.source.splitlines()) == unique_nodes(long_sum, power) + 2
     total = 0.0
     for k in range(3000):
-        total = (k % 7) * 2.0 if k == 0 else total + (k % 7) * 2.0
+        total += (k % 7) * 2.0
     assert kernel([2.0, 0.0, 0.0, 0.0])[0] == total
