@@ -348,7 +348,7 @@ def test_kernel_equals_walker_at_config_samples(config):
 _EDGE_VALUES = [0.0, -0.0, -1.5, 0.7, 2.0, -3.0, 1e200, -1e200]
 _KERNEL_LEAF = st.one_of(
     st.sampled_from([Var(c) for c in COORDS]),
-    st.sampled_from(_EDGE_VALUES).map(Num),
+    st.sampled_from([*_EDGE_VALUES, math.inf]).map(Num),  # a folded inf stays a float
 )
 _EXPONENT = st.sampled_from(
     [Num(2.0), Num(3.0), Num(0.0), Num(-1.0), Neg(Num(2.0)), Num(0.5), Num(-1.5), Num(1e200)]
