@@ -36,9 +36,8 @@ from .report import (
 FIXTURES = ("driftless", "abelian", "heisenberg")
 
 
-def _add_common(p: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    if needs_config:
-        p.add_argument("--config", required=True, help="path to a system JSON file")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="path to a system JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the sample seed")
     p.add_argument("--tol", type=float, default=None, help="override the tolerance")
     p.add_argument(

@@ -250,7 +250,7 @@ def _parse_samples(raw, alg: Algebroid, path: str) -> SampleSpec:
     return SampleSpec(count, seed, box)
 
 
-def parse_config(raw: dict, origin: str = "<memory>") -> SystemConfig:
+def parse_config(raw: dict) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be an object")
     name = _need(raw, "name", str, "")
@@ -320,4 +320,4 @@ def load_config(path) -> SystemConfig:
         raise ConfigError("", f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("", f"invalid JSON in {path}: {err}") from err
-    return parse_config(raw, origin=str(path))
+    return parse_config(raw)

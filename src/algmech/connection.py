@@ -33,9 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import Algebroid
+from .errors import EvaluationDomainError
 from .expr import (
     Expr,
-    Num,
     ONE,
     ZERO,
     Var,
@@ -54,11 +54,13 @@ from .prolongation import (
     TensorBlock11,
     basis_sections,
     bracket_at,
+    directional_derivative,
     eye_block,
     frame_derivation,
     j_tensor,
     lie_derivative_tensor,
     sode_derivative_expr,
+    spray_homogeneity,
     zeros_block,
 )
 
@@ -150,10 +152,7 @@ def berwald_derivative(
 ) -> float:
     """Derivative of f along the horizontal frame section delta_a."""
     ev = alg.evaluator(p)
-    g = ev.jet1(f).grad
-    sigma = alg.anchor_at(ev)
-    Nv = N.at(ev)
-    return float(sigma[:, a] @ g[: alg.n] - Nv[a] @ g[alg.n :])
+    return float(_delta_gradient(alg, ev, N.at(ev), f)[a])
 
 
 def _delta_gradient(
@@ -212,30 +211,16 @@ def curvature_apply(
     return cv + cx @ Nv
 
 
-def _sode_apply_values(
-    alg: Algebroid, ev: PointEvaluator, s_vals: np.ndarray, f: Expr
-) -> float:
-    """S(f) at the point, given the values of S's components.
-
-    Kept apart from ``directional_derivative``: it sums (sigma y) . df/dx,
-    not y . (sigma^T df/dx), and the reported Jacobi endomorphism depends on
-    that order in the last bit when the anchor depends on x.
-    """
-    if isinstance(f, Num):
-        return 0.0
-    g = ev.jet1(f).grad
-    sigma = alg.anchor_at(ev)
-    y = np.array(ev.values[alg.n :])
-    return float((sigma @ y) @ g[: alg.n] + s_vals @ g[alg.n :])
-
-
 def jacobi_endomorphism(
     alg: Algebroid, S: Semispray, N: Connection, p: EvalPoint
 ) -> np.ndarray:
-    """R[b][g] with the vertical-valued tensor acting as X_b -> R_b^g V_g.
+    """R[b][g] with the vertical-valued tensor acting as X_b -> R_b^g V_g:
 
-    Uses the closed form specialised to canonical coefficients when
-    ``N.canonical`` is set, the general form otherwise.
+        R_b^g = -delta_b(S^g) - S(N_b^g) + N_b^a N_a^g + N_e^g L_ab^e y^a,
+
+    one formula for canonical and arbitrary coefficients alike; it is the
+    vertical Berwald part of [S, delta_b], which :func:`jacobi_from_bracket`
+    takes from the bracket itself.
     """
     m, n = alg.m, alg.n
     ev = alg.evaluator(p)
@@ -250,30 +235,14 @@ def jacobi_endomorphism(
         dS_x[g] = grad[:n]
         dS_y[g] = grad[n:]
     s_vals = ev.values_of(S.components)
-    SN = np.zeros((m, m))  # [b][g] = S(N_b^g)
-    for b in range(m):
-        for g in range(m):
-            SN[b, g] = _sode_apply_values(alg, ev, s_vals, N.coeffs[b][g])
     R = np.zeros((m, m))
     for b in range(m):
         for g in range(m):
-            base = -float(sigma[:, b] @ dS_x[g]) - SN[b, g]
-            if N.canonical:
-                # - N_c^g N_b^c + (L_eb^c N_c^g + L_ce^g N_b^c) y^e
-                quad = -sum(Nv[c, g] * Nv[b, c] for c in range(m))
-                mixed = sum(
-                    y[e] * (L[e, b, c] * Nv[c, g] + L[c, e, g] * Nv[b, c])
-                    for e in range(m)
-                    for c in range(m)
-                )
-            else:
-                # + N_b^a N_a^g + N_b^a dS^g/dy^a + N_e^g L_ab^e y^a
-                quad = sum(
-                    Nv[b, a] * (Nv[a, g] + dS_y[g, a]) for a in range(m)
-                )
-                mixed = sum(
-                    Nv[e, g] * L[a, b, e] * y[a] for a in range(m) for e in range(m)
-                )
+            base = -float(sigma[:, b] @ dS_x[g]) - directional_derivative(
+                alg, ev, y, s_vals, N.coeffs[b][g]
+            )
+            quad = sum(Nv[b, a] * (Nv[a, g] + dS_y[g, a]) for a in range(m))
+            mixed = sum(Nv[e, g] * L[a, b, e] * y[a] for a in range(m) for e in range(m))
             R[b, g] = base + quad + mixed
     return R
 
@@ -546,9 +515,13 @@ class GeometryFrame:
         }
 
 
+@np.errstate(all="ignore")
 def geometry_frame(
     alg: Algebroid, S: Semispray, N: Connection, p: EvalPoint
 ) -> GeometryFrame:
+    """Every derived tensor at ``p`` with its cross-checks.  numpy warns of
+    nothing here: a frame with a number that is not finite (an overflow at a
+    huge point) raises :class:`EvaluationDomainError` naming ``p`` instead."""
     ev = alg.evaluator(p)
     Nv = N.at(ev)
     m = alg.m
@@ -558,12 +531,7 @@ def geometry_frame(
     h, v, F = structure_tensors(Nv)
     eye2m = np.eye(2 * m)
 
-    homogeneity = 0.0
-    for a in range(m):
-        jet = ev.jet1(S.components[a])
-        homogeneity = max(
-            homogeneity, abs(float(y @ jet.grad[alg.n :]) - 2.0 * jet.value)
-        )
+    homogeneity = spray_homogeneity(alg, S, ev)
     is_spray_here = homogeneity <= 1e-9
 
     residuals = {
@@ -596,7 +564,7 @@ def geometry_frame(
         diagnostics["nabla_j"] = nabla_j
         diagnostics["phi_vs_curvature_contraction"] = contraction
 
-    return GeometryFrame(
+    frame = GeometryFrame(
         point=p,
         semispray=ev.values_of(S.components),
         connection=Nv,
@@ -607,3 +575,8 @@ def geometry_frame(
         residuals=residuals,
         diagnostics=diagnostics,
     )
+    scalars = [*residuals.values(), *diagnostics.values()]
+    numbers = (frame.semispray, Nv, R3, R2, F.matrix, frame.berwald, scalars)
+    if not all(np.isfinite(x).all() for x in numbers):
+        raise EvaluationDomainError(f"geometry is not finite at {p}")
+    return frame

@@ -34,7 +34,8 @@ to compile and then a few hundred ns per call.  Use ``PointEvaluator`` for
 everything else: a per-point memo shared across many trees, jets, and the
 error path that names the failing subexpression, which the kernel reaches by
 walking its trees again with ``value``.  Both compute ``^`` with one helper,
-``_power``.
+``_power``; it and :meth:`Jet2.pow_int` take integer powers from one routine,
+:func:`int_power`, so their cost grows with log2 of the exponent.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .errors import EvaluationDomainError
 from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var, literal_value
 
 __all__ = [
-    "Jet2", "EvalPoint", "PointEvaluator", "ValueKernel", "eval_jet", "finite_difference_jet"
+    "Jet2", "EvalPoint", "PointEvaluator", "ValueKernel", "eval_jet", "finite_difference_jet",
+    "int_power",
 ]
 
 
@@ -131,10 +133,23 @@ class Jet2:
     def pow_int(self, k: int) -> "Jet2":
         if k < 0:
             return self.pow_int(-k).reciprocal()
-        result = Jet2.constant(1.0, self.grad.shape[0], self.hess is not None)
-        for _ in range(k):
-            result = result * self
-        return result
+        return int_power(self, k, Jet2.constant(1.0, self.grad.shape[0], self.hess is not None))
+
+
+def int_power(a, k: int, one):
+    """``a^k`` for an integer ``k >= 0`` and any ``a`` with ``*`` (floats and
+    jets alike), by binary exponentiation from the leading bit: a square per
+    further bit, times ``a`` where the bit is set, so at most 2 log2(k)
+    products; ``one`` is the result for ``k = 0``.  Up to ``k = 3`` this is
+    ``a*a`` and ``(a*a)*a``, the products of repeated multiplication."""
+    if k == 0:
+        return one
+    r = a
+    for bit in bin(k)[3:]:
+        r = r * r
+        if bit == "1":
+            r = r * a
+    return r
 
 
 _MATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -167,15 +182,14 @@ def _power_exponent(base: float, node: BinOp) -> int | None:
 
 
 def _power(a: float, c: float, k: int | None) -> float:
-    """``a^c`` as every float path computes it: ``|k|`` repeated
-    multiplications for an integer exponent ``k`` (see ``_integer_exponent``),
-    else ``exp(c ln a)``.  Outside the domain math's own errors signal it:
-    ``ln`` of a non-positive base, or ``1/0`` for a zero base and ``k < 0``."""
+    """``a^c`` as every float path computes it: :func:`int_power` of ``|k|``
+    (inverted for ``k < 0``) for an integer exponent ``k`` (see
+    ``_integer_exponent``), else ``exp(c ln a)``.  Outside the domain math's
+    own errors signal it: ``ln`` of a non-positive base, or ``1/0`` for a
+    zero base and ``k < 0``."""
     if k is None:
         return math.exp(c * math.log(a))
-    r = 1.0
-    for _ in range(abs(k)):
-        r *= a
+    r = int_power(a, abs(k), 1.0)
     return 1.0 / r if k < 0 else r
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "sode_flow",
     "sode_derivative",
     "sode_derivative_expr",
+    "spray_homogeneity",
     "spray_test",
     "SprayReport",
     "j_tensor",
@@ -170,9 +171,10 @@ def directional_derivative(
 ) -> float:
     """sigma1(A)(f) at the point, with A given by component values ax, av.
 
-    The one directional derivative of the package: brackets, Lie derivatives
-    and conservation checks all go through here.  A constant ``f`` (such as
-    a component of a frame section) is answered 0.0 without evaluation.
+    The one directional derivative of the package: brackets, Lie derivatives,
+    conservation checks and the S(N) terms of the Jacobi endomorphism (ax = y,
+    av = the values of S) all go through here.  A constant ``f`` (such as a
+    component of a frame section) is answered 0.0 without evaluation.
     """
     if isinstance(f, Num):
         return 0.0
@@ -249,6 +251,17 @@ def sode_derivative(alg: Algebroid, S: Semispray, f: Expr, p: EvalPoint) -> floa
     return sigma1_apply(alg, S.section(alg), f, p)
 
 
+def spray_homogeneity(alg: Algebroid, S: Semispray, ev: PointEvaluator) -> float:
+    """max_a |y . dS^a/dy - 2 S^a| at the evaluator's point, which vanishes
+    where S is degree-2 homogeneous in y (Euler's theorem)."""
+    y = np.array(ev.values[alg.n :])
+    worst = 0.0
+    for comp in S.components:
+        jet = ev.jet1(comp)
+        worst = max(worst, abs(float(y @ jet.grad[alg.n :]) - 2.0 * jet.value))
+    return worst
+
+
 @dataclass(frozen=True)
 class SprayReport:
     homogeneity: float
@@ -268,13 +281,7 @@ def spray_test(
     Ssec = S.section(alg)
     for p in samples:
         ev = alg.evaluator(p)
-        y = np.array(p.y)
-        for a in range(alg.m):
-            jet = ev.jet1(S.components[a])
-            euler = 0.0
-            for b in range(alg.m):
-                euler += y[b] * jet.grad[alg.n + b]
-            hom = max(hom, abs(euler - 2.0 * jet.value))
+        hom = max(hom, spray_homogeneity(alg, S, ev))
         bx, bv = bracket_at(alg, C, Ssec, ev)
         sx, sv = Ssec.values_at(ev)
         brk = max(brk, float(np.max(np.abs(bx - sx))), float(np.max(np.abs(bv - sv))))

@@ -308,6 +308,22 @@ class TestGeometryCommand:
             2.0, abs=1e-12
         )
 
+    def test_non_finite_point_fails_in_one_line(self, tmp_path, capsys):
+        # every number overflows at 1e200: one line that names the point, no
+        # numpy warning, and no report with "nan" or "inf" in it
+        out = tmp_path / "frame.json"
+        argv = ["geometry", "--config", str(fixture_path(tmp_path)), "--output", str(out)]
+        argv += ["--at=x=1e200,1e200,0,y=1e200,1e200"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == (
+            "check failed: geometry is not finite at "
+            "(x=[1e+200, 1e+200, 0.0], y=[1e+200, 1e+200])\n"
+        )
+        assert not out.exists()
+
 
 class TestExampleCommand:
     def test_byte_stable_materialization(self, tmp_path, capsys, monkeypatch):

@@ -7,8 +7,15 @@ diagonal-metric rank-8 system (``dense-4.json``, ``diag-8.json``; written once
 from ``perfbench/synth.py`` at sample seed 20261018 and kept as plain JSON, so
 a change to the generator cannot move them).  These pin the m >= 4 semispray
 and connection trees, which the fixtures (m <= 3) never reach.  A change that
-moves any reported number fails here; if the move is intended, regenerate the
-files and list each changed number in CHANGES.md.
+moves any reported number fails here.  If the move is intended, re-baseline:
+write each report again into a scratch file (the fixtures come from
+``algmech example <name>``), run ``python tools/numdiff.py OLD NEW`` on the
+committed file and the new one, put its table of changed numbers in
+CHANGES.md, and only then replace the committed file.  For example::
+
+    PYTHONPATH=src python -m algmech.cli report --config tests/golden/dense-4.json \
+        --format json > /tmp/report-dense-4.json
+    python tools/numdiff.py tests/golden/report-dense-4.json /tmp/report-dense-4.json
 """
 
 import json

@@ -5,7 +5,7 @@ import pytest
 
 from algmech.errors import EvaluationDomainError
 from algmech.expr import FUNCTIONS, differentiate, parse_expression, to_source
-from algmech.jets import PointEvaluator, eval_jet, finite_difference_jet
+from algmech.jets import PointEvaluator, eval_jet, finite_difference_jet, int_power
 from algmech.sampling import SplitMix64
 
 COORDS = ("x1", "x2", "u1", "u2")
@@ -127,6 +127,55 @@ class TestJetValues:
         assert a.value == b.value
         assert np.array_equal(a.grad, b.grad)
         assert np.array_equal(a.hess, b.hess)
+
+
+class Exponent:
+    """Stands for a^k: ``*`` adds exponents and counts itself in ``log``."""
+
+    def __init__(self, k: int, log: list):
+        self.k, self.log = k, log
+
+    def __mul__(self, other: "Exponent") -> "Exponent":
+        self.log.append(other.k)
+        return Exponent(self.k + other.k, self.log)
+
+
+class TestIntegerPower:
+    def test_products_grow_with_log2_of_the_exponent(self):
+        assert int_power(Exponent(1, []), 0, "one") == "one"
+        for k in [*range(1, 1025), 2**19 - 1, 2**19, 2**19 + 1, 200_000, 999_999, 1_000_000]:
+            log: list = []
+            assert int_power(Exponent(1, log), k, None).k == k
+            assert len(log) <= 2 * math.ceil(math.log2(k)), k
+
+    def test_small_exponents_keep_the_bits_of_repeated_multiplication(self):
+        rng = SplitMix64(9)
+        for _ in range(200):
+            a = rng.uniform(-3.0, 3.0)
+            for k in range(4):
+                r = 1.0
+                for _ in range(k):
+                    r *= a
+                assert int_power(a, k, 1.0).hex() == r.hex()
+
+    @pytest.mark.parametrize("k", [4, 5, 7, 1000, -6])
+    @pytest.mark.parametrize("x1", [-1.0003, 1.0007])
+    def test_value_and_jets_of_a_power(self, k, x1):
+        tree = parse_expression(f"x1^{k}", COORDS)
+        point = [x1, 0.0, 0.0, 0.0]
+        ev = PointEvaluator(COORDS, point)
+        value = ev.value(tree)
+        assert value == pytest.approx(math.pow(x1, k), rel=1e-13)
+        d1, d2 = k * math.pow(x1, k - 1), k * (k - 1) * math.pow(x1, k - 2)
+        fd = finite_difference_jet(tree, COORDS, point, h=1e-4 / abs(k))
+        for j in (ev.jet1(tree), ev.jet(tree)):
+            assert j.value == value
+            assert j.grad[0] == pytest.approx(d1, rel=1e-12)
+            assert j.grad[0] == pytest.approx(fd.grad[0], rel=1e-6)
+            assert np.count_nonzero(j.grad[1:]) == 0
+        hess = ev.jet(tree).hess[0, 0]
+        assert hess == pytest.approx(d2, rel=1e-12)
+        assert hess == pytest.approx(fd.hess[0, 0], rel=1e-4)
 
 
 class TestFiniteDifferenceOracle:

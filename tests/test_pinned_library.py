@@ -5,11 +5,16 @@ the Lie or covariant derivative of h, v or F, or the Cartan converse, and
 their systems all have a constant anchor.  This module evaluates those on a
 rank-3 system whose anchor, structure function and fiber metric depend on x,
 under the canonical and an arbitrary connection, at two points, and compares
-every number with ``==`` against ``tests/golden/library-rank3.json``.
+the JSON dump of every number byte for byte (so -0.0 is not 0.0) with
+``tests/golden/library-rank3.json``.
 
-Regenerate (only for an intended change, listing what moved in CHANGES.md)::
+Re-baseline only for an intended change: keep a copy of the pinned file,
+regenerate it, and list every moved number in CHANGES.md with the table of
+``tools/numdiff.py``::
 
+    cp tests/golden/library-rank3.json /tmp/library-rank3.old.json
     PYTHONPATH=src python tests/test_pinned_library.py
+    python tools/numdiff.py /tmp/library-rank3.old.json tests/golden/library-rank3.json
 """
 
 import json
@@ -157,12 +162,14 @@ def compute() -> dict:
     return out
 
 
+def dump(out: dict) -> str:
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
 def test_library_outputs_match_pinned():
-    want = json.loads(PINNED.read_text())
-    got = json.loads(json.dumps(compute()))
-    assert got == want
+    assert dump(compute()) == PINNED.read_text()
 
 
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n")
+    PINNED.write_text(dump(compute()))
     print(f"wrote {PINNED}")
