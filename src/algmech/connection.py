@@ -222,26 +222,18 @@ def jacobi_endomorphism(
     vertical Berwald part of [S, delta_b], which :func:`jacobi_from_bracket`
     takes from the bracket itself.
     """
-    m, n = alg.m, alg.n
+    m = alg.m
     ev = alg.evaluator(p)
     Nv = N.at(ev)
     L = alg.structure_at(ev)
-    sigma = alg.anchor_at(ev)
     y = np.array(p.y)
-    dS_x = np.zeros((m, n))  # [g][i] = dS^g/dx^i
-    dS_y = np.zeros((m, m))  # [g][a] = dS^g/dy^a
-    for g in range(m):
-        grad = ev.jet1(S.components[g]).grad
-        dS_x[g] = grad[:n]
-        dS_y[g] = grad[n:]
+    dS = [_delta_gradient(alg, ev, Nv, c) for c in S.components]  # [g][b] = delta_b(S^g)
     s_vals = ev.values_of(S.components)
     R = np.zeros((m, m))
     for b in range(m):
         for g in range(m):
-            base = -float(sigma[:, b] @ dS_x[g]) - directional_derivative(
-                alg, ev, y, s_vals, N.coeffs[b][g]
-            )
-            quad = sum(Nv[b, a] * (Nv[a, g] + dS_y[g, a]) for a in range(m))
+            base = -dS[g][b] - directional_derivative(alg, ev, y, s_vals, N.coeffs[b][g])
+            quad = sum(Nv[b, a] * Nv[a, g] for a in range(m))
             mixed = sum(Nv[e, g] * L[a, b, e] * y[a] for a in range(m) for e in range(m))
             R[b, g] = base + quad + mixed
     return R
