@@ -16,10 +16,12 @@ random points are decisive in practice.
 
 An :class:`Algebroid` is the per-system object every derived-tree
 constructor receives, so it owns the caches that make derived trees and
-point evaluation shared: the derivative memo (:meth:`Algebroid.derivative`),
-the evaluator of the current point (:meth:`Algebroid.evaluator`), and the
-trees that depend on the system alone (:attr:`Algebroid.base_velocity`,
-:attr:`Algebroid.twisted_structure`), built on first use.
+evaluation shared: the derivative memo (:meth:`Algebroid.derivative`), the
+evaluator of the current point (:meth:`Algebroid.evaluator`) and of the
+current sample list (:meth:`Algebroid.sample_evaluator`), the trees that
+depend on the system alone (:attr:`Algebroid.base_velocity`,
+:attr:`Algebroid.twisted_structure`), built on first use, and those that
+depend on objects built from it (:meth:`Algebroid.derived`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import EvaluationDomainError, FiberDependenceError
 from .expr import Expr, Var, cached_derivative, e_mul, e_sub, e_sum, variables
-from .jets import EvalPoint, PointEvaluator
+from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
 
@@ -82,6 +84,10 @@ class Algebroid:
     )
     # (point, evaluator) of the last point asked for, replaced as one tuple
     _current: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (samples, evaluator) of the last sample list asked for, likewise
+    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # derived-tree memo: (build, id(arg), ...) -> (args, trees), see derived()
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -125,6 +131,17 @@ class Algebroid:
             for b in range(m)
         )
 
+    def derived(self, build, *args):
+        """``build(self, *args)``, built once per system and per tuple of
+        argument objects (by identity; the entry keeps them alive, so their
+        ids are never reused).  For trees that depend on objects callers keep,
+        such as the semispray, a connection and a tensor."""
+        key = (build, *map(id, args))
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = (args, build(self, *args))
+        return hit[1]
+
     def evaluator(self, p: EvalPoint) -> PointEvaluator:
         """The evaluator at ``p``, shared by every tensor computed there.
 
@@ -135,20 +152,36 @@ class Algebroid:
         current = self._current
         if current is not None and current[0] is p:
             return current[1]
-        if len(p.x) != self.n or len(p.y) != self.m:
-            raise ValueError(
-                f"point has dims ({len(p.x)},{len(p.y)}), system is ({self.n},{self.m})"
-            )
+        self._check_dims(p)
         ev = PointEvaluator(self.coords, p.values())
         object.__setattr__(self, "_current", (p, ev))
         return ev
 
+    def sample_evaluator(self, samples: Sequence[EvalPoint]) -> SampleEvaluator:
+        """The evaluator over a whole sample list, shared by every check that
+        sweeps that list.  Like :meth:`evaluator`, the system keeps one, for
+        the last list asked for by object identity."""
+        current = self._batch
+        if current is not None and current[0] is samples:
+            return current[1]
+        for p in samples:
+            self._check_dims(p)
+        ev = SampleEvaluator(self.coords, samples)
+        object.__setattr__(self, "_batch", (samples, ev))
+        return ev
+
+    def _check_dims(self, p: EvalPoint) -> None:
+        if len(p.x) != self.n or len(p.y) != self.m:
+            raise ValueError(
+                f"point has dims ({len(p.x)},{len(p.y)}), system is ({self.n},{self.m})"
+            )
+
     # -- pointwise data ----------------------------------------------------
 
-    def anchor_at(self, ev: PointEvaluator) -> np.ndarray:
+    def anchor_at(self, ev: PointEvaluator | SampleEvaluator) -> np.ndarray:
         return ev.array(self.anchor)
 
-    def structure_at(self, ev: PointEvaluator) -> np.ndarray:
+    def structure_at(self, ev: PointEvaluator | SampleEvaluator) -> np.ndarray:
         return ev.array(self.structure)
 
     # -- base calculus -----------------------------------------------------

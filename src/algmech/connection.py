@@ -46,12 +46,13 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, PointEvaluator
+from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 from .prolongation import (
     ExprTensor,
     ProlongationSection,
     Semispray,
     TensorBlock11,
+    anchored,
     basis_sections,
     bracket_at,
     directional_derivative,
@@ -74,6 +75,7 @@ __all__ = [
     "curvature_from_brackets",
     "curvature_apply",
     "jacobi_endomorphism",
+    "jacobi_at",
     "jacobi_from_bracket",
     "structure_tensors",
     "h_tensor",
@@ -156,12 +158,11 @@ def berwald_derivative(
 
 
 def _delta_gradient(
-    alg: Algebroid, ev: PointEvaluator, Nv: np.ndarray, f: Expr
+    alg: Algebroid, ev: PointEvaluator | SampleEvaluator, Nv: np.ndarray, f: Expr
 ) -> np.ndarray:
-    """delta_a(f) for all a at once."""
+    """delta_a(f) for all a at once (per sample for a batch)."""
     g = ev.jet1(f).grad
-    sigma = alg.anchor_at(ev)
-    return sigma.T @ g[: alg.n] - Nv @ g[alg.n :]
+    return anchored(alg, ev, g) - (Nv @ g[..., alg.n :, None])[..., 0]
 
 
 def curvature(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndarray:
@@ -222,21 +223,33 @@ def jacobi_endomorphism(
     vertical Berwald part of [S, delta_b], which :func:`jacobi_from_bracket`
     takes from the bracket itself.
     """
+    return jacobi_at(alg, S, N, alg.evaluator(p))
+
+
+def jacobi_at(
+    alg: Algebroid, S: Semispray, N: Connection, ev: PointEvaluator | SampleEvaluator
+) -> np.ndarray:
+    """:func:`jacobi_endomorphism` at the evaluator's point, or over its
+    samples as a (P, m, m) array.  The sums over a and e run in the order of
+    the formula, one term at a time for every (b, g) at once."""
     m = alg.m
-    ev = alg.evaluator(p)
     Nv = N.at(ev)
     L = alg.structure_at(ev)
-    y = np.array(p.y)
-    dS = [_delta_gradient(alg, ev, Nv, c) for c in S.components]  # [g][b] = delta_b(S^g)
+    y = np.asarray(ev.values)[..., alg.n :]
     s_vals = ev.values_of(S.components)
-    R = np.zeros((m, m))
-    for b in range(m):
-        for g in range(m):
-            base = -dS[g][b] - directional_derivative(alg, ev, y, s_vals, N.coeffs[b][g])
-            quad = sum(Nv[b, a] * Nv[a, g] for a in range(m))
-            mixed = sum(Nv[e, g] * L[a, b, e] * y[a] for a in range(m) for e in range(m))
-            R[b, g] = base + quad + mixed
-    return R
+    # [..., b, g] = delta_b(S^g), and S(N_b^g)
+    dS = np.stack([_delta_gradient(alg, ev, Nv, c) for c in S.components], axis=-1)
+    SN = np.array(
+        [[directional_derivative(alg, ev, y, s_vals, c) for c in row] for row in N.coeffs]
+    )
+    SN = np.moveaxis(SN, (0, 1), (-2, -1))
+    quad = sum(Nv[..., :, a, None] * Nv[..., None, a, :] for a in range(m))
+    mixed = sum(
+        Nv[..., None, e, :] * L[..., a, :, e, None] * y[..., a, None, None]
+        for a in range(m)
+        for e in range(m)
+    )
+    return -dS - SN + quad + mixed
 
 
 def jacobi_from_bracket(
@@ -401,9 +414,14 @@ def nabla_section(
 def nabla_tensor(
     alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, p: EvalPoint
 ) -> TensorBlock11:
-    """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section."""
+    """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section.
+
+    The trees of nabla(T(B)) and nabla(B) are built once per (S, N, T) and
+    kept by the system (:meth:`~algmech.algebroid.Algebroid.derived`), so
+    pass the same objects at every point: each call evaluates only.
+    """
     ev = alg.evaluator(p)
-    return frame_derivation(T, ev, lambda X: nabla_exprs(alg, S, N, X).values_at(ev))
+    return frame_derivation(T, ev, lambda X: alg.derived(nabla_exprs, S, N, X).values_at(ev))
 
 
 # ---------------------------------------------------------------------------

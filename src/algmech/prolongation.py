@@ -15,11 +15,25 @@ and :func:`frame_derivation` the one loop (D T)(B) = D(T B) - T(D B) behind
 both derivatives of a tensor.  The trees of S(f) read the system's anchored
 velocity (:attr:`Algebroid.base_velocity`), and the complete lift is built
 from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
+
+Values at one point come from a :class:`~algmech.jets.PointEvaluator`; over
+a sample set, from a :class:`~algmech.jets.SampleEvaluator`, with a leading
+sample axis on every array.  :func:`directional_derivative` and
+:func:`bracket_at` are written once for both: their products are numpy
+``matmul`` and ``einsum`` over optional leading axes, which give every
+sample slice the bits of the single-point product (stacked ``matmul`` makes
+the same BLAS call per slice; an elementwise product summed by numpy would
+not, since BLAS's short dot is a chain of fused multiply-adds), and the
+batch evaluator applies ``math``'s elementary functions per element (numpy's
+``exp`` and ``log`` differ from them on some inputs on x86-64 with AVX-512;
+``sin``, ``cos`` and ``sqrt`` matched).  :func:`spray_test` sweeps its
+samples this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +50,8 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, PointEvaluator
+from .errors import EvaluationDomainError
+from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 
 __all__ = [
     "ProlongationSection",
@@ -97,11 +112,13 @@ class ProlongationSection:
         return ev.values_of(self.x_comps), ev.values_of(self.v_comps)
 
 
-def basis_sections(m: int) -> list[ProlongationSection]:
-    """The 2m frame sections, X_0..X_{m-1} then V_0..V_{m-1}."""
-    return [ProlongationSection.basis_x(m, a) for a in range(m)] + [
+@cache
+def basis_sections(m: int) -> tuple[ProlongationSection, ...]:
+    """The 2m frame sections, X_0..X_{m-1} then V_0..V_{m-1}: one tuple per
+    rank, so trees derived from a frame section can be memoised by it."""
+    return tuple(ProlongationSection.basis_x(m, a) for a in range(m)) + tuple(
         ProlongationSection.basis_v(m, a) for a in range(m)
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -167,20 +184,38 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
 
 
 def directional_derivative(
-    alg: Algebroid, ev: PointEvaluator, ax: np.ndarray, av: np.ndarray, f: Expr
-) -> float:
-    """sigma1(A)(f) at the point, with A given by component values ax, av.
+    alg: Algebroid, ev: PointEvaluator | SampleEvaluator, ax: np.ndarray, av: np.ndarray, f: Expr
+):
+    """sigma1(A)(f) with A given by component values ax, av: a float at the
+    point of a :class:`PointEvaluator`, a (P,) array over the samples of a
+    :class:`SampleEvaluator` (ax, av then carry the sample axis first).
 
     The one directional derivative of the package: brackets, Lie derivatives,
     conservation checks and the S(N) terms of the Jacobi endomorphism (ax = y,
     av = the values of S) all go through here.  A constant ``f`` (such as a
-    component of a frame section) is answered 0.0 without evaluation.
+    component of a frame section) is answered 0 without evaluation.
+
+    One formula serves a point and a batch: numpy's stacked ``matmul`` hands
+    every slice to the BLAS call that the unstacked product makes, so each
+    sample gets the bits of a single-point call.  (An elementwise product
+    summed with ``np.sum`` would not: BLAS's short dot is a chain of fused
+    multiply-adds.)
     """
     if isinstance(f, Num):
-        return 0.0
+        return np.zeros(np.shape(ax)[:-1])[()]  # a scalar 0.0 at a point, (P,) zeros
     g = ev.jet1(f).grad
-    sigma = alg.anchor_at(ev)
-    return float(ax @ (sigma.T @ g[: alg.n]) + av @ g[alg.n :])
+    return inner(ax, anchored(alg, ev, g)) + inner(av, g[..., alg.n :])
+
+
+def anchored(alg: Algebroid, ev: PointEvaluator | SampleEvaluator, g: np.ndarray) -> np.ndarray:
+    """sigma_a^i g_i: the anchored x-part of gradients ``g`` (trailing axis
+    over all coordinates), one (m,) vector per point."""
+    return (g[..., None, : alg.n] @ alg.anchor_at(ev))[..., 0, :]
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over the trailing axis, with any leading axes stacked."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def sigma1_apply(
@@ -196,18 +231,19 @@ def bracket_at(
     alg: Algebroid,
     A: ProlongationSection,
     B: ProlongationSection,
-    ev: PointEvaluator,
+    ev: PointEvaluator | SampleEvaluator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    m = alg.m
+    """Components of [A, B] at the evaluator's point, or over its samples
+    with the sample axis first."""
     L = alg.structure_at(ev)
     ax, av = A.values_at(ev)
     bx, bv = B.values_at(ev)
-    x_part = np.einsum("a,b,abg->g", ax, bx, L)
-    v_part = np.zeros(m)
+    x_part = np.einsum("...a,...b,...abg->...g", ax, bx, L)
+    v_part = np.zeros_like(x_part)
     d = directional_derivative
-    for g in range(m):
-        x_part[g] += d(alg, ev, ax, av, B.x_comps[g]) - d(alg, ev, bx, bv, A.x_comps[g])
-        v_part[g] = d(alg, ev, ax, av, B.v_comps[g]) - d(alg, ev, bx, bv, A.v_comps[g])
+    for g in range(alg.m):
+        x_part[..., g] += d(alg, ev, ax, av, B.x_comps[g]) - d(alg, ev, bx, bv, A.x_comps[g])
+        v_part[..., g] = d(alg, ev, ax, av, B.v_comps[g]) - d(alg, ev, bx, bv, A.v_comps[g])
     return x_part, v_part
 
 
@@ -251,15 +287,13 @@ def sode_derivative(alg: Algebroid, S: Semispray, f: Expr, p: EvalPoint) -> floa
     return sigma1_apply(alg, S.section(alg), f, p)
 
 
-def spray_homogeneity(alg: Algebroid, S: Semispray, ev: PointEvaluator) -> float:
-    """max_a |y . dS^a/dy - 2 S^a| at the evaluator's point, which vanishes
-    where S is degree-2 homogeneous in y (Euler's theorem)."""
-    y = np.array(ev.values[alg.n :])
-    worst = 0.0
-    for comp in S.components:
-        jet = ev.jet1(comp)
-        worst = max(worst, abs(float(y @ jet.grad[alg.n :]) - 2.0 * jet.value))
-    return worst
+def spray_homogeneity(alg: Algebroid, S: Semispray, ev: PointEvaluator | SampleEvaluator):
+    """max_a |y . dS^a/dy - 2 S^a| at the evaluator's point (or per sample),
+    which vanishes where S is degree-2 homogeneous in y (Euler's theorem)."""
+    n = alg.n
+    y = np.asarray(ev.values)[..., n:]
+    jets = [ev.jet1(c) for c in S.components]
+    return np.max([np.abs(inner(y, j.grad[..., n:]) - 2.0 * j.value) for j in jets], axis=0)
 
 
 @dataclass(frozen=True)
@@ -271,27 +305,39 @@ class SprayReport:
     is_spray: bool
 
 
+@np.errstate(all="ignore")
 def spray_test(
     alg: Algebroid, S: Semispray, samples: Sequence[EvalPoint], tol: float
 ) -> SprayReport:
-    """Degree-2 homogeneity of the coefficients, cross-checked by [C, S] = S."""
-    hom = 0.0
-    brk = 0.0
-    C = euler_section(alg)
+    """Degree-2 homogeneity of the coefficients, cross-checked by [C, S] = S,
+    swept over the samples at once.  A residual that is not finite raises
+    :class:`EvaluationDomainError` naming the first such sample."""
+    ev = alg.sample_evaluator(samples)
     Ssec = S.section(alg)
-    for p in samples:
-        ev = alg.evaluator(p)
-        hom = max(hom, spray_homogeneity(alg, S, ev))
-        bx, bv = bracket_at(alg, C, Ssec, ev)
-        sx, sv = Ssec.values_at(ev)
-        brk = max(brk, float(np.max(np.abs(bx - sx))), float(np.max(np.abs(bv - sv))))
+    hom = spray_homogeneity(alg, S, ev)
+    bx, bv = bracket_at(alg, euler_section(alg), Ssec, ev)
+    sx, sv = Ssec.values_at(ev)
+    brk = np.abs(np.concatenate([bx - sx, bv - sv], axis=-1))
+    hom_max = sweep_max("homogeneity", samples, hom)
     return SprayReport(
-        homogeneity=hom,
-        euler_bracket=brk,
+        homogeneity=hom_max,
+        euler_bracket=sweep_max("Euler-field bracket", samples, brk),
         tol=tol,
         samples=len(samples),
-        is_spray=bool(hom <= tol),
+        is_spray=hom_max <= tol,
     )
+
+
+def sweep_max(what: str, samples: Sequence[EvalPoint], residuals: np.ndarray) -> float:
+    """The largest of ``residuals`` (sample axis first, all >= 0) as a float,
+    0.0 for no samples; a residual that is not finite raises
+    :class:`EvaluationDomainError` naming its sample point, so no inf or NaN
+    reaches a report."""
+    bad = ~np.isfinite(residuals).all(axis=tuple(range(1, residuals.ndim)))
+    if bad.any():
+        p = samples[int(np.argmax(bad))]
+        raise EvaluationDomainError(f"{what} residual is not finite at {p}")
+    return float(np.max(residuals, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +401,12 @@ class ExprTensor:
     def at(self, ev: PointEvaluator) -> TensorBlock11:
         return TensorBlock11(*(ev.array(b) for b in (self.xx, self.xv, self.vx, self.vv)))
 
+    @cached_property
+    def frame_images(self) -> tuple[ProlongationSection, ...]:
+        """T(B) for the frame sections B of :func:`basis_sections`, built once
+        per tensor."""
+        return tuple(self.apply(B) for B in basis_sections(self.m))
+
     def apply(self, A: ProlongationSection) -> ProlongationSection:
         """T(A) as trees: each output component sums block entry times input
         component, X-frame inputs first."""
@@ -366,6 +418,7 @@ class ExprTensor:
         return ProlongationSection(image(zip(self.xx, self.xv)), image(zip(self.vx, self.vv)))
 
 
+@cache
 def j_tensor(m: int) -> ExprTensor:
     """The vertical endomorphism: X_a -> V_a, V_a -> 0."""
     return ExprTensor(
@@ -388,8 +441,8 @@ def frame_derivation(
     D of sections that returns component values at the evaluator's point."""
     T_at = T.at(ev)
     cols = []
-    for B in basis_sections(T.m):
-        dx, dv = D(T.apply(B))
+    for B, TB in zip(basis_sections(T.m), T.frame_images):
+        dx, dv = D(TB)
         bx, bv = D(B)
         tx, tv = T_at.apply(bx, bv)
         cols.append(np.concatenate([dx - tx, dv - tv]))

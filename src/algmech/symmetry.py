@@ -17,6 +17,7 @@ from .algebroid import Algebroid, BaseSection
 from .connection import (
     Connection,
     canonical_connection,
+    jacobi_at,
     jacobi_endomorphism,
     nabla_horizontal_coeffs,
     nabla_vertical_coeffs,
@@ -32,7 +33,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, Jet2, PointEvaluator
+from .jets import EvalPoint, Jet2, PointEvaluator, SampleEvaluator
 from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
     ProlongationSection,
@@ -42,8 +43,9 @@ from .prolongation import (
     complete_lift,
     covariant_slash_exprs,
     directional_derivative,
-    sode_derivative,
+    inner,
     sode_derivative_expr,
+    sweep_max,
 )
 
 __all__ = [
@@ -98,6 +100,7 @@ class ConservedQuantity:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def dynamical_symmetry_check(
     alg: Algebroid,
     S: Semispray,
@@ -107,25 +110,26 @@ def dynamical_symmetry_check(
 ) -> SymmetryVerdict:
     """Vanishing of the full bracket [S, A]; the two component families are
     reported separately (frame part and fiber part)."""
-    Ssec = S.section(alg)
-    per = []
-    worst = frame_max = fiber_max = 0.0
-    for p in samples:
-        ev = alg.evaluator(p)
-        bx, bv = bracket_at(alg, Ssec, A, ev)
-        res = np.concatenate([bx, bv])
-        per.append((p, tuple(float(r) for r in res)))
-        worst = max(worst, float(np.max(np.abs(res))))
-        frame_max = max(frame_max, float(np.max(np.abs(bx))))
-        fiber_max = max(fiber_max, float(np.max(np.abs(bv))))
+    ev = alg.sample_evaluator(samples)
+    bx, bv = bracket_at(alg, S.section(alg), A, ev)
+    res = np.concatenate([bx, bv], axis=-1)
+    worst = sweep_max("dynamical", samples, np.abs(res))
     return SymmetryVerdict(
         kind="dynamical",
         max_residual=worst,
-        per_sample=tuple(per),
+        per_sample=_per_sample(samples, res),
         passed=worst <= tol,
         tol=tol,
-        components={"frame_part": frame_max, "fiber_part": fiber_max},
+        components={
+            "frame_part": sweep_max("dynamical", samples, np.abs(bx)),
+            "fiber_part": sweep_max("dynamical", samples, np.abs(bv)),
+        },
     )
+
+
+def _per_sample(samples: Sequence[EvalPoint], res: np.ndarray) -> tuple:
+    """(point, residuals as floats) per sample, from a (P, k) array."""
+    return tuple(zip(samples, map(tuple, res.tolist())))
 
 
 def newtonoid_completion(
@@ -146,6 +150,7 @@ def newtonoid_completion(
     return ProlongationSection(tuple(x_comps), tuple(v_comps))
 
 
+@np.errstate(all="ignore")
 def newtonoid_check(
     alg: Algebroid,
     S: Semispray,
@@ -158,27 +163,22 @@ def newtonoid_check(
     v(A) = J(nabla A) for the canonical connection."""
     if N is None:
         N = canonical_connection(alg, S)
-    Ssec = S.section(alg)
-    nabla_A = nabla_exprs(alg, S, N, A)
-    per = []
-    worst = proj_max = 0.0
-    for p in samples:
-        ev = alg.evaluator(p)
-        bx, _ = bracket_at(alg, Ssec, A, ev)
-        worst = max(worst, float(np.max(np.abs(bx))))
-        per.append((p, tuple(float(r) for r in bx)))
-        ax, av = A.values_at(ev)
-        Nv = N.at(ev)
-        vert = av + ax @ Nv  # v(A) fiber components
-        jx, _ = nabla_A.values_at(ev)  # J(nabla A) fiber components = frame part
-        proj_max = max(proj_max, float(np.max(np.abs(vert - jx))))
+    ev = alg.sample_evaluator(samples)
+    bx, _ = bracket_at(alg, S.section(alg), A, ev)
+    worst = sweep_max("newtonoid", samples, np.abs(bx))
+    ax, av = A.values_at(ev)
+    vert = av + (ax[..., None, :] @ N.at(ev))[..., 0, :]  # v(A) fiber components
+    jx, _ = nabla_exprs(alg, S, N, A).values_at(ev)  # J(nabla A) fiber components = frame part
     return SymmetryVerdict(
         kind="newtonoid",
         max_residual=worst,
-        per_sample=tuple(per),
+        per_sample=_per_sample(samples, bx),
         passed=worst <= tol,
         tol=tol,
-        components={"bracket": worst, "projection": proj_max},
+        components={
+            "bracket": worst,
+            "projection": sweep_max("newtonoid projection", samples, np.abs(vert - jx)),
+        },
     )
 
 
@@ -206,6 +206,7 @@ def invariant_equation_residual(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def lie_symmetry_check(
     alg: Algebroid,
     S: Semispray,
@@ -231,36 +232,36 @@ def lie_symmetry_check(
     vert1 = nabla_vertical_coeffs(alg, S, N, Xt.components)
     vert2 = nabla_vertical_coeffs(alg, S, N, vert1)
 
-    pde1_max = pde2_max = second_order_max = 0.0
-    for p in samples:
-        ev = alg.evaluator(p)
-        y = np.array(p.y)
-        sigma = alg.anchor_at(ev)
-        s_vals = ev.values_of(S.components)
-        slash_vals = np.array([[ev.value(slash[e][a]) for a in range(m)] for e in range(m)])
-        xt_vals = ev.values_of(Xt.components)
-        for b in range(m):
-            pde1 = sum(
-                s_vals[a] * ev.jet1(Xt.components[b]).grad[alg.n + a] for a in range(m)
-            )
-            pde1_max = max(pde1_max, abs(pde1))
-            grad_s = ev.jet1(S.components[b]).grad
-            term1 = sum(
-                y[al] * y[e] * float(sigma[:, al] @ ev.jet1(slash[e][b]).grad[:n])
-                for al in range(m)
-                for e in range(m)
-            )
-            term2 = sum(xt_vals[a] * float(sigma[:, a] @ grad_s[:n]) for a in range(m))
-            term3 = sum(s_vals[a] * slash_vals[a, b] for a in range(m))
-            term4 = sum(
-                y[e] * slash_vals[e, a] * grad_s[n + a]
-                for e in range(m)
-                for a in range(m)
-            )
-            pde2_max = max(pde2_max, abs(term1 - term2 + term3 - term4))
-        R = jacobi_endomorphism(alg, S, N, p)
-        second_order = ev.values_of(vert2) + R.T @ xt_vals
-        second_order_max = max(second_order_max, float(np.max(np.abs(second_order))))
+    ev = alg.sample_evaluator(samples)
+    y = ev.values[:, n:]
+    sigma = alg.anchor_at(ev)
+    s_vals = ev.values_of(S.components)
+    slash_vals = ev.array(slash)
+    xt_vals = ev.values_of(Xt.components)
+    pde1 = []
+    pde2 = []
+    for b in range(m):
+        grad_xt = ev.jet1(Xt.components[b]).grad
+        pde1.append(sum(s_vals[:, a] * grad_xt[:, n + a] for a in range(m)))
+        grad_s = ev.jet1(S.components[b]).grad
+        term1 = sum(
+            y[:, al] * y[:, e] * inner(sigma[:, :, al], ev.jet1(slash[e][b]).grad[:, :n])
+            for al in range(m)
+            for e in range(m)
+        )
+        term2 = sum(xt_vals[:, a] * inner(sigma[:, :, a], grad_s[:, :n]) for a in range(m))
+        term3 = sum(s_vals[:, a] * slash_vals[:, a, b] for a in range(m))
+        term4 = sum(
+            y[:, e] * slash_vals[:, e, a] * grad_s[:, n + a]
+            for e in range(m)
+            for a in range(m)
+        )
+        pde2.append(term1 - term2 + term3 - term4)
+    R = jacobi_at(alg, S, N, ev)
+    second_order = ev.values_of(vert2) + (np.swapaxes(R, -1, -2) @ xt_vals[..., None])[..., 0]
+    pde1_max = sweep_max("lie pde_fiber", samples, np.abs(np.stack(pde1, axis=-1)))
+    pde2_max = sweep_max("lie pde_flow", samples, np.abs(np.stack(pde2, axis=-1)))
+    second_order_max = sweep_max("lie invariant", samples, np.abs(second_order))
     return SymmetryVerdict(
         kind="lie",
         max_residual=dyn.max_residual,
@@ -283,26 +284,31 @@ def lie_symmetry_check(
 
 def _two_section_lie_residual(
     alg: Algebroid,
-    ev: PointEvaluator,
+    ev: PointEvaluator | SampleEvaluator,
     L: Lagrangian,
     ax: np.ndarray,
     av: np.ndarray,
     brackets: Sequence[np.ndarray],
-) -> float:
+) -> np.ndarray:
     """max over frame pairs r < c of |(L_A omega)(B_r, B_c)|, where A has
-    component values (ax, av) and ``brackets[k]`` stacks [A, B_k]."""
+    component values (ax, av) and ``brackets[k]`` stacks [A, B_k]; per
+    sample for a batch."""
     W_exprs = cartan_pairing_exprs(alg, L)
     W = cartan_pairing(alg, L, ev)
     k = len(brackets)
-    res = 0.0
-    for r in range(k):
-        for c in range(r + 1, k):
-            lie_w = directional_derivative(alg, ev, ax, av, W_exprs[r][c])
-            val = lie_w - float(brackets[r] @ W[:, c]) - float(W[r] @ brackets[c])
-            res = max(res, abs(val))
-    return res
+    res = [
+        np.abs(
+            directional_derivative(alg, ev, ax, av, W_exprs[r][c])
+            - inner(brackets[r], W[..., :, c])
+            - inner(W[..., r, :], brackets[c])
+        )
+        for r in range(k)
+        for c in range(r + 1, k)
+    ]
+    return np.max(res, axis=0, initial=0.0)
 
 
+@np.errstate(all="ignore")
 def cartan_symmetry_check(
     alg: Algebroid,
     L: Lagrangian,
@@ -311,29 +317,32 @@ def cartan_symmetry_check(
     tol: float,
 ) -> SymmetryVerdict:
     """Invariance of the symplectic two-section and of the energy along A."""
-    basis = basis_sections(alg.m)
-    per = []
-    two_max = energy_max = 0.0
-    for p in samples:
-        ev = alg.evaluator(p)
-        ax, av = A.values_at(ev)
-        brackets = [np.concatenate(bracket_at(alg, A, B, ev)) for B in basis]
-        res1 = _two_section_lie_residual(alg, ev, L, ax, av, brackets)
-        res2 = abs(directional_derivative(alg, ev, ax, av, L.energy_expr))
-        per.append((p, (res1, res2)))
-        two_max = max(two_max, res1)
-        energy_max = max(energy_max, res2)
+    ev = alg.sample_evaluator(samples)
+    ax, av = A.values_at(ev)
+    brackets = [
+        np.concatenate(bracket_at(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)
+    ]
+    res = np.stack(
+        [
+            _two_section_lie_residual(alg, ev, L, ax, av, brackets),
+            np.abs(directional_derivative(alg, ev, ax, av, L.energy_expr)),
+        ],
+        axis=-1,
+    )
+    two_max = sweep_max("cartan two-section", samples, res[:, 0])
+    energy_max = sweep_max("cartan energy", samples, res[:, 1])
     worst = max(two_max, energy_max)
     return SymmetryVerdict(
         kind="cartan",
         max_residual=worst,
-        per_sample=tuple(per),
+        per_sample=_per_sample(samples, res),
         passed=worst <= tol,
         tol=tol,
         components={"two_section": two_max, "energy": energy_max},
     )
 
 
+@np.errstate(all="ignore")
 def conservation_check(
     alg: Algebroid,
     S: Semispray,
@@ -343,17 +352,15 @@ def conservation_check(
     provenance: str = "user",
 ) -> ConservedQuantity:
     """Constancy of f along the dynamics: S(f) = 0 on the sample set."""
-    per = []
-    worst = 0.0
-    for p in samples:
-        val = sode_derivative(alg, S, f, p)
-        per.append((p, float(val)))
-        worst = max(worst, abs(val))
+    ev = alg.sample_evaluator(samples)
+    ax, av = S.section(alg).values_at(ev)
+    sdot = directional_derivative(alg, ev, ax, av, f)
+    worst = sweep_max("conservation", samples, np.abs(sdot))
     return ConservedQuantity(
         expr=f,
         provenance=provenance,
         sdot_max=worst,
-        per_sample=tuple(per),
+        per_sample=tuple(zip(samples, sdot.tolist())),
         passed=worst <= tol,
         tol=tol,
     )

@@ -324,6 +324,25 @@ class TestGeometryCommand:
         )
         assert not out.exists()
 
+    def test_symmetry_on_huge_samples_fails_in_one_line(self, tmp_path, capsys):
+        # every sample in [1e150, 1e151]: the brackets overflow, so the sweep
+        # stops at the first sample whose residual is not finite, without a
+        # numpy warning and without a report with "inf" in it
+        def mutate(raw):
+            coords = raw["base_coords"] + raw["fiber_coords"]
+            raw["samples"]["box"] = {c: [1e150, 1e151] for c in coords}
+
+        out = tmp_path / "symmetry.json"
+        argv = ["symmetry", "--config", str(edited_fixture(tmp_path, mutate))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output", str(out)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: dynamical residual is not finite at (x=[")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExampleCommand:
     def test_byte_stable_materialization(self, tmp_path, capsys, monkeypatch):

@@ -446,3 +446,129 @@ def test_kernel_source_has_one_line_per_node():
     for k in range(3000):
         total += (k % 7) * 2.0
     assert kernel([2.0, 0.0, 0.0, 0.0])[0] == total
+
+
+# -- the sample batch equals the walker --------------------------------------
+
+from algmech.connection import canonical_connection  # noqa: E402
+from algmech.jets import EvalPoint, SampleEvaluator  # noqa: E402
+from algmech.prolongation import basis_sections, bracket_at, euler_section  # noqa: E402
+
+_CONFIGS = [
+    *(resources.files("algmech").joinpath(f"fixtures/{name}.json")
+      for name in ("driftless", "abelian", "heisenberg")),
+    GOLDEN / "dense-4.json",
+    GOLDEN / "diag-8.json",
+]
+_CONFIG_IDS = ["driftless", "abelian", "heisenberg", "dense-4", "diag-8"]
+
+
+def _batch_outcome(run):
+    """Per-sample bits of a batch result, or its error text."""
+    try:
+        out = run()
+    except EvaluationDomainError as err:
+        return str(err)
+    return [bits(np.ravel(row)) for row in out]
+
+
+def _walker_outcome(run, points):
+    """The walker's per-sample bits, or the error of the first failing
+    sample with that sample named, as the batch must give them."""
+    rows = []
+    for p in points:
+        try:
+            with np.errstate(all="ignore"):  # the walker's jets warn of inf * 0
+                rows.append(bits(np.ravel(run(p))))
+        except EvaluationDomainError as err:
+            return f"{err} at {p}"
+    return rows
+
+
+def _compare(names, points, tree):
+    def point(p):
+        return PointEvaluator(names, p.values())
+
+    def jet_row(jet):
+        return np.column_stack([jet.value, jet.grad])
+
+    batch = SampleEvaluator(names, points)
+    assert _batch_outcome(lambda: batch.value(tree)) == _walker_outcome(
+        lambda p: point(p).value(tree), points
+    )
+    batch = SampleEvaluator(names, points)
+    assert _batch_outcome(lambda: jet_row(batch.jet1(tree))) == _walker_outcome(
+        lambda p: [point(p).jet1(tree).value, *point(p).jet1(tree).grad], points
+    )
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
+def test_batch_equals_walker_at_config_samples(config):
+    """Values and first-order jets of the trees the sweeps read: each sample
+    of the batch has the walker's bits."""
+    cfg = load_config(config)
+    alg = cfg.algebroid
+    S = cfg.semispray()
+    N = canonical_connection(alg, S)
+    trees = (
+        *(e for row in alg.anchor for e in row),
+        *S.components,
+        cfg.lagrangian.energy_expr,
+        *(e for row in N.coeffs for e in row),
+    )
+    samples = cfg.sample_points()
+    for t in trees:
+        _compare(alg.coords, samples, t)
+
+
+_ROWS = st.lists(
+    st.lists(st.sampled_from(_EDGE_VALUES), min_size=len(COORDS), max_size=len(COORDS)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.recursive(_KERNEL_LEAF, _kernel_node, max_leaves=10), _ROWS)
+def test_batch_equals_walker_on_random_trees(tree, rows):
+    """Same bits at every sample, or the walker's EvaluationDomainError at
+    the first failing sample, with that sample named, on any tree."""
+    _compare(COORDS, [EvalPoint.of(r, ()) for r in rows], tree)
+
+
+def test_batch_applies_math_not_numpy_functions():
+    """At arguments where numpy's exp and log round otherwise than math's,
+    the batch keeps math's bits (on a host where they always agree, the
+    drawn arguments are used as they are)."""
+    rng = SplitMix64(20261018)
+    xs = [rng.uniform(-700.0, 700.0) for _ in range(2000)]
+    us = [rng.uniform(1e-3, 1e3) for _ in range(5000)]
+    xs = [v for v, e in zip(xs, np.exp(xs).tolist()) if e != math.exp(v)] or xs
+    us = [u for u, g in zip(us, np.log(us).tolist()) if g != math.log(u)] or us
+    points = [EvalPoint.of([x, us[i % len(us)], 0.0, 0.0], ()) for i, x in enumerate(xs[:200])]
+    for src in ("exp(x1)", "ln(x2)", "x2^0.5", "x2^x1"):
+        _compare(COORDS, points, parse_expression(src, COORDS))
+    ev = SampleEvaluator(COORDS, points)
+    assert bits(ev.value(parse_expression("exp(x1)", COORDS))) == bits(
+        math.exp(p.x[0]) for p in points
+    )
+    assert bits(ev.value(parse_expression("ln(x2)", COORDS))) == bits(
+        math.log(p.x[1]) for p in points
+    )
+
+
+@pytest.mark.parametrize("config", _CONFIGS[:3], ids=_CONFIG_IDS[:3])
+def test_batched_bracket_slices_equal_the_point_call(config):
+    cfg = load_config(config)
+    alg = cfg.algebroid
+    S = cfg.semispray()
+    samples = cfg.sample_points(count=12)
+    pairs = [(S.section(alg), B) for B in basis_sections(alg.m)] + [
+        (euler_section(alg), S.section(alg))
+    ]
+    batch = alg.sample_evaluator(samples)
+    for A, B in pairs:
+        bx, bv = bracket_at(alg, A, B, batch)
+        for i, p in enumerate(samples):
+            px, pv = bracket_at(alg, A, B, PointEvaluator(alg.coords, p.values()))
+            assert bits([*bx[i], *bv[i]]) == bits([*px, *pv]), p

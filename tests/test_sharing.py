@@ -7,6 +7,7 @@ values.
 """
 
 import math
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import algmech.algebroid
 import algmech.config
 import algmech.symmetry
 from algmech.cli import main
-from algmech.connection import geometry_frame
+from algmech.connection import f_tensor, geometry_frame, nabla_tensor
 from algmech.expr import ZERO, BinOp, Call, Neg, Num, Var, differentiate, parse_expression
-from algmech.jets import EvalPoint, PointEvaluator
+from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs, matrix_inverse_exprs
 from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
 
@@ -188,3 +189,65 @@ def test_adjugate_shares_its_minors():
     got = np.array([[ev.value(c) for c in row] for row in inv])
     assert np.max(np.abs(got - np.linalg.inv(values))) <= 1e-12
     assert ev.value(det) == pytest.approx(np.linalg.det(values), rel=1e-12)
+
+
+def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypatch):
+    """Every check and candidate of a symmetry run shares one evaluator over
+    the sample set, so each tree is walked once per sample set."""
+    built: dict = {}
+    real = algmech.config.canonical_semispray
+
+    def capture(*args):
+        built["S"] = real(*args)
+        return built["S"]
+
+    monkeypatch.setattr(algmech.config, "canonical_semispray", capture)
+    evaluators = []
+    walks: Counter = Counter()
+
+    class Counted(SampleEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evaluators.append(self)
+
+        def _value(self, e):
+            walks["value", id(e)] += id(e) not in self._floats
+            return super()._value(e)
+
+        def _jet1(self, e):
+            walks["jet1", id(e)] += id(e) not in self._jet1s
+            return super()._jet1(e)
+
+    points: list = []
+    monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
+    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", lambda *a: points.append(a))
+    path = fixture_file(tmp_path, "heisenberg")
+    assert main(["symmetry", "--config", str(path)]) == 0
+    assert len(evaluators) == 1 and points == []
+    for c in built["S"].components:
+        assert walks["value", id(c)] == 1
+        assert walks["jet1", id(c)] == 1
+
+
+def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
+    alg = heisenberg.algebroid
+    S, N = heisenberg.semispray(), heisenberg.connection()
+    T = f_tensor(alg, N)
+    p, q = heisenberg.sample_points(count=2)
+    first = nabla_tensor(alg, S, N, T, p).matrix
+    built = []
+
+    def counting(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (Num, Var, Neg, BinOp, Call):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    second = nabla_tensor(alg, S, N, T, q).matrix
+    assert built == []
+    assert not np.array_equal(first, second)
+    nabla_tensor(alg, S, N, f_tensor(alg, N), q)  # another tensor object: new trees
+    assert built
