@@ -184,6 +184,13 @@ class Algebroid:
     def structure_at(self, ev: PointEvaluator | SampleEvaluator) -> np.ndarray:
         return ev.array(self.structure)
 
+    def anchored(self, ev: PointEvaluator | SampleEvaluator, g: np.ndarray) -> np.ndarray:
+        """sigma_a^i g_i: the anchored x-part of gradients ``g`` over all
+        coordinates, an (m,) vector per point (sample axis first for a
+        batch).  A stacked ``matmul`` makes the BLAS call of the unstacked
+        product for every slice, so each sample has the single-point bits."""
+        return (g[..., None, : self.n] @ self.anchor_at(ev))[..., 0, :]
+
     # -- base calculus -----------------------------------------------------
 
     def _require_x_only(self, f: Expr, what: str) -> None:
@@ -204,8 +211,7 @@ class Algebroid:
         """Components of the exterior derivative of a base function."""
         self._require_x_only(f, "function")
         ev = self.evaluator(p)
-        grad_x = ev.gradient(f)[: self.n]
-        return self.anchor_at(ev).T @ grad_x
+        return self.anchored(ev, ev.gradient(f))
 
     def bracket_exprs(self, r: BaseSection, s: BaseSection) -> BaseSection:
         """Component trees of the section bracket [r, s]."""
@@ -280,20 +286,20 @@ class Algebroid:
 
         # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
         # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
-        flow = _dots(sigma.T[:, None, None, None], dL[None])
-        prod = _dots(L.transpose(0, 2, 1)[:, None, None], L[None, :, :, None])
+        flow = inner(sigma.T[:, None, None, None], dL[None])
+        prod = inner(L.transpose(0, 2, 1)[:, None, None], L[None, :, :, None])
         cycle = ((0, 1, 2, 3), (2, 0, 1, 3), (1, 2, 0, 3))
         total = sum(t.transpose(s) for s in cycle for t in (flow, prod))
         cyc = max(cyc, float(np.max(np.abs(total))))
 
         # anchor compatibility with the bracket
-        lie = _dots(sigma.T[:, None, None], dsig.transpose(1, 0, 2)[None])
-        rhs = _dots(sigma[None, None], L[:, :, None])
+        lie = inner(sigma.T[:, None, None], dsig.transpose(1, 0, 2)[None])
+        rhs = inner(sigma[None, None], L[:, :, None])
         compat = max(compat, float(np.max(np.abs(lie - lie.transpose(1, 0, 2) - rhs))))
         return anti, cyc, compat
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x[..., :] @ y[..., :]`` over broadcast leading axes.  numpy hands each
     (1, k) @ (k, 1) product to the BLAS dot, so entries round as ``np.dot``
     does on the same views (einsum adds in another order)."""

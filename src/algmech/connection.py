@@ -52,7 +52,6 @@ from .prolongation import (
     ProlongationSection,
     Semispray,
     TensorBlock11,
-    anchored,
     basis_sections,
     bracket_at,
     directional_derivative,
@@ -162,7 +161,7 @@ def _delta_gradient(
 ) -> np.ndarray:
     """delta_a(f) for all a at once (per sample for a batch)."""
     g = ev.jet1(f).grad
-    return anchored(alg, ev, g) - (Nv @ g[..., alg.n :, None])[..., 0]
+    return alg.anchored(ev, g) - (Nv @ g[..., alg.n :, None])[..., 0]
 
 
 def curvature(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndarray:

@@ -372,7 +372,7 @@ def euler_lagrange_residual(
     ev = alg.evaluator(p)
     n, m = alg.n, alg.m
     jet = ev.jet(L.expr)
-    grad_x, grad_y = jet.grad[:n], jet.grad[n:]
+    grad_y = jet.grad[n:]
     h_xy = jet.hess[:n, n:]
     h_yy = jet.hess[n:, n:]
     sigma = alg.anchor_at(ev)
@@ -381,5 +381,5 @@ def euler_lagrange_residual(
     xdot = sigma @ y
     ydot = np.asarray(ydot, dtype=float)
     ddt = h_xy.T @ xdot + h_yy @ ydot
-    rhs = sigma.T @ grad_x - np.einsum("abe,b,e->a", Ls, y, grad_y)
+    rhs = alg.anchored(ev, jet.grad) - np.einsum("abe,b,e->a", Ls, y, grad_y)
     return ddt - rhs

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection
+from .algebroid import Algebroid, BaseSection, inner
 from .expr import (
     Expr,
     Num,
@@ -204,18 +204,7 @@ def directional_derivative(
     if isinstance(f, Num):
         return np.zeros(np.shape(ax)[:-1])[()]  # a scalar 0.0 at a point, (P,) zeros
     g = ev.jet1(f).grad
-    return inner(ax, anchored(alg, ev, g)) + inner(av, g[..., alg.n :])
-
-
-def anchored(alg: Algebroid, ev: PointEvaluator | SampleEvaluator, g: np.ndarray) -> np.ndarray:
-    """sigma_a^i g_i: the anchored x-part of gradients ``g`` (trailing axis
-    over all coordinates), one (m,) vector per point."""
-    return (g[..., None, : alg.n] @ alg.anchor_at(ev))[..., 0, :]
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over the trailing axis, with any leading axes stacked."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return inner(ax, alg.anchored(ev, g)) + inner(av, g[..., alg.n :])
 
 
 def sigma1_apply(

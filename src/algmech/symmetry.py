@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection
+from .algebroid import Algebroid, BaseSection, inner
 from .connection import (
     Connection,
     canonical_connection,
@@ -43,7 +43,6 @@ from .prolongation import (
     complete_lift,
     covariant_slash_exprs,
     directional_derivative,
-    inner,
     sode_derivative_expr,
     sweep_max,
 )
@@ -372,8 +371,7 @@ def _d_function_on_basis(
     """(d f)(B) over the 2m frame sections: anchored x-derivatives, then
     fiber partials."""
     g = ev.jet1(f).grad
-    sigma = alg.anchor_at(ev)
-    return np.concatenate([sigma.T @ g[: alg.n], g[alg.n :]])
+    return np.concatenate([alg.anchored(ev, g), g[alg.n :]])
 
 
 def conserved_from_cartan(
