@@ -10,9 +10,10 @@ Index conventions used throughout the package:
 * connection coefficients later on follow ``N[a][b]`` = lower index a,
   upper index b.
 
-Axioms are checked pointwise on a sample set: the engine is numeric, and for
-the polynomial data this library targets, pointwise residuals at a few dozen
-random points are decisive in practice.
+Axioms are checked by residual sweeps over a sample set, every sample at
+once: the engine is numeric, and for the polynomial data this library
+targets, the residuals at a few dozen random points are decisive in practice.
+:func:`sweep_max` takes the maximum of every sweep in the package.
 
 An :class:`Algebroid` is the per-system object every derived-tree
 constructor receives, so it owns the caches that make derived trees and
@@ -244,22 +245,47 @@ class Algebroid:
 
     # -- axiom validation ----------------------------------------------------
 
+    @np.errstate(all="ignore")
     def validate(self, samples: Sequence[EvalPoint], tol: float) -> ValidationReport:
-        """Pointwise residuals of antisymmetry and the two structure equations.
+        """Residuals of antisymmetry and the two structure equations, swept
+        over the samples at once (sample axis first).
 
-        Evaluation domain errors propagate with the offending sample point
-        attached to the message.
+        A domain error, or a residual that is not finite, raises
+        :class:`EvaluationDomainError` naming the first such sample.
         """
         if not samples:
             raise ValueError("at least one sample point is required")
-        anti = cyc = compat = 0.0
-        for p in samples:
-            try:
-                anti, cyc, compat = self._validate_at(p, anti, cyc, compat)
-            except EvaluationDomainError as err:
-                raise EvaluationDomainError(
-                    f"{err} while validating at {p}", err.subexpression
-                ) from err
+        ev = self.sample_evaluator(samples)
+        sigma = self.anchor_at(ev)
+        L = self.structure_at(ev)
+        anti = np.abs(L + L.transpose(0, 2, 1, 3))
+
+        # first partials of structure functions and anchor entries, (P, ..., n)
+        n = self.n
+        dL = np.array(
+            [[[ev.jet1(e).grad[:, :n] for e in row] for row in plane] for plane in self.structure]
+        )
+        dsig = np.array([[ev.jet1(e).grad[:, :n] for e in row] for row in self.anchor])
+        dL, dsig = np.moveaxis(dL, 3, 0), np.moveaxis(dsig, 2, 0)
+        sigma_t = sigma.swapaxes(1, 2)
+
+        # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
+        # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
+        flow = inner(sigma_t[:, :, None, None, None], dL[:, None])
+        prod = inner(L.transpose(0, 1, 3, 2)[:, :, None, None], L[:, None, :, :, None])
+        cyc = np.zeros_like(flow)
+        for s in ((0, 1, 2, 3, 4), (0, 3, 1, 2, 4), (0, 2, 3, 1, 4)):
+            cyc += flow.transpose(s)
+            cyc += prod.transpose(s)
+
+        # anchor compatibility with the bracket
+        lie = inner(sigma_t[:, :, None, None], dsig.transpose(0, 2, 1, 3)[:, None])
+        rhs = inner(sigma[:, None, None], L[:, :, :, None])
+        compat = np.abs(lie - lie.transpose(0, 2, 1, 3) - rhs)
+
+        anti = sweep_max("antisymmetry", samples, anti)
+        cyc = sweep_max("cyclic", samples, np.abs(cyc, out=cyc))
+        compat = sweep_max("compatibility", samples, compat)
         return ValidationReport(
             antisymmetry=anti,
             cyclic=cyc,
@@ -269,38 +295,21 @@ class Algebroid:
             passed=(anti <= tol and cyc <= tol and compat <= tol),
         )
 
-    def _validate_at(
-        self, p: EvalPoint, anti: float, cyc: float, compat: float
-    ) -> tuple[float, float, float]:
-        ev = self.evaluator(p)
-        sigma = self.anchor_at(ev)
-        L = self.structure_at(ev)
-        anti = max(anti, float(np.max(np.abs(L + L.transpose(1, 0, 2)))))
-
-        # first partials of structure functions and anchor entries
-        n = self.n
-        dL = np.array(
-            [[[ev.gradient(e)[:n] for e in row] for row in plane] for plane in self.structure]
-        )
-        dsig = np.array([[ev.gradient(e)[:n] for e in row] for row in self.anchor])
-
-        # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
-        # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
-        flow = inner(sigma.T[:, None, None, None], dL[None])
-        prod = inner(L.transpose(0, 2, 1)[:, None, None], L[None, :, :, None])
-        cycle = ((0, 1, 2, 3), (2, 0, 1, 3), (1, 2, 0, 3))
-        total = sum(t.transpose(s) for s in cycle for t in (flow, prod))
-        cyc = max(cyc, float(np.max(np.abs(total))))
-
-        # anchor compatibility with the bracket
-        lie = inner(sigma.T[:, None, None], dsig.transpose(1, 0, 2)[None])
-        rhs = inner(sigma[None, None], L[:, :, None])
-        compat = max(compat, float(np.max(np.abs(lie - lie.transpose(1, 0, 2) - rhs))))
-        return anti, cyc, compat
-
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x[..., :] @ y[..., :]`` over broadcast leading axes.  numpy hands each
     (1, k) @ (k, 1) product to the BLAS dot, so entries round as ``np.dot``
     does on the same views (einsum adds in another order)."""
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def sweep_max(what: str, samples: Sequence[EvalPoint], residuals: np.ndarray) -> float:
+    """The largest of ``residuals`` (sample axis first, all >= 0) as a float,
+    0.0 for no samples; a residual that is not finite raises
+    :class:`EvaluationDomainError` naming its sample point, so no inf or NaN
+    reaches a report."""
+    bad = ~np.isfinite(residuals).all(axis=tuple(range(1, residuals.ndim)))
+    if bad.any():
+        p = samples[int(np.argmax(bad))]
+        raise EvaluationDomainError(f"{what} residual is not finite at {p}")
+    return float(np.max(residuals, initial=0.0))

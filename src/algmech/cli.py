@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .config import SystemConfig, load_config
+from .config import SystemConfig, checked_tolerance, load_config
 from .errors import AlgmechError, ConfigError, IntegrationAbortError
 from .jets import EvalPoint
 from .lagrangian import integrate_sode
@@ -141,8 +141,7 @@ def _parse_at(text: str, cfg: SystemConfig) -> EvalPoint:
 
 def _load(args) -> tuple[SystemConfig, float]:
     cfg = load_config(args.config)
-    tol = args.tol if getattr(args, "tol", None) is not None else cfg.tolerance
-    return cfg, tol
+    return cfg, cfg.tolerance if args.tol is None else checked_tolerance(args.tol, "--tol")
 
 
 def cmd_validate(args) -> int:

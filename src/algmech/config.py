@@ -11,6 +11,7 @@ coordinate list.  Validation failures carry a JSON-pointer-style path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -291,9 +292,7 @@ def parse_config(raw: dict) -> SystemConfig:
     candidates = _parse_candidates(raw.get("candidates"), alg, "/candidates")
     samples = _parse_samples(raw.get("samples"), alg, "/samples")
 
-    tolerance = raw.get("tolerance", DEFAULT_TOLERANCE)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ConfigError("/tolerance", "expected a positive number")
+    tol = checked_tolerance(raw.get("tolerance", DEFAULT_TOLERANCE), "/tolerance")
 
     reference = raw.get("reference")
     if reference is not None and not isinstance(reference, dict):
@@ -307,9 +306,19 @@ def parse_config(raw: dict) -> SystemConfig:
         connection_override=connection,
         candidates=candidates,
         samples=samples,
-        tolerance=float(tolerance),
+        tolerance=tol,
         reference=reference,
     )
+
+
+def checked_tolerance(value, where: str) -> float:
+    """``value`` as a tolerance, from a config or ``--tol``: a positive finite
+    number (JSON reads NaN and Infinity, and ``nan <= 0`` is false), else a
+    :class:`ConfigError` at ``where``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and 0 < value <= sys.float_info.max):
+        raise ConfigError(where, "expected a positive finite number")
+    return float(value)
 
 
 def load_config(path) -> SystemConfig:

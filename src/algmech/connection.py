@@ -17,8 +17,10 @@ reading of its coframe form under which F o J = h, J o F = v, and
 F^2 = -Id all hold (the shipped tests enforce them).
 
 The projectors h and v and the structures J and F are expression-backed
-tensors (``h_tensor`` and friends); every tree-level use, from delta_a = h(X_a)
-to the four brackets of the Berwald connection, applies them with
+tensors (``h_tensor`` and friends), which the package builds once per
+connection (:meth:`~algmech.algebroid.Algebroid.derived`); every tree-level
+use, from delta_a = h(X_a) (kept as the tensor's frame images) to the four
+brackets of the Berwald connection, applies them with
 :meth:`~algmech.prolongation.ExprTensor.apply`.  The covariant-derivative
 coefficients read the system's y^e L_eb^a trees
 (:attr:`~algmech.algebroid.Algebroid.twisted_structure`), so each call builds
@@ -52,7 +54,6 @@ from .prolongation import (
     ProlongationSection,
     Semispray,
     TensorBlock11,
-    basis_sections,
     bracket_at,
     directional_derivative,
     eye_block,
@@ -144,8 +145,9 @@ def connection_from_lie_derivative(
 
 
 def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> ProlongationSection:
-    """delta_a = h(X_a) = X_a - N_a^b V_b as an expression-backed section."""
-    return h_tensor(alg, N).apply(ProlongationSection.basis_x(alg.m, a))
+    """delta_a = h(X_a) = X_a - N_a^b V_b as an expression-backed section,
+    built once per connection."""
+    return alg.derived(h_tensor, N).frame_images[a]
 
 
 def berwald_derivative(
@@ -186,8 +188,7 @@ def curvature_from_brackets(alg: Algebroid, N: Connection, p: EvalPoint) -> np.n
     m = alg.m
     ev = alg.evaluator(p)
     Nv = N.at(ev)
-    h = h_tensor(alg, N)
-    deltas = [h.apply(X) for X in basis_sections(m)[:m]]
+    deltas = alg.derived(h_tensor, N).frame_images[:m]
     R = np.zeros((m, m, m))
     for a in range(m):
         for b in range(m):
@@ -206,7 +207,7 @@ def curvature_apply(
     """Vertical components of Omega(A, B) = v[hA, hB] at a point."""
     ev = alg.evaluator(p)
     Nv = N.at(ev)
-    h = h_tensor(alg, N)
+    h = alg.derived(h_tensor, N)
     cx, cv = bracket_at(alg, h.apply(A), h.apply(B), ev)
     return cv + cx @ Nv
 
@@ -259,10 +260,9 @@ def jacobi_from_bracket(
     ev = alg.evaluator(p)
     Nv = N.at(ev)
     Ssec = S.section(alg)
-    h = h_tensor(alg, N)
     R = np.zeros((m, m))
-    for b, X in enumerate(basis_sections(m)[:m]):
-        cx, cv = bracket_at(alg, Ssec, h.apply(X), ev)
+    for b, delta in enumerate(alg.derived(h_tensor, N).frame_images[:m]):
+        cx, cv = bracket_at(alg, Ssec, delta, ev)
         R[b] = cv + cx @ Nv
     return R
 
@@ -441,7 +441,7 @@ def berwald_connection(
     """
     ev = alg.evaluator(p)
     Nv = N.at(ev)
-    h, v = h_tensor(alg, N), v_tensor(alg, N)
+    h, v = alg.derived(h_tensor, N), alg.derived(v_tensor, N)
     hA, vA = h.apply(A), v.apply(A)
     hB, vB = h.apply(B), v.apply(B)
     jB = j_tensor(alg.m).apply(B)

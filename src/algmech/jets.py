@@ -39,8 +39,8 @@ walking its trees again with ``value``.  Both compute ``^`` with one helper,
 
 :class:`SampleEvaluator` evaluates trees at a whole sample set at once, with
 a leading sample axis: values as (P,) arrays and first-order jets
-(:class:`SampleJet`) with (P, k) gradients; the symmetry sweeps and the spray
-test take it (:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).  Each
+(:class:`SampleJet`) with (P, k) gradients; every sweep but the fiber
+metric's takes it (:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).  Each
 sample is bit for bit the walker's: ``+ - * /`` and :func:`int_power` run
 elementwise, and the elementary functions are ``FUNCTIONS``' float functions
 applied per element, not numpy's (on an x86-64 host with AVX-512,

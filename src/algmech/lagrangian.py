@@ -119,15 +119,21 @@ class Lagrangian:
         return tuple(tuple(row) for row in W)
 
 
+@np.errstate(all="ignore")
 def fiber_metric(
     L: Lagrangian, p: EvalPoint
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fiber Hessian, its inverse, and a condition estimate; raises if singular."""
+    """Fiber Hessian, its inverse, and a condition estimate.  Raises
+    :class:`SingularMetricError` if it is singular and
+    :class:`EvaluationDomainError` naming ``p`` if it is not finite."""
     alg = L.alg
     ev = alg.evaluator(p)
     hess = ev.jet(L.expr).hess
     g = hess[alg.n :, alg.n :]
-    scale = float(np.max(np.abs(g)))
+    if not np.isfinite(g).all():
+        raise EvaluationDomainError(f"fiber metric is not finite at {p}")
+    # a float64 scale, so a cutoff that overflows reads inf: singular
+    scale = np.max(np.abs(g))
     det = float(np.linalg.det(g))
     if scale == 0.0 or abs(det) < _DET_RTOL * scale**alg.m:
         raise SingularMetricError(p, det)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection, inner
+from .algebroid import Algebroid, BaseSection, inner, sweep_max
 from .expr import (
     Expr,
     Num,
@@ -50,7 +50,6 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .errors import EvaluationDomainError
 from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 
 __all__ = [
@@ -128,9 +127,12 @@ class Semispray:
     components: tuple[Expr, ...]
 
     def section(self, alg: Algebroid) -> ProlongationSection:
-        return ProlongationSection(
-            tuple(Var(name) for name in alg.fiber_coords), self.components
-        )
+        """(y^a, S^a) as a section, built once per system."""
+        return alg.derived(_sode_section, self)
+
+
+def _sode_section(alg: Algebroid, S: Semispray) -> ProlongationSection:
+    return ProlongationSection(tuple(Var(name) for name in alg.fiber_coords), S.components)
 
 
 def euler_section(alg: Algebroid) -> ProlongationSection:
@@ -315,18 +317,6 @@ def spray_test(
         samples=len(samples),
         is_spray=hom_max <= tol,
     )
-
-
-def sweep_max(what: str, samples: Sequence[EvalPoint], residuals: np.ndarray) -> float:
-    """The largest of ``residuals`` (sample axis first, all >= 0) as a float,
-    0.0 for no samples; a residual that is not finite raises
-    :class:`EvaluationDomainError` naming its sample point, so no inf or NaN
-    reaches a report."""
-    bad = ~np.isfinite(residuals).all(axis=tuple(range(1, residuals.ndim)))
-    if bad.any():
-        p = samples[int(np.argmax(bad))]
-        raise EvaluationDomainError(f"{what} residual is not finite at {p}")
-    return float(np.max(residuals, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebroid import sweep_max
 from .config import SystemConfig
 from .connection import Connection, geometry_frame
 from .errors import SingularMetricError
 from .expr import parse_expression
 from .jets import EvalPoint
-from .lagrangian import fiber_metric
+from .lagrangian import canonical_semispray, fiber_metric
 from .prolongation import Semispray, spray_test
 from .symmetry import (
     cartan_symmetry_check,
@@ -92,36 +93,32 @@ def run_validation(
     passed = rep.passed
 
     if cfg.lagrangian is not None:
-        worst_cond = 0.0
-        regular = True
+        # per point: the regularity test reads the Hessian of L, which the
+        # sample batch does not compute
+        conds = []
         detail = None
         for p in samples:
             try:
-                _, _, cond = fiber_metric(cfg.lagrangian, p)
-                worst_cond = max(worst_cond, cond)
+                conds.append(fiber_metric(cfg.lagrangian, p)[2])
             except SingularMetricError as err:
-                regular = False
                 detail = str(err)
                 break
-        out["metric"] = {"regular": regular, "worst_condition": worst_cond}
+        worst_cond = sweep_max("fiber metric condition", samples, np.array(conds))
+        out["metric"] = {"regular": detail is None, "worst_condition": worst_cond}
         if detail:
             out["metric"]["detail"] = detail
-        passed = passed and regular
+        passed = passed and detail is None
 
     consistency = None
     if cfg.lagrangian is not None and cfg.semispray_override is not None:
-        from .lagrangian import canonical_semispray
-
         canonical = canonical_semispray(alg, cfg.lagrangian)
-        worst = 0.0
-        for p in samples:
-            ev = alg.evaluator(p)
+        ev = alg.sample_evaluator(samples)
+        with np.errstate(all="ignore"):
             delta = ev.values_of(cfg.semispray_override.components) - ev.values_of(
                 canonical.components
             )
-            worst = max(worst, float(np.max(np.abs(delta))))
-        consistency = worst
-        passed = passed and worst <= tol
+        consistency = sweep_max("semispray consistency", samples, np.abs(delta))
+        passed = passed and consistency <= tol
     out["semispray_consistency"] = consistency
     out["passed"] = passed
     return out

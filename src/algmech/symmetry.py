@@ -1,6 +1,6 @@
 """Symmetry and conservation-law verification for second-order dynamics.
 
-Every check is a pointwise residual sweep over a sample set: a candidate
+Every check is a residual sweep over a sample set, all at once: a candidate
 "holds" when the residuals stay below the tolerance at every point, and each
 verdict keeps its per-sample residuals so borderline cases are auditable.
 Verification only; no symmetry discovery is attempted.
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection, inner
+from .algebroid import Algebroid, BaseSection, inner, sweep_max
 from .connection import (
     Connection,
     canonical_connection,
@@ -33,7 +33,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, Jet2, PointEvaluator, SampleEvaluator
+from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
     ProlongationSection,
@@ -44,7 +44,6 @@ from .prolongation import (
     covariant_slash_exprs,
     directional_derivative,
     sode_derivative_expr,
-    sweep_max,
 )
 
 __all__ = [
@@ -366,14 +365,15 @@ def conservation_check(
 
 
 def _d_function_on_basis(
-    alg: Algebroid, ev: PointEvaluator, f: Expr
+    alg: Algebroid, ev: PointEvaluator | SampleEvaluator, f: Expr
 ) -> np.ndarray:
     """(d f)(B) over the 2m frame sections: anchored x-derivatives, then
-    fiber partials."""
+    fiber partials (per sample for a batch)."""
     g = ev.jet1(f).grad
-    return np.concatenate([alg.anchored(ev, g), g[alg.n :]])
+    return np.concatenate([alg.anchored(ev, g), g[..., alg.n :]], axis=-1)
 
 
+@np.errstate(all="ignore")
 def conserved_from_cartan(
     alg: Algebroid,
     L: Lagrangian,
@@ -391,20 +391,17 @@ def conserved_from_cartan(
     :class:`ExactnessWitnessError`.
     """
     m = alg.m
-    basis = basis_sections(m)
     theta_trees = list(L.dy) + [ZERO] * m
-    worst = 0.0
-    for p in samples:
-        ev = alg.evaluator(p)
-        ax, av = A.values_at(ev)
-        theta_vals = ev.values_of(L.dy)
-        df = _d_function_on_basis(alg, ev, f)
-        for k, B in enumerate(basis):
-            bx, _ = bracket_at(alg, A, B, ev)
-            lie_theta = directional_derivative(alg, ev, ax, av, theta_trees[k]) - float(
-                theta_vals @ bx
-            )
-            worst = max(worst, abs(lie_theta - df[k]))
+    ev = alg.sample_evaluator(samples)
+    ax, av = A.values_at(ev)
+    theta_vals = ev.values_of(L.dy)
+    df = _d_function_on_basis(alg, ev, f)
+    res = []
+    for k, B in enumerate(basis_sections(m)):
+        bx, _ = bracket_at(alg, A, B, ev)
+        lie_theta = directional_derivative(alg, ev, ax, av, theta_trees[k]) - inner(theta_vals, bx)
+        res.append(np.abs(lie_theta - df[:, k]))
+    worst = sweep_max("exactness witness", samples, np.stack(res, axis=-1))
     if worst > tol:
         raise ExactnessWitnessError(
             f"witness fails exactness: max residual {worst:.3e} > tol {tol:.1e}"
@@ -425,31 +422,47 @@ class CartanReconstruction:
     passed: bool
 
 
-def _jet_solve(M: list[list[Jet2]], rhs: list[Jet2]) -> list[Jet2]:
-    """Gauss-Jordan elimination over the jet ring (partial pivoting on values)."""
-    k = len(M)
-    M = [row[:] for row in M]
-    rhs = rhs[:]
-    scale = max((abs(e.value) for row in M for e in row), default=0.0)
-    if scale == 0.0:
-        raise SingularPairingError("zero pairing matrix")
+@np.errstate(all="ignore")  # a singular sample's elimination runs on, unread
+def _jet_solve(
+    A: np.ndarray, dA: np.ndarray, samples: Sequence[EvalPoint]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of M x = b over first-order jets at every
+    sample, for A = [M | b] with values (P, k, k+1) and gradients (P, k, k+1, K);
+    returns the values (P, k) and gradients (P, k, K) of x.  Each sample
+    pivots on its own values (the first of equal maxima) and follows the
+    first-order rules of :class:`~algmech.jets.Jet2` in their order, so it gets
+    the bits of a solve over its own jets.  A zero or numerically singular M
+    raises :class:`SingularPairingError` naming the first such sample."""
+    A, dA = np.array(A, order="C"), np.array(dA, order="C")
+    P, k = A.shape[:2]
+    rows = np.arange(P)
+    scale = np.max(np.abs(A[:, :, :k]), axis=(1, 2), initial=0.0)
+    singular = scale == 0.0
     for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(M[r][col].value))
-        if abs(M[piv][col].value) < 1e-12 * scale:
-            raise SingularPairingError("pairing matrix numerically singular")
-        M[col], M[piv] = M[piv], M[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = M[col][col].reciprocal()
-        for r in range(k):
-            if r == col:
-                continue
-            factor = M[r][col] * inv
-            for c in range(col, k):
-                M[r][c] = M[r][c] - factor * M[col][c]
-            rhs[r] = rhs[r] - factor * rhs[col]
-    return [rhs[i] * M[i][i].reciprocal() for i in range(k)]
+        piv = col + np.argmax(np.abs(A[:, col:, col]), axis=1)
+        singular |= np.abs(A[rows, piv, col]) < 1e-12 * scale
+        for a in (A, dA):
+            a[rows, col], a[rows, piv] = a[rows, piv], a[rows, col]
+        # factor = A[r][col] / A[col][col] for every row r != col, then
+        # row r -= factor * row col from column col on
+        v = A[:, col, col]
+        inv, dinv = 1.0 / v, (-1.0 / (v * v))[:, None] * dA[:, col, col]
+        r = np.delete(np.arange(k), col)
+        f = A[:, r, col] * inv[:, None]
+        df = A[:, r, col, None] * dinv[:, None] + inv[:, None, None] * dA[:, r, col]
+        top, dtop = A[:, None, col, col:], dA[:, None, col, col:]
+        dA[:, r, col:] -= f[:, :, None, None] * dtop + top[..., None] * df[:, :, None]
+        A[:, r, col:] -= f[:, :, None] * top
+    if singular.any():
+        p = samples[int(np.argmax(singular))]
+        raise SingularPairingError(f"pairing matrix numerically singular at {p}")
+    d, dd = np.diagonal(A, axis1=1, axis2=2), np.diagonal(dA, axis1=1, axis2=2).swapaxes(1, 2)
+    inv, dinv = 1.0 / d, (-1.0 / (d * d))[..., None] * dd
+    b, db = A[:, :, k], dA[:, :, k]
+    return b * inv, b[..., None] * dinv + inv[..., None] * db
 
 
+@np.errstate(all="ignore")
 def cartan_from_conservation(
     alg: Algebroid,
     L: Lagrangian,
@@ -464,63 +477,38 @@ def cartan_from_conservation(
     come with exact first partials; that is what the bracket terms of the
     Cartan residual need.
     """
-    m = alg.m
-    n = alg.n
+    m, n, k = alg.m, alg.n, 2 * alg.m
     W_exprs = cartan_pairing_exprs(alg, L)
-    rhs_trees: list[Expr] = []
-    for a in range(m):
-        rhs_trees.append(
-            e_neg(
-                e_sum(
-                    e_mul(alg.anchor[i][a], alg.derivative(f, alg.base_coords[i]))
-                    for i in range(n)
-                )
-            )
-        )
-    for a in range(m):
-        rhs_trees.append(e_neg(alg.derivative(f, alg.fiber_coords[a])))
+    df = [alg.derivative(f, c) for c in alg.coords]
+    rhs_trees = [e_neg(e_sum(e_mul(alg.anchor[i][a], df[i]) for i in range(n))) for a in range(m)]
+    rhs_trees += [e_neg(df[n + a]) for a in range(m)]
 
-    points = []
-    sections = []
-    two_max = energy_max = 0.0
-    for p in samples:
-        ev = alg.evaluator(p)
-        sigma = alg.anchor_at(ev)
-        L_struct = alg.structure_at(ev)
-        # omega(X, B_r) = sum_c X^c W[c][r]; system matrix is the transpose
-        M = [[ev.jet1(W_exprs[c][r]) for c in range(2 * m)] for r in range(2 * m)]
-        rhs = [ev.jet1(t) for t in rhs_trees]
-        sol = _jet_solve(M, rhs)
-        xs = np.array([s.value for s in sol[:m]])
-        vs = np.array([s.value for s in sol[m:]])
-        points.append(p)
-        sections.append((xs, vs))
+    ev = alg.sample_evaluator(samples)
+    # omega(X, B_r) = sum_c X^c W[c][r]: the system matrix is the transpose,
+    # with the right-hand side as its last column
+    jets = [[ev.jet1(W_exprs[c][r]) for c in range(k)] + [ev.jet1(rhs_trees[r])] for r in range(k)]
+    sol, dsol = _jet_solve(
+        np.moveaxis([[j.value for j in row] for row in jets], -1, 0),
+        np.moveaxis([[j.grad for j in row] for row in jets], -2, 0),
+        samples,
+    )
+    xs, vs = sol[:, :m], sol[:, m:]
 
-        # brackets of the reconstructed section with the frame sections
-        brackets = []
-        for b in range(m):  # B = X_b
-            bx = np.array(
-                [
-                    float(sum(xs[a] * L_struct[a, b, g] for a in range(m)))
-                    - float(sigma[:, b] @ sol[g].grad[:n])
-                    for g in range(m)
-                ]
-            )
-            bv = np.array(
-                [-float(sigma[:, b] @ sol[m + g].grad[:n]) for g in range(m)]
-            )
-            brackets.append(np.concatenate([bx, bv]))
-        for b in range(m):  # B = V_b
-            bx = np.array([-sol[g].grad[n + b] for g in range(m)])
-            bv = np.array([-sol[m + g].grad[n + b] for g in range(m)])
-            brackets.append(np.concatenate([bx, bv]))
-        two_max = max(two_max, _two_section_lie_residual(alg, ev, L, xs, vs, brackets))
-        energy_max = max(
-            energy_max, abs(directional_derivative(alg, ev, xs, vs, L.energy_expr))
-        )
+    # brackets of the reconstructed section with the frame sections, [P, B, .]
+    sigma = alg.anchor_at(ev)
+    L_struct = alg.structure_at(ev)
+    flow = inner(sigma.swapaxes(1, 2)[:, :, None], dsol[:, None, :, :n])  # [p, b, j]
+    quad = sum(xs[:, a, None, None] * L_struct[:, a] for a in range(m))  # [p, b, g]
+    x_brackets = np.concatenate([quad - flow[:, :, :m], -flow[:, :, m:]], axis=-1)  # B = X_b
+    v_brackets = -dsol[:, :, n:].swapaxes(1, 2)  # B = V_b
+    brackets = np.concatenate([x_brackets, v_brackets], axis=1)
+    two = _two_section_lie_residual(alg, ev, L, xs, vs, list(brackets.swapaxes(0, 1)))
+    two_max = sweep_max("cartan two-section", samples, two)
+    energy = np.abs(directional_derivative(alg, ev, xs, vs, L.energy_expr))
+    energy_max = sweep_max("cartan energy", samples, energy)
     return CartanReconstruction(
-        points=points,
-        sections=sections,
+        points=list(samples),
+        sections=list(zip(xs, vs)),
         two_section_max=two_max,
         energy_max=energy_max,
         tol=tol,

@@ -343,6 +343,59 @@ class TestGeometryCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_overflowing_anchor_fails_in_one_line(self, tmp_path, capsys, command):
+        # the anchor entry is +-inf at every sample with x1 != 0, so the flow
+        # terms inf * 0 of the cyclic sum are NaN: the sweep names the first
+        # such sample instead of letting Python's max skip the NaN
+        def mutate(raw):
+            raw["anchor"][0][0] = "1+x1*1e200*1e200"
+
+        out = tmp_path / "out.json"
+        argv = [command, "--config", str(edited_fixture(tmp_path, mutate, "abelian"))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output", str(out)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: cyclic residual is not finite at (x=[")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestFiberMetric:
+    """Lagrangians whose fiber metric overflows end without a traceback."""
+
+    def run(self, tmp_path, command, lagrangian):
+        path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian), "abelian")
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(path), "--output", str(out)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return code, out
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_overflowing_cutoff_marks_the_metric_singular(self, tmp_path, capsys, command):
+        # g = diag(1e200, 1): the relative cutoff 1e-10 * 1e200^2 overflows to
+        # inf, which marks the metric singular, as diag(1e-200, 1) is
+        code, out = self.run(tmp_path, command, "0.5*1e200*v1^2+0.5*v2^2")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        metric = report.get("validation", report)["metric"]
+        assert metric["regular"] is False
+        assert metric["detail"].startswith("singular fiber metric at (x=[")
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_metric_that_is_not_finite_fails_in_one_line(self, tmp_path, capsys, command):
+        code, out = self.run(tmp_path, command, "0.5*1e300*1e300*v1^2+0.5*v2^2")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: fiber metric is not finite at (x=[")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExampleCommand:
     def test_byte_stable_materialization(self, tmp_path, capsys, monkeypatch):
@@ -480,6 +533,29 @@ class TestBadArguments:
         argv = self.integrate(tmp_path, f"{flag}={value}")
         assert flag in self.usage_error(capsys, argv)
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config_value,flag",
+        [
+            (math.nan, None),
+            (math.inf, None),
+            (-math.inf, None),
+            (None, "nan"),
+            (None, "inf"),
+            (None, "-1"),
+        ],
+    )
+    def test_tolerance_that_is_not_positive_and_finite(self, tmp_path, capsys, config_value, flag):
+        # JSON reads NaN and Infinity, and argparse reads nan and inf
+        cfg = fixture_path(tmp_path)
+        if config_value is not None:
+            cfg = edited_fixture(tmp_path, lambda raw: raw.update(tolerance=config_value))
+        for command in ("validate", "symmetry"):
+            argv = [command, "--config", str(cfg), "--output", str(tmp_path / "out.json")]
+            where = "/tolerance" if flag is None else "--tol"
+            message = self.usage_error(capsys, argv if flag is None else argv + [f"--tol={flag}"])
+            assert message == f"config error: {where}: expected a positive finite number"
+            assert not (tmp_path / "out.json").exists()
 
     def test_report_output_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"

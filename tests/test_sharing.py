@@ -7,6 +7,7 @@ values.
 """
 
 import math
+import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -251,3 +252,59 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
     assert not np.array_equal(first, second)
     nabla_tensor(alg, S, N, f_tensor(alg, N), q)  # another tensor object: new trees
     assert built
+
+
+def test_report_sweeps_share_one_sample_evaluator(tmp_path, capsys, monkeypatch):
+    """Validation, the spray test and the symmetry checks of a report sweep
+    one evaluator over the sample set."""
+    batches = []
+
+    class Counted(SampleEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self)
+
+    callers = set()
+    real = algmech.algebroid.Algebroid.sample_evaluator
+
+    def recording(self, samples):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(self, samples)
+
+    monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
+    monkeypatch.setattr(algmech.algebroid.Algebroid, "sample_evaluator", recording)
+    path = fixture_file(tmp_path, "heisenberg")
+    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert len(batches) == 1
+    assert {"validate", "spray_test", "dynamical_symmetry_check"} <= callers
+
+
+def test_validate_makes_no_point_evaluator(monkeypatch):
+    points: list = []
+    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", lambda *a: points.append(a))
+    cfg = algmech.config.load_config(
+        resources.files("algmech").joinpath("fixtures/heisenberg.json")
+    )
+    assert cfg.algebroid.validate(cfg.sample_points(), cfg.tolerance).passed
+    assert points == []
+
+
+def test_geometry_frame_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
+    alg = heisenberg.algebroid
+    S, N = heisenberg.semispray(), heisenberg.connection()
+    p, q = heisenberg.sample_points(count=2)
+    first = geometry_frame(alg, S, N, p).jacobi
+    built = []
+
+    def counting(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (Num, Var, Neg, BinOp, Call):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    second = geometry_frame(alg, S, N, q).jacobi
+    assert built == []
+    assert not np.array_equal(first, second)
