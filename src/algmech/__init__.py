@@ -29,7 +29,6 @@ from .connection import (
     nabla_section,
     nabla_tensor,
     nabla_vertical_coeffs,
-    structure_tensors,
     v_tensor,
 )
 from .errors import (
@@ -63,7 +62,6 @@ from .prolongation import (
     ProlongationSection,
     Semispray,
     SprayReport,
-    TensorBlock11,
     bracket,
     complete_lift,
     euler_section,

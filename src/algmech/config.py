@@ -61,7 +61,7 @@ class SystemConfig:
     candidates: tuple[Candidate, ...]
     samples: SampleSpec
     tolerance: float
-    reference: dict | None
+    reference: dict[str, tuple] | None  # published tables as trees, see _parse_reference
 
     def semispray(self) -> Semispray:
         """The configured field, or the canonical one of the Lagrangian (built once)."""
@@ -251,6 +251,26 @@ def _parse_samples(raw, alg: Algebroid, path: str) -> SampleSpec:
     return SampleSpec(count, seed, box)
 
 
+def _parse_reference(raw, alg: Algebroid, path: str) -> dict[str, tuple] | None:
+    """The published tables of a ``reference`` block as trees over all
+    coordinates, keyed as in the config: ``semispray`` (m), ``connection`` and
+    ``jacobi`` (m by m), and ``curvature`` (m by m by m, listed sparsely and
+    completed antisymmetrically like the structure functions).  None for no
+    block or an empty one; ``note`` and other keys are free text."""
+    if raw is not None and not isinstance(raw, dict):
+        raise ConfigError(path, "expected an object")
+    if not raw:
+        return None
+    m, coords = alg.m, alg.coords
+    parsers = {
+        "semispray": lambda v, at: _parse_list(v, m, coords, at),
+        "connection": lambda v, at: _parse_matrix(v, m, m, coords, at),
+        "jacobi": lambda v, at: _parse_matrix(v, m, m, coords, at),
+        "curvature": lambda v, at: _parse_structure(v, m, coords, at),
+    }
+    return {k: parse(raw[k], f"{path}/{k}") for k, parse in parsers.items() if k in raw}
+
+
 def parse_config(raw: dict) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be an object")
@@ -294,9 +314,7 @@ def parse_config(raw: dict) -> SystemConfig:
 
     tol = checked_tolerance(raw.get("tolerance", DEFAULT_TOLERANCE), "/tolerance")
 
-    reference = raw.get("reference")
-    if reference is not None and not isinstance(reference, dict):
-        raise ConfigError("/reference", "expected an object")
+    reference = _parse_reference(raw.get("reference"), alg, "/reference")
 
     return SystemConfig(
         name=name,

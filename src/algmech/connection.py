@@ -16,13 +16,14 @@ maps X_b -> N_b^a delta_a - V_b and V_b -> delta_b, which is the unique
 reading of its coframe form under which F o J = h, J o F = v, and
 F^2 = -Id all hold (the shipped tests enforce them).
 
-The projectors h and v and the structures J and F are expression-backed
-tensors (``h_tensor`` and friends), which the package builds once per
-connection (:meth:`~algmech.algebroid.Algebroid.derived`); every tree-level
-use, from delta_a = h(X_a) (kept as the tensor's frame images) to the four
-brackets of the Berwald connection, applies them with
-:meth:`~algmech.prolongation.ExprTensor.apply`.  The covariant-derivative
-coefficients read the system's y^e L_eb^a trees
+The projectors h and v and the structures J and F have one definition
+each, their matrix of trees (``h_tensor`` and friends), which the package
+builds once per connection (:meth:`~algmech.algebroid.Algebroid.derived`).
+Every tree-level use, from delta_a = h(X_a) (kept as the tensor's frame
+images) to the four brackets of the Berwald connection, applies them with
+:meth:`~algmech.prolongation.ExprTensor.apply`, and every value, such as
+the F of a geometry frame, is that matrix evaluated at the point.  The
+covariant-derivative coefficients read the system's y^e L_eb^a trees
 (:attr:`~algmech.algebroid.Algebroid.twisted_structure`), so each call builds
 only its O(m^2) wrapper nodes.
 """
@@ -53,7 +54,6 @@ from .prolongation import (
     ExprTensor,
     ProlongationSection,
     Semispray,
-    TensorBlock11,
     bracket_at,
     directional_derivative,
     eye_block,
@@ -77,7 +77,6 @@ __all__ = [
     "jacobi_endomorphism",
     "jacobi_at",
     "jacobi_from_bracket",
-    "structure_tensors",
     "h_tensor",
     "v_tensor",
     "f_tensor",
@@ -138,10 +137,11 @@ def connection_from_lie_derivative(
     """Independent oracle for the canonical coefficients via -L_S J.
 
     An almost product structure acts as X_a -> X_a - 2 N_a^g V_g, so the
-    coefficients sit in the VX block: N[a][g] = -(-L_S J).vx[g][a] / 2.
+    coefficients sit in the VX block: N[a][g] = -(-L_S J)[m + g][a] / 2.
     """
-    lsj = lie_derivative_tensor(alg, S.section(alg), j_tensor(alg.m), p)
-    return 0.5 * lsj.vx.T
+    m = alg.m
+    lsj = lie_derivative_tensor(alg, S.section(alg), j_tensor(m), p)
+    return 0.5 * lsj[m:, :m].T
 
 
 def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> ProlongationSection:
@@ -272,19 +272,6 @@ def jacobi_from_bracket(
 # ---------------------------------------------------------------------------
 
 
-def structure_tensors(
-    Nv: np.ndarray,
-) -> tuple[TensorBlock11, TensorBlock11, TensorBlock11]:
-    """(h, v, F) at a point, from the connection coefficient values."""
-    m = Nv.shape[0]
-    eye = np.eye(m)
-    zero = np.zeros((m, m))
-    h = TensorBlock11(xx=eye.copy(), xv=zero.copy(), vx=-Nv.T, vv=zero.copy())
-    v = TensorBlock11(xx=zero.copy(), xv=zero.copy(), vx=Nv.T.copy(), vv=eye.copy())
-    F = TensorBlock11(xx=Nv.T.copy(), xv=eye.copy(), vx=-(Nv @ Nv).T - eye, vv=-Nv.T)
-    return h, v, F
-
-
 def _neg_block(rows) -> tuple[tuple[Expr, ...], ...]:
     return tuple(tuple(e_neg(e) for e in row) for row in rows)
 
@@ -295,26 +282,19 @@ def _transpose(rows) -> tuple[tuple[Expr, ...], ...]:
 
 
 def h_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
-    m = alg.m
-    return ExprTensor(
-        xx=eye_block(m),
-        xv=zeros_block(m),
-        vx=_neg_block(_transpose(N.coeffs)),
-        vv=zeros_block(m),
-    )
+    """The horizontal projector: X_b -> delta_b = X_b - N_b^a V_a, V_b -> 0."""
+    zero = zeros_block(alg.m)
+    return ExprTensor.of_blocks(eye_block(alg.m), zero, _neg_block(_transpose(N.coeffs)), zero)
 
 
 def v_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
-    m = alg.m
-    return ExprTensor(
-        xx=zeros_block(m),
-        xv=zeros_block(m),
-        vx=_transpose(N.coeffs),
-        vv=eye_block(m),
-    )
+    """The vertical projector: X_b -> N_b^a V_a, V_b -> V_b."""
+    zero = zeros_block(alg.m)
+    return ExprTensor.of_blocks(zero, zero, _transpose(N.coeffs), eye_block(alg.m))
 
 
 def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
+    """The almost complex structure: X_b -> N_b^a delta_a - V_b, V_b -> delta_b."""
     m = alg.m
     nn = tuple(
         tuple(
@@ -329,11 +309,8 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
         )
         for g in range(m)
     )
-    return ExprTensor(
-        xx=_transpose(N.coeffs),
-        xv=eye_block(m),
-        vx=vx,
-        vv=_neg_block(_transpose(N.coeffs)),
+    return ExprTensor.of_blocks(
+        _transpose(N.coeffs), eye_block(m), vx, _neg_block(_transpose(N.coeffs))
     )
 
 
@@ -412,8 +389,9 @@ def nabla_section(
 
 def nabla_tensor(
     alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, p: EvalPoint
-) -> TensorBlock11:
-    """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section.
+) -> np.ndarray:
+    """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
+    (2m, 2m) matrix.
 
     The trees of nabla(T(B)) and nabla(B) are built once per (S, N, T) and
     kept by the system (:meth:`~algmech.algebroid.Algebroid.derived`), so
@@ -537,7 +515,7 @@ def geometry_frame(
     y = np.array(p.y)
     R3 = curvature(alg, N, p)
     R2 = jacobi_endomorphism(alg, S, N, p)
-    h, v, F = structure_tensors(Nv)
+    F = alg.derived(f_tensor, N).at(ev)
     eye2m = np.eye(2 * m)
 
     homogeneity = spray_homogeneity(alg, S, ev)
@@ -551,7 +529,7 @@ def geometry_frame(
             np.max(np.abs(R3 - curvature_from_brackets(alg, N, p)))
         ),
         "f_squared_plus_identity": float(
-            np.max(np.abs(F.matrix @ F.matrix + eye2m))
+            np.max(np.abs(F @ F + eye2m))
         ),
     }
     diagnostics = {"homogeneity": homogeneity}
@@ -559,7 +537,7 @@ def geometry_frame(
     N_oracle = connection_from_lie_derivative(alg, S, p)
     canonical_gap = float(np.max(np.abs(Nv - N_oracle)))
     nj = nabla_tensor(alg, S, N, j_tensor(m), p)
-    nabla_j = float(np.max(np.abs(nj.matrix)))
+    nabla_j = float(np.max(np.abs(nj)))
     contraction = float(np.max(np.abs(R2 - np.einsum("e,ebg->bg", y, R3))))
     if N.canonical:
         residuals["connection_vs_lie_derivative"] = canonical_gap
@@ -579,13 +557,13 @@ def geometry_frame(
         connection=Nv,
         curvature=R3,
         jacobi=R2,
-        almost_complex=F.matrix,
+        almost_complex=F,
         berwald=berwald_coefficients(alg, N, p),
         residuals=residuals,
         diagnostics=diagnostics,
     )
     scalars = [*residuals.values(), *diagnostics.values()]
-    numbers = (frame.semispray, Nv, R3, R2, F.matrix, frame.berwald, scalars)
+    numbers = (frame.semispray, Nv, R3, R2, F, frame.berwald, scalars)
     if not all(np.isfinite(x).all() for x in numbers):
         raise EvaluationDomainError(f"geometry is not finite at {p}")
     return frame

@@ -44,14 +44,16 @@ class FiberDependenceError(AlgmechError):
 
 
 class SingularMetricError(AlgmechError):
-    """The fiber Hessian of the Lagrangian is (numerically) singular."""
+    """The fiber Hessian of the Lagrangian is (numerically) singular at
+    ``point``, the sample at place ``index`` of the list checked."""
 
-    def __init__(self, point, determinant: float):
+    def __init__(self, point, determinant: float, index: int):
         super().__init__(
             f"singular fiber metric at {point} (det = {determinant:.6e})"
         )
         self.point = point
         self.determinant = determinant
+        self.index = index
 
 
 class SingularPairingError(AlgmechError):

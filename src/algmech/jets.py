@@ -12,9 +12,10 @@ same value and gradient bit for bit.
 (``value``), first-order jets (``jet1``) or second-order jets (``jet``),
 memoising each per node object so shared subtrees are visited once.  The
 symmetry, bracket, connection and validation checks are first order in their
-component functions and take ``jet1``; only the fiber metric and the
-Euler-Lagrange residual read a Hessian (of the Lagrangian itself) and call
-``jet``, which stays second order as the public way to get one.  A jet's
+component functions and take ``jet1``, and the fiber metric is read from
+its own trees (``Lagrangian.metric_exprs``); only the Euler-Lagrange residual
+reads a Hessian and calls ``jet``, which stays second order as the public
+way to get one.  A jet's
 value can differ from ``value`` in the last bit (``a/b`` is ``a * (1/b)`` in
 jet arithmetic), so callers comparing a value with a gradient read both from
 one jet.
@@ -39,8 +40,8 @@ walking its trees again with ``value``.  Both compute ``^`` with one helper,
 
 :class:`SampleEvaluator` evaluates trees at a whole sample set at once, with
 a leading sample axis: values as (P,) arrays and first-order jets
-(:class:`SampleJet`) with (P, k) gradients; every sweep but the fiber
-metric's takes it (:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).  Each
+(:class:`SampleJet`) with (P, k) gradients; every sweep takes it
+(:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).  Each
 sample is bit for bit the walker's: ``+ - * /`` and :func:`int_power` run
 elementwise, and the elementary functions are ``FUNCTIONS``' float functions
 applied per element, not numpy's (on an x86-64 host with AVX-512,
@@ -348,10 +349,13 @@ class PointEvaluator:
     def array(self, trees: tuple) -> np.ndarray:
         """Values of a nested tuple of trees, as an array of its shape,
         computed once per point: keyed by the identity of ``trees``, which
-        the entry keeps alive, so callers pass a tuple they keep."""
+        the entry keeps alive, so callers pass a tuple they keep.  Read-only,
+        since every later reader at the point gets the same array."""
         hit = self._arrays.get(id(trees))
         if hit is None:
-            hit = self._arrays[id(trees)] = (trees, np.array(self._nested(trees)))
+            out = np.array(self._nested(trees))
+            out.flags.writeable = False
+            hit = self._arrays[id(trees)] = (trees, out)
         return hit[1]
 
     def _nested(self, t):
@@ -406,7 +410,7 @@ class SampleEvaluator:
     sample axis first, and ``values`` is the (P, k) array of coordinates.
     Each result is memoised per node object, as in :class:`PointEvaluator`,
     for the evaluator's lifetime, and is read-only.  The batch is first order
-    only: Hessians (:meth:`PointEvaluator.jet`) stay per point.
+    only; a second derivative that a sweep reads is a tree of its own.
 
     Every slice is bit for bit what :class:`PointEvaluator` gives at that
     sample.  ``+ - * /`` and :func:`int_power` run elementwise on float64,

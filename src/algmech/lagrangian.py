@@ -4,7 +4,9 @@ sections, energy, and time integration of the induced dynamics.
 The canonical semispray components are built as expression trees (derivative
 trees of the Lagrangian composed with an adjugate/determinant inverse of the
 fiber metric), so every downstream object can take exact first and second
-partials of them through jet evaluation.
+partials of them through jet evaluation.  The fiber metric has one
+definition, its trees ``Lagrangian.metric_exprs``: the semispray inverts
+them and :func:`fiber_metric` evaluates them.
 
 Sign conventions for the two-section built from the Lagrangian, with the
 wedge normalisation (a^b)(A,B) = a(A) b(B) - a(B) b(A):
@@ -121,29 +123,39 @@ class Lagrangian:
 
 @np.errstate(all="ignore")
 def fiber_metric(
-    L: Lagrangian, p: EvalPoint
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fiber Hessian, its inverse, and a condition estimate.  Raises
-    :class:`SingularMetricError` if it is singular and
-    :class:`EvaluationDomainError` naming ``p`` if it is not finite."""
+    L: Lagrangian, samples: Sequence[EvalPoint]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fiber metric at every sample, its inverse and its condition
+    number: arrays (P, m, m), (P, m, m) and (P,).
+
+    The metric is ``L.metric_exprs``, the matrix whose adjugate the canonical
+    semispray is built from, read over the system's evaluator of the sample
+    list; ``det``, ``inv`` and ``cond`` are stacked numpy calls, which give
+    each sample the bits of the unstacked call.  At the first sample where
+    the metric is not finite or singular (by the relative determinant cutoff
+    or by the inverse test after one Newton sweep), this raises
+    :class:`EvaluationDomainError` or :class:`SingularMetricError` naming it.
+    """
     alg = L.alg
-    ev = alg.evaluator(p)
-    hess = ev.jet(L.expr).hess
-    g = hess[alg.n :, alg.n :]
-    if not np.isfinite(g).all():
-        raise EvaluationDomainError(f"fiber metric is not finite at {p}")
+    g = alg.sample_evaluator(samples).array(L.metric_exprs)
+    finite = np.isfinite(g).all(axis=(1, 2))
     # a float64 scale, so a cutoff that overflows reads inf: singular
-    scale = np.max(np.abs(g))
-    det = float(np.linalg.det(g))
-    if scale == 0.0 or abs(det) < _DET_RTOL * scale**alg.m:
-        raise SingularMetricError(p, det)
-    ginv = np.linalg.inv(g)
+    scale = np.max(np.abs(g), axis=(1, 2))
+    det = np.linalg.det(g)
+    bad = ~finite | (scale == 0.0) | (np.abs(det) < _DET_RTOL * scale**alg.m)
+    k = int(np.argmax(bad)) if bad.any() else len(samples)
     eye = np.eye(alg.m)
-    if float(np.max(np.abs(g @ ginv - eye))) > 1e-12:
-        ginv = ginv @ (2.0 * eye - g @ ginv)  # one Newton sweep
-        if float(np.max(np.abs(g @ ginv - eye))) > 1e-12:
-            raise SingularMetricError(p, det)
-    return g, ginv, float(np.linalg.cond(g))
+    # inverted only before the first bad sample: a singular g makes inv raise
+    ginv = np.linalg.inv(g[:k])
+    off = np.max(np.abs(g[:k] @ ginv - eye), axis=(1, 2)) > 1e-12
+    ginv[off] = ginv[off] @ (2.0 * eye - g[:k][off] @ ginv[off])  # one Newton sweep
+    off = np.max(np.abs(g[:k] @ ginv - eye), axis=(1, 2)) > 1e-12
+    k = int(np.argmax(off)) if off.any() else k
+    if k < len(samples):
+        if not finite[k]:
+            raise EvaluationDomainError(f"fiber metric is not finite at {samples[k]}")
+        raise SingularMetricError(samples[k], float(det[k]), k)
+    return g, ginv, np.linalg.cond(g)
 
 
 def matrix_inverse_exprs(

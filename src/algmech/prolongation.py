@@ -7,12 +7,13 @@ coefficients through the anchored derivations
 
     sigma1(A)(f) = A_x^a sigma_a^i df/dx^i + A_v^a df/dy^a.
 
-Pointwise (1,1)-tensors are stored as four m-by-m blocks acting on component
-columns; expression-backed tensors (:class:`ExprTensor`) keep the blocks as
-trees so that Lie and covariant derivatives can differentiate them.
-:meth:`ExprTensor.apply` is the one way to apply such a tensor to a section,
-and :func:`frame_derivation` the one loop (D T)(B) = D(T B) - T(D B) behind
-both derivatives of a tensor.  The trees of S(f) read the system's anchored
+A (1,1)-tensor is one 2m-by-2m matrix of trees (:class:`ExprTensor`),
+X-frame rows and columns first, acting on stacked component columns; its
+value at a point is the (2m, 2m) array of those trees, and Lie and covariant
+derivatives differentiate the trees.  :meth:`ExprTensor.apply` is the one way
+to apply such a tensor to a section, and :func:`frame_derivation` the one
+loop (D T)(B) = D(T B) - T(D B) behind both derivatives of a tensor, which
+return (2m, 2m) arrays.  The trees of S(f) read the system's anchored
 velocity (:attr:`Algebroid.base_velocity`), and the complete lift is built
 from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 
@@ -55,7 +56,6 @@ from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 __all__ = [
     "ProlongationSection",
     "Semispray",
-    "TensorBlock11",
     "ExprTensor",
     "bracket",
     "bracket_at",
@@ -324,33 +324,6 @@ def spray_test(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TensorBlock11:
-    """Pointwise action on the frame: columns of each block index the input."""
-
-    xx: np.ndarray
-    xv: np.ndarray
-    vx: np.ndarray
-    vv: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.block([[self.xx, self.xv], [self.vx, self.vv]])
-
-    @staticmethod
-    def from_matrix(mat: np.ndarray) -> "TensorBlock11":
-        m = mat.shape[0] // 2
-        return TensorBlock11(
-            xx=mat[:m, :m].copy(),
-            xv=mat[:m, m:].copy(),
-            vx=mat[m:, :m].copy(),
-            vv=mat[m:, m:].copy(),
-        )
-
-    def apply(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.xx @ x + self.xv @ v, self.vx @ x + self.vv @ v
-
-
 _Block = tuple[tuple[Expr, ...], ...]
 
 
@@ -366,19 +339,26 @@ def eye_block(m: int) -> _Block:
 
 @dataclass(frozen=True, eq=False)
 class ExprTensor:
-    """Expression-backed (1,1)-tensor; blocks index [row][column]."""
+    """Expression-backed (1,1)-tensor: one 2m-by-2m matrix of trees indexed
+    [row][column], X-frame rows and columns first, acting on the stacked
+    component column (x_comps, v_comps)."""
 
-    xx: _Block
-    xv: _Block
-    vx: _Block
-    vv: _Block
+    rows: tuple[tuple[Expr, ...], ...]
+
+    @staticmethod
+    def of_blocks(xx: _Block, xv: _Block, vx: _Block, vv: _Block) -> "ExprTensor":
+        """The tensor with m-by-m blocks [[xx, xv], [vx, vv]]."""
+        return ExprTensor(
+            tuple(a + b for a, b in zip(xx, xv)) + tuple(a + b for a, b in zip(vx, vv))
+        )
 
     @property
     def m(self) -> int:
-        return len(self.xx)
+        return len(self.rows) // 2
 
-    def at(self, ev: PointEvaluator) -> TensorBlock11:
-        return TensorBlock11(*(ev.array(b) for b in (self.xx, self.xv, self.vx, self.vv)))
+    def at(self, ev: PointEvaluator) -> np.ndarray:
+        """The (2m, 2m) matrix at the evaluator's point."""
+        return ev.array(self.rows)
 
     @cached_property
     def frame_images(self) -> tuple[ProlongationSection, ...]:
@@ -387,51 +367,50 @@ class ExprTensor:
         return tuple(self.apply(B) for B in basis_sections(self.m))
 
     def apply(self, A: ProlongationSection) -> ProlongationSection:
-        """T(A) as trees: each output component sums block entry times input
+        """T(A) as trees: each output component sums row entry times input
         component, X-frame inputs first."""
         comps = A.x_comps + A.v_comps
-
-        def image(rows) -> tuple[Expr, ...]:
-            return tuple(e_sum(e_mul(t, c) for t, c in zip(x + v, comps)) for x, v in rows)
-
-        return ProlongationSection(image(zip(self.xx, self.xv)), image(zip(self.vx, self.vv)))
+        image = tuple(e_sum(e_mul(t, c) for t, c in zip(row, comps)) for row in self.rows)
+        return ProlongationSection(image[: self.m], image[self.m :])
 
 
 @cache
 def j_tensor(m: int) -> ExprTensor:
     """The vertical endomorphism: X_a -> V_a, V_a -> 0."""
-    return ExprTensor(
-        xx=zeros_block(m), xv=zeros_block(m), vx=eye_block(m), vv=zeros_block(m)
-    )
+    zero = zeros_block(m)
+    return ExprTensor.of_blocks(zero, zero, eye_block(m), zero)
 
 
 def identity_tensor(m: int) -> ExprTensor:
-    return ExprTensor(
-        xx=eye_block(m), xv=zeros_block(m), vx=zeros_block(m), vv=eye_block(m)
-    )
+    zero, eye = zeros_block(m), eye_block(m)
+    return ExprTensor.of_blocks(eye, zero, zero, eye)
 
 
 def frame_derivation(
     T: ExprTensor,
     ev: PointEvaluator,
     D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]],
-) -> TensorBlock11:
-    """(D T)(B) = D(T(B)) - T(D B) on every frame section B, for a derivation
-    D of sections that returns component values at the evaluator's point."""
-    T_at = T.at(ev)
+) -> np.ndarray:
+    """(D T)(B) = D(T(B)) - T(D B) on every frame section B, as the (2m, 2m)
+    matrix whose columns are those images, for a derivation D of sections
+    that returns component values at the evaluator's point.  T(D B) is
+    applied block by block, each block a matrix-vector product."""
+    M, m = T.at(ev), T.m
     cols = []
-    for B, TB in zip(basis_sections(T.m), T.frame_images):
+    for B, TB in zip(basis_sections(m), T.frame_images):
         dx, dv = D(TB)
         bx, bv = D(B)
-        tx, tv = T_at.apply(bx, bv)
+        tx = M[:m, :m] @ bx + M[:m, m:] @ bv
+        tv = M[m:, :m] @ bx + M[m:, m:] @ bv
         cols.append(np.concatenate([dx - tx, dv - tv]))
-    return TensorBlock11.from_matrix(np.stack(cols, axis=1))
+    return np.stack(cols, axis=1)
 
 
 def lie_derivative_tensor(
     alg: Algebroid, A: ProlongationSection, T: ExprTensor, p: EvalPoint
-) -> TensorBlock11:
-    """(L_A T)(B) = [A, T(B)] - T([A, B]) evaluated on every frame section.
+) -> np.ndarray:
+    """(L_A T)(B) = [A, T(B)] - T([A, B]) evaluated on every frame section,
+    as a (2m, 2m) matrix.
 
     T must be expression-backed: the first bracket differentiates the
     coefficient functions of T(B).

@@ -15,8 +15,7 @@ import numpy as np
 from .algebroid import sweep_max
 from .config import SystemConfig
 from .connection import Connection, geometry_frame
-from .errors import SingularMetricError
-from .expr import parse_expression
+from .errors import EvaluationDomainError, SingularMetricError
 from .jets import EvalPoint
 from .lagrangian import canonical_semispray, fiber_metric
 from .prolongation import Semispray, spray_test
@@ -93,17 +92,13 @@ def run_validation(
     passed = rep.passed
 
     if cfg.lagrangian is not None:
-        # per point: the regularity test reads the Hessian of L, which the
-        # sample batch does not compute
-        conds = []
-        detail = None
-        for p in samples:
-            try:
-                conds.append(fiber_metric(cfg.lagrangian, p)[2])
-            except SingularMetricError as err:
-                detail = str(err)
-                break
-        worst_cond = sweep_max("fiber metric condition", samples, np.array(conds))
+        try:
+            conds, detail = fiber_metric(cfg.lagrangian, samples)[2], None
+        except SingularMetricError as err:
+            # the worst condition is that of the samples before the singular one
+            g = alg.sample_evaluator(samples).array(cfg.lagrangian.metric_exprs)
+            conds, detail = np.linalg.cond(g[: err.index]), str(err)
+        worst_cond = sweep_max("fiber metric condition", samples, conds)
         out["metric"] = {"regular": detail is None, "worst_condition": worst_cond}
         if detail:
             out["metric"]["detail"] = detail
@@ -132,47 +127,22 @@ def frame_with_reference(
 ) -> dict:
     alg = cfg.algebroid
     frame = geometry_frame(alg, S, N, p).to_dict()
-    if cfg.reference:
+    if cfg.reference is not None:
         frame["reference_deviation"] = _reference_deviation(cfg, frame, p)
     return frame
 
 
 def _reference_deviation(cfg: SystemConfig, frame: dict, p: EvalPoint) -> dict:
-    alg = cfg.algebroid
-    ev = alg.evaluator(p)
-    ref = cfg.reference
-    m = alg.m
+    """Computed minus published values at ``p``: the matrices entry by entry,
+    the semispray and the curvature as their largest absolute deviation.  A
+    deviation that is not finite raises :class:`EvaluationDomainError`."""
+    ev = cfg.algebroid.evaluator(p)
     out: dict = {}
-
-    def value(src: str) -> float:
-        return ev.value(parse_expression(src, alg.coords))
-
-    if "semispray" in ref:
-        computed = frame["semispray"]
-        out["semispray"] = max(
-            abs(computed[a] - value(ref["semispray"][a])) for a in range(m)
-        )
-    if "connection" in ref:
-        computed = frame["connection"]
-        out["connection"] = [
-            [computed[a][b] - value(ref["connection"][a][b]) for b in range(m)]
-            for a in range(m)
-        ]
-    if "jacobi" in ref:
-        computed = frame["jacobi"]
-        out["jacobi"] = [
-            [computed[a][b] - value(ref["jacobi"][a][b]) for b in range(m)]
-            for a in range(m)
-        ]
-    if "curvature" in ref:
-        full = np.zeros((m, m, m))
-        for entry in ref["curvature"]:
-            a, b, g = entry["alpha"] - 1, entry["beta"] - 1, entry["gamma"] - 1
-            v = value(entry["expr"])
-            full[a, b, g] = v
-            full[b, a, g] = -v
-        computed = np.array(frame["curvature"])
-        out["curvature"] = float(np.max(np.abs(computed - full)))
+    for key, trees in cfg.reference.items():
+        diff = np.array(frame[key]) - ev.array(trees)
+        out[key] = diff.tolist() if diff.ndim == 2 else float(np.max(np.abs(diff)))
+        if not np.isfinite(diff).all():
+            raise EvaluationDomainError(f"reference {key} deviation is not finite at {p}")
     return out
 
 

@@ -21,7 +21,6 @@ from algmech.connection import (
     jacobi_from_bracket,
     nabla_exprs,
     nabla_tensor,
-    structure_tensors,
     v_tensor,
     berwald_connection,
 )
@@ -49,7 +48,13 @@ from algmech.symmetry import (
     star_product_exprs,
 )
 
-from test_connection import arbitrary_connection, phi_block, random_sections
+from test_connection import (
+    apply,
+    arbitrary_connection,
+    phi_block,
+    random_sections,
+    tree_structure_tensors,
+)
 from test_jets import CORPUS, COORDS as AD_COORDS
 
 
@@ -151,7 +156,7 @@ def test_c3_structural_properties(all_systems):
         J = j_tensor(m)
 
         def tensor_sweep(connection, T):
-            return lambda p: nabla_tensor(alg, S, connection, T, p).matrix
+            return lambda p: nabla_tensor(alg, S, connection, T, p)
 
         nabla_j_at = tensor_sweep(N, J)
         nabla_f_at = tensor_sweep(N, f_tensor(alg, N))
@@ -165,9 +170,7 @@ def test_c3_structural_properties(all_systems):
 
         for p in samples:
             ev = alg.evaluator(p)
-            Nv = N.at(ev)
-            h, v, F = structure_tensors(Nv)
-            H, V, Fm = h.matrix, v.matrix, F.matrix
+            H, V, Fm = tree_structure_tensors(alg, N, ev)
             assert np.max(np.abs(H @ H - H)) <= 1e-10
             assert np.max(np.abs(V @ V - V)) <= 1e-10
             assert np.max(np.abs(H + V - eye)) <= 1e-10
@@ -184,8 +187,8 @@ def test_c3_structural_properties(all_systems):
             for A, nA in zip(sections, nabla_secs):
                 ax, av = A.values_at(ev)
                 lx, lv = bracket_at(alg, Ssec, A, ev)
-                fx, fv = F.apply(ax, av)
-                px, pv = phi.apply(ax, av)
+                fx, fv = apply(Fm, ax, av)
+                px, pv = apply(phi, ax, av)
                 wx, wv = nA.values_at(ev)
                 assert np.max(np.abs(wx - (lx + fx - px))) <= 1e-8
                 assert np.max(np.abs(wv - (lv + fv + ax - pv))) <= 1e-8

@@ -366,8 +366,8 @@ class TestGeometryCommand:
 class TestFiberMetric:
     """Lagrangians whose fiber metric overflows end without a traceback."""
 
-    def run(self, tmp_path, command, lagrangian):
-        path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian), "abelian")
+    def run(self, tmp_path, command, lagrangian, name="abelian"):
+        path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian), name)
         out = tmp_path / "out.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -393,6 +393,87 @@ class TestFiberMetric:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("check failed: fiber metric is not finite at (x=[")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_lagrangian_is_not_blamed_on_the_metric(self, tmp_path, capsys):
+        # the infinite term is linear in x1, so the fiber metric read from its
+        # trees is the identity; the semispray's dL/dx1 is what overflows
+        lagrangian = "0.5*(y1^2+y2^2+y3^2)+1e200*1e200*x1"
+        code, out = self.run(tmp_path, "validate", lagrangian, "heisenberg")
+        assert code == 0
+        assert json.loads(out.read_text())["metric"]["regular"] is True
+        assert capsys.readouterr().err == ""
+        out.unlink()
+        code, out = self.run(tmp_path, "report", lagrangian, "heisenberg")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: homogeneity residual is not finite at (x=[")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestReference:
+    """The reference block is parsed when the config loads: a bad entry is a
+    config error, and a deviation that is not finite fails in one line."""
+
+    def run(self, tmp_path, command, key, value):
+        path = edited_fixture(tmp_path, lambda raw: raw["reference"].update({key: value}))
+        out = tmp_path / "out.json"
+        argv = [command, "--config", str(path), "--output", str(out)]
+        if command == "geometry":
+            argv += ["--at", "x=0.1,0.2,0.3,y=1,2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return code, out
+
+    @pytest.mark.parametrize("command", ["report", "geometry"])
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("semispray", ["u1+", "u1^2"], "semispray/0: unexpected end of input (at offset 3)"),
+            ("semispray", 5, "semispray: expected 2 expressions"),
+            ("semispray", ["u1"], "semispray: expected 2 expressions"),
+            (
+                "curvature",
+                [{"alpha": 9, "beta": 2, "gamma": 1, "expr": "u2"}],
+                "curvature/0/alpha: index out of range 1..2",
+            ),
+            (
+                "curvature",
+                [{"alpha": 1, "gamma": 1, "expr": "u2"}],
+                "curvature/0/beta: missing required field",
+            ),
+            ("connection", [[1, 2], [3, 4]], "connection/0/0: expected an expression string"),
+        ],
+    )
+    def test_bad_entry_is_a_config_error(self, tmp_path, capsys, command, key, value, where):
+        code, out = self.run(tmp_path, command, key, value)
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: /reference/{where}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "geometry"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("semispray", ["1e200*1e200", "u1^2"]),
+            ("connection", [["u2", "1e200*1e200"], ["0", "0"]]),
+            (
+                "curvature",
+                [{"alpha": 1, "beta": 2, "gamma": 1, "expr": "1e200*1e200-1e200*1e200"}],
+            ),
+        ],
+    )
+    def test_deviation_that_is_not_finite_fails_in_one_line(
+        self, tmp_path, capsys, command, key, value
+    ):
+        code, out = self.run(tmp_path, command, key, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"check failed: reference {key} deviation is not finite at (x=[")
         assert err.count("\n") == 1
         assert not out.exists()
 

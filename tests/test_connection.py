@@ -20,7 +20,6 @@ from algmech.connection import (
     nabla_exprs,
     nabla_section,
     nabla_tensor,
-    structure_tensors,
     v_tensor,
 )
 from algmech.expr import parse_expression
@@ -28,7 +27,6 @@ from algmech.jets import EvalPoint
 from algmech.prolongation import (
     ProlongationSection,
     Semispray,
-    TensorBlock11,
     basis_sections,
     bracket_at,
     euler_section,
@@ -51,10 +49,35 @@ def sec(cfg, xs, vs):
     )
 
 
-def phi_block(R: np.ndarray) -> TensorBlock11:
+def phi_block(R: np.ndarray) -> np.ndarray:
+    """The Jacobi endomorphism as a (2m, 2m) matrix: X_b -> R_b^g V_g."""
     m = R.shape[0]
-    zero = np.zeros((m, m))
-    return TensorBlock11(xx=zero, xv=zero, vx=R.T.copy(), vv=zero)
+    out = np.zeros((2 * m, 2 * m))
+    out[m:, :m] = R.T
+    return out
+
+
+def apply(M: np.ndarray, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (2m, 2m) matrix applied to the component column (x, v)."""
+    out = M @ np.concatenate([x, v])
+    return out[: len(x)], out[len(x) :]
+
+
+def structure_tensors(Nv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, v, F) as (2m, 2m) matrices in closed form from the connection
+    coefficient values: the reference for the trees of ``h_tensor``,
+    ``v_tensor`` and ``f_tensor``."""
+    m = Nv.shape[0]
+    eye, zero = np.eye(m), np.zeros((m, m))
+    h = np.block([[eye, zero], [-Nv.T, zero]])
+    v = np.block([[zero, zero], [Nv.T, eye]])
+    F = np.block([[Nv.T, eye], [-(Nv @ Nv).T - eye, -Nv.T]])
+    return h, v, F
+
+
+def tree_structure_tensors(alg, N: Connection, ev) -> tuple[np.ndarray, ...]:
+    """(h, v, F) at the evaluator's point, read from their trees."""
+    return tuple(alg.derived(t, N).at(ev) for t in (h_tensor, v_tensor, f_tensor))
 
 
 def arbitrary_connection(cfg) -> Connection:
@@ -301,9 +324,7 @@ class TestStructureTensors:
             eye = np.eye(2 * m)
             for N in (cfg.connection(), arbitrary_connection(cfg)):
                 for p in pts(cfg, 50, seed=53):
-                    Nv = N.at(cfg.algebroid.evaluator(p))
-                    h, v, F = structure_tensors(Nv)
-                    H, V = h.matrix, v.matrix
+                    H, V, _ = tree_structure_tensors(cfg.algebroid, N, cfg.algebroid.evaluator(p))
                     assert np.max(np.abs(H @ H - H)) <= 1e-10
                     assert np.max(np.abs(V @ V - V)) <= 1e-10
                     assert np.max(np.abs(H @ V)) <= 1e-10
@@ -315,21 +336,19 @@ class TestStructureTensors:
             m = cfg.algebroid.m
             for N in (cfg.connection(), arbitrary_connection(cfg)):
                 for p in pts(cfg, 50, seed=59):
-                    _, _, F = structure_tensors(N.at(cfg.algebroid.evaluator(p)))
-                    assert np.max(np.abs(F.matrix @ F.matrix + np.eye(2 * m))) <= 1e-10
+                    _, _, F = tree_structure_tensors(cfg.algebroid, N, cfg.algebroid.evaluator(p))
+                    assert np.max(np.abs(F @ F + np.eye(2 * m))) <= 1e-10
 
     def test_compositions_with_vertical_endomorphism(self, driftless):
-        m = 2
-        J = TensorBlock11(
-            xx=np.zeros((m, m)), xv=np.zeros((m, m)), vx=np.eye(m), vv=np.zeros((m, m))
-        ).matrix
+        alg, N = driftless.algebroid, driftless.connection()
         for p in pts(driftless, 20, seed=61):
-            Nv = driftless.connection().at(driftless.algebroid.evaluator(p))
-            h, v, F = structure_tensors(Nv)
-            assert np.max(np.abs(F.matrix @ J - h.matrix)) <= 1e-12
-            assert np.max(np.abs(J @ F.matrix - v.matrix)) <= 1e-12
-            assert np.max(np.abs(v.matrix @ F.matrix + J)) <= 1e-12
-            assert np.max(np.abs(h.matrix @ F.matrix - (F.matrix + J))) <= 1e-12
+            ev = alg.evaluator(p)
+            J = j_tensor(alg.m).at(ev)
+            h, v, F = tree_structure_tensors(alg, N, ev)
+            assert np.max(np.abs(F @ J - h)) <= 1e-12
+            assert np.max(np.abs(J @ F - v)) <= 1e-12
+            assert np.max(np.abs(v @ F + J)) <= 1e-12
+            assert np.max(np.abs(h @ F - (F + J))) <= 1e-12
 
     def test_expression_backed_tensors_match_pointwise(self, driftless):
         alg = driftless.algebroid
@@ -337,9 +356,9 @@ class TestStructureTensors:
         for p in pts(driftless, 10, seed=67):
             ev = alg.evaluator(p)
             h, v, F = structure_tensors(N.at(ev))
-            assert np.max(np.abs(h_tensor(alg, N).at(ev).matrix - h.matrix)) == 0.0
-            assert np.max(np.abs(v_tensor(alg, N).at(ev).matrix - v.matrix)) == 0.0
-            assert np.max(np.abs(f_tensor(alg, N).at(ev).matrix - F.matrix)) <= 1e-15
+            assert np.max(np.abs(h_tensor(alg, N).at(ev) - h)) == 0.0
+            assert np.max(np.abs(v_tensor(alg, N).at(ev) - v)) == 0.0
+            assert np.max(np.abs(f_tensor(alg, N).at(ev) - F)) <= 1e-15
 
 
 class TestNabla:
@@ -386,7 +405,7 @@ class TestNabla:
             N = cfg.connection()
             for p in pts(cfg, 50, seed=73):
                 out = nabla_tensor(alg, S, N, j_tensor(alg.m), p)
-                assert np.max(np.abs(out.matrix)) <= 1e-9
+                assert np.max(np.abs(out)) <= 1e-9
 
     def test_nabla_j_formula_for_arbitrary_connection(self, driftless):
         alg = driftless.algebroid
@@ -404,10 +423,11 @@ class TestNabla:
                     dS = ev.jet(S.components[b]).grad[alg.n + a]
                     twist = float(np.einsum("e,e->", y, L[a, :, b]))
                     expected_vx[b, a] = -(dS - twist + 2.0 * Nv[a, b])
-            assert np.max(np.abs(out.vx - expected_vx)) <= 1e-9
-            assert np.max(np.abs(out.xx)) <= 1e-9
-            assert np.max(np.abs(out.xv)) <= 1e-9
-            assert np.max(np.abs(out.vv)) <= 1e-9
+            m = alg.m
+            assert np.max(np.abs(out[m:, :m] - expected_vx)) <= 1e-9
+            assert np.max(np.abs(out[:m, :m])) <= 1e-9
+            assert np.max(np.abs(out[:m, m:])) <= 1e-9
+            assert np.max(np.abs(out[m:, m:])) <= 1e-9
 
     def test_nabla_h_and_v_vanish_for_any_connection(self, all_systems):
         for cfg in all_systems:
@@ -417,8 +437,8 @@ class TestNabla:
                 for p in pts(cfg, 15, seed=83):
                     nh = nabla_tensor(alg, S, N, h_tensor(alg, N), p)
                     nv = nabla_tensor(alg, S, N, v_tensor(alg, N), p)
-                    assert np.max(np.abs(nh.matrix)) <= 1e-9
-                    assert np.max(np.abs(nv.matrix)) <= 1e-9
+                    assert np.max(np.abs(nh)) <= 1e-9
+                    assert np.max(np.abs(nv)) <= 1e-9
 
     def test_nabla_f_vanishes_canonically(self, all_systems):
         for cfg in all_systems:
@@ -427,7 +447,7 @@ class TestNabla:
             N = cfg.connection()
             for p in pts(cfg, 15, seed=89):
                 out = nabla_tensor(alg, S, N, f_tensor(alg, N), p)
-                assert np.max(np.abs(out.matrix)) <= 1e-9
+                assert np.max(np.abs(out)) <= 1e-9
 
     def test_decomposition(self, all_systems):
         """nabla A = [S, A] + F(A) + J(A) - Phi(A) on expression-backed sections."""
@@ -440,14 +460,13 @@ class TestNabla:
                 nA = nabla_exprs(alg, S, N, A)
                 for p in pts(cfg, 10, seed=91):
                     ev = alg.evaluator(p)
-                    Nv = N.at(ev)
-                    _, _, F = structure_tensors(Nv)
+                    _, _, F = tree_structure_tensors(alg, N, ev)
                     R2 = jacobi_endomorphism(alg, S, N, p)
                     ax, av = A.values_at(ev)
                     lx, lv = bracket_at(alg, Ssec, A, ev)
-                    fx, fv = F.apply(ax, av)
+                    fx, fv = apply(F, ax, av)
                     jx, jv = np.zeros(alg.m), ax
-                    px, pv = phi_block(R2).apply(ax, av)
+                    px, pv = apply(phi_block(R2), ax, av)
                     wx, wv = nA.values_at(ev)
                     assert np.max(np.abs(wx - (lx + fx + jx - px))) <= 1e-8
                     assert np.max(np.abs(wv - (lv + fv + jv - pv))) <= 1e-8
@@ -471,21 +490,20 @@ class TestNabla:
         for N in (driftless.connection(), arbitrary_connection(driftless)):
             for p in pts(driftless, 10, seed=95):
                 ev = alg.evaluator(p)
-                Nv = N.at(ev)
-                h, v, _ = structure_tensors(Nv)
+                h, v, _ = tree_structure_tensors(alg, N, ev)
                 cols_h = []
                 cols_j = []
                 for k, B in enumerate(basis_sections(alg.m)):
                     jB = j_tensor(alg.m).apply(B)
                     bx, bv = bracket_at(alg, Ssec, jB, ev)
-                    cols_h.append(np.concatenate(h.apply(bx, bv)))
+                    cols_h.append(np.concatenate(apply(h, bx, bv)))
                     vB = v_tensor(alg, N).apply(B)
                     cx, cv = bracket_at(alg, Ssec, vB, ev)
                     cols_j.append(np.concatenate([np.zeros(alg.m), cx]))
                 got_h = np.stack(cols_h, axis=1)
                 got_j = np.stack(cols_j, axis=1)
-                assert np.max(np.abs(got_h + h.matrix)) <= 1e-9
-                assert np.max(np.abs(got_j + v.matrix)) <= 1e-9
+                assert np.max(np.abs(got_h + h)) <= 1e-9
+                assert np.max(np.abs(got_j + v)) <= 1e-9
 
 
 class TestBerwaldConnection:

@@ -8,17 +8,20 @@ from ``perfbench/synth.py`` at sample seed 20261018 and kept as plain JSON, so
 a change to the generator cannot move them).  These pin the m >= 4 semispray
 and connection trees, which the fixtures (m <= 3) never reach.  A change that
 moves any reported number fails here.  If the move is intended, re-baseline:
-write each report again into a scratch file (the fixtures come from
-``algmech example <name>``), run ``python tools/numdiff.py OLD NEW`` on the
-committed file and the new one, put its table of changed numbers in
-CHANGES.md, and only then replace the committed file.  For example::
+keep a copy of the committed goldens, write every report golden again with
+this module's ``__main__``, and run ``tools/numdiff.py`` on each old and new
+file; put its table of changed numbers in CHANGES.md::
 
-    PYTHONPATH=src python -m algmech.cli report --config tests/golden/dense-4.json \
-        --format json > /tmp/report-dense-4.json
-    python tools/numdiff.py tests/golden/report-dense-4.json /tmp/report-dense-4.json
+    cp -r tests/golden /tmp/golden.old
+    PYTHONPATH=src python tests/test_golden.py
+    for f in tests/golden/report-*.json; do
+        python tools/numdiff.py /tmp/golden.old/${f##*/} $f
+    done
 """
 
 import json
+import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -27,31 +30,40 @@ import pytest
 from algmech.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = ("driftless", "abelian", "heisenberg")
+SYNTHETIC = ("dense-4", "diag-8")
+
+
+def report_argv(tmp_path: Path, name: str, seed: str | None = None) -> tuple[list[str], Path]:
+    """The ``report`` arguments of one report golden and the golden's path:
+    a fixture (written into ``tmp_path``) at seed ``"default"`` or ``"7"``,
+    or a synthetic system (``seed`` None)."""
+    if seed is None:
+        config, golden = GOLDEN / f"{name}.json", GOLDEN / f"report-{name}.json"
+    else:
+        config, golden = tmp_path / f"{name}.json", GOLDEN / f"report-{name}-{seed}.json"
+        config.write_bytes(
+            resources.files("algmech").joinpath(f"fixtures/{name}.json").read_bytes()
+        )
+    argv = ["report", "--config", str(config), "--format", "json"]
+    if seed not in (None, "default"):
+        argv += ["--seed", seed]
+    return argv, golden
 
 
 @pytest.mark.parametrize("seed", ["default", "7"])
-@pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg"])
+@pytest.mark.parametrize("name", FIXTURES)
 def test_report_matches_golden(tmp_path, capsys, name, seed):
-    config = tmp_path / f"{name}.json"
-    config.write_bytes(
-        resources.files("algmech").joinpath(f"fixtures/{name}.json").read_bytes()
-    )
-    argv = ["report", "--config", str(config), "--format", "json"]
-    if seed != "default":
-        argv += ["--seed", seed]
+    argv, golden = report_argv(tmp_path, name, seed)
     assert main(argv) == 0
-    got = capsys.readouterr().out
-    want = (GOLDEN / f"report-{name}-{seed}.json").read_text()
-    assert got == want
+    assert capsys.readouterr().out == golden.read_text()
 
 
-@pytest.mark.parametrize("name", ["dense-4", "diag-8"])
-def test_synthetic_report_matches_golden(capsys, name):
-    argv = ["report", "--config", str(GOLDEN / f"{name}.json"), "--format", "json"]
+@pytest.mark.parametrize("name", SYNTHETIC)
+def test_synthetic_report_matches_golden(tmp_path, capsys, name):
+    argv, golden = report_argv(tmp_path, name)
     assert main(argv) == 0
-    got = capsys.readouterr().out
-    want = (GOLDEN / f"report-{name}.json").read_text()
-    assert got == want
+    assert capsys.readouterr().out == golden.read_text()
 
 
 # -- integrate: the RK4 trajectory, pinned byte for byte ----------------------
@@ -110,3 +122,13 @@ def test_integrate_abort_matches_golden(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert csv_text == (GOLDEN / "integrate-abort.csv").read_text()
     assert err == (GOLDEN / "integrate-abort.stderr").read_text()
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(n, s) for n in FIXTURES for s in ("default", "7")]
+        for name, seed in runs + [(n, None) for n in SYNTHETIC]:
+            argv, golden = report_argv(Path(tmp), name, seed)
+            if main([*argv, "--output", str(golden)]) != 0:
+                sys.exit(f"report {name} at seed {seed} did not pass")
+            print(f"wrote {golden}")

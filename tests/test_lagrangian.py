@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from algmech.config import load_config, parse_config
 from algmech.errors import IntegrationAbortError, SingularMetricError
 from algmech.expr import parse_expression
 from algmech.jets import EvalPoint, PointEvaluator
@@ -20,7 +22,10 @@ from algmech.lagrangian import (
     symplectic_residual,
 )
 from algmech.prolongation import ProlongationSection, Semispray, basis_sections, bracket_at
+from algmech.report import run_validation
 from algmech.sampling import sample_points
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 P0 = EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])
 
@@ -35,21 +40,70 @@ def define(cfg, src):
 
 class TestFiberMetric:
     def test_quadratic_controls_give_identity(self, driftless):
-        g, ginv, cond = fiber_metric(driftless.lagrangian, P0)
-        assert np.array_equal(g, np.eye(2))
-        assert np.array_equal(ginv, np.eye(2))
-        assert cond == pytest.approx(1.0)
+        g, ginv, cond = fiber_metric(driftless.lagrangian, [P0])
+        assert np.array_equal(g, [np.eye(2)])
+        assert np.array_equal(ginv, [np.eye(2)])
+        assert cond == pytest.approx([1.0])
 
     def test_cross_term(self, driftless):
         L = define(driftless, "0.5*u1*u2")
-        g, ginv, _ = fiber_metric(L, P0)
-        assert np.allclose(g, [[0.0, 0.5], [0.5, 0.0]], atol=0)
+        g, ginv, _ = fiber_metric(L, [P0])
+        assert np.allclose(g, [[[0.0, 0.5], [0.5, 0.0]]], atol=0)
         assert np.max(np.abs(g @ ginv - np.eye(2))) <= 1e-12
 
     def test_linear_is_singular(self, driftless):
         L = define(driftless, "u1")
         with pytest.raises(SingularMetricError):
-            fiber_metric(L, P0)
+            fiber_metric(L, [P0])
+
+    def test_trees_give_the_hessian_bits(self, all_systems):
+        """The metric trees over the batch against the Hessian jet of L, and
+        the stacked inverse and condition number against the per-sample
+        calls, bit for bit."""
+        from test_pinned_library import POINTS, RAW
+
+        configs = [*all_systems, parse_config(RAW)]
+        configs += [load_config(GOLDEN / f"{name}.json") for name in ("dense-4", "diag-8")]
+        for cfg in configs:
+            alg, L = cfg.algebroid, cfg.lagrangian
+            samples = cfg.sample_points() + (list(POINTS) if alg.m == 3 else [])
+            g, ginv, cond = fiber_metric(L, samples)
+            eye = np.eye(alg.m)
+            for k, p in enumerate(samples):
+                hess = PointEvaluator(alg.coords, p.values()).jet(L.expr).hess[alg.n :, alg.n :]
+                inv = np.linalg.inv(hess)
+                if np.max(np.abs(hess @ inv - eye)) > 1e-12:
+                    inv = inv @ (2.0 * eye - hess @ inv)
+                assert g[k].tobytes() == hess.tobytes(), (cfg.name, k)
+                assert ginv[k].tobytes() == inv.tobytes(), (cfg.name, k)
+                assert cond[k] == np.linalg.cond(hess), (cfg.name, k)
+
+    def test_names_the_first_singular_sample(self):
+        """Only the third sample is singular: the error names it, and the
+        report's worst condition is that of the two samples before it."""
+        cfg = parse_config(
+            {
+                "name": "strip",
+                "base_dim": 1,
+                "fiber_rank": 2,
+                "base_coords": ["x"],
+                "fiber_coords": ["y1", "y2"],
+                "anchor": [["1", "0"]],
+                "lagrangian": "0.5*(y1^2+x^2*y2^2)",
+            }
+        )
+        samples = [EvalPoint.of([x], [1.0, 1.0]) for x in (2.0, 3.0, 0.0, 5.0)]
+        with pytest.raises(SingularMetricError) as caught:
+            fiber_metric(cfg.lagrangian, samples)
+        err = caught.value
+        assert (err.point, err.index) == (samples[2], 2)
+        assert str(err).startswith(f"singular fiber metric at {samples[2]} (det = ")
+        metric = run_validation(cfg, samples, 1e-9)["metric"]
+        assert metric == {
+            "regular": False,
+            "worst_condition": pytest.approx(9.0, rel=1e-14),
+            "detail": str(err),
+        }
 
 
 class TestCanonicalSemispray:
@@ -185,8 +239,8 @@ class TestCartanSections:
     def test_metric_block_identity(self, all_systems):
         for cfg in all_systems:
             alg, L = cfg.algebroid, cfg.lagrangian
-            for p in pts(cfg, 10, seed=3):
-                g, _, _ = fiber_metric(L, p)
+            samples = pts(cfg, 10, seed=3)
+            for p, g in zip(samples, fiber_metric(L, samples)[0]):
                 for a in range(alg.m):
                     for b in range(alg.m):
                         Va = ProlongationSection.basis_v(alg.m, a)

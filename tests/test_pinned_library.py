@@ -146,11 +146,11 @@ def compute() -> dict:
                     "S,B": _arrays(curvature_apply(alg, N, Ssec, B, p)),
                 },
                 "nabla_tensor": {
-                    k: _arrays(nabla_tensor(alg, S, N, T, p).matrix)
+                    k: _arrays(nabla_tensor(alg, S, N, T, p))
                     for k, T in tensors.items()
                 },
                 "lie_derivative_tensor": {
-                    k: _arrays(lie_derivative_tensor(alg, Ssec, T, p).matrix)
+                    k: _arrays(lie_derivative_tensor(alg, Ssec, T, p))
                     for k, T in tensors.items()
                 },
                 "invariant_equation_residual": _arrays(

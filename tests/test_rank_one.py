@@ -43,9 +43,9 @@ def test_validates(line):
 
 def test_metric_and_field(line):
     S = line.semispray()
-    for p in line.sample_points(count=10):
+    samples = line.sample_points(count=10)
+    for p, g in zip(samples, fiber_metric(line.lagrangian, samples)[0]):
         q, w = p.x[0], p.y[0]
-        g, ginv, _ = fiber_metric(line.lagrangian, p)
         assert g[0, 0] == pytest.approx(1 + q * q, abs=1e-14)
         got = line.algebroid.evaluator(p).values_of(S.components)
         assert got[0] == pytest.approx(-q * w * w / (1 + q * q), rel=1e-13)

@@ -135,10 +135,19 @@ def test_one_evaluator_per_point(driftless, monkeypatch):
     assert alg.evaluator(p) is not made[0]
 
 
-def test_report_takes_second_order_jets_only_of_the_lagrangian(
-    tmp_path, capsys, monkeypatch
-):
-    # the walker recurses internally, so jet() sees top-level requests only
+def test_point_arrays_are_read_only(driftless):
+    """A frame's arrays are the point's memo, which every later reader at
+    that point gets too."""
+    alg = driftless.algebroid
+    p = EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])
+    frame = geometry_frame(alg, driftless.semispray(), driftless.connection(), p)
+    for values in (frame.connection, frame.almost_complex):
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
+
+def test_report_takes_no_second_order_jet(tmp_path, capsys, monkeypatch):
+    # the fiber metric is read from the trees of L.metric_exprs over the batch
     asked = []
     real = PointEvaluator.jet
 
@@ -147,13 +156,10 @@ def test_report_takes_second_order_jets_only_of_the_lagrangian(
         return real(self, e)
 
     monkeypatch.setattr(PointEvaluator, "jet", recording)
-    path = fixture_file(tmp_path, "heisenberg")
-    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    L = algmech.config.load_config(path).lagrangian
-    assert asked, "the fiber metric reads the Hessian of L"
-    # every request is for the one tree of the report's Lagrangian
-    assert len({id(e) for e in asked}) == 1
-    assert asked[0] == L.expr
+    for name in ("driftless", "abelian", "heisenberg"):
+        path = fixture_file(tmp_path, name)
+        assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert asked == []
 
 
 def test_directional_derivative_of_a_constant_evaluates_nothing(driftless):
@@ -235,7 +241,7 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
     S, N = heisenberg.semispray(), heisenberg.connection()
     T = f_tensor(alg, N)
     p, q = heisenberg.sample_points(count=2)
-    first = nabla_tensor(alg, S, N, T, p).matrix
+    first = nabla_tensor(alg, S, N, T, p)
     built = []
 
     def counting(init):
@@ -247,7 +253,7 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
 
     for cls in (Num, Var, Neg, BinOp, Call):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-    second = nabla_tensor(alg, S, N, T, q).matrix
+    second = nabla_tensor(alg, S, N, T, q)
     assert built == []
     assert not np.array_equal(first, second)
     nabla_tensor(alg, S, N, f_tensor(alg, N), q)  # another tensor object: new trees

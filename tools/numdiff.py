@@ -17,9 +17,10 @@ sign is listed too, with a change of 0.
 Exit status as for diff(1): 0 when no number moved, 1 when some did, 2 when
 the two differ in anything but their numbers.
 
-This is the re-baselining tool for the golden files: regenerate a golden
-into a scratch file, run this on the committed file and the new one, and
-record the table with the change before replacing the committed file.
+This is the re-baselining tool for the golden files: keep a copy of the
+committed goldens, write them again (``python tests/test_golden.py`` and
+``python tests/test_pinned_library.py``, with ``PYTHONPATH=src``), run this
+on each copy and its new file, and record the tables with the change.
 """
 
 from __future__ import annotations
