@@ -79,7 +79,7 @@ class Algebroid:
     fiber_coords: tuple[str, ...]
     anchor: tuple[tuple[Expr, ...], ...]  # [i][a], entries in x only
     structure: tuple[tuple[tuple[Expr, ...], ...], ...]  # [a][b][c], in x only
-    # derivative memo: (id(node), name) -> (node, derivative), see derivative()
+    # derivative memo: name -> {id(node): (node, derivative)}, see derivative()
     _derivatives: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

@@ -275,9 +275,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("config error: expression nests too deeply", file=sys.stderr)
-        return 2
     except AlgmechError as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1

@@ -13,6 +13,12 @@ so ``^`` binds tighter than unary minus and is right-associative, and
 ``-x^2`` means ``-(x^2)``.  Trees are immutable; identical sub-objects may be
 shared freely, which the evaluators exploit for memoisation.
 
+Every tree walk (printing, :func:`variables`, :func:`cached_derivative`, and
+each evaluation mode of :mod:`algmech.jets`) is one loop over :func:`postorder`,
+an explicit-stack post-order pruned by the caller's memo, with one rule per
+node kind chosen by the node's type.  The parser keeps explicit stacks too, so
+no depth of nesting is limited by Python's call stack.
+
 :data:`FUNCTIONS` is the one table of elementary functions (f, f', f'' and
 the derivative-tree rule); the parser, :func:`cached_derivative` and every
 evaluation mode of :class:`~algmech.jets.PointEvaluator` read it.
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import ExprSyntaxError, UnknownIdentifierError
 
@@ -44,6 +50,7 @@ __all__ = [
     "Call",
     "FUNCTIONS",
     "parse_expression",
+    "postorder",
     "to_source",
     "variables",
     "literal_value",
@@ -122,8 +129,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             tokens.append(("num", mo.group(), i))
             i = mo.end()
             continue
-        if ch.isalpha() or ch == "_":
-            mo = _IDENT_RE.match(source, i)
+        mo = _IDENT_RE.match(source, i)  # ASCII only: other letters are unexpected
+        if mo is not None:
             tokens.append(("ident", mo.group(), i))
             i = mo.end()
             continue
@@ -136,86 +143,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, source: str, coords: frozenset[str]):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.coords = coords
-
-    def _peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def _take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _fail(self, message: str, index: int):
-        raise ExprSyntaxError(message, _byte_offset(self.source, index))
-
-    def parse(self) -> Expr:
-        kind, _, index = self._peek()
-        if kind == "end":
-            self._fail("empty expression", index)
-        node = self.expr()
-        kind, text, index = self._peek()
-        if kind != "end":
-            self._fail(f"unexpected trailing input {text!r}", index)
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self._peek()[0] in ("+", "-"):
-            op = self._take()[0]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self._peek()[0] in ("*", "/"):
-            op = self._take()[0]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        if self._peek()[0] == "-":
-            self._take()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self._peek()[0] == "^":
-            self._take()
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, index = self._take()
-        if kind == "num":
-            value = float(text)
-            if value != value or value in (float("inf"), float("-inf")):
-                self._fail("numeric literal overflows a double", index)
-            return Num(value)
-        if kind == "ident":
-            if text in FUNCTIONS and self._peek()[0] == "(":
-                self._take()
-                inner = self.expr()
-                k, t, i = self._take()
-                if k != ")":
-                    self._fail(f"expected ')' after argument of {text}", i)
-                return Call(text, inner)
-            if text not in self.coords:
-                raise UnknownIdentifierError(text, _byte_offset(self.source, index))
-            return Var(text)
-        if kind == "(":
-            inner = self.expr()
-            k, t, i = self._take()
-            if k != ")":
-                self._fail("expected ')'", i)
-            return inner
-        self._fail(f"unexpected token {text!r}" if text else "unexpected end of input", index)
+# binding powers; "neg" is unary minus, and ^ alone is right-associative
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def parse_expression(source: str, coords: Sequence[str]) -> Expr:
@@ -225,46 +154,115 @@ def parse_expression(source: str, coords: Sequence[str]) -> Expr:
     :class:`UnknownIdentifierError` if an identifier is not a declared
     coordinate (the names in :data:`FUNCTIONS` are reserved when followed by
     ``(``).
+
+    Precedence climbing over two explicit stacks, the finished operands and
+    the pending operators and open groups, so any nesting depth parses; the
+    tree is the one the grammar above derives, operators of equal precedence
+    grouped left to right (``^`` right to left).
     """
-    return _Parser(source, frozenset(coords)).parse()
+    known = frozenset(coords)
+    tokens = _tokenize(source)
+
+    def fail(message: str, index: int):
+        raise ExprSyntaxError(message, _byte_offset(source, index))
+
+    def reduce(limit: int) -> None:
+        while pending and _PREC.get(pending[-1], 0) >= limit:
+            op = pending.pop()
+            if op == "neg":
+                operands[-1] = Neg(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = BinOp(op, operands[-1], right)
+
+    if tokens[0][0] == "end":
+        fail("empty expression", tokens[0][2])
+    operands: list[Expr] = []
+    pending: list[str] = []  # operators, "neg", and open groups: "(" or a function name
+    pos = 0
+    while True:  # operand position: unary minus, an open group, or an atom
+        kind, text, index = tokens[pos]
+        pos += 1
+        if kind in ("-", "("):
+            pending.append("neg" if kind == "-" else "(")
+            continue
+        if kind == "ident" and text in FUNCTIONS and tokens[pos][0] == "(":
+            pending.append(text)
+            pos += 1
+            continue
+        if kind == "num":
+            value = float(text)
+            if value != value or value in (float("inf"), float("-inf")):
+                fail("numeric literal overflows a double", index)
+            operands.append(Num(value))
+        elif kind == "ident":
+            if text not in known:
+                raise UnknownIdentifierError(text, _byte_offset(source, index))
+            operands.append(Var(text))
+        else:
+            fail(f"unexpected token {text!r}" if text else "unexpected end of input", index)
+        while True:  # operator position: a binary operator, a ")", or the end
+            kind, text, index = tokens[pos]
+            pos += 1
+            prec = _PREC.get(kind)
+            if prec is not None:
+                reduce(prec + 1 if kind == "^" else prec)
+                pending.append(kind)
+                break
+            reduce(1)
+            if not pending:
+                if kind != "end":
+                    fail(f"unexpected trailing input {text!r}", index)
+                return operands[0]
+            group = pending.pop()
+            if kind != ")":
+                after = "" if group == "(" else f" after argument of {group}"
+                fail(f"expected ')'{after}", index)
+            if group != "(":
+                operands[-1] = Call(group, operands[-1])
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Traversal and printing
 # ---------------------------------------------------------------------------
 
-# Precedence: + - (1), * / (2), unary - (3), ^ (4), atoms (9).  A node is
-# parenthesized when its precedence is below what the position requires.
+_EXIT = object()  # stack marker: the node below it has had its children walked
 
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}[e.op]
-    if isinstance(e, Neg):
-        return 3
-    if isinstance(e, Num) and e.value < 0:
-        return 3  # prints with a leading minus
-    return 9
+def postorder(root: Expr, done: Container[int]) -> Iterator[Expr]:
+    """Every node under ``root`` whose ``id`` is not in ``done``, children
+    before parents and the left child first, from an explicit stack.
+
+    ``done`` is the caller's memo, read lazily: a node is skipped, with its
+    subtree, if its id is in ``done`` when the walk reaches it, so a caller
+    that records each node it is handed sees each shared node once, and one
+    that records nothing (``done=()``) sees every occurrence.
+    """
+    stack = [root]
+    pop = stack.pop
+    while stack:
+        e = pop()
+        if e is _EXIT:
+            yield pop()
+        elif id(e) not in done:
+            t = type(e)
+            if t is BinOp:
+                stack += (e, _EXIT, e.right, e.left)
+            elif t is Neg or t is Call:
+                stack += (e, _EXIT, e.operand)
+            else:
+                yield e
 
 
-def _fmt(e: Expr, ctx: int) -> str:
-    if isinstance(e, Num):
-        s = repr(e.value)
-    elif isinstance(e, Var):
-        s = e.name
-    elif isinstance(e, Neg):
-        s = "-" + _fmt(e.operand, 3)
-    elif isinstance(e, Call):
-        return f"{e.func}({_fmt(e.operand, 0)})"
-    elif e.op == "^":
-        s = _fmt(e.left, 9) + "^" + _fmt(e.right, 3)
-    elif e.op in "*/":
-        s = _fmt(e.left, 2) + e.op + _fmt(e.right, 3)
-    else:
-        s = _fmt(e.left, 1) + e.op + _fmt(e.right, 2)
-    if _prec(e) < ctx:
-        return "(" + s + ")"
-    return s
+# A printed operand is parenthesized when its precedence (``_PREC``, 9 for an
+# atom) is below what its position requires: the (left, right) minimum of
+# each binary operator.
+_OPERAND_PREC = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (9, 3)}
+
+
+def _wrapped(part: tuple[str, int], ctx: int) -> str:
+    text, prec = part
+    return "(" + text + ")" if prec < ctx else text
 
 
 def to_source(e: Expr) -> str:
@@ -273,18 +271,31 @@ def to_source(e: Expr) -> str:
     (For parsed trees this is exact; folded constants may print a negative
     literal, which re-parses as a unary minus of equal value.)
     """
-    return _fmt(e, 0)
+    parts: list[tuple[str, int]] = []  # (source, precedence) of the pending operands
+    for n in postorder(e, ()):
+        t = type(n)
+        if t is BinOp:
+            right = parts.pop()
+            lc, rc = _OPERAND_PREC[n.op]
+            text = _wrapped(parts[-1], lc) + n.op + _wrapped(right, rc)
+            parts[-1] = (text, _PREC[n.op])
+        elif t is Num:
+            parts.append((repr(n.value), 3 if n.value < 0 else 9))  # -x prints like a unary minus
+        elif t is Var:
+            parts.append((n.name, 9))
+        elif t is Neg:
+            parts[-1] = ("-" + _wrapped(parts[-1], 3), 3)
+        else:
+            parts[-1] = (f"{n.func}({parts[-1][0]})", 9)
+    return parts[0][0]
 
 
 def variables(e: Expr) -> frozenset[str]:
     """All identifiers occurring in the tree."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, (Neg, Call)):
-        return variables(e.operand)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    return frozenset()
+    seen: dict[int, Expr] = {}
+    for n in postorder(e, seen):
+        seen[id(n)] = n
+    return frozenset(n.name for n in seen.values() if type(n) is Var)
 
 
 def literal_value(e: Expr) -> float | None:
@@ -410,42 +421,38 @@ def differentiate(e: Expr, name: str) -> Expr:
 def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
     """:func:`differentiate` through a caller-owned memo.
 
-    ``memo`` maps ``(id(node), name)`` to ``(node, derivative)``; the stored
-    node keeps its id from being reused while the entry lives.  An entry only
-    ever receives a structurally identical tree, so concurrent writers agree.
-    Leaves are answered without an entry.
+    ``memo`` maps ``name`` to the post-order's memo of that derivative:
+    ``id(node)`` to ``(node, derivative)``; the stored node keeps its id from
+    being reused while the entry lives.  An entry only ever receives a
+    structurally identical tree, so concurrent writers agree.
     """
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == name else ZERO
-    key = (id(e), name)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Neg):
-        r = e_neg(cached_derivative(e.operand, name, memo))
-    elif isinstance(e, Call):
-        r = FUNCTIONS[e.func].rule(e.operand, cached_derivative(e.operand, name, memo))
-    else:
-        da = cached_derivative(e.left, name, memo)
-        db = cached_derivative(e.right, name, memo)
-        if e.op == "+":
-            r = e_add(da, db)
-        elif e.op == "-":
-            r = e_sub(da, db)
-        elif e.op == "*":
-            r = e_add(e_mul(da, e.right), e_mul(e.left, db))
-        elif e.op == "/":
-            r = e_div(
-                e_sub(e_mul(da, e.right), e_mul(e.left, db)), e_mul(e.right, e.right)
-            )
-        elif (c := literal_value(e.right)) is not None:  # constant exponent
-            r = e_mul(e_mul(e.right, e_pow(e.left, Num(c - 1.0))), da)
-        else:  # general exponent: a^b * (db*ln(a) + b*da/a)
-            r = e_mul(
-                e,
-                e_add(e_mul(db, Call("ln", e.left)), e_div(e_mul(e.right, da), e.left)),
-            )
-    memo[key] = (e, r)
-    return r
+    done = memo.setdefault(name, {})
+    for n in postorder(e, done):
+        t = type(n)
+        if t is BinOp:
+            da = done[id(n.left)][1]
+            db = done[id(n.right)][1]
+            op = n.op
+            if op == "+":
+                r = e_add(da, db)
+            elif op == "-":
+                r = e_sub(da, db)
+            elif op == "*":
+                r = e_add(e_mul(da, n.right), e_mul(n.left, db))
+            elif op == "/":
+                r = e_div(e_sub(e_mul(da, n.right), e_mul(n.left, db)), e_mul(n.right, n.right))
+            elif (c := literal_value(n.right)) is not None:  # constant exponent
+                r = e_mul(e_mul(n.right, e_pow(n.left, Num(c - 1.0))), da)
+            else:  # general exponent: a^b * (db*ln(a) + b*da/a)
+                log_term = e_mul(db, Call("ln", n.left))
+                r = e_mul(n, e_add(log_term, e_div(e_mul(n.right, da), n.left)))
+        elif t is Var:
+            r = ONE if n.name == name else ZERO
+        elif t is Num:
+            r = ZERO
+        elif t is Neg:
+            r = e_neg(done[id(n.operand)][1])
+        else:
+            r = FUNCTIONS[n.func].rule(n.operand, done[id(n.operand)][1])
+        done[id(n)] = (n, r)
+    return done[id(e)][1]

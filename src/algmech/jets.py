@@ -10,15 +10,17 @@ same value and gradient bit for bit.
 
 :class:`PointEvaluator` evaluates trees at a fixed point as floats
 (``value``), first-order jets (``jet1``) or second-order jets (``jet``),
-memoising each per node object so shared subtrees are visited once.  The
+memoising each per node object so shared subtrees are visited once.  Every
+mode, of this evaluator and of the two below, is one loop over
+:func:`~algmech.expr.postorder` with the mode's rule per node kind, reading
+a node's operands from its memo, so a tree of any depth evaluates.  The
 symmetry, bracket, connection and validation checks are first order in their
-component functions and take ``jet1``, and the fiber metric is read from
-its own trees (``Lagrangian.metric_exprs``); only the Euler-Lagrange residual
-reads a Hessian and calls ``jet``, which stays second order as the public
-way to get one.  A jet's
-value can differ from ``value`` in the last bit (``a/b`` is ``a * (1/b)`` in
-jet arithmetic), so callers comparing a value with a gradient read both from
-one jet.
+component functions and take ``jet1``, and the fiber metric is read from its
+own trees (``Lagrangian.metric_exprs``); only the Euler-Lagrange residual
+reads a Hessian and calls ``jet``, which stays second order as the public way
+to get one.  A jet's value can differ from ``value`` in the last bit (``a/b``
+is ``a * (1/b)`` in jet arithmetic), so callers comparing a value with a
+gradient read both from one jet.
 
 A system hands out one evaluator per point
 (:meth:`~algmech.algebroid.Algebroid.evaluator`), so every tensor computed at
@@ -60,7 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EvaluationDomainError
-from .expr import FUNCTIONS, BinOp, Call, Expr, Neg, Num, Var, literal_value
+from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Var, literal_value, postorder
 
 __all__ = [
     "Jet2", "EvalPoint", "PointEvaluator", "SampleEvaluator", "SampleJet", "ValueKernel",
@@ -229,47 +231,45 @@ class PointEvaluator:
 
     def value(self, e: Expr) -> float:
         memo = self._floats
-        key = id(e)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if isinstance(e, Num):
-            r = e.value
-        elif isinstance(e, Var):
-            r = self.values[self.index[e.name]]
-        elif isinstance(e, Neg):
-            r = -self.value(e.operand)
-        elif isinstance(e, Call):
-            v = self.value(e.operand)
-            try:
-                r = FUNCTIONS[e.func].f(v)
-            except _MATH_ERRORS as err:
-                raise _domain_error(e.func, repr(v), e, err) from err
-        else:
-            a = self.value(e.left)
-            b = self.value(e.right)
-            op = e.op
-            if op == "+":
-                r = a + b
-            elif op == "-":
-                r = a - b
-            elif op == "*":
-                r = a * b
-            elif op == "/":
-                if b == 0.0:
-                    raise EvaluationDomainError("division by zero", e)
-                r = a / b
+        if id(e) in memo:
+            return memo[id(e)][1]
+        values, index = self.values, self.index
+        for n in postorder(e, memo):
+            t = type(n)
+            if t is BinOp:
+                a = memo[id(n.left)][1]
+                b = memo[id(n.right)][1]
+                op = n.op
+                if op == "+":
+                    r = a + b
+                elif op == "-":
+                    r = a - b
+                elif op == "*":
+                    r = a * b
+                elif op == "/":
+                    if b == 0.0:
+                        raise EvaluationDomainError("division by zero", n)
+                    r = a / b
+                else:
+                    k = _power_exponent(a, n)
+                    try:
+                        r = _power(a, b, k)
+                    except _MATH_ERRORS as err:
+                        raise _domain_error("power", f"base {a!r}", n, err) from err
+            elif t is Num:
+                r = n.value
+            elif t is Var:
+                r = values[index[n.name]]
+            elif t is Neg:
+                r = -memo[id(n.operand)][1]
             else:
-                r = self._pow_float(a, b, e)
-        memo[key] = (e, r)
-        return r
-
-    def _pow_float(self, a: float, b: float, node: BinOp) -> float:
-        k = _power_exponent(a, node)
-        try:
-            return _power(a, b, k)
-        except _MATH_ERRORS as err:
-            raise _domain_error("power", f"base {a!r}", node, err) from err
+                v = memo[id(n.operand)][1]
+                try:
+                    r = FUNCTIONS[n.func].f(v)
+                except _MATH_ERRORS as err:
+                    raise _domain_error(n.func, repr(v), n, err) from err
+            memo[id(n)] = (n, r)
+        return memo[id(e)][1]
 
     def jet(self, e: Expr) -> Jet2:
         """Second-order jet of ``e``: value, gradient and Hessian."""
@@ -284,51 +284,52 @@ class PointEvaluator:
         return self.jet1(e).grad
 
     def _walk(self, e: Expr, memo: dict, second: bool) -> Jet2:
-        key = id(e)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if isinstance(e, Num):
-            r = Jet2.constant(e.value, self.k, second)
-        elif isinstance(e, Var):
-            i = self.index[e.name]
-            r = Jet2.coordinate(self.values[i], i, self.k, second)
-        elif isinstance(e, Neg):
-            r = -self._walk(e.operand, memo, second)
-        elif isinstance(e, Call):
-            a = self._walk(e.operand, memo, second)
-            fn, v = FUNCTIONS[e.func], a.value
-            try:
-                r = a.chain(fn.f(v), fn.d1(v), fn.d2(v) if second else 0.0)
-            except _MATH_ERRORS as err:
-                raise _domain_error(e.func, repr(v), e, err) from err
-        else:
-            op = e.op
-            if op == "^":
-                r = self._pow_jet(e, memo, second)
-            else:
-                a = self._walk(e.left, memo, second)
-                b = self._walk(e.right, memo, second)
-                if op == "+":
-                    r = a + b
-                elif op == "-":
-                    r = a - b
-                elif op == "*":
-                    r = a * b
+        if id(e) in memo:
+            return memo[id(e)][1]
+        for n in postorder(e, memo):
+            t = type(n)
+            if t is BinOp:
+                op = n.op
+                a = memo[id(n.left)][1]
+                if op == "^":
+                    r = self._pow_jet(n, a, memo)
                 else:
-                    if b.value == 0.0:
-                        raise EvaluationDomainError("division by zero", e)
-                    try:
-                        r = a / b
-                    except _MATH_ERRORS as err:
-                        raise _domain_error("division", f"divisor {b.value!r}", e, err) from err
-        memo[key] = (e, r)
-        return r
+                    b = memo[id(n.right)][1]
+                    if op == "+":
+                        r = a + b
+                    elif op == "-":
+                        r = a - b
+                    elif op == "*":
+                        r = a * b
+                    else:
+                        if b.value == 0.0:
+                            raise EvaluationDomainError("division by zero", n)
+                        try:
+                            r = a / b
+                        except _MATH_ERRORS as err:
+                            raise _domain_error("division", f"divisor {b.value!r}", n, err) from err
+            elif t is Num:
+                r = Jet2.constant(n.value, self.k, second)
+            elif t is Var:
+                i = self.index[n.name]
+                r = Jet2.coordinate(self.values[i], i, self.k, second)
+            elif t is Neg:
+                r = -memo[id(n.operand)][1]
+            else:
+                a = memo[id(n.operand)][1]
+                fn, v = FUNCTIONS[n.func], a.value
+                try:
+                    r = a.chain(fn.f(v), fn.d1(v), fn.d2(v) if second else 0.0)
+                except _MATH_ERRORS as err:
+                    raise _domain_error(n.func, repr(v), n, err) from err
+            memo[id(n)] = (n, r)
+        return memo[id(e)][1]
 
-    def _pow_jet(self, e: BinOp, memo: dict, second: bool) -> Jet2:
-        a = self._walk(e.left, memo, second)
+    @staticmethod
+    def _pow_jet(e: BinOp, a: Jet2, memo: dict) -> Jet2:
+        """The jet of ``e = a^b``, ``b`` read from the memo unless literal."""
         lit = literal_value(e.right)
-        b = None if lit is not None else self._walk(e.right, memo, second)
+        b = None if lit is not None else memo[id(e.right)][1]
         v = a.value
         c = lit if b is None else b.value
         k = _power_exponent(v, e)
@@ -477,79 +478,77 @@ class SampleEvaluator:
 
     def _value(self, e: Expr) -> np.ndarray:
         memo = self._floats
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1]
-        if isinstance(e, Num):
-            r = np.full(len(self.points), e.value)
-        elif isinstance(e, Var):
-            r = self.values[:, self.index[e.name]].copy()
-        elif isinstance(e, Neg):
-            r = -self._value(e.operand)
-        elif isinstance(e, Call):
-            r = _each(FUNCTIONS[e.func].f, self._value(e.operand))
-        else:
-            a = self._value(e.left)
-            b = self._value(e.right)
-            op = e.op
-            if op == "+":
-                r = a + b
-            elif op == "-":
-                r = a - b
-            elif op == "*":
-                r = a * b
-            elif op == "/":
-                r = a / _nonzero(b)
-            else:
-                k = _integer_exponent(e)
-                if k is None:
-                    r = _each(lambda v, c: _power(v, c, None), a, b)
+        for n in postorder(e, memo):
+            t = type(n)
+            if t is BinOp:
+                a = memo[id(n.left)][1]
+                b = memo[id(n.right)][1]
+                op = n.op
+                if op == "+":
+                    r = a + b
+                elif op == "-":
+                    r = a - b
+                elif op == "*":
+                    r = a * b
+                elif op == "/":
+                    r = a / _nonzero(b)
                 else:
-                    r = np.broadcast_to(_power(a, b, k), a.shape).copy()
-        r.flags.writeable = False
-        memo[id(e)] = (e, r)
-        return r
+                    k = _integer_exponent(n)
+                    if k is None:
+                        r = _each(lambda v, c: _power(v, c, None), a, b)
+                    else:
+                        r = np.broadcast_to(_power(a, b, k), a.shape).copy()
+            elif t is Num:
+                r = np.full(len(self.points), n.value)
+            elif t is Var:
+                r = self.values[:, self.index[n.name]].copy()
+            elif t is Neg:
+                r = -memo[id(n.operand)][1]
+            else:
+                r = _each(FUNCTIONS[n.func].f, memo[id(n.operand)][1])
+            r.flags.writeable = False
+            memo[id(n)] = (n, r)
+        return memo[id(e)][1]
 
     def _jet1(self, e: Expr) -> SampleJet:
         memo = self._jet1s
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1]
-        P = len(self.points)
-        if isinstance(e, Num):
-            r = SampleJet(np.full(P, e.value), np.zeros((P, self.k)))
-        elif isinstance(e, Var):
-            i = self.index[e.name]
-            r = SampleJet(self.values[:, i].copy(), np.zeros((P, self.k)))
-            r.grad[:, i] = 1.0
-        elif isinstance(e, Neg):
-            a = self._jet1(e.operand)
-            r = SampleJet(-a.value, -a.grad)
-        elif isinstance(e, Call):
-            a = self._jet1(e.operand)
-            fn = FUNCTIONS[e.func]
-            r = a.chain(_each(fn.f, a.value), _each(fn.d1, a.value))
-        elif e.op == "^":
-            r = self._pow_jet1(e)
-        else:
-            a = self._jet1(e.left)
-            b = self._jet1(e.right)
-            op = e.op
-            if op == "+":
-                r = SampleJet(a.value + b.value, a.grad + b.grad)
-            elif op == "-":
-                r = SampleJet(a.value - b.value, a.grad - b.grad)
-            elif op == "*":
-                r = a * b
+        P, k = len(self.points), self.k
+        for n in postorder(e, memo):
+            t = type(n)
+            if t is BinOp:
+                op = n.op
+                a = memo[id(n.left)][1]
+                if op == "^":
+                    r = self._pow_jet1(n, a, memo)
+                else:
+                    b = memo[id(n.right)][1]
+                    if op == "+":
+                        r = SampleJet(a.value + b.value, a.grad + b.grad)
+                    elif op == "-":
+                        r = SampleJet(a.value - b.value, a.grad - b.grad)
+                    elif op == "*":
+                        r = a * b
+                    else:
+                        r = a * b.reciprocal()
+            elif t is Num:
+                r = SampleJet(np.full(P, n.value), np.zeros((P, k)))
+            elif t is Var:
+                i = self.index[n.name]
+                r = SampleJet(self.values[:, i].copy(), np.zeros((P, k)))
+                r.grad[:, i] = 1.0
+            elif t is Neg:
+                a = memo[id(n.operand)][1]
+                r = SampleJet(-a.value, -a.grad)
             else:
-                r = a * b.reciprocal()
-        r.value.flags.writeable = r.grad.flags.writeable = False
-        memo[id(e)] = (e, r)
-        return r
+                a = memo[id(n.operand)][1]
+                fn = FUNCTIONS[n.func]
+                r = a.chain(_each(fn.f, a.value), _each(fn.d1, a.value))
+            r.value.flags.writeable = r.grad.flags.writeable = False
+            memo[id(n)] = (n, r)
+        return memo[id(e)][1]
 
-    def _pow_jet1(self, e: BinOp) -> SampleJet:
+    def _pow_jet1(self, e: BinOp, a: SampleJet, memo: dict) -> SampleJet:
         """:meth:`PointEvaluator._pow_jet` at first order, elementwise."""
-        a = self._jet1(e.left)
         lit = literal_value(e.right)
         v = a.value
         k = _integer_exponent(e)
@@ -561,7 +560,7 @@ class SampleEvaluator:
         if lit is not None:
             f0 = _each(lambda u: _power(u, lit, None), v)
             return a.chain(f0, lit * f0 / v)
-        b = self._jet1(e.right)
+        b = memo[id(e.right)][1]
         f0 = _each(lambda u, c: _power(u, c, None), v, b.value)
         ln = FUNCTIONS["ln"]  # a^b = exp(b ln a)
         return (b * a.chain(_each(ln.f, v), _each(ln.d1, v))).chain(f0, f0)
@@ -572,9 +571,9 @@ class ValueKernel:
     many points: ``kernel(values)`` returns one float per tree, for
     ``values`` in the order of ``names``.
 
-    The unique nodes the trees reach are lowered, in the post-order of
-    :meth:`PointEvaluator.value` and memoised by identity as it is, to one
-    straight-line function with one statement per node (Griewank & Walther,
+    The unique nodes the trees reach are lowered, in the post-order that
+    :meth:`PointEvaluator.value` walks and memoised by identity as it is, to
+    one straight-line function with one statement per node (Griewank & Walther,
     *Evaluating Derivatives*, 2nd ed., 2008, ch. 3).  Each statement is the
     walker's own float operation, so every value is the walker's bit for
     bit.  Constants are names bound in the function's globals, never printed.
@@ -592,33 +591,27 @@ class ValueKernel:
         env: dict = {"power": _power}
         slot: dict[int, str] = {}
         lines = ["def kernel(v):"]
-        stack = [(t, False) for t in reversed(self.trees)]
-        while stack:
-            e, expanded = stack.pop()
-            if id(e) in slot:
-                continue
-            if not expanded and not isinstance(e, (Num, Var)):
-                stack.append((e, True))
-                kids = (e.left, e.right) if isinstance(e, BinOp) else (e.operand,)
-                stack.extend((c, False) for c in reversed(kids))
-                continue
-            name = slot[id(e)] = f"_{len(slot)}"
-            if isinstance(e, Num):
-                rhs = f"c{name}"
-                env[rhs] = e.value
-            elif isinstance(e, Var):
-                rhs = f"v[{index[e.name]}]"
-            elif isinstance(e, Neg):
-                rhs = f"-{slot[id(e.operand)]}"
-            elif isinstance(e, Call):
-                env[f"f_{e.func}"] = FUNCTIONS[e.func].f
-                rhs = f"f_{e.func}({slot[id(e.operand)]})"
-            elif e.op == "^":
-                a, b = slot[id(e.left)], slot[id(e.right)]
-                rhs = f"power({a}, {b}, {_integer_exponent(e)!r})"
-            else:
-                rhs = f"{slot[id(e.left)]} {e.op} {slot[id(e.right)]}"
-            lines.append(f"    {name} = {rhs}")
+        for t in self.trees:
+            for e in postorder(t, slot):
+                name = slot[id(e)] = f"_{len(slot)}"
+                t = type(e)
+                if t is BinOp:
+                    a, b = slot[id(e.left)], slot[id(e.right)]
+                    if e.op == "^":
+                        rhs = f"power({a}, {b}, {_integer_exponent(e)!r})"
+                    else:
+                        rhs = f"{a} {e.op} {b}"
+                elif t is Num:
+                    rhs = f"c{name}"
+                    env[rhs] = e.value
+                elif t is Var:
+                    rhs = f"v[{index[e.name]}]"
+                elif t is Neg:
+                    rhs = f"-{slot[id(e.operand)]}"
+                else:
+                    env[f"f_{e.func}"] = FUNCTIONS[e.func].f
+                    rhs = f"f_{e.func}({slot[id(e.operand)]})"
+                lines.append(f"    {name} = {rhs}")
         lines.append(f"    return [{', '.join(slot[id(t)] for t in self.trees)}]")
         self.source = "\n".join(lines) + "\n"
         exec(compile(self.source, "<value kernel>", "exec"), env)

@@ -132,17 +132,19 @@ def fiber_metric(
     semispray is built from, read over the system's evaluator of the sample
     list; ``det``, ``inv`` and ``cond`` are stacked numpy calls, which give
     each sample the bits of the unstacked call.  At the first sample where
-    the metric is not finite or singular (by the relative determinant cutoff
+    the metric is not finite or singular (by the determinant cutoff on g / scale
     or by the inverse test after one Newton sweep), this raises
     :class:`EvaluationDomainError` or :class:`SingularMetricError` naming it.
     """
     alg = L.alg
     g = alg.sample_evaluator(samples).array(L.metric_exprs)
     finite = np.isfinite(g).all(axis=(1, 2))
-    # a float64 scale, so a cutoff that overflows reads inf: singular
+    # the cutoff is on the determinant of g / scale, which neither
+    # underflows nor overflows however small or large g is
     scale = np.max(np.abs(g), axis=(1, 2))
     det = np.linalg.det(g)
-    bad = ~finite | (scale == 0.0) | (np.abs(det) < _DET_RTOL * scale**alg.m)
+    unit_det = np.linalg.det(g / scale[:, None, None])
+    bad = ~finite | (scale == 0.0) | (np.abs(unit_det) < _DET_RTOL)
     k = int(np.argmax(bad)) if bad.any() else len(samples)
     eye = np.eye(alg.m)
     # inverted only before the first bad sample: a singular g makes inv raise

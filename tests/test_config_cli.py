@@ -388,6 +388,19 @@ class TestFiberMetric:
         assert metric["detail"].startswith("singular fiber metric at (x=[")
 
     @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_tiny_singular_metric_is_marked_singular(self, tmp_path, capsys, command):
+        # g = 2e-200 [[1, 1], [1, 1]]: exactly singular, and so small that a
+        # cutoff of 1e-10 * scale^2 underflows to 0; the cutoff on g / scale
+        # marks it singular, as for any other singular metric
+        code, out = self.run(tmp_path, command, "1e-200*(v1+v2)^2")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        metric = report.get("validation", report)["metric"]
+        assert metric["regular"] is False
+        assert metric["detail"].startswith("singular fiber metric at (x=[")
+
+    @pytest.mark.parametrize("command", ["validate", "report"])
     def test_metric_that_is_not_finite_fails_in_one_line(self, tmp_path, capsys, command):
         code, out = self.run(tmp_path, command, "0.5*1e300*1e300*v1^2+0.5*v2^2")
         assert code == 1
@@ -649,10 +662,25 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("command", ["validate", "report", "spray-check"])
     def test_deeply_nested_lagrangian(self, tmp_path, capsys, command):
-        terms = "+".join(f"{k % 7}*x1" for k in range(3000))
-        cfg = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=f"0.5*(u1^2+u2^2)+{terms}"))
-        message = self.usage_error(capsys, [command, "--config", str(cfg)])
-        assert message == "config error: expression nests too deeply"
+        """Sums and chains far deeper than Python's recursion limit are not a
+        usage error: every tree walk is iterative, so each run ends as any
+        other does (the linear potential makes the field no spray)."""
+        potentials = [
+            "+".join(f"{k % 7}*x1" for k in range(1_000)),
+            "+".join(f"{k % 7}*x1" for k in range(20_000)),
+            "sin(" * 5_000 + "x1" + ")" * 5_000,
+            "(" * 5_000 + "x1" + ")" * 5_000,
+            "-" * 5_000 + "x1",
+        ]
+        out = tmp_path / "out.json"
+        for potential in potentials:
+            lagrangian = f"0.5*(u1^2+u2^2)+{potential}"
+            cfg = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian))
+            out.unlink(missing_ok=True)
+            assert main([command, "--config", str(cfg), "--output", str(out)]) in (0, 1)
+            assert out.exists()
+            err = capsys.readouterr().err
+            assert err.count("\n") <= 1 and "Traceback" not in err
 
 
 _NUMBERS = st.one_of(

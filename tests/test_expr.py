@@ -12,6 +12,7 @@ from algmech.expr import (
     Var,
     differentiate,
     parse_expression,
+    postorder,
     to_source,
     variables,
 )
@@ -68,6 +69,11 @@ class TestGrammar:
         with pytest.raises(ExprSyntaxError) as exc:
             parse("u1**2")
         assert exc.value.offset == 3
+
+    def test_non_ascii_letter_rejected_with_offset(self):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse("x1+\u00e9")
+        assert str(exc.value) == "unexpected character '\u00e9' (at offset 3)"
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
@@ -170,3 +176,56 @@ class TestDifferentiate:
 
     def test_variables_listing(self):
         assert variables(parse("x1*sin(u2)+3")) == frozenset({"x1", "u2"})
+
+
+# -- trees far deeper than Python's recursion limit ---------------------------
+
+# a left-deep sum of 49,999 nodes, and 5,000 nested calls
+LONG_SUM = "+".join(f"{k % 7}*{('x1', 'x2', 'u1')[k % 3]}" for k in range(12_500))
+DEEP_CHAIN = "sin(cos(" * 2_500 + "x1" + "))" * 2_500
+
+
+def shape(tree):
+    """Every node in post-order as (kind, label): equal lists mean
+    structurally identical trees."""
+    label = {Num: "value", Var: "name", BinOp: "op", Call: "func"}
+    return [(type(n), getattr(n, label[type(n)]) if type(n) in label else None)
+            for n in postorder(tree, ())]
+
+
+@pytest.mark.parametrize("src,nodes", [(LONG_SUM, 49_999), (DEEP_CHAIN, 5_001)], ids=["sum", "chain"])
+def test_deep_tree_round_trip(src, nodes):
+    tree = parse(src)
+    assert len(shape(tree)) == nodes
+    assert shape(parse(to_source(tree))) == shape(tree)
+    assert to_source(parse(to_source(tree))) == to_source(tree)
+
+
+def test_deep_tree_variables_and_derivatives():
+    assert variables(parse(LONG_SUM)) == frozenset({"x1", "x2", "u1"})
+    assert variables(parse(DEEP_CHAIN)) == frozenset({"x1"})
+    at = PointEvaluator(COORDS, [0.3, 0.0, 0.0, 0.0, 0.0])
+    # d/dx2 of the sum is the sum of its integer coefficients of x2: exact
+    assert at.value(differentiate(parse(LONG_SUM), "x2")) == sum(
+        k % 7 for k in range(12_500) if k % 3 == 1
+    )
+    v, d = 0.3, 1.0  # the chain rule, forward from the innermost call
+    for _ in range(2_500):
+        v, d = math.cos(v), -math.sin(v) * d
+        v, d = math.sin(v), math.cos(v) * d
+    assert at.value(differentiate(parse(DEEP_CHAIN), "x1")) == pytest.approx(d, rel=1e-12)
+    assert at.value(parse(DEEP_CHAIN)) == v
+
+
+def test_postorder_visits_children_first_and_prunes_done_nodes():
+    shared = parse("x1*x2")
+    tree = BinOp("+", shared, Neg(shared))
+    order = list(postorder(tree, ()))
+    assert [to_source(n) for n in order] == [
+        "x1", "x2", "x1*x2", "x1", "x2", "x1*x2", "-(x1*x2)", "x1*x2+-(x1*x2)",
+    ]
+    seen, pruned = set(), []
+    for n in postorder(tree, seen):
+        seen.add(id(n))
+        pruned.append(to_source(n))
+    assert pruned == ["x1", "x2", "x1*x2", "-(x1*x2)", "x1*x2+-(x1*x2)"]

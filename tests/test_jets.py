@@ -438,14 +438,12 @@ def test_kernel_source_has_one_line_per_node():
     point = [1.0 + 1e-6, 0.0, 0.0, 0.0]
     assert kernel(point) == [PointEvaluator(COORDS, point).value(power)]
     assert len(kernel.source.splitlines()) == unique_nodes(power) + 2
-    # 3,000 nested sums: deeper than the recursion limit, lowered iteratively
+    # 3,000 nested sums: deeper than the recursion limit
     long_sum = parse_expression("+".join(f"{k % 7}*x1" for k in range(3000)), COORDS)
     kernel = ValueKernel(COORDS, (long_sum, power))
     assert len(kernel.source.splitlines()) == unique_nodes(long_sum, power) + 2
-    total = 0.0
-    for k in range(3000):
-        total += (k % 7) * 2.0
-    assert kernel([2.0, 0.0, 0.0, 0.0])[0] == total
+    point = [2.0, 0.0, 0.0, 0.0]
+    assert kernel(point)[0] == PointEvaluator(COORDS, point).value(long_sum)
 
 
 # -- the sample batch equals the walker --------------------------------------
@@ -572,3 +570,48 @@ def test_batched_bracket_slices_equal_the_point_call(config):
         for i, p in enumerate(samples):
             px, pv = bracket_at(alg, A, B, PointEvaluator(alg.coords, p.values()))
             assert bits([*bx[i], *bv[i]]) == bits([*px, *pv]), p
+
+
+# -- trees far deeper than Python's recursion limit ---------------------------
+
+from test_expr import DEEP_CHAIN, LONG_SUM  # noqa: E402
+
+_DEEP_POINTS = [EvalPoint.of([0.3, -1.1], [0.7, 2.0]), EvalPoint.of([-2.5, 0.4], [1.5, -0.2])]
+
+
+@pytest.mark.parametrize("src", [LONG_SUM, DEEP_CHAIN], ids=["sum", "chain"])
+def test_deep_trees_agree_in_every_mode(src):
+    """Point value, jet1 and jet, batch value and jet1, and the kernel give
+    one set of bits on a 50,000-node sum and a 5,000-deep chain."""
+    tree = parse_expression(src, COORDS)
+    batch = SampleEvaluator(COORDS, _DEEP_POINTS)
+    values, jets = batch.value(tree), batch.jet1(tree)
+    kernel = ValueKernel(COORDS, (tree,))
+    for i, p in enumerate(_DEEP_POINTS):
+        ev = PointEvaluator(COORDS, p.values())
+        value, jet1, jet2 = ev.value(tree), ev.jet1(tree), ev.jet(tree)
+        assert bits([values[i], *kernel(list(p.values()))]) == bits([value, value])
+        assert bits([jet1.value, *jet1.grad]) == bits([jets.value[i], *jets.grad[i]])
+        assert bits([jet2.value, *jet2.grad]) == bits([jet1.value, *jet1.grad])
+        assert jet1.value == value
+
+
+@pytest.mark.parametrize("src", [LONG_SUM, DEEP_CHAIN], ids=["sum", "chain"])
+def test_domain_error_deep_inside_names_its_subexpression(src):
+    at = src.index("x1")  # plant ln(x2-x2) in place of the first x1
+    tree = parse_expression(src[:at] + "ln(x2-x2)" + src[at + 2:], COORDS)
+    named = "ln is undefined at 0.0 in 'ln(x2-x2)'"
+    p = _DEEP_POINTS[0]
+    ev = PointEvaluator(COORDS, p.values())
+    for mode in (ev.value, ev.jet1, ev.jet):
+        with pytest.raises(EvaluationDomainError) as caught:
+            mode(tree)
+        assert str(caught.value) == named
+    batch = SampleEvaluator(COORDS, _DEEP_POINTS)
+    for mode in (batch.value, batch.jet1):
+        with pytest.raises(EvaluationDomainError) as caught:
+            mode(tree)
+        assert str(caught.value) == f"{named} at {p}"
+    with pytest.raises(EvaluationDomainError) as caught:
+        ValueKernel(COORDS, (tree,))(list(p.values()))
+    assert str(caught.value) == named
