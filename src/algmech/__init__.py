@@ -26,7 +26,6 @@ from .connection import (
     jacobi_from_bracket,
     nabla_exprs,
     nabla_horizontal_coeffs,
-    nabla_section,
     nabla_tensor,
     nabla_vertical_coeffs,
     v_tensor,
@@ -49,9 +48,7 @@ from .lagrangian import (
     Lagrangian,
     Trajectory,
     canonical_semispray,
-    cartan_one_section,
     cartan_two_section,
-    energy,
     euler_lagrange_residual,
     fiber_metric,
     integrate_sode,
@@ -64,15 +61,13 @@ from .prolongation import (
     SprayReport,
     bracket,
     complete_lift,
+    directional_derivative,
     euler_section,
     identity_tensor,
     j_tensor,
     lie_derivative_tensor,
-    sigma1_apply,
-    sode_derivative,
     sode_derivative_expr,
     spray_test,
-    tangent_structure_apply,
     vertical_lift,
 )
 from .sampling import SplitMix64, sample_points
@@ -89,7 +84,6 @@ from .symmetry import (
     lie_symmetry_check,
     newtonoid_check,
     newtonoid_completion,
-    star_product,
     star_product_exprs,
 )
 

@@ -18,11 +18,12 @@ targets, the residuals at a few dozen random points are decisive in practice.
 An :class:`Algebroid` is the per-system object every derived-tree
 constructor receives, so it owns the caches that make derived trees and
 evaluation shared: the derivative memo (:meth:`Algebroid.derivative`), the
-evaluator of the current point (:meth:`Algebroid.evaluator`) and of the
-current sample list (:meth:`Algebroid.sample_evaluator`), the trees that
-depend on the system alone (:attr:`Algebroid.base_velocity`,
+evaluator of the current sample list (:meth:`Algebroid.sample_evaluator`),
+the trees that depend on the system alone (:attr:`Algebroid.base_velocity`,
 :attr:`Algebroid.twisted_structure`), built on first use, and those that
-depend on objects built from it (:meth:`Algebroid.derived`).
+depend on objects built from it (:meth:`Algebroid.derived`).  A pointwise
+quantity takes the evaluator its caller holds, a point's
+(:meth:`Algebroid.evaluator` makes one) or a sample list's.
 """
 
 from __future__ import annotations
@@ -83,9 +84,7 @@ class Algebroid:
     _derivatives: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # (point, evaluator) of the last point asked for, replaced as one tuple
-    _current: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (samples, evaluator) of the last sample list asked for, likewise
+    # (samples, evaluator) of the last sample list asked for, replaced as one tuple
     _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # derived-tree memo: (build, id(arg), ...) -> (args, trees), see derived()
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -144,24 +143,15 @@ class Algebroid:
         return hit[1]
 
     def evaluator(self, p: EvalPoint) -> PointEvaluator:
-        """The evaluator at ``p``, shared by every tensor computed there.
-
-        The system keeps one evaluator, for the last point asked for (by
-        object identity, so -0.0 and 0.0 never share one); asking for another
-        point replaces it.
-        """
-        current = self._current
-        if current is not None and current[0] is p:
-            return current[1]
+        """A new evaluator at ``p``; pass it to every quantity computed there,
+        so they share its memo."""
         self._check_dims(p)
-        ev = PointEvaluator(self.coords, p.values())
-        object.__setattr__(self, "_current", (p, ev))
-        return ev
+        return PointEvaluator(self.coords, p.values())
 
     def sample_evaluator(self, samples: Sequence[EvalPoint]) -> SampleEvaluator:
         """The evaluator over a whole sample list, shared by every check that
-        sweeps that list.  Like :meth:`evaluator`, the system keeps one, for
-        the last list asked for by object identity."""
+        sweeps that list: the system keeps one, for the last list asked for
+        by object identity."""
         current = self._batch
         if current is not None and current[0] is samples:
             return current[1]
@@ -201,18 +191,17 @@ class Algebroid:
                 f"{what} depends on fiber coordinates {sorted(bad)}"
             )
 
-    def anchor_apply(self, s: BaseSection, f: Expr, p: EvalPoint) -> float:
+    def anchor_apply(self, s: BaseSection, f: Expr, ev: PointEvaluator) -> float:
         """Derivative of a base function along the anchored vector field of s."""
         if not s.x_only:
             raise FiberDependenceError("section must not depend on fiber coordinates")
-        df = self.differential(f, p)
-        return float(self.evaluator(p).values_of(s.components) @ df)
+        df = self.differential(f, ev)
+        return float(ev.values_of(s.components) @ df)
 
-    def differential(self, f: Expr, p: EvalPoint) -> np.ndarray:
+    def differential(self, f: Expr, ev: PointEvaluator) -> np.ndarray:
         """Components of the exterior derivative of a base function."""
         self._require_x_only(f, "function")
-        ev = self.evaluator(p)
-        return self.anchored(ev, ev.gradient(f))
+        return self.anchored(ev, ev.jet1(f).grad)
 
     def bracket_exprs(self, r: BaseSection, s: BaseSection) -> BaseSection:
         """Component trees of the section bracket [r, s]."""
@@ -237,11 +226,6 @@ class Algebroid:
             for a in range(self.m)
             for i in range(self.n)
         )
-
-    def bracket(self, r: BaseSection, s: BaseSection, p: EvalPoint) -> np.ndarray:
-        """Bracket components at a point."""
-        ev = self.evaluator(p)
-        return ev.values_of(self.bracket_exprs(r, s).components)
 
     # -- axiom validation ----------------------------------------------------
 

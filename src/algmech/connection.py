@@ -54,7 +54,7 @@ from .prolongation import (
     ExprTensor,
     ProlongationSection,
     Semispray,
-    bracket_at,
+    bracket,
     directional_derivative,
     eye_block,
     frame_derivation,
@@ -75,13 +75,11 @@ __all__ = [
     "curvature_from_brackets",
     "curvature_apply",
     "jacobi_endomorphism",
-    "jacobi_at",
     "jacobi_from_bracket",
     "h_tensor",
     "v_tensor",
     "f_tensor",
     "nabla_exprs",
-    "nabla_section",
     "nabla_horizontal_coeffs",
     "nabla_vertical_coeffs",
     "nabla_tensor",
@@ -132,7 +130,7 @@ def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
 
 
 def connection_from_lie_derivative(
-    alg: Algebroid, S: Semispray, p: EvalPoint
+    alg: Algebroid, S: Semispray, ev: PointEvaluator
 ) -> np.ndarray:
     """Independent oracle for the canonical coefficients via -L_S J.
 
@@ -140,7 +138,7 @@ def connection_from_lie_derivative(
     coefficients sit in the VX block: N[a][g] = -(-L_S J)[m + g][a] / 2.
     """
     m = alg.m
-    lsj = lie_derivative_tensor(alg, S.section(alg), j_tensor(m), p)
+    lsj = lie_derivative_tensor(alg, S.section(alg), j_tensor(m), ev)
     return 0.5 * lsj[m:, :m].T
 
 
@@ -151,31 +149,24 @@ def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> Prolongatio
 
 
 def berwald_derivative(
-    alg: Algebroid, N: Connection, f: Expr, a: int, p: EvalPoint
-) -> float:
-    """Derivative of f along the horizontal frame section delta_a."""
-    ev = alg.evaluator(p)
-    return float(_delta_gradient(alg, ev, N.at(ev), f)[a])
-
-
-def _delta_gradient(
-    alg: Algebroid, ev: PointEvaluator | SampleEvaluator, Nv: np.ndarray, f: Expr
+    alg: Algebroid, N: Connection, f: Expr, ev: PointEvaluator | SampleEvaluator
 ) -> np.ndarray:
-    """delta_a(f) for all a at once (per sample for a batch)."""
+    """delta_a(f), the derivative of f along the horizontal frame section
+    delta_a, for every a at once: an (m,) vector at the evaluator's point,
+    (P, m) over its samples."""
     g = ev.jet1(f).grad
-    return alg.anchored(ev, g) - (Nv @ g[..., alg.n :, None])[..., 0]
+    return alg.anchored(ev, g) - (N.at(ev) @ g[..., alg.n :, None])[..., 0]
 
 
-def curvature(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndarray:
+def curvature(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
     """R[a][b][g]: obstruction to integrability of the horizontal subbundle."""
     m = alg.m
-    ev = alg.evaluator(p)
     Nv = N.at(ev)
     L = alg.structure_at(ev)
     dN = np.zeros((m, m, m))  # dN[c][a][g] = delta_c(N_a^g)
     for a in range(m):
         for g in range(m):
-            dN[:, a, g] = _delta_gradient(alg, ev, Nv, N.coeffs[a][g])
+            dN[:, a, g] = berwald_derivative(alg, N, N.coeffs[a][g], ev)
     R = np.zeros((m, m, m))
     for a in range(m):
         for b in range(m):
@@ -183,16 +174,15 @@ def curvature(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndarray:
     return R
 
 
-def curvature_from_brackets(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndarray:
+def curvature_from_brackets(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
     """Oracle: vertical Berwald part of the horizontal frame brackets."""
     m = alg.m
-    ev = alg.evaluator(p)
     Nv = N.at(ev)
     deltas = alg.derived(h_tensor, N).frame_images[:m]
     R = np.zeros((m, m, m))
     for a in range(m):
         for b in range(m):
-            cx, cv = bracket_at(alg, deltas[a], deltas[b], ev)
+            cx, cv = bracket(alg, deltas[a], deltas[b], ev)
             R[a, b] = cv + cx @ Nv
     return R
 
@@ -202,18 +192,17 @@ def curvature_apply(
     N: Connection,
     A: ProlongationSection,
     B: ProlongationSection,
-    p: EvalPoint,
+    ev: PointEvaluator,
 ) -> np.ndarray:
-    """Vertical components of Omega(A, B) = v[hA, hB] at a point."""
-    ev = alg.evaluator(p)
+    """Vertical components of Omega(A, B) = v[hA, hB] at the evaluator's point."""
     Nv = N.at(ev)
     h = alg.derived(h_tensor, N)
-    cx, cv = bracket_at(alg, h.apply(A), h.apply(B), ev)
+    cx, cv = bracket(alg, h.apply(A), h.apply(B), ev)
     return cv + cx @ Nv
 
 
 def jacobi_endomorphism(
-    alg: Algebroid, S: Semispray, N: Connection, p: EvalPoint
+    alg: Algebroid, S: Semispray, N: Connection, ev: PointEvaluator | SampleEvaluator
 ) -> np.ndarray:
     """R[b][g] with the vertical-valued tensor acting as X_b -> R_b^g V_g:
 
@@ -221,24 +210,17 @@ def jacobi_endomorphism(
 
     one formula for canonical and arbitrary coefficients alike; it is the
     vertical Berwald part of [S, delta_b], which :func:`jacobi_from_bracket`
-    takes from the bracket itself.
+    takes from the bracket itself.  An (m, m) array at the evaluator's point,
+    (P, m, m) over its samples; the sums over a and e run in the order of the
+    formula, one term at a time for every (b, g) at once.
     """
-    return jacobi_at(alg, S, N, alg.evaluator(p))
-
-
-def jacobi_at(
-    alg: Algebroid, S: Semispray, N: Connection, ev: PointEvaluator | SampleEvaluator
-) -> np.ndarray:
-    """:func:`jacobi_endomorphism` at the evaluator's point, or over its
-    samples as a (P, m, m) array.  The sums over a and e run in the order of
-    the formula, one term at a time for every (b, g) at once."""
     m = alg.m
     Nv = N.at(ev)
     L = alg.structure_at(ev)
     y = np.asarray(ev.values)[..., alg.n :]
     s_vals = ev.values_of(S.components)
     # [..., b, g] = delta_b(S^g), and S(N_b^g)
-    dS = np.stack([_delta_gradient(alg, ev, Nv, c) for c in S.components], axis=-1)
+    dS = np.stack([berwald_derivative(alg, N, c, ev) for c in S.components], axis=-1)
     SN = np.array(
         [[directional_derivative(alg, ev, y, s_vals, c) for c in row] for row in N.coeffs]
     )
@@ -253,16 +235,15 @@ def jacobi_at(
 
 
 def jacobi_from_bracket(
-    alg: Algebroid, S: Semispray, N: Connection, p: EvalPoint
+    alg: Algebroid, S: Semispray, N: Connection, ev: PointEvaluator
 ) -> np.ndarray:
     """Oracle: R_b^g as the vertical Berwald part of [S, delta_b]."""
     m = alg.m
-    ev = alg.evaluator(p)
     Nv = N.at(ev)
     Ssec = S.section(alg)
     R = np.zeros((m, m))
     for b, delta in enumerate(alg.derived(h_tensor, N).frame_images[:m]):
-        cx, cv = bracket_at(alg, Ssec, delta, ev)
+        cx, cv = bracket(alg, Ssec, delta, ev)
         R[b] = cv + cx @ Nv
     return R
 
@@ -377,18 +358,8 @@ def nabla_exprs(
     )
 
 
-def nabla_section(
-    alg: Algebroid,
-    S: Semispray,
-    N: Connection,
-    A: ProlongationSection,
-    p: EvalPoint,
-) -> tuple[np.ndarray, np.ndarray]:
-    return nabla_exprs(alg, S, N, A).values_at(alg.evaluator(p))
-
-
 def nabla_tensor(
-    alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, p: EvalPoint
+    alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: PointEvaluator
 ) -> np.ndarray:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
     (2m, 2m) matrix.
@@ -397,7 +368,6 @@ def nabla_tensor(
     kept by the system (:meth:`~algmech.algebroid.Algebroid.derived`), so
     pass the same objects at every point: each call evaluates only.
     """
-    ev = alg.evaluator(p)
     return frame_derivation(T, ev, lambda X: alg.derived(nabla_exprs, S, N, X).values_at(ev))
 
 
@@ -411,13 +381,12 @@ def berwald_connection(
     N: Connection,
     A: ProlongationSection,
     B: ProlongationSection,
-    p: EvalPoint,
+    ev: PointEvaluator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """D_A B through the four-bracket formula
 
     v[hA, vB] + h[vA, hB] + J[vA, (F+J)B] + (F+J)[hA, JB].
     """
-    ev = alg.evaluator(p)
     Nv = N.at(ev)
     h, v = alg.derived(h_tensor, N), alg.derived(v_tensor, N)
     hA, vA = h.apply(A), v.apply(A)
@@ -440,20 +409,19 @@ def berwald_connection(
         return c, -(c @ Nv)
 
     terms = [
-        v_proj(*bracket_at(alg, hA, vB, ev)),
-        h_proj(*bracket_at(alg, vA, hB, ev)),
-        j_proj(*bracket_at(alg, vA, fjB, ev)),
-        fj_proj(*bracket_at(alg, hA, jB, ev)),
+        v_proj(*bracket(alg, hA, vB, ev)),
+        h_proj(*bracket(alg, vA, hB, ev)),
+        j_proj(*bracket(alg, vA, fjB, ev)),
+        fj_proj(*bracket(alg, hA, jB, ev)),
     ]
     x = sum(t[0] for t in terms)
     v = sum(t[1] for t in terms)
     return x, v
 
 
-def berwald_coefficients(alg: Algebroid, N: Connection, p: EvalPoint) -> np.ndarray:
+def berwald_coefficients(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
     """B[a][b][g] = dN_a^g/dy^b, the linear-connection coefficients."""
     m = alg.m
-    ev = alg.evaluator(p)
     out = np.zeros((m, m, m))
     for a in range(m):
         for g in range(m):
@@ -513,8 +481,8 @@ def geometry_frame(
     Nv = N.at(ev)
     m = alg.m
     y = np.array(p.y)
-    R3 = curvature(alg, N, p)
-    R2 = jacobi_endomorphism(alg, S, N, p)
+    R3 = curvature(alg, N, ev)
+    R2 = jacobi_endomorphism(alg, S, N, ev)
     F = alg.derived(f_tensor, N).at(ev)
     eye2m = np.eye(2 * m)
 
@@ -523,10 +491,10 @@ def geometry_frame(
 
     residuals = {
         "jacobi_vs_bracket": float(
-            np.max(np.abs(R2 - jacobi_from_bracket(alg, S, N, p)))
+            np.max(np.abs(R2 - jacobi_from_bracket(alg, S, N, ev)))
         ),
         "curvature_vs_bracket": float(
-            np.max(np.abs(R3 - curvature_from_brackets(alg, N, p)))
+            np.max(np.abs(R3 - curvature_from_brackets(alg, N, ev)))
         ),
         "f_squared_plus_identity": float(
             np.max(np.abs(F @ F + eye2m))
@@ -534,9 +502,9 @@ def geometry_frame(
     }
     diagnostics = {"homogeneity": homogeneity}
 
-    N_oracle = connection_from_lie_derivative(alg, S, p)
+    N_oracle = connection_from_lie_derivative(alg, S, ev)
     canonical_gap = float(np.max(np.abs(Nv - N_oracle)))
-    nj = nabla_tensor(alg, S, N, j_tensor(m), p)
+    nj = nabla_tensor(alg, S, N, j_tensor(m), ev)
     nabla_j = float(np.max(np.abs(nj)))
     contraction = float(np.max(np.abs(R2 - np.einsum("e,ebg->bg", y, R3))))
     if N.canonical:
@@ -558,7 +526,7 @@ def geometry_frame(
         curvature=R3,
         jacobi=R2,
         almost_complex=F,
-        berwald=berwald_coefficients(alg, N, p),
+        berwald=berwald_coefficients(alg, N, ev),
         residuals=residuals,
         diagnostics=diagnostics,
     )

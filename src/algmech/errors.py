@@ -27,15 +27,27 @@ class UnknownIdentifierError(AlgmechError):
         self.offset = offset
 
 
+# a longer subexpression is named by this many leading characters and its length
+SUBEXPRESSION_CHARS = 200
+
+
 class EvaluationDomainError(AlgmechError):
-    """Numeric domain violation (log/sqrt domain, zero division) or overflow."""
+    """Numeric domain violation (log/sqrt domain, zero division) or overflow.
+
+    The message names the subexpression, printed in full up to
+    :data:`SUBEXPRESSION_CHARS` characters and beyond that as its leading
+    characters and its length; ``subexpression`` keeps the tree."""
 
     def __init__(self, message: str, subexpression=None):
         self.subexpression = subexpression
         if subexpression is not None:
             from .expr import to_source
 
-            message = f"{message} in '{to_source(subexpression)}'"
+            src = to_source(subexpression)
+            named = f"'{src}'"
+            if len(src) > SUBEXPRESSION_CHARS:
+                named = f"'{src[:SUBEXPRESSION_CHARS]}...' ({len(src)} characters)"
+            message = f"{message} in {named}"
         super().__init__(message)
 
 

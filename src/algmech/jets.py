@@ -22,12 +22,12 @@ to get one.  A jet's value can differ from ``value`` in the last bit (``a/b``
 is ``a * (1/b)`` in jet arithmetic), so callers comparing a value with a
 gradient read both from one jet.
 
-A system hands out one evaluator per point
-(:meth:`~algmech.algebroid.Algebroid.evaluator`), so every tensor computed at
-that point shares the memo; values depend only on the tree and the point, so
-sharing never changes a result; :meth:`PointEvaluator.array` keeps per-point
-arrays.  Every mode reads :data:`~algmech.expr.FUNCTIONS`; one guard turns
-math's own errors into :class:`EvaluationDomainError`.
+Every quantity computed at a point takes the caller's evaluator
+(:meth:`~algmech.algebroid.Algebroid.evaluator` makes one), so they share
+its memo; values depend only on the tree and the point, so sharing never
+changes a result; :meth:`PointEvaluator.array` keeps per-point arrays.
+Every mode reads :data:`~algmech.expr.FUNCTIONS`; one guard turns math's
+own errors into :class:`EvaluationDomainError`.
 
 :class:`ValueKernel` compiles a fixed tuple of trees once into straight-line
 Python and returns their values, bit for bit those of ``value``, at any
@@ -279,9 +279,6 @@ class PointEvaluator:
         """First-order jet of ``e`` (``hess`` is ``None``); its value and
         gradient equal those of :meth:`jet` bit for bit."""
         return self._walk(e, self._jet1s, False)
-
-    def gradient(self, e: Expr) -> np.ndarray:
-        return self.jet1(e).grad
 
     def _walk(self, e: Expr, memo: dict, second: bool) -> Jet2:
         if id(e) in memo:

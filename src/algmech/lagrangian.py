@@ -49,8 +49,6 @@ __all__ = [
     "Trajectory",
     "fiber_metric",
     "canonical_semispray",
-    "energy",
-    "cartan_one_section",
     "cartan_pairing",
     "cartan_pairing_exprs",
     "cartan_two_section",
@@ -228,16 +226,6 @@ def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
     return Semispray(tuple(comps))
 
 
-def energy(L: Lagrangian, p: EvalPoint) -> float:
-    """Fiber-Euler energy y^a dL/dy^a - L."""
-    return L.alg.evaluator(p).value(L.energy_expr)
-
-
-def cartan_one_section(L: Lagrangian, p: EvalPoint) -> np.ndarray:
-    """Coefficients of the one-section dL/dy^a along the X-coframe."""
-    return L.alg.evaluator(p).values_of(L.dy)
-
-
 def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> tuple[tuple[Expr, ...], ...]:
     """Expression matrix of the two-section on frame pairs.
 
@@ -260,10 +248,9 @@ def cartan_two_section(
     L: Lagrangian,
     A: ProlongationSection,
     B: ProlongationSection,
-    p: EvalPoint,
+    ev: PointEvaluator,
 ) -> float:
     """The symplectic two-section evaluated on a pair of sections."""
-    ev = alg.evaluator(p)
     W = cartan_pairing(alg, L, ev)
     ax, av = A.values_at(ev)
     bx, bv = B.values_at(ev)
@@ -275,11 +262,10 @@ def symplectic_residual(
     L: Lagrangian,
     S: Semispray,
     A: ProlongationSection,
-    p: EvalPoint,
+    ev: PointEvaluator,
 ) -> float:
     """omega(S, A) + dE(A); vanishes for the canonical field, any A."""
-    pairing = cartan_two_section(alg, L, S.section(alg), A, p)
-    ev = alg.evaluator(p)
+    pairing = cartan_two_section(alg, L, S.section(alg), A, ev)
     ax, av = A.values_at(ev)
     return pairing + directional_derivative(alg, ev, ax, av, L.energy_expr)
 
@@ -385,19 +371,18 @@ def integrate_sode(
 
 
 def euler_lagrange_residual(
-    alg: Algebroid, L: Lagrangian, p: EvalPoint, ydot: Sequence[float]
+    alg: Algebroid, L: Lagrangian, ev: PointEvaluator, ydot: Sequence[float]
 ) -> np.ndarray:
     """Residual of the variational equations with d/dt expanded along
-    (xdot = sigma y, ydot = given)."""
-    ev = alg.evaluator(p)
-    n, m = alg.n, alg.m
+    (xdot = sigma y, ydot = given), at the evaluator's point."""
+    n = alg.n
     jet = ev.jet(L.expr)
     grad_y = jet.grad[n:]
     h_xy = jet.hess[:n, n:]
     h_yy = jet.hess[n:, n:]
     sigma = alg.anchor_at(ev)
     Ls = alg.structure_at(ev)
-    y = np.array(p.y)
+    y = np.array(ev.values[n:])
     xdot = sigma @ y
     ydot = np.asarray(ydot, dtype=float)
     ddt = h_xy.T @ xdot + h_yy @ ydot

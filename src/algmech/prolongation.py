@@ -17,10 +17,11 @@ return (2m, 2m) arrays.  The trees of S(f) read the system's anchored
 velocity (:attr:`Algebroid.base_velocity`), and the complete lift is built
 from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 
-Values at one point come from a :class:`~algmech.jets.PointEvaluator`; over
-a sample set, from a :class:`~algmech.jets.SampleEvaluator`, with a leading
+Every pointwise quantity takes the evaluator its caller holds: a
+:class:`~algmech.jets.PointEvaluator` for one point, or a
+:class:`~algmech.jets.SampleEvaluator` for a sample set, with a leading
 sample axis on every array.  :func:`directional_derivative` and
-:func:`bracket_at` are written once for both: their products are numpy
+:func:`bracket` are written once for both: their products are numpy
 ``matmul`` and ``einsum`` over optional leading axes, which give every
 sample slice the bits of the single-point product (stacked ``matmul`` makes
 the same BLAS call per slice; an elementwise product summed by numpy would
@@ -58,16 +59,12 @@ __all__ = [
     "Semispray",
     "ExprTensor",
     "bracket",
-    "bracket_at",
     "directional_derivative",
-    "sigma1_apply",
-    "tangent_structure_apply",
     "euler_section",
     "vertical_lift",
     "complete_lift",
     "covariant_slash_exprs",
     "sode_flow",
-    "sode_derivative",
     "sode_derivative_expr",
     "spray_homogeneity",
     "spray_test",
@@ -209,16 +206,7 @@ def directional_derivative(
     return inner(ax, alg.anchored(ev, g)) + inner(av, g[..., alg.n :])
 
 
-def sigma1_apply(
-    alg: Algebroid, A: ProlongationSection, f: Expr, p: EvalPoint
-) -> float:
-    """Derivative of a function on the total space along the anchor image of A."""
-    ev = alg.evaluator(p)
-    ax, av = A.values_at(ev)
-    return directional_derivative(alg, ev, ax, av, f)
-
-
-def bracket_at(
+def bracket(
     alg: Algebroid,
     A: ProlongationSection,
     B: ProlongationSection,
@@ -236,20 +224,6 @@ def bracket_at(
         x_part[..., g] += d(alg, ev, ax, av, B.x_comps[g]) - d(alg, ev, bx, bv, A.x_comps[g])
         v_part[..., g] = d(alg, ev, ax, av, B.v_comps[g]) - d(alg, ev, bx, bv, A.v_comps[g])
     return x_part, v_part
-
-
-def bracket(
-    alg: Algebroid, A: ProlongationSection, B: ProlongationSection, p: EvalPoint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Components of [A, B] on the prolongation bundle at a point."""
-    return bracket_at(alg, A, B, alg.evaluator(p))
-
-
-def tangent_structure_apply(
-    A: ProlongationSection, alg: Algebroid, p: EvalPoint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical endomorphism: kills V-components, sends X_a to V_a."""
-    return j_tensor(alg.m).apply(A).values_at(alg.evaluator(p))
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +246,6 @@ def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
     return e_sum(
         e_mul(vel, alg.derivative(f, name)) for name, vel in sode_flow(alg, S)
     )
-
-
-def sode_derivative(alg: Algebroid, S: Semispray, f: Expr, p: EvalPoint) -> float:
-    return sigma1_apply(alg, S.section(alg), f, p)
 
 
 def spray_homogeneity(alg: Algebroid, S: Semispray, ev: PointEvaluator | SampleEvaluator):
@@ -306,7 +276,7 @@ def spray_test(
     ev = alg.sample_evaluator(samples)
     Ssec = S.section(alg)
     hom = spray_homogeneity(alg, S, ev)
-    bx, bv = bracket_at(alg, euler_section(alg), Ssec, ev)
+    bx, bv = bracket(alg, euler_section(alg), Ssec, ev)
     sx, sv = Ssec.values_at(ev)
     brk = np.abs(np.concatenate([bx - sx, bv - sv], axis=-1))
     hom_max = sweep_max("homogeneity", samples, hom)
@@ -407,7 +377,7 @@ def frame_derivation(
 
 
 def lie_derivative_tensor(
-    alg: Algebroid, A: ProlongationSection, T: ExprTensor, p: EvalPoint
+    alg: Algebroid, A: ProlongationSection, T: ExprTensor, ev: PointEvaluator
 ) -> np.ndarray:
     """(L_A T)(B) = [A, T(B)] - T([A, B]) evaluated on every frame section,
     as a (2m, 2m) matrix.
@@ -415,5 +385,4 @@ def lie_derivative_tensor(
     T must be expression-backed: the first bracket differentiates the
     coefficient functions of T(B).
     """
-    ev = alg.evaluator(p)
-    return frame_derivation(T, ev, lambda X: bracket_at(alg, A, X, ev))
+    return frame_derivation(T, ev, lambda X: bracket(alg, A, X, ev))

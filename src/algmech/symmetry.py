@@ -17,7 +17,6 @@ from .algebroid import Algebroid, BaseSection, inner, sweep_max
 from .connection import (
     Connection,
     canonical_connection,
-    jacobi_at,
     jacobi_endomorphism,
     nabla_horizontal_coeffs,
     nabla_vertical_coeffs,
@@ -39,7 +38,7 @@ from .prolongation import (
     ProlongationSection,
     Semispray,
     basis_sections,
-    bracket_at,
+    bracket,
     complete_lift,
     covariant_slash_exprs,
     directional_derivative,
@@ -60,7 +59,6 @@ __all__ = [
     "conserved_from_cartan",
     "cartan_from_conservation",
     "star_product_exprs",
-    "star_product",
 ]
 
 
@@ -109,7 +107,7 @@ def dynamical_symmetry_check(
     """Vanishing of the full bracket [S, A]; the two component families are
     reported separately (frame part and fiber part)."""
     ev = alg.sample_evaluator(samples)
-    bx, bv = bracket_at(alg, S.section(alg), A, ev)
+    bx, bv = bracket(alg, S.section(alg), A, ev)
     res = np.concatenate([bx, bv], axis=-1)
     worst = sweep_max("dynamical", samples, np.abs(res))
     return SymmetryVerdict(
@@ -162,7 +160,7 @@ def newtonoid_check(
     if N is None:
         N = canonical_connection(alg, S)
     ev = alg.sample_evaluator(samples)
-    bx, _ = bracket_at(alg, S.section(alg), A, ev)
+    bx, _ = bracket(alg, S.section(alg), A, ev)
     worst = sweep_max("newtonoid", samples, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = av + (ax[..., None, :] @ N.at(ev))[..., 0, :]  # v(A) fiber components
@@ -184,7 +182,7 @@ def invariant_equation_residual(
     alg: Algebroid,
     S: Semispray,
     A: ProlongationSection,
-    p: EvalPoint,
+    ev: PointEvaluator,
     N: Connection | None = None,
 ) -> np.ndarray:
     """Second-order invariant equation on the frame components:
@@ -193,8 +191,7 @@ def invariant_equation_residual(
         N = canonical_connection(alg, S)
     hor1 = nabla_horizontal_coeffs(alg, S, N, A.x_comps)
     hor2 = nabla_horizontal_coeffs(alg, S, N, hor1)
-    ev = alg.evaluator(p)
-    R = jacobi_endomorphism(alg, S, N, p)
+    R = jacobi_endomorphism(alg, S, N, ev)
     x_vals = ev.values_of(A.x_comps)
     return ev.values_of(hor2) + R.T @ x_vals
 
@@ -255,7 +252,7 @@ def lie_symmetry_check(
             for a in range(m)
         )
         pde2.append(term1 - term2 + term3 - term4)
-    R = jacobi_at(alg, S, N, ev)
+    R = jacobi_endomorphism(alg, S, N, ev)
     second_order = ev.values_of(vert2) + (np.swapaxes(R, -1, -2) @ xt_vals[..., None])[..., 0]
     pde1_max = sweep_max("lie pde_fiber", samples, np.abs(np.stack(pde1, axis=-1)))
     pde2_max = sweep_max("lie pde_flow", samples, np.abs(np.stack(pde2, axis=-1)))
@@ -318,7 +315,7 @@ def cartan_symmetry_check(
     ev = alg.sample_evaluator(samples)
     ax, av = A.values_at(ev)
     brackets = [
-        np.concatenate(bracket_at(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)
+        np.concatenate(bracket(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)
     ]
     res = np.stack(
         [
@@ -398,7 +395,7 @@ def conserved_from_cartan(
     df = _d_function_on_basis(alg, ev, f)
     res = []
     for k, B in enumerate(basis_sections(m)):
-        bx, _ = bracket_at(alg, A, B, ev)
+        bx, _ = bracket(alg, A, B, ev)
         lie_theta = directional_derivative(alg, ev, ax, av, theta_trees[k]) - inner(theta_vals, bx)
         res.append(np.abs(lie_theta - df[:, k]))
     worst = sweep_max("exactness witness", samples, np.stack(res, axis=-1))
@@ -532,13 +529,3 @@ def star_product_exprs(
         for a in range(alg.m)
     )
     return ProlongationSection(x, v)
-
-
-def star_product(
-    alg: Algebroid,
-    S: Semispray,
-    f: Expr,
-    A: ProlongationSection,
-    p: EvalPoint,
-) -> tuple[np.ndarray, np.ndarray]:
-    return star_product_exprs(alg, S, f, A).values_at(alg.evaluator(p))

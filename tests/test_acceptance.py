@@ -29,7 +29,7 @@ from algmech.jets import eval_jet, finite_difference_jet
 from algmech.lagrangian import euler_lagrange_residual, integrate_sode
 from algmech.prolongation import (
     basis_sections,
-    bracket_at,
+    bracket,
     complete_lift,
     euler_section,
     j_tensor,
@@ -93,16 +93,16 @@ def test_c1_golden_fixture(driftless, driftless_samples):
         assert abs(Nv[1, 0]) <= 1e-12
         assert abs(Nv[1, 1]) <= 1e-12
 
-        R3 = curvature(alg, N, p)
+        R3 = curvature(alg, N, ev)
         assert abs(R3[0, 1, 0] - u2) <= 1e-10
         assert abs(R3[1, 0, 0] + u2) <= 1e-10
-        R2 = jacobi_endomorphism(alg, S, N, p)
+        R2 = jacobi_endomorphism(alg, S, N, ev)
         assert abs(R2[0, 0] + u2 * u2) <= 1e-10
 
         # sign-dependent family against the bracket-based oracles
-        N_oracle = connection_from_lie_derivative(alg, S, p)
-        R3_oracle = curvature_from_brackets(alg, N, p)
-        R2_oracle = jacobi_from_bracket(alg, S, N, p)
+        N_oracle = connection_from_lie_derivative(alg, S, ev)
+        R3_oracle = curvature_from_brackets(alg, N, ev)
+        R2_oracle = jacobi_from_bracket(alg, S, N, ev)
         assert abs(Nv[0, 1] - N_oracle[0, 1]) <= 1e-10
         assert abs(R3[0, 1, 1] - R3_oracle[0, 1, 1]) <= 1e-10
         assert abs(R2[0, 1] - R2_oracle[0, 1]) <= 1e-10
@@ -132,8 +132,9 @@ def test_c2_spray_identities(driftless, driftless_samples):
     assert rep.homogeneity == 0.0
     for p in driftless_samples:
         y = np.array(p.y)
-        R2 = jacobi_endomorphism(alg, S, N, p)
-        R3 = curvature(alg, N, p)
+        ev = alg.evaluator(p)
+        R2 = jacobi_endomorphism(alg, S, N, ev)
+        R3 = curvature(alg, N, ev)
         contraction = np.einsum("e,ebg->bg", y, R3)
         assert np.max(np.abs(R2 - contraction)) <= 1e-10
         assert np.max(np.abs(R2.T @ y)) <= 1e-10
@@ -156,7 +157,7 @@ def test_c3_structural_properties(all_systems):
         J = j_tensor(m)
 
         def tensor_sweep(connection, T):
-            return lambda p: nabla_tensor(alg, S, connection, T, p)
+            return lambda p: nabla_tensor(alg, S, connection, T, alg.evaluator(p))
 
         nabla_j_at = tensor_sweep(N, J)
         nabla_f_at = tensor_sweep(N, f_tensor(alg, N))
@@ -182,11 +183,11 @@ def test_c3_structural_properties(all_systems):
             assert np.max(np.abs(nabla_v_arb_at(p))) <= 1e-9
 
             # decomposition of the covariant derivative
-            R2 = jacobi_endomorphism(alg, S, N, p)
+            R2 = jacobi_endomorphism(alg, S, N, ev)
             phi = phi_block(R2)
             for A, nA in zip(sections, nabla_secs):
                 ax, av = A.values_at(ev)
-                lx, lv = bracket_at(alg, Ssec, A, ev)
+                lx, lv = bracket(alg, Ssec, A, ev)
                 fx, fv = apply(Fm, ax, av)
                 px, pv = apply(phi, ax, av)
                 wx, wv = nA.values_at(ev)
@@ -203,8 +204,9 @@ def test_c3_structural_properties(all_systems):
         for A in sections[:3]:
             nA = nabla_exprs(alg, S, N, A)
             for p in samples[:10]:
-                dx, dv = berwald_connection(alg, N, Ssec, A, p)
-                wx, wv = nA.values_at(alg.evaluator(p))
+                ev = alg.evaluator(p)
+                dx, dv = berwald_connection(alg, N, Ssec, A, ev)
+                wx, wv = nA.values_at(ev)
                 assert np.max(np.abs(dx - wx)) <= 1e-8
                 assert np.max(np.abs(dv - wv)) <= 1e-8
 
@@ -223,7 +225,7 @@ def test_c4_dynamics(driftless, driftless_samples):
     for p in driftless_samples:
         ev = alg.evaluator(p)
         ydot = ev.values_of(S.components)
-        res = euler_lagrange_residual(alg, driftless.lagrangian, p, ydot)
+        res = euler_lagrange_residual(alg, driftless.lagrangian, ev, ydot)
         assert np.max(np.abs(res)) <= 1e-9
 
 
@@ -250,7 +252,7 @@ def test_c5_symmetry_equivalences(all_systems):
             dyn = dynamical_symmetry_check(alg, S, A, samples, tol)
             newt = newtonoid_check(alg, S, A, samples, tol, N)
             inv_max = max(
-                float(np.max(np.abs(invariant_equation_residual(alg, S, A, p, N))))
+                float(np.max(np.abs(invariant_equation_residual(alg, S, A, alg.evaluator(p), N))))
                 for p in samples
             )
             assert dyn.passed == (newt.passed and inv_max <= tol)

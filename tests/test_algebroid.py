@@ -13,6 +13,11 @@ def expr(cfg, src):
     return parse_expression(src, cfg.algebroid.coords)
 
 
+def bracket_values(alg, r, s, p):
+    """Components of the section bracket [r, s] at p."""
+    return alg.evaluator(p).values_of(alg.bracket_exprs(r, s).components)
+
+
 def section(cfg, *comps):
     alg = cfg.algebroid
     return BaseSection.define(alg, [parse_expression(c, alg.coords) for c in comps])
@@ -125,31 +130,34 @@ class TestAnchorApply:
         alg = driftless.algebroid
         s2 = section(driftless, "0", "1")
         p = EvalPoint.of([0.7, 1.0, -0.3], [1.0, 1.0])
-        assert alg.anchor_apply(s2, expr(driftless, "x2"), p) == pytest.approx(1.0, abs=1e-15)
+        got = alg.anchor_apply(s2, expr(driftless, "x2"), alg.evaluator(p))
+        assert got == pytest.approx(1.0, abs=1e-15)
 
     def test_constant_function(self, driftless):
         alg = driftless.algebroid
         s2 = section(driftless, "0", "1")
         p = EvalPoint.of([0.7, 1.0, -0.3], [1.0, 1.0])
-        assert alg.anchor_apply(s2, expr(driftless, "4"), p) == 0.0
+        assert alg.anchor_apply(s2, expr(driftless, "4"), alg.evaluator(p)) == 0.0
 
     def test_first_frame_on_x1(self, driftless):
         alg = driftless.algebroid
         s1 = section(driftless, "1", "0")
         for p in sample_points(alg.base_coords, alg.fiber_coords, 5, seed=2):
-            assert alg.anchor_apply(s1, expr(driftless, "x1"), p) == 1.0
+            assert alg.anchor_apply(s1, expr(driftless, "x1"), alg.evaluator(p)) == 1.0
 
     def test_rejects_fiber_dependent_function(self, driftless):
+        alg = driftless.algebroid
         s1 = section(driftless, "1", "0")
         p = EvalPoint.of([0, 0, 0], [1, 1])
         with pytest.raises(FiberDependenceError):
-            driftless.algebroid.anchor_apply(s1, expr(driftless, "u1"), p)
+            alg.anchor_apply(s1, expr(driftless, "u1"), alg.evaluator(p))
 
     def test_rejects_fiber_dependent_section(self, driftless):
+        alg = driftless.algebroid
         s = section(driftless, "u1", "0")
         p = EvalPoint.of([0, 0, 0], [1, 1])
         with pytest.raises(FiberDependenceError):
-            driftless.algebroid.anchor_apply(s, expr(driftless, "x1"), p)
+            alg.anchor_apply(s, expr(driftless, "x1"), alg.evaluator(p))
 
 
 class TestBracket:
@@ -158,14 +166,14 @@ class TestBracket:
         s2 = section(driftless, "0", "1")
         for p in pts(driftless, 10):
             assert np.allclose(
-                driftless.algebroid.bracket(s1, s2, p), [1.0, 0.0], atol=0
+                bracket_values(driftless.algebroid, s1, s2, p), [1.0, 0.0], atol=0
             )
 
     def test_self_bracket_vanishes(self, driftless, pts):
         s = section(driftless, "x1+x2", "x3^2")
         for p in pts(driftless, 10):
             assert np.array_equal(
-                driftless.algebroid.bracket(s, s, p), np.zeros(2)
+                bracket_values(driftless.algebroid, s, s, p), np.zeros(2)
             )
 
     def test_module_structure(self, driftless, pts):
@@ -174,7 +182,7 @@ class TestBracket:
         x1s1 = section(driftless, "x1", "0")
         for p in pts(driftless, 10):
             assert np.allclose(
-                driftless.algebroid.bracket(s1, x1s1, p), [1.0, 0.0], atol=1e-15
+                bracket_values(driftless.algebroid, s1, x1s1, p), [1.0, 0.0], atol=1e-15
             )
 
     def test_rejects_fiber_dependent_sections(self, driftless):
@@ -189,7 +197,7 @@ class TestBracket:
         alg = driftless.algebroid
         for p in pts(driftless, 20):
             assert np.array_equal(
-                alg.bracket(r, s, p), -alg.bracket(s, r, p)
+                bracket_values(alg, r, s, p), -bracket_values(alg, s, r, p)
             )
 
     def test_jacobi_identity_constant_sections(self, heisenberg, pts):
@@ -201,7 +209,7 @@ class TestBracket:
             total = np.zeros(3)
             for a, b, c in ((r, s, t), (s, t, r), (t, r, s)):
                 inner = alg.bracket_exprs(b, c)
-                total = total + alg.bracket(a, inner, p)
+                total = total + bracket_values(alg, a, inner, p)
             assert np.max(np.abs(total)) <= 1e-12
 
     def test_anchor_homomorphism(self, driftless, pts):
@@ -210,11 +218,12 @@ class TestBracket:
         s = section(driftless, "x3", "x1")
         f = expr(driftless, "x1*x2+x3^2")
         for p in pts(driftless, 15):
-            lhs = alg.anchor_apply(alg.bracket_exprs(r, s), f, p)
+            ev = alg.evaluator(p)
+            lhs = alg.anchor_apply(alg.bracket_exprs(r, s), f, ev)
             # sigma(r)(sigma(s) f) - sigma(s)(sigma(r) f) via nested trees
             sf = _anchored_derivative_tree(alg, s, f)
             rf = _anchored_derivative_tree(alg, r, f)
-            rhs = alg.anchor_apply(r, sf, p) - alg.anchor_apply(s, rf, p)
+            rhs = alg.anchor_apply(r, sf, ev) - alg.anchor_apply(s, rf, ev)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -230,21 +239,24 @@ def _anchored_derivative_tree(alg, s, f):
 
 class TestDifferential:
     def test_third_base_coordinate(self, driftless):
+        alg = driftless.algebroid
         p = EvalPoint.of([0.5, 1.5, 0.2], [1, 1])
         assert np.allclose(
-            driftless.algebroid.differential(expr(driftless, "x3"), p), [0.0, 1.0]
+            alg.differential(expr(driftless, "x3"), alg.evaluator(p)), [0.0, 1.0]
         )
 
     def test_constant(self, driftless):
+        alg = driftless.algebroid
         p = EvalPoint.of([0.5, 1.5, 0.2], [1, 1])
         assert np.array_equal(
-            driftless.algebroid.differential(expr(driftless, "3"), p), np.zeros(2)
+            alg.differential(expr(driftless, "3"), alg.evaluator(p)), np.zeros(2)
         )
 
     def test_first_base_coordinate(self, driftless):
+        alg = driftless.algebroid
         p = EvalPoint.of([0.5, 1.5, 0.2], [1, 1])
         assert np.allclose(
-            driftless.algebroid.differential(expr(driftless, "x1"), p), [1.0, 0.5]
+            alg.differential(expr(driftless, "x1"), alg.evaluator(p)), [1.0, 0.5]
         )
 
     def test_d_squared_vanishes(self, driftless, pts):

@@ -682,6 +682,18 @@ class TestBadArguments:
             err = capsys.readouterr().err
             assert err.count("\n") <= 1 and "Traceback" not in err
 
+    def test_domain_error_in_a_long_subexpression_is_one_short_line(self, tmp_path, capsys):
+        """The message names a subexpression of 140,007 characters by its
+        first 200 and its length, and still names the failing sample."""
+        zeros = "+".join("0*x1" for _ in range(20_000))
+        lagrangian = f"0.5*(u1^2+u2^2)+ln({zeros}-1)"
+        cfg = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian))
+        assert main(["report", "--config", str(cfg), "--output", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 500
+        assert err.startswith("check failed: ln is undefined at -1.0 in 'ln(0.0*x1+0.0*x1+")
+        assert "...' (140007 characters) at (x=[" in err
+
 
 _NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),

@@ -18,7 +18,6 @@ from algmech.connection import (
     jacobi_endomorphism,
     jacobi_from_bracket,
     nabla_exprs,
-    nabla_section,
     nabla_tensor,
     v_tensor,
 )
@@ -28,7 +27,8 @@ from algmech.prolongation import (
     ProlongationSection,
     Semispray,
     basis_sections,
-    bracket_at,
+    bracket,
+    directional_derivative,
     euler_section,
     j_tensor,
 )
@@ -131,8 +131,9 @@ class TestCanonicalConnection:
             S = cfg.semispray()
             N = canonical_connection(alg, S)
             for p in pts(cfg, 50, seed=97):
-                Nv = N.at(alg.evaluator(p))
-                oracle = connection_from_lie_derivative(alg, S, p)
+                ev = alg.evaluator(p)
+                Nv = N.at(ev)
+                oracle = connection_from_lie_derivative(alg, S, ev)
                 assert np.max(np.abs(Nv - oracle)) <= 1e-9
 
     def test_quadratic_form_coefficients(self, abelian):
@@ -160,18 +161,16 @@ class TestBerwaldDerivative:
         N = driftless.connection()
         ev = alg.evaluator(P0)
         Nv = N.at(ev)
-        for a in range(2):
-            for g in range(2):
-                got = berwald_derivative(
-                    alg, N, parse_expression(alg.fiber_coords[g], alg.coords), a, P0
-                )
-                assert got == pytest.approx(-Nv[a, g], abs=1e-15)
+        for g in range(2):
+            got = berwald_derivative(alg, N, parse_expression(alg.fiber_coords[g], alg.coords), ev)
+            for a in range(2):
+                assert got[a] == pytest.approx(-Nv[a, g], abs=1e-15)
 
     def test_base_only_function_reduces_to_anchor(self, driftless):
         alg = driftless.algebroid
         N = driftless.connection()
         f = parse_expression("x1*x2", alg.coords)
-        got = berwald_derivative(alg, N, f, 1, P0)
+        got = berwald_derivative(alg, N, f, alg.evaluator(P0))[1]
         # second anchored field: x1 d/dx1 + x2 d/dx2 + d/dx3 applied to x1 x2
         assert got == pytest.approx(0.5 * 1.0 + 1.0 * 0.5, abs=1e-15)
 
@@ -179,35 +178,38 @@ class TestBerwaldDerivative:
         alg = driftless.algebroid
         N = driftless.connection()
         S1 = driftless.semispray().components[0]
-        got = berwald_derivative(alg, N, S1, 0, P0)
+        got = berwald_derivative(alg, N, S1, alg.evaluator(P0))[0]
         # -(N_1^1 dS1/du1 + N_1^2 dS1/du2) = -(2*(-2) + (-1)*(-1)) = 3
         assert got == pytest.approx(3.0, abs=1e-14)
 
 
 class TestCurvature:
     def test_driftless_values(self, driftless):
-        R = curvature(driftless.algebroid, driftless.connection(), P0)
+        alg = driftless.algebroid
+        R = curvature(alg, driftless.connection(), alg.evaluator(P0))
         assert R[0, 1, 0] == pytest.approx(2.0, abs=1e-15)  # u2
         assert R[1, 0, 0] == pytest.approx(-2.0, abs=1e-15)
         assert R[0, 1, 1] == pytest.approx(-1.0, abs=1e-15)  # formula sign
 
     def test_flat_when_connection_and_structure_vanish(self, abelian):
-        R = curvature(abelian.algebroid, abelian.connection(), EvalPoint.of([0.1, 0.2], [1.0, 0.5]))
+        alg = abelian.algebroid
+        R = curvature(alg, abelian.connection(), alg.evaluator(EvalPoint.of([0.1, 0.2], [1.0, 0.5])))
         assert np.max(np.abs(R)) == 0.0
 
     def test_antisymmetry(self, all_systems):
         for cfg in all_systems:
             N = cfg.connection()
             for p in pts(cfg, 50, seed=23):
-                R = curvature(cfg.algebroid, N, p)
+                R = curvature(cfg.algebroid, N, cfg.algebroid.evaluator(p))
                 assert np.max(np.abs(R + R.transpose(1, 0, 2))) == 0.0
 
     def test_bracket_oracle(self, all_systems):
         for cfg in all_systems:
             for N in (cfg.connection(), arbitrary_connection(cfg)):
                 for p in pts(cfg, 15, seed=29):
-                    direct = curvature(cfg.algebroid, N, p)
-                    oracle = curvature_from_brackets(cfg.algebroid, N, p)
+                    ev = cfg.algebroid.evaluator(p)
+                    direct = curvature(cfg.algebroid, N, ev)
+                    oracle = curvature_from_brackets(cfg.algebroid, N, ev)
                     assert np.max(np.abs(direct - oracle)) <= 1e-10
 
     def test_tensoriality_of_the_two_form(self, all_systems):
@@ -221,11 +223,11 @@ class TestCurvature:
                     for B in random_sections(cfg, 2)[::-1]:
                         for p in pts(cfg, 8, seed=101):
                             ev = alg.evaluator(p)
-                            R3 = curvature(alg, N, p)
+                            R3 = curvature(alg, N, ev)
                             ax, _ = A.values_at(ev)
                             bx, _ = B.values_at(ev)
                             want = np.einsum("abg,a,b->g", R3, ax, bx)
-                            got = curvature_apply(alg, N, A, B, p)
+                            got = curvature_apply(alg, N, A, B, ev)
                             assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_horizontal_bracket_frame_part(self, driftless):
@@ -235,15 +237,14 @@ class TestCurvature:
         ev = alg.evaluator(P0)
         d1 = horizontal_basis_exprs(alg, N, 0)
         d2 = horizontal_basis_exprs(alg, N, 1)
-        cx, cv = bracket_at(alg, d1, d2, ev)
+        cx, cv = bracket(alg, d1, d2, ev)
         assert np.allclose(cx, [1.0, 0.0], atol=1e-15)
 
 
 class TestJacobiEndomorphism:
     def test_driftless_values(self, driftless):
-        R = jacobi_endomorphism(
-            driftless.algebroid, driftless.semispray(), driftless.connection(), P0
-        )
+        alg = driftless.algebroid
+        R = jacobi_endomorphism(alg, driftless.semispray(), driftless.connection(), alg.evaluator(P0))
         assert R[0, 0] == pytest.approx(-4.0, abs=1e-14)  # -(u2)^2
         assert R[1, 0] == pytest.approx(2.0, abs=1e-14)  # u1 u2
         assert R[0, 1] == pytest.approx(2.0, abs=1e-14)
@@ -255,8 +256,9 @@ class TestJacobiEndomorphism:
             S = cfg.semispray()
             N = cfg.connection()
             for p in pts(cfg, 25, seed=31):
-                direct = jacobi_endomorphism(alg, S, N, p)
-                oracle = jacobi_from_bracket(alg, S, N, p)
+                ev = alg.evaluator(p)
+                direct = jacobi_endomorphism(alg, S, N, ev)
+                oracle = jacobi_from_bracket(alg, S, N, ev)
                 assert np.max(np.abs(direct - oracle)) <= 1e-10
 
     def test_bracket_oracle_arbitrary(self, all_systems):
@@ -265,8 +267,9 @@ class TestJacobiEndomorphism:
             S = cfg.semispray()
             N = arbitrary_connection(cfg)
             for p in pts(cfg, 25, seed=37):
-                direct = jacobi_endomorphism(alg, S, N, p)
-                oracle = jacobi_from_bracket(alg, S, N, p)
+                ev = alg.evaluator(p)
+                direct = jacobi_endomorphism(alg, S, N, ev)
+                oracle = jacobi_from_bracket(alg, S, N, ev)
                 assert np.max(np.abs(direct - oracle)) <= 1e-10
 
     def test_spray_contraction_identity(self, all_systems):
@@ -275,8 +278,9 @@ class TestJacobiEndomorphism:
             S = cfg.semispray()
             N = cfg.connection()
             for p in pts(cfg, 50, seed=41):
-                R2 = jacobi_endomorphism(alg, S, N, p)
-                R3 = curvature(alg, N, p)
+                ev = alg.evaluator(p)
+                R2 = jacobi_endomorphism(alg, S, N, ev)
+                R3 = curvature(alg, N, ev)
                 contraction = np.einsum("e,ebg->bg", np.array(p.y), R3)
                 assert np.max(np.abs(R2 - contraction)) <= 1e-10
 
@@ -284,7 +288,7 @@ class TestJacobiEndomorphism:
         for cfg in all_systems:
             alg = cfg.algebroid
             for p in pts(cfg, 50, seed=43):
-                R2 = jacobi_endomorphism(alg, cfg.semispray(), cfg.connection(), p)
+                R2 = jacobi_endomorphism(alg, cfg.semispray(), cfg.connection(), alg.evaluator(p))
                 out = R2.T @ np.array(p.y)
                 assert np.max(np.abs(out)) <= 1e-10
 
@@ -304,16 +308,16 @@ class TestJacobiEndomorphism:
             for p in pts(driftless, 10, seed=47):
                 ev = alg.evaluator(p)
                 Nv = N.at(ev)
-                R2 = jacobi_endomorphism(alg, S, N, p)
+                R2 = jacobi_endomorphism(alg, S, N, ev)
                 for b in range(alg.m):
-                    omega = curvature_apply(alg, N, Ssec, basis[b], p)
+                    omega = curvature_apply(alg, N, Ssec, basis[b], ev)
                     hB = h_tensor(alg, N).apply(basis[b])
-                    t1x, t1v = bracket_at(alg, vS, hB, ev)
+                    t1x, t1v = bracket(alg, vS, hB, ev)
                     got = omega + (t1v + t1x @ Nv)
                     assert np.max(np.abs(got - R2[b])) <= 1e-9
                 # vertical frame inputs are annihilated on both sides
                 for b in range(alg.m):
-                    omega = curvature_apply(alg, N, Ssec, basis[alg.m + b], p)
+                    omega = curvature_apply(alg, N, Ssec, basis[alg.m + b], ev)
                     assert np.max(np.abs(omega)) <= 1e-12
 
 
@@ -367,19 +371,18 @@ class TestNabla:
         S = driftless.semispray()
         N = driftless.connection()
         d1 = horizontal_basis_exprs(alg, N, 0)
-        x, v = nabla_section(alg, S, N, d1, P0)
+        x, v = nabla_exprs(alg, S, N, d1).values_at(alg.evaluator(P0))
         # coefficient N_1^1 - L_12^1 u2 = 0 on the first slot
         assert x[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_rule_on_energy(self, driftless):
-        from algmech.prolongation import sode_derivative
-
-        assert sode_derivative(
-            driftless.algebroid,
-            driftless.semispray(),
-            driftless.lagrangian.energy_expr,
-            P0,
-        ) == pytest.approx(0.0, abs=1e-14)
+        alg = driftless.algebroid
+        ev = alg.evaluator(P0)
+        Ssec = driftless.semispray().section(alg)
+        energy = driftless.lagrangian.energy_expr
+        assert directional_derivative(alg, ev, *Ssec.values_at(ev), energy) == pytest.approx(
+            0.0, abs=1e-14
+        )
 
     def test_vertical_rule_is_projected_bracket(self, all_systems):
         for cfg in all_systems:
@@ -393,7 +396,7 @@ class TestNabla:
                         ev = alg.evaluator(p)
                         Nv = N.at(ev)
                         dx, dv = nabla_exprs(alg, S, N, Vb).values_at(ev)
-                        bx, bv = bracket_at(alg, Ssec, Vb, ev)
+                        bx, bv = bracket(alg, Ssec, Vb, ev)
                         want_v = bv + bx @ Nv  # vertical Berwald part
                         assert np.max(np.abs(dx)) <= 1e-12
                         assert np.max(np.abs((dv + dx @ Nv) - want_v)) <= 1e-9
@@ -404,7 +407,7 @@ class TestNabla:
             S = cfg.semispray()
             N = cfg.connection()
             for p in pts(cfg, 50, seed=73):
-                out = nabla_tensor(alg, S, N, j_tensor(alg.m), p)
+                out = nabla_tensor(alg, S, N, j_tensor(alg.m), alg.evaluator(p))
                 assert np.max(np.abs(out)) <= 1e-9
 
     def test_nabla_j_formula_for_arbitrary_connection(self, driftless):
@@ -416,7 +419,7 @@ class TestNabla:
             Nv = N.at(ev)
             y = np.array(p.y)
             L = alg.structure_at(ev)
-            out = nabla_tensor(alg, S, N, j_tensor(alg.m), p)
+            out = nabla_tensor(alg, S, N, j_tensor(alg.m), ev)
             expected_vx = np.zeros((alg.m, alg.m))
             for a in range(alg.m):
                 for b in range(alg.m):
@@ -435,8 +438,9 @@ class TestNabla:
             S = cfg.semispray()
             for N in (cfg.connection(), arbitrary_connection(cfg)):
                 for p in pts(cfg, 15, seed=83):
-                    nh = nabla_tensor(alg, S, N, h_tensor(alg, N), p)
-                    nv = nabla_tensor(alg, S, N, v_tensor(alg, N), p)
+                    ev = alg.evaluator(p)
+                    nh = nabla_tensor(alg, S, N, h_tensor(alg, N), ev)
+                    nv = nabla_tensor(alg, S, N, v_tensor(alg, N), ev)
                     assert np.max(np.abs(nh)) <= 1e-9
                     assert np.max(np.abs(nv)) <= 1e-9
 
@@ -446,7 +450,7 @@ class TestNabla:
             S = cfg.semispray()
             N = cfg.connection()
             for p in pts(cfg, 15, seed=89):
-                out = nabla_tensor(alg, S, N, f_tensor(alg, N), p)
+                out = nabla_tensor(alg, S, N, f_tensor(alg, N), alg.evaluator(p))
                 assert np.max(np.abs(out)) <= 1e-9
 
     def test_decomposition(self, all_systems):
@@ -461,9 +465,9 @@ class TestNabla:
                 for p in pts(cfg, 10, seed=91):
                     ev = alg.evaluator(p)
                     _, _, F = tree_structure_tensors(alg, N, ev)
-                    R2 = jacobi_endomorphism(alg, S, N, p)
+                    R2 = jacobi_endomorphism(alg, S, N, ev)
                     ax, av = A.values_at(ev)
-                    lx, lv = bracket_at(alg, Ssec, A, ev)
+                    lx, lv = bracket(alg, Ssec, A, ev)
                     fx, fv = apply(F, ax, av)
                     jx, jv = np.zeros(alg.m), ax
                     px, pv = apply(phi_block(R2), ax, av)
@@ -495,10 +499,10 @@ class TestNabla:
                 cols_j = []
                 for k, B in enumerate(basis_sections(alg.m)):
                     jB = j_tensor(alg.m).apply(B)
-                    bx, bv = bracket_at(alg, Ssec, jB, ev)
+                    bx, bv = bracket(alg, Ssec, jB, ev)
                     cols_h.append(np.concatenate(apply(h, bx, bv)))
                     vB = v_tensor(alg, N).apply(B)
-                    cx, cv = bracket_at(alg, Ssec, vB, ev)
+                    cx, cv = bracket(alg, Ssec, vB, ev)
                     cols_j.append(np.concatenate([np.zeros(alg.m), cx]))
                 got_h = np.stack(cols_h, axis=1)
                 got_j = np.stack(cols_j, axis=1)
@@ -512,9 +516,9 @@ class TestBerwaldConnection:
         N = driftless.connection()
         d1 = horizontal_basis_exprs(alg, N, 0)
         d2 = horizontal_basis_exprs(alg, N, 1)
-        x, v = berwald_connection(alg, N, d1, d2, P0)
-        # D_{delta_1} delta_2 = dN_1^g/du2 delta_g = delta_1 here
         ev = alg.evaluator(P0)
+        x, v = berwald_connection(alg, N, d1, d2, ev)
+        # D_{delta_1} delta_2 = dN_1^g/du2 delta_g = delta_1 here
         want_x, want_v = d1.values_at(ev)
         assert np.max(np.abs(x - want_x)) <= 1e-12
         assert np.max(np.abs(v - want_v)) <= 1e-12
@@ -528,18 +532,19 @@ class TestBerwaldConnection:
                 horizontal_basis_exprs(alg, N, 0),
                 ProlongationSection.basis_v(2, 1),
             ):
-                x, v = berwald_connection(alg, N, Va, B, P0)
+                x, v = berwald_connection(alg, N, Va, B, alg.evaluator(P0))
                 assert np.max(np.abs(np.concatenate([x, v]))) <= 1e-12
 
     def test_matches_local_coefficients(self, driftless):
         alg = driftless.algebroid
         N = driftless.connection()
-        B = berwald_coefficients(alg, N, P0)
+        ev = alg.evaluator(P0)
+        B = berwald_coefficients(alg, N, ev)
         for a in range(2):
             for b in range(2):
                 da = horizontal_basis_exprs(alg, N, a)
                 Vb = ProlongationSection.basis_v(2, b)
-                x, v = berwald_connection(alg, N, da, Vb, P0)
+                x, v = berwald_connection(alg, N, da, Vb, ev)
                 # D_{delta_a} V_b = dN_a^g/dy^b V_g
                 assert np.max(np.abs(x)) <= 1e-12
                 assert np.max(np.abs(v - B[a, b])) <= 1e-12
@@ -553,8 +558,9 @@ class TestBerwaldConnection:
             for A in random_sections(cfg, 4):
                 nA = nabla_exprs(alg, S, N, A)
                 for p in pts(cfg, 12, seed=99):
-                    dx, dv = berwald_connection(alg, N, Ssec, A, p)
-                    wx, wv = nA.values_at(alg.evaluator(p))
+                    ev = alg.evaluator(p)
+                    dx, dv = berwald_connection(alg, N, Ssec, A, ev)
+                    wx, wv = nA.values_at(ev)
                     assert np.max(np.abs(dx - wx)) <= 1e-8
                     assert np.max(np.abs(dv - wv)) <= 1e-8
 

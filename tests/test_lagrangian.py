@@ -12,16 +12,14 @@ from algmech.lagrangian import (
     Lagrangian,
     Trajectory,
     canonical_semispray,
-    cartan_one_section,
     cartan_pairing,
     cartan_two_section,
-    energy,
     euler_lagrange_residual,
     fiber_metric,
     integrate_sode,
     symplectic_residual,
 )
-from algmech.prolongation import ProlongationSection, Semispray, basis_sections, bracket_at
+from algmech.prolongation import ProlongationSection, Semispray, basis_sections, bracket
 from algmech.report import run_validation
 from algmech.sampling import sample_points
 
@@ -156,18 +154,21 @@ class TestPositionDependentMetric:
 
     def test_symplectic_equation_holds(self, abelian):
         L = self._lagrangian(abelian)
-        S = canonical_semispray(abelian.algebroid, L)
+        alg = abelian.algebroid
+        S = canonical_semispray(alg, L)
         for p in pts(abelian, 15):
+            ev = alg.evaluator(p)
             for B in basis_sections(2):
-                assert abs(symplectic_residual(abelian.algebroid, L, S, B, p)) <= 1e-9
+                assert abs(symplectic_residual(alg, L, S, B, ev)) <= 1e-9
 
     def test_variational_consistency(self, abelian):
         L = self._lagrangian(abelian)
         alg = abelian.algebroid
         S = canonical_semispray(alg, L)
         for p in pts(abelian, 25):
-            ydot = alg.evaluator(p).values_of(S.components)
-            assert np.max(np.abs(euler_lagrange_residual(alg, L, p, ydot))) <= 1e-9
+            ev = alg.evaluator(p)
+            ydot = ev.values_of(S.components)
+            assert np.max(np.abs(euler_lagrange_residual(alg, L, ev, ydot))) <= 1e-9
 
     def test_energy_conserved_along_flow(self, abelian):
         L = self._lagrangian(abelian)
@@ -180,28 +181,30 @@ class TestPositionDependentMetric:
 
 class TestEnergy:
     def test_driftless_value(self, driftless):
-        assert energy(driftless.lagrangian, P0) == 2.5
+        L = driftless.lagrangian
+        assert L.alg.evaluator(P0).value(L.energy_expr) == 2.5
 
     def test_fiber_linear_lagrangian(self, driftless):
         L = define(driftless, "x1*u1")
-        assert energy(L, P0) == 0.0
+        assert L.alg.evaluator(P0).value(L.energy_expr) == 0.0
 
     def test_cross_term(self, driftless):
         L = define(driftless, "0.5*u1*u2")
-        assert energy(L, P0) == pytest.approx(1.0, abs=1e-15)
+        assert L.alg.evaluator(P0).value(L.energy_expr) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCartanSections:
     def test_one_section_values(self, driftless):
-        assert np.allclose(cartan_one_section(driftless.lagrangian, P0), [1.0, 2.0], atol=0)
+        L = driftless.lagrangian
+        assert np.allclose(L.alg.evaluator(P0).values_of(L.dy), [1.0, 2.0], atol=0)
 
     def test_one_section_fiber_independent_lagrangian(self, driftless):
         L = define(driftless, "x1+x2")
-        assert np.array_equal(cartan_one_section(L, P0), np.zeros(2))
+        assert np.array_equal(L.alg.evaluator(P0).values_of(L.dy), np.zeros(2))
 
     def test_one_section_cross_term(self, driftless):
         L = define(driftless, "0.5*u1*u2")
-        assert np.allclose(cartan_one_section(L, P0), [1.0, 0.5], atol=0)
+        assert np.allclose(L.alg.evaluator(P0).values_of(L.dy), [1.0, 0.5], atol=0)
 
     def test_two_section_frame_values(self, driftless):
         alg = driftless.algebroid
@@ -209,11 +212,12 @@ class TestCartanSections:
         X1 = ProlongationSection.basis_x(2, 0)
         X2 = ProlongationSection.basis_x(2, 1)
         V1 = ProlongationSection.basis_v(2, 0)
+        ev = alg.evaluator(P0)
         # the mixed block pairs the fiber metric with the frames
-        assert cartan_two_section(alg, L, V1, X1, P0) == 1.0
-        assert cartan_two_section(alg, L, X1, V1, P0) == -1.0
+        assert cartan_two_section(alg, L, V1, X1, ev) == 1.0
+        assert cartan_two_section(alg, L, X1, V1, ev) == -1.0
         # frame-frame block picks up the structure torsion: -u1 here
-        assert cartan_two_section(alg, L, X1, X2, P0) == -1.0
+        assert cartan_two_section(alg, L, X1, X2, ev) == -1.0
 
     def test_pairing_cache_is_per_lagrangian(self, driftless):
         # two Lagrangians on one system, evaluated through one shared evaluator
@@ -234,18 +238,19 @@ class TestCartanSections:
             tuple(parse_expression(s, alg.coords) for s in ("u1", "x2")),
             tuple(parse_expression(s, alg.coords) for s in ("x3", "u2^2")),
         )
-        assert cartan_two_section(alg, driftless.lagrangian, A, A, P0) == 0.0
+        assert cartan_two_section(alg, driftless.lagrangian, A, A, alg.evaluator(P0)) == 0.0
 
     def test_metric_block_identity(self, all_systems):
         for cfg in all_systems:
             alg, L = cfg.algebroid, cfg.lagrangian
             samples = pts(cfg, 10, seed=3)
             for p, g in zip(samples, fiber_metric(L, samples)[0]):
+                ev = alg.evaluator(p)
                 for a in range(alg.m):
                     for b in range(alg.m):
                         Va = ProlongationSection.basis_v(alg.m, a)
                         Xb = ProlongationSection.basis_x(alg.m, b)
-                        assert cartan_two_section(alg, L, Va, Xb, p) == pytest.approx(
+                        assert cartan_two_section(alg, L, Va, Xb, ev) == pytest.approx(
                             g[a, b], abs=1e-12
                         )
 
@@ -271,7 +276,7 @@ class TestCartanSections:
             br = {}
             for i in range(k):
                 for j in range(k):
-                    bx, bv = bracket_at(alg, basis[i], basis[j], ev)
+                    bx, bv = bracket(alg, basis[i], basis[j], ev)
                     br[i, j] = np.concatenate([bx, bv])
             for i in range(k):
                 for j in range(i + 1, k):
@@ -293,8 +298,9 @@ class TestSymplecticEquation:
             alg, L = cfg.algebroid, cfg.lagrangian
             S = cfg.semispray()
             for p in pts(cfg, 20, seed=4):
+                ev = alg.evaluator(p)
                 for B in basis_sections(alg.m):
-                    assert abs(symplectic_residual(alg, L, S, B, p)) <= 1e-9
+                    assert abs(symplectic_residual(alg, L, S, B, ev)) <= 1e-9
 
     def test_energy_conservation_direction(self, driftless):
         S = driftless.semispray()
@@ -303,7 +309,7 @@ class TestSymplecticEquation:
             driftless.lagrangian,
             S,
             S.section(driftless.algebroid),
-            P0,
+            driftless.algebroid.evaluator(P0),
         )
         assert abs(res) <= 1e-12
 
@@ -318,7 +324,8 @@ class TestSymplecticEquation:
         )
         X1 = ProlongationSection.basis_x(2, 0)
         # i_S omega is linear in S: the bump shows up against the metric block
-        assert abs(symplectic_residual(alg, driftless.lagrangian, bumped, X1, P0)) == 1.0
+        ev = alg.evaluator(P0)
+        assert abs(symplectic_residual(alg, driftless.lagrangian, bumped, X1, ev)) == 1.0
 
 
 class TestIntegration:
@@ -404,18 +411,20 @@ class TestEulerLagrange:
         for p in pts(driftless, 20):
             u1, u2 = p.y
             res = euler_lagrange_residual(
-                alg, driftless.lagrangian, p, [-u1 * u2, u1 * u1]
+                alg, driftless.lagrangian, alg.evaluator(p), [-u1 * u2, u1 * u1]
             )
             assert np.max(np.abs(res)) <= 1e-12
 
     def test_zero_acceleration_leaves_structure_force(self, driftless):
         p = EvalPoint.of([0.0, 1.0, 0.0], [1.0, 2.0])
-        res = euler_lagrange_residual(driftless.algebroid, driftless.lagrangian, p, [0.0, 0.0])
+        alg = driftless.algebroid
+        res = euler_lagrange_residual(alg, driftless.lagrangian, alg.evaluator(p), [0.0, 0.0])
         assert np.allclose(res, [2.0, -1.0], atol=0)
 
     def test_abelian_free_particle(self, abelian):
         p = EvalPoint.of([0.4, -0.8], [1.0, 2.0])
-        res = euler_lagrange_residual(abelian.algebroid, abelian.lagrangian, p, [0.0, 0.0])
+        alg = abelian.algebroid
+        res = euler_lagrange_residual(alg, abelian.lagrangian, alg.evaluator(p), [0.0, 0.0])
         assert np.array_equal(res, np.zeros(2))
 
     def test_consistency_with_canonical_field(self, all_systems):
@@ -426,5 +435,5 @@ class TestEulerLagrange:
             for p in pts(cfg, 50, seed=17):
                 ev = alg.evaluator(p)
                 ydot = ev.values_of(S.components)
-                res = euler_lagrange_residual(alg, cfg.lagrangian, p, ydot)
+                res = euler_lagrange_residual(alg, cfg.lagrangian, ev, ydot)
                 assert np.max(np.abs(res)) <= 1e-9

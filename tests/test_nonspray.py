@@ -19,7 +19,7 @@ from algmech.connection import (
 )
 from algmech.prolongation import (
     basis_sections,
-    bracket_at,
+    bracket,
     j_tensor,
     spray_test,
 )
@@ -61,8 +61,9 @@ def test_canonical_connection_still_matches_oracle(forced):
     S = forced.semispray()
     N = canonical_connection(alg, S)
     for p in pts(forced):
-        Nv = N.at(alg.evaluator(p))
-        assert np.max(np.abs(Nv - connection_from_lie_derivative(alg, S, p))) <= 1e-9
+        ev = alg.evaluator(p)
+        Nv = N.at(ev)
+        assert np.max(np.abs(Nv - connection_from_lie_derivative(alg, S, ev))) <= 1e-9
 
 
 def test_jacobi_bracket_oracle_both_connection_kinds(forced):
@@ -70,8 +71,9 @@ def test_jacobi_bracket_oracle_both_connection_kinds(forced):
     S = forced.semispray()
     for N in (canonical_connection(alg, S), arbitrary_connection(forced)):
         for p in pts(forced):
-            direct = jacobi_endomorphism(alg, S, N, p)
-            assert np.max(np.abs(direct - jacobi_from_bracket(alg, S, N, p))) <= 1e-10
+            ev = alg.evaluator(p)
+            direct = jacobi_endomorphism(alg, S, N, ev)
+            assert np.max(np.abs(direct - jacobi_from_bracket(alg, S, N, ev))) <= 1e-10
 
 
 def test_nabla_j_vanishes_and_decomposition_holds(forced):
@@ -82,13 +84,13 @@ def test_nabla_j_vanishes_and_decomposition_holds(forced):
     sections = random_sections(forced, 5)
     nablas = [nabla_exprs(alg, S, N, A) for A in sections]
     for p in pts(forced, 10):
-        assert np.max(np.abs(nabla_tensor(alg, S, N, j_tensor(alg.m), p))) <= 1e-9
         ev = alg.evaluator(p)
+        assert np.max(np.abs(nabla_tensor(alg, S, N, j_tensor(alg.m), ev))) <= 1e-9
         _, _, F = tree_structure_tensors(alg, N, ev)
-        phi = phi_block(jacobi_endomorphism(alg, S, N, p))
+        phi = phi_block(jacobi_endomorphism(alg, S, N, ev))
         for A, nA in zip(sections, nablas):
             ax, av = A.values_at(ev)
-            lx, lv = bracket_at(alg, Ssec, A, ev)
+            lx, lv = bracket(alg, Ssec, A, ev)
             fx, fv = apply(F, ax, av)
             px, pv = apply(phi, ax, av)
             wx, wv = nA.values_at(ev)

@@ -137,24 +137,24 @@ def compute() -> dict:
             }
             row[key] = {
                 "berwald": {
-                    "A,B": _arrays(*berwald_connection(alg, N, A, B, p)),
-                    "S,A": _arrays(*berwald_connection(alg, N, Ssec, A, p)),
-                    "B,S": _arrays(*berwald_connection(alg, N, B, Ssec, p)),
+                    "A,B": _arrays(*berwald_connection(alg, N, A, B, ev)),
+                    "S,A": _arrays(*berwald_connection(alg, N, Ssec, A, ev)),
+                    "B,S": _arrays(*berwald_connection(alg, N, B, Ssec, ev)),
                 },
                 "curvature_apply": {
-                    "A,B": _arrays(curvature_apply(alg, N, A, B, p)),
-                    "S,B": _arrays(curvature_apply(alg, N, Ssec, B, p)),
+                    "A,B": _arrays(curvature_apply(alg, N, A, B, ev)),
+                    "S,B": _arrays(curvature_apply(alg, N, Ssec, B, ev)),
                 },
                 "nabla_tensor": {
-                    k: _arrays(nabla_tensor(alg, S, N, T, p))
+                    k: _arrays(nabla_tensor(alg, S, N, T, ev))
                     for k, T in tensors.items()
                 },
                 "lie_derivative_tensor": {
-                    k: _arrays(lie_derivative_tensor(alg, Ssec, T, p))
+                    k: _arrays(lie_derivative_tensor(alg, Ssec, T, ev))
                     for k, T in tensors.items()
                 },
                 "invariant_equation_residual": _arrays(
-                    invariant_equation_residual(alg, S, A, p, N)
+                    invariant_equation_residual(alg, S, A, ev, N)
                 ),
                 "geometry_frame": geometry_frame(alg, S, N, p).to_dict(),
             }

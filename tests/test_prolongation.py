@@ -7,13 +7,12 @@ from algmech.prolongation import (
     ProlongationSection,
     Semispray,
     bracket,
+    directional_derivative,
     euler_section,
     identity_tensor,
     j_tensor,
     lie_derivative_tensor,
-    sigma1_apply,
     spray_test,
-    tangent_structure_apply,
 )
 from algmech.sampling import sample_points
 
@@ -38,20 +37,22 @@ class TestBracket:
         alg = driftless.algebroid
         A = ProlongationSection.basis_x(2, 0)
         B = ProlongationSection.basis_x(2, 1)
-        x, v = bracket(alg, A, B, P0)
+        x, v = bracket(alg, A, B, alg.evaluator(P0))
         assert np.allclose(x, [1.0, 0.0], atol=0)
         assert np.array_equal(v, np.zeros(2))
 
     def test_self_bracket_zero(self, driftless):
         A = sec(driftless, ["u1*x1", "x2"], ["u2^2", "x3*u1"])
-        x, v = bracket(driftless.algebroid, A, A, P0)
+        alg = driftless.algebroid
+        x, v = bracket(alg, A, A, alg.evaluator(P0))
         assert np.array_equal(x, np.zeros(2))
         assert np.array_equal(v, np.zeros(2))
 
     def test_sode_with_vertical_frame(self, driftless):
-        S = driftless.semispray().section(driftless.algebroid)
+        alg = driftless.algebroid
+        S = driftless.semispray().section(alg)
         V1 = ProlongationSection.basis_v(2, 0)
-        x, v = bracket(driftless.algebroid, S, V1, P0)
+        x, v = bracket(alg, S, V1, alg.evaluator(P0))
         assert np.allclose(x, [-1.0, 0.0], atol=0)
         assert np.allclose(v, [2.0, -2.0], atol=0)  # -(dS/du1) at (1,2)
 
@@ -64,10 +65,11 @@ class TestBracket:
             sec(driftless, ["x3*u1", "u2^2"], ["x2", "1"]),
         ]
         for p in pts(driftless, 50, seed=77):
+            ev = alg.evaluator(p)
             for A in corpus:
                 for B in corpus:
-                    ax, av = bracket(alg, A, B, p)
-                    bx, bv = bracket(alg, B, A, p)
+                    ax, av = bracket(alg, A, B, ev)
+                    bx, bv = bracket(alg, B, A, ev)
                     assert np.array_equal(ax, -bx)
                     assert np.array_equal(av, -bv)
         # Jacobi via nested numeric brackets needs expression-backed inner
@@ -76,9 +78,10 @@ class TestBracket:
         for triple in ((0, 1, 2), (1, 2, 3), (0, 2, 3)):
             A, B, C = (corpus[i] for i in triple)
             for p in pts(driftless, 50, seed=78):
+                ev = alg.evaluator(p)
                 total = 0.0
                 for X, Y, Z in ((A, B, C), (B, C, A), (C, A, B)):
-                    total += _nested_bracket_action(alg, X, Y, Z, f, p)
+                    total += _nested_bracket_action(alg, X, Y, Z, f, ev)
                 assert abs(total) <= 1e-8
 
     def test_anchor_is_bracket_homomorphism(self, driftless):
@@ -88,14 +91,10 @@ class TestBracket:
         f = parse_expression("x1*x2+x3*u1-u2^2", alg.coords)
         h = 1e-6
         for p in pts(driftless, 10, seed=9):
-            lhs_x, lhs_v = bracket(alg, A, B, p)
-            lhs = sigma1_apply(
-                alg,
-                ProlongationSection.constant(lhs_x, lhs_v),
-                f,
-                p,
-            )
-            rhs = _commutator_action(alg, A, B, f, p)
+            ev = alg.evaluator(p)
+            lhs_x, lhs_v = bracket(alg, A, B, ev)
+            lhs = directional_derivative(alg, ev, lhs_x, lhs_v, f)
+            rhs = _commutator_action(alg, A, B, f, ev)
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -114,29 +113,23 @@ def _dir_tree(alg, A, f):
     return e_add(base, fib)
 
 
-def _commutator_action(alg, A, B, f, p):
-    return sigma1_apply(alg, A, _dir_tree(alg, B, f), p) - sigma1_apply(
-        alg, B, _dir_tree(alg, A, f), p
-    )
+def _commutator_action(alg, A, B, f, ev):
+    return directional_derivative(
+        alg, ev, *A.values_at(ev), _dir_tree(alg, B, f)
+    ) - directional_derivative(alg, ev, *B.values_at(ev), _dir_tree(alg, A, f))
 
 
-def _nested_bracket_action(alg, X, Y, Z, f, p):
+def _nested_bracket_action(alg, X, Y, Z, f, ev):
     """sigma1([X, [Y, Z]]) f via derivation composition (Jacobi oracle)."""
     inner = _commutator_tree_action(alg, Y, Z, f)
-    first = sigma1_apply(alg, X, inner, p)
+    first = directional_derivative(alg, ev, *X.values_at(ev), inner)
     outer = _dir_tree(alg, X, f)
-    second = _commutator_action_on_tree(alg, Y, Z, outer, p)
+    second = _commutator_action(alg, Y, Z, outer, ev)
     return first - second
 
 
 def _commutator_tree_action(alg, Y, Z, f):
     return _sub(_dir_tree(alg, Y, _dir_tree(alg, Z, f)), _dir_tree(alg, Z, _dir_tree(alg, Y, f)))
-
-
-def _commutator_action_on_tree(alg, Y, Z, tree, p):
-    return sigma1_apply(alg, Y, _dir_tree(alg, Z, tree), p) - sigma1_apply(
-        alg, Z, _dir_tree(alg, Y, tree), p
-    )
 
 
 def _sub(a, b):
@@ -149,32 +142,33 @@ class TestTangentStructure:
     def test_maps_sode_to_euler(self, driftless):
         alg = driftless.algebroid
         S = driftless.semispray().section(alg)
-        x, v = tangent_structure_apply(S, alg, P0)
+        x, v = j_tensor(alg.m).apply(S).values_at(alg.evaluator(P0))
         assert np.array_equal(x, np.zeros(2))
         assert np.allclose(v, [1.0, 2.0], atol=0)
 
     def test_kills_vertical_frame(self, driftless):
         alg = driftless.algebroid
-        x, v = tangent_structure_apply(ProlongationSection.basis_v(2, 1), alg, P0)
+        V2 = ProlongationSection.basis_v(2, 1)
+        x, v = j_tensor(alg.m).apply(V2).values_at(alg.evaluator(P0))
         assert np.array_equal(np.concatenate([x, v]), np.zeros(4))
 
     def test_nilpotent(self, driftless):
         alg = driftless.algebroid
         A = sec(driftless, ["u1*x3", "x2"], ["1", "u2"])
-        x, v = tangent_structure_apply(A, alg, P0)
-        jx, jv = tangent_structure_apply(
-            ProlongationSection.constant(x, v), alg, P0
-        )
+        J, ev = j_tensor(alg.m), alg.evaluator(P0)
+        x, v = J.apply(A).values_at(ev)
+        jx, jv = J.apply(ProlongationSection.constant(x, v)).values_at(ev)
         assert np.array_equal(np.concatenate([jx, jv]), np.zeros(4))
 
     def test_image_equals_kernel(self, driftless):
         # J annihilates exactly the sections with vanishing frame part
         alg = driftless.algebroid
         vertical = sec(driftless, ["0", "0"], ["u1", "x2"])
-        x, v = tangent_structure_apply(vertical, alg, P0)
+        J, ev = j_tensor(alg.m), alg.evaluator(P0)
+        x, v = J.apply(vertical).values_at(ev)
         assert np.array_equal(np.concatenate([x, v]), np.zeros(4))
         mixed = sec(driftless, ["u1", "0"], ["0", "0"])
-        x, v = tangent_structure_apply(mixed, alg, P0)
+        x, v = J.apply(mixed).values_at(ev)
         assert np.any(v != 0.0)
 
     def test_point_dimension_validation(self, driftless):
@@ -202,7 +196,7 @@ class TestEulerSection:
             S = cfg.semispray().section(alg)
             for p in pts(cfg, 5, seed=31):
                 ev = alg.evaluator(p)
-                jx, jv = tangent_structure_apply(S, alg, p)
+                jx, jv = j_tensor(alg.m).apply(S).values_at(ev)
                 cx, cv = euler_section(alg).values_at(ev)
                 assert np.array_equal(jx, cx)
                 assert np.array_equal(jv, cv)
@@ -238,7 +232,7 @@ class TestLieDerivativeTensor:
         # [C, J] = -J: the VX block is minus the identity, the rest vanish
         alg = driftless.algebroid
         C = euler_section(alg)
-        out = lie_derivative_tensor(alg, C, j_tensor(2), P0)
+        out = lie_derivative_tensor(alg, C, j_tensor(2), alg.evaluator(P0))
         assert np.array_equal(out[2:, :2], -np.eye(2))
         assert np.count_nonzero(out[:2, :2]) == 0
         assert np.count_nonzero(out[:2, 2:]) == 0
@@ -247,7 +241,7 @@ class TestLieDerivativeTensor:
     def test_identity_is_flat(self, driftless):
         alg = driftless.algebroid
         A = sec(driftless, ["u1", "x2*u2"], ["x1", "u1*u2"])
-        out = lie_derivative_tensor(alg, A, identity_tensor(2), P0)
+        out = lie_derivative_tensor(alg, A, identity_tensor(2), alg.evaluator(P0))
         assert np.max(np.abs(out)) == 0.0
 
     def test_sode_identity_j_brackets(self, all_systems):
@@ -269,7 +263,7 @@ class TestLieDerivativeTensor:
                 JA = j_tensor(m).apply(A)
                 for p in pts(cfg, 50, seed=13):
                     ev = alg.evaluator(p)
-                    bx, bv = bracket(alg, S, JA, p)
+                    bx, bv = bracket(alg, S, JA, ev)
                     jx, jv = np.zeros(m), bx
                     ja_x, ja_v = JA.values_at(ev)
                     assert np.max(np.abs(jx - (-ja_x))) <= 1e-9

@@ -58,10 +58,11 @@ def test_spray_and_geometry_frame(line):
     assert rep.is_spray  # geodesic field of a base metric
     N = canonical_connection(alg, S)
     for p in line.sample_points(count=10):
-        Nv = N.at(alg.evaluator(p))
-        assert np.max(np.abs(Nv - connection_from_lie_derivative(alg, S, p))) <= 1e-10
-        R2 = jacobi_endomorphism(alg, S, N, p)
-        assert np.max(np.abs(R2 - jacobi_from_bracket(alg, S, N, p))) <= 1e-10
+        ev = alg.evaluator(p)
+        Nv = N.at(ev)
+        assert np.max(np.abs(Nv - connection_from_lie_derivative(alg, S, ev))) <= 1e-10
+        R2 = jacobi_endomorphism(alg, S, N, ev)
+        assert np.max(np.abs(R2 - jacobi_from_bracket(alg, S, N, ev))) <= 1e-10
         # rank one leaves no room for curvature
         assert np.max(np.abs(R2)) <= 1e-10
         frame = geometry_frame(alg, S, N, p)
@@ -69,7 +70,9 @@ def test_spray_and_geometry_frame(line):
 
 
 def test_symplectic_equation(line):
+    alg = line.algebroid
     S = line.semispray()
     for p in line.sample_points(count=10):
+        ev = alg.evaluator(p)
         for B in basis_sections(1):
-            assert abs(symplectic_residual(line.algebroid, line.lagrangian, S, B, p)) <= 1e-9
+            assert abs(symplectic_residual(alg, line.lagrangian, S, B, ev)) <= 1e-9

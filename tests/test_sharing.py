@@ -128,11 +128,8 @@ def test_one_evaluator_per_point(driftless, monkeypatch):
     p = EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])
     geometry_frame(alg, driftless.semispray(), driftless.connection(), p)
     assert len(made) == 1
-    assert alg.evaluator(p) is made[0]
-    # another point object replaces the slot, even with equal coordinates
-    q = EvalPoint.of(p.x, p.y)
-    assert alg.evaluator(q) is not made[0]
-    assert alg.evaluator(p) is not made[0]
+    # the system keeps no evaluator: each call makes a new one
+    assert alg.evaluator(p) is not alg.evaluator(p)
 
 
 def test_point_arrays_are_read_only(driftless):
@@ -241,7 +238,8 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
     S, N = heisenberg.semispray(), heisenberg.connection()
     T = f_tensor(alg, N)
     p, q = heisenberg.sample_points(count=2)
-    first = nabla_tensor(alg, S, N, T, p)
+    first = nabla_tensor(alg, S, N, T, alg.evaluator(p))
+    ev = alg.evaluator(q)
     built = []
 
     def counting(init):
@@ -253,10 +251,10 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
 
     for cls in (Num, Var, Neg, BinOp, Call):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-    second = nabla_tensor(alg, S, N, T, q)
+    second = nabla_tensor(alg, S, N, T, ev)
     assert built == []
     assert not np.array_equal(first, second)
-    nabla_tensor(alg, S, N, f_tensor(alg, N), q)  # another tensor object: new trees
+    nabla_tensor(alg, S, N, f_tensor(alg, N), ev)  # another tensor object: new trees
     assert built
 
 
