@@ -31,7 +31,16 @@ DEFAULT_SAMPLE_COUNT = 50
 DEFAULT_SEED = 20250810
 DEFAULT_TOLERANCE = 1e-9
 
-_CANDIDATE_KINDS = ("base_section", "prolongation_section", "conserved_function")
+_FIELDS = (
+    "name", "base_dim", "fiber_rank", "base_coords", "fiber_coords", "anchor", "structure",
+    "lagrangian", "semispray", "connection", "candidates", "samples", "tolerance", "reference",
+)
+# the checks each candidate kind runs, the keys its ``expect`` may name
+_CHECKS = {
+    "base_section": ("lie",),
+    "prolongation_section": ("dynamical", "newtonoid", "cartan"),
+    "conserved_function": ("conserved",),
+}
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,13 @@ def _need(raw: dict, key: str, kind, path: str):
     return val
 
 
+def _known_keys(raw: dict, keys: tuple[str, ...], path: str) -> None:
+    """A :class:`ConfigError` at the first key of ``raw`` not in ``keys``."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"{path}/{key}", f"unknown key; expected one of {', '.join(keys)}")
+
+
 def _parse_expr_at(source, coords, path: str) -> Expr:
     if not isinstance(source, str):
         raise ConfigError(path, "expected an expression string")
@@ -185,14 +201,15 @@ def _parse_candidates(raw, alg: Algebroid, path: str) -> tuple[Candidate, ...]:
         if not isinstance(entry, dict):
             raise ConfigError(here, "expected an object")
         kind = _need(entry, "kind", str, here)
-        if kind not in _CANDIDATE_KINDS:
-            raise ConfigError(f"{here}/kind", f"expected one of {_CANDIDATE_KINDS}")
-        name = entry.get("name", f"candidate-{k}")
+        if kind not in _CHECKS:
+            raise ConfigError(f"{here}/kind", f"expected one of {tuple(_CHECKS)}")
+        name = _need(entry, "name", str, here) if "name" in entry else f"candidate-{k}"
         expect = entry.get("expect", {})
         if not isinstance(expect, dict) or not all(
             isinstance(v, bool) for v in expect.values()
         ):
             raise ConfigError(f"{here}/expect", "expected a map of booleans")
+        _known_keys(expect, _CHECKS[kind], f"{here}/expect")
         if kind == "base_section":
             exprs = _parse_list(entry.get("components"), alg.m, alg.coords, f"{here}/components")
             out.append(
@@ -222,6 +239,7 @@ def _parse_samples(raw, alg: Algebroid, path: str) -> SampleSpec:
         return SampleSpec(DEFAULT_SAMPLE_COUNT, DEFAULT_SEED)
     if not isinstance(raw, dict):
         raise ConfigError(path, "expected an object")
+    _known_keys(raw, ("count", "seed", "box"), path)
     count = raw.get("count", DEFAULT_SAMPLE_COUNT)
     seed = raw.get("seed", DEFAULT_SEED)
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
@@ -274,6 +292,7 @@ def _parse_reference(raw, alg: Algebroid, path: str) -> dict[str, tuple] | None:
 def parse_config(raw: dict) -> SystemConfig:
     if not isinstance(raw, dict):
         raise ConfigError("", "top level must be an object")
+    _known_keys(raw, _FIELDS, "")
     name = _need(raw, "name", str, "")
     n = _need(raw, "base_dim", int, "")
     m = _need(raw, "fiber_rank", int, "")

@@ -8,26 +8,38 @@ is built from outer products ``g g^T`` or the symmetrized ``a b^T + b a^T``.
 The Hessian never feeds the value or the gradient, so both orders give the
 same value and gradient bit for bit.
 
-:class:`PointEvaluator` evaluates trees at a fixed point as floats
-(``value``), first-order jets (``jet1``) or second-order jets (``jet``),
-memoising each per node object so shared subtrees are visited once.  Every
-mode, of this evaluator and of the two below, is one loop over
-:func:`~algmech.expr.postorder` with the mode's rule per node kind, reading
-a node's operands from its memo, so a tree of any depth evaluates.  The
-symmetry, bracket, connection and validation checks are first order in their
-component functions and take ``jet1``, and the fiber metric is read from its
-own trees (``Lagrangian.metric_exprs``); only the Euler-Lagrange residual
-reads a Hessian and calls ``jet``, which stays second order as the public way
-to get one.  A jet's value can differ from ``value`` in the last bit (``a/b``
-is ``a * (1/b)`` in jet arithmetic), so callers comparing a value with a
-gradient read both from one jet.
+Trees are evaluated by one rule table, written once: a value loop and a jet
+loop (with its power rule) over :func:`~algmech.expr.postorder`, one rule
+per node kind, each reading a node's operands from its memo, so shared
+subtrees are visited once and a tree of any depth evaluates (the evaluation
+procedure of Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
+ch. 2-3).  Two evaluators run it and supply only what differs: how a
+constant and a coordinate leaf are made, how a
+:data:`~algmech.expr.FUNCTIONS` float function is applied, and how a zero
+or non-positive operand is detected.  A math error in a rule becomes an
+:class:`EvaluationDomainError` naming the subexpression.
 
-Every quantity computed at a point takes the caller's evaluator
+:class:`PointEvaluator` runs the rules on Python floats at one point:
+values (``value``), first-order jets (``jet1``) and second-order jets
+(``jet``), applying each function directly.  The symmetry, bracket,
+connection and validation checks are first order in their component
+functions and take ``jet1``, and the fiber metric is read from its own
+trees (``Lagrangian.metric_exprs``); only the Euler-Lagrange residual reads
+a Hessian and calls ``jet``, which stays second order as the public way to
+get one.  A first-order jet computes no second-derivative factor, so it is
+defined wherever its value and gradient are.  A jet's value can differ from
+``value`` in the last bit (``a/b`` is ``a * (1/b)`` in jet arithmetic), so
+callers comparing a value with a gradient read both from one jet.  Every
+quantity computed at a point takes the caller's evaluator
 (:meth:`~algmech.algebroid.Algebroid.evaluator` makes one), so they share
 its memo; values depend only on the tree and the point, so sharing never
 changes a result; :meth:`PointEvaluator.array` keeps per-point arrays.
-Every mode reads :data:`~algmech.expr.FUNCTIONS`; one guard turns math's
-own errors into :class:`EvaluationDomainError`.
+
+:class:`SampleEvaluator` runs the same rules at a whole sample set, on
+float64 columns: its memo holds (P, 1) value columns, so :class:`Jet2`'s
+arithmetic broadcasts them against (P, k) gradients unchanged, and it hands
+out (P,) values and first-order jets with (P, k) gradients.  Every sweep
+takes it (:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).
 
 :class:`ValueKernel` compiles a fixed tuple of trees once into straight-line
 Python and returns their values, bit for bit those of ``value``, at any
@@ -36,27 +48,16 @@ point.  Use it for value-only evaluation of the same trees at many points
 to compile and then a few hundred ns per call.  Use ``PointEvaluator`` for
 everything else: a per-point memo shared across many trees, jets, and the
 error path that names the failing subexpression, which the kernel reaches by
-walking its trees again with ``value``.  Both compute ``^`` with one helper,
-``_power``; it and :meth:`Jet2.pow_int` take integer powers from one routine,
-:func:`int_power`, so their cost grows with log2 of the exponent.
-
-:class:`SampleEvaluator` evaluates trees at a whole sample set at once, with
-a leading sample axis: values as (P,) arrays and first-order jets
-(:class:`SampleJet`) with (P, k) gradients; every sweep takes it
-(:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).  Each
-sample is bit for bit the walker's: ``+ - * /`` and :func:`int_power` run
-elementwise, and the elementary functions are ``FUNCTIONS``' float functions
-applied per element, not numpy's (on an x86-64 host with AVX-512,
-``np.exp`` and ``np.log`` differed from ``math.exp`` and ``math.log`` on
-4.6% and 0.16% of inputs, while sin, cos and sqrt matched).  Like the
-kernel, the batch formats no errors: it walks the first failing sample again
-with ``PointEvaluator``.  A single point stays on Python floats.
+walking its trees again with ``value``.  Integer powers of floats, columns
+and jets come from one routine, :func:`int_power`, so their cost grows with
+log2 of the exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ from .errors import EvaluationDomainError
 from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Var, literal_value, postorder
 
 __all__ = [
-    "Jet2", "EvalPoint", "PointEvaluator", "SampleEvaluator", "SampleJet", "ValueKernel",
+    "Jet2", "EvalPoint", "PointEvaluator", "SampleEvaluator", "ValueKernel",
     "eval_jet", "finite_difference_jet", "int_power",
 ]
 
@@ -90,7 +91,9 @@ class EvalPoint:
 
 class Jet2:
     """Truncated Taylor data of a scalar quantity; ``hess`` is ``None`` at
-    first order, and an operation with a first-order operand is first order."""
+    first order, and an operation with a first-order operand is first order.
+    The value may be a (P, 1) column over a (P, k) gradient: every operation
+    broadcasts, giving each row the bits of the scalar jet."""
 
     __slots__ = ("value", "grad", "hess")
 
@@ -98,16 +101,6 @@ class Jet2:
         self.value = value
         self.grad = grad
         self.hess = hess
-
-    @staticmethod
-    def constant(value: float, k: int, second: bool = True) -> "Jet2":
-        return Jet2(float(value), np.zeros(k), np.zeros((k, k)) if second else None)
-
-    @staticmethod
-    def coordinate(value: float, index: int, k: int, second: bool = True) -> "Jet2":
-        g = np.zeros(k)
-        g[index] = 1.0
-        return Jet2(float(value), g, np.zeros((k, k)) if second else None)
 
     def __add__(self, o: "Jet2") -> "Jet2":
         h = None if self.hess is None or o.hess is None else self.hess + o.hess
@@ -145,11 +138,6 @@ class Jet2:
     def __truediv__(self, o: "Jet2") -> "Jet2":
         return self * o.reciprocal()
 
-    def pow_int(self, k: int) -> "Jet2":
-        if k < 0:
-            return self.pow_int(-k).reciprocal()
-        return int_power(self, k, Jet2.constant(1.0, self.grad.shape[0], self.hess is not None))
-
 
 def int_power(a, k: int, one):
     """``a^k`` for an integer ``k >= 0`` and any ``a`` with ``*`` (floats and
@@ -185,55 +173,39 @@ def _integer_exponent(node: BinOp) -> int | None:
     return None
 
 
-def _power_exponent(base: float, node: BinOp) -> int | None:
-    """Integer exponent of ``node`` (or None: a real power), base checked."""
-    k = _integer_exponent(node)
-    if k is not None:
-        if k < 0 and base == 0.0:
-            raise EvaluationDomainError("zero base with negative exponent", node)
-    elif base <= 0.0:
-        raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}", node)
-    return k
-
-
-def _power(a: float, c: float, k: int | None) -> float:
-    """``a^c`` as every float path computes it: :func:`int_power` of ``|k|``
-    (inverted for ``k < 0``) for an integer exponent ``k`` (see
-    ``_integer_exponent``), else ``exp(c ln a)``.  Outside the domain math's
-    own errors signal it: ``ln`` of a non-positive base, or ``1/0`` for a
-    zero base and ``k < 0``."""
+def _power(a, c, k: int | None, one=1.0):
+    """``a^c`` as every value path computes it: :func:`int_power` of ``|k|``
+    (``one`` over it for ``k < 0``) for an integer exponent ``k`` (see
+    ``_integer_exponent``), else ``exp(c ln a)``; the rules take that exp and
+    ln from their evaluator, so only the kernel runs this float form.
+    Outside the domain math's own errors signal it: ``ln`` of a non-positive
+    base, or ``1/0`` for a zero base and ``k < 0``."""
     if k is None:
         return math.exp(c * math.log(a))
-    r = int_power(a, abs(k), 1.0)
-    return 1.0 / r if k < 0 else r
+    r = int_power(a, abs(k), one)
+    return one / r if k < 0 else r
 
 
-class PointEvaluator:
-    """Evaluates expression trees at one fixed coordinate assignment.
+class _Rules:
+    """The one rule per node kind, for values and for jets.
 
-    Shared sub-objects are evaluated once per evaluator (memoised by object
-    identity), so composite trees built from common pieces stay cheap.
+    An evaluator supplies the numbers the rules run on: ``_one`` and
+    ``_coords``, the value of 1 and of each coordinate (a constant ``c`` is
+    ``c * _one``); ``_grad_shape``, the shape of a gradient;
+    ``_functions``, :data:`~algmech.expr.FUNCTIONS` with ``f``, ``d1`` and
+    ``d2`` applied as it applies them; ``_zero(x)`` and ``_nonpositive(x)``,
+    whether any element of ``x`` is zero, or at most zero; and the memos
+    ``_floats`` and ``_jet1s``.  A memo entry stores ``(node, result)``: the
+    node reference keeps the id unique for the memo's lifetime (ids of dead
+    objects get reused).
     """
 
-    def __init__(self, names: Sequence[str], values: Sequence[float]):
-        if len(names) != len(values):
-            raise ValueError("coordinate names and values differ in length")
-        self.names = tuple(names)
-        self.values = tuple(float(v) for v in values)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.k = len(self.names)
-        # memo entries store (node, result): the node reference keeps the id
-        # unique for the evaluator's lifetime (ids of dead objects get reused)
-        self._jets: dict[int, tuple[Expr, Jet2]] = {}  # second order
-        self._jet1s: dict[int, tuple[Expr, Jet2]] = {}  # first order
-        self._floats: dict[int, tuple[Expr, float]] = {}
-        self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
-
-    def value(self, e: Expr) -> float:
+    def _walk_value(self, e: Expr):
+        """The value of ``e``."""
         memo = self._floats
         if id(e) in memo:
             return memo[id(e)][1]
-        values, index = self.values, self.index
+        coords, index = self._coords, self.index
         for n in postorder(e, memo):
             t = type(n)
             if t is BinOp:
@@ -247,49 +219,47 @@ class PointEvaluator:
                 elif op == "*":
                     r = a * b
                 elif op == "/":
-                    if b == 0.0:
+                    if self._zero(b):
                         raise EvaluationDomainError("division by zero", n)
                     r = a / b
                 else:
-                    k = _power_exponent(a, n)
+                    k = self._exponent(n, a)
                     try:
-                        r = _power(a, b, k)
+                        if k is None:  # a^b = exp(b ln a)
+                            r = self._functions["exp"].f(b * self._functions["ln"].f(a))
+                        else:
+                            r = _power(a, b, k, self._one)
                     except _MATH_ERRORS as err:
                         raise _domain_error("power", f"base {a!r}", n, err) from err
             elif t is Num:
-                r = n.value
+                r = n.value * self._one
             elif t is Var:
-                r = values[index[n.name]]
+                r = coords[index[n.name]]
             elif t is Neg:
                 r = -memo[id(n.operand)][1]
             else:
                 v = memo[id(n.operand)][1]
                 try:
-                    r = FUNCTIONS[n.func].f(v)
+                    r = self._functions[n.func].f(v)
                 except _MATH_ERRORS as err:
                     raise _domain_error(n.func, repr(v), n, err) from err
             memo[id(n)] = (n, r)
         return memo[id(e)][1]
 
-    def jet(self, e: Expr) -> Jet2:
-        """Second-order jet of ``e``: value, gradient and Hessian."""
-        return self._walk(e, self._jets, True)
-
-    def jet1(self, e: Expr) -> Jet2:
-        """First-order jet of ``e`` (``hess`` is ``None``); its value and
-        gradient equal those of :meth:`jet` bit for bit."""
-        return self._walk(e, self._jet1s, False)
-
-    def _walk(self, e: Expr, memo: dict, second: bool) -> Jet2:
+    def _walk_jet(self, e: Expr, memo: dict, second: bool) -> Jet2:
+        """The jet of ``e``: second order for ``second``, else first."""
         if id(e) in memo:
             return memo[id(e)][1]
+        one, coords, index, functions, zero = (
+            self._one, self._coords, self.index, self._functions, self._zero
+        )
         for n in postorder(e, memo):
             t = type(n)
             if t is BinOp:
                 op = n.op
                 a = memo[id(n.left)][1]
                 if op == "^":
-                    r = self._pow_jet(n, a, memo)
+                    r = self._pow_jet(n, a, memo, second)
                 else:
                     b = memo[id(n.right)][1]
                     if op == "+":
@@ -299,22 +269,22 @@ class PointEvaluator:
                     elif op == "*":
                         r = a * b
                     else:
-                        if b.value == 0.0:
+                        if zero(b.value):
                             raise EvaluationDomainError("division by zero", n)
                         try:
                             r = a / b
                         except _MATH_ERRORS as err:
                             raise _domain_error("division", f"divisor {b.value!r}", n, err) from err
             elif t is Num:
-                r = Jet2.constant(n.value, self.k, second)
+                r = self._seed(n.value * one, None, second)
             elif t is Var:
-                i = self.index[n.name]
-                r = Jet2.coordinate(self.values[i], i, self.k, second)
+                i = index[n.name]
+                r = self._seed(coords[i], i, second)
             elif t is Neg:
                 r = -memo[id(n.operand)][1]
             else:
                 a = memo[id(n.operand)][1]
-                fn, v = FUNCTIONS[n.func], a.value
+                fn, v = functions[n.func], a.value
                 try:
                     r = a.chain(fn.f(v), fn.d1(v), fn.d2(v) if second else 0.0)
                 except _MATH_ERRORS as err:
@@ -322,24 +292,87 @@ class PointEvaluator:
             memo[id(n)] = (n, r)
         return memo[id(e)][1]
 
-    @staticmethod
-    def _pow_jet(e: BinOp, a: Jet2, memo: dict) -> Jet2:
-        """The jet of ``e = a^b``, ``b`` read from the memo unless literal."""
-        lit = literal_value(e.right)
-        b = None if lit is not None else memo[id(e.right)][1]
+    def _seed(self, value, i: int | None, second: bool) -> Jet2:
+        """A leaf's jet: ``value`` with the gradient of coordinate ``i``, or
+        of a constant for ``i = None``."""
+        grad = np.zeros(self._grad_shape)
+        if i is not None:
+            grad[..., i] = 1.0
+        return Jet2(value, grad, np.zeros((self.k, self.k)) if second else None)
+
+    def _pow_jet(self, e: BinOp, a: Jet2, memo: dict, second: bool) -> Jet2:
+        """The jet of ``e = a^b``, ``b`` read from the memo unless literal;
+        f'' only for a second-order jet."""
         v = a.value
-        c = lit if b is None else b.value
-        k = _power_exponent(v, e)
+        k = self._exponent(e, v)
         try:
             if k is not None:
-                return a.pow_int(k)
-            f0 = _power(v, c, None)
-            if b is None:
-                return a.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v))
-            ln = FUNCTIONS["ln"]  # a^b = exp(b ln a)
-            return (b * a.chain(ln.f(v), ln.d1(v), ln.d2(v))).chain(f0, f0, f0)
+                r = int_power(a, abs(k), self._seed(self._one, None, second))
+                return r.reciprocal() if k < 0 else r
+            exp, ln = self._functions["exp"], self._functions["ln"]
+            c = literal_value(e.right)
+            if c is not None:
+                f0 = exp.f(c * ln.f(v))
+                return a.chain(f0, c * f0 / v, c * (c - 1.0) * f0 / (v * v) if second else 0.0)
+            b = memo[id(e.right)][1]  # a^b = exp(b ln a)
+            u = b * a.chain(ln.f(v), ln.d1(v), ln.d2(v) if second else 0.0)
+            f0 = exp.f(u.value)
+            return u.chain(f0, f0, f0)
         except _MATH_ERRORS as err:
             raise _domain_error("power", f"base {v!r}", e, err) from err
+
+    def _exponent(self, e: BinOp, base) -> int | None:
+        """The integer exponent of ``e`` (None: a real power), its base
+        checked against the power's domain."""
+        k = _integer_exponent(e)
+        if k is None:
+            if self._nonpositive(base):
+                raise EvaluationDomainError(f"non-integer power of non-positive base {base!r}", e)
+        elif k < 0 and self._zero(base):
+            raise EvaluationDomainError("zero base with negative exponent", e)
+        return k
+
+    def _nested(self, t):
+        return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
+
+
+class PointEvaluator(_Rules):
+    """Evaluates expression trees at one fixed coordinate assignment.
+
+    Shared sub-objects are evaluated once per evaluator (memoised by object
+    identity), so composite trees built from common pieces stay cheap.
+    """
+
+    _one = 1.0
+    _functions = FUNCTIONS
+    # float comparisons bound to 0.0: the point walk tests an operand with
+    # no Python-level call
+    _zero = (0.0).__eq__
+    _nonpositive = (0.0).__ge__
+
+    def __init__(self, names: Sequence[str], values: Sequence[float]):
+        if len(names) != len(values):
+            raise ValueError("coordinate names and values differ in length")
+        self.names = tuple(names)
+        self.values = self._coords = tuple(float(v) for v in values)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.k = len(self.names)
+        self._grad_shape = (self.k,)
+        self._floats: dict[int, tuple[Expr, float]] = {}
+        self._jet1s: dict[int, tuple[Expr, Jet2]] = {}
+        self._jets: dict[int, tuple[Expr, Jet2]] = {}  # second order
+        self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
+
+    value = _Rules._walk_value  # the loop itself: the frames call it per tree
+
+    def jet(self, e: Expr) -> Jet2:
+        """Second-order jet of ``e``: value, gradient and Hessian."""
+        return self._walk_jet(e, self._jets, True)
+
+    def jet1(self, e: Expr) -> Jet2:
+        """First-order jet of ``e`` (``hess`` is ``None``); its value and
+        gradient equal those of :meth:`jet` bit for bit."""
+        return self._walk_jet(e, self._jet1s, False)
 
     def values_of(self, exprs: Sequence[Expr]) -> np.ndarray:
         return np.array([self.value(x) for x in exprs])
@@ -356,91 +389,102 @@ class PointEvaluator:
             hit = self._arrays[id(trees)] = (trees, out)
         return hit[1]
 
-    def _nested(self, t):
-        return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
+
+# The faults of a batch: the rules' domain errors, and numpy's division by
+# zero, raised (not warned) so that a batch stops wherever a float division
+# would raise
+_BATCH_FAULTS = (EvaluationDomainError, FloatingPointError)
 
 
-class SampleJet:
-    """First-order jets at P points: a (P,) value and a (P, k) gradient.
-    The rules are those of :class:`Jet2` at first order, elementwise."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value: np.ndarray, grad: np.ndarray):
-        self.value = value
-        self.grad = grad
-
-    def __mul__(self, o: "SampleJet") -> "SampleJet":
-        grad = self.value[:, None] * o.grad + o.value[:, None] * self.grad
-        return SampleJet(self.value * o.value, grad)
-
-    def chain(self, f0: np.ndarray, f1: np.ndarray) -> "SampleJet":
-        return SampleJet(f0, f1[:, None] * self.grad)
-
-    def reciprocal(self) -> "SampleJet":
-        v = self.value
-        return self.chain(1.0 / v, -1.0 / (v * v))
+def _each(f, column: np.ndarray) -> np.ndarray:
+    """``f`` applied per element to Python floats, as the point walk applies it."""
+    out = np.fromiter(map(f, column.ravel().tolist()), float, column.size)
+    return out.reshape(column.shape)
 
 
-# The float faults of a batch: math's own errors from an elementary function
-# applied per element, and numpy's division by zero, raised (not warned) so
-# that a batch stops wherever a float division would raise
-_BATCH_FAULTS = _MATH_ERRORS + (FloatingPointError,)
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A (P, 1) memo column as the read-only (P,) array handed out."""
+    out = column[:, 0]
+    out.flags.writeable = False
+    return out
 
 
-def _each(f, *columns: np.ndarray) -> np.ndarray:
-    """``f`` applied per element to Python floats, as the walkers apply it."""
-    return np.fromiter(map(f, *(c.tolist() for c in columns)), float, len(columns[0]))
-
-
-def _nonzero(b: np.ndarray) -> np.ndarray:
-    """``b``, or the ZeroDivisionError that ``a / b`` raises on floats."""
-    if not b.all():
-        raise ZeroDivisionError("division by zero")
-    return b
-
-
-class SampleEvaluator:
+class SampleEvaluator(_Rules):
     """Evaluates trees at P sample points at once, over a leading sample axis.
 
-    ``value`` returns a (P,) array and ``jet1`` a :class:`SampleJet` with a
-    (P,) value and a (P, k) gradient; ``values_of`` and ``array`` put the
-    sample axis first, and ``values`` is the (P, k) array of coordinates.
-    Each result is memoised per node object, as in :class:`PointEvaluator`,
-    for the evaluator's lifetime, and is read-only.  The batch is first order
-    only; a second derivative that a sweep reads is a tree of its own.
+    ``value`` returns a (P,) array and ``jet1`` a first-order :class:`Jet2`
+    with a (P,) value and a (P, k) gradient; ``values_of`` and ``array`` put
+    the sample axis first, and ``values`` is the (P, k) array of coordinates.
+    The rules are :class:`PointEvaluator`'s, run on (P, 1) columns: a
+    constant is a column, a coordinate is its column of ``values``, and each
+    :data:`~algmech.expr.FUNCTIONS` float function is applied per element
+    (``_each``).  Each result is memoised per node object for the
+    evaluator's lifetime, and what is handed out is read-only.  The batch is
+    first order only; a second derivative that a sweep reads is a tree of
+    its own.
 
     Every slice is bit for bit what :class:`PointEvaluator` gives at that
     sample.  ``+ - * /`` and :func:`int_power` run elementwise on float64,
     which rounds each element as the float operation does.  Elementary
-    functions apply :data:`~algmech.expr.FUNCTIONS`' own float functions per
-    element, since numpy's do not always round as math's do.
+    functions are ``FUNCTIONS``' own float functions, since numpy's do not
+    always round as math's do (on an x86-64 host with AVX-512, ``np.exp`` and
+    ``np.log`` differed from ``math.exp`` and ``math.log`` on 4.6% and 0.16%
+    of inputs, while sin, cos and sqrt matched).
 
-    The batch formats no errors.  Where a walker would raise (a math error,
-    a zero divisor, a power outside its domain), the batch stops and walks
-    the samples again in order with :class:`PointEvaluator`; the first
-    failing sample raises the walker's :class:`EvaluationDomainError`, with
-    the sample point appended to its message.
+    The batch formats no errors.  Where a rule raises its
+    :class:`EvaluationDomainError` or numpy divides by zero, the batch stops
+    and walks the samples again in order with :class:`PointEvaluator`; the
+    first failing sample raises the point's error, with the sample point
+    appended to its message.
     """
+
+    _functions = {
+        name: fn._replace(
+            f=partial(_each, fn.f), d1=partial(_each, fn.d1), d2=partial(_each, fn.d2)
+        )
+        for name, fn in FUNCTIONS.items()
+    }
+
+    @staticmethod
+    def _zero(x: np.ndarray) -> bool:
+        return not x.all()
+
+    @staticmethod
+    def _nonpositive(x: np.ndarray) -> bool:
+        return bool((x <= 0.0).any())
 
     def __init__(self, names: Sequence[str], points: Sequence[EvalPoint]):
         self.names = tuple(names)
         self.points = tuple(points)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.k = len(self.names)
+        P = len(self.points)
         values = np.array([p.values() for p in self.points], dtype=float)
-        self.values = values.reshape(len(self.points), self.k)
-        self.values.flags.writeable = False
+        self.values = values.reshape(P, self.k)
+        columns = np.array(self.values.T)[..., None]
+        for a in (self.values, columns):
+            a.flags.writeable = False
+        self._coords = tuple(columns)
+        self._one = np.ones((P, 1))
+        self._grad_shape = (P, self.k)
         self._floats: dict[int, tuple[Expr, np.ndarray]] = {}
-        self._jet1s: dict[int, tuple[Expr, SampleJet]] = {}
+        self._jet1s: dict[int, tuple[Expr, Jet2]] = {}
         self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
 
     def value(self, e: Expr) -> np.ndarray:
-        return self._batch(self._value, PointEvaluator.value, e)
+        hit = self._floats.get(id(e))  # a memo hit needs no errstate
+        r = hit[1] if hit is not None else self._batch(PointEvaluator.value, self._walk_value, e)
+        return _read_only(r)
 
-    def jet1(self, e: Expr) -> SampleJet:
+    def jet1(self, e: Expr) -> Jet2:
         """First-order jets of ``e``, each that of :meth:`PointEvaluator.jet1`."""
-        return self._batch(self._jet1, PointEvaluator.jet1, e)
+        hit = self._jet1s.get(id(e))  # a memo hit needs no errstate
+        if hit is not None:
+            r = hit[1]
+        else:
+            r = self._batch(PointEvaluator.jet1, self._walk_jet, e, self._jet1s, False)
+        r.grad.flags.writeable = False
+        return Jet2(_read_only(r.value), r.grad, None)
 
     def values_of(self, exprs: Sequence[Expr]) -> np.ndarray:
         return np.stack([self.value(x) for x in exprs], axis=-1)
@@ -455,15 +499,12 @@ class SampleEvaluator:
             hit = self._arrays[id(trees)] = (trees, out)
         return hit[1]
 
-    def _nested(self, t):
-        return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
-
-    def _batch(self, run, walk, e: Expr):
+    def _batch(self, walk, run, e: Expr, *args):
         try:
             with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-                return run(e)
+                return run(e, *args)
         except _BATCH_FAULTS:
-            with np.errstate(all="ignore"):  # the walker's jets warn of inf * 0
+            with np.errstate(all="ignore"):  # the point's jets warn of inf * 0
                 for p in self.points:
                     try:
                         walk(PointEvaluator(self.names, p.values()), e)
@@ -472,95 +513,6 @@ class SampleEvaluator:
                         named.subexpression = err.subexpression
                         raise named from err
             raise
-
-    def _value(self, e: Expr) -> np.ndarray:
-        memo = self._floats
-        for n in postorder(e, memo):
-            t = type(n)
-            if t is BinOp:
-                a = memo[id(n.left)][1]
-                b = memo[id(n.right)][1]
-                op = n.op
-                if op == "+":
-                    r = a + b
-                elif op == "-":
-                    r = a - b
-                elif op == "*":
-                    r = a * b
-                elif op == "/":
-                    r = a / _nonzero(b)
-                else:
-                    k = _integer_exponent(n)
-                    if k is None:
-                        r = _each(lambda v, c: _power(v, c, None), a, b)
-                    else:
-                        r = np.broadcast_to(_power(a, b, k), a.shape).copy()
-            elif t is Num:
-                r = np.full(len(self.points), n.value)
-            elif t is Var:
-                r = self.values[:, self.index[n.name]].copy()
-            elif t is Neg:
-                r = -memo[id(n.operand)][1]
-            else:
-                r = _each(FUNCTIONS[n.func].f, memo[id(n.operand)][1])
-            r.flags.writeable = False
-            memo[id(n)] = (n, r)
-        return memo[id(e)][1]
-
-    def _jet1(self, e: Expr) -> SampleJet:
-        memo = self._jet1s
-        P, k = len(self.points), self.k
-        for n in postorder(e, memo):
-            t = type(n)
-            if t is BinOp:
-                op = n.op
-                a = memo[id(n.left)][1]
-                if op == "^":
-                    r = self._pow_jet1(n, a, memo)
-                else:
-                    b = memo[id(n.right)][1]
-                    if op == "+":
-                        r = SampleJet(a.value + b.value, a.grad + b.grad)
-                    elif op == "-":
-                        r = SampleJet(a.value - b.value, a.grad - b.grad)
-                    elif op == "*":
-                        r = a * b
-                    else:
-                        r = a * b.reciprocal()
-            elif t is Num:
-                r = SampleJet(np.full(P, n.value), np.zeros((P, k)))
-            elif t is Var:
-                i = self.index[n.name]
-                r = SampleJet(self.values[:, i].copy(), np.zeros((P, k)))
-                r.grad[:, i] = 1.0
-            elif t is Neg:
-                a = memo[id(n.operand)][1]
-                r = SampleJet(-a.value, -a.grad)
-            else:
-                a = memo[id(n.operand)][1]
-                fn = FUNCTIONS[n.func]
-                r = a.chain(_each(fn.f, a.value), _each(fn.d1, a.value))
-            r.value.flags.writeable = r.grad.flags.writeable = False
-            memo[id(n)] = (n, r)
-        return memo[id(e)][1]
-
-    def _pow_jet1(self, e: BinOp, a: SampleJet, memo: dict) -> SampleJet:
-        """:meth:`PointEvaluator._pow_jet` at first order, elementwise."""
-        lit = literal_value(e.right)
-        v = a.value
-        k = _integer_exponent(e)
-        if k is not None:
-            P = len(self.points)
-            r = int_power(a, abs(k), SampleJet(np.ones(P), np.zeros((P, self.k))))
-            return r.reciprocal() if k < 0 else r
-        _nonzero(v * v)  # the walker's f'' terms divide by v*v at first order too
-        if lit is not None:
-            f0 = _each(lambda u: _power(u, lit, None), v)
-            return a.chain(f0, lit * f0 / v)
-        b = memo[id(e.right)][1]
-        f0 = _each(lambda u, c: _power(u, c, None), v, b.value)
-        ln = FUNCTIONS["ln"]  # a^b = exp(b ln a)
-        return (b * a.chain(_each(ln.f, v), _each(ln.d1, v))).chain(f0, f0)
 
 
 class ValueKernel:

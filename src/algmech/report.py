@@ -39,6 +39,11 @@ __all__ = [
 
 _GEOMETRY_FRAMES_IN_REPORT = 2
 
+# JSON string escapes: the backslash, the quote and every control character,
+# as \u00XX except the newline's \n
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES |= {ord("\n"): "\\n", ord("\\"): "\\\\", ord('"'): '\\"'}
+
 
 def format_float(v: float) -> str:
     if not math.isfinite(v):
@@ -58,8 +63,7 @@ def emit_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return '"' + obj.translate(_ESCAPES) + '"'
     if isinstance(obj, np.ndarray):
         return emit_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -71,7 +75,7 @@ def emit_json(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f'{inner}"{k}": ' + emit_json(obj[k], indent + 1)
+            f'{inner}"{str(k).translate(_ESCAPES)}": ' + emit_json(obj[k], indent + 1)
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

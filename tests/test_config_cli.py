@@ -308,6 +308,16 @@ class TestGeometryCommand:
             2.0, abs=1e-12
         )
 
+    def test_real_power_at_a_tiny_base_is_defined(self, tmp_path, capsys):
+        # the frame's first-order jets of x1^1.5 compute no f'' term, whose
+        # 1/x1^2 overflows at x1 = 1e-200 though every quantity is finite
+        lagrangian = "0.5*(v1^2+v2^2)+x1^2.5"
+        path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian), "abelian")
+        assert main(["geometry", "--config", str(path), "--at", "x=1e-200,1,y=1,1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert max(json.loads(captured.out)["residuals"].values()) <= 1e-9
+
     def test_non_finite_point_fails_in_one_line(self, tmp_path, capsys):
         # every number overflows at 1e200: one line that names the point, no
         # numpy warning, and no report with "nan" or "inf" in it
@@ -651,6 +661,33 @@ class TestBadArguments:
             assert message == f"config error: {where}: expected a positive finite number"
             assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize(
+        "mutate,where",
+        [
+            (lambda raw: raw.update(tolerence=1e-30), "/tolerence"),
+            (lambda raw: raw["samples"].update(cout=3), "/samples/cout"),
+            (lambda raw: raw["candidates"][0].update(name=[1, {"a": 2}]), "/candidates/0/name"),
+            (
+                lambda raw: raw["candidates"][0]["expect"].update(dynamicall=False),
+                "/candidates/0/expect/dynamicall",
+            ),
+            (
+                lambda raw: raw["candidates"][0]["expect"].update(lie=False),
+                "/candidates/0/expect/lie",
+            ),
+            (
+                lambda raw: raw["candidates"][2]["expect"].update(cartan=False),
+                "/candidates/2/expect/cartan",
+            ),
+        ],
+        ids=["top-level", "samples", "name", "expect", "lie-of-a-field", "cartan-of-a-section"],
+    )
+    def test_misspelt_or_mistyped_key(self, tmp_path, capsys, mutate, where):
+        cfg = edited_fixture(tmp_path, mutate)
+        for command in ("validate", "symmetry"):
+            message = self.usage_error(capsys, [command, "--config", str(cfg)])
+            assert message.startswith(f"config error: {where}: ")
+
     def test_report_output_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
         argv = ["report", "--config", str(fixture_path(tmp_path)), "--output", str(out)]
@@ -765,6 +802,12 @@ class TestReports:
         main(["report", "--config", str(cfg), "--output", str(out)])
         schema = json.loads((DOCS / "report.schema.json").read_text())
         jsonschema.validate(json.loads(out.read_text()), schema)
+
+    def test_control_characters_in_a_name_are_escaped(self, tmp_path, capsys):
+        name = "a\tb\u0001"
+        cfg = edited_fixture(tmp_path, lambda raw: raw.update(name=name))
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["name"] == name
 
     def test_markdown_format(self, tmp_path, capsys):
         cfg = fixture_path(tmp_path)

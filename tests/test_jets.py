@@ -393,13 +393,16 @@ def test_kernel_equals_walker_at_config_samples(config):
         assert bits(kernel(list(p.values()))) == bits(ev.value(t) for t in trees), p
 
 
-_EDGE_VALUES = [0.0, -0.0, -1.5, 0.7, 2.0, -3.0, 1e200, -1e200]
+_EDGE_VALUES = [0.0, -0.0, -1.5, 0.7, 2.0, -3.0, 1e200, -1e200, 1e-200]
 _KERNEL_LEAF = st.one_of(
     st.sampled_from([Var(c) for c in COORDS]),
     st.sampled_from([*_EDGE_VALUES, math.inf]).map(Num),  # a folded inf stays a float
 )
 _EXPONENT = st.sampled_from(
-    [Num(2.0), Num(3.0), Num(0.0), Num(-1.0), Neg(Num(2.0)), Num(0.5), Num(-1.5), Num(1e200)]
+    [
+        Num(2.0), Num(3.0), Num(0.0), Num(-1.0), Neg(Num(2.0)), Num(0.5), Num(-1.5), Num(1e200),
+        Num(2.5),
+    ]
 )
 
 
@@ -562,6 +565,29 @@ def test_batch_applies_math_not_numpy_functions():
     assert bits(ev.value(parse_expression("ln(x2)", COORDS))) == bits(
         math.log(p.x[1]) for p in points
     )
+
+
+@pytest.mark.parametrize(
+    "src,closed",
+    [
+        ("x1^0.5", lambda x1, x2: [0.5 * x1**-0.5, 0.0]),
+        ("x1^2.5", lambda x1, x2: [2.5 * x1**1.5, 0.0]),
+        ("x1^x2", lambda x1, x2: [x2 * x1 ** (x2 - 1.0), x1**x2 * math.log(x1)]),
+    ],
+    ids=["x1^0.5", "x1^2.5", "x1^x2"],
+)
+def test_first_order_power_jet_at_a_tiny_base(src, closed):
+    """A first-order jet computes no f'' term, so at x1 = 1e-200, where the
+    f'' factor 1/x1^2 overflows, the point and batch jets are finite, agree
+    bit for bit and match the closed form (x1^2.5 underflows to 0 there)."""
+    x1, x2 = 1e-200, 1.5
+    p = EvalPoint.of([x1, x2, 0.7, 2.0], ())
+    tree = parse_expression(src, COORDS)
+    point = PointEvaluator(COORDS, p.values()).jet1(tree)
+    batch = SampleEvaluator(COORDS, [p]).jet1(tree)
+    assert np.isfinite([point.value, *point.grad]).all()
+    assert bits([point.value, *point.grad]) == bits([batch.value[0], *batch.grad[0]])
+    np.testing.assert_allclose(point.grad, [*closed(x1, x2), 0.0, 0.0], rtol=1e-12, atol=1e-299)
 
 
 @pytest.mark.parametrize("config", _CONFIGS[:3], ids=_CONFIG_IDS[:3])

@@ -214,13 +214,13 @@ def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypa
             super().__init__(*args)
             evaluators.append(self)
 
-        def _value(self, e):
+        def _walk_value(self, e):
             walks["value", id(e)] += id(e) not in self._floats
-            return super()._value(e)
+            return super()._walk_value(e)
 
-        def _jet1(self, e):
-            walks["jet1", id(e)] += id(e) not in self._jet1s
-            return super()._jet1(e)
+        def _walk_jet(self, e, memo, second):
+            walks["jet1", id(e)] += id(e) not in memo
+            return super()._walk_jet(e, memo, second)
 
     points: list = []
     monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
