@@ -18,12 +18,13 @@ targets, the residuals at a few dozen random points are decisive in practice.
 An :class:`Algebroid` is the per-system object every derived-tree
 constructor receives, so it owns the caches that make derived trees and
 evaluation shared: the derivative memo (:meth:`Algebroid.derivative`), the
-evaluator of the current sample list (:meth:`Algebroid.sample_evaluator`),
-the trees that depend on the system alone (:attr:`Algebroid.base_velocity`,
+trees that depend on the system alone (:attr:`Algebroid.base_velocity`,
 :attr:`Algebroid.twisted_structure`), built on first use, and those that
-depend on objects built from it (:meth:`Algebroid.derived`).  A pointwise
-quantity takes the evaluator its caller holds, a point's
-(:meth:`Algebroid.evaluator` makes one) or a sample list's.
+depend on objects built from it (:meth:`Algebroid.derived`).  It keeps no
+evaluator: a pointwise quantity takes the evaluator its caller holds, a
+point's (:meth:`Algebroid.evaluator` makes one) or a sample set's
+(:meth:`Algebroid.sample_evaluator`), and every sweep takes the latter and
+names a failing sample from its ``points``.
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ class Algebroid:
     _derivatives: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # (samples, evaluator) of the last sample list asked for, replaced as one tuple
-    _batch: tuple | None = field(default=None, init=False, repr=False, compare=False)
     # derived-tree memo: (build, id(arg), ...) -> (args, trees), see derived()
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -149,17 +148,11 @@ class Algebroid:
         return PointEvaluator(self.coords, p.values())
 
     def sample_evaluator(self, samples: Sequence[EvalPoint]) -> SampleEvaluator:
-        """The evaluator over a whole sample list, shared by every check that
-        sweeps that list: the system keeps one, for the last list asked for
-        by object identity."""
-        current = self._batch
-        if current is not None and current[0] is samples:
-            return current[1]
+        """A new evaluator over ``samples``; pass it to every sweep over that
+        sample set, so they share its memo."""
         for p in samples:
             self._check_dims(p)
-        ev = SampleEvaluator(self.coords, samples)
-        object.__setattr__(self, "_batch", (samples, ev))
-        return ev
+        return SampleEvaluator(self.coords, samples)
 
     def _check_dims(self, p: EvalPoint) -> None:
         if len(p.x) != self.n or len(p.y) != self.m:
@@ -230,16 +223,15 @@ class Algebroid:
     # -- axiom validation ----------------------------------------------------
 
     @np.errstate(all="ignore")
-    def validate(self, samples: Sequence[EvalPoint], tol: float) -> ValidationReport:
+    def validate(self, ev: SampleEvaluator, tol: float) -> ValidationReport:
         """Residuals of antisymmetry and the two structure equations, swept
-        over the samples at once (sample axis first).
+        over the evaluator's samples at once (sample axis first).
 
         A domain error, or a residual that is not finite, raises
         :class:`EvaluationDomainError` naming the first such sample.
         """
-        if not samples:
+        if not ev.points:
             raise ValueError("at least one sample point is required")
-        ev = self.sample_evaluator(samples)
         sigma = self.anchor_at(ev)
         L = self.structure_at(ev)
         anti = np.abs(L + L.transpose(0, 2, 1, 3))
@@ -267,15 +259,15 @@ class Algebroid:
         rhs = inner(sigma[:, None, None], L[:, :, :, None])
         compat = np.abs(lie - lie.transpose(0, 2, 1, 3) - rhs)
 
-        anti = sweep_max("antisymmetry", samples, anti)
-        cyc = sweep_max("cyclic", samples, np.abs(cyc, out=cyc))
-        compat = sweep_max("compatibility", samples, compat)
+        anti = sweep_max("antisymmetry", ev, anti)
+        cyc = sweep_max("cyclic", ev, np.abs(cyc, out=cyc))
+        compat = sweep_max("compatibility", ev, compat)
         return ValidationReport(
             antisymmetry=anti,
             cyclic=cyc,
             compatibility=compat,
             tol=tol,
-            samples=len(samples),
+            samples=len(ev.points),
             passed=(anti <= tol and cyc <= tol and compat <= tol),
         )
 
@@ -287,13 +279,13 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def sweep_max(what: str, samples: Sequence[EvalPoint], residuals: np.ndarray) -> float:
-    """The largest of ``residuals`` (sample axis first, all >= 0) as a float,
-    0.0 for no samples; a residual that is not finite raises
-    :class:`EvaluationDomainError` naming its sample point, so no inf or NaN
-    reaches a report."""
+def sweep_max(what: str, ev: SampleEvaluator, residuals: np.ndarray) -> float:
+    """The largest of ``residuals`` (over ``ev``'s samples, sample axis first,
+    all >= 0) as a float, 0.0 for no samples; a residual that is not finite
+    raises :class:`EvaluationDomainError` naming its sample point, so no inf
+    or NaN reaches a report."""
     bad = ~np.isfinite(residuals).all(axis=tuple(range(1, residuals.ndim)))
     if bad.any():
-        p = samples[int(np.argmax(bad))]
+        p = ev.points[int(np.argmax(bad))]
         raise EvaluationDomainError(f"{what} residual is not finite at {p}")
     return float(np.max(residuals, initial=0.0))

@@ -113,12 +113,15 @@ def _writing(path) -> Iterator[None]:
 
 
 def _floats(chunk: str, flag: str) -> list[float]:
-    """The comma- or space-separated numbers of a command-line value."""
+    """The comma- or space-separated finite numbers of a command-line value."""
     parts = [p for p in re.split(r"[,\s]+", chunk.strip(" ,")) if p]
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as err:
         raise ConfigError(flag, f"bad number: {err}") from err
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(flag, "expected finite numbers")
+    return values
 
 
 def _parse_at(text: str, cfg: SystemConfig) -> EvalPoint:
@@ -146,8 +149,8 @@ def _load(args) -> tuple[SystemConfig, float]:
 
 def cmd_validate(args) -> int:
     cfg, tol = _load(args)
-    samples = cfg.sample_points(seed=args.seed)
-    result = run_validation(cfg, samples, tol)
+    ev = cfg.algebroid.sample_evaluator(cfg.sample_points(seed=args.seed))
+    result = run_validation(cfg, ev, tol)
     _emit(args, result, markdown=None if args.fmt == "json" else _simple_md("Validation", result))
     return 0 if result["passed"] else 1
 
@@ -163,8 +166,8 @@ def cmd_geometry(args) -> int:
 
 def cmd_spray_check(args) -> int:
     cfg, tol = _load(args)
-    samples = cfg.sample_points(seed=args.seed)
-    rep = spray_test(cfg.algebroid, cfg.semispray(), samples, tol)
+    ev = cfg.algebroid.sample_evaluator(cfg.sample_points(seed=args.seed))
+    rep = spray_test(cfg.algebroid, cfg.semispray(), ev, tol)
     payload = {
         "homogeneity": rep.homogeneity,
         "euler_bracket": rep.euler_bracket,
@@ -178,8 +181,8 @@ def cmd_spray_check(args) -> int:
 
 def cmd_symmetry(args) -> int:
     cfg, tol = _load(args)
-    samples = cfg.sample_points(seed=args.seed)
-    result = run_symmetry(cfg, cfg.semispray(), cfg.connection(), samples, tol)
+    ev = cfg.algebroid.sample_evaluator(cfg.sample_points(seed=args.seed))
+    result = run_symmetry(cfg, cfg.semispray(), cfg.connection(), ev, tol)
     _emit(args, result, markdown=None if args.fmt == "json" else render_symmetry_markdown(result))
     return 0 if result["all_ok"] else 1
 

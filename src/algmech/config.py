@@ -41,6 +41,12 @@ _CHECKS = {
     "prolongation_section": ("dynamical", "newtonoid", "cartan"),
     "conserved_function": ("conserved",),
 }
+# the keys of a candidate of each kind besides ``kind``, ``name`` and ``expect``
+_CANDIDATE_KEYS = {
+    "base_section": ("components",),
+    "prolongation_section": ("x", "v"),
+    "conserved_function": ("expr",),
+}
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,7 @@ def _parse_structure(raw, m: int, base_coords, path: str):
         here = f"{path}/{k}"
         if not isinstance(entry, dict):
             raise ConfigError(here, "expected an object")
+        _known_keys(entry, ("alpha", "beta", "gamma", "expr"), here)
         a = _need(entry, "alpha", int, here) - 1
         b = _need(entry, "beta", int, here) - 1
         g = _need(entry, "gamma", int, here) - 1
@@ -203,6 +210,7 @@ def _parse_candidates(raw, alg: Algebroid, path: str) -> tuple[Candidate, ...]:
         kind = _need(entry, "kind", str, here)
         if kind not in _CHECKS:
             raise ConfigError(f"{here}/kind", f"expected one of {tuple(_CHECKS)}")
+        _known_keys(entry, ("kind", "name", "expect", *_CANDIDATE_KEYS[kind]), here)
         name = _need(entry, "name", str, here) if "name" in entry else f"candidate-{k}"
         expect = entry.get("expect", {})
         if not isinstance(expect, dict) or not all(
@@ -260,9 +268,14 @@ def _parse_samples(raw, alg: Algebroid, path: str) -> SampleSpec:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rng)
         ):
             raise ConfigError(here, "expected [lo, hi]")
+        # NaN fails the comparison; an int beyond the float range fails it too
+        if not all(abs(v) <= sys.float_info.max for v in rng):
+            raise ConfigError(here, "expected finite bounds")
         lo, hi = float(rng[0]), float(rng[1])
         if lo >= hi:
             raise ConfigError(here, "requires lo < hi")
+        if hi - lo > sys.float_info.max:
+            raise ConfigError(here, "width hi - lo overflows")
         if coord in alg.fiber_coords and lo <= 0.0:
             raise ConfigError(here, "fiber ranges are magnitudes and need lo > 0")
         box[coord] = (lo, hi)

@@ -39,7 +39,8 @@ changes a result; :meth:`PointEvaluator.array` keeps per-point arrays.
 float64 columns: its memo holds (P, 1) value columns, so :class:`Jet2`'s
 arithmetic broadcasts them against (P, k) gradients unchanged, and it hands
 out (P,) values and first-order jets with (P, k) gradients.  Every sweep
-takes it (:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).
+takes the one its caller holds
+(:meth:`~algmech.algebroid.Algebroid.sample_evaluator` makes one).
 
 :class:`ValueKernel` compiles a fixed tuple of trees once into straight-line
 Python and returns their values, bit for bit those of ``value``, at any

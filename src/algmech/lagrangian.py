@@ -41,7 +41,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, PointEvaluator, ValueKernel
+from .jets import PointEvaluator, SampleEvaluator, ValueKernel
 from .prolongation import ProlongationSection, Semispray, directional_derivative
 
 __all__ = [
@@ -120,22 +120,20 @@ class Lagrangian:
 
 
 @np.errstate(all="ignore")
-def fiber_metric(
-    L: Lagrangian, samples: Sequence[EvalPoint]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fiber metric at every sample, its inverse and its condition
-    number: arrays (P, m, m), (P, m, m) and (P,).
+def fiber_metric(L: Lagrangian, ev: SampleEvaluator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fiber metric at every sample of ``ev``, its inverse and its
+    condition number: arrays (P, m, m), (P, m, m) and (P,).
 
     The metric is ``L.metric_exprs``, the matrix whose adjugate the canonical
-    semispray is built from, read over the system's evaluator of the sample
-    list; ``det``, ``inv`` and ``cond`` are stacked numpy calls, which give
-    each sample the bits of the unstacked call.  At the first sample where
-    the metric is not finite or singular (by the determinant cutoff on g / scale
-    or by the inverse test after one Newton sweep), this raises
+    semispray is built from, read over the caller's evaluator; ``det``,
+    ``inv`` and ``cond`` are stacked numpy calls, which give each sample the
+    bits of the unstacked call.  At the first sample where the metric is not
+    finite or singular (by the determinant cutoff on g / scale or by the
+    inverse test after one Newton sweep), this raises
     :class:`EvaluationDomainError` or :class:`SingularMetricError` naming it.
     """
-    alg = L.alg
-    g = alg.sample_evaluator(samples).array(L.metric_exprs)
+    samples = ev.points
+    g = ev.array(L.metric_exprs)
     finite = np.isfinite(g).all(axis=(1, 2))
     # the cutoff is on the determinant of g / scale, which neither
     # underflows nor overflows however small or large g is
@@ -144,7 +142,7 @@ def fiber_metric(
     unit_det = np.linalg.det(g / scale[:, None, None])
     bad = ~finite | (scale == 0.0) | (np.abs(unit_det) < _DET_RTOL)
     k = int(np.argmax(bad)) if bad.any() else len(samples)
-    eye = np.eye(alg.m)
+    eye = np.eye(L.alg.m)
     # inverted only before the first bad sample: a singular g makes inv raise
     ginv = np.linalg.inv(g[:k])
     off = np.max(np.abs(g[:k] @ ginv - eye), axis=(1, 2)) > 1e-12

@@ -28,8 +28,8 @@ the same BLAS call per slice; an elementwise product summed by numpy would
 not, since BLAS's short dot is a chain of fused multiply-adds), and the
 batch evaluator applies ``math``'s elementary functions per element (numpy's
 ``exp`` and ``log`` differ from them on some inputs on x86-64 with AVX-512;
-``sin``, ``cos`` and ``sqrt`` matched).  :func:`spray_test` sweeps its
-samples this way.
+``sin``, ``cos`` and ``sqrt`` matched).  :func:`spray_test` sweeps the
+samples of the evaluator its caller passes this way.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, PointEvaluator, SampleEvaluator
+from .jets import PointEvaluator, SampleEvaluator
 
 __all__ = [
     "ProlongationSection",
@@ -267,24 +267,22 @@ class SprayReport:
 
 
 @np.errstate(all="ignore")
-def spray_test(
-    alg: Algebroid, S: Semispray, samples: Sequence[EvalPoint], tol: float
-) -> SprayReport:
+def spray_test(alg: Algebroid, S: Semispray, ev: SampleEvaluator, tol: float) -> SprayReport:
     """Degree-2 homogeneity of the coefficients, cross-checked by [C, S] = S,
-    swept over the samples at once.  A residual that is not finite raises
-    :class:`EvaluationDomainError` naming the first such sample."""
-    ev = alg.sample_evaluator(samples)
+    swept over the evaluator's samples at once.  A residual that is not
+    finite raises :class:`EvaluationDomainError` naming the first such
+    sample."""
     Ssec = S.section(alg)
     hom = spray_homogeneity(alg, S, ev)
     bx, bv = bracket(alg, euler_section(alg), Ssec, ev)
     sx, sv = Ssec.values_at(ev)
     brk = np.abs(np.concatenate([bx - sx, bv - sv], axis=-1))
-    hom_max = sweep_max("homogeneity", samples, hom)
+    hom_max = sweep_max("homogeneity", ev, hom)
     return SprayReport(
         homogeneity=hom_max,
-        euler_bracket=sweep_max("Euler-field bracket", samples, brk),
+        euler_bracket=sweep_max("Euler-field bracket", ev, brk),
         tol=tol,
-        samples=len(samples),
+        samples=len(ev.points),
         is_spray=hom_max <= tol,
     )
 

@@ -8,7 +8,6 @@ report byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .algebroid import sweep_max
 from .config import SystemConfig
 from .connection import Connection, geometry_frame
 from .errors import EvaluationDomainError, SingularMetricError
-from .jets import EvalPoint
+from .jets import EvalPoint, SampleEvaluator
 from .lagrangian import canonical_semispray, fiber_metric
 from .prolongation import Semispray, spray_test
 from .symmetry import (
@@ -87,22 +86,20 @@ def emit_json(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 
 
-def run_validation(
-    cfg: SystemConfig, samples: Sequence[EvalPoint], tol: float
-) -> dict:
+def run_validation(cfg: SystemConfig, ev: SampleEvaluator, tol: float) -> dict:
     alg = cfg.algebroid
-    rep = alg.validate(samples, tol)
+    rep = alg.validate(ev, tol)
     out: dict = {"algebroid": {**rep.residuals(), "passed": rep.passed}}
     passed = rep.passed
 
     if cfg.lagrangian is not None:
         try:
-            conds, detail = fiber_metric(cfg.lagrangian, samples)[2], None
+            conds, detail = fiber_metric(cfg.lagrangian, ev)[2], None
         except SingularMetricError as err:
             # the worst condition is that of the samples before the singular one
-            g = alg.sample_evaluator(samples).array(cfg.lagrangian.metric_exprs)
+            g = ev.array(cfg.lagrangian.metric_exprs)
             conds, detail = np.linalg.cond(g[: err.index]), str(err)
-        worst_cond = sweep_max("fiber metric condition", samples, conds)
+        worst_cond = sweep_max("fiber metric condition", ev, conds)
         out["metric"] = {"regular": detail is None, "worst_condition": worst_cond}
         if detail:
             out["metric"]["detail"] = detail
@@ -111,12 +108,11 @@ def run_validation(
     consistency = None
     if cfg.lagrangian is not None and cfg.semispray_override is not None:
         canonical = canonical_semispray(alg, cfg.lagrangian)
-        ev = alg.sample_evaluator(samples)
         with np.errstate(all="ignore"):
             delta = ev.values_of(cfg.semispray_override.components) - ev.values_of(
                 canonical.components
             )
-        consistency = sweep_max("semispray consistency", samples, np.abs(delta))
+        consistency = sweep_max("semispray consistency", ev, np.abs(delta))
         passed = passed and consistency <= tol
     out["semispray_consistency"] = consistency
     out["passed"] = passed
@@ -154,7 +150,7 @@ def run_symmetry(
     cfg: SystemConfig,
     S: Semispray,
     N: Connection,
-    samples: Sequence[EvalPoint],
+    ev: SampleEvaluator,
     tol: float,
 ) -> dict:
     alg = cfg.algebroid
@@ -165,22 +161,16 @@ def run_symmetry(
     for cand in cfg.candidates:
         checks: dict = {}
         if cand.kind == "base_section":
-            checks["lie"] = lie_symmetry_check(
-                alg, S, cand.base, samples, tol, N_lie
-            ).to_dict()
+            checks["lie"] = lie_symmetry_check(alg, S, cand.base, ev, tol, N_lie).to_dict()
         elif cand.kind == "prolongation_section":
-            checks["dynamical"] = dynamical_symmetry_check(
-                alg, S, cand.section, samples, tol
-            ).to_dict()
-            checks["newtonoid"] = newtonoid_check(
-                alg, S, cand.section, samples, tol, N
-            ).to_dict()
+            checks["dynamical"] = dynamical_symmetry_check(alg, S, cand.section, ev, tol).to_dict()
+            checks["newtonoid"] = newtonoid_check(alg, S, cand.section, ev, tol, N).to_dict()
             if cfg.lagrangian is not None:
                 checks["cartan"] = cartan_symmetry_check(
-                    alg, cfg.lagrangian, cand.section, samples, tol
+                    alg, cfg.lagrangian, cand.section, ev, tol
                 ).to_dict()
         else:
-            cons = conservation_check(alg, S, cand.function, samples, tol)
+            cons = conservation_check(alg, S, cand.function, ev, tol)
             checks["conserved"] = {
                 "sdot_max": cons.sdot_max,
                 "passed": cons.passed,
@@ -206,18 +196,18 @@ def build_report(
     cfg: SystemConfig, seed: int | None = None, tol: float | None = None
 ) -> dict:
     tol = tol if tol is not None else cfg.tolerance
-    samples = cfg.sample_points(seed=seed)
     alg = cfg.algebroid
+    ev = alg.sample_evaluator(cfg.sample_points(seed=seed))
     S = cfg.semispray()
     N = cfg.connection()
 
-    validation = run_validation(cfg, samples, tol)
-    spray = spray_test(alg, S, samples, tol)
+    validation = run_validation(cfg, ev, tol)
+    spray = spray_test(alg, S, ev, tol)
     frames = [
         frame_with_reference(cfg, S, N, p)
-        for p in samples[:_GEOMETRY_FRAMES_IN_REPORT]
+        for p in ev.points[:_GEOMETRY_FRAMES_IN_REPORT]
     ]
-    symmetry = run_symmetry(cfg, S, N, samples, tol)
+    symmetry = run_symmetry(cfg, S, N, ev, tol)
     passed = validation["passed"] and symmetry["all_ok"]
     return {
         "meta": {
@@ -225,7 +215,7 @@ def build_report(
             "base_dim": alg.n,
             "fiber_rank": alg.m,
             "seed": seed if seed is not None else cfg.samples.seed,
-            "sample_count": len(samples),
+            "sample_count": len(ev.points),
             "tolerance": tol,
         },
         "validation": validation,

@@ -1,8 +1,11 @@
 """Symmetry and conservation-law verification for second-order dynamics.
 
-Every check is a residual sweep over a sample set, all at once: a candidate
-"holds" when the residuals stay below the tolerance at every point, and each
-verdict keeps its per-sample residuals so borderline cases are auditable.
+Every check is a residual sweep over a sample set, all at once, through the
+:class:`~algmech.jets.SampleEvaluator` its caller passes (one evaluator
+shared by every check on that set shares its memo): a candidate "holds" when
+the residuals stay below the tolerance at every point, and each verdict keeps
+its per-sample residuals, paired with the evaluator's points, so borderline
+cases are auditable.
 Verification only; no symmetry discovery is attempted.
 """
 
@@ -98,34 +101,29 @@ class ConservedQuantity:
 
 @np.errstate(all="ignore")
 def dynamical_symmetry_check(
-    alg: Algebroid,
-    S: Semispray,
-    A: ProlongationSection,
-    samples: Sequence[EvalPoint],
-    tol: float,
+    alg: Algebroid, S: Semispray, A: ProlongationSection, ev: SampleEvaluator, tol: float
 ) -> SymmetryVerdict:
     """Vanishing of the full bracket [S, A]; the two component families are
     reported separately (frame part and fiber part)."""
-    ev = alg.sample_evaluator(samples)
     bx, bv = bracket(alg, S.section(alg), A, ev)
     res = np.concatenate([bx, bv], axis=-1)
-    worst = sweep_max("dynamical", samples, np.abs(res))
+    worst = sweep_max("dynamical", ev, np.abs(res))
     return SymmetryVerdict(
         kind="dynamical",
         max_residual=worst,
-        per_sample=_per_sample(samples, res),
+        per_sample=_per_sample(ev, res),
         passed=worst <= tol,
         tol=tol,
         components={
-            "frame_part": sweep_max("dynamical", samples, np.abs(bx)),
-            "fiber_part": sweep_max("dynamical", samples, np.abs(bv)),
+            "frame_part": sweep_max("dynamical", ev, np.abs(bx)),
+            "fiber_part": sweep_max("dynamical", ev, np.abs(bv)),
         },
     )
 
 
-def _per_sample(samples: Sequence[EvalPoint], res: np.ndarray) -> tuple:
-    """(point, residuals as floats) per sample, from a (P, k) array."""
-    return tuple(zip(samples, map(tuple, res.tolist())))
+def _per_sample(ev: SampleEvaluator, res: np.ndarray) -> tuple:
+    """(point, residuals as floats) per sample of ``ev``, from a (P, k) array."""
+    return tuple(zip(ev.points, map(tuple, res.tolist())))
 
 
 def newtonoid_completion(
@@ -151,7 +149,7 @@ def newtonoid_check(
     alg: Algebroid,
     S: Semispray,
     A: ProlongationSection,
-    samples: Sequence[EvalPoint],
+    ev: SampleEvaluator,
     tol: float,
     N: Connection | None = None,
 ) -> SymmetryVerdict:
@@ -159,21 +157,20 @@ def newtonoid_check(
     v(A) = J(nabla A) for the canonical connection."""
     if N is None:
         N = canonical_connection(alg, S)
-    ev = alg.sample_evaluator(samples)
     bx, _ = bracket(alg, S.section(alg), A, ev)
-    worst = sweep_max("newtonoid", samples, np.abs(bx))
+    worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = av + (ax[..., None, :] @ N.at(ev))[..., 0, :]  # v(A) fiber components
     jx, _ = nabla_exprs(alg, S, N, A).values_at(ev)  # J(nabla A) fiber components = frame part
     return SymmetryVerdict(
         kind="newtonoid",
         max_residual=worst,
-        per_sample=_per_sample(samples, bx),
+        per_sample=_per_sample(ev, bx),
         passed=worst <= tol,
         tol=tol,
         components={
             "bracket": worst,
-            "projection": sweep_max("newtonoid projection", samples, np.abs(vert - jx)),
+            "projection": sweep_max("newtonoid projection", ev, np.abs(vert - jx)),
         },
     )
 
@@ -206,7 +203,7 @@ def lie_symmetry_check(
     alg: Algebroid,
     S: Semispray,
     Xt: BaseSection,
-    samples: Sequence[EvalPoint],
+    ev: SampleEvaluator,
     tol: float,
     N: Connection | None = None,
 ) -> SymmetryVerdict:
@@ -221,13 +218,12 @@ def lie_symmetry_check(
     lift = complete_lift(alg, Xt)
     if N is None:
         N = canonical_connection(alg, S)
-    dyn = dynamical_symmetry_check(alg, S, lift, samples, tol)
+    dyn = dynamical_symmetry_check(alg, S, lift, ev, tol)
 
     slash = covariant_slash_exprs(alg, Xt)
     vert1 = nabla_vertical_coeffs(alg, S, N, Xt.components)
     vert2 = nabla_vertical_coeffs(alg, S, N, vert1)
 
-    ev = alg.sample_evaluator(samples)
     y = ev.values[:, n:]
     sigma = alg.anchor_at(ev)
     s_vals = ev.values_of(S.components)
@@ -254,9 +250,9 @@ def lie_symmetry_check(
         pde2.append(term1 - term2 + term3 - term4)
     R = jacobi_endomorphism(alg, S, N, ev)
     second_order = ev.values_of(vert2) + (np.swapaxes(R, -1, -2) @ xt_vals[..., None])[..., 0]
-    pde1_max = sweep_max("lie pde_fiber", samples, np.abs(np.stack(pde1, axis=-1)))
-    pde2_max = sweep_max("lie pde_flow", samples, np.abs(np.stack(pde2, axis=-1)))
-    second_order_max = sweep_max("lie invariant", samples, np.abs(second_order))
+    pde1_max = sweep_max("lie pde_fiber", ev, np.abs(np.stack(pde1, axis=-1)))
+    pde2_max = sweep_max("lie pde_flow", ev, np.abs(np.stack(pde2, axis=-1)))
+    second_order_max = sweep_max("lie invariant", ev, np.abs(second_order))
     return SymmetryVerdict(
         kind="lie",
         max_residual=dyn.max_residual,
@@ -305,14 +301,9 @@ def _two_section_lie_residual(
 
 @np.errstate(all="ignore")
 def cartan_symmetry_check(
-    alg: Algebroid,
-    L: Lagrangian,
-    A: ProlongationSection,
-    samples: Sequence[EvalPoint],
-    tol: float,
+    alg: Algebroid, L: Lagrangian, A: ProlongationSection, ev: SampleEvaluator, tol: float
 ) -> SymmetryVerdict:
     """Invariance of the symplectic two-section and of the energy along A."""
-    ev = alg.sample_evaluator(samples)
     ax, av = A.values_at(ev)
     brackets = [
         np.concatenate(bracket(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)
@@ -324,13 +315,13 @@ def cartan_symmetry_check(
         ],
         axis=-1,
     )
-    two_max = sweep_max("cartan two-section", samples, res[:, 0])
-    energy_max = sweep_max("cartan energy", samples, res[:, 1])
+    two_max = sweep_max("cartan two-section", ev, res[:, 0])
+    energy_max = sweep_max("cartan energy", ev, res[:, 1])
     worst = max(two_max, energy_max)
     return SymmetryVerdict(
         kind="cartan",
         max_residual=worst,
-        per_sample=_per_sample(samples, res),
+        per_sample=_per_sample(ev, res),
         passed=worst <= tol,
         tol=tol,
         components={"two_section": two_max, "energy": energy_max},
@@ -342,20 +333,19 @@ def conservation_check(
     alg: Algebroid,
     S: Semispray,
     f: Expr,
-    samples: Sequence[EvalPoint],
+    ev: SampleEvaluator,
     tol: float,
     provenance: str = "user",
 ) -> ConservedQuantity:
     """Constancy of f along the dynamics: S(f) = 0 on the sample set."""
-    ev = alg.sample_evaluator(samples)
     ax, av = S.section(alg).values_at(ev)
     sdot = directional_derivative(alg, ev, ax, av, f)
-    worst = sweep_max("conservation", samples, np.abs(sdot))
+    worst = sweep_max("conservation", ev, np.abs(sdot))
     return ConservedQuantity(
         expr=f,
         provenance=provenance,
         sdot_max=worst,
-        per_sample=tuple(zip(samples, sdot.tolist())),
+        per_sample=tuple(zip(ev.points, sdot.tolist())),
         passed=worst <= tol,
         tol=tol,
     )
@@ -377,7 +367,7 @@ def conserved_from_cartan(
     S: Semispray,
     A: ProlongationSection,
     f: Expr,
-    samples: Sequence[EvalPoint],
+    ev: SampleEvaluator,
     tol: float,
 ) -> ConservedQuantity:
     """Given an exact Cartan symmetry A with witness f (the Lie derivative of
@@ -389,7 +379,6 @@ def conserved_from_cartan(
     """
     m = alg.m
     theta_trees = list(L.dy) + [ZERO] * m
-    ev = alg.sample_evaluator(samples)
     ax, av = A.values_at(ev)
     theta_vals = ev.values_of(L.dy)
     df = _d_function_on_basis(alg, ev, f)
@@ -398,13 +387,13 @@ def conserved_from_cartan(
         bx, _ = bracket(alg, A, B, ev)
         lie_theta = directional_derivative(alg, ev, ax, av, theta_trees[k]) - inner(theta_vals, bx)
         res.append(np.abs(lie_theta - df[:, k]))
-    worst = sweep_max("exactness witness", samples, np.stack(res, axis=-1))
+    worst = sweep_max("exactness witness", ev, np.stack(res, axis=-1))
     if worst > tol:
         raise ExactnessWitnessError(
             f"witness fails exactness: max residual {worst:.3e} > tol {tol:.1e}"
         )
     g_expr = e_sub(f, e_sum(e_mul(L.dy[a], A.x_comps[a]) for a in range(m)))
-    return conservation_check(alg, S, g_expr, samples, tol, provenance="from_cartan")
+    return conservation_check(alg, S, g_expr, ev, tol, provenance="from_cartan")
 
 
 @dataclass
@@ -421,7 +410,7 @@ class CartanReconstruction:
 
 @np.errstate(all="ignore")  # a singular sample's elimination runs on, unread
 def _jet_solve(
-    A: np.ndarray, dA: np.ndarray, samples: Sequence[EvalPoint]
+    A: np.ndarray, dA: np.ndarray, ev: SampleEvaluator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jordan elimination of M x = b over first-order jets at every
     sample, for A = [M | b] with values (P, k, k+1) and gradients (P, k, k+1, K);
@@ -429,7 +418,8 @@ def _jet_solve(
     pivots on its own values (the first of equal maxima) and follows the
     first-order rules of :class:`~algmech.jets.Jet2` in their order, so it gets
     the bits of a solve over its own jets.  A zero or numerically singular M
-    raises :class:`SingularPairingError` naming the first such sample."""
+    raises :class:`SingularPairingError` naming the first such sample of
+    ``ev``."""
     A, dA = np.array(A, order="C"), np.array(dA, order="C")
     P, k = A.shape[:2]
     rows = np.arange(P)
@@ -451,7 +441,7 @@ def _jet_solve(
         dA[:, r, col:] -= f[:, :, None, None] * dtop + top[..., None] * df[:, :, None]
         A[:, r, col:] -= f[:, :, None] * top
     if singular.any():
-        p = samples[int(np.argmax(singular))]
+        p = ev.points[int(np.argmax(singular))]
         raise SingularPairingError(f"pairing matrix numerically singular at {p}")
     d, dd = np.diagonal(A, axis1=1, axis2=2), np.diagonal(dA, axis1=1, axis2=2).swapaxes(1, 2)
     inv, dinv = 1.0 / d, (-1.0 / (d * d))[..., None] * dd
@@ -461,11 +451,7 @@ def _jet_solve(
 
 @np.errstate(all="ignore")
 def cartan_from_conservation(
-    alg: Algebroid,
-    L: Lagrangian,
-    f: Expr,
-    samples: Sequence[EvalPoint],
-    tol: float,
+    alg: Algebroid, L: Lagrangian, f: Expr, ev: SampleEvaluator, tol: float
 ) -> CartanReconstruction:
     """Converse direction: solve the symplectic pairing against -d f for the
     generating section and report its Cartan residuals.
@@ -480,14 +466,13 @@ def cartan_from_conservation(
     rhs_trees = [e_neg(e_sum(e_mul(alg.anchor[i][a], df[i]) for i in range(n))) for a in range(m)]
     rhs_trees += [e_neg(df[n + a]) for a in range(m)]
 
-    ev = alg.sample_evaluator(samples)
     # omega(X, B_r) = sum_c X^c W[c][r]: the system matrix is the transpose,
     # with the right-hand side as its last column
     jets = [[ev.jet1(W_exprs[c][r]) for c in range(k)] + [ev.jet1(rhs_trees[r])] for r in range(k)]
     sol, dsol = _jet_solve(
         np.moveaxis([[j.value for j in row] for row in jets], -1, 0),
         np.moveaxis([[j.grad for j in row] for row in jets], -2, 0),
-        samples,
+        ev,
     )
     xs, vs = sol[:, :m], sol[:, m:]
 
@@ -500,11 +485,11 @@ def cartan_from_conservation(
     v_brackets = -dsol[:, :, n:].swapaxes(1, 2)  # B = V_b
     brackets = np.concatenate([x_brackets, v_brackets], axis=1)
     two = _two_section_lie_residual(alg, ev, L, xs, vs, list(brackets.swapaxes(0, 1)))
-    two_max = sweep_max("cartan two-section", samples, two)
+    two_max = sweep_max("cartan two-section", ev, two)
     energy = np.abs(directional_derivative(alg, ev, xs, vs, L.energy_expr))
-    energy_max = sweep_max("cartan energy", samples, energy)
+    energy_max = sweep_max("cartan energy", ev, energy)
     return CartanReconstruction(
-        points=list(samples),
+        points=list(ev.points),
         sections=list(zip(xs, vs)),
         two_section_max=two_max,
         energy_max=energy_max,

@@ -128,7 +128,7 @@ def test_c2_spray_identities(driftless, driftless_samples):
     alg = driftless.algebroid
     S = driftless.semispray()
     N = canonical_connection(alg, S)
-    rep = spray_test(alg, S, driftless_samples, tol=0.0)
+    rep = spray_test(alg, S, alg.sample_evaluator(driftless_samples), tol=0.0)
     assert rep.homogeneity == 0.0
     for p in driftless_samples:
         y = np.array(p.y)
@@ -237,6 +237,7 @@ def test_c5_symmetry_equivalences(all_systems):
         S = cfg.semispray()
         N = canonical_connection(alg, S)
         samples = cfg.sample_points(count=20)
+        batch = alg.sample_evaluator(samples)
         assert len(cfg.candidates) >= 6
 
         observed = {True: 0, False: 0}
@@ -249,8 +250,8 @@ def test_c5_symmetry_equivalences(all_systems):
             if c.kind == "base_section"
         ]
         for A in prolongation_corpus:
-            dyn = dynamical_symmetry_check(alg, S, A, samples, tol)
-            newt = newtonoid_check(alg, S, A, samples, tol, N)
+            dyn = dynamical_symmetry_check(alg, S, A, batch, tol)
+            newt = newtonoid_check(alg, S, A, batch, tol, N)
             inv_max = max(
                 float(np.max(np.abs(invariant_equation_residual(alg, S, A, alg.evaluator(p), N))))
                 for p in samples
@@ -261,15 +262,15 @@ def test_c5_symmetry_equivalences(all_systems):
 
         # every Cartan pass is a dynamical pass
         for A in prolongation_corpus:
-            cartan = cartan_symmetry_check(alg, cfg.lagrangian, A, samples, tol)
+            cartan = cartan_symmetry_check(alg, cfg.lagrangian, A, batch, tol)
             if cartan.passed:
-                assert dynamical_symmetry_check(alg, S, A, samples, tol).passed
+                assert dynamical_symmetry_check(alg, S, A, batch, tol).passed
 
         # Lie bracket test agrees with the second-order invariant form
         for cand in cfg.candidates:
             if cand.kind != "base_section":
                 continue
-            verdict = lie_symmetry_check(alg, S, cand.base, samples, tol)
+            verdict = lie_symmetry_check(alg, S, cand.base, batch, tol)
             assert (verdict.components["bracket"] <= tol) == (
                 verdict.components["invariant_second_order"] <= tol
             )
@@ -304,7 +305,7 @@ def test_c6_exact_cartan_round_trip(driftless, driftless_samples):
         alg,
         driftless.lagrangian,
         driftless.lagrangian.energy_expr,
-        driftless_samples,
+        alg.sample_evaluator(driftless_samples),
         1e-7,
     )
     assert rec.passed

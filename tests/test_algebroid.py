@@ -32,18 +32,21 @@ def pts():
 
 class TestValidation:
     def test_driftless_passes_with_zero_residuals(self, driftless, pts):
-        rep = driftless.algebroid.validate(pts(driftless), tol=1e-9)
+        alg = driftless.algebroid
+        rep = alg.validate(alg.sample_evaluator(pts(driftless)), tol=1e-9)
         assert rep.passed
         assert rep.antisymmetry == 0.0
         assert rep.cyclic == 0.0
         assert rep.compatibility == 0.0
 
     def test_abelian_passes(self, abelian, pts):
-        rep = abelian.algebroid.validate(pts(abelian), tol=1e-9)
+        alg = abelian.algebroid
+        rep = alg.validate(alg.sample_evaluator(pts(abelian)), tol=1e-9)
         assert rep.passed
 
     def test_heisenberg_passes(self, heisenberg, pts):
-        rep = heisenberg.algebroid.validate(pts(heisenberg), tol=1e-9)
+        alg = heisenberg.algebroid
+        rep = alg.validate(alg.sample_evaluator(pts(heisenberg)), tol=1e-9)
         assert rep.passed
 
     def test_tampered_structure_fails_compatibility(self, driftless, pts):
@@ -59,13 +62,13 @@ class TestValidation:
             alg.anchor,
             tuple(tuple(tuple(r) for r in p_) for p_ in tampered),
         )
-        rep = bad.validate(pts(driftless), tol=1e-9)
+        rep = bad.validate(bad.sample_evaluator(pts(driftless)), tol=1e-9)
         assert not rep.passed
         assert rep.compatibility > 0.5  # |sigma([X1,X2]) - 2 sigma(X1)| = |sigma(X1)|
 
     def test_requires_samples(self, driftless):
         with pytest.raises(ValueError):
-            driftless.algebroid.validate([], tol=1e-9)
+            driftless.algebroid.validate(driftless.algebroid.sample_evaluator([]), 1e-9)
 
     def test_noncommuting_anchor_without_structure_fails(self, abelian):
         # zero bracket forces commuting anchored fields; this anchor does not
@@ -75,9 +78,8 @@ class TestValidation:
             (parse_expression("0", alg.base_coords), parse_expression("1", alg.base_coords)),
         )
         bad = Algebroid(alg.base_coords, alg.fiber_coords, anchor, alg.structure)
-        rep = bad.validate(
-            sample_points(alg.base_coords, alg.fiber_coords, 10, seed=44), tol=1e-9
-        )
+        samples = sample_points(alg.base_coords, alg.fiber_coords, 10, seed=44)
+        rep = bad.validate(bad.sample_evaluator(samples), tol=1e-9)
         assert not rep.passed
         assert rep.compatibility == pytest.approx(1.0, abs=1e-12)
         assert rep.cyclic == 0.0
@@ -103,7 +105,8 @@ class TestValidation:
             L[a][b][c] = P(f"{x(a + b + c)}*{x(c)}-{a + c + 1}*cos({x(b)})")
             L[b][a][c] = e_neg(L[a][b][c])
         alg = Algebroid(base, fiber, anchor, tuple(tuple(map(tuple, p_)) for p_ in L))
-        rep = alg.validate(sample_points(base, fiber, 20, seed=11), tol=1e-9)
+        samples = sample_points(base, fiber, 20, seed=11)
+        rep = alg.validate(alg.sample_evaluator(samples), tol=1e-9)
         assert not rep.passed
         assert rep.antisymmetry == 0.0
         assert rep.cyclic == cyclic
@@ -120,7 +123,7 @@ class TestValidation:
         from algmech.errors import EvaluationDomainError
 
         with pytest.raises(EvaluationDomainError) as exc:
-            bad.validate([point], tol=1e-9)
+            bad.validate(bad.sample_evaluator([point]), tol=1e-9)
         assert "x=[0.0, 1.0]" in str(exc.value)
 
 

@@ -52,6 +52,52 @@ def edited_fixture(tmp_path: Path, mutate, name="driftless") -> Path:
     return out
 
 
+# (fixture, edit, path of the key): each edit adds a key that neither the
+# loader nor the schema allows there
+UNKNOWN_KEYS = [
+    ("driftless", lambda raw: raw.update(tolerence=1e-30), "/tolerence"),
+    ("driftless", lambda raw: raw["samples"].update(cout=3), "/samples/cout"),
+    (
+        "driftless",
+        lambda raw: raw["candidates"][0]["expect"].update(dynamicall=False),
+        "/candidates/0/expect/dynamicall",
+    ),
+    (
+        "driftless",
+        lambda raw: raw["candidates"][0]["expect"].update(lie=False),
+        "/candidates/0/expect/lie",
+    ),
+    (
+        "driftless",
+        lambda raw: raw["candidates"][2]["expect"].update(cartan=False),
+        "/candidates/2/expect/cartan",
+    ),
+    (
+        "driftless",
+        lambda raw: raw["candidates"][1].update(expcet=raw["candidates"][1].pop("expect")),
+        "/candidates/1/expcet",
+    ),
+    (
+        "driftless",
+        lambda raw: raw["candidates"][0].update(components=["1", "0"]),
+        "/candidates/0/components",
+    ),
+    ("driftless", lambda raw: raw["candidates"][2].update(x=["1", "0"]), "/candidates/2/x"),
+    ("driftless", lambda raw: raw["candidates"][5].update(v=["1", "0"]), "/candidates/5/v"),
+    ("heisenberg", lambda raw: raw["structure"][0].update(exrp="x1"), "/structure/0/exrp"),
+    (
+        "driftless",
+        lambda raw: raw["reference"]["curvature"][0].update(exrp="u2"),
+        "/reference/curvature/0/exrp",
+    ),
+]
+UNKNOWN_KEY_IDS = [
+    "top-level", "samples", "expect", "lie-of-a-field", "cartan-of-a-section", "expcet",
+    "components-of-a-field", "x-of-a-base-section", "v-of-a-function", "structure",
+    "reference-curvature",
+]
+
+
 class TestLoadConfig:
     def test_driftless_loads(self, driftless):
         assert driftless.name == "driftless"
@@ -63,6 +109,20 @@ class TestLoadConfig:
         schema = json.loads((DOCS / "config.schema.json").read_text())
         for name in ("driftless", "abelian", "heisenberg"):
             jsonschema.validate(json.loads(fixture_bytes(name)), schema)
+        for name in ("dense-4", "diag-8"):  # the synthetic systems of the goldens
+            path = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+            jsonschema.validate(json.loads(path.read_text()), schema)
+
+    @pytest.mark.parametrize("name,mutate,where", UNKNOWN_KEYS, ids=UNKNOWN_KEY_IDS)
+    def test_schema_rejects_the_unknown_keys_the_loader_rejects(self, name, mutate, where):
+        schema = json.loads((DOCS / "config.schema.json").read_text())
+        raw = json.loads(fixture_bytes(name))
+        jsonschema.validate(raw, schema)
+        mutate(raw)
+        with pytest.raises(ConfigError, match=f"^{where}: unknown key"):
+            parse_config(raw)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(raw, schema)
 
     def test_double_star_is_a_parse_error(self, tmp_path):
         path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian="u1**2"))
@@ -662,31 +722,51 @@ class TestBadArguments:
             assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize(
-        "mutate,where",
+        "name,mutate,where",
         [
-            (lambda raw: raw.update(tolerence=1e-30), "/tolerence"),
-            (lambda raw: raw["samples"].update(cout=3), "/samples/cout"),
-            (lambda raw: raw["candidates"][0].update(name=[1, {"a": 2}]), "/candidates/0/name"),
+            *UNKNOWN_KEYS,
             (
-                lambda raw: raw["candidates"][0]["expect"].update(dynamicall=False),
-                "/candidates/0/expect/dynamicall",
-            ),
-            (
-                lambda raw: raw["candidates"][0]["expect"].update(lie=False),
-                "/candidates/0/expect/lie",
-            ),
-            (
-                lambda raw: raw["candidates"][2]["expect"].update(cartan=False),
-                "/candidates/2/expect/cartan",
+                "driftless",
+                lambda raw: raw["candidates"][0].update(name=[1, {"a": 2}]),
+                "/candidates/0/name",
             ),
         ],
-        ids=["top-level", "samples", "name", "expect", "lie-of-a-field", "cartan-of-a-section"],
+        ids=[*UNKNOWN_KEY_IDS, "name"],
     )
-    def test_misspelt_or_mistyped_key(self, tmp_path, capsys, mutate, where):
-        cfg = edited_fixture(tmp_path, mutate)
+    def test_misspelt_or_mistyped_key(self, tmp_path, capsys, name, mutate, where):
+        cfg = edited_fixture(tmp_path, mutate, name)
         for command in ("validate", "symmetry"):
             message = self.usage_error(capsys, [command, "--config", str(cfg)])
             assert message.startswith(f"config error: {where}: ")
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[math.nan, 1.0], [0.0, math.inf], [-math.inf, 0.0], [0, 10**400]],
+        ids=["nan", "inf", "-inf", "int-beyond-floats"],
+    )
+    def test_sample_box_bound_that_is_not_finite(self, tmp_path, capsys, bounds):
+        cfg = edited_fixture(tmp_path, lambda raw: raw["samples"].update(box={"x1": bounds}))
+        message = self.usage_error(capsys, ["validate", "--config", str(cfg)])
+        assert message == "config error: /samples/box/x1: expected finite bounds"
+
+    def test_sample_box_whose_width_overflows(self, tmp_path, capsys):
+        box = {"x1": [-1e308, 1e308]}
+        cfg = edited_fixture(tmp_path, lambda raw: raw["samples"].update(box=box))
+        message = self.usage_error(capsys, ["validate", "--config", str(cfg)])
+        assert message == "config error: /samples/box/x1: width hi - lo overflows"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_command_line_number_that_is_not_finite(self, tmp_path, capsys, value):
+        geometry = ["geometry", "--config", str(fixture_path(tmp_path))]
+        for argv, flag in (
+            (geometry + [f"--at=x={value},0,0,y=1,1"], "--at"),
+            (geometry + [f"--at=x=0,0,0,y=1,{value}"], "--at"),
+            (self.integrate(tmp_path, f"--x0={value},0,0"), "--x0"),
+            (self.integrate(tmp_path, f"--y0=1,{value}"), "--y0"),
+        ):
+            message = self.usage_error(capsys, argv)
+            assert message == f"config error: {flag}: expected finite numbers"
+        assert not (tmp_path / "t.csv").exists()
 
     def test_report_output_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"

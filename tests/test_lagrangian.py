@@ -38,21 +38,22 @@ def define(cfg, src):
 
 class TestFiberMetric:
     def test_quadratic_controls_give_identity(self, driftless):
-        g, ginv, cond = fiber_metric(driftless.lagrangian, [P0])
+        L = driftless.lagrangian
+        g, ginv, cond = fiber_metric(L, L.alg.sample_evaluator([P0]))
         assert np.array_equal(g, [np.eye(2)])
         assert np.array_equal(ginv, [np.eye(2)])
         assert cond == pytest.approx([1.0])
 
     def test_cross_term(self, driftless):
         L = define(driftless, "0.5*u1*u2")
-        g, ginv, _ = fiber_metric(L, [P0])
+        g, ginv, _ = fiber_metric(L, L.alg.sample_evaluator([P0]))
         assert np.allclose(g, [[[0.0, 0.5], [0.5, 0.0]]], atol=0)
         assert np.max(np.abs(g @ ginv - np.eye(2))) <= 1e-12
 
     def test_linear_is_singular(self, driftless):
         L = define(driftless, "u1")
         with pytest.raises(SingularMetricError):
-            fiber_metric(L, [P0])
+            fiber_metric(L, L.alg.sample_evaluator([P0]))
 
     def test_trees_give_the_hessian_bits(self, all_systems):
         """The metric trees over the batch against the Hessian jet of L, and
@@ -65,7 +66,7 @@ class TestFiberMetric:
         for cfg in configs:
             alg, L = cfg.algebroid, cfg.lagrangian
             samples = cfg.sample_points() + (list(POINTS) if alg.m == 3 else [])
-            g, ginv, cond = fiber_metric(L, samples)
+            g, ginv, cond = fiber_metric(L, alg.sample_evaluator(samples))
             eye = np.eye(alg.m)
             for k, p in enumerate(samples):
                 hess = PointEvaluator(alg.coords, p.values()).jet(L.expr).hess[alg.n :, alg.n :]
@@ -91,12 +92,13 @@ class TestFiberMetric:
             }
         )
         samples = [EvalPoint.of([x], [1.0, 1.0]) for x in (2.0, 3.0, 0.0, 5.0)]
+        batch = cfg.algebroid.sample_evaluator(samples)
         with pytest.raises(SingularMetricError) as caught:
-            fiber_metric(cfg.lagrangian, samples)
+            fiber_metric(cfg.lagrangian, batch)
         err = caught.value
         assert (err.point, err.index) == (samples[2], 2)
         assert str(err).startswith(f"singular fiber metric at {samples[2]} (det = ")
-        metric = run_validation(cfg, samples, 1e-9)["metric"]
+        metric = run_validation(cfg, batch, 1e-9)["metric"]
         assert metric == {
             "regular": False,
             "worst_condition": pytest.approx(9.0, rel=1e-14),
@@ -244,7 +246,7 @@ class TestCartanSections:
         for cfg in all_systems:
             alg, L = cfg.algebroid, cfg.lagrangian
             samples = pts(cfg, 10, seed=3)
-            for p, g in zip(samples, fiber_metric(L, samples)[0]):
+            for p, g in zip(samples, fiber_metric(L, alg.sample_evaluator(samples))[0]):
                 ev = alg.evaluator(p)
                 for a in range(alg.m):
                     for b in range(alg.m):

@@ -50,7 +50,8 @@ def test_forced_field_components(forced):
 
 
 def test_forced_field_is_not_a_spray(forced):
-    rep = spray_test(forced.algebroid, forced.semispray(), pts(forced), 1e-9)
+    alg = forced.algebroid
+    rep = spray_test(alg, forced.semispray(), alg.sample_evaluator(pts(forced)), 1e-9)
     assert not rep.is_spray
     assert rep.homogeneity == pytest.approx(2.0, abs=1e-12)
     assert rep.euler_bracket == pytest.approx(2.0, abs=1e-12)
@@ -124,11 +125,11 @@ def test_canonical_field_remains_cartan_and_energy_conserved(forced):
     alg = forced.algebroid
     S = forced.semispray()
     verdict = cartan_symmetry_check(
-        alg, forced.lagrangian, S.section(alg), pts(forced, 10), 1e-8
+        alg, forced.lagrangian, S.section(alg), alg.sample_evaluator(pts(forced, 10)), 1e-8
     )
     assert verdict.passed
     cons = conservation_check(
-        alg, S, forced.lagrangian.energy_expr, pts(forced, 25), 1e-9
+        alg, S, forced.lagrangian.energy_expr, alg.sample_evaluator(pts(forced, 25)), 1e-9
     )
     assert cons.passed
 
@@ -141,7 +142,6 @@ def test_canonical_field_remains_cartan_and_energy_conserved(forced):
 def test_candidate_expectations(forced):
     from algmech.report import run_symmetry
 
-    result = run_symmetry(
-        forced, forced.semispray(), forced.connection(), pts(forced, 20), 1e-9
-    )
+    batch = forced.algebroid.sample_evaluator(pts(forced, 20))
+    result = run_symmetry(forced, forced.semispray(), forced.connection(), batch, 1e-9)
     assert result["all_ok"]

@@ -109,21 +109,18 @@ def compute() -> dict:
         "points": [],
     }
     f = _parse(cfg, "y3*exp(0.3*x2)+0.1*x3*y1")
-    rec = cartan_from_conservation(alg, L, f, list(POINTS), 1e-9)
+    batch = alg.sample_evaluator(POINTS)
+    rec = cartan_from_conservation(alg, L, f, batch, 1e-9)
     out["cartan_from_conservation"] = {
         "sections": [_arrays(x, v) for x, v in rec.sections],
         "two_section_max": rec.two_section_max,
         "energy_max": rec.energy_max,
     }
-    out["cartan_symmetry_check"] = cartan_symmetry_check(alg, L, A, list(POINTS), 1e-9).components
+    out["cartan_symmetry_check"] = cartan_symmetry_check(alg, L, A, batch, 1e-9).components
     for N in (cfg.connection(), _arbitrary(cfg)):
         key = "canonical" if N.canonical else "arbitrary"
-        out[f"lie_symmetry_check_{key}"] = lie_symmetry_check(
-            alg, S, Xt, list(POINTS), 1e-9, N
-        ).components
-        out[f"newtonoid_check_{key}"] = newtonoid_check(
-            alg, S, A, list(POINTS), 1e-9, N
-        ).components
+        out[f"lie_symmetry_check_{key}"] = lie_symmetry_check(alg, S, Xt, batch, 1e-9, N).components
+        out[f"newtonoid_check_{key}"] = newtonoid_check(alg, S, A, batch, 1e-9, N).components
     for p in POINTS:
         ev = alg.evaluator(p)
         row: dict = {"complete_lift": _arrays(*lift.values_at(ev))}

@@ -204,9 +204,8 @@ class TestEulerSection:
 
 class TestSprayTest:
     def test_driftless_is_a_spray_exactly(self, driftless):
-        rep = spray_test(
-            driftless.algebroid, driftless.semispray(), pts(driftless, 50), 1e-9
-        )
+        alg = driftless.algebroid
+        rep = spray_test(alg, driftless.semispray(), alg.sample_evaluator(pts(driftless, 50)), 1e-9)
         assert rep.is_spray
         assert rep.homogeneity == 0.0
         assert rep.euler_bracket == 0.0
@@ -214,14 +213,14 @@ class TestSprayTest:
     def test_constant_components_fail(self, driftless):
         alg = driftless.algebroid
         S = Semispray(tuple(parse_expression(s, alg.coords) for s in ("3", "0")))
-        rep = spray_test(alg, S, pts(driftless, 20), 1e-9)
+        rep = spray_test(alg, S, alg.sample_evaluator(pts(driftless, 20)), 1e-9)
         assert not rep.is_spray
         assert rep.homogeneity == pytest.approx(6.0, abs=1e-12)  # |-2 * 3|
 
     def test_degree_one_components_fail(self, driftless):
         alg = driftless.algebroid
         S = Semispray(tuple(parse_expression(s, alg.coords) for s in ("u1", "u2")))
-        rep = spray_test(alg, S, pts(driftless, 20), 1e-9)
+        rep = spray_test(alg, S, alg.sample_evaluator(pts(driftless, 20)), 1e-9)
         assert not rep.is_spray
         # Euler relation leaves -S^a, fiber magnitudes at most 2
         assert rep.homogeneity <= 2.0

@@ -38,13 +38,15 @@ def line():
 
 
 def test_validates(line):
-    assert line.algebroid.validate(line.sample_points(), 1e-9).passed
+    alg = line.algebroid
+    assert alg.validate(alg.sample_evaluator(line.sample_points()), 1e-9).passed
 
 
 def test_metric_and_field(line):
     S = line.semispray()
     samples = line.sample_points(count=10)
-    for p, g in zip(samples, fiber_metric(line.lagrangian, samples)[0]):
+    g_all = fiber_metric(line.lagrangian, line.algebroid.sample_evaluator(samples))[0]
+    for p, g in zip(samples, g_all):
         q, w = p.x[0], p.y[0]
         assert g[0, 0] == pytest.approx(1 + q * q, abs=1e-14)
         got = line.algebroid.evaluator(p).values_of(S.components)
@@ -54,7 +56,7 @@ def test_metric_and_field(line):
 def test_spray_and_geometry_frame(line):
     alg = line.algebroid
     S = line.semispray()
-    rep = spray_test(alg, S, line.sample_points(), 1e-9)
+    rep = spray_test(alg, S, alg.sample_evaluator(line.sample_points()), 1e-9)
     assert rep.is_spray  # geodesic field of a base metric
     N = canonical_connection(alg, S)
     for p in line.sample_points(count=10):

@@ -19,6 +19,7 @@ import algmech.algebroid
 import algmech.config
 import algmech.symmetry
 from algmech.cli import main
+from algmech.report import build_report
 from algmech.connection import f_tensor, geometry_frame, nabla_tensor
 from algmech.expr import ZERO, BinOp, Call, Neg, Num, Var, differentiate, parse_expression
 from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
@@ -259,28 +260,35 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
 
 
 def test_report_sweeps_share_one_sample_evaluator(tmp_path, capsys, monkeypatch):
-    """Validation, the spray test and the symmetry checks of a report sweep
-    one evaluator over the sample set."""
-    batches = []
+    """A report makes exactly one sample evaluator, in ``build_report``, and
+    validation, the spray test and the symmetry checks sweep it."""
+    makers = []
 
     class Counted(SampleEvaluator):
         def __init__(self, *args):
             super().__init__(*args)
-            batches.append(self)
-
-    callers = set()
-    real = algmech.algebroid.Algebroid.sample_evaluator
-
-    def recording(self, samples):
-        callers.add(sys._getframe(1).f_code.co_name)
-        return real(self, samples)
+            # the frame above Algebroid.sample_evaluator asked for it
+            makers.append(sys._getframe(2).f_code.co_name)
 
     monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
-    monkeypatch.setattr(algmech.algebroid.Algebroid, "sample_evaluator", recording)
     path = fixture_file(tmp_path, "heisenberg")
     assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    assert len(batches) == 1
-    assert {"validate", "spray_test", "dynamical_symmetry_check"} <= callers
+    assert makers == ["build_report"]
+
+
+def test_the_system_keeps_no_evaluator(tmp_path):
+    """After a report and a geometry frame, no attribute of the system holds
+    an evaluator, alone or in a tuple."""
+    cfg = algmech.config.load_config(fixture_file(tmp_path, "driftless"))
+    build_report(cfg)
+    geometry_frame(cfg.algebroid, cfg.semispray(), cfg.connection(), cfg.sample_points()[0])
+    held = [
+        name
+        for name, value in vars(cfg.algebroid).items()
+        for item in (value, *(value if isinstance(value, tuple) else ()))
+        if isinstance(item, (PointEvaluator, SampleEvaluator))
+    ]
+    assert held == []
 
 
 def test_validate_makes_no_point_evaluator(monkeypatch):
@@ -289,7 +297,8 @@ def test_validate_makes_no_point_evaluator(monkeypatch):
     cfg = algmech.config.load_config(
         resources.files("algmech").joinpath("fixtures/heisenberg.json")
     )
-    assert cfg.algebroid.validate(cfg.sample_points(), cfg.tolerance).passed
+    alg = cfg.algebroid
+    assert alg.validate(alg.sample_evaluator(cfg.sample_points()), cfg.tolerance).passed
     assert points == []
 
 

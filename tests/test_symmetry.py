@@ -5,7 +5,7 @@ from algmech.algebroid import BaseSection
 from algmech.connection import canonical_connection, nabla_exprs
 from algmech.errors import ExactnessWitnessError, FiberDependenceError, SingularPairingError
 from algmech.expr import parse_expression
-from algmech.jets import EvalPoint, Jet2
+from algmech.jets import EvalPoint, Jet2, SampleEvaluator
 from algmech.prolongation import (
     ProlongationSection,
     complete_lift,
@@ -35,6 +35,11 @@ def pts(cfg, k=20, seed=105):
     return sample_points(cfg.algebroid.base_coords, cfg.algebroid.fiber_coords, k, seed)
 
 
+def batch(cfg, *args, points=None):
+    """The sample evaluator over ``points``, else over ``pts(cfg, *args)``."""
+    return cfg.algebroid.sample_evaluator(pts(cfg, *args) if points is None else points)
+
+
 def sec(cfg, xs, vs):
     alg = cfg.algebroid
     return ProlongationSection(
@@ -56,7 +61,7 @@ class TestDynamicalSymmetry:
     def test_field_commutes_with_itself(self, driftless):
         S = driftless.semispray()
         v = dynamical_symmetry_check(
-            driftless.algebroid, S, S.section(driftless.algebroid), pts(driftless), TOL
+            driftless.algebroid, S, S.section(driftless.algebroid), batch(driftless), TOL
         )
         assert v.passed
         assert v.max_residual <= 1e-12
@@ -65,7 +70,7 @@ class TestDynamicalSymmetry:
         alg = driftless.algebroid
         S = driftless.semispray()
         C = euler_section(alg)
-        v = dynamical_symmetry_check(alg, S, C, pts(driftless), TOL)
+        v = dynamical_symmetry_check(alg, S, C, batch(driftless), TOL)
         assert not v.passed
         # [S, C] = -S for a spray: frame part -y^a, fiber part -S^a
         for p, res in v.per_sample:
@@ -88,7 +93,7 @@ class TestDynamicalSymmetry:
         S = driftless.semispray()
         for comps in (("1", "0"), ("0", "1")):
             lift = complete_lift(alg, base(driftless, *comps))
-            v = dynamical_symmetry_check(alg, S, lift, pts(driftless), TOL)
+            v = dynamical_symmetry_check(alg, S, lift, batch(driftless), TOL)
             assert not v.passed
             assert v.components["frame_part"] <= 1e-12  # they are Newtonoids
 
@@ -102,7 +107,7 @@ class TestNewtonoid:
         x, v = A.values_at(ev)
         assert np.allclose(x, [1.0, 0.0], atol=0)
         assert np.allclose(v, [-2.0, 0.0], atol=0)  # (-u2, 0)
-        verdict = newtonoid_check(alg, S, A, pts(driftless), TOL)
+        verdict = newtonoid_check(alg, S, A, batch(driftless), TOL)
         assert verdict.passed
         assert verdict.components["projection"] <= 1e-9
 
@@ -110,7 +115,7 @@ class TestNewtonoid:
         alg = driftless.algebroid
         S = driftless.semispray()
         V1 = ProlongationSection.basis_v(2, 0)
-        verdict = newtonoid_check(alg, S, V1, [P0], TOL)
+        verdict = newtonoid_check(alg, S, V1, batch(driftless, points=[P0]), TOL)
         assert not verdict.passed
         assert verdict.per_sample[0][1] == (-1.0, 0.0)
 
@@ -118,7 +123,7 @@ class TestNewtonoid:
         for cfg in all_systems:
             S = cfg.semispray()
             A = S.section(cfg.algebroid)
-            assert newtonoid_check(cfg.algebroid, S, A, pts(cfg, 10), TOL).passed
+            assert newtonoid_check(cfg.algebroid, S, A, batch(cfg, 10), TOL).passed
 
 
 class TestInvariantEquation:
@@ -162,7 +167,7 @@ class TestLieSymmetry:
             heisenberg.algebroid,
             heisenberg.semispray(),
             base(heisenberg, "0", "0", "1"),
-            pts(heisenberg),
+            batch(heisenberg),
             TOL,
         )
         assert v.passed
@@ -174,7 +179,7 @@ class TestLieSymmetry:
             heisenberg.algebroid,
             heisenberg.semispray(),
             base(heisenberg, "1", "0", "0"),
-            pts(heisenberg),
+            batch(heisenberg),
             TOL,
         )
         assert not v.passed
@@ -186,7 +191,7 @@ class TestLieSymmetry:
                 abelian.algebroid,
                 abelian.semispray(),
                 base(abelian, *comps),
-                pts(abelian),
+                batch(abelian),
                 TOL,
             )
             assert v.passed
@@ -196,7 +201,7 @@ class TestLieSymmetry:
             abelian.algebroid,
             abelian.semispray(),
             base(abelian, "x1^2", "0"),
-            pts(abelian),
+            batch(abelian),
             TOL,
         )
         assert not v.passed
@@ -208,7 +213,7 @@ class TestLieSymmetry:
             for cand in cfg.candidates:
                 if cand.kind != "base_section":
                     continue
-                v = lie_symmetry_check(alg, S, cand.base, pts(cfg, 25), TOL)
+                v = lie_symmetry_check(alg, S, cand.base, batch(cfg, 25), TOL)
                 assert (v.components["bracket"] <= TOL) == (
                     v.components["invariant_second_order"] <= TOL
                 )
@@ -222,7 +227,7 @@ class TestLieSymmetry:
         )
         with pytest.raises(FiberDependenceError):
             lie_symmetry_check(
-                driftless.algebroid, driftless.semispray(), fib, [P0], TOL
+                driftless.algebroid, driftless.semispray(), fib, batch(driftless), TOL
             )
 
 
@@ -231,14 +236,14 @@ class TestCartanSymmetry:
         for cfg in all_systems:
             S = cfg.semispray()
             v = cartan_symmetry_check(
-                cfg.algebroid, cfg.lagrangian, S.section(cfg.algebroid), pts(cfg, 15), TOL
+                cfg.algebroid, cfg.lagrangian, S.section(cfg.algebroid), batch(cfg, 15), TOL
             )
             assert v.passed
 
     def test_dilation_field_scales_the_energy(self, driftless):
         C = euler_section(driftless.algebroid)
         v = cartan_symmetry_check(
-            driftless.algebroid, driftless.lagrangian, C, [P0], TOL
+            driftless.algebroid, driftless.lagrangian, C, batch(driftless, points=[P0]), TOL
         )
         assert not v.passed
         # L_C E = 2E for a fiber-quadratic Lagrangian: 2 * 2.5 here
@@ -252,10 +257,10 @@ class TestCartanSymmetry:
                 if cand.kind != "prolongation_section":
                     continue
                 cartan = cartan_symmetry_check(
-                    alg, cfg.lagrangian, cand.section, pts(cfg, 15), 1e-8
+                    alg, cfg.lagrangian, cand.section, batch(cfg, 15), 1e-8
                 )
                 if cartan.passed:
-                    dyn = dynamical_symmetry_check(alg, S, cand.section, pts(cfg, 15), 1e-8)
+                    dyn = dynamical_symmetry_check(alg, S, cand.section, batch(cfg, 15), 1e-8)
                     assert dyn.passed
 
 
@@ -265,7 +270,7 @@ class TestConservation:
             driftless.algebroid,
             driftless.semispray(),
             expr(driftless, "0.5*(u1^2+u2^2)"),
-            pts(driftless, 50),
+            batch(driftless, 50),
             TOL,
         )
         assert out.passed
@@ -276,7 +281,7 @@ class TestConservation:
             driftless.algebroid,
             driftless.semispray(),
             expr(driftless, "u1"),
-            [P0],
+            batch(driftless, points=[P0]),
             TOL,
         )
         assert not out.passed
@@ -284,16 +289,34 @@ class TestConservation:
 
     def test_constants_are_conserved(self, driftless):
         out = conservation_check(
-            driftless.algebroid, driftless.semispray(), expr(driftless, "7"), [P0], TOL
+            driftless.algebroid,
+            driftless.semispray(),
+            expr(driftless, "7"),
+            batch(driftless, points=[P0]),
+            TOL,
         )
         assert out.passed and out.sdot_max == 0.0
+
+    def test_a_new_evaluator_sweeps_the_samples_as_they_are(self, driftless):
+        """The system keeps no evaluator: after the sample list is changed in
+        place, a new evaluator over it sweeps the new points, paired with
+        their own residuals."""
+        alg, S = driftless.algebroid, driftless.semispray()
+        x1 = expr(driftless, "x1")
+        samples = driftless.sample_points(count=3)
+        before = conservation_check(alg, S, x1, alg.sample_evaluator(samples), TOL)
+        assert before.sdot_max == pytest.approx(2.218, abs=1e-3)
+        samples[:] = [EvalPoint.of([0, 0, 0], [5, 5])] * 3
+        after = conservation_check(alg, S, x1, alg.sample_evaluator(samples), TOL)
+        assert after.sdot_max == 5.0
+        assert after.per_sample == tuple((p, 5.0) for p in samples)
 
     def test_center_momentum_on_heisenberg(self, heisenberg):
         out = conservation_check(
             heisenberg.algebroid,
             heisenberg.semispray(),
             expr(heisenberg, "y3"),
-            pts(heisenberg, 25),
+            batch(heisenberg, 25),
             TOL,
         )
         assert out.passed
@@ -312,7 +335,7 @@ class TestExactCartan:
                 S,
                 S.section(alg),
                 cfg.lagrangian.expr,
-                pts(cfg, 15),
+                batch(cfg, 15),
                 1e-8,
             )
             assert out.provenance == "from_cartan"
@@ -334,7 +357,7 @@ class TestExactCartan:
                 S,
                 S.section(alg),
                 doubled,
-                pts(driftless, 10),
+                batch(driftless, 10),
                 1e-8,
             )
 
@@ -345,7 +368,7 @@ class TestExactCartan:
             alg,
             driftless.lagrangian,
             driftless.lagrangian.energy_expr,
-            pts(driftless, 20),
+            batch(driftless, 20),
             1e-7,
         )
         assert rec.passed
@@ -361,18 +384,18 @@ class TestExactCartan:
         solve reconstructs a Cartan section with tiny residuals."""
         alg = driftless.algebroid
         S = driftless.semispray()
-        samples = pts(driftless, 15)
+        sweep = batch(driftless, 15)
         produced = conserved_from_cartan(
             alg,
             driftless.lagrangian,
             S,
             S.section(alg),
             driftless.lagrangian.expr,
-            samples,
+            sweep,
             1e-8,
         )
         rec = cartan_from_conservation(
-            alg, driftless.lagrangian, produced.expr, samples, 1e-7
+            alg, driftless.lagrangian, produced.expr, sweep, 1e-7
         )
         assert rec.two_section_max <= 1e-7
         assert rec.energy_max <= 1e-7
@@ -387,7 +410,7 @@ class TestExactCartan:
             driftless.algebroid,
             driftless.lagrangian,
             expr(driftless, "3"),
-            pts(driftless, 5),
+            batch(driftless, 5),
             1e-8,
         )
         assert rec.passed
@@ -426,7 +449,7 @@ class TestStarProduct:
         assert np.allclose(x, [1.0, 0.0], atol=0)
         assert np.allclose(v, [-4.0, 0.0], atol=1e-14)  # -2 u1 u2 at (1,2)
         out = newtonoid_check(
-            alg, S, star_product_exprs(alg, S, expr(driftless, "u1"), A), pts(driftless, 10), TOL
+            alg, S, star_product_exprs(alg, S, expr(driftless, "u1"), A), batch(driftless, 10), TOL
         )
         assert out.passed
 
@@ -473,6 +496,7 @@ class TestEquivalenceChain:
             alg = cfg.algebroid
             S = cfg.semispray()
             samples = pts(cfg, 20, seed=131)
+            sweep = alg.sample_evaluator(samples)
             corpus = [
                 cand.section
                 for cand in cfg.candidates
@@ -485,8 +509,8 @@ class TestEquivalenceChain:
             ]
             assert len(corpus) >= 4
             for A in corpus:
-                dyn = dynamical_symmetry_check(alg, S, A, samples, 1e-8)
-                newt = newtonoid_check(alg, S, A, samples, 1e-8)
+                dyn = dynamical_symmetry_check(alg, S, A, sweep, 1e-8)
+                newt = newtonoid_check(alg, S, A, sweep, 1e-8)
                 inv_max = max(
                     float(np.max(np.abs(invariant_equation_residual(alg, S, A, alg.evaluator(p)))))
                     for p in samples
@@ -519,8 +543,8 @@ def test_batched_jet_solve_is_a_per_sample_solve_bit_for_bit():
     A = rng.normal(size=(P, k, k + 1))
     A[::2, 0, 0] *= 1e-3  # every other sample swaps rows at the first column
     dA = rng.normal(size=(P, k, k + 1, K))
-    samples = [EvalPoint.of([float(i)], [1.0]) for i in range(P)]
-    x, dx = _jet_solve(A, dA, samples)
+    ev = SampleEvaluator(("x", "y"), [EvalPoint.of([float(i)], [1.0]) for i in range(P)])
+    x, dx = _jet_solve(A, dA, ev)
     for p in range(P):
         jets = [[Jet2(float(A[p, r, c]), dA[p, r, c], None) for c in range(k + 1)] for r in range(k)]
         want = _solve_one([row[:k] for row in jets], [row[k] for row in jets])
@@ -528,4 +552,4 @@ def test_batched_jet_solve_is_a_per_sample_solve_bit_for_bit():
         assert np.array_equal(dx[p], np.array([j.grad for j in want]))
     A[5, :, 1] = 2.0 * A[5, :, 0]  # singular at sample 5 only
     with pytest.raises(SingularPairingError, match=r"singular at \(x=\[5\.0\]"):
-        _jet_solve(A, dA, samples)
+        _jet_solve(A, dA, ev)
