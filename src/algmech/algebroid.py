@@ -145,7 +145,7 @@ class Algebroid:
         """A new evaluator at ``p``; pass it to every quantity computed there,
         so they share its memo."""
         self._check_dims(p)
-        return PointEvaluator(self.coords, p.values())
+        return PointEvaluator(self.coords, p.values(), p)
 
     def sample_evaluator(self, samples: Sequence[EvalPoint]) -> SampleEvaluator:
         """A new evaluator over ``samples``; pass it to every sweep over that

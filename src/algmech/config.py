@@ -287,11 +287,13 @@ def _parse_reference(raw, alg: Algebroid, path: str) -> dict[str, tuple] | None:
     coordinates, keyed as in the config: ``semispray`` (m), ``connection`` and
     ``jacobi`` (m by m), and ``curvature`` (m by m by m, listed sparsely and
     completed antisymmetrically like the structure functions).  None for no
-    block or an empty one; ``note`` and other keys are free text."""
+    block or an empty one; ``note`` is a string, and other keys free."""
     if raw is not None and not isinstance(raw, dict):
         raise ConfigError(path, "expected an object")
     if not raw:
         return None
+    if not isinstance(raw.get("note", ""), str):
+        raise ConfigError(f"{path}/note", "expected a string")
     m, coords = alg.m, alg.coords
     parsers = {
         "semispray": lambda v, at: _parse_list(v, m, coords, at),

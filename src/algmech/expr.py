@@ -19,6 +19,13 @@ an explicit-stack post-order pruned by the caller's memo, with one rule per
 node kind chosen by the node's type.  The parser keeps explicit stacks too, so
 no depth of nesting is limited by Python's call stack.
 
+A :class:`Solve` is component ``index`` of the solution of G x = b, sharing
+one :class:`System` node (operands: G row by row, then b) with the others.
+Its derivative, d(G^-1 b) = G^-1 (db - dG G^-1 b) (Giles, "An extended
+collection of matrix derivative results for forward and reverse mode AD",
+2008), is a system on the same G, built once per system and name, so an
+evaluator factorises each G once.
+
 :data:`FUNCTIONS` is the one table of elementary functions (f, f', f'' and
 the derivative-tree rule); the parser, :func:`cached_derivative` and every
 evaluation mode of :class:`~algmech.jets.PointEvaluator` read it.
@@ -48,6 +55,8 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
+    "System",
+    "Solve",
     "FUNCTIONS",
     "parse_expression",
     "postorder",
@@ -64,6 +73,7 @@ __all__ = [
     "e_neg",
     "e_pow",
     "e_sum",
+    "solve",
     "ZERO",
     "ONE",
 ]
@@ -96,7 +106,28 @@ class Call:
     operand: "Expr"
 
 
-Expr = Union[Num, Var, Neg, BinOp, Call]
+@dataclass(frozen=True, eq=False)
+class System:
+    """G x = b, G (``matrix``) a tuple of rows that callers keep (evaluators
+    factorise it once, by identity); ``solution``: a :class:`Solve` each."""
+
+    matrix: tuple[tuple["Expr", ...], ...]
+    rhs: tuple["Expr", ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "operands", (*(g for row in self.matrix for g in row), *self.rhs))
+        object.__setattr__(self, "solution", tuple(Solve(self, i) for i in range(len(self.rhs))))
+
+
+@dataclass(frozen=True, slots=True)
+class Solve:
+    """Component ``index`` of the solution of ``system``."""
+
+    system: System
+    index: int
+
+
+Expr = Union[Num, Var, Neg, BinOp, Call, Solve]
 
 ZERO = Num(0.0)
 ONE = Num(1.0)
@@ -231,7 +262,8 @@ _EXIT = object()  # stack marker: the node below it has had its children walked
 
 def postorder(root: Expr, done: Container[int]) -> Iterator[Expr]:
     """Every node under ``root`` whose ``id`` is not in ``done``, children
-    before parents and the left child first, from an explicit stack.
+    before parents and the left child first (a :class:`System` under each
+    :class:`Solve`), from an explicit stack.
 
     ``done`` is the caller's memo, read lazily: a node is skipped, with its
     subtree, if its id is in ``done`` when the walk reaches it, so a caller
@@ -250,6 +282,10 @@ def postorder(root: Expr, done: Container[int]) -> Iterator[Expr]:
                 stack += (e, _EXIT, e.right, e.left)
             elif t is Neg or t is Call:
                 stack += (e, _EXIT, e.operand)
+            elif t is Solve:
+                stack += (e, _EXIT, e.system)
+            elif t is System:
+                stack += (e, _EXIT, *reversed(e.operands))
             else:
                 yield e
 
@@ -269,12 +305,21 @@ def to_source(e: Expr) -> str:
     """Print a tree so that re-parsing yields a structurally identical tree.
 
     (For parsed trees this is exact; folded constants may print a negative
-    literal, which re-parses as a unary minus of equal value.)
+    literal, which re-parses as a unary minus of equal value.  A solve prints
+    as ``solve([[G row], ...], [b])[index]``, which the grammar does not
+    parse.)
     """
     parts: list[tuple[str, int]] = []  # (source, precedence) of the pending operands
     for n in postorder(e, ()):
         t = type(n)
-        if t is BinOp:
+        if t is System:
+            m, texts = len(n.rhs), [text for text, _ in parts[-len(n.operands) :]]
+            del parts[-len(n.operands) :]
+            rows = ", ".join(f"[{', '.join(texts[i : i + m])}]" for i in range(0, m * m, m))
+            parts.append((f"solve([{rows}], [{', '.join(texts[m * m :])}])", 9))
+        elif t is Solve:
+            parts[-1] = (f"{parts[-1][0]}[{n.index}]", 9)
+        elif t is BinOp:
             right = parts.pop()
             lc, rc = _OPERAND_PREC[n.op]
             text = _wrapped(parts[-1], lc) + n.op + _wrapped(right, rc)
@@ -384,6 +429,24 @@ def e_sum(terms: Iterable[Expr]) -> Expr:
     return acc
 
 
+def solve(matrix: tuple[tuple[Expr, ...], ...], rhs: Sequence[Expr]) -> tuple[Expr, ...]:
+    """The solution components of ``matrix`` x = ``rhs``, ``matrix`` a tuple
+    the caller keeps: zeros for a zero ``rhs``; for a regular matrix of
+    constants, the sums ``inv[i][k] * rhs[k]`` in the order a solve adds
+    them; for a diagonal matrix, the quotients ``rhs[i] / matrix[i][i]``;
+    else the :class:`Solve` nodes of a new :class:`System`."""
+    if all(_is_const(b, 0.0) for b in rhs):
+        return (ZERO,) * len(rhs)
+    if all(type(g) is Num for row in matrix for g in row):
+        from .jets import inverse  # the numeric helper; jets imports this module
+        inv, k = inverse([[[g.value for g in row] for row in matrix]])
+        if k:  # regular
+            return tuple(e_sum(map(e_mul, map(Num, row), rhs)) for row in inv[0].tolist())
+    if all(_is_const(g, 0.0) for i, row in enumerate(matrix) for g in row[:i] + row[i + 1 :]):
+        return tuple(e_div(b, row[i]) for i, (row, b) in enumerate(zip(matrix, rhs)))
+    return System(matrix, tuple(rhs)).solution
+
+
 # ---------------------------------------------------------------------------
 # Elementary functions and derivative construction
 # ---------------------------------------------------------------------------
@@ -452,6 +515,12 @@ def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
             r = ZERO
         elif t is Neg:
             r = e_neg(done[id(n.operand)][1])
+        elif t is Solve:
+            r = done[id(n.system)][1][n.index]
+        elif t is System:  # G^-1 (db - dG x), x this system's solution
+            dG = ([done[id(g)][1] for g in row] for row in n.matrix)
+            dGx = (e_sum(e_mul(d, x) for d, x in zip(ds, n.solution) if d is not ZERO) for ds in dG)
+            r = solve(n.matrix, [e_sub(done[id(b)][1], d) for b, d in zip(n.rhs, dGx)])
         else:
             r = FUNCTIONS[n.func].rule(n.operand, done[id(n.operand)][1])
         done[id(n)] = (n, r)

@@ -4,54 +4,45 @@ A :class:`Jet2` over ``k`` coordinates carries ``(value, grad, hess)`` with a
 ``(k,)`` gradient and a symmetric ``(k, k)`` Hessian, or ``hess = None`` at
 first order.  All arithmetic propagates the derivatives exactly (no numeric
 differencing); the Hessian stays bit-exactly symmetric because every update
-is built from outer products ``g g^T`` or the symmetrized ``a b^T + b a^T``.
-The Hessian never feeds the value or the gradient, so both orders give the
-same value and gradient bit for bit.
+is built from outer products ``g g^T`` or the symmetrized ``a b^T + b a^T``,
+and it never feeds the value or the gradient, so both orders agree on those.
 
 Trees are evaluated by one rule table, written once: a value loop and a jet
-loop (with its power rule) over :func:`~algmech.expr.postorder`, one rule
-per node kind, each reading a node's operands from its memo, so shared
-subtrees are visited once and a tree of any depth evaluates (the evaluation
-procedure of Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
-ch. 2-3).  Two evaluators run it and supply only what differs: how a
-constant and a coordinate leaf are made, how a
-:data:`~algmech.expr.FUNCTIONS` float function is applied, and how a zero
-or non-positive operand is detected.  A math error in a rule becomes an
+loop over :func:`~algmech.expr.postorder`, one rule per node kind, each
+reading a node's operands from its memo, so shared subtrees are visited once
+and a tree of any depth evaluates (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, ch. 2-3).  A :class:`~algmech.expr.System`
+applies its matrix's inverse (:func:`inverse`, once per evaluator and
+matrix), with jets dx = G^-1 (db - dG x); a :class:`~algmech.expr.Solve`
+picks a component.
+An evaluator supplies only how leaves are made, how a
+:data:`~algmech.expr.FUNCTIONS` float function is applied, and how a zero or
+non-positive operand is detected.  A math error in a rule becomes an
 :class:`EvaluationDomainError` naming the subexpression.
 
-:class:`PointEvaluator` runs the rules on Python floats at one point:
-values (``value``), first-order jets (``jet1``) and second-order jets
-(``jet``), applying each function directly.  The symmetry, bracket,
-connection and validation checks are first order in their component
-functions and take ``jet1``, and the fiber metric is read from its own
-trees (``Lagrangian.metric_exprs``); only the Euler-Lagrange residual reads
-a Hessian and calls ``jet``, which stays second order as the public way to
-get one.  A first-order jet computes no second-derivative factor, so it is
-defined wherever its value and gradient are.  A jet's value can differ from
-``value`` in the last bit (``a/b`` is ``a * (1/b)`` in jet arithmetic), so
-callers comparing a value with a gradient read both from one jet.  Every
-quantity computed at a point takes the caller's evaluator
-(:meth:`~algmech.algebroid.Algebroid.evaluator` makes one), so they share
-its memo; values depend only on the tree and the point, so sharing never
-changes a result; :meth:`PointEvaluator.array` keeps per-point arrays.
+:class:`PointEvaluator` runs the rules on Python floats at one point: values
+(``value``), first-order jets (``jet1``) and second-order jets (``jet``,
+read only by the Euler-Lagrange residual).  A first-order jet computes no
+second-derivative factor, so it is defined wherever its value and gradient
+are.  A jet's value can differ from ``value`` in the last bit (``a/b`` is
+``a * (1/b)`` in jet arithmetic), so callers comparing a value with a
+gradient read both from one jet.  Every quantity computed at a point takes
+the caller's evaluator (:meth:`~algmech.algebroid.Algebroid.evaluator`), so
+they share its memo; :meth:`PointEvaluator.array` keeps per-point arrays.
 
-:class:`SampleEvaluator` runs the same rules at a whole sample set, on
-float64 columns: its memo holds (P, 1) value columns, so :class:`Jet2`'s
-arithmetic broadcasts them against (P, k) gradients unchanged, and it hands
-out (P,) values and first-order jets with (P, k) gradients.  Every sweep
+:class:`SampleEvaluator` runs the same rules at a whole sample set on (P, 1)
+float64 columns, which :class:`Jet2`'s arithmetic broadcasts against (P, k)
+gradients, and hands out (P,) values and first-order jets.  Every sweep
 takes the one its caller holds
-(:meth:`~algmech.algebroid.Algebroid.sample_evaluator` makes one).
+(:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).
 
 :class:`ValueKernel` compiles a fixed tuple of trees once into straight-line
-Python and returns their values, bit for bit those of ``value``, at any
-point.  Use it for value-only evaluation of the same trees at many points
-(the RK4 right-hand side and energy): it costs about 10 us per unique node
-to compile and then a few hundred ns per call.  Use ``PointEvaluator`` for
-everything else: a per-point memo shared across many trees, jets, and the
-error path that names the failing subexpression, which the kernel reaches by
-walking its trees again with ``value``.  Integer powers of floats, columns
-and jets come from one routine, :func:`int_power`, so their cost grows with
-log2 of the exponent.
+Python that returns their values, bit for bit those of ``value``, at any
+point, for value-only evaluation at many points (the RK4 right-hand side and
+energy): about 10 us per unique node to compile, then a few hundred ns per
+call.  A point, a batch and a kernel get the same bits for every node kind,
+solves included.  Integer powers come from one routine, :func:`int_power`,
+so their cost grows with log2 of the exponent.
 """
 
 from __future__ import annotations
@@ -63,12 +54,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EvaluationDomainError
-from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Var, literal_value, postorder
+from .errors import EvaluationDomainError, SingularMetricError
+from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Solve, System, Var, literal_value, postorder
 
 __all__ = [
     "Jet2", "EvalPoint", "PointEvaluator", "SampleEvaluator", "ValueKernel",
-    "eval_jet", "finite_difference_jet", "int_power",
+    "eval_jet", "finite_difference_jet", "int_power", "inverse",
 ]
 
 
@@ -187,6 +178,38 @@ def _power(a, c, k: int | None, one=1.0):
     return one / r if k < 0 else r
 
 
+_DET_RTOL = 1e-10  # the singularity cutoff on det(g / max |g_ij|)
+
+
+@np.errstate(all="ignore")
+def inverse(g) -> tuple[np.ndarray, int]:
+    """``(inv, k)`` for a stack of square matrices ``g`` (P, m, m): ``k`` is
+    the index of the first one that is not finite or singular (P if none),
+    ``inv`` the inverses before it.  Every solve, the fold of constant
+    matrices and :func:`~algmech.lagrangian.fiber_metric` read it.  Singular
+    means ``|det(g / max |g_ij|)| < 1e-10``, which cannot underflow or
+    overflow (NaN for a zero or non-finite g); a residual above 1e-12 gets a
+    Newton sweep.  Stacked numpy calls give each matrix its own bits."""
+    g = np.asarray(g, dtype=float)
+    unit_det = np.linalg.det(g / np.max(np.abs(g), axis=(1, 2))[:, None, None])
+    bad = ~(np.abs(unit_det) >= _DET_RTOL)
+    k = int(np.argmax(bad)) if bad.any() else len(g)
+    g, eye = g[:k], np.eye(g.shape[-1])
+    inv = np.linalg.inv(g)
+    off = np.max(np.abs(g @ inv - eye), axis=(1, 2), initial=0.0) > 1e-12
+    inv[off] = inv[off] @ (2.0 * eye - g[off] @ inv[off])
+    return inv, k
+
+
+def _dot(row, items):
+    """``row[0] * items[0] + row[1] * items[1] + ...`` in order, on floats,
+    columns and gradients alike: how a solve applies an inverse."""
+    r = row[0] * items[0]
+    for c, v in zip(row[1:], items[1:]):
+        r = r + c * v
+    return r
+
+
 class _Rules:
     """The one rule per node kind, for values and for jets.
 
@@ -195,11 +218,10 @@ class _Rules:
     ``c * _one``); ``_grad_shape``, the shape of a gradient;
     ``_functions``, :data:`~algmech.expr.FUNCTIONS` with ``f``, ``d1`` and
     ``d2`` applied as it applies them; ``_zero(x)`` and ``_nonpositive(x)``,
-    whether any element of ``x`` is zero, or at most zero; and the memos
-    ``_floats`` and ``_jet1s``.  A memo entry stores ``(node, result)``: the
-    node reference keeps the id unique for the memo's lifetime (ids of dead
-    objects get reused).
-    """
+    whether any element of ``x`` is zero, or at most zero; ``_where``, the
+    points an error names; ``_entries``, an inverse as the rules read it; and
+    the memos of ``(node, result)``, a system's result its components (the
+    node keeps the id unique for the memo's lifetime)."""
 
     def _walk_value(self, e: Expr):
         """The value of ``e``."""
@@ -238,6 +260,11 @@ class _Rules:
                 r = coords[index[n.name]]
             elif t is Neg:
                 r = -memo[id(n.operand)][1]
+            elif t is Solve:
+                r = memo[id(n.system)][1][n.index]
+            elif t is System:
+                b = [memo[id(v)][1] for v in n.rhs]
+                r = [_dot(row, b) for row in self._inverse(n)[0]]
             else:
                 v = memo[id(n.operand)][1]
                 try:
@@ -283,6 +310,10 @@ class _Rules:
                 r = self._seed(coords[i], i, second)
             elif t is Neg:
                 r = -memo[id(n.operand)][1]
+            elif t is Solve:
+                r = memo[id(n.system)][1][n.index]
+            elif t is System:
+                r = self._solve_jets(n, memo, second)
             else:
                 a = memo[id(n.operand)][1]
                 fn, v = functions[n.func], a.value
@@ -336,6 +367,46 @@ class _Rules:
     def _nested(self, t):
         return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
 
+    def _solve_jets(self, n: System, memo: dict, second: bool) -> list:
+        """The jets of x = G^-1 b, dx = G^-1 (db - dG x) and, second order,
+        d2x = G^-1 (d2b - d2G x - dG dx - (dG dx)^T); dG is stacked in ``memo``."""
+        rows, cols = self._inverse(n)
+        hit = memo.get(id(n.matrix))
+        if hit is None:
+            jets = [[memo[id(g)][1] for g in row] for row in n.matrix]
+            dG = np.array([[g.grad for g in row] for row in jets])
+            d2G = np.array([[g.hess for g in row] for row in jets]) if second else None
+            hit = memo[id(n.matrix)] = (n.matrix, (list(dG.swapaxes(0, 1)), d2G))
+        dGk, d2G = hit[1]
+        b = [memo[id(v)][1] for v in n.rhs]
+        x = [_dot(row, [v.value for v in b]) for row in rows]
+        dx = _dot(cols, np.array([v.grad for v in b]) - _dot(dGk, x))
+        if not second:
+            return [Jet2(xi, dxi, None) for xi, dxi in zip(x, dx)]
+        H = np.array([v.hess for v in b])
+        for k, xk in enumerate(x):
+            C = dGk[k][:, :, None] * dx[k]  # [j] = the outer product dG_jk dx_k
+            H = H - (d2G[:, k] * xk + C + C.swapaxes(1, 2))
+        return [Jet2(*j) for j in zip(x, dx, _dot([c[..., None] for c in cols], H))]
+
+    def _inverse(self, system: System) -> tuple:
+        """The inverse for ``system`` as ``_entries`` gives it, factorised
+        once per matrix, which its derivative systems share.  A matrix that
+        is not finite raises :class:`EvaluationDomainError` naming the system,
+        a singular one :class:`SingularMetricError` naming the point."""
+        G, points = system.matrix, self._where
+        hit = self._inverses.get(id(G))
+        if hit is None:
+            g = self.array(G).reshape(len(points), len(G), len(G))
+            inv, k = inverse(g)
+            if k < len(g):
+                if not np.isfinite(g[k]).all():
+                    raise EvaluationDomainError("matrix is not finite", system)
+                with np.errstate(all="ignore"):
+                    raise SingularMetricError(points[k], float(np.linalg.det(g[k])), k)
+            hit = self._inverses[id(G)] = (G, self._entries(inv))
+        return hit[1]
+
 
 class PointEvaluator(_Rules):
     """Evaluates expression trees at one fixed coordinate assignment.
@@ -351,11 +422,12 @@ class PointEvaluator(_Rules):
     _zero = (0.0).__eq__
     _nonpositive = (0.0).__ge__
 
-    def __init__(self, names: Sequence[str], values: Sequence[float]):
+    def __init__(self, names: Sequence[str], values: Sequence[float], point=None):
         if len(names) != len(values):
             raise ValueError("coordinate names and values differ in length")
         self.names = tuple(names)
         self.values = self._coords = tuple(float(v) for v in values)
+        self._where = (self.values if point is None else point,)  # what an error names
         self.index = {name: i for i, name in enumerate(self.names)}
         self.k = len(self.names)
         self._grad_shape = (self.k,)
@@ -363,8 +435,12 @@ class PointEvaluator(_Rules):
         self._jet1s: dict[int, tuple[Expr, Jet2]] = {}
         self._jets: dict[int, tuple[Expr, Jet2]] = {}  # second order
         self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._inverses: dict[int, tuple[tuple, tuple]] = {}
 
     value = _Rules._walk_value  # the loop itself: the frames call it per tree
+
+    # an inverse's rows of floats, and its (m, 1) columns against gradients
+    _entries = staticmethod(lambda inv: (inv[0].tolist(), inv[0].T[:, :, None]))
 
     def jet(self, e: Expr) -> Jet2:
         """Second-order jet of ``e``: value, gradient and Hessian."""
@@ -416,27 +492,20 @@ class SampleEvaluator(_Rules):
     ``value`` returns a (P,) array and ``jet1`` a first-order :class:`Jet2`
     with a (P,) value and a (P, k) gradient; ``values_of`` and ``array`` put
     the sample axis first, and ``values`` is the (P, k) array of coordinates.
-    The rules are :class:`PointEvaluator`'s, run on (P, 1) columns: a
-    constant is a column, a coordinate is its column of ``values``, and each
-    :data:`~algmech.expr.FUNCTIONS` float function is applied per element
-    (``_each``).  Each result is memoised per node object for the
-    evaluator's lifetime, and what is handed out is read-only.  The batch is
-    first order only; a second derivative that a sweep reads is a tree of
-    its own.
+    The rules run on (P, 1) columns, memoised per node and handed out
+    read-only; first order only.
 
-    Every slice is bit for bit what :class:`PointEvaluator` gives at that
-    sample.  ``+ - * /`` and :func:`int_power` run elementwise on float64,
-    which rounds each element as the float operation does.  Elementary
-    functions are ``FUNCTIONS``' own float functions, since numpy's do not
-    always round as math's do (on an x86-64 host with AVX-512, ``np.exp`` and
-    ``np.log`` differed from ``math.exp`` and ``math.log`` on 4.6% and 0.16%
-    of inputs, while sin, cos and sqrt matched).
+    Every slice has :class:`PointEvaluator`'s bits at its sample: ``+ - * /``,
+    :func:`int_power` and solves run elementwise on float64, and elementary
+    functions are ``FUNCTIONS``' own float functions applied per element
+    (``_each``), since numpy's do not always round as math's do (on x86-64
+    with AVX-512, ``np.exp`` and ``np.log`` differed on 4.6% and 0.16% of
+    inputs, while sin, cos and sqrt matched).
 
-    The batch formats no errors.  Where a rule raises its
-    :class:`EvaluationDomainError` or numpy divides by zero, the batch stops
-    and walks the samples again in order with :class:`PointEvaluator`; the
-    first failing sample raises the point's error, with the sample point
-    appended to its message.
+    The batch formats no errors but a singular solve matrix's, which names
+    its first singular sample.  Where a rule raises :class:`EvaluationDomainError`
+    or numpy divides by zero, the batch walks the samples again in order with
+    :class:`PointEvaluator`: the first failing one raises with its point.
     """
 
     _functions = {
@@ -445,6 +514,11 @@ class SampleEvaluator(_Rules):
         )
         for name, fn in FUNCTIONS.items()
     }
+
+    @staticmethod
+    def _entries(inv):  # rows and columns of (P, 1) entry columns
+        s = np.moveaxis(inv, 0, -1)[..., None]
+        return s, s.swapaxes(0, 1)
 
     @staticmethod
     def _zero(x: np.ndarray) -> bool:
@@ -456,7 +530,7 @@ class SampleEvaluator(_Rules):
 
     def __init__(self, names: Sequence[str], points: Sequence[EvalPoint]):
         self.names = tuple(names)
-        self.points = tuple(points)
+        self.points = self._where = tuple(points)
         self.index = {name: i for i, name in enumerate(self.names)}
         self.k = len(self.names)
         P = len(self.points)
@@ -471,6 +545,7 @@ class SampleEvaluator(_Rules):
         self._floats: dict[int, tuple[Expr, np.ndarray]] = {}
         self._jet1s: dict[int, tuple[Expr, Jet2]] = {}
         self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._inverses: dict[int, tuple[tuple, tuple]] = {}
 
     def value(self, e: Expr) -> np.ndarray:
         hit = self._floats.get(id(e))  # a memo hit needs no errstate
@@ -508,12 +583,21 @@ class SampleEvaluator(_Rules):
             with np.errstate(all="ignore"):  # the point's jets warn of inf * 0
                 for p in self.points:
                     try:
-                        walk(PointEvaluator(self.names, p.values()), e)
+                        walk(PointEvaluator(self.names, p.values(), p), e)
                     except EvaluationDomainError as err:
                         named = EvaluationDomainError(f"{err} at {p}")
                         named.subexpression = err.subexpression
                         raise named from err
             raise
+
+
+def _kernel_inverse(m: int, *g: float) -> list[list[float]]:
+    """The walker's inverse of the m-by-m matrix with entries ``g``, row by
+    row; a math error where it has none, for the walker to name."""
+    inv, k = inverse(np.reshape(g, (1, m, m)))
+    if not k:
+        raise ZeroDivisionError("singular matrix")
+    return inv[0].tolist()
 
 
 class ValueKernel:
@@ -527,10 +611,9 @@ class ValueKernel:
     *Evaluating Derivatives*, 2nd ed., 2008, ch. 3).  Each statement is the
     walker's own float operation, so every value is the walker's bit for
     bit.  Constants are names bound in the function's globals, never printed.
-    The kernel formats no errors: when a math error escapes it, the trees
-    are walked again at the same values, which raises the
-    :class:`EvaluationDomainError` that names the subexpression.
-    """
+    The kernel formats no errors: when a math error escapes it (as one does
+    for a solve's matrix without an inverse), the trees are walked again at
+    the same values, which raises the error that names the fault."""
 
     __slots__ = ("names", "trees", "source", "_run")
 
@@ -538,8 +621,9 @@ class ValueKernel:
         self.names = tuple(names)
         self.trees = tuple(trees)  # keeps every node, hence its id, alive
         index = {name: i for i, name in enumerate(self.names)}
-        env: dict = {"power": _power}
+        env: dict = {"power": _power, "dot": _dot, "inverse": _kernel_inverse}
         slot: dict[int, str] = {}
+        inverses: dict[int, str] = {}  # id of a solve's matrix -> its inverse's name
         lines = ["def kernel(v):"]
         for t in self.trees:
             for e in postorder(t, slot):
@@ -558,6 +642,16 @@ class ValueKernel:
                     rhs = f"v[{index[e.name]}]"
                 elif t is Neg:
                     rhs = f"-{slot[id(e.operand)]}"
+                elif t is Solve:
+                    rhs = f"{slot[id(e.system)]}[{e.index}]"
+                elif t is System:
+                    inv = inverses.get(id(e.matrix))
+                    if inv is None:
+                        inv = inverses[id(e.matrix)] = f"inv{name}"
+                        g = ", ".join(slot[id(x)] for x in e.operands[: -len(e.rhs)])
+                        lines.append(f"    {inv} = inverse({len(e.rhs)}, {g})")
+                    b = ", ".join(slot[id(x)] for x in e.rhs)
+                    rhs = f"[dot(row, ({b},)) for row in {inv}]"
                 else:
                     env[f"f_{e.func}"] = FUNCTIONS[e.func].f
                     rhs = f"f_{e.func}({slot[id(e.operand)]})"

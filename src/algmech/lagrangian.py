@@ -1,12 +1,12 @@
 """Regular Lagrangians: fiber metric, canonical second-order field, Cartan
 sections, energy, and time integration of the induced dynamics.
 
-The canonical semispray components are built as expression trees (derivative
-trees of the Lagrangian composed with an adjugate/determinant inverse of the
-fiber metric), so every downstream object can take exact first and second
-partials of them through jet evaluation.  The fiber metric has one
-definition, its trees ``Lagrangian.metric_exprs``: the semispray inverts
-them and :func:`fiber_metric` evaluates them.
+The canonical semispray components are :class:`~algmech.expr.Solve` trees of
+the fiber metric against derivative trees of the Lagrangian, of a size
+polynomial in the rank, whose exact partials every downstream object takes
+through jet evaluation.  The fiber metric has one definition, its trees
+``Lagrangian.metric_exprs``, which the semispray solves with and
+:func:`fiber_metric` evaluates.
 
 Sign conventions for the two-section built from the Lagrangian, with the
 wedge normalisation (a^b)(A,B) = a(A) b(B) - a(B) b(A):
@@ -30,18 +30,8 @@ import numpy as np
 
 from .algebroid import Algebroid
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
-from .expr import (
-    Expr,
-    ONE,
-    Var,
-    ZERO,
-    e_div,
-    e_mul,
-    e_neg,
-    e_sub,
-    e_sum,
-)
-from .jets import PointEvaluator, SampleEvaluator, ValueKernel
+from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
+from .jets import PointEvaluator, SampleEvaluator, ValueKernel, inverse
 from .prolongation import ProlongationSection, Semispray, directional_derivative
 
 __all__ = [
@@ -55,10 +45,7 @@ __all__ = [
     "symplectic_residual",
     "integrate_sode",
     "euler_lagrange_residual",
-    "matrix_inverse_exprs",
 ]
-
-_DET_RTOL = 1e-10  # relative determinant cutoff for regularity
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,93 +105,34 @@ class Lagrangian:
                 W[m + a][b] = self.metric_exprs[b][a]
         return tuple(tuple(row) for row in W)
 
+    @cached_property
+    def pairing_transpose(self) -> tuple[tuple[Expr, ...], ...]:
+        """W^T, since omega(X, B_r) = sum_c X^c W[c][r]: the matrix the Cartan
+        converse solves with, kept so that an evaluator factorises it once."""
+        return tuple(zip(*self.pairing_exprs))
+
 
 @np.errstate(all="ignore")
 def fiber_metric(L: Lagrangian, ev: SampleEvaluator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fiber metric at every sample of ``ev``, its inverse and its
-    condition number: arrays (P, m, m), (P, m, m) and (P,).
-
-    The metric is ``L.metric_exprs``, the matrix whose adjugate the canonical
-    semispray is built from, read over the caller's evaluator; ``det``,
-    ``inv`` and ``cond`` are stacked numpy calls, which give each sample the
-    bits of the unstacked call.  At the first sample where the metric is not
-    finite or singular (by the determinant cutoff on g / scale or by the
-    inverse test after one Newton sweep), this raises
-    :class:`EvaluationDomainError` or :class:`SingularMetricError` naming it.
-    """
-    samples = ev.points
+    """The fiber metric ``L.metric_exprs`` over the samples of ``ev``, its
+    inverse and its condition number, arrays (P, m, m), (P, m, m) and (P,);
+    the inverse and the singularity test are every solve's
+    (:func:`~algmech.jets.inverse`).  The first sample where the metric is
+    not finite or singular raises :class:`EvaluationDomainError` or
+    :class:`SingularMetricError` naming it."""
     g = ev.array(L.metric_exprs)
-    finite = np.isfinite(g).all(axis=(1, 2))
-    # the cutoff is on the determinant of g / scale, which neither
-    # underflows nor overflows however small or large g is
-    scale = np.max(np.abs(g), axis=(1, 2))
-    det = np.linalg.det(g)
-    unit_det = np.linalg.det(g / scale[:, None, None])
-    bad = ~finite | (scale == 0.0) | (np.abs(unit_det) < _DET_RTOL)
-    k = int(np.argmax(bad)) if bad.any() else len(samples)
-    eye = np.eye(L.alg.m)
-    # inverted only before the first bad sample: a singular g makes inv raise
-    ginv = np.linalg.inv(g[:k])
-    off = np.max(np.abs(g[:k] @ ginv - eye), axis=(1, 2)) > 1e-12
-    ginv[off] = ginv[off] @ (2.0 * eye - g[:k][off] @ ginv[off])  # one Newton sweep
-    off = np.max(np.abs(g[:k] @ ginv - eye), axis=(1, 2)) > 1e-12
-    k = int(np.argmax(off)) if off.any() else k
-    if k < len(samples):
-        if not finite[k]:
-            raise EvaluationDomainError(f"fiber metric is not finite at {samples[k]}")
-        raise SingularMetricError(samples[k], float(det[k]), k)
+    ginv, k = inverse(g)
+    if k < len(g):
+        if not np.isfinite(g[k]).all():
+            raise EvaluationDomainError(f"fiber metric is not finite at {ev.points[k]}")
+        raise SingularMetricError(ev.points[k], float(np.linalg.det(g[k])), k)
     return g, ginv, np.linalg.cond(g)
 
 
-def matrix_inverse_exprs(
-    mat: Sequence[Sequence[Expr]],
-) -> tuple[tuple[tuple[Expr, ...], ...], Expr]:
-    """Adjugate-over-determinant inverse of a small expression matrix.
-
-    Laplace expansion along the first remaining row.  Each minor, named by
-    its (rows, columns) of the original matrix, is built once and shared by
-    every cofactor that contains it; the trees are those of the plain
-    expansion, so their values are too.  O(k^2 2^k) minors.
-    """
-    rows = [list(r) for r in mat]
-    k = len(rows)
-    minors: dict[tuple[tuple[int, ...], tuple[int, ...]], Expr] = {}
-
-    def det(rs: tuple[int, ...], cs: tuple[int, ...]) -> Expr:
-        if not rs:
-            return ONE  # empty minor, reached by the rank-one cofactor
-        if len(rs) == 1:
-            return rows[rs[0]][cs[0]]
-        key = (rs, cs)
-        hit = minors.get(key)
-        if hit is not None:
-            return hit
-        top = rows[rs[0]]
-        terms = []
-        for j, c in enumerate(cs):
-            term = e_mul(top[c], det(rs[1:], cs[:j] + cs[j + 1 :]))
-            terms.append(term if j % 2 == 0 else e_neg(term))
-        r = minors[key] = e_sum(terms)
-        return r
-
-    idx = tuple(range(k))
-    full = det(idx, idx)
-    inv = []
-    for i in range(k):
-        inv_row = []
-        for j in range(k):
-            cof = det(idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :])
-            if (i + j) % 2 == 1:
-                cof = e_neg(cof)
-            inv_row.append(cof)
-        inv.append(inv_row)
-    return tuple(tuple(e_div(c, full) for c in row) for row in inv), full
-
-
 def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
-    """The second-order field determined by the symplectic equation of L."""
+    """The second-order field determined by the symplectic equation of L: the
+    solve of the fiber metric against force - drift - twist."""
     m, n = alg.m, alg.n
-    ginv, _ = matrix_inverse_exprs(L.metric_exprs)
     y = [Var(c) for c in alg.fiber_coords]
     rhs = []  # force - drift - twist, one tree per b, shared by every component
     for b in range(m):
@@ -220,8 +148,7 @@ def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
             for g in range(m)
         )
         rhs.append(e_sub(e_sub(force, drift), twist))
-    comps = [e_sum(e_mul(ginv[e][b], rhs[b]) for b in range(m)) for e in range(m)]
-    return Semispray(tuple(comps))
+    return Semispray(solve(L.metric_exprs, rhs))
 
 
 def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> tuple[tuple[Expr, ...], ...]:
@@ -313,7 +240,8 @@ def integrate_sode(
     """Classical fixed-step RK4 for dx = sigma(x) y dt, dy = S(x, y) dt.
 
     The step is fixed (no adaptivity) so repeated runs are byte-identical.
-    A domain error, or a state or energy that is not finite, aborts with
+    A domain error, a singular fiber metric, or a state or energy that is
+    not finite, aborts with
     :class:`IntegrationAbortError` carrying the trajectory up to the last
     finite step.
     """
@@ -363,7 +291,7 @@ def integrate_sode(
                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)
                 ]
                 record((k + 1) * dt, state)
-        except EvaluationDomainError as err:
+        except (EvaluationDomainError, SingularMetricError) as err:
             raise IntegrationAbortError(str(err), traj) from err
     return traj
 

@@ -93,6 +93,7 @@ def run_validation(cfg: SystemConfig, ev: SampleEvaluator, tol: float) -> dict:
     passed = rep.passed
 
     if cfg.lagrangian is not None:
+        ev.value(cfg.lagrangian.expr)  # a domain error names its sample
         try:
             conds, detail = fiber_metric(cfg.lagrangian, ev)[2], None
         except SingularMetricError as err:

@@ -25,16 +25,13 @@ from .connection import (
     nabla_vertical_coeffs,
     nabla_exprs,
 )
-from .errors import ExactnessWitnessError, FiberDependenceError, SingularPairingError
-from .expr import (
-    Expr,
-    Var,
-    ZERO,
-    e_mul,
-    e_neg,
-    e_sub,
-    e_sum,
+from .errors import (
+    ExactnessWitnessError,
+    FiberDependenceError,
+    SingularMetricError,
+    SingularPairingError,
 )
+from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
 from .jets import EvalPoint, PointEvaluator, SampleEvaluator
 from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
@@ -273,48 +270,27 @@ def lie_symmetry_check(
 # ---------------------------------------------------------------------------
 
 
-def _two_section_lie_residual(
-    alg: Algebroid,
-    ev: PointEvaluator | SampleEvaluator,
-    L: Lagrangian,
-    ax: np.ndarray,
-    av: np.ndarray,
-    brackets: Sequence[np.ndarray],
-) -> np.ndarray:
-    """max over frame pairs r < c of |(L_A omega)(B_r, B_c)|, where A has
-    component values (ax, av) and ``brackets[k]`` stacks [A, B_k]; per
-    sample for a batch."""
-    W_exprs = cartan_pairing_exprs(alg, L)
-    W = cartan_pairing(alg, L, ev)
-    k = len(brackets)
-    res = [
-        np.abs(
-            directional_derivative(alg, ev, ax, av, W_exprs[r][c])
-            - inner(brackets[r], W[..., :, c])
-            - inner(W[..., r, :], brackets[c])
-        )
-        for r in range(k)
-        for c in range(r + 1, k)
-    ]
-    return np.max(res, axis=0, initial=0.0)
-
-
 @np.errstate(all="ignore")
 def cartan_symmetry_check(
     alg: Algebroid, L: Lagrangian, A: ProlongationSection, ev: SampleEvaluator, tol: float
 ) -> SymmetryVerdict:
-    """Invariance of the symplectic two-section and of the energy along A."""
+    """Invariance of the symplectic two-section and of the energy along A:
+    the two-section part is the max over frame pairs r < c of
+    |(L_A omega)(B_r, B_c)|, with the brackets [A, B_k] stacked."""
     ax, av = A.values_at(ev)
-    brackets = [
-        np.concatenate(bracket(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)
+    W_exprs, W = cartan_pairing_exprs(alg, L), cartan_pairing(alg, L, ev)
+    brk = [np.concatenate(bracket(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)]
+    two = [
+        np.abs(
+            directional_derivative(alg, ev, ax, av, W_exprs[r][c])
+            - inner(brk[r], W[..., :, c])
+            - inner(W[..., r, :], brk[c])
+        )
+        for r in range(len(brk))
+        for c in range(r + 1, len(brk))
     ]
-    res = np.stack(
-        [
-            _two_section_lie_residual(alg, ev, L, ax, av, brackets),
-            np.abs(directional_derivative(alg, ev, ax, av, L.energy_expr)),
-        ],
-        axis=-1,
-    )
+    energy = np.abs(directional_derivative(alg, ev, ax, av, L.energy_expr))
+    res = np.stack([np.max(two, axis=0, initial=0.0), energy], axis=-1)
     two_max = sweep_max("cartan two-section", ev, res[:, 0])
     energy_max = sweep_max("cartan energy", ev, res[:, 1])
     worst = max(two_max, energy_max)
@@ -351,15 +327,6 @@ def conservation_check(
     )
 
 
-def _d_function_on_basis(
-    alg: Algebroid, ev: PointEvaluator | SampleEvaluator, f: Expr
-) -> np.ndarray:
-    """(d f)(B) over the 2m frame sections: anchored x-derivatives, then
-    fiber partials (per sample for a batch)."""
-    g = ev.jet1(f).grad
-    return np.concatenate([alg.anchored(ev, g), g[..., alg.n :]], axis=-1)
-
-
 @np.errstate(all="ignore")
 def conserved_from_cartan(
     alg: Algebroid,
@@ -381,7 +348,8 @@ def conserved_from_cartan(
     theta_trees = list(L.dy) + [ZERO] * m
     ax, av = A.values_at(ev)
     theta_vals = ev.values_of(L.dy)
-    df = _d_function_on_basis(alg, ev, f)
+    g = ev.jet1(f).grad  # (d f)(B) over the frame sections
+    df = np.concatenate([alg.anchored(ev, g), g[..., alg.n :]], axis=-1)
     res = []
     for k, B in enumerate(basis_sections(m)):
         bx, _ = bracket(alg, A, B, ev)
@@ -408,93 +376,28 @@ class CartanReconstruction:
     passed: bool
 
 
-@np.errstate(all="ignore")  # a singular sample's elimination runs on, unread
-def _jet_solve(
-    A: np.ndarray, dA: np.ndarray, ev: SampleEvaluator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination of M x = b over first-order jets at every
-    sample, for A = [M | b] with values (P, k, k+1) and gradients (P, k, k+1, K);
-    returns the values (P, k) and gradients (P, k, K) of x.  Each sample
-    pivots on its own values (the first of equal maxima) and follows the
-    first-order rules of :class:`~algmech.jets.Jet2` in their order, so it gets
-    the bits of a solve over its own jets.  A zero or numerically singular M
-    raises :class:`SingularPairingError` naming the first such sample of
-    ``ev``."""
-    A, dA = np.array(A, order="C"), np.array(dA, order="C")
-    P, k = A.shape[:2]
-    rows = np.arange(P)
-    scale = np.max(np.abs(A[:, :, :k]), axis=(1, 2), initial=0.0)
-    singular = scale == 0.0
-    for col in range(k):
-        piv = col + np.argmax(np.abs(A[:, col:, col]), axis=1)
-        singular |= np.abs(A[rows, piv, col]) < 1e-12 * scale
-        for a in (A, dA):
-            a[rows, col], a[rows, piv] = a[rows, piv], a[rows, col]
-        # factor = A[r][col] / A[col][col] for every row r != col, then
-        # row r -= factor * row col from column col on
-        v = A[:, col, col]
-        inv, dinv = 1.0 / v, (-1.0 / (v * v))[:, None] * dA[:, col, col]
-        r = np.delete(np.arange(k), col)
-        f = A[:, r, col] * inv[:, None]
-        df = A[:, r, col, None] * dinv[:, None] + inv[:, None, None] * dA[:, r, col]
-        top, dtop = A[:, None, col, col:], dA[:, None, col, col:]
-        dA[:, r, col:] -= f[:, :, None, None] * dtop + top[..., None] * df[:, :, None]
-        A[:, r, col:] -= f[:, :, None] * top
-    if singular.any():
-        p = ev.points[int(np.argmax(singular))]
-        raise SingularPairingError(f"pairing matrix numerically singular at {p}")
-    d, dd = np.diagonal(A, axis1=1, axis2=2), np.diagonal(dA, axis1=1, axis2=2).swapaxes(1, 2)
-    inv, dinv = 1.0 / d, (-1.0 / (d * d))[..., None] * dd
-    b, db = A[:, :, k], dA[:, :, k]
-    return b * inv, b[..., None] * dinv + inv[..., None] * db
-
-
 @np.errstate(all="ignore")
 def cartan_from_conservation(
     alg: Algebroid, L: Lagrangian, f: Expr, ev: SampleEvaluator, tol: float
 ) -> CartanReconstruction:
-    """Converse direction: solve the symplectic pairing against -d f for the
-    generating section and report its Cartan residuals.
-
-    The linear solve runs in jet arithmetic, so the reconstructed components
-    come with exact first partials; that is what the bracket terms of the
-    Cartan residual need.
-    """
-    m, n, k = alg.m, alg.n, 2 * alg.m
-    W_exprs = cartan_pairing_exprs(alg, L)
+    """Converse direction: the section solving the symplectic pairing against
+    -d f, as :class:`~algmech.expr.Solve` trees, with the residuals of
+    :func:`cartan_symmetry_check`.  A singular pairing raises
+    :class:`SingularPairingError` naming the first such sample."""
+    m, n = alg.m, alg.n
     df = [alg.derivative(f, c) for c in alg.coords]
-    rhs_trees = [e_neg(e_sum(e_mul(alg.anchor[i][a], df[i]) for i in range(n))) for a in range(m)]
-    rhs_trees += [e_neg(df[n + a]) for a in range(m)]
-
-    # omega(X, B_r) = sum_c X^c W[c][r]: the system matrix is the transpose,
-    # with the right-hand side as its last column
-    jets = [[ev.jet1(W_exprs[c][r]) for c in range(k)] + [ev.jet1(rhs_trees[r])] for r in range(k)]
-    sol, dsol = _jet_solve(
-        np.moveaxis([[j.value for j in row] for row in jets], -1, 0),
-        np.moveaxis([[j.grad for j in row] for row in jets], -2, 0),
-        ev,
-    )
-    xs, vs = sol[:, :m], sol[:, m:]
-
-    # brackets of the reconstructed section with the frame sections, [P, B, .]
-    sigma = alg.anchor_at(ev)
-    L_struct = alg.structure_at(ev)
-    flow = inner(sigma.swapaxes(1, 2)[:, :, None], dsol[:, None, :, :n])  # [p, b, j]
-    quad = sum(xs[:, a, None, None] * L_struct[:, a] for a in range(m))  # [p, b, g]
-    x_brackets = np.concatenate([quad - flow[:, :, :m], -flow[:, :, m:]], axis=-1)  # B = X_b
-    v_brackets = -dsol[:, :, n:].swapaxes(1, 2)  # B = V_b
-    brackets = np.concatenate([x_brackets, v_brackets], axis=1)
-    two = _two_section_lie_residual(alg, ev, L, xs, vs, list(brackets.swapaxes(0, 1)))
-    two_max = sweep_max("cartan two-section", ev, two)
-    energy = np.abs(directional_derivative(alg, ev, xs, vs, L.energy_expr))
-    energy_max = sweep_max("cartan energy", ev, energy)
+    rhs = [e_neg(e_sum(e_mul(alg.anchor[i][a], df[i]) for i in range(n))) for a in range(m)]
+    sol = solve(L.pairing_transpose, rhs + [e_neg(df[n + a]) for a in range(m)])
+    A = ProlongationSection(sol[:m], sol[m:])
+    try:
+        xs, vs = A.values_at(ev)
+        verdict = cartan_symmetry_check(alg, L, A, ev, tol)
+    except SingularMetricError as err:
+        raise SingularPairingError(f"pairing matrix numerically singular at {err.point}") from err
+    two, energy = verdict.components["two_section"], verdict.components["energy"]
     return CartanReconstruction(
-        points=list(ev.points),
-        sections=list(zip(xs, vs)),
-        two_section_max=two_max,
-        energy_max=energy_max,
-        tol=tol,
-        passed=(two_max <= tol and energy_max <= tol),
+        points=list(ev.points), sections=list(zip(xs, vs)), two_section_max=two,
+        energy_max=energy, tol=tol, passed=verdict.passed,
     )
 
 

@@ -96,6 +96,12 @@ UNKNOWN_KEY_IDS = [
     "components-of-a-field", "x-of-a-base-section", "v-of-a-function", "structure",
     "reference-curvature",
 ]
+# (fixture, edit, path, loader message): a value of a type the schema forbids
+MISTYPED = [
+    ("driftless", lambda raw: raw["reference"].update(note={"a": 1}), "/reference/note",
+     "expected a string"),
+]
+MISTYPED_IDS = ["reference-note"]
 
 
 class TestLoadConfig:
@@ -113,13 +119,19 @@ class TestLoadConfig:
             path = Path(__file__).resolve().parent / "golden" / f"{name}.json"
             jsonschema.validate(json.loads(path.read_text()), schema)
 
-    @pytest.mark.parametrize("name,mutate,where", UNKNOWN_KEYS, ids=UNKNOWN_KEY_IDS)
-    def test_schema_rejects_the_unknown_keys_the_loader_rejects(self, name, mutate, where):
+    @pytest.mark.parametrize(
+        "name,mutate,where,message",
+        [(*edit, "unknown key") for edit in UNKNOWN_KEYS] + MISTYPED,
+        ids=UNKNOWN_KEY_IDS + MISTYPED_IDS,
+    )
+    def test_schema_rejects_the_unknown_keys_the_loader_rejects(
+        self, name, mutate, where, message
+    ):
         schema = json.loads((DOCS / "config.schema.json").read_text())
         raw = json.loads(fixture_bytes(name))
         jsonschema.validate(raw, schema)
         mutate(raw)
-        with pytest.raises(ConfigError, match=f"^{where}: unknown key"):
+        with pytest.raises(ConfigError, match=f"^{where}: {message}"):
             parse_config(raw)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(raw, schema)
@@ -210,6 +222,20 @@ class TestExitCodes:
     def test_validate_degenerate_lagrangian_fails(self, tmp_path, capsys):
         path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian="u1"))
         assert main(["validate", "--config", str(path)]) == 1
+
+    def test_validate_evaluates_the_lagrangian(self, tmp_path, capsys):
+        # the Lagrangian is undefined at every sample while its fiber metric
+        # is the identity: validate fails with symmetry's line, naming sample 0
+        lagrangian = "0.5*(u1^2+u2^2)+0*ln(0-1)"
+        path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian=lagrangian))
+        first = load_config(path).sample_points()[0]
+        errors = []
+        for command in ("validate", "symmetry"):
+            assert main([command, "--config", str(path)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            f"check failed: ln is undefined at -1.0 in 'ln(0.0-1.0)' at {first}\n"
+        )
 
     def test_config_error_is_usage_error(self, tmp_path, capsys):
         path = edited_fixture(tmp_path, lambda raw: raw.update(lagrangian="u1**2"))
@@ -730,8 +756,9 @@ class TestBadArguments:
                 lambda raw: raw["candidates"][0].update(name=[1, {"a": 2}]),
                 "/candidates/0/name",
             ),
+            *(edit[:3] for edit in MISTYPED),
         ],
-        ids=[*UNKNOWN_KEY_IDS, "name"],
+        ids=[*UNKNOWN_KEY_IDS, "name", *MISTYPED_IDS],
     )
     def test_misspelt_or_mistyped_key(self, tmp_path, capsys, name, mutate, where):
         cfg = edited_fixture(tmp_path, mutate, name)

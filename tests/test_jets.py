@@ -296,7 +296,7 @@ def test_memo_shared_subtrees():
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from algmech.expr import BinOp, Call, Neg, Num, Var  # noqa: E402
+from algmech.expr import BinOp, Call, Neg, Num, Solve, Var, solve  # noqa: E402
 
 _leaf = st.one_of(
     st.sampled_from([Var(c) for c in COORDS]),
@@ -304,6 +304,29 @@ _leaf = st.one_of(
         lambda v: Num(round(v, 2))
     ),
 )
+
+
+def _solve_component(m, entries, rhs, i):
+    """Component i of G x = rhs for G = 4 I + sin(entries), which is
+    diagonally dominant, so regular wherever its entries are defined."""
+    G = tuple(
+        tuple(
+            BinOp("+", Num(4.0 if r == c else 0.0), Call("sin", entries[r * m + c]))
+            for c in range(m)
+        )
+        for r in range(m)
+    )
+    return solve(G, rhs)[i]
+
+
+def _solve_node(children):
+    return st.integers(min_value=1, max_value=3).flatmap(
+        lambda m: st.tuples(
+            st.lists(children, min_size=m * m, max_size=m * m),
+            st.lists(children, min_size=m, max_size=m),
+            st.integers(min_value=0, max_value=m - 1),
+        ).map(lambda t: _solve_component(m, *t))
+    )
 
 
 def _node(children):
@@ -314,6 +337,7 @@ def _node(children):
         ),
         children.map(Neg),
         st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: Call(*t)),
+        _solve_node(children),
     )
 
 
@@ -661,3 +685,82 @@ def test_domain_error_deep_inside_names_its_subexpression(src):
     with pytest.raises(EvaluationDomainError) as caught:
         ValueKernel(COORDS, (tree,))(list(p.values()))
     assert str(caught.value) == named
+
+
+# -- solve nodes ----------------------------------------------------------------
+
+from algmech.errors import SingularMetricError  # noqa: E402
+
+# a solve over random trees, themselves with solves inside
+_SOLVES = _solve_node(_tree).filter(lambda x: type(x) is Solve)
+_BOX_ROWS = st.lists(
+    st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=len(COORDS), max_size=len(COORDS)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _box_point(seed):
+    rng = SplitMix64(seed)
+    return [rng.uniform(-2.0, 2.0) for _ in COORDS]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_SOLVES, st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_values_match_numpy_inverse(x, seed):
+    """Every component of a solve is inv(G) @ b, with G and b evaluated."""
+    ev = PointEvaluator(COORDS, _box_point(seed))
+    system = x.system
+    G = np.array([[ev.value(g) for g in row] for row in system.matrix])
+    want = np.linalg.inv(G) @ np.array([ev.value(b) for b in system.rhs])
+    got = np.array([ev.value(c) for c in system.solution])
+    assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(_SOLVES, st.integers(min_value=0, max_value=2**32 - 1))
+def test_solve_jets_match_finite_differences(x, seed):
+    """The jet of a solve against central differences (gradient within 1e-6,
+    Hessian within 1e-4, relative to the jet's size), and its gradient
+    against the values of its derivative trees, which are solves too."""
+    values = _box_point(seed)
+    exact = eval_jet(x, COORDS, values)
+    approx = finite_difference_jet(x, COORDS, values, 1e-4)
+    size = 1.0 + max(abs(exact.value), np.max(np.abs(exact.grad)), np.max(np.abs(exact.hess)))
+    assert np.max(np.abs(exact.grad - approx.grad)) <= 1e-6 * size
+    assert np.max(np.abs(exact.hess - approx.hess)) <= 1e-4 * size
+    ev = PointEvaluator(COORDS, values)
+    trees = [ev.value(differentiate(x, c)) for c in COORDS]
+    assert np.max(np.abs(np.array(trees) - exact.grad)) <= 1e-12 * size
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_SOLVES, _BOX_ROWS)
+def test_solve_point_batch_and_kernel_agree_bit_for_bit(x, rows):
+    """Values and first-order jets of the batch, and the kernel's values,
+    have the point walker's bits at every sample."""
+    points = [EvalPoint.of(r, ()) for r in rows]
+    _compare(COORDS, points, x)
+    kernel = ValueKernel(COORDS, (x,))
+    walker = [bits([PointEvaluator(COORDS, p.values()).value(x)]) for p in points]
+    assert [bits(kernel(list(p.values()))) for p in points] == walker
+
+
+def test_singular_matrix_names_its_sample():
+    """G = [[x1, 1], [1, 1]] is singular at x1 = 1, the third sample: the
+    batch names it and its index, the point walker its point, and the
+    kernel, which walks again, the values it was called at."""
+    x = solve(((Var("x1"), Num(1.0)), (Num(1.0), Num(1.0))), (Var("x2"), Num(1.0)))[0]
+    points = [EvalPoint.of([v, 0.5, 0.0, 0.0], ()) for v in (2.0, 3.0, 1.0, 5.0)]
+    p = points[2]
+    runs = [
+        (lambda: SampleEvaluator(COORDS, points).value(x), p, 2),
+        (lambda: SampleEvaluator(COORDS, points).jet1(x), p, 2),
+        (lambda: PointEvaluator(COORDS, p.values(), p).jet(x), p, 0),
+        (lambda: ValueKernel(COORDS, (x,))(list(p.values())), p.values(), 0),
+    ]
+    for run, point, index in runs:
+        with pytest.raises(SingularMetricError) as caught:
+            run()
+        assert (caught.value.point, caught.value.index) == (point, index)
+        assert str(caught.value).startswith(f"singular fiber metric at {point} (det = ")

@@ -1,12 +1,13 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from algmech.config import load_config, parse_config
-from algmech.errors import IntegrationAbortError, SingularMetricError
-from algmech.expr import parse_expression
+from algmech.errors import IntegrationAbortError, SingularMetricError, SingularPairingError
+from algmech.expr import parse_expression, to_source
 from algmech.jets import EvalPoint, PointEvaluator
 from algmech.lagrangian import (
     Lagrangian,
@@ -19,9 +20,16 @@ from algmech.lagrangian import (
     integrate_sode,
     symplectic_residual,
 )
-from algmech.prolongation import ProlongationSection, Semispray, basis_sections, bracket
+from algmech.prolongation import (
+    ProlongationSection,
+    Semispray,
+    basis_sections,
+    bracket,
+    spray_test,
+)
 from algmech.report import run_validation
 from algmech.sampling import sample_points
+from algmech.symmetry import cartan_from_conservation
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -34,6 +42,18 @@ def pts(cfg, k=20, seed=21):
 
 def define(cfg, src):
     return Lagrangian.define(cfg.algebroid, parse_expression(src, cfg.algebroid.coords))
+
+
+# a metric diag(1, x^2), singular at x = 0
+STRIP = {
+    "name": "strip",
+    "base_dim": 1,
+    "fiber_rank": 2,
+    "base_coords": ["x"],
+    "fiber_coords": ["y1", "y2"],
+    "anchor": [["1", "0"]],
+    "lagrangian": "0.5*(y1^2+x^2*y2^2)",
+}
 
 
 class TestFiberMetric:
@@ -80,17 +100,7 @@ class TestFiberMetric:
     def test_names_the_first_singular_sample(self):
         """Only the third sample is singular: the error names it, and the
         report's worst condition is that of the two samples before it."""
-        cfg = parse_config(
-            {
-                "name": "strip",
-                "base_dim": 1,
-                "fiber_rank": 2,
-                "base_coords": ["x"],
-                "fiber_coords": ["y1", "y2"],
-                "anchor": [["1", "0"]],
-                "lagrangian": "0.5*(y1^2+x^2*y2^2)",
-            }
-        )
+        cfg = parse_config(STRIP)
         samples = [EvalPoint.of([x], [1.0, 1.0]) for x in (2.0, 3.0, 0.0, 5.0)]
         batch = cfg.algebroid.sample_evaluator(samples)
         with pytest.raises(SingularMetricError) as caught:
@@ -105,8 +115,34 @@ class TestFiberMetric:
             "detail": str(err),
         }
 
+    def test_solves_name_the_first_singular_sample(self):
+        """The semispray and the Cartan converse solve with the metric and
+        the pairing, both singular at the third sample only: a sweep names it."""
+        # the metric [[1, x], [x, 1]], singular at x = 1 (a diagonal metric
+        # is folded to quotients, which divide by zero there)
+        cfg = parse_config({**STRIP, "lagrangian": "0.5*(y1^2+y2^2)+x*y1*y2"})
+        alg, L = cfg.algebroid, cfg.lagrangian
+        samples = [EvalPoint.of([x], [1.0, 1.0]) for x in (2.0, 3.0, 1.0, 5.0)]
+        with pytest.raises(SingularMetricError) as caught:
+            spray_test(alg, cfg.semispray(), alg.sample_evaluator(samples), 1e-9)
+        assert (caught.value.point, caught.value.index) == (samples[2], 2)
+        f = parse_expression("y1", alg.coords)
+        with pytest.raises(SingularPairingError, match=rf"singular at {re.escape(str(samples[2]))}$"):
+            cartan_from_conservation(alg, L, f, alg.sample_evaluator(samples), 1e-9)
+
 
 class TestCanonicalSemispray:
+    def test_constant_metric_is_folded(self, all_systems):
+        """The fixtures' metric is the identity, so their semisprays are the
+        force - drift - twist trees themselves, with no solve in them."""
+        want = {
+            "driftless": ["-(u2*(0.5*(2.0*u1)))", "-(-1.0*u1*(0.5*(2.0*u1)))"],
+            "abelian": ["0.0", "0.0"],
+            "heisenberg": ["-(y2*(0.5*(2.0*y3)))", "-(-1.0*y1*(0.5*(2.0*y3)))", "0.0"],
+        }
+        for cfg in all_systems:
+            assert [to_source(c) for c in cfg.semispray().components] == want[cfg.name]
+
     def test_driftless_components(self, driftless):
         S = driftless.semispray()
         ev = driftless.algebroid.evaluator(P0)

@@ -21,26 +21,22 @@ import algmech.symmetry
 from algmech.cli import main
 from algmech.report import build_report
 from algmech.connection import f_tensor, geometry_frame, nabla_tensor
-from algmech.expr import ZERO, BinOp, Call, Neg, Num, Var, differentiate, parse_expression
+from algmech.expr import ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, parse_expression, postorder
 from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
-from algmech.lagrangian import cartan_pairing_exprs, matrix_inverse_exprs
+from algmech.lagrangian import cartan_pairing_exprs
 from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import synth  # noqa: E402
 
 
 def unique_nodes(*roots) -> int:
-    seen = set()
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, BinOp):
-            stack += [node.left, node.right]
-        elif isinstance(node, (Neg, Call)):
-            stack.append(node.operand)
+    """The number of distinct node objects under ``roots``."""
+    seen: set = set()
+    for root in roots:
+        seen.update(map(id, postorder(root, seen)))
     return len(seen)
 
 
@@ -84,8 +80,11 @@ def test_sode_derivative_of_a_constant_is_zero_without_a_memo_entry(driftless):
 
 def test_semispray_components_share_their_right_hand_sides():
     cfg = algmech.config.load_config(GOLDEN / "dense-4.json")
-    # one force - drift - twist tree per b, shared by all m components
-    assert unique_nodes(*cfg.semispray().components) == 418
+    # one force - drift - twist tree per b and the metric trees, in the one
+    # system that all m components solve
+    S = cfg.semispray().components
+    assert len({id(c.system) for c in S}) == 1
+    assert unique_nodes(*S) == 194
 
 
 def fixture_file(tmp_path, name="driftless"):
@@ -181,19 +180,15 @@ def test_pairing_trees_are_built_once_per_lagrangian(driftless):
         cartan_pairing_exprs(other.algebroid, L)
 
 
-def test_adjugate_shares_its_minors():
-    k = 7
-    names = [f"a{i}{j}" for i in range(k) for j in range(k)]
-    mat = [[Var(f"a{i}{j}") for j in range(k)] for i in range(k)]
-    inv, det = matrix_inverse_exprs(mat)
-    # a plain Laplace expansion builds about e * 6! nodes per cofactor
-    # (140,698 unique nodes in all here); shared minors stay O(k^2 2^k)
-    assert unique_nodes(*(c for row in inv for c in row)) <= k * k * 2**k
-    values = np.random.default_rng(3).uniform(-1.0, 1.0, size=(k, k)) + 3.0 * np.eye(k)
-    ev = PointEvaluator(names, values.ravel())
-    got = np.array([[ev.value(c) for c in row] for row in inv])
-    assert np.max(np.abs(got - np.linalg.inv(values))) <= 1e-12
-    assert ev.value(det) == pytest.approx(np.linalg.det(values), rel=1e-12)
+@pytest.mark.parametrize("m", [6, 8, 10])
+def test_semispray_and_connection_grow_at_most_as_m4(m):
+    """Dense-metric rank m: S and N together have at most m^4 unique nodes.
+    A solve shares one system per derivative, where the Laplace adjugate's
+    2^m shared minors gave 3,025, 14,811 and 79,533 nodes at m = 6, 8, 10."""
+    cfg = algmech.config.parse_config(synth.system("dense", m, 20261018))
+    S = cfg.semispray().components
+    N = [c for row in cfg.connection().coeffs for c in row]
+    assert unique_nodes(*S, *N) <= m**4
 
 
 def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypatch):
@@ -250,7 +245,7 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
 
         return wrapper
 
-    for cls in (Num, Var, Neg, BinOp, Call):
+    for cls in (Num, Var, Neg, BinOp, Call, System, Solve):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     second = nabla_tensor(alg, S, N, T, ev)
     assert built == []
@@ -316,7 +311,7 @@ def test_geometry_frame_builds_no_tree_at_a_second_point(heisenberg, monkeypatch
 
         return wrapper
 
-    for cls in (Num, Var, Neg, BinOp, Call):
+    for cls in (Num, Var, Neg, BinOp, Call, System, Solve):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     second = geometry_frame(alg, S, N, q).jacobi
     assert built == []

@@ -3,9 +3,9 @@ import pytest
 
 from algmech.algebroid import BaseSection
 from algmech.connection import canonical_connection, nabla_exprs
-from algmech.errors import ExactnessWitnessError, FiberDependenceError, SingularPairingError
+from algmech.errors import ExactnessWitnessError, FiberDependenceError
 from algmech.expr import parse_expression
-from algmech.jets import EvalPoint, Jet2, SampleEvaluator
+from algmech.jets import EvalPoint
 from algmech.prolongation import (
     ProlongationSection,
     complete_lift,
@@ -14,7 +14,6 @@ from algmech.prolongation import (
 )
 from algmech.sampling import sample_points
 from algmech.symmetry import (
-    _jet_solve,
     cartan_from_conservation,
     cartan_symmetry_check,
     conservation_check,
@@ -516,40 +515,3 @@ class TestEquivalenceChain:
                     for p in samples
                 )
                 assert dyn.passed == (newt.passed and inv_max <= 1e-8)
-
-
-def _solve_one(M, rhs):
-    """Gauss-Jordan elimination over a list of Jet2 rows at one sample, the
-    reference for the batched ``_jet_solve``."""
-    k = len(M)
-    M, rhs = [row[:] for row in M], rhs[:]
-    for col in range(k):
-        piv = max(range(col, k), key=lambda r: abs(M[r][col].value))
-        M[col], M[piv] = M[piv], M[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = M[col][col].reciprocal()
-        for r in range(k):
-            if r != col:
-                factor = M[r][col] * inv
-                for c in range(col, k):
-                    M[r][c] = M[r][c] - factor * M[col][c]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    return [rhs[i] * M[i][i].reciprocal() for i in range(k)]
-
-
-def test_batched_jet_solve_is_a_per_sample_solve_bit_for_bit():
-    P, k, K = 8, 4, 5
-    rng = np.random.default_rng(12)
-    A = rng.normal(size=(P, k, k + 1))
-    A[::2, 0, 0] *= 1e-3  # every other sample swaps rows at the first column
-    dA = rng.normal(size=(P, k, k + 1, K))
-    ev = SampleEvaluator(("x", "y"), [EvalPoint.of([float(i)], [1.0]) for i in range(P)])
-    x, dx = _jet_solve(A, dA, ev)
-    for p in range(P):
-        jets = [[Jet2(float(A[p, r, c]), dA[p, r, c], None) for c in range(k + 1)] for r in range(k)]
-        want = _solve_one([row[:k] for row in jets], [row[k] for row in jets])
-        assert x[p].tolist() == [j.value for j in want]
-        assert np.array_equal(dx[p], np.array([j.grad for j in want]))
-    A[5, :, 1] = 2.0 * A[5, :, 0]  # singular at sample 5 only
-    with pytest.raises(SingularPairingError, match=r"singular at \(x=\[5\.0\]"):
-        _jet_solve(A, dA, ev)
