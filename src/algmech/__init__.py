@@ -9,6 +9,7 @@ from .algebroid import Algebroid, BaseSection, ValidationReport
 from .config import Candidate, SampleSpec, SystemConfig, load_config, parse_config
 from .connection import (
     Connection,
+    CovariantDerivative,
     GeometryFrame,
     berwald_coefficients,
     berwald_connection,
@@ -24,7 +25,6 @@ from .connection import (
     horizontal_basis_exprs,
     jacobi_endomorphism,
     jacobi_from_bracket,
-    nabla_exprs,
     nabla_horizontal_coeffs,
     nabla_tensor,
     nabla_vertical_coeffs,

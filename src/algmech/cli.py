@@ -26,6 +26,7 @@ from .report import (
     emit_json,
     format_float,
     frame_with_reference,
+    frames_pass,
     render_frame_markdown,
     render_markdown,
     render_symmetry_markdown,
@@ -160,8 +161,7 @@ def cmd_geometry(args) -> int:
     p = _parse_at(args.at, cfg)
     frame = frame_with_reference(cfg, cfg.semispray(), cfg.connection(), p)
     _emit(args, frame, markdown=None if args.fmt == "json" else render_frame_markdown(frame))
-    worst = max(frame["residuals"].values())
-    return 0 if worst <= max(tol, 1e-8) else 1
+    return 0 if frames_pass([frame], tol) else 1
 
 
 def cmd_spray_check(args) -> int:

@@ -1,9 +1,8 @@
 """Nonlinear connections and the derived geometry of a second-order field.
 
 Connection coefficients are stored as ``N[a][b]`` (lower index first) and are
-always expression-backed, so curvature and the directional derivatives S(N)
-can take exact partials of them.  The canonical coefficients induced by a
-semispray are
+always expression-backed, so curvature and S(N) take exact partials of them.
+The canonical coefficients induced by a semispray are
 
     N_a^b = (-dS^b/dy^a + y^e L_ae^b) / 2,
 
@@ -12,25 +11,26 @@ S; both routes are implemented and cross-checked in the tests, with the
 bracket form acting as the arbiter.
 
 Horizontal frame: delta_a = X_a - N_a^b V_b.  The almost complex structure
-maps X_b -> N_b^a delta_a - V_b and V_b -> delta_b, which is the unique
-reading of its coframe form under which F o J = h, J o F = v, and
-F^2 = -Id all hold (the shipped tests enforce them).
+maps X_b -> N_b^a delta_a - V_b and V_b -> delta_b, the one reading of its
+coframe form under which F o J = h, J o F = v and F^2 = -Id hold (the tests
+enforce them).  h, v, J and F have one definition each, their matrix of
+trees (``h_tensor`` and friends), built once per connection
+(:meth:`~algmech.algebroid.Algebroid.derived`), applied to sections as trees
+(:meth:`~algmech.prolongation.ExprTensor.apply`; delta_a = h(X_a) is a frame
+image) and evaluated as values, such as the F of a geometry frame.
 
-The projectors h and v and the structures J and F have one definition
-each, their matrix of trees (``h_tensor`` and friends), which the package
-builds once per connection (:meth:`~algmech.algebroid.Algebroid.derived`).
-Every tree-level use, from delta_a = h(X_a) (kept as the tensor's frame
-images) to the four brackets of the Berwald connection, applies them with
-:meth:`~algmech.prolongation.ExprTensor.apply`, and every value, such as
-the F of a geometry frame, is that matrix evaluated at the point.  The
-covariant-derivative coefficients read the system's y^e L_eb^a trees
-(:attr:`~algmech.algebroid.Algebroid.twisted_structure`), so each call builds
-only its O(m^2) wrapper nodes.
+The dynamical covariant derivative nabla is numeric
+(:class:`CovariantDerivative`): each S(.) in it is a directional derivative
+of jets, so nabla J and the Newtonoid projection build no tree.  Its
+coefficient trees (``nabla_horizontal_coeffs``, ``nabla_vertical_coeffs``)
+exist only for nabla applied twice, which needs S(S(x)): the invariant
+equation and the second-order form of the Lie-symmetry check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,7 +79,7 @@ __all__ = [
     "h_tensor",
     "v_tensor",
     "f_tensor",
-    "nabla_exprs",
+    "CovariantDerivative",
     "nabla_horizontal_coeffs",
     "nabla_vertical_coeffs",
     "nabla_tensor",
@@ -108,25 +108,13 @@ class Connection:
 def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
     """Coefficients fixed by compatibility of the covariant derivative with
     the vertical endomorphism."""
-    m = alg.m
-    half = e_num(0.5)
-    y = [Var(c) for c in alg.fiber_coords]
-    rows = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            twist = e_sum(e_mul(y[e], alg.structure[a][e][b]) for e in range(m))
-            row.append(
-                e_mul(
-                    half,
-                    e_add(
-                        e_neg(alg.derivative(S.components[b], alg.fiber_coords[a])),
-                        twist,
-                    ),
-                )
-            )
-        rows.append(tuple(row))
-    return Connection(tuple(rows), canonical=True)
+    half, y, r = e_num(0.5), [Var(c) for c in alg.fiber_coords], range(alg.m)
+
+    def coeff(a: int, b: int) -> Expr:
+        twist = e_sum(e_mul(y[e], alg.structure[a][e][b]) for e in r)
+        return e_mul(half, e_add(e_neg(alg.derivative(S.components[b], y[a].name)), twist))
+
+    return Connection(tuple(tuple(coeff(a, b) for b in r) for a in r), canonical=True)
 
 
 def connection_from_lie_derivative(
@@ -163,10 +151,8 @@ def curvature(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
     m = alg.m
     Nv = N.at(ev)
     L = alg.structure_at(ev)
-    dN = np.zeros((m, m, m))  # dN[c][a][g] = delta_c(N_a^g)
-    for a in range(m):
-        for g in range(m):
-            dN[:, a, g] = berwald_derivative(alg, N, N.coeffs[a][g], ev)
+    dN = np.array([[berwald_derivative(alg, N, c, ev) for c in row] for row in N.coeffs])
+    dN = dN.transpose(2, 0, 1)  # dN[c][a][g] = delta_c(N_a^g)
     R = np.zeros((m, m, m))
     for a in range(m):
         for b in range(m):
@@ -215,16 +201,11 @@ def jacobi_endomorphism(
     formula, one term at a time for every (b, g) at once.
     """
     m = alg.m
-    Nv = N.at(ev)
-    L = alg.structure_at(ev)
-    y = np.asarray(ev.values)[..., alg.n :]
-    s_vals = ev.values_of(S.components)
-    # [..., b, g] = delta_b(S^g), and S(N_b^g)
+    nabla = CovariantDerivative(alg, S, N, ev)
+    Nv, y, L = nabla.Nv, nabla.y, alg.structure_at(ev)
+    # [..., b, g] = delta_b(S^g), and S(N_b^g) as nabla takes it
     dS = np.stack([berwald_derivative(alg, N, c, ev) for c in S.components], axis=-1)
-    SN = np.array(
-        [[directional_derivative(alg, ev, y, s_vals, c) for c in row] for row in N.coeffs]
-    )
-    SN = np.moveaxis(SN, (0, 1), (-2, -1))
+    SN = nabla.ver_terms[0]
     quad = sum(Nv[..., :, a, None] * Nv[..., None, a, :] for a in range(m))
     mixed = sum(
         Nv[..., None, e, :] * L[..., a, :, e, None] * y[..., a, None, None]
@@ -276,23 +257,10 @@ def v_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 
 def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
     """The almost complex structure: X_b -> N_b^a delta_a - V_b, V_b -> delta_b."""
-    m = alg.m
-    nn = tuple(
-        tuple(
-            e_sum(e_mul(N.coeffs[b][a], N.coeffs[a][g]) for a in range(m))
-            for g in range(m)
-        )
-        for b in range(m)
-    )  # nn[b][g] = (N N)_b^g
-    vx = tuple(
-        tuple(
-            e_sub(e_neg(nn[b][g]), ONE if b == g else ZERO) for b in range(m)
-        )
-        for g in range(m)
-    )
-    return ExprTensor.of_blocks(
-        _transpose(N.coeffs), eye_block(m), vx, _neg_block(_transpose(N.coeffs))
-    )
+    m, r, Nc = alg.m, range(alg.m), N.coeffs
+    nn = [[e_sum(e_mul(Nc[b][a], Nc[a][g]) for a in r) for g in r] for b in r]  # (N N)_b^g
+    vx = tuple(tuple(e_sub(e_neg(nn[b][g]), ONE if b == g else ZERO) for b in r) for g in r)
+    return ExprTensor.of_blocks(_transpose(Nc), eye_block(m), vx, _neg_block(_transpose(Nc)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,72 +271,90 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 def nabla_horizontal_coeffs(
     alg: Algebroid, S: Semispray, N: Connection, comps: Sequence[Expr]
 ) -> tuple[Expr, ...]:
-    """Coefficient trees of the covariant derivative on the horizontal frame:
-    S(c^a) + (N_b^a + y^e L_eb^a) c^b."""
-    m = alg.m
-    twisted = alg.twisted_structure
-    out = []
-    for a in range(m):
-        terms = [sode_derivative_expr(alg, S, comps[a])]
-        for b in range(m):
-            coeff = e_add(N.coeffs[b][a], twisted[b][a])
-            terms.append(e_mul(coeff, comps[b]))
-        out.append(e_sum(terms))
-    return tuple(out)
+    """Coefficient trees of the covariant derivative on the horizontal frame,
+    S(c^a) + (N_b^a + y^e L_eb^a) c^b, for the callers that apply it twice."""
+    tw, r = alg.twisted_structure, range(alg.m)
+    return tuple(
+        e_sum([sode_derivative_expr(alg, S, comps[a])]
+              + [e_mul(e_add(N.coeffs[b][a], tw[b][a]), comps[b]) for b in r])
+        for a in r
+    )
 
 
 def nabla_vertical_coeffs(
     alg: Algebroid, S: Semispray, N: Connection, comps: Sequence[Expr]
 ) -> tuple[Expr, ...]:
-    """Coefficient trees on the vertical frame: S(w^a) - (N_b^a + dS^a/dy^b) w^b."""
-    m = alg.m
-    out = []
-    for a in range(m):
-        terms = [sode_derivative_expr(alg, S, comps[a])]
-        for b in range(m):
-            coeff = e_add(
-                N.coeffs[b][a],
-                alg.derivative(S.components[a], alg.fiber_coords[b]),
-            )
-            terms.append(e_neg(e_mul(coeff, comps[b])))
-        out.append(e_sum(terms))
-    return tuple(out)
+    """Coefficient trees on the vertical frame, S(w^a) - (N_b^a + dS^a/dy^b) w^b,
+    for the callers that apply it twice."""
+    dS, y, r = alg.derivative, alg.fiber_coords, range(alg.m)
+    return tuple(
+        e_sum([sode_derivative_expr(alg, S, comps[a])]
+              + [e_neg(e_mul(e_add(N.coeffs[b][a], dS(S.components[a], y[b])), comps[b]))
+                 for b in r])
+        for a in r
+    )
 
 
-def nabla_exprs(
-    alg: Algebroid, S: Semispray, N: Connection, A: ProlongationSection
-) -> ProlongationSection:
-    """The covariant derivative of a section, as trees in the moving frame."""
-    m = alg.m
-    w = tuple(
-        e_add(
-            A.v_comps[b],
-            e_sum(e_mul(N.coeffs[a][b], A.x_comps[a]) for a in range(m)),
-        )
-        for b in range(m)
-    )
-    hor = nabla_horizontal_coeffs(alg, S, N, A.x_comps)
-    ver = nabla_vertical_coeffs(alg, S, N, w)
-    return ProlongationSection(
-        hor,
-        tuple(
-            e_sub(ver[g], e_sum(e_mul(hor[a], N.coeffs[a][g]) for a in range(m)))
-            for g in range(m)
-        ),
-    )
+class CovariantDerivative:
+    """The dynamical covariant derivative at the evaluator's point, or over
+    its samples with the sample axis first: ``nabla(A)`` is the pair (hor,
+    ver - N^T hor) of component values of A = (x, v), where
+
+        hor = S(x) + (N + yL)^T x,   w = v + N^T x,
+        ver = S(v) + S(N)^T x + N^T S(x) - (N + dS/dy)^T w,
+
+    with (N + yL)[b][a] = N_b^a + y^e L_eb^a and (N + dS/dy)[b][a] = N_b^a +
+    dS^a/dy^b kept apart, so nabla J = 0 tests the canonical relation.  Each
+    S(.) is :func:`~algmech.prolongation.directional_derivative` along (y, S)
+    and each product a stacked ``matmul``, so a sample gets a point's bits.
+    The per-point terms are taken once per object (S(N) and dS/dy only for a
+    vertical part): make one per evaluator and pass it every section."""
+
+    def __init__(self, alg: Algebroid, S: Semispray, N: Connection, ev):
+        self.alg, self.S, self.N, self.ev = alg, S, N, ev
+        self.Nv = N.at(ev)
+        self.y = np.asarray(ev.values)[..., alg.n :]
+        self.s = ev.values_of(S.components)
+        L = alg.structure_at(ev)
+        twist = sum(self.y[..., e, None, None] * L[..., e, :, :] for e in range(alg.m))
+        self.hor_coeff = self.Nv + twist
+
+    def _along(self, comps: Sequence[Expr]) -> np.ndarray:
+        """S(c) for each tree c of ``comps``, stacked on the last axis."""
+        dd = directional_derivative
+        return np.stack([dd(self.alg, self.ev, self.y, self.s, c) for c in comps], axis=-1)
+
+    @cached_property
+    def ver_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """S(N)[a][b] = S(N_a^b), and the vertical coefficient N + dS/dy."""
+        dS = np.stack([self.ev.jet1(c).grad[..., self.alg.n :] for c in self.S.components], -1)
+        return np.stack([self._along(row) for row in self.N.coeffs], axis=-2), self.Nv + dS
+
+    def horizontal(self, A: ProlongationSection) -> np.ndarray:
+        """The X-frame part of nabla A alone."""
+        return self._along(A.x_comps) + _vecmat(self.ev.values_of(A.x_comps), self.hor_coeff)
+
+    def __call__(self, A: ProlongationSection) -> tuple[np.ndarray, np.ndarray]:
+        x, v = A.values_at(self.ev)
+        sx, (sn, ver_coeff), Nv = self._along(A.x_comps), self.ver_terms, self.Nv
+        hor = sx + _vecmat(x, self.hor_coeff)
+        w = v + _vecmat(x, Nv)
+        ver = self._along(A.v_comps) + _vecmat(x, sn) + _vecmat(sx, Nv) - _vecmat(w, ver_coeff)
+        return hor, ver - _vecmat(hor, Nv)
+
+
+def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x^T M over optional leading axes, one BLAS call per sample."""
+    return (x[..., None, :] @ M)[..., 0, :]
 
 
 def nabla_tensor(
     alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: PointEvaluator
 ) -> np.ndarray:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
-    (2m, 2m) matrix.
-
-    The trees of nabla(T(B)) and nabla(B) are built once per (S, N, T) and
-    kept by the system (:meth:`~algmech.algebroid.Algebroid.derived`), so
-    pass the same objects at every point: each call evaluates only.
-    """
-    return frame_derivation(T, ev, lambda X: alg.derived(nabla_exprs, S, N, X).values_at(ev))
+    (2m, 2m) matrix, through one :class:`CovariantDerivative` at the point:
+    no tree is built once T's frame images exist."""
+    return frame_derivation(T, ev, CovariantDerivative(alg, S, N, ev))
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +407,8 @@ def berwald_connection(
 
 def berwald_coefficients(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
     """B[a][b][g] = dN_a^g/dy^b, the linear-connection coefficients."""
-    m = alg.m
-    out = np.zeros((m, m, m))
-    for a in range(m):
-        for g in range(m):
-            out[a, :, g] = ev.jet1(N.coeffs[a][g]).grad[alg.n :]
-    return out
+    grads = [[ev.jet1(c).grad[alg.n :] for c in row] for row in N.coeffs]  # [a][g][b]
+    return np.array(grads).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +471,19 @@ def geometry_frame(
     homogeneity = spray_homogeneity(alg, S, ev)
     is_spray_here = homogeneity <= 1e-9
 
+    def gap(a, b) -> float:
+        return float(np.max(np.abs(a - b)))
+
     residuals = {
-        "jacobi_vs_bracket": float(
-            np.max(np.abs(R2 - jacobi_from_bracket(alg, S, N, ev)))
-        ),
-        "curvature_vs_bracket": float(
-            np.max(np.abs(R3 - curvature_from_brackets(alg, N, ev)))
-        ),
-        "f_squared_plus_identity": float(
-            np.max(np.abs(F @ F + eye2m))
-        ),
+        "jacobi_vs_bracket": gap(R2, jacobi_from_bracket(alg, S, N, ev)),
+        "curvature_vs_bracket": gap(R3, curvature_from_brackets(alg, N, ev)),
+        "f_squared_plus_identity": gap(F @ F, -eye2m),
     }
     diagnostics = {"homogeneity": homogeneity}
 
-    N_oracle = connection_from_lie_derivative(alg, S, ev)
-    canonical_gap = float(np.max(np.abs(Nv - N_oracle)))
-    nj = nabla_tensor(alg, S, N, j_tensor(m), ev)
-    nabla_j = float(np.max(np.abs(nj)))
-    contraction = float(np.max(np.abs(R2 - np.einsum("e,ebg->bg", y, R3))))
+    canonical_gap = gap(Nv, connection_from_lie_derivative(alg, S, ev))
+    nabla_j = gap(nabla_tensor(alg, S, N, j_tensor(m), ev), 0.0)
+    contraction = gap(R2, np.einsum("e,ebg->bg", y, R3))
     if N.canonical:
         residuals["connection_vs_lie_derivative"] = canonical_gap
         residuals["nabla_j"] = nabla_j

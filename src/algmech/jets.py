@@ -613,12 +613,13 @@ class ValueKernel:
     bit.  Constants are names bound in the function's globals, never printed.
     The kernel formats no errors: when a math error escapes it (as one does
     for a solve's matrix without an inverse), the trees are walked again at
-    the same values, which raises the error that names the fault."""
+    the same values, which raises the error that names the fault, and the
+    point as the :class:`EvalPoint` whose ``x`` are the first ``n`` values."""
 
-    __slots__ = ("names", "trees", "source", "_run")
+    __slots__ = ("names", "n", "trees", "source", "_run")
 
-    def __init__(self, names: Sequence[str], trees: Sequence[Expr]):
-        self.names = tuple(names)
+    def __init__(self, names: Sequence[str], trees: Sequence[Expr], n: int):
+        self.names, self.n = tuple(names), n
         self.trees = tuple(trees)  # keeps every node, hence its id, alive
         index = {name: i for i, name in enumerate(self.names)}
         env: dict = {"power": _power, "dot": _dot, "inverse": _kernel_inverse}
@@ -665,7 +666,8 @@ class ValueKernel:
         try:
             return self._run(values)
         except _MATH_ERRORS:
-            ev = PointEvaluator(self.names, values)
+            point = EvalPoint.of(values[: self.n], values[self.n :])
+            ev = PointEvaluator(self.names, values, point)
             for t in self.trees:
                 ev.value(t)  # raises the domain error that names the node
             raise

@@ -253,8 +253,8 @@ def integrate_sode(
         raise ValueError("initial condition has wrong dimension")
     nm = n * m
     anchor_flat = [alg.anchor[i][a] for i in range(n) for a in range(m)]
-    field = ValueKernel(alg.coords, (*anchor_flat, *S.components))
-    energy_at = None if lagrangian is None else ValueKernel(alg.coords, (lagrangian.energy_expr,))
+    field = ValueKernel(alg.coords, (*anchor_flat, *S.components), n)
+    energy_at = None if lagrangian is None else ValueKernel(alg.coords, (lagrangian.energy_expr,), n)
 
     # The stages run on float lists in numpy's elementwise order; sigma @ y
     # stays one numpy matmul, whose BLAS sum rounds unlike a Python sum.

@@ -190,9 +190,12 @@ def directional_derivative(
     :class:`SampleEvaluator` (ax, av then carry the sample axis first).
 
     The one directional derivative of the package: brackets, Lie derivatives,
-    conservation checks and the S(N) terms of the Jacobi endomorphism (ax = y,
-    av = the values of S) all go through here.  A constant ``f`` (such as a
-    component of a frame section) is answered 0 without evaluation.
+    conservation checks and every S(.) of the first-order covariant
+    derivative (:class:`~algmech.connection.CovariantDerivative`, with ax = y
+    and av = the values of S), which serves nabla T, the Newtonoid projection
+    and the S(N) term of the Jacobi endomorphism, all go through here.  A
+    constant ``f`` (such as a component of a frame section) is answered 0
+    without evaluation.
 
     One formula serves a point and a batch: numpy's stacked ``matmul`` hands
     every slice to the BLAS call that the unstacked product makes, so each
@@ -240,7 +243,9 @@ def sode_flow(alg: Algebroid, S: Semispray) -> tuple[tuple[str, Expr], ...]:
 
 
 def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
-    """Tree for S(f), the derivative of f along the second-order field."""
+    """Tree for S(f), the derivative of f along the second-order field, for
+    what must stay a tree: nabla applied twice, Newtonoid completions and
+    star products."""
     if isinstance(f, Num):
         return ZERO
     return e_sum(

@@ -34,6 +34,7 @@ __all__ = [
     "run_validation",
     "run_symmetry",
     "frame_with_reference",
+    "frames_pass",
 ]
 
 _GEOMETRY_FRAMES_IN_REPORT = 2
@@ -133,6 +134,12 @@ def frame_with_reference(
     return frame
 
 
+def frames_pass(frames: list[dict], tol: float) -> bool:
+    """The gate of ``geometry`` and ``report`` on their frames: every
+    residual (not diagnostic) at most max(tol, 1e-8)."""
+    return all(v <= max(tol, 1e-8) for f in frames for v in f["residuals"].values())
+
+
 def _reference_deviation(cfg: SystemConfig, frame: dict, p: EvalPoint) -> dict:
     """Computed minus published values at ``p``: the matrices entry by entry,
     the semispray and the curvature as their largest absolute deviation.  A
@@ -209,7 +216,7 @@ def build_report(
         for p in ev.points[:_GEOMETRY_FRAMES_IN_REPORT]
     ]
     symmetry = run_symmetry(cfg, S, N, ev, tol)
-    passed = validation["passed"] and symmetry["all_ok"]
+    passed = validation["passed"] and frames_pass(frames, tol) and symmetry["all_ok"]
     return {
         "meta": {
             "name": cfg.name,

@@ -19,11 +19,11 @@ import numpy as np
 from .algebroid import Algebroid, BaseSection, inner, sweep_max
 from .connection import (
     Connection,
+    CovariantDerivative,
     canonical_connection,
     jacobi_endomorphism,
     nabla_horizontal_coeffs,
     nabla_vertical_coeffs,
-    nabla_exprs,
 )
 from .errors import (
     ExactnessWitnessError,
@@ -158,7 +158,7 @@ def newtonoid_check(
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = av + (ax[..., None, :] @ N.at(ev))[..., 0, :]  # v(A) fiber components
-    jx, _ = nabla_exprs(alg, S, N, A).values_at(ev)  # J(nabla A) fiber components = frame part
+    jx = CovariantDerivative(alg, S, N, ev).horizontal(A)  # J(nabla A): the frame part
     return SymmetryVerdict(
         kind="newtonoid",
         max_residual=worst,

@@ -677,6 +677,23 @@ class TestIntegrateCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("integration aborted: "), lines
 
+    def test_singular_metric_is_named_as_geometry_names_it(self, tmp_path, capsys):
+        # g = [[1, x], [x, 1]] is singular at x = 1: the RK4 kernel, which
+        # walks its trees again to name the fault, words the point as the
+        # point evaluator of ``geometry`` does
+        raw = line_system("0.5*(y1^2+y2^2)+x*y1*y2", fiber_rank=2)
+        raw.update(fiber_coords=["y1", "y2"], anchor=[["1", "0"]])
+        cfg = tmp_path / "skew.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "traj.csv"
+        argv = ["integrate", "--config", str(cfg), "--x0=1", "--y0=1,0", "--output", str(out)]
+        assert main(argv) == 1
+        assert main(["geometry", "--config", str(cfg), "--at", "x=1,y=1,0"]) == 1
+        integrate, geometry = capsys.readouterr().err.splitlines()
+        named = "singular fiber metric at (x=[1.0], y=[1.0, 0.0]) (det = "
+        assert integrate.startswith(f"integration aborted: {named}")
+        assert geometry.startswith(f"check failed: {named}")
+
     def test_wrong_dimension_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -889,6 +906,22 @@ def test_fuzzed_arguments_exit_cleanly(tmp_path_factory, at, x0, y0, dt, steps):
 
 
 class TestReports:
+    def test_a_frame_residual_fails_report_and_geometry(self, tmp_path, capsys, monkeypatch):
+        """Both commands gate on the residuals of the frames they print."""
+        import algmech.connection
+
+        exact = algmech.connection.jacobi_from_bracket
+        monkeypatch.setattr(
+            algmech.connection, "jacobi_from_bracket", lambda *args: exact(*args) + 1.0
+        )
+        cfg = str(fixture_path(tmp_path, "abelian"))
+        assert main(["report", "--config", cfg]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["validation"]["passed"] and report["symmetry"]["all_ok"]
+        assert report["geometry"][0]["residuals"]["jacobi_vs_bracket"] > 0.5
+        assert report["passed"] is False
+        assert main(["geometry", "--config", cfg, "--at", "x=0.5,1,y=1,2"]) == 1
+
     def test_report_is_deterministic(self, tmp_path, capsys):
         cfg = fixture_path(tmp_path)
         a, b = tmp_path / "a.json", tmp_path / "b.json"

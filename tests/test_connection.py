@@ -3,6 +3,7 @@ import pytest
 
 from algmech.connection import (
     Connection,
+    CovariantDerivative,
     berwald_coefficients,
     berwald_connection,
     berwald_derivative,
@@ -17,11 +18,13 @@ from algmech.connection import (
     horizontal_basis_exprs,
     jacobi_endomorphism,
     jacobi_from_bracket,
-    nabla_exprs,
+    nabla_horizontal_coeffs,
     nabla_tensor,
+    nabla_vertical_coeffs,
     v_tensor,
 )
-from algmech.expr import parse_expression
+from algmech.config import parse_config
+from algmech.expr import e_add, e_mul, e_sum, parse_expression
 from algmech.jets import EvalPoint
 from algmech.prolongation import (
     ProlongationSection,
@@ -33,6 +36,8 @@ from algmech.prolongation import (
     j_tensor,
 )
 from algmech.sampling import sample_points
+
+import test_pinned_library as rank3
 
 P0 = EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])
 
@@ -371,7 +376,7 @@ class TestNabla:
         S = driftless.semispray()
         N = driftless.connection()
         d1 = horizontal_basis_exprs(alg, N, 0)
-        x, v = nabla_exprs(alg, S, N, d1).values_at(alg.evaluator(P0))
+        x, v = CovariantDerivative(alg, S, N, alg.evaluator(P0))(d1)
         # coefficient N_1^1 - L_12^1 u2 = 0 on the first slot
         assert x[0] == pytest.approx(0.0, abs=1e-14)
 
@@ -395,7 +400,7 @@ class TestNabla:
                     for p in pts(cfg, 10, seed=71):
                         ev = alg.evaluator(p)
                         Nv = N.at(ev)
-                        dx, dv = nabla_exprs(alg, S, N, Vb).values_at(ev)
+                        dx, dv = CovariantDerivative(alg, S, N, ev)(Vb)
                         bx, bv = bracket(alg, Ssec, Vb, ev)
                         want_v = bv + bx @ Nv  # vertical Berwald part
                         assert np.max(np.abs(dx)) <= 1e-12
@@ -461,7 +466,6 @@ class TestNabla:
             Ssec = S.section(alg)
             N = cfg.connection()
             for A in random_sections(cfg, 10):
-                nA = nabla_exprs(alg, S, N, A)
                 for p in pts(cfg, 10, seed=91):
                     ev = alg.evaluator(p)
                     _, _, F = tree_structure_tensors(alg, N, ev)
@@ -471,7 +475,7 @@ class TestNabla:
                     fx, fv = apply(F, ax, av)
                     jx, jv = np.zeros(alg.m), ax
                     px, pv = apply(phi_block(R2), ax, av)
-                    wx, wv = nA.values_at(ev)
+                    wx, wv = CovariantDerivative(alg, S, N, ev)(A)
                     assert np.max(np.abs(wx - (lx + fx + jx - px))) <= 1e-8
                     assert np.max(np.abs(wv - (lv + fv + jv - pv))) <= 1e-8
 
@@ -481,9 +485,8 @@ class TestNabla:
             S = cfg.semispray()
             N = cfg.connection()
             for A in (S.section(alg), euler_section(alg)):
-                nA = nabla_exprs(alg, S, N, A)
                 for p in pts(cfg, 20, seed=93):
-                    x, v = nA.values_at(alg.evaluator(p))
+                    x, v = CovariantDerivative(alg, S, N, alg.evaluator(p))(A)
                     assert np.max(np.abs(np.concatenate([x, v]))) <= 1e-8
 
     def test_projector_compositions_with_lie_derivative(self, driftless):
@@ -508,6 +511,53 @@ class TestNabla:
                 got_j = np.stack(cols_j, axis=1)
                 assert np.max(np.abs(got_h + h)) <= 1e-9
                 assert np.max(np.abs(got_j + v)) <= 1e-9
+
+
+    @pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg", "forced", "rank3"])
+    def test_batch_rows_are_the_point_bits(self, request, name):
+        """Over a sample evaluator every row of nabla A, and of its
+        horizontal part alone, is the point call at that sample bit for bit."""
+        if name == "rank3":
+            cfg = parse_config(rank3.RAW)
+            N_arb = rank3._arbitrary(cfg)
+        else:
+            cfg = request.getfixturevalue(name)
+            N_arb = arbitrary_connection(cfg)
+        alg, S = cfg.algebroid, cfg.semispray()
+        samples = pts(cfg, 6, seed=101)
+        batch = alg.sample_evaluator(samples)
+        for N in (cfg.connection(), N_arb):
+            sections = [*random_sections(cfg, 3), *basis_sections(alg.m), S.section(alg)]
+            sections += f_tensor(alg, N).frame_images
+            nabla = CovariantDerivative(alg, S, N, batch)
+            for A in sections:
+                x, v = nabla(A)
+                hor = nabla.horizontal(A)
+                for i, p in enumerate(samples):
+                    at_p = CovariantDerivative(alg, S, N, alg.evaluator(p))
+                    px, pv = at_p(A)
+                    assert x[i].tobytes() == px.tobytes() and v[i].tobytes() == pv.tobytes()
+                    assert hor[i].tobytes() == at_p.horizontal(A).tobytes() == px.tobytes()
+
+    def test_second_order_builders_start_with_the_numeric_nabla(self, all_systems):
+        """The trees that invariant_equation_residual and lie_symmetry_check
+        apply twice give, applied once, the numeric nabla: the horizontal
+        builder on x, the vertical one on w = v + N^T x."""
+        for cfg in all_systems:
+            alg, S, m = cfg.algebroid, cfg.semispray(), cfg.algebroid.m
+            for N in (cfg.connection(), arbitrary_connection(cfg)):
+                for A in random_sections(cfg, 3):
+                    hor_trees = nabla_horizontal_coeffs(alg, S, N, A.x_comps)
+                    w = tuple(
+                        e_add(A.v_comps[b], e_sum(e_mul(N.coeffs[a][b], A.x_comps[a]) for a in range(m)))
+                        for b in range(m)
+                    )
+                    ver_trees = nabla_vertical_coeffs(alg, S, N, w)
+                    for p in pts(cfg, 5, seed=103):
+                        ev = alg.evaluator(p)
+                        hor, ver = CovariantDerivative(alg, S, N, ev)(A)
+                        assert np.max(np.abs(ev.values_of(hor_trees) - hor)) <= 1e-12
+                        assert np.max(np.abs(ev.values_of(ver_trees) - (ver + hor @ N.at(ev)))) <= 1e-12
 
 
 class TestBerwaldConnection:
@@ -556,11 +606,10 @@ class TestBerwaldConnection:
             Ssec = S.section(alg)
             N = cfg.connection()
             for A in random_sections(cfg, 4):
-                nA = nabla_exprs(alg, S, N, A)
                 for p in pts(cfg, 12, seed=99):
                     ev = alg.evaluator(p)
                     dx, dv = berwald_connection(alg, N, Ssec, A, ev)
-                    wx, wv = nA.values_at(ev)
+                    wx, wv = CovariantDerivative(alg, S, N, ev)(A)
                     assert np.max(np.abs(dx - wx)) <= 1e-8
                     assert np.max(np.abs(dv - wv)) <= 1e-8
 

@@ -411,7 +411,7 @@ def test_kernel_equals_walker_at_config_samples(config):
         *cfg.semispray().components,
         cfg.lagrangian.energy_expr,
     )
-    kernel = ValueKernel(alg.coords, trees)
+    kernel = ValueKernel(alg.coords, trees, alg.n)
     for p in cfg.sample_points():
         ev = PointEvaluator(alg.coords, p.values())
         assert bits(kernel(list(p.values()))) == bits(ev.value(t) for t in trees), p
@@ -453,20 +453,20 @@ def _outcome(run):
 )
 def test_kernel_equals_walker_on_random_trees(tree, values):
     """Same bits, or the same EvaluationDomainError, on any tree and point."""
-    kernel = ValueKernel(COORDS, (tree,))
+    kernel = ValueKernel(COORDS, (tree,), len(COORDS))
     walker = _outcome(lambda: [PointEvaluator(COORDS, values).value(tree)])
     assert _outcome(lambda: kernel(values)) == walker
 
 
 def test_kernel_source_has_one_line_per_node():
     power = parse_expression("x1^200000", COORDS)
-    kernel = ValueKernel(COORDS, (power,))
+    kernel = ValueKernel(COORDS, (power,), len(COORDS))
     point = [1.0 + 1e-6, 0.0, 0.0, 0.0]
     assert kernel(point) == [PointEvaluator(COORDS, point).value(power)]
     assert len(kernel.source.splitlines()) == unique_nodes(power) + 2
     # 3,000 nested sums: deeper than the recursion limit
     long_sum = parse_expression("+".join(f"{k % 7}*x1" for k in range(3000)), COORDS)
-    kernel = ValueKernel(COORDS, (long_sum, power))
+    kernel = ValueKernel(COORDS, (long_sum, power), len(COORDS))
     assert len(kernel.source.splitlines()) == unique_nodes(long_sum, power) + 2
     point = [2.0, 0.0, 0.0, 0.0]
     assert kernel(point)[0] == PointEvaluator(COORDS, point).value(long_sum)
@@ -656,7 +656,7 @@ def test_deep_trees_agree_in_every_mode(src):
     tree = parse_expression(src, COORDS)
     batch = SampleEvaluator(COORDS, _DEEP_POINTS)
     values, jets = batch.value(tree), batch.jet1(tree)
-    kernel = ValueKernel(COORDS, (tree,))
+    kernel = ValueKernel(COORDS, (tree,), len(COORDS))
     for i, p in enumerate(_DEEP_POINTS):
         ev = PointEvaluator(COORDS, p.values())
         value, jet1, jet2 = ev.value(tree), ev.jet1(tree), ev.jet(tree)
@@ -683,7 +683,7 @@ def test_domain_error_deep_inside_names_its_subexpression(src):
             mode(tree)
         assert str(caught.value) == f"{named} at {p}"
     with pytest.raises(EvaluationDomainError) as caught:
-        ValueKernel(COORDS, (tree,))(list(p.values()))
+        ValueKernel(COORDS, (tree,), len(COORDS))(list(p.values()))
     assert str(caught.value) == named
 
 
@@ -741,15 +741,15 @@ def test_solve_point_batch_and_kernel_agree_bit_for_bit(x, rows):
     have the point walker's bits at every sample."""
     points = [EvalPoint.of(r, ()) for r in rows]
     _compare(COORDS, points, x)
-    kernel = ValueKernel(COORDS, (x,))
+    kernel = ValueKernel(COORDS, (x,), len(COORDS))
     walker = [bits([PointEvaluator(COORDS, p.values()).value(x)]) for p in points]
     assert [bits(kernel(list(p.values()))) for p in points] == walker
 
 
 def test_singular_matrix_names_its_sample():
     """G = [[x1, 1], [1, 1]] is singular at x1 = 1, the third sample: the
-    batch names it and its index, the point walker its point, and the
-    kernel, which walks again, the values it was called at."""
+    batch names it and its index, the point walker and the kernel, which
+    walks again, its point."""
     x = solve(((Var("x1"), Num(1.0)), (Num(1.0), Num(1.0))), (Var("x2"), Num(1.0)))[0]
     points = [EvalPoint.of([v, 0.5, 0.0, 0.0], ()) for v in (2.0, 3.0, 1.0, 5.0)]
     p = points[2]
@@ -757,7 +757,7 @@ def test_singular_matrix_names_its_sample():
         (lambda: SampleEvaluator(COORDS, points).value(x), p, 2),
         (lambda: SampleEvaluator(COORDS, points).jet1(x), p, 2),
         (lambda: PointEvaluator(COORDS, p.values(), p).jet(x), p, 0),
-        (lambda: ValueKernel(COORDS, (x,))(list(p.values())), p.values(), 0),
+        (lambda: ValueKernel(COORDS, (x,), len(COORDS))(list(p.values())), p, 0),
     ]
     for run, point, index in runs:
         with pytest.raises(SingularMetricError) as caught:

@@ -25,6 +25,7 @@ from algmech.expr import ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differ
 from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs
 from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
+from algmech.symmetry import newtonoid_check
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -229,13 +230,15 @@ def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypa
         assert walks["jet1", id(c)] == 1
 
 
-def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
+def test_nabla_builds_no_node(heisenberg, monkeypatch):
+    """Once T's frame images exist, nabla_tensor builds no node, at a first
+    point as at a second, and neither does newtonoid_check's projection."""
     alg = heisenberg.algebroid
     S, N = heisenberg.semispray(), heisenberg.connection()
     T = f_tensor(alg, N)
+    T.frame_images, S.section(alg)  # noqa: B018 - built before counting
+    A = next(c.section for c in heisenberg.candidates if c.kind == "prolongation_section")
     p, q = heisenberg.sample_points(count=2)
-    first = nabla_tensor(alg, S, N, T, alg.evaluator(p))
-    ev = alg.evaluator(q)
     built = []
 
     def counting(init):
@@ -247,10 +250,12 @@ def test_nabla_tensor_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
 
     for cls in (Num, Var, Neg, BinOp, Call, System, Solve):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-    second = nabla_tensor(alg, S, N, T, ev)
+    first = nabla_tensor(alg, S, N, T, alg.evaluator(p))
+    second = nabla_tensor(alg, S, N, T, alg.evaluator(q))
+    newtonoid_check(alg, S, A, alg.sample_evaluator([p, q]), 1e-9, N)
     assert built == []
     assert not np.array_equal(first, second)
-    nabla_tensor(alg, S, N, f_tensor(alg, N), ev)  # another tensor object: new trees
+    f_tensor(alg, N).frame_images  # noqa: B018 - another tensor object: new trees
     assert built
 
 

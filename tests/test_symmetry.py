@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import BaseSection
-from algmech.connection import canonical_connection, nabla_exprs
+from algmech.connection import CovariantDerivative, canonical_connection
 from algmech.errors import ExactnessWitnessError, FiberDependenceError
 from algmech.expr import parse_expression
 from algmech.jets import EvalPoint
@@ -471,14 +471,13 @@ class TestStarProduct:
                 sf = sode_derivative_expr(alg, S, f)
                 for A in completions:
                     star_fA = star_product_exprs(alg, S, f, A)
-                    lhs_trees = nabla_exprs(alg, S, N, star_fA)
-                    nabla_A = nabla_exprs(alg, S, N, A)
                     sf_star_A = star_product_exprs(alg, S, sf, A)
                     for p in pts(cfg, 10, seed=117):
                         ev = alg.evaluator(p)
-                        lx, lv = lhs_trees.values_at(ev)
+                        nabla = CovariantDerivative(alg, S, N, ev)
+                        lx, lv = nabla(star_fA)
                         t1x, t1v = sf_star_A.values_at(ev)
-                        nx, nv = nabla_A.values_at(ev)
+                        nx, nv = nabla(A)
                         fv = ev.value(f)
                         sfv = ev.value(sf)
                         # f * (nabla A) = f nabla A + S(f) J(nabla A)
