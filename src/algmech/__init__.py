@@ -20,7 +20,7 @@ from .connection import (
     curvature_apply,
     curvature_from_brackets,
     f_tensor,
-    geometry_frame,
+    geometry_frames,
     h_tensor,
     horizontal_basis_exprs,
     jacobi_endomorphism,

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EvaluationDomainError, FiberDependenceError
 from .expr import Expr, Var, cached_derivative, e_mul, e_sub, e_sum, variables
-from .jets import EvalPoint, PointEvaluator, SampleEvaluator
+from .jets import EvalPoint, Evaluator, PointEvaluator, SampleEvaluator
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
 
@@ -162,13 +162,13 @@ class Algebroid:
 
     # -- pointwise data ----------------------------------------------------
 
-    def anchor_at(self, ev: PointEvaluator | SampleEvaluator) -> np.ndarray:
+    def anchor_at(self, ev: Evaluator) -> np.ndarray:
         return ev.array(self.anchor)
 
-    def structure_at(self, ev: PointEvaluator | SampleEvaluator) -> np.ndarray:
+    def structure_at(self, ev: Evaluator) -> np.ndarray:
         return ev.array(self.structure)
 
-    def anchored(self, ev: PointEvaluator | SampleEvaluator, g: np.ndarray) -> np.ndarray:
+    def anchored(self, ev: Evaluator, g: np.ndarray) -> np.ndarray:
         """sigma_a^i g_i: the anchored x-part of gradients ``g`` over all
         coordinates, an (m,) vector per point (sample axis first for a
         batch).  A stacked ``matmul`` makes the BLAS call of the unstacked

@@ -25,7 +25,7 @@ from .report import (
     build_report,
     emit_json,
     format_float,
-    frame_with_reference,
+    frames_with_reference,
     frames_pass,
     render_frame_markdown,
     render_markdown,
@@ -159,7 +159,7 @@ def cmd_validate(args) -> int:
 def cmd_geometry(args) -> int:
     cfg, tol = _load(args)
     p = _parse_at(args.at, cfg)
-    frame = frame_with_reference(cfg, cfg.semispray(), cfg.connection(), p)
+    frame = frames_with_reference(cfg, cfg.semispray(), cfg.connection(), [p])[0]
     _emit(args, frame, markdown=None if args.fmt == "json" else render_frame_markdown(frame))
     return 0 if frames_pass([frame], tol) else 1
 

@@ -96,7 +96,7 @@ class SystemConfig:
     def _connection(self) -> Connection:
         if self.connection_override is not None:
             return self.connection_override
-        return canonical_connection(self.algebroid, self.semispray())
+        return self.algebroid.derived(canonical_connection, self.semispray())
 
     def sample_points(self, count: int | None = None, seed: int | None = None) -> list[EvalPoint]:
         return sample_points(

@@ -25,6 +25,14 @@ of jets, so nabla J and the Newtonoid projection build no tree.  Its
 coefficient trees (``nabla_horizontal_coeffs``, ``nabla_vertical_coeffs``)
 exist only for nabla applied twice, which needs S(S(x)): the invariant
 equation and the second-order form of the Lie-symmetry check.
+
+Every pointwise formula here takes the caller's evaluator, a point's or a
+sample set's, and is written once for both, with the sample axis first and
+its products stacked ``matmul`` (see :mod:`algmech.prolongation`), so a
+sample gets a point's bits.  The vertical Berwald part cv + N^T cx of a
+bracket, which the curvature and Jacobi oracles and the Berwald connection
+read, is one helper.  :func:`geometry_frames` takes every frame of a sample
+set as one batch.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, PointEvaluator, SampleEvaluator
+from .jets import EvalPoint, Evaluator, SampleEvaluator
 from .prolongation import (
     ExprTensor,
     ProlongationSection,
@@ -86,7 +94,7 @@ __all__ = [
     "berwald_connection",
     "berwald_coefficients",
     "GeometryFrame",
-    "geometry_frame",
+    "geometry_frames",
 ]
 
 
@@ -101,7 +109,7 @@ class Connection:
     def m(self) -> int:
         return len(self.coeffs)
 
-    def at(self, ev: PointEvaluator) -> np.ndarray:
+    def at(self, ev: Evaluator) -> np.ndarray:
         return ev.array(self.coeffs)
 
 
@@ -117,9 +125,7 @@ def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
     return Connection(tuple(tuple(coeff(a, b) for b in r) for a in r), canonical=True)
 
 
-def connection_from_lie_derivative(
-    alg: Algebroid, S: Semispray, ev: PointEvaluator
-) -> np.ndarray:
+def connection_from_lie_derivative(alg: Algebroid, S: Semispray, ev: Evaluator) -> np.ndarray:
     """Independent oracle for the canonical coefficients via -L_S J.
 
     An almost product structure acts as X_a -> X_a - 2 N_a^g V_g, so the
@@ -127,7 +133,7 @@ def connection_from_lie_derivative(
     """
     m = alg.m
     lsj = lie_derivative_tensor(alg, S.section(alg), j_tensor(m), ev)
-    return 0.5 * lsj[m:, :m].T
+    return 0.5 * lsj[..., m:, :m].swapaxes(-1, -2)
 
 
 def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> ProlongationSection:
@@ -136,9 +142,7 @@ def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> Prolongatio
     return alg.derived(h_tensor, N).frame_images[a]
 
 
-def berwald_derivative(
-    alg: Algebroid, N: Connection, f: Expr, ev: PointEvaluator | SampleEvaluator
-) -> np.ndarray:
+def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: Evaluator) -> np.ndarray:
     """delta_a(f), the derivative of f along the horizontal frame section
     delta_a, for every a at once: an (m,) vector at the evaluator's point,
     (P, m) over its samples."""
@@ -146,50 +150,41 @@ def berwald_derivative(
     return alg.anchored(ev, g) - (N.at(ev) @ g[..., alg.n :, None])[..., 0]
 
 
-def curvature(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
-    """R[a][b][g]: obstruction to integrability of the horizontal subbundle."""
-    m = alg.m
+def curvature(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:
+    """R[a][b][g]: obstruction to integrability of the horizontal subbundle,
+    R_ab^g = delta_b(N_a^g) - delta_a(N_b^g) + L_ab^e N_e^g."""
     Nv = N.at(ev)
     L = alg.structure_at(ev)
     dN = np.array([[berwald_derivative(alg, N, c, ev) for c in row] for row in N.coeffs])
-    dN = dN.transpose(2, 0, 1)  # dN[c][a][g] = delta_c(N_a^g)
-    R = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            R[a, b] = dN[b, a] - dN[a, b] + np.einsum("e,eg->g", L[a, b], Nv)
-    return R
+    dN = np.moveaxis(dN, (0, 1), (-2, -1))  # dN[..., c, a, g] = delta_c(N_a^g)
+    return dN.swapaxes(-3, -2) - dN + np.einsum("...abe,...eg->...abg", L, Nv)
 
 
-def curvature_from_brackets(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
+def _vertical_part(cx: np.ndarray, cv: np.ndarray, Nv: np.ndarray) -> np.ndarray:
+    """cv + N^T cx: the V-frame components of v(A) for A = (cx, cv), the
+    vertical Berwald part of a bracket's components."""
+    return cv + _vecmat(cx, Nv)
+
+
+def curvature_from_brackets(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:
     """Oracle: vertical Berwald part of the horizontal frame brackets."""
-    m = alg.m
     Nv = N.at(ev)
-    deltas = alg.derived(h_tensor, N).frame_images[:m]
-    R = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            cx, cv = bracket(alg, deltas[a], deltas[b], ev)
-            R[a, b] = cv + cx @ Nv
-    return R
+    deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
+    return np.stack(
+        [np.stack([_vertical_part(*bracket(alg, a, b, ev), Nv) for b in deltas], -2) for a in deltas],
+        -3,
+    )
 
 
 def curvature_apply(
-    alg: Algebroid,
-    N: Connection,
-    A: ProlongationSection,
-    B: ProlongationSection,
-    ev: PointEvaluator,
+    alg: Algebroid, N: Connection, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
 ) -> np.ndarray:
     """Vertical components of Omega(A, B) = v[hA, hB] at the evaluator's point."""
-    Nv = N.at(ev)
     h = alg.derived(h_tensor, N)
-    cx, cv = bracket(alg, h.apply(A), h.apply(B), ev)
-    return cv + cx @ Nv
+    return _vertical_part(*bracket(alg, h.apply(A), h.apply(B), ev), N.at(ev))
 
 
-def jacobi_endomorphism(
-    alg: Algebroid, S: Semispray, N: Connection, ev: PointEvaluator | SampleEvaluator
-) -> np.ndarray:
+def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: Evaluator) -> np.ndarray:
     """R[b][g] with the vertical-valued tensor acting as X_b -> R_b^g V_g:
 
         R_b^g = -delta_b(S^g) - S(N_b^g) + N_b^a N_a^g + N_e^g L_ab^e y^a,
@@ -215,18 +210,11 @@ def jacobi_endomorphism(
     return -dS - SN + quad + mixed
 
 
-def jacobi_from_bracket(
-    alg: Algebroid, S: Semispray, N: Connection, ev: PointEvaluator
-) -> np.ndarray:
+def jacobi_from_bracket(alg: Algebroid, S: Semispray, N: Connection, ev: Evaluator) -> np.ndarray:
     """Oracle: R_b^g as the vertical Berwald part of [S, delta_b]."""
-    m = alg.m
-    Nv = N.at(ev)
-    Ssec = S.section(alg)
-    R = np.zeros((m, m))
-    for b, delta in enumerate(alg.derived(h_tensor, N).frame_images[:m]):
-        cx, cv = bracket(alg, Ssec, delta, ev)
-        R[b] = cv + cx @ Nv
-    return R
+    Nv, Ssec = N.at(ev), S.section(alg)
+    deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
+    return np.stack([_vertical_part(*bracket(alg, Ssec, d, ev), Nv) for d in deltas], -2)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +337,12 @@ def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def nabla_tensor(
-    alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: PointEvaluator
+    alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: Evaluator
 ) -> np.ndarray:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
-    (2m, 2m) matrix, through one :class:`CovariantDerivative` at the point:
-    no tree is built once T's frame images exist."""
+    (2m, 2m) matrix (per sample over a batch), through one
+    :class:`CovariantDerivative` at the evaluator: no tree is built once T's
+    frame images exist."""
     return frame_derivation(T, ev, CovariantDerivative(alg, S, N, ev))
 
 
@@ -363,11 +352,7 @@ def nabla_tensor(
 
 
 def berwald_connection(
-    alg: Algebroid,
-    N: Connection,
-    A: ProlongationSection,
-    B: ProlongationSection,
-    ev: PointEvaluator,
+    alg: Algebroid, N: Connection, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
 ) -> tuple[np.ndarray, np.ndarray]:
     """D_A B through the four-bracket formula
 
@@ -382,17 +367,17 @@ def berwald_connection(
     fjB = h.apply(ProlongationSection(vB.v_comps, tuple(ZERO for _ in range(alg.m))))
 
     def v_proj(cx, cv):
-        return np.zeros_like(cx), cv + cx @ Nv
+        return np.zeros_like(cx), _vertical_part(cx, cv, Nv)
 
     def h_proj(cx, cv):
-        return cx, -(cx @ Nv)
+        return cx, -_vecmat(cx, Nv)
 
     def j_proj(cx, cv):
         return np.zeros_like(cx), cx.copy()
 
     def fj_proj(cx, cv):
-        c = cx @ Nv + cv
-        return c, -(c @ Nv)
+        c = _vertical_part(cx, cv, Nv)
+        return c, -_vecmat(c, Nv)
 
     terms = [
         v_proj(*bracket(alg, hA, vB, ev)),
@@ -405,10 +390,10 @@ def berwald_connection(
     return x, v
 
 
-def berwald_coefficients(alg: Algebroid, N: Connection, ev: PointEvaluator) -> np.ndarray:
+def berwald_coefficients(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:
     """B[a][b][g] = dN_a^g/dy^b, the linear-connection coefficients."""
-    grads = [[ev.jet1(c).grad[alg.n :] for c in row] for row in N.coeffs]  # [a][g][b]
-    return np.array(grads).transpose(0, 2, 1)
+    grads = [[ev.jet1(c).grad[..., alg.n :] for c in row] for row in N.coeffs]  # [a][g][..., b]
+    return np.moveaxis(np.array(grads), (0, 1), (-3, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -453,62 +438,47 @@ class GeometryFrame:
 
 
 @np.errstate(all="ignore")
-def geometry_frame(
-    alg: Algebroid, S: Semispray, N: Connection, p: EvalPoint
-) -> GeometryFrame:
-    """Every derived tensor at ``p`` with its cross-checks.  numpy warns of
-    nothing here: a frame with a number that is not finite (an overflow at a
-    huge point) raises :class:`EvaluationDomainError` naming ``p`` instead."""
-    ev = alg.evaluator(p)
-    Nv = N.at(ev)
-    m = alg.m
-    y = np.array(p.y)
+def geometry_frames(
+    alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator
+) -> list[GeometryFrame]:
+    """Every derived tensor with its cross-checks, one frame per point of
+    ``ev``, all taken over the batch at once.  numpy warns of nothing here:
+    a frame with a number that is not finite (an overflow at a huge point)
+    raises :class:`EvaluationDomainError` naming its point instead."""
+    Nv, m = N.at(ev), alg.m
     R3 = curvature(alg, N, ev)
     R2 = jacobi_endomorphism(alg, S, N, ev)
     F = alg.derived(f_tensor, N).at(ev)
-    eye2m = np.eye(2 * m)
 
-    homogeneity = spray_homogeneity(alg, S, ev)
-    is_spray_here = homogeneity <= 1e-9
-
-    def gap(a, b) -> float:
-        return float(np.max(np.abs(a - b)))
+    def gap(a, b) -> np.ndarray:  # per sample
+        d = np.abs(a - b)
+        return np.max(d, axis=tuple(range(1, d.ndim)))
 
     residuals = {
         "jacobi_vs_bracket": gap(R2, jacobi_from_bracket(alg, S, N, ev)),
         "curvature_vs_bracket": gap(R3, curvature_from_brackets(alg, N, ev)),
-        "f_squared_plus_identity": gap(F @ F, -eye2m),
+        "f_squared_plus_identity": gap(F @ F, -np.eye(2 * m)),
     }
-    diagnostics = {"homogeneity": homogeneity}
+    diagnostics = {"homogeneity": spray_homogeneity(alg, S, ev)}
+    canonical_only = residuals if N.canonical else diagnostics
+    canonical_only["connection_vs_lie_derivative"] = gap(Nv, connection_from_lie_derivative(alg, S, ev))
+    canonical_only["nabla_j"] = gap(nabla_tensor(alg, S, N, j_tensor(m), ev), 0.0)
+    contraction = gap(R2, np.einsum("...e,...ebg->...bg", ev.values[:, alg.n :], R3))
+    semispray, berwald = ev.values_of(S.components), berwald_coefficients(alg, N, ev)
 
-    canonical_gap = gap(Nv, connection_from_lie_derivative(alg, S, ev))
-    nabla_j = gap(nabla_tensor(alg, S, N, j_tensor(m), ev), 0.0)
-    contraction = gap(R2, np.einsum("e,ebg->bg", y, R3))
-    if N.canonical:
-        residuals["connection_vs_lie_derivative"] = canonical_gap
-        residuals["nabla_j"] = nabla_j
-        if is_spray_here:
-            residuals["phi_vs_curvature_contraction"] = contraction
-        else:
-            diagnostics["phi_vs_curvature_contraction"] = contraction
-    else:
-        diagnostics["connection_vs_lie_derivative"] = canonical_gap
-        diagnostics["nabla_j"] = nabla_j
-        diagnostics["phi_vs_curvature_contraction"] = contraction
+    frames = []
+    for k, p in enumerate(ev.points):
+        res = {key: float(v[k]) for key, v in residuals.items()}
+        diag = {key: float(v[k]) for key, v in diagnostics.items()}
+        # the contraction recovers R only for a spray with canonical coefficients
+        gated = res if N.canonical and diag["homogeneity"] <= 1e-9 else diag
+        gated["phi_vs_curvature_contraction"] = float(contraction[k])
+        tensors = (semispray[k], Nv[k], R3[k], R2[k], F[k], berwald[k])
+        if not all(np.isfinite(x).all() for x in (*tensors, [*res.values(), *diag.values()])):
+            raise EvaluationDomainError(f"geometry is not finite at {p}")
+        frames.append(GeometryFrame(p, *tensors, res, diag))
+    return frames
 
-    frame = GeometryFrame(
-        point=p,
-        semispray=ev.values_of(S.components),
-        connection=Nv,
-        curvature=R3,
-        jacobi=R2,
-        almost_complex=F,
-        berwald=berwald_coefficients(alg, N, ev),
-        residuals=residuals,
-        diagnostics=diagnostics,
-    )
-    scalars = [*residuals.values(), *diagnostics.values()]
-    numbers = (frame.semispray, Nv, R3, R2, F, frame.berwald, scalars)
-    if not all(np.isfinite(x).all() for x in numbers):
-        raise EvaluationDomainError(f"geometry is not finite at {p}")
-    return frame
+
+# perfbench's traced run wraps the frames under this name
+geometry_frame = geometry_frames

@@ -50,6 +50,12 @@ class EvaluationDomainError(AlgmechError):
             message = f"{message} in {named}"
         super().__init__(message)
 
+    def at(self, point) -> "EvaluationDomainError":
+        """This error with ``at <point>`` appended, its subexpression kept."""
+        named = EvaluationDomainError(f"{self} at {point}")
+        named.subexpression = self.subexpression
+        return named
+
 
 class FiberDependenceError(AlgmechError):
     """A base-level operation received data depending on fiber coordinates."""

@@ -58,7 +58,7 @@ from .errors import EvaluationDomainError, SingularMetricError
 from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Solve, System, Var, literal_value, postorder
 
 __all__ = [
-    "Jet2", "EvalPoint", "PointEvaluator", "SampleEvaluator", "ValueKernel",
+    "Jet2", "EvalPoint", "Evaluator", "PointEvaluator", "SampleEvaluator", "ValueKernel",
     "eval_jet", "finite_difference_jet", "int_power", "inverse",
 ]
 
@@ -585,10 +585,12 @@ class SampleEvaluator(_Rules):
                     try:
                         walk(PointEvaluator(self.names, p.values(), p), e)
                     except EvaluationDomainError as err:
-                        named = EvaluationDomainError(f"{err} at {p}")
-                        named.subexpression = err.subexpression
-                        raise named from err
+                        raise err.at(p) from err
             raise
+
+
+# the evaluator a pointwise quantity takes: a point's, or a sample set's
+Evaluator = PointEvaluator | SampleEvaluator
 
 
 def _kernel_inverse(m: int, *g: float) -> list[list[float]]:
@@ -614,7 +616,8 @@ class ValueKernel:
     The kernel formats no errors: when a math error escapes it (as one does
     for a solve's matrix without an inverse), the trees are walked again at
     the same values, which raises the error that names the fault, and the
-    point as the :class:`EvalPoint` whose ``x`` are the first ``n`` values."""
+    point as the :class:`EvalPoint` whose ``x`` are the first ``n`` values
+    (a domain error gets ``at <point>`` appended, as a batch's does)."""
 
     __slots__ = ("names", "n", "trees", "source", "_run")
 
@@ -668,8 +671,11 @@ class ValueKernel:
         except _MATH_ERRORS:
             point = EvalPoint.of(values[: self.n], values[self.n :])
             ev = PointEvaluator(self.names, values, point)
-            for t in self.trees:
-                ev.value(t)  # raises the domain error that names the node
+            try:
+                for t in self.trees:
+                    ev.value(t)  # raises the domain error that names the node
+            except EvaluationDomainError as err:
+                raise err.at(point) from err
             raise
 
 

@@ -20,8 +20,9 @@ from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 Every pointwise quantity takes the evaluator its caller holds: a
 :class:`~algmech.jets.PointEvaluator` for one point, or a
 :class:`~algmech.jets.SampleEvaluator` for a sample set, with a leading
-sample axis on every array.  :func:`directional_derivative` and
-:func:`bracket` are written once for both: their products are numpy
+sample axis on every array.  :func:`directional_derivative`,
+:func:`bracket`, :func:`frame_derivation` and :func:`lie_derivative_tensor`
+are written once for both: their products are numpy
 ``matmul`` and ``einsum`` over optional leading axes, which give every
 sample slice the bits of the single-point product (stacked ``matmul`` makes
 the same BLAS call per slice; an elementwise product summed by numpy would
@@ -52,7 +53,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import PointEvaluator, SampleEvaluator
+from .jets import Evaluator, SampleEvaluator
 
 __all__ = [
     "ProlongationSection",
@@ -104,7 +105,7 @@ class ProlongationSection:
     def basis_v(m: int, a: int) -> "ProlongationSection":
         return ProlongationSection.constant(np.zeros(m), np.eye(m)[a])
 
-    def values_at(self, ev: PointEvaluator) -> tuple[np.ndarray, np.ndarray]:
+    def values_at(self, ev: Evaluator) -> tuple[np.ndarray, np.ndarray]:
         return ev.values_of(self.x_comps), ev.values_of(self.v_comps)
 
 
@@ -182,9 +183,7 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
 # ---------------------------------------------------------------------------
 
 
-def directional_derivative(
-    alg: Algebroid, ev: PointEvaluator | SampleEvaluator, ax: np.ndarray, av: np.ndarray, f: Expr
-):
+def directional_derivative(alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np.ndarray, f: Expr):
     """sigma1(A)(f) with A given by component values ax, av: a float at the
     point of a :class:`PointEvaluator`, a (P,) array over the samples of a
     :class:`SampleEvaluator` (ax, av then carry the sample axis first).
@@ -210,10 +209,7 @@ def directional_derivative(
 
 
 def bracket(
-    alg: Algebroid,
-    A: ProlongationSection,
-    B: ProlongationSection,
-    ev: PointEvaluator | SampleEvaluator,
+    alg: Algebroid, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Components of [A, B] at the evaluator's point, or over its samples
     with the sample axis first."""
@@ -253,7 +249,7 @@ def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
     )
 
 
-def spray_homogeneity(alg: Algebroid, S: Semispray, ev: PointEvaluator | SampleEvaluator):
+def spray_homogeneity(alg: Algebroid, S: Semispray, ev: Evaluator):
     """max_a |y . dS^a/dy - 2 S^a| at the evaluator's point (or per sample),
     which vanishes where S is degree-2 homogeneous in y (Euler's theorem)."""
     n = alg.n
@@ -329,8 +325,9 @@ class ExprTensor:
     def m(self) -> int:
         return len(self.rows) // 2
 
-    def at(self, ev: PointEvaluator) -> np.ndarray:
-        """The (2m, 2m) matrix at the evaluator's point."""
+    def at(self, ev: Evaluator) -> np.ndarray:
+        """The (2m, 2m) matrix at the evaluator's point, (P, 2m, 2m) over its
+        samples."""
         return ev.array(self.rows)
 
     @cached_property
@@ -360,30 +357,35 @@ def identity_tensor(m: int) -> ExprTensor:
 
 
 def frame_derivation(
-    T: ExprTensor,
-    ev: PointEvaluator,
-    D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]],
+    T: ExprTensor, ev: Evaluator, D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
     """(D T)(B) = D(T(B)) - T(D B) on every frame section B, as the (2m, 2m)
-    matrix whose columns are those images, for a derivation D of sections
-    that returns component values at the evaluator's point.  T(D B) is
-    applied block by block, each block a matrix-vector product."""
+    matrix whose columns are those images (sample axis first over a batch),
+    for a derivation D of sections that returns component values at the
+    evaluator.  T(D B) is applied block by block, each block a stacked
+    matrix-vector product."""
     M, m = T.at(ev), T.m
     cols = []
     for B, TB in zip(basis_sections(m), T.frame_images):
         dx, dv = D(TB)
         bx, bv = D(B)
-        tx = M[:m, :m] @ bx + M[:m, m:] @ bv
-        tv = M[m:, :m] @ bx + M[m:, m:] @ bv
-        cols.append(np.concatenate([dx - tx, dv - tv]))
-    return np.stack(cols, axis=1)
+        tx = _matvec(M[..., :m, :m], bx) + _matvec(M[..., :m, m:], bv)
+        tv = _matvec(M[..., m:, :m], bx) + _matvec(M[..., m:, m:], bv)
+        cols.append(np.concatenate([dx - tx, dv - tv], axis=-1))
+    return np.stack(cols, axis=-1)
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x over optional leading axes, the BLAS call of the unstacked product
+    per sample."""
+    return (M @ x[..., None])[..., 0]
 
 
 def lie_derivative_tensor(
-    alg: Algebroid, A: ProlongationSection, T: ExprTensor, ev: PointEvaluator
+    alg: Algebroid, A: ProlongationSection, T: ExprTensor, ev: Evaluator
 ) -> np.ndarray:
     """(L_A T)(B) = [A, T(B)] - T([A, B]) evaluated on every frame section,
-    as a (2m, 2m) matrix.
+    as a (2m, 2m) matrix (per sample over a batch).
 
     T must be expression-backed: the first bracket differentiates the
     coefficient functions of T(B).

@@ -8,12 +8,13 @@ report byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .algebroid import sweep_max
 from .config import SystemConfig
-from .connection import Connection, geometry_frame
+from .connection import Connection, geometry_frames
 from .errors import EvaluationDomainError, SingularMetricError
 from .jets import EvalPoint, SampleEvaluator
 from .lagrangian import canonical_semispray, fiber_metric
@@ -33,7 +34,7 @@ __all__ = [
     "build_report",
     "run_validation",
     "run_symmetry",
-    "frame_with_reference",
+    "frames_with_reference",
     "frames_pass",
 ]
 
@@ -121,37 +122,40 @@ def run_validation(cfg: SystemConfig, ev: SampleEvaluator, tol: float) -> dict:
     return out
 
 
-def frame_with_reference(
+def frames_with_reference(
     cfg: SystemConfig,
     S: Semispray,
     N: Connection,
-    p: EvalPoint,
-) -> dict:
-    alg = cfg.algebroid
-    frame = geometry_frame(alg, S, N, p).to_dict()
-    if cfg.reference is not None:
-        frame["reference_deviation"] = _reference_deviation(cfg, frame, p)
-    return frame
+    points: Sequence[EvalPoint],
+) -> list[dict]:
+    """The geometry frames at ``points``, one batch over one sample
+    evaluator.  The Lagrangian is evaluated there first, so a point where it
+    is undefined fails as it does in validation.  With a reference table, each
+    frame gets its computed minus published values: the matrices entry by
+    entry, the semispray and the curvature as their largest absolute
+    deviation; one that is not finite raises :class:`EvaluationDomainError`
+    naming the point."""
+    ev = cfg.algebroid.sample_evaluator(points)
+    if cfg.lagrangian is not None:
+        ev.value(cfg.lagrangian.expr)  # a domain error names its point
+    frames = [f.to_dict() for f in geometry_frames(cfg.algebroid, S, N, ev)]
+    if cfg.reference is None:
+        return frames
+    published = {key: ev.array(trees) for key, trees in cfg.reference.items()}
+    for k, (p, frame) in enumerate(zip(ev.points, frames)):
+        out = frame["reference_deviation"] = {}
+        for key, values in published.items():
+            diff = np.array(frame[key]) - values[k]
+            out[key] = diff.tolist() if diff.ndim == 2 else float(np.max(np.abs(diff)))
+            if not np.isfinite(diff).all():
+                raise EvaluationDomainError(f"reference {key} deviation is not finite at {p}")
+    return frames
 
 
 def frames_pass(frames: list[dict], tol: float) -> bool:
     """The gate of ``geometry`` and ``report`` on their frames: every
     residual (not diagnostic) at most max(tol, 1e-8)."""
     return all(v <= max(tol, 1e-8) for f in frames for v in f["residuals"].values())
-
-
-def _reference_deviation(cfg: SystemConfig, frame: dict, p: EvalPoint) -> dict:
-    """Computed minus published values at ``p``: the matrices entry by entry,
-    the semispray and the curvature as their largest absolute deviation.  A
-    deviation that is not finite raises :class:`EvaluationDomainError`."""
-    ev = cfg.algebroid.evaluator(p)
-    out: dict = {}
-    for key, trees in cfg.reference.items():
-        diff = np.array(frame[key]) - ev.array(trees)
-        out[key] = diff.tolist() if diff.ndim == 2 else float(np.max(np.abs(diff)))
-        if not np.isfinite(diff).all():
-            raise EvaluationDomainError(f"reference {key} deviation is not finite at {p}")
-    return out
 
 
 def run_symmetry(
@@ -211,10 +215,7 @@ def build_report(
 
     validation = run_validation(cfg, ev, tol)
     spray = spray_test(alg, S, ev, tol)
-    frames = [
-        frame_with_reference(cfg, S, N, p)
-        for p in ev.points[:_GEOMETRY_FRAMES_IN_REPORT]
-    ]
+    frames = frames_with_reference(cfg, S, N, ev.points[:_GEOMETRY_FRAMES_IN_REPORT])
     symmetry = run_symmetry(cfg, S, N, ev, tol)
     passed = validation["passed"] and frames_pass(frames, tol) and symmetry["all_ok"]
     return {

@@ -153,7 +153,7 @@ def newtonoid_check(
     """Vanishing of J[S, A]; cross-checked against the projection criterion
     v(A) = J(nabla A) for the canonical connection."""
     if N is None:
-        N = canonical_connection(alg, S)
+        N = alg.derived(canonical_connection, S)
     bx, _ = bracket(alg, S.section(alg), A, ev)
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
@@ -182,7 +182,7 @@ def invariant_equation_residual(
     """Second-order invariant equation on the frame components:
     nabla^2 X^a + R_b^a X^b, meaningful for Newtonoid candidates."""
     if N is None:
-        N = canonical_connection(alg, S)
+        N = alg.derived(canonical_connection, S)
     hor1 = nabla_horizontal_coeffs(alg, S, N, A.x_comps)
     hor2 = nabla_horizontal_coeffs(alg, S, N, hor1)
     R = jacobi_endomorphism(alg, S, N, ev)
@@ -193,6 +193,15 @@ def invariant_equation_residual(
 # ---------------------------------------------------------------------------
 # Lie symmetries
 # ---------------------------------------------------------------------------
+
+
+def _lie_trees(alg: Algebroid, S: Semispray, Xt: BaseSection, N: Connection) -> tuple:
+    """The complete lift of Xt, its covariant slash and the trees of
+    nabla^2 Xt on the vertical frame, built once per system, field, section
+    and connection."""
+    vert1 = nabla_vertical_coeffs(alg, S, N, Xt.components)
+    vert2 = nabla_vertical_coeffs(alg, S, N, vert1)
+    return complete_lift(alg, Xt), covariant_slash_exprs(alg, Xt), vert2
 
 
 @np.errstate(all="ignore")
@@ -208,18 +217,16 @@ def lie_symmetry_check(
     symmetry.  Reports the bracket residual, the local PDE residuals, and the
     second-order invariant form; all three must agree in verdict, which the
     test suite asserts on the candidate corpus.  ``N`` is the canonical
-    connection of S, built here when not given."""
+    connection of S when not given, built once per system and field; the
+    trees of the check are built once per system, field, section and
+    connection."""
     if not Xt.x_only:
         raise FiberDependenceError("Lie-symmetry candidates must be x-only sections")
     m, n = alg.m, alg.n
-    lift = complete_lift(alg, Xt)
     if N is None:
-        N = canonical_connection(alg, S)
+        N = alg.derived(canonical_connection, S)
+    lift, slash, vert2 = alg.derived(_lie_trees, S, Xt, N)
     dyn = dynamical_symmetry_check(alg, S, lift, ev, tol)
-
-    slash = covariant_slash_exprs(alg, Xt)
-    vert1 = nabla_vertical_coeffs(alg, S, N, Xt.components)
-    vert2 = nabla_vertical_coeffs(alg, S, N, vert1)
 
     y = ev.values[:, n:]
     sigma = alg.anchor_at(ev)

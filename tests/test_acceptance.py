@@ -111,10 +111,10 @@ def test_c1_golden_fixture(driftless, driftless_samples):
 
     # the deviation from the published table is reported, never silently
     # zeroed: the [0][1] coefficient differs by exactly 2 u1
-    from algmech.report import frame_with_reference
+    from algmech.report import frames_with_reference
 
     p = driftless_samples[0]
-    frame = frame_with_reference(driftless, S, N, p)
+    frame = frames_with_reference(driftless, S, N, [p])[0]
     dev = frame["reference_deviation"]["connection"]
     assert abs(dev[0][1] - (-2.0 * p.y[0])) <= 1e-10
     assert abs(dev[0][0]) <= 1e-10

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from algmech.cli import main
 from algmech.config import load_config, parse_config
 from algmech.errors import ConfigError
+from algmech.report import emit_json
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -404,6 +405,27 @@ class TestGeometryCommand:
         assert captured.err == ""
         assert max(json.loads(captured.out)["residuals"].values()) <= 1e-9
 
+    def test_point_where_the_lagrangian_is_undefined_fails_in_one_line(self, tmp_path, capsys):
+        # S = 1/x is defined at x = -1, L = 0.5*y^2 + ln(x) is not: the
+        # frame evaluates L itself, as validation does
+        cfg = tmp_path / "ln.json"
+        cfg.write_text(json.dumps(line_system("0.5*y^2+ln(x)")))
+        assert main(["geometry", "--config", str(cfg), "--at", "x=-1,y=1"]) == 1
+        assert capsys.readouterr() == (
+            "", "check failed: ln is undefined at -1.0 in 'ln(x)' at (x=[-1.0], y=[1.0])\n"
+        )
+
+    @pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg"])
+    def test_frame_equals_the_reports_frame(self, tmp_path, capsys, name):
+        # geometry --at the point of a report's frame 0 prints that frame
+        # (numbers read as floats keep the sign of a "-0")
+        path = fixture_path(tmp_path, name)
+        assert main(["report", "--config", str(path)]) == 0
+        frame = json.loads(capsys.readouterr().out, parse_int=float)["geometry"][0]
+        x, y = (",".join(map(repr, frame["point"][k])) for k in ("x", "y"))
+        assert main(["geometry", "--config", str(path), "--at", f"x={x},y={y}"]) == 0
+        assert capsys.readouterr().out == emit_json(frame) + "\n"
+
     def test_non_finite_point_fails_in_one_line(self, tmp_path, capsys):
         # every number overflows at 1e200: one line that names the point, no
         # numpy warning, and no report with "nan" or "inf" in it
@@ -665,6 +687,19 @@ class TestIntegrateCommand:
         assert message.startswith("integration aborted: exp overflows at ")
         assert "in 'exp(x)'" in message
 
+    def test_domain_error_names_the_state(self, tmp_path, capsys):
+        # the energy's ln(x) is undefined at the start point, which the
+        # abort names as a sweep names a sample
+        cfg = tmp_path / "ln.json"
+        cfg.write_text(json.dumps(line_system("0.5*y^2+ln(x)")))
+        out = tmp_path / "traj.csv"
+        argv = ["integrate", "--config", str(cfg), "--x0=-1", "--y0=1", "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "integration aborted: ln is undefined at -1.0 in 'ln(x)' at (x=[-1.0], y=[1.0]); "
+            f"wrote the 0 finite rows before it to {out}\n"
+        )
+
     def test_matmul_overflow_aborts_in_one_line(self, tmp_path, capsys):
         # sigma @ y overflows in the first step: one abort line, no numpy warning
         out = tmp_path / "traj.csv"
@@ -680,7 +715,7 @@ class TestIntegrateCommand:
     def test_singular_metric_is_named_as_geometry_names_it(self, tmp_path, capsys):
         # g = [[1, x], [x, 1]] is singular at x = 1: the RK4 kernel, which
         # walks its trees again to name the fault, words the point as the
-        # point evaluator of ``geometry`` does
+        # frame batch of ``geometry`` does
         raw = line_system("0.5*(y1^2+y2^2)+x*y1*y2", fiber_rank=2)
         raw.update(fiber_coords=["y1", "y2"], anchor=[["1", "0"]])
         cfg = tmp_path / "skew.json"

@@ -13,7 +13,7 @@ from algmech.connection import (
     curvature_apply,
     curvature_from_brackets,
     f_tensor,
-    geometry_frame,
+    geometry_frames,
     h_tensor,
     horizontal_basis_exprs,
     jacobi_endomorphism,
@@ -616,16 +616,14 @@ class TestBerwaldConnection:
 
 class TestGeometryFrame:
     def test_residuals_tiny_on_fixture(self, driftless):
-        fr = geometry_frame(
-            driftless.algebroid, driftless.semispray(), driftless.connection(), P0
-        )
+        alg = driftless.algebroid
+        (fr,) = geometry_frames(alg, driftless.semispray(), driftless.connection(), alg.sample_evaluator([P0]))
         for key, val in fr.residuals.items():
             assert val <= 1e-9, key
 
     def test_dict_round_trip(self, driftless):
-        fr = geometry_frame(
-            driftless.algebroid, driftless.semispray(), driftless.connection(), P0
-        )
+        alg = driftless.algebroid
+        (fr,) = geometry_frames(alg, driftless.semispray(), driftless.connection(), alg.sample_evaluator([P0]))
         d = fr.to_dict()
         assert d["point"]["x"] == [0.5, 1.0, 0.0]
         assert len(d["connection"]) == 2

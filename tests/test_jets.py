@@ -381,7 +381,7 @@ from pathlib import Path  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from algmech.config import load_config  # noqa: E402
-from algmech.jets import ValueKernel  # noqa: E402
+from algmech.jets import EvalPoint, ValueKernel  # noqa: E402
 
 from test_sharing import unique_nodes  # noqa: E402
 
@@ -452,9 +452,12 @@ def _outcome(run):
     st.lists(st.sampled_from(_EDGE_VALUES), min_size=len(COORDS), max_size=len(COORDS)),
 )
 def test_kernel_equals_walker_on_random_trees(tree, values):
-    """Same bits, or the same EvaluationDomainError, on any tree and point."""
+    """Same bits, or the same EvaluationDomainError, on any tree and point;
+    the kernel's error names the point too."""
     kernel = ValueKernel(COORDS, (tree,), len(COORDS))
     walker = _outcome(lambda: [PointEvaluator(COORDS, values).value(tree)])
+    if isinstance(walker, str):
+        walker += f" at {EvalPoint.of(values, ())}"
     assert _outcome(lambda: kernel(values)) == walker
 
 
@@ -682,9 +685,11 @@ def test_domain_error_deep_inside_names_its_subexpression(src):
         with pytest.raises(EvaluationDomainError) as caught:
             mode(tree)
         assert str(caught.value) == f"{named} at {p}"
+    batch_error = caught.value
     with pytest.raises(EvaluationDomainError) as caught:
-        ValueKernel(COORDS, (tree,), len(COORDS))(list(p.values()))
-    assert str(caught.value) == named
+        ValueKernel(COORDS, (tree,), len(p.x))(list(p.values()))
+    assert str(caught.value) == f"{named} at {p}"
+    assert caught.value.subexpression is batch_error.subexpression
 
 
 # -- solve nodes ----------------------------------------------------------------

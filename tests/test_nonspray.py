@@ -12,7 +12,7 @@ from algmech.connection import (
     CovariantDerivative,
     canonical_connection,
     connection_from_lie_derivative,
-    geometry_frame,
+    geometry_frames,
     jacobi_endomorphism,
     jacobi_from_bracket,
     nabla_tensor,
@@ -103,7 +103,7 @@ def test_geometry_frame_gates_only_general_identities(forced):
     alg = forced.algebroid
     S = forced.semispray()
     N = canonical_connection(alg, S)
-    frame = geometry_frame(alg, S, N, pts(forced, 1)[0])
+    (frame,) = geometry_frames(alg, S, N, alg.sample_evaluator(pts(forced, 1)))
     assert max(frame.residuals.values()) <= 1e-9
     assert "phi_vs_curvature_contraction" in frame.diagnostics
     assert frame.diagnostics["homogeneity"] == pytest.approx(2.0, abs=1e-12)
@@ -115,7 +115,7 @@ def test_geometry_frame_with_user_connection(forced):
     alg = forced.algebroid
     S = forced.semispray()
     N = arbitrary_connection(forced)
-    frame = geometry_frame(alg, S, N, pts(forced, 1)[0])
+    (frame,) = geometry_frames(alg, S, N, alg.sample_evaluator(pts(forced, 1)))
     assert max(frame.residuals.values()) <= 1e-9
     assert "nabla_j" in frame.diagnostics  # not an identity for user coefficients
     assert "connection_vs_lie_derivative" in frame.diagnostics

@@ -29,7 +29,7 @@ from algmech.connection import (
     berwald_connection,
     curvature_apply,
     f_tensor,
-    geometry_frame,
+    geometry_frames,
     h_tensor,
     nabla_tensor,
     v_tensor,
@@ -121,7 +121,7 @@ def compute() -> dict:
         key = "canonical" if N.canonical else "arbitrary"
         out[f"lie_symmetry_check_{key}"] = lie_symmetry_check(alg, S, Xt, batch, 1e-9, N).components
         out[f"newtonoid_check_{key}"] = newtonoid_check(alg, S, A, batch, 1e-9, N).components
-    for p in POINTS:
+    for k, p in enumerate(POINTS):
         ev = alg.evaluator(p)
         row: dict = {"complete_lift": _arrays(*lift.values_at(ev))}
         for N in (cfg.connection(), _arbitrary(cfg)):
@@ -153,7 +153,7 @@ def compute() -> dict:
                 "invariant_equation_residual": _arrays(
                     invariant_equation_residual(alg, S, A, ev, N)
                 ),
-                "geometry_frame": geometry_frame(alg, S, N, p).to_dict(),
+                "geometry_frame": geometry_frames(alg, S, N, batch)[k].to_dict(),
             }
         out["points"].append(row)
     return out

@@ -11,7 +11,7 @@ from algmech.config import parse_config
 from algmech.connection import (
     canonical_connection,
     connection_from_lie_derivative,
-    geometry_frame,
+    geometry_frames,
     jacobi_endomorphism,
     jacobi_from_bracket,
 )
@@ -67,7 +67,7 @@ def test_spray_and_geometry_frame(line):
         assert np.max(np.abs(R2 - jacobi_from_bracket(alg, S, N, ev))) <= 1e-10
         # rank one leaves no room for curvature
         assert np.max(np.abs(R2)) <= 1e-10
-        frame = geometry_frame(alg, S, N, p)
+    for frame in geometry_frames(alg, S, N, alg.sample_evaluator(line.sample_points(count=10))):
         assert max(frame.residuals.values()) <= 1e-9
 
 

@@ -6,6 +6,7 @@ evaluator instances, jet orders), not any value; the golden reports pin the
 values.
 """
 
+import json
 import math
 import sys
 from collections import Counter
@@ -20,12 +21,12 @@ import algmech.config
 import algmech.symmetry
 from algmech.cli import main
 from algmech.report import build_report
-from algmech.connection import f_tensor, geometry_frame, nabla_tensor
+from algmech.connection import f_tensor, geometry_frames, nabla_tensor
 from algmech.expr import ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, parse_expression, postorder
 from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs
 from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
-from algmech.symmetry import newtonoid_check
+from algmech.symmetry import lie_symmetry_check, newtonoid_check
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -116,29 +117,24 @@ def test_report_builds_semispray_and_connection_once(tmp_path, capsys, monkeypat
     assert counts == {"canonical_semispray": 1, "canonical_connection": 1}
 
 
-def test_one_evaluator_per_point(driftless, monkeypatch):
-    made = []
+@pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg"])
+def test_report_and_geometry_make_no_point_evaluator(tmp_path, capsys, monkeypatch, name):
+    points: list = []
+    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", lambda *a: points.append(a))
+    path = fixture_file(tmp_path, name)
+    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    frame = json.loads((tmp_path / "r.json").read_text())["geometry"][0]["point"]
+    at = f"x={','.join(map(repr, frame['x']))},y={','.join(map(repr, frame['y']))}"
+    assert main(["geometry", "--config", str(path), "--at", at, "--output", str(tmp_path / "g.json")]) == 0
+    assert points == []
 
-    class Counted(PointEvaluator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
 
-    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", Counted)
+def test_frame_arrays_are_read_only(driftless):
+    """A frame's arrays are slices of the batch's memo, which every later
+    reader of that evaluator gets too."""
     alg = driftless.algebroid
-    p = EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])
-    geometry_frame(alg, driftless.semispray(), driftless.connection(), p)
-    assert len(made) == 1
-    # the system keeps no evaluator: each call makes a new one
-    assert alg.evaluator(p) is not alg.evaluator(p)
-
-
-def test_point_arrays_are_read_only(driftless):
-    """A frame's arrays are the point's memo, which every later reader at
-    that point gets too."""
-    alg = driftless.algebroid
-    p = EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])
-    frame = geometry_frame(alg, driftless.semispray(), driftless.connection(), p)
+    ev = alg.sample_evaluator([EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0])])
+    (frame,) = geometry_frames(alg, driftless.semispray(), driftless.connection(), ev)
     for values in (frame.connection, frame.almost_complex):
         with pytest.raises(ValueError):
             values[0, 0] = 0.0
@@ -239,17 +235,7 @@ def test_nabla_builds_no_node(heisenberg, monkeypatch):
     T.frame_images, S.section(alg)  # noqa: B018 - built before counting
     A = next(c.section for c in heisenberg.candidates if c.kind == "prolongation_section")
     p, q = heisenberg.sample_points(count=2)
-    built = []
-
-    def counting(init):
-        def wrapper(self, *args, **kwargs):
-            built.append(type(self).__name__)
-            init(self, *args, **kwargs)
-
-        return wrapper
-
-    for cls in (Num, Var, Neg, BinOp, Call, System, Solve):
-        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    built = count_built_nodes(monkeypatch)
     first = nabla_tensor(alg, S, N, T, alg.evaluator(p))
     second = nabla_tensor(alg, S, N, T, alg.evaluator(q))
     newtonoid_check(alg, S, A, alg.sample_evaluator([p, q]), 1e-9, N)
@@ -260,8 +246,9 @@ def test_nabla_builds_no_node(heisenberg, monkeypatch):
 
 
 def test_report_sweeps_share_one_sample_evaluator(tmp_path, capsys, monkeypatch):
-    """A report makes exactly one sample evaluator, in ``build_report``, and
-    validation, the spray test and the symmetry checks sweep it."""
+    """A report makes exactly one sample evaluator for its sweeps, in
+    ``build_report``, which validation, the spray test and the symmetry
+    checks sweep, and one for its frames, over their points."""
     makers = []
 
     class Counted(SampleEvaluator):
@@ -273,15 +260,18 @@ def test_report_sweeps_share_one_sample_evaluator(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
     path = fixture_file(tmp_path, "heisenberg")
     assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    assert makers == ["build_report"]
+    assert makers == ["build_report", "frames_with_reference"]
 
 
 def test_the_system_keeps_no_evaluator(tmp_path):
     """After a report and a geometry frame, no attribute of the system holds
-    an evaluator, alone or in a tuple."""
+    an evaluator, alone or in a tuple; each call makes a new one."""
     cfg = algmech.config.load_config(fixture_file(tmp_path, "driftless"))
+    alg, p = cfg.algebroid, cfg.sample_points()[0]
     build_report(cfg)
-    geometry_frame(cfg.algebroid, cfg.semispray(), cfg.connection(), cfg.sample_points()[0])
+    geometry_frames(alg, cfg.semispray(), cfg.connection(), alg.sample_evaluator([p]))
+    assert alg.evaluator(p) is not alg.evaluator(p)
+    assert alg.sample_evaluator([p]) is not alg.sample_evaluator([p])
     held = [
         name
         for name, value in vars(cfg.algebroid).items()
@@ -302,12 +292,9 @@ def test_validate_makes_no_point_evaluator(monkeypatch):
     assert points == []
 
 
-def test_geometry_frame_builds_no_tree_at_a_second_point(heisenberg, monkeypatch):
-    alg = heisenberg.algebroid
-    S, N = heisenberg.semispray(), heisenberg.connection()
-    p, q = heisenberg.sample_points(count=2)
-    first = geometry_frame(alg, S, N, p).jacobi
-    built = []
+def count_built_nodes(monkeypatch) -> list:
+    """The class names of the tree nodes built from here on."""
+    built: list = []
 
     def counting(init):
         def wrapper(self, *args, **kwargs):
@@ -318,6 +305,29 @@ def test_geometry_frame_builds_no_tree_at_a_second_point(heisenberg, monkeypatch
 
     for cls in (Num, Var, Neg, BinOp, Call, System, Solve):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-    second = geometry_frame(alg, S, N, q).jacobi
+    return built
+
+
+def test_geometry_frames_build_no_tree_in_a_second_batch(heisenberg, monkeypatch):
+    alg = heisenberg.algebroid
+    S, N = heisenberg.semispray(), heisenberg.connection()
+    p, q, r, s = heisenberg.sample_points(count=4)
+    first = [f.jacobi for f in geometry_frames(alg, S, N, alg.sample_evaluator([p, q]))]
+    built = count_built_nodes(monkeypatch)
+    second = [f.jacobi for f in geometry_frames(alg, S, N, alg.sample_evaluator([r, s]))]
     assert built == []
     assert not np.array_equal(first, second)
+
+
+def test_lie_check_builds_the_canonical_connection_once(heisenberg, monkeypatch):
+    """With no connection given, the Lie check takes the canonical one of
+    the system and field, built once, as are the check's own trees: a second
+    check builds no node."""
+    alg, S = heisenberg.algebroid, heisenberg.semispray()
+    Xt = next(c.base for c in heisenberg.candidates if c.kind == "base_section")
+    ev = alg.sample_evaluator(heisenberg.sample_points(count=2))
+    first = lie_symmetry_check(alg, S, Xt, ev, 1e-9)
+    built = count_built_nodes(monkeypatch)
+    second = lie_symmetry_check(alg, S, Xt, ev, 1e-9)
+    assert built == []
+    assert second.components == first.components
