@@ -72,6 +72,8 @@ def test_synthetic_report_matches_golden(tmp_path, capsys, name):
 # the start point below, with the energy column.  ``integrate-abort.*`` are the
 # finite CSV prefix and the stderr line of an integration that aborts when
 # ``exp`` overflows inside a step (L = 0.5*y^2 + exp(x) on a line, dt = 0.5).
+# The CSVs are compared as bytes, so their ``\r\n`` line ends are pinned too;
+# ``.gitattributes`` keeps git from converting them.
 
 LINE_EXP = {
     "name": "line",
@@ -95,7 +97,7 @@ INTEGRATE_RUNS = {
 
 
 def run_integrate(tmp_path, capsys, monkeypatch, name):
-    """Exit code, CSV text and stderr of one ``INTEGRATE_RUNS`` entry, with
+    """Exit code, CSV bytes and stderr of one ``INTEGRATE_RUNS`` entry, with
     the output written to a relative path so stderr names no directory."""
     config = tmp_path / f"{name}.json"
     if name == "abort":
@@ -107,20 +109,20 @@ def run_integrate(tmp_path, capsys, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     out = f"integrate-{name}.csv"
     code = main(["integrate", "--config", str(config), *INTEGRATE_RUNS[name], "--output", out])
-    return code, (tmp_path / out).read_text(), capsys.readouterr().err
+    return code, (tmp_path / out).read_bytes(), capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["driftless", "heisenberg"])
 def test_integrate_matches_golden(tmp_path, capsys, monkeypatch, name):
-    code, csv_text, err = run_integrate(tmp_path, capsys, monkeypatch, name)
+    code, csv_bytes, err = run_integrate(tmp_path, capsys, monkeypatch, name)
     assert (code, err) == (0, "")
-    assert csv_text == (GOLDEN / f"integrate-{name}.csv").read_text()
+    assert csv_bytes == (GOLDEN / f"integrate-{name}.csv").read_bytes()
 
 
 def test_integrate_abort_matches_golden(tmp_path, capsys, monkeypatch):
-    code, csv_text, err = run_integrate(tmp_path, capsys, monkeypatch, "abort")
+    code, csv_bytes, err = run_integrate(tmp_path, capsys, monkeypatch, "abort")
     assert code == 1
-    assert csv_text == (GOLDEN / "integrate-abort.csv").read_text()
+    assert csv_bytes == (GOLDEN / "integrate-abort.csv").read_bytes()
     assert err == (GOLDEN / "integrate-abort.stderr").read_text()
 
 
