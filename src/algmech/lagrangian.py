@@ -32,7 +32,7 @@ from .algebroid import Algebroid
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
 from .jets import PointEvaluator, SampleEvaluator, ValueKernel, inverse
-from .prolongation import ProlongationSection, Semispray, directional_derivative
+from .prolongation import ProlongationSection, Semispray, directional_derivative, sode_flow
 
 __all__ = [
     "Lagrangian",
@@ -207,19 +207,22 @@ class Trajectory:
     energy: list[float] | None
 
     def to_csv(self, path, alg: Algebroid) -> None:
+        """One header row, then one row (t, x, y[, E]) per step, each number
+        as ``%.17g`` (``format(v, ".17g")``'s characters) and each line ended
+        by ``\r\n``, the ``csv`` module's terminator."""
+        header = ["t", *alg.base_coords, *alg.fiber_coords]
+        if self.energy is not None:
+            header.append("E")
+        row = "%.17g" + ",%.17g" * (len(header) - 1) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t", *alg.base_coords, *alg.fiber_coords]
-            if self.energy is not None:
-                header.append("E")
-            writer.writerow(header)
-            for k, (t, (x, y)) in enumerate(zip(self.times, self.states)):
-                row = [format(t, ".17g")]
-                row += [format(v, ".17g") for v in x]
-                row += [format(v, ".17g") for v in y]
-                if self.energy is not None:
-                    row.append(format(self.energy[k], ".17g"))
-                writer.writerow(row)
+            csv.writer(fh).writerow(header)
+            if self.energy is None:
+                fh.writelines(row % (t, *x, *y) for t, (x, y) in zip(self.times, self.states))
+            else:
+                fh.writelines(
+                    row % (t, *x, *y, e)
+                    for t, (x, y), e in zip(self.times, self.states, self.energy)
+                )
 
     def energy_drift(self) -> float:
         if not self.energy:
@@ -239,9 +242,12 @@ def integrate_sode(
 ) -> Trajectory:
     """Classical fixed-step RK4 for dx = sigma(x) y dt, dy = S(x, y) dt.
 
-    The step is fixed (no adaptivity) so repeated runs are byte-identical.
-    A domain error, a singular fiber metric, or a state or energy that is
-    not finite, aborts with
+    The right-hand side is the anchored flow of S, :func:`sode_flow`'s trees
+    (sigma y included), compiled once into a :class:`ValueKernel`; a step
+    runs that kernel four times and combines the stages in plain float
+    arithmetic, with no numpy call.  The step is fixed (no adaptivity) so
+    repeated runs are byte-identical.  A domain error, a singular fiber
+    metric, or a state or energy that is not finite, aborts with
     :class:`IntegrationAbortError` carrying the trajectory up to the last
     finite step.
     """
@@ -251,18 +257,8 @@ def integrate_sode(
     state = [float(v) for v in (*x0, *y0)]
     if len(state) != n + m:
         raise ValueError("initial condition has wrong dimension")
-    nm = n * m
-    anchor_flat = [alg.anchor[i][a] for i in range(n) for a in range(m)]
-    field = ValueKernel(alg.coords, (*anchor_flat, *S.components), n)
+    rhs = ValueKernel(alg.coords, tuple(v for _, v in sode_flow(alg, S)), n)
     energy_at = None if lagrangian is None else ValueKernel(alg.coords, (lagrangian.energy_expr,), n)
-
-    # The stages run on float lists in numpy's elementwise order; sigma @ y
-    # stays one numpy matmul, whose BLAS sum rounds unlike a Python sum.
-    def rhs(z: list[float]) -> list[float]:
-        vals = field(z)
-        sig = np.array(vals[:nm]).reshape(n, m)
-        return (sig @ np.array(z)[n:]).tolist() + vals[nm:]
-
     traj = Trajectory([], [], [] if lagrangian is not None else None)
 
     def record(t: float, z: list[float]) -> None:
@@ -277,22 +273,20 @@ def integrate_sode(
         traj.states.append((tuple(z[:n]), tuple(z[n:])))
 
     half, sixth = 0.5 * dt, dt / 6.0
-    # an overflow in the matmul shows as a non-finite state, reported once
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            record(0.0, state)
-            for k in range(steps):
-                k1 = rhs(state)
-                k2 = rhs([s + half * d for s, d in zip(state, k1)])
-                k3 = rhs([s + half * d for s, d in zip(state, k2)])
-                k4 = rhs([s + dt * d for s, d in zip(state, k3)])
-                state = [
-                    s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-                    for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-                ]
-                record((k + 1) * dt, state)
-        except (EvaluationDomainError, SingularMetricError) as err:
-            raise IntegrationAbortError(str(err), traj) from err
+    try:
+        record(0.0, state)
+        for k in range(steps):
+            k1 = rhs(state)
+            k2 = rhs([s + half * d for s, d in zip(state, k1)])
+            k3 = rhs([s + half * d for s, d in zip(state, k2)])
+            k4 = rhs([s + dt * d for s, d in zip(state, k3)])
+            state = [
+                s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+            ]
+            record((k + 1) * dt, state)
+    except (EvaluationDomainError, SingularMetricError) as err:
+        raise IntegrationAbortError(str(err), traj) from err
     return traj
 
 

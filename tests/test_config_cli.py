@@ -701,7 +701,7 @@ class TestIntegrateCommand:
         )
 
     def test_matmul_overflow_aborts_in_one_line(self, tmp_path, capsys):
-        # sigma @ y overflows in the first step: one abort line, no numpy warning
+        # sigma y overflows in the first step: one abort line, no numpy warning
         out = tmp_path / "traj.csv"
         argv = ["integrate", "--config", str(fixture_path(tmp_path)), "--x0=1e160,1,0"]
         argv += ["--y0=0,1e154", "--dt", "1", "--steps", "3", "--output", str(out)]
@@ -711,6 +711,36 @@ class TestIntegrateCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("integration aborted: "), lines
+
+    @pytest.mark.parametrize(
+        "anchor, argv, message, rows",
+        [
+            # the anchor's ln(x) fails inside sigma y at a stage's state
+            (
+                "ln(x)",
+                ["--x0=0.5", "--y0=1", "--dt=0.1"],
+                "ln is undefined at -0.06661888286057385 in 'ln(x)' at "
+                "(x=[-0.06661888286057385], y=[1.0]); wrote the 4 finite rows",
+                4,
+            ),
+            # x^3 y overflows to a non-finite state, with no domain error
+            ("x^3", ["--x0=2", "--y0=1", "--dt=0.5"], "non-finite state at t = 1.0", 2),
+        ],
+    )
+    def test_abort_inside_the_anchored_velocity(self, tmp_path, capsys, anchor, argv, message, rows):
+        raw = line_system("0.5*y^2")
+        raw["anchor"] = [[anchor]]
+        cfg = tmp_path / "line.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "traj.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["integrate", "--config", str(cfg), *argv, "--output", str(out)])
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"integration aborted: {message}") and err.count("\n") == 1, err
+        assert len(out.read_text().splitlines()) == 1 + rows
 
     def test_singular_metric_is_named_as_geometry_names_it(self, tmp_path, capsys):
         # g = [[1, x], [x, 1]] is singular at x = 1: the RK4 kernel, which

@@ -25,11 +25,14 @@ from algmech.prolongation import (
     Semispray,
     basis_sections,
     bracket,
+    sode_flow,
     spray_test,
 )
 from algmech.report import run_validation
 from algmech.sampling import sample_points
 from algmech.symmetry import cartan_from_conservation
+
+import test_pinned_library as rank3
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -424,6 +427,50 @@ class TestIntegration:
         with pytest.raises(IntegrationAbortError) as exc:
             integrate_sode(alg, S, [0.0, 0.0], [1.0, 0.0], 0.5, 10)
         assert len(exc.value.partial.times) >= 1
+
+    @pytest.mark.parametrize("system", ["rank3", "two-product"])
+    def test_one_step_is_rk4_of_the_sode_flow(self, system):
+        """One step at dt = 0.5 is RK4 over the walker's values of the
+        ``sode_flow`` trees, stage for stage and bit for bit: on the pinned
+        rank-3 system (anchor, structure and metric depend on x) and on an
+        anchor whose rows sum two inexact products."""
+        if system == "rank3":
+            cfg = parse_config(rank3.RAW)
+            x0, y0 = rank3.POINTS[0].x, rank3.POINTS[0].y
+        else:
+            cfg = parse_config(
+                {
+                    "name": "two-product",
+                    "base_dim": 2,
+                    "fiber_rank": 2,
+                    "base_coords": ["x1", "x2"],
+                    "fiber_coords": ["y1", "y2"],
+                    "anchor": [["cos(x2)", "sin(x1)"], ["x1", "2+x2"]],
+                    "structure": [],
+                    "lagrangian": "0.5*(y1^2+y2^2)",
+                }
+            )
+            # a start where numpy's sigma @ y rounds unlike the flow's sum
+            x0, y0 = (0.67, -0.05), (0.28, -0.7)
+        alg, S, dt = cfg.algebroid, cfg.semispray(), 0.5
+        flow = [v for _, v in sode_flow(alg, S)]
+
+        def f(z):
+            ev = PointEvaluator(alg.coords, z)
+            return [ev.value(v) for v in flow]
+
+        z = [*x0, *y0]
+        k1 = f(z)
+        k2 = f([s + 0.5 * dt * d for s, d in zip(z, k1)])
+        k3 = f([s + 0.5 * dt * d for s, d in zip(z, k2)])
+        k4 = f([s + dt * d for s, d in zip(z, k3)])
+        step = [
+            s + dt / 6.0 * (((a + 2.0 * b) + 2.0 * c) + d)
+            for s, a, b, c, d in zip(z, k1, k2, k3, k4)
+        ]
+        traj = integrate_sode(alg, S, x0, y0, dt, 1)
+        x, y = traj.states[1]
+        assert [v.hex() for v in (*x, *y)] == [v.hex() for v in step]
 
     def test_csv_export(self, driftless, tmp_path):
         traj = integrate_sode(
