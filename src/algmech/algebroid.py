@@ -175,6 +175,13 @@ class Algebroid:
         product for every slice, so each sample has the single-point bits."""
         return (g[..., None, : self.n] @ self.anchor_at(ev))[..., 0, :]
 
+    def anchored_gradient(self, ev: Evaluator, f: Expr) -> tuple[np.ndarray, np.ndarray]:
+        """``(sigma^T d_x f, d_y f)``: the anchored x-part and the fiber part
+        of the gradient of ``f``, taken once per evaluator, system and tree
+        (:meth:`~algmech.jets.PointEvaluator.derived`); every directional and
+        horizontal derivative of a tree reads them."""
+        return ev.derived(_anchored_gradient, self, f)
+
     # -- base calculus -----------------------------------------------------
 
     def _require_x_only(self, f: Expr, what: str) -> None:
@@ -194,7 +201,7 @@ class Algebroid:
     def differential(self, f: Expr, ev: PointEvaluator) -> np.ndarray:
         """Components of the exterior derivative of a base function."""
         self._require_x_only(f, "function")
-        return self.anchored(ev, ev.jet1(f).grad)
+        return self.anchored_gradient(ev, f)[0]
 
     def bracket_exprs(self, r: BaseSection, s: BaseSection) -> BaseSection:
         """Component trees of the section bracket [r, s]."""
@@ -270,6 +277,11 @@ class Algebroid:
             samples=len(ev.points),
             passed=(anti <= tol and cyc <= tol and compat <= tol),
         )
+
+
+def _anchored_gradient(ev: Evaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:
+    g = ev.jet1(f).grad
+    return alg.anchored(ev, g), g[..., alg.n :]
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:

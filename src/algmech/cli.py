@@ -48,6 +48,25 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write the report to this path")
 
 
+def _add_geometry(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--at", required=True, help='evaluation point, e.g. "x=0.5,1,0,y=1,2"')
+
+
+def _add_integrate(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True)
+    p.add_argument("--x0", required=True, help="comma-separated base start")
+    p.add_argument("--y0", required=True, help="comma-separated fiber start")
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--output", default="trajectory.csv")
+
+
+def _add_example(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name", choices=FIXTURES)
+    p.add_argument("--output", default=None)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one ``config error:`` line, exit code 2;
     subcommand parsers are of this class too (argparse's ``parser_class``)."""
@@ -56,7 +75,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"config error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with a ``command``, one that knows that subcommand
+    alone, which parses its arguments as the full parser does at a fraction
+    of the cost to build."""
     parser = _Parser(
         prog="algmech",
         description=(
@@ -65,29 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("validate", help="check the system axioms"))
-    geo = sub.add_parser("geometry", help="evaluate the geometry at one point")
-    _add_common(geo)
-    geo.add_argument(
-        "--at", required=True, help='evaluation point, e.g. "x=0.5,1,0,y=1,2"'
-    )
-    _add_common(sub.add_parser("spray-check", help="test degree-2 homogeneity"))
-    _add_common(sub.add_parser("symmetry", help="verify the candidate list"))
-
-    integ = sub.add_parser("integrate", help="integrate the dynamics (RK4)")
-    integ.add_argument("--config", required=True)
-    integ.add_argument("--x0", required=True, help="comma-separated base start")
-    integ.add_argument("--y0", required=True, help="comma-separated fiber start")
-    integ.add_argument("--dt", type=float, default=1e-3)
-    integ.add_argument("--steps", type=int, default=1000)
-    integ.add_argument("--output", default="trajectory.csv")
-
-    ex = sub.add_parser("example", help="materialize a built-in fixture")
-    ex.add_argument("name", choices=FIXTURES)
-    ex.add_argument("--output", default=None)
-
-    _add_common(sub.add_parser("report", help="full validation + geometry bundle"))
+    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
@@ -259,22 +261,26 @@ def _simple_md(title: str, payload: dict) -> str:
     return "\n".join(lines)
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "geometry": cmd_geometry,
-    "spray-check": cmd_spray_check,
-    "symmetry": cmd_symmetry,
-    "integrate": cmd_integrate,
-    "example": cmd_example,
-    "report": cmd_report,
+# subcommand -> (help, the function that adds its arguments, the command),
+# in help order
+_SUBCOMMANDS = {
+    "validate": ("check the system axioms", _add_common, cmd_validate),
+    "geometry": ("evaluate the geometry at one point", _add_geometry, cmd_geometry),
+    "spray-check": ("test degree-2 homogeneity", _add_common, cmd_spray_check),
+    "symmetry": ("verify the candidate list", _add_common, cmd_symmetry),
+    "integrate": ("integrate the dynamics (RK4)", _add_integrate, cmd_integrate),
+    "example": ("materialize a built-in fixture", _add_example, cmd_example),
+    "report": ("full validation + geometry bundle", _add_common, cmd_report),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full parser only for what names no subcommand: --help, a typo, nothing
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

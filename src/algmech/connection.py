@@ -146,8 +146,8 @@ def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: Evaluator) ->
     """delta_a(f), the derivative of f along the horizontal frame section
     delta_a, for every a at once: an (m,) vector at the evaluator's point,
     (P, m) over its samples."""
-    g = ev.jet1(f).grad
-    return alg.anchored(ev, g) - (N.at(ev) @ g[..., alg.n :, None])[..., 0]
+    gx, gy = alg.anchored_gradient(ev, f)
+    return gx - (N.at(ev) @ gy[..., None])[..., 0]
 
 
 def curvature(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:

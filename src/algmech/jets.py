@@ -42,7 +42,8 @@ point, for value-only evaluation at many points (the RK4 right-hand side and
 energy): about 10 us per unique node to compile, then a few hundred ns per
 call.  A point, a batch and a kernel get the same bits for every node kind,
 solves included.  Integer powers come from one routine, :func:`int_power`,
-so their cost grows with log2 of the exponent.
+so their cost grows with log2 of the exponent; a kernel writes its products
+out for exponents up to 3 in size.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ class _Rules:
     whether any element of ``x`` is zero, or at most zero; ``_where``, the
     points an error names; ``_entries``, an inverse as the rules read it; and
     the memos of ``(node, result)``, a system's result its components (the
-    node keeps the id unique for the memo's lifetime)."""
+    node keeps the id unique for the memo's lifetime; a batch appends what it
+    handed out for the node)."""
 
     def _walk_value(self, e: Expr):
         """The value of ``e``."""
@@ -364,6 +366,18 @@ class _Rules:
             raise EvaluationDomainError("zero base with negative exponent", e)
         return k
 
+    def derived(self, build, *args):
+        """``build(self, *args)``, computed once per evaluator and tuple of
+        argument objects (by identity; the entry keeps them alive, so their
+        ids are never reused), as :meth:`~algmech.algebroid.Algebroid.derived`
+        builds trees once per system: for what callers derive from this
+        evaluator's outputs, such as a tree's anchored gradient."""
+        key = (build, *map(id, args))
+        hit = self._derived.get(key)
+        if hit is None:
+            hit = self._derived[key] = (args, build(self, *args))
+        return hit[1]
+
     def _nested(self, t):
         return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
 
@@ -436,6 +450,7 @@ class PointEvaluator(_Rules):
         self._jets: dict[int, tuple[Expr, Jet2]] = {}  # second order
         self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
         self._inverses: dict[int, tuple[tuple, tuple]] = {}
+        self._derived: dict[tuple, tuple] = {}
 
     value = _Rules._walk_value  # the loop itself: the frames call it per tree
 
@@ -492,8 +507,9 @@ class SampleEvaluator(_Rules):
     ``value`` returns a (P,) array and ``jet1`` a first-order :class:`Jet2`
     with a (P,) value and a (P, k) gradient; ``values_of`` and ``array`` put
     the sample axis first, and ``values`` is the (P, k) array of coordinates.
-    The rules run on (P, 1) columns, memoised per node and handed out
-    read-only; first order only.
+    The rules run on (P, 1) columns, memoised per node; a node's entry also
+    keeps the read-only (P,) view or jet handed out for it, so every call for
+    the node hands out that one object.  First order only.
 
     Every slice has :class:`PointEvaluator`'s bits at its sample: ``+ - * /``,
     :func:`int_power` and solves run elementwise on float64, and elementary
@@ -546,21 +562,28 @@ class SampleEvaluator(_Rules):
         self._jet1s: dict[int, tuple[Expr, Jet2]] = {}
         self._arrays: dict[int, tuple[tuple, np.ndarray]] = {}
         self._inverses: dict[int, tuple[tuple, tuple]] = {}
+        self._derived: dict[tuple, tuple] = {}
 
     def value(self, e: Expr) -> np.ndarray:
         hit = self._floats.get(id(e))  # a memo hit needs no errstate
-        r = hit[1] if hit is not None else self._batch(PointEvaluator.value, self._walk_value, e)
-        return _read_only(r)
+        if hit is None:
+            self._batch(PointEvaluator.value, self._walk_value, e)
+            hit = self._floats[id(e)]
+        if len(hit) == 2:  # computed by the rules, not handed out yet
+            hit = self._floats[id(e)] = (e, hit[1], _read_only(hit[1]))
+        return hit[2]
 
     def jet1(self, e: Expr) -> Jet2:
         """First-order jets of ``e``, each that of :meth:`PointEvaluator.jet1`."""
         hit = self._jet1s.get(id(e))  # a memo hit needs no errstate
-        if hit is not None:
+        if hit is None:
+            self._batch(PointEvaluator.jet1, self._walk_jet, e, self._jet1s, False)
+            hit = self._jet1s[id(e)]
+        if len(hit) == 2:  # computed by the rules, not handed out yet
             r = hit[1]
-        else:
-            r = self._batch(PointEvaluator.jet1, self._walk_jet, e, self._jet1s, False)
-        r.grad.flags.writeable = False
-        return Jet2(_read_only(r.value), r.grad, None)
+            r.grad.flags.writeable = False
+            hit = self._jet1s[id(e)] = (e, r, Jet2(_read_only(r.value), r.grad, None))
+        return hit[2]
 
     def values_of(self, exprs: Sequence[Expr]) -> np.ndarray:
         return np.stack([self.value(x) for x in exprs], axis=-1)
@@ -602,6 +625,15 @@ def _kernel_inverse(m: int, *g: float) -> list[list[float]]:
     return inv[0].tolist()
 
 
+def _kernel_power(a: str, b: str, k: int | None) -> str:
+    """The kernel's statement for ``a^b``: for an integer exponent up to 3 in
+    size the products :func:`int_power` makes, written out, else a call."""
+    if k is not None and 1 <= abs(k) <= 3:
+        product = " * ".join([a] * abs(k))
+        return product if k > 0 else f"1.0 / ({product})"
+    return f"power({a}, {b}, {k!r})"
+
+
 class ValueKernel:
     """Values of a fixed tuple of trees, compiled once and then called at
     many points: ``kernel(values)`` returns one float per tree, for
@@ -636,7 +668,7 @@ class ValueKernel:
                 if t is BinOp:
                     a, b = slot[id(e.left)], slot[id(e.right)]
                     if e.op == "^":
-                        rhs = f"power({a}, {b}, {_integer_exponent(e)!r})"
+                        rhs = _kernel_power(a, b, _integer_exponent(e))
                     else:
                         rhs = f"{a} {e.op} {b}"
                 elif t is Num:

@@ -106,7 +106,9 @@ class ProlongationSection:
         return ProlongationSection.constant(np.zeros(m), np.eye(m)[a])
 
     def values_at(self, ev: Evaluator) -> tuple[np.ndarray, np.ndarray]:
-        return ev.values_of(self.x_comps), ev.values_of(self.v_comps)
+        """The component values, read-only and computed once per evaluator
+        (:meth:`~algmech.jets.PointEvaluator.array`)."""
+        return ev.array(self.x_comps), ev.array(self.v_comps)
 
 
 @cache
@@ -194,7 +196,8 @@ def directional_derivative(alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np
     and av = the values of S), which serves nabla T, the Newtonoid projection
     and the S(N) term of the Jacobi endomorphism, all go through here.  A
     constant ``f`` (such as a component of a frame section) is answered 0
-    without evaluation.
+    without evaluation; the gradient parts of any other ``f`` are taken once
+    per evaluator (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`).
 
     One formula serves a point and a batch: numpy's stacked ``matmul`` hands
     every slice to the BLAS call that the unstacked product makes, so each
@@ -204,8 +207,8 @@ def directional_derivative(alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np
     """
     if isinstance(f, Num):
         return np.zeros(np.shape(ax)[:-1])[()]  # a scalar 0.0 at a point, (P,) zeros
-    g = ev.jet1(f).grad
-    return inner(ax, alg.anchored(ev, g)) + inner(av, g[..., alg.n :])
+    gx, gy = alg.anchored_gradient(ev, f)
+    return inner(ax, gx) + inner(av, gy)
 
 
 def bracket(

@@ -355,8 +355,7 @@ def conserved_from_cartan(
     theta_trees = list(L.dy) + [ZERO] * m
     ax, av = A.values_at(ev)
     theta_vals = ev.values_of(L.dy)
-    g = ev.jet1(f).grad  # (d f)(B) over the frame sections
-    df = np.concatenate([alg.anchored(ev, g), g[..., alg.n :]], axis=-1)
+    df = np.concatenate(alg.anchored_gradient(ev, f), axis=-1)  # (d f)(B) over the frame sections
     res = []
     for k, B in enumerate(basis_sections(m)):
         bx, _ = bracket(alg, A, B, ev)

@@ -6,7 +6,7 @@ from algmech.errors import FiberDependenceError
 from algmech.expr import ZERO, e_neg, parse_expression
 from algmech.jets import EvalPoint
 from algmech.prolongation import complete_lift, vertical_lift
-from algmech.sampling import sample_points
+from algmech.sampling import DEFAULT_BASE_BOX, DEFAULT_FIBER_BOX, SplitMix64, sample_points
 
 
 def expr(cfg, src):
@@ -315,3 +315,28 @@ class TestLifts:
         s = section(driftless, "u1", "0")
         with pytest.raises(ValueError):
             complete_lift(driftless.algebroid, s)
+
+
+def _scalar_points(base, fiber, count, seed, box):
+    """The sample points drawn one SplitMix64 call at a time: x values, then
+    a sign and a magnitude per fiber coordinate."""
+    rng, points = SplitMix64(seed), []
+    for _ in range(count):
+        x = [rng.uniform(*box.get(name, DEFAULT_BASE_BOX)) for name in base]
+        y = []
+        for name in fiber:
+            lo, hi = box.get(name, DEFAULT_FIBER_BOX)
+            y.append(rng.sign() * rng.uniform(lo, hi))
+        points.append(EvalPoint.of(x, y))
+    return points
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -1, 2**63, 2**64 + 5])
+@pytest.mark.parametrize("count", [1, 50])
+def test_batched_sampler_equals_the_scalar_generator(seed, count):
+    for rank in range(1, 9):
+        base, fiber = ("x1", "x2", "x3"), tuple(f"y{a}" for a in range(rank))
+        for box in ({}, {"x2": (-0.5, 3.25), "y0": (0.2, 0.3), f"y{rank - 1}": (1e-3, 1e3)}):
+            got = sample_points(base, fiber, count, seed, box)
+            assert got == _scalar_points(base, fiber, count, seed, box)
+            assert all(type(v) is float for p in got for v in p.values())

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algmech.cli import main
+from algmech.cli import build_parser, main
 from algmech.config import load_config, parse_config
 from algmech.errors import ConfigError
 from algmech.report import emit_json
@@ -1031,3 +1031,48 @@ class TestReports:
         samples = load_config(cfg).sample_points()
         assert tuple(point["x"]) == samples[0].x
         assert tuple(point["y"]) == samples[0].y
+
+
+# -- main's one-subcommand parser answers as the full parser does ------------
+
+# the arguments each subcommand requires, with placeholder values
+_REQUIRED = {
+    "validate": ["--config", "c.json"],
+    "geometry": ["--config", "c.json", "--at", "x=0,y=1"],
+    "spray-check": ["--config", "c.json"],
+    "symmetry": ["--config", "c.json"],
+    "integrate": ["--config", "c.json", "--x0", "0", "--y0", "1"],
+    "example": ["driftless"],
+    "report": ["--config", "c.json"],
+}
+_PARSE_FAILURES = [[], ["--help"], ["bogus", "--config", "c.json"]] + [
+    argv
+    for name, required in _REQUIRED.items()
+    for argv in (
+        [name, "--help"],
+        [name],  # a required option or argument missing
+        [name, *required, "--nope"],
+        [name, *required, "--steps" if name == "integrate" else "--seed", "1.5"],
+    )
+]
+
+
+def _outcome(parse, argv) -> tuple[str, str, object]:
+    """Standard output, standard error and exit code of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", _PARSE_FAILURES, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv):
+    """main builds only the subcommand it is given; help, usage errors and
+    bad values come out byte for byte as from the parser of every command
+    (compared at run time, so they hold for any argparse version)."""
+    full = _outcome(lambda a: build_parser().parse_args(a), argv)
+    assert full[2] in (0, 2)  # the full parser exits: nothing is run
+    assert _outcome(main, argv) == full

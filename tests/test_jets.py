@@ -475,6 +475,27 @@ def test_kernel_source_has_one_line_per_node():
     assert kernel(point)[0] == PointEvaluator(COORDS, point).value(long_sum)
 
 
+_WRITTEN_OUT = ["x1^1", "x1^2", "x1^3", "x1^(-1)", "x1^(-2)", "x1^(-3)"]
+
+
+@pytest.mark.parametrize("src", [*_WRITTEN_OUT, "x1^0", "x1^13", "x1^1000001", "x1^2.5"])
+def test_kernel_powers_equal_walker(src):
+    """Integer powers up to 3 in size are written out as products, the rest
+    call the power helper; both give the walker's bits, or its error, on 300
+    random points with |x| up to 1e200 and at zero."""
+    tree = parse_expression(src, COORDS)
+    kernel = ValueKernel(COORDS, (tree,), len(COORDS))
+    assert ("power(" in kernel.source) == (src not in _WRITTEN_OUT)
+    rng = np.random.default_rng(0)
+    xs = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-200.0, 200.0, 300)
+    for x in [0.0, -0.0, *xs.tolist()]:
+        values = [x, 0.0, 0.0, 0.0]
+        walker = _outcome(lambda: [PointEvaluator(COORDS, values).value(tree)])
+        if isinstance(walker, str):
+            walker += f" at {EvalPoint.of(values, ())}"
+        assert _outcome(lambda: kernel(values)) == walker, x
+
+
 # -- the sample batch equals the walker --------------------------------------
 
 from algmech.connection import (  # noqa: E402

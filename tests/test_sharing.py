@@ -6,6 +6,7 @@ evaluator instances, jet orders), not any value; the golden reports pin the
 values.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -22,7 +23,9 @@ import algmech.symmetry
 from algmech.cli import main
 from algmech.report import build_report
 from algmech.connection import f_tensor, geometry_frames, nabla_tensor
-from algmech.expr import ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, parse_expression, postorder
+from algmech.expr import (
+    ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, e_mul, parse_expression, postorder,
+)
 from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs
 from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
@@ -331,3 +334,59 @@ def test_lie_check_builds_the_canonical_connection_once(heisenberg, monkeypatch)
     second = lie_symmetry_check(alg, S, Xt, ev, 1e-9)
     assert built == []
     assert second.components == first.components
+
+
+def test_report_anchors_each_gradient_once(tmp_path, capsys, monkeypatch):
+    """Over a whole report, sigma^T d_x f is taken once per evaluator and
+    tree: a tree's gradient is one object per evaluator (its jet memo), and
+    ``Algebroid.anchored`` sees each (evaluator, gradient) pair once."""
+    seen: Counter = Counter()
+    kept = []  # keeps every id unique while counting
+    real = algmech.algebroid.Algebroid.anchored
+
+    def recording(self, ev, g):
+        kept.append((ev, g))
+        seen[id(ev), id(g)] += 1
+        return real(self, ev, g)
+
+    monkeypatch.setattr(algmech.algebroid.Algebroid, "anchored", recording)
+    path = fixture_file(tmp_path, "heisenberg")
+    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert seen and max(seen.values()) == 1
+
+
+def test_sample_evaluator_hands_out_one_read_only_object_per_node(heisenberg):
+    alg = heisenberg.algebroid
+    ev = alg.sample_evaluator(heisenberg.sample_points(count=3))
+    f = parse_expression("sin(x1)*y2 + x2", alg.coords)
+    for e in (f, f.left):  # the root, then a node its walk computed
+        assert ev.value(e) is ev.value(e)
+        assert ev.jet1(e) is ev.jet1(e)
+        for handed_out in (ev.value(e), ev.jet1(e).value, ev.jet1(e).grad):
+            with pytest.raises(ValueError):
+                handed_out[0] = 0.0
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_section_values_are_the_evaluators_arrays(heisenberg, batch):
+    alg, A = heisenberg.algebroid, heisenberg.semispray().section(heisenberg.algebroid)
+    p, q = heisenberg.sample_points(count=2)
+    ev = alg.sample_evaluator([p, q]) if batch else alg.evaluator(p)
+    x, v = A.values_at(ev)
+    assert x is ev.array(A.x_comps) and v is ev.array(A.v_comps)
+    assert A.values_at(ev)[0] is x
+
+
+def test_anchored_gradients_are_kept_per_system(driftless):
+    """One evaluator read by two systems on the same coordinates keeps an
+    anchored gradient for each: the memo key names the system."""
+    alg = driftless.algebroid
+    doubled = dataclasses.replace(
+        alg, anchor=tuple(tuple(e_mul(Num(2.0), e) for e in row) for row in alg.anchor)
+    )
+    ev = alg.sample_evaluator(driftless.sample_points(count=3))
+    f = parse_expression("x1*x2 + x3", alg.coords)
+    gx, gy = alg.anchored_gradient(ev, f)
+    dx, dy = doubled.anchored_gradient(ev, f)
+    assert np.array_equal(dx, 2.0 * gx) and not np.array_equal(dx, gx)
+    assert np.array_equal(dy, gy) and alg.anchored_gradient(ev, f)[0] is gx
