@@ -25,9 +25,7 @@ from .connection import (
     horizontal_basis_exprs,
     jacobi_endomorphism,
     jacobi_from_bracket,
-    nabla_horizontal_coeffs,
     nabla_tensor,
-    nabla_vertical_coeffs,
     v_tensor,
 )
 from .errors import (

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EvaluationDomainError, FiberDependenceError
-from .expr import Expr, Var, cached_derivative, e_mul, e_sub, e_sum, variables
+from .expr import ZERO, Expr, Num, Var, cached_derivative, e_mul, e_sub, e_sum, variables
 from .jets import EvalPoint, Evaluator, PointEvaluator, SampleEvaluator
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
@@ -110,23 +110,28 @@ class Algebroid:
         """
         return cached_derivative(e, name, self._derivatives)
 
+    def derivative_along(self, f: Expr, flow: Iterable[tuple[str, Expr]]) -> Expr:
+        """The one tree of a derivative along a field given by (coordinate,
+        velocity) pairs: the sum of velocity * df/dcoordinate in their order,
+        ZERO for a constant ``f`` with no memo entry and no pair read."""
+        if isinstance(f, Num):
+            return ZERO
+        return e_sum(e_mul(vel, self.derivative(f, name)) for name, vel in flow)
+
     @cached_property
     def base_velocity(self) -> tuple[Expr, ...]:
         """The anchored velocity trees xdot^i = sigma_a^i y^a."""
+        y = [Var(c) for c in self.fiber_coords]
         return tuple(
-            e_sum(e_mul(Var(self.fiber_coords[a]), self.anchor[i][a]) for a in range(self.m))
-            for i in range(self.n)
+            e_sum(e_mul(y[a], self.anchor[i][a]) for a in range(self.m)) for i in range(self.n)
         )
 
     @cached_property
     def twisted_structure(self) -> tuple[tuple[Expr, ...], ...]:
         """[b][a] = y^e L_eb^a, the structure functions contracted with the fiber."""
-        m = self.m
+        m, y = self.m, [Var(c) for c in self.fiber_coords]
         return tuple(
-            tuple(
-                e_sum(e_mul(Var(self.fiber_coords[e]), self.structure[e][b][a]) for e in range(m))
-                for a in range(m)
-            )
+            tuple(e_sum(e_mul(y[e], self.structure[e][b][a]) for e in range(m)) for a in range(m))
             for b in range(m)
         )
 
@@ -208,6 +213,11 @@ class Algebroid:
         if not (r.x_only and s.x_only):
             raise FiberDependenceError("bracket is defined for x-only sections")
         m, n = self.m, self.n
+
+        def flow(t: BaseSection):  # the anchored field of t, pair by pair
+            return ((self.base_coords[i], e_mul(t.components[a], self.anchor[i][a]))
+                    for a in range(m) for i in range(n))
+
         comps = []
         for c in range(m):
             quad = e_sum(
@@ -215,17 +225,10 @@ class Algebroid:
                 for a in range(m)
                 for b in range(m)
             )
-            flow_r = self._anchor_derivative_expr(r, s.components[c])
-            flow_s = self._anchor_derivative_expr(s, r.components[c])
+            flow_r = self.derivative_along(s.components[c], flow(r))
+            flow_s = self.derivative_along(r.components[c], flow(s))
             comps.append(e_sum([quad, e_sub(flow_r, flow_s)]))
         return BaseSection.define(self, comps)
-
-    def _anchor_derivative_expr(self, s: BaseSection, f: Expr) -> Expr:
-        return e_sum(
-            e_mul(e_mul(s.components[a], self.anchor[i][a]), self.derivative(f, self.base_coords[i]))
-            for a in range(self.m)
-            for i in range(self.n)
-        )
 
     # -- axiom validation ----------------------------------------------------
 

@@ -23,7 +23,7 @@ from .expr import Expr, ZERO, e_neg, parse_expression
 from .jets import EvalPoint
 from .lagrangian import Lagrangian, canonical_semispray
 from .prolongation import ProlongationSection, Semispray
-from .sampling import sample_points
+from .sampling import DEFAULT_FIBER_BOX, sample_points
 
 __all__ = ["SystemConfig", "SampleSpec", "Candidate", "load_config", "parse_config"]
 
@@ -108,12 +108,9 @@ class SystemConfig:
         )
 
     def fiber_floor(self) -> float:
-        """Smallest admissible fiber magnitude (zero-section exclusion)."""
-        lows = [
-            self.samples.box.get(c, (0.1, 2.0))[0]
-            for c in self.algebroid.fiber_coords
-        ]
-        return min(lows) if lows else 0.1
+        """Smallest admissible fiber magnitude: the least lower end of a fiber box."""
+        box = self.samples.box
+        return min(box.get(c, DEFAULT_FIBER_BOX)[0] for c in self.algebroid.fiber_coords)
 
 
 def _need(raw: dict, key: str, kind, path: str):

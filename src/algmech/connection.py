@@ -19,12 +19,11 @@ trees (``h_tensor`` and friends), built once per connection
 (:meth:`~algmech.prolongation.ExprTensor.apply`; delta_a = h(X_a) is a frame
 image) and evaluated as values, such as the F of a geometry frame.
 
-The dynamical covariant derivative nabla is numeric
+The dynamical covariant derivative nabla is numeric, applied once or twice
 (:class:`CovariantDerivative`): each S(.) in it is a directional derivative
-of jets, so nabla J and the Newtonoid projection build no tree.  Its
-coefficient trees (``nabla_horizontal_coeffs``, ``nabla_vertical_coeffs``)
-exist only for nabla applied twice, which needs S(S(x)): the invariant
-equation and the second-order form of the Lie-symmetry check.
+of jets, so nabla J and the Newtonoid projection build no tree, and nabla^2
+(the invariant equation and the Lie check's second-order form) builds only
+the trees S(c) of the components it is applied to.
 
 Every pointwise formula here takes the caller's evaluator, a point's or a
 sample set's, and is written once for both, with the sample axis first and
@@ -37,6 +36,7 @@ set as one batch.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -68,7 +68,6 @@ from .prolongation import (
     frame_derivation,
     j_tensor,
     lie_derivative_tensor,
-    sode_derivative_expr,
     spray_homogeneity,
     zeros_block,
 )
@@ -88,8 +87,6 @@ __all__ = [
     "v_tensor",
     "f_tensor",
     "CovariantDerivative",
-    "nabla_horizontal_coeffs",
-    "nabla_vertical_coeffs",
     "nabla_tensor",
     "berwald_connection",
     "berwald_coefficients",
@@ -196,7 +193,7 @@ def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: Evaluat
     formula, one term at a time for every (b, g) at once.
     """
     m = alg.m
-    nabla = CovariantDerivative(alg, S, N, ev)
+    nabla = CovariantDerivative.of(alg, S, N, ev)
     Nv, y, L = nabla.Nv, nabla.y, alg.structure_at(ev)
     # [..., b, g] = delta_b(S^g), and S(N_b^g) as nabla takes it
     dS = np.stack([berwald_derivative(alg, N, c, ev) for c in S.components], axis=-1)
@@ -256,33 +253,6 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 # ---------------------------------------------------------------------------
 
 
-def nabla_horizontal_coeffs(
-    alg: Algebroid, S: Semispray, N: Connection, comps: Sequence[Expr]
-) -> tuple[Expr, ...]:
-    """Coefficient trees of the covariant derivative on the horizontal frame,
-    S(c^a) + (N_b^a + y^e L_eb^a) c^b, for the callers that apply it twice."""
-    tw, r = alg.twisted_structure, range(alg.m)
-    return tuple(
-        e_sum([sode_derivative_expr(alg, S, comps[a])]
-              + [e_mul(e_add(N.coeffs[b][a], tw[b][a]), comps[b]) for b in r])
-        for a in r
-    )
-
-
-def nabla_vertical_coeffs(
-    alg: Algebroid, S: Semispray, N: Connection, comps: Sequence[Expr]
-) -> tuple[Expr, ...]:
-    """Coefficient trees on the vertical frame, S(w^a) - (N_b^a + dS^a/dy^b) w^b,
-    for the callers that apply it twice."""
-    dS, y, r = alg.derivative, alg.fiber_coords, range(alg.m)
-    return tuple(
-        e_sum([sode_derivative_expr(alg, S, comps[a])]
-              + [e_neg(e_mul(e_add(N.coeffs[b][a], dS(S.components[a], y[b])), comps[b]))
-                 for b in r])
-        for a in r
-    )
-
-
 class CovariantDerivative:
     """The dynamical covariant derivative at the evaluator's point, or over
     its samples with the sample axis first: ``nabla(A)`` is the pair (hor,
@@ -295,17 +265,25 @@ class CovariantDerivative:
     dS^a/dy^b kept apart, so nabla J = 0 tests the canonical relation.  Each
     S(.) is :func:`~algmech.prolongation.directional_derivative` along (y, S)
     and each product a stacked ``matmul``, so a sample gets a point's bits.
-    The per-point terms are taken once per object (S(N) and dS/dy only for a
-    vertical part): make one per evaluator and pass it every section."""
+
+    nabla applied twice (:meth:`twice`) is numeric too.  The per-point terms
+    (S(N) and the coefficients, each S(coefficient) only where read) are
+    taken once per object: :meth:`of` keeps one per evaluator, system, field
+    and connection."""
 
     def __init__(self, alg: Algebroid, S: Semispray, N: Connection, ev):
         self.alg, self.S, self.N, self.ev = alg, S, N, ev
         self.Nv = N.at(ev)
         self.y = np.asarray(ev.values)[..., alg.n :]
         self.s = ev.values_of(S.components)
-        L = alg.structure_at(ev)
-        twist = sum(self.y[..., e, None, None] * L[..., e, :, :] for e in range(alg.m))
-        self.hor_coeff = self.Nv + twist
+        L, y = alg.structure_at(ev), self.y
+        self.hor_coeff = self.Nv + sum(y[..., e, None, None] * L[..., e, :, :] for e in range(alg.m))
+
+    @staticmethod
+    def of(alg: Algebroid, S: Semispray, N: Connection, ev) -> "CovariantDerivative":
+        """The one object of the evaluator, system, field and connection
+        (:meth:`~algmech.jets.PointEvaluator.derived`)."""
+        return ev.derived(_covariant_derivative, alg, S, N)
 
     def _along(self, comps: Sequence[Expr]) -> np.ndarray:
         """S(c) for each tree c of ``comps``, stacked on the last axis."""
@@ -318,9 +296,41 @@ class CovariantDerivative:
         dS = np.stack([self.ev.jet1(c).grad[..., self.alg.n :] for c in self.S.components], -1)
         return np.stack([self._along(row) for row in self.N.coeffs], axis=-2), self.Nv + dS
 
-    def horizontal(self, A: ProlongationSection) -> np.ndarray:
-        """The X-frame part of nabla A alone."""
-        return self._along(A.x_comps) + _vecmat(self.ev.values_of(A.x_comps), self.hor_coeff)
+    @cached_property
+    def hor_along(self) -> np.ndarray:
+        """S(N + yL)[b][a], the horizontal coefficient differentiated along S."""
+        twist = self.alg.twisted_structure
+        return self.ver_terms[0] + np.stack([self._along(row) for row in twist], axis=-2)
+
+    @cached_property
+    def ver_along(self) -> np.ndarray:
+        """S(N + dS/dy)[b][a], the vertical coefficient differentiated along S."""
+        alg, comps = self.alg, self.S.components
+        dS = [self._along([alg.derivative(c, yb) for c in comps]) for yb in alg.fiber_coords]
+        return self.ver_terms[0] + np.stack(dS, axis=-2)
+
+    def horizontal(self, comps: Sequence[Expr]) -> np.ndarray:
+        """nabla on the horizontal frame, S(c) + c (N + yL), of the components
+        ``comps``: the X-frame part of nabla A for A.x_comps."""
+        return self._along(comps) + _vecmat(self.ev.values_of(comps), self.hor_coeff)
+
+    def vertical(self, comps: Sequence[Expr]) -> np.ndarray:
+        """nabla on the vertical frame, S(w) - w (N + dS/dy), of ``comps``."""
+        return self._along(comps) - _vecmat(self.ev.values_of(comps), self.ver_terms[1])
+
+    def twice(self, comps: Sequence[Expr], along: Sequence[Expr], vertical: bool = False):
+        """nabla^2 of the components ``comps`` on the horizontal frame (on the
+        vertical one if ``vertical``) by the product rule, given the one level
+        of trees ``along`` = S(comps), with C_h = N + yL and C_v = N + dS/dy:
+
+            nabla^2 c = nabla(S(c)) + c S(C_h) + (nabla c) C_h,
+            nabla^2 w = nabla(S(w)) - w S(C_v) - (nabla w) C_v."""
+        c = self.ev.values_of(comps)
+        if vertical:
+            first, C = self.vertical(comps), self.ver_terms[1]
+            return self.vertical(along) - _vecmat(c, self.ver_along) - _vecmat(first, C)
+        first, C = self.horizontal(comps), self.hor_coeff
+        return self.horizontal(along) + _vecmat(c, self.hor_along) + _vecmat(first, C)
 
     def __call__(self, A: ProlongationSection) -> tuple[np.ndarray, np.ndarray]:
         x, v = A.values_at(self.ev)
@@ -329,6 +339,11 @@ class CovariantDerivative:
         w = v + _vecmat(x, Nv)
         ver = self._along(A.v_comps) + _vecmat(x, sn) + _vecmat(sx, Nv) - _vecmat(w, ver_coeff)
         return hor, ver - _vecmat(hor, Nv)
+
+
+def _covariant_derivative(ev, alg: Algebroid, S: Semispray, N: Connection) -> CovariantDerivative:
+    # held by the evaluator's memo, it holds the evaluator weakly: no cycle
+    return CovariantDerivative(alg, S, N, weakref.proxy(ev))
 
 
 def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -343,7 +358,7 @@ def nabla_tensor(
     (2m, 2m) matrix (per sample over a batch), through one
     :class:`CovariantDerivative` at the evaluator: no tree is built once T's
     frame images exist."""
-    return frame_derivation(T, ev, CovariantDerivative(alg, S, N, ev))
+    return frame_derivation(T, ev, CovariantDerivative.of(alg, S, N, ev))
 
 
 # ---------------------------------------------------------------------------

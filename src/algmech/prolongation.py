@@ -150,14 +150,11 @@ def vertical_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
 def covariant_slash_exprs(alg: Algebroid, s: BaseSection) -> tuple[tuple[Expr, ...], ...]:
     """slash[e][a] = sigma_e^i ds^a/dx^i - L_be^a s^b, the coefficient trees
     of the complete lift and of the local Lie-symmetry equations."""
-    m, n = alg.m, alg.n
+    m, column = alg.m, tuple(zip(*alg.anchor))  # column[e][i] = sigma_e^i
     return tuple(
         tuple(
             e_sub(
-                e_sum(
-                    e_mul(alg.anchor[i][e], alg.derivative(s.components[a], alg.base_coords[i]))
-                    for i in range(n)
-                ),
+                alg.derivative_along(s.components[a], zip(alg.base_coords, column[e])),
                 e_sum(e_mul(alg.structure[b][e][a], s.components[b]) for b in range(m)),
             )
             for a in range(m)
@@ -171,12 +168,9 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
     fiber components y^e slash[e][a]."""
     if not s.x_only:
         raise ValueError("complete lift requires an x-only section")
-    m = alg.m
+    m, y = alg.m, [Var(c) for c in alg.fiber_coords]
     slash = covariant_slash_exprs(alg, s)
-    v_comps = tuple(
-        e_sum(e_mul(slash[e][a], Var(alg.fiber_coords[e])) for e in range(m))
-        for a in range(m)
-    )
+    v_comps = tuple(e_sum(e_mul(slash[e][a], y[e]) for e in range(m)) for a in range(m))
     return ProlongationSection(tuple(s.components), v_comps)
 
 
@@ -242,14 +236,9 @@ def sode_flow(alg: Algebroid, S: Semispray) -> tuple[tuple[str, Expr], ...]:
 
 
 def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
-    """Tree for S(f), the derivative of f along the second-order field, for
-    what must stay a tree: nabla applied twice, Newtonoid completions and
-    star products."""
-    if isinstance(f, Num):
-        return ZERO
-    return e_sum(
-        e_mul(vel, alg.derivative(f, name)) for name, vel in sode_flow(alg, S)
-    )
+    """Tree for S(f), the derivative of f along the second-order field: the
+    S(c) of nabla applied twice, Newtonoid completions and star products."""
+    return alg.derivative_along(f, sode_flow(alg, S))
 
 
 def spray_homogeneity(alg: Algebroid, S: Semispray, ev: Evaluator):

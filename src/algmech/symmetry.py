@@ -22,8 +22,6 @@ from .connection import (
     CovariantDerivative,
     canonical_connection,
     jacobi_endomorphism,
-    nabla_horizontal_coeffs,
-    nabla_vertical_coeffs,
 )
 from .errors import (
     ExactnessWitnessError,
@@ -32,7 +30,7 @@ from .errors import (
     SingularPairingError,
 )
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
-from .jets import EvalPoint, PointEvaluator, SampleEvaluator
+from .jets import EvalPoint, Evaluator, SampleEvaluator
 from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
     ProlongationSection,
@@ -158,7 +156,7 @@ def newtonoid_check(
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = av + (ax[..., None, :] @ N.at(ev))[..., 0, :]  # v(A) fiber components
-    jx = CovariantDerivative(alg, S, N, ev).horizontal(A)  # J(nabla A): the frame part
+    jx = CovariantDerivative.of(alg, S, N, ev).horizontal(A.x_comps)  # J(nabla A): the frame part
     return SymmetryVerdict(
         kind="newtonoid",
         max_residual=worst,
@@ -173,21 +171,23 @@ def newtonoid_check(
 
 
 def invariant_equation_residual(
-    alg: Algebroid,
-    S: Semispray,
-    A: ProlongationSection,
-    ev: PointEvaluator,
-    N: Connection | None = None,
+    alg: Algebroid, S: Semispray, A: ProlongationSection, ev: Evaluator, N: Connection | None = None
 ) -> np.ndarray:
     """Second-order invariant equation on the frame components:
-    nabla^2 X^a + R_b^a X^b, meaningful for Newtonoid candidates."""
+    nabla^2 X^a + R_b^a X^b, meaningful for Newtonoid candidates, (m,) at a
+    point and (P, m) over samples; nabla^2 is numeric and builds only S(X^a)."""
     if N is None:
         N = alg.derived(canonical_connection, S)
-    hor1 = nabla_horizontal_coeffs(alg, S, N, A.x_comps)
-    hor2 = nabla_horizontal_coeffs(alg, S, N, hor1)
+    along = tuple(sode_derivative_expr(alg, S, c) for c in A.x_comps)
+    return _invariant_form(alg, S, N, ev, A.x_comps, along, vertical=False)
+
+
+def _invariant_form(alg, S, N, ev, comps, along, vertical: bool) -> np.ndarray:
+    """nabla^2 c + R^T c on the horizontal or vertical frame, given the trees
+    ``along`` = S(c) (:meth:`~algmech.connection.CovariantDerivative.twice`)."""
+    second = CovariantDerivative.of(alg, S, N, ev).twice(comps, along, vertical)
     R = jacobi_endomorphism(alg, S, N, ev)
-    x_vals = ev.values_of(A.x_comps)
-    return ev.values_of(hor2) + R.T @ x_vals
+    return second + (np.swapaxes(R, -1, -2) @ ev.values_of(comps)[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +195,11 @@ def invariant_equation_residual(
 # ---------------------------------------------------------------------------
 
 
-def _lie_trees(alg: Algebroid, S: Semispray, Xt: BaseSection, N: Connection) -> tuple:
-    """The complete lift of Xt, its covariant slash and the trees of
-    nabla^2 Xt on the vertical frame, built once per system, field, section
-    and connection."""
-    vert1 = nabla_vertical_coeffs(alg, S, N, Xt.components)
-    vert2 = nabla_vertical_coeffs(alg, S, N, vert1)
-    return complete_lift(alg, Xt), covariant_slash_exprs(alg, Xt), vert2
+def _lie_trees(alg: Algebroid, S: Semispray, Xt: BaseSection) -> tuple:
+    """The complete lift of Xt, its covariant slash and the trees S(Xt),
+    built once per system, field and section."""
+    along = tuple(sode_derivative_expr(alg, S, c) for c in Xt.components)
+    return complete_lift(alg, Xt), covariant_slash_exprs(alg, Xt), along
 
 
 @np.errstate(all="ignore")
@@ -217,15 +215,15 @@ def lie_symmetry_check(
     symmetry.  Reports the bracket residual, the local PDE residuals, and the
     second-order invariant form; all three must agree in verdict, which the
     test suite asserts on the candidate corpus.  ``N`` is the canonical
-    connection of S when not given, built once per system and field; the
-    trees of the check are built once per system, field, section and
-    connection."""
+    connection of S when not given, built once per system and field.  The
+    check's trees (the lift, the slash and S(Xt)) are built once per system,
+    field and section; nabla^2 of the invariant form is numeric."""
     if not Xt.x_only:
         raise FiberDependenceError("Lie-symmetry candidates must be x-only sections")
     m, n = alg.m, alg.n
     if N is None:
         N = alg.derived(canonical_connection, S)
-    lift, slash, vert2 = alg.derived(_lie_trees, S, Xt, N)
+    lift, slash, along = alg.derived(_lie_trees, S, Xt)
     dyn = dynamical_symmetry_check(alg, S, lift, ev, tol)
 
     y = ev.values[:, n:]
@@ -252,8 +250,7 @@ def lie_symmetry_check(
             for a in range(m)
         )
         pde2.append(term1 - term2 + term3 - term4)
-    R = jacobi_endomorphism(alg, S, N, ev)
-    second_order = ev.values_of(vert2) + (np.swapaxes(R, -1, -2) @ xt_vals[..., None])[..., 0]
+    second_order = _invariant_form(alg, S, N, ev, Xt.components, along, vertical=True)
     pde1_max = sweep_max("lie pde_fiber", ev, np.abs(np.stack(pde1, axis=-1)))
     pde2_max = sweep_max("lie pde_flow", ev, np.abs(np.stack(pde2, axis=-1)))
     second_order_max = sweep_max("lie invariant", ev, np.abs(second_order))

@@ -363,6 +363,23 @@ class TestGeometryCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("box, floor", [(None, "0.1"), ([0.5, 1.0], "0.5")])
+    def test_point_near_the_zero_section_names_the_floor(self, tmp_path, capsys, box, floor):
+        # every |y| below the least lower end of the fiber boxes: the default
+        # box's 0.1, or the configured one's
+        def mutate(raw):
+            if box is not None:
+                raw["samples"]["box"] = {c: box for c in raw["fiber_coords"]}
+
+        path = edited_fixture(tmp_path, mutate)
+        assert main(["geometry", "--config", str(path), "--at", "x=0.5,1,0,y=0.09,-0.05"]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: --at: fiber part too close to the zero section (|y| < {floor})\n"
+        )
+        if box is not None:  # 0.4 is above the default floor, below this one
+            assert main(["geometry", "--config", str(path), "--at", "x=0.5,1,0,y=0.4,-0.3"]) == 2
+            assert capsys.readouterr().err.endswith(f"(|y| < {floor})\n")
+
     def test_dimension_mismatch_rejected(self, tmp_path, capsys):
         code = main(
             ["geometry", "--config", str(fixture_path(tmp_path)), "--at", "x=1,2,y=1,2"]

@@ -18,13 +18,11 @@ from algmech.connection import (
     horizontal_basis_exprs,
     jacobi_endomorphism,
     jacobi_from_bracket,
-    nabla_horizontal_coeffs,
     nabla_tensor,
-    nabla_vertical_coeffs,
     v_tensor,
 )
 from algmech.config import parse_config
-from algmech.expr import e_add, e_mul, e_sum, parse_expression
+from algmech.expr import e_add, e_mul, e_neg, e_sum, parse_expression
 from algmech.jets import EvalPoint
 from algmech.prolongation import (
     ProlongationSection,
@@ -34,6 +32,7 @@ from algmech.prolongation import (
     directional_derivative,
     euler_section,
     j_tensor,
+    sode_derivative_expr,
 )
 from algmech.sampling import sample_points
 
@@ -96,6 +95,28 @@ def arbitrary_connection(cfg) -> Connection:
             row.append(parse_expression(src, alg.coords))
         rows.append(tuple(row))
     return Connection(tuple(rows), canonical=False)
+
+
+def nabla_horizontal_coeffs(alg, S, N, comps):
+    """Reference trees of nabla on the horizontal frame,
+    S(c^a) + (N_b^a + y^e L_eb^a) c^b, which can be applied twice."""
+    tw, r = alg.twisted_structure, range(alg.m)
+    return tuple(
+        e_sum([sode_derivative_expr(alg, S, comps[a])]
+              + [e_mul(e_add(N.coeffs[b][a], tw[b][a]), comps[b]) for b in r])
+        for a in r
+    )
+
+
+def nabla_vertical_coeffs(alg, S, N, comps):
+    """Reference trees on the vertical frame, S(w^a) - (N_b^a + dS^a/dy^b) w^b."""
+    dS, y, r = alg.derivative, alg.fiber_coords, range(alg.m)
+    return tuple(
+        e_sum([sode_derivative_expr(alg, S, comps[a])]
+              + [e_neg(e_mul(e_add(N.coeffs[b][a], dS(S.components[a], y[b])), comps[b]))
+                 for b in r])
+        for a in r
+    )
 
 
 def random_sections(cfg, count=10):
@@ -532,17 +553,48 @@ class TestNabla:
             nabla = CovariantDerivative(alg, S, N, batch)
             for A in sections:
                 x, v = nabla(A)
-                hor = nabla.horizontal(A)
+                hor = nabla.horizontal(A.x_comps)
                 for i, p in enumerate(samples):
                     at_p = CovariantDerivative(alg, S, N, alg.evaluator(p))
                     px, pv = at_p(A)
                     assert x[i].tobytes() == px.tobytes() and v[i].tobytes() == pv.tobytes()
-                    assert hor[i].tobytes() == at_p.horizontal(A).tobytes() == px.tobytes()
+                    assert hor[i].tobytes() == at_p.horizontal(A.x_comps).tobytes() == px.tobytes()
+
+    @pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg", "forced", "rank3"])
+    def test_numeric_nabla_twice_is_the_tree_builders_applied_twice(self, request, name):
+        """nabla^2 by the product rule (CovariantDerivative.twice) equals the
+        reference trees applied twice, on both frames, at a point and over a
+        batch, for the canonical and an arbitrary connection."""
+        if name == "rank3":
+            cfg = parse_config(rank3.RAW)
+            N_arb = rank3._arbitrary(cfg)
+        else:
+            cfg = request.getfixturevalue(name)
+            N_arb = arbitrary_connection(cfg)
+        alg, S = cfg.algebroid, cfg.semispray()
+        samples = pts(cfg, 5, seed=107)
+        batch = alg.sample_evaluator(samples)
+        for N in (cfg.connection(), N_arb):
+            for A in random_sections(cfg, 3):
+                for comps, vertical, build in (
+                    (A.x_comps, False, nabla_horizontal_coeffs),
+                    (A.v_comps, True, nabla_vertical_coeffs),
+                ):
+                    want_trees = build(alg, S, N, build(alg, S, N, comps))
+                    along = tuple(sode_derivative_expr(alg, S, c) for c in comps)
+                    got = CovariantDerivative(alg, S, N, batch).twice(comps, along, vertical)
+                    want = batch.values_of(want_trees)
+                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+                    for i, p in enumerate(samples):
+                        ev = alg.evaluator(p)
+                        at_p = CovariantDerivative(alg, S, N, ev).twice(comps, along, vertical)
+                        want = ev.values_of(want_trees)
+                        assert np.all(np.abs(at_p - want) <= 1e-12 * (1.0 + np.abs(want)))
+                        assert at_p.tobytes() == got[i].tobytes()
 
     def test_second_order_builders_start_with_the_numeric_nabla(self, all_systems):
-        """The trees that invariant_equation_residual and lie_symmetry_check
-        apply twice give, applied once, the numeric nabla: the horizontal
-        builder on x, the vertical one on w = v + N^T x."""
+        """The reference trees of nabla^2 give, applied once, the numeric
+        nabla: the horizontal builder on x, the vertical one on w = v + N^T x."""
         for cfg in all_systems:
             alg, S, m = cfg.algebroid, cfg.semispray(), cfg.algebroid.m
             for N in (cfg.connection(), arbitrary_connection(cfg)):

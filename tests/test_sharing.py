@@ -19,6 +19,7 @@ import pytest
 
 import algmech.algebroid
 import algmech.config
+import algmech.connection
 import algmech.symmetry
 from algmech.cli import main
 from algmech.report import build_report
@@ -28,8 +29,8 @@ from algmech.expr import (
 )
 from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs
-from algmech.prolongation import directional_derivative, sode_derivative_expr, sode_flow
-from algmech.symmetry import lie_symmetry_check, newtonoid_check
+from algmech.prolongation import complete_lift, directional_derivative, sode_derivative_expr, sode_flow
+from algmech.symmetry import invariant_equation_residual, lie_symmetry_check, newtonoid_check
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -80,6 +81,9 @@ def test_sode_derivative_of_a_constant_is_zero_without_a_memo_entry(driftless):
     alg = driftless.algebroid
     before = len(alg._derivatives)
     assert sode_derivative_expr(alg, driftless.semispray(), Num(3.0)) is ZERO
+    flow = iter(sode_flow(alg, driftless.semispray()))
+    assert alg.derivative_along(Num(3.0), flow) is ZERO
+    assert next(flow)[0] == alg.base_coords[0]  # no pair was read
     assert len(alg._derivatives) == before
 
 
@@ -246,6 +250,47 @@ def test_nabla_builds_no_node(heisenberg, monkeypatch):
     assert not np.array_equal(first, second)
     f_tensor(alg, N).frame_images  # noqa: B018 - another tensor object: new trees
     assert built
+
+
+def test_report_takes_one_covariant_derivative_per_sample_evaluator(tmp_path, capsys, monkeypatch):
+    """The Jacobi endomorphism, nabla J, the Newtonoid projection and both
+    invariant forms share the one CovariantDerivative of their evaluator:
+    a report makes two, one per sample evaluator."""
+    made = []
+    real = algmech.connection.CovariantDerivative.__init__
+
+    def recording(self, alg, S, N, ev):
+        made.append(ev)
+        real(self, alg, S, N, ev)
+
+    monkeypatch.setattr(algmech.connection.CovariantDerivative, "__init__", recording)
+    path = fixture_file(tmp_path, "heisenberg")
+    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("check", ["lie", "invariant"])
+def test_second_covariant_derivative_builds_no_nabla_tree(monkeypatch, check):
+    """nabla^2 is numeric: on a dense rank-6 system whose connection exists,
+    a first Lie check of a base section, or a first invariant residual of
+    its complete lift, builds at most 10 m nodes (the S(c) trees, the lift
+    and the slash), where applying nabla-coefficient trees twice built
+    thousands."""
+    m = 6
+    raw = synth.system("dense", m, 20261018)
+    components = ["sin(x2)", "x1*x3"] + ["1"] * (m - 2)
+    raw["candidates"].append({"kind": "base_section", "name": "t", "components": components})
+    cfg = algmech.config.parse_config(raw)
+    alg, S, N = cfg.algebroid, cfg.semispray(), cfg.connection()
+    Xt = cfg.candidates[-1].base
+    points = cfg.sample_points()
+    A = complete_lift(alg, Xt)
+    built = count_built_nodes(monkeypatch)
+    if check == "lie":
+        lie_symmetry_check(alg, S, Xt, alg.sample_evaluator(points), 1e-9, N)
+    else:
+        invariant_equation_residual(alg, S, A, alg.evaluator(points[0]), N)
+    assert 0 < len(built) <= 10 * m
 
 
 def test_report_sweeps_share_one_sample_evaluator(tmp_path, capsys, monkeypatch):

@@ -152,6 +152,16 @@ class TestInvariantEquation:
                 _, bv = bracket(alg, Ssec, A, ev)
                 assert np.max(np.abs(res - bv)) <= 1e-8
 
+    def test_batch_rows_are_the_point_bits(self, all_systems):
+        for cfg in all_systems:
+            alg, S = cfg.algebroid, cfg.semispray()
+            xs = [expr(cfg, f"{x}*{y}") for x, y in zip(alg.base_coords, alg.fiber_coords)]
+            A = newtonoid_completion(alg, S, xs)
+            samples = pts(cfg, 4, seed=11)
+            got = invariant_equation_residual(alg, S, A, alg.sample_evaluator(samples))
+            for row, p in zip(got, samples):
+                assert row.tobytes() == invariant_equation_residual(alg, S, A, alg.evaluator(p)).tobytes()
+
     def test_flat_free_particle(self, abelian):
         alg = abelian.algebroid
         S = abelian.semispray()
