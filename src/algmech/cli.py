@@ -199,6 +199,8 @@ def cmd_integrate(args) -> int:
         raise ConfigError("--dt", "must be a positive finite number")
     if args.steps < 1:
         raise ConfigError("--steps", "must be at least 1")
+    if not math.isfinite(args.steps * args.dt):
+        raise ConfigError("--dt", "the last time, --steps times --dt, must be finite")
     try:
         traj = integrate_sode(
             alg, cfg.semispray(), x0, y0, args.dt, args.steps, lagrangian=cfg.lagrangian

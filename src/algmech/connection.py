@@ -287,8 +287,7 @@ class CovariantDerivative:
 
     def _along(self, comps: Sequence[Expr]) -> np.ndarray:
         """S(c) for each tree c of ``comps``, stacked on the last axis."""
-        dd = directional_derivative
-        return np.stack([dd(self.alg, self.ev, self.y, self.s, c) for c in comps], axis=-1)
+        return directional_derivative(self.alg, self.ev, self.y, self.s, comps)
 
     @cached_property
     def ver_terms(self) -> tuple[np.ndarray, np.ndarray]:

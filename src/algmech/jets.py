@@ -36,14 +36,18 @@ gradients, and hands out (P,) values and first-order jets.  Every sweep
 takes the one its caller holds
 (:meth:`~algmech.algebroid.Algebroid.sample_evaluator`).
 
-:class:`ValueKernel` compiles a fixed tuple of trees once into straight-line
-Python that returns their values, bit for bit those of ``value``, at any
-point, for value-only evaluation at many points (the RK4 right-hand side and
-energy): about 10 us per unique node to compile, then a few hundred ns per
-call.  A point, a batch and a kernel get the same bits for every node kind,
-solves included.  Integer powers come from one routine, :func:`int_power`,
-so their cost grows with log2 of the exponent; a kernel writes its products
-out for exponents up to 3 in size.
+:class:`Lowering` is the one lowering of trees to straight-line Python:
+one statement per unique inner node, each the walker's own float operation,
+so compiled code gets ``value``'s bits, bit for bit, at any point.  Two
+things are built on it.  :class:`ValueKernel` compiles a fixed tuple of
+trees once into a function of the coordinate values: about 10 us per unique
+node to compile, then a few hundred ns per call.  The RK4 loop of
+:func:`~algmech.lagrangian.integrate_sode` inlines the statements of the
+flow four times per step, and those of the energy once, into one compiled
+loop over every step.  A point, a batch and compiled code get the same bits
+for every node kind, solves included.  Integer powers come from one routine,
+:func:`int_power`, so their cost grows with log2 of the exponent; compiled
+code writes its products out for exponents up to 3 in size.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ from .errors import EvaluationDomainError, SingularMetricError
 from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Solve, System, Var, literal_value, postorder
 
 __all__ = [
-    "Jet2", "EvalPoint", "Evaluator", "PointEvaluator", "SampleEvaluator", "ValueKernel",
-    "eval_jet", "finite_difference_jet", "int_power", "inverse",
+    "Jet2", "EvalPoint", "Evaluator", "Lowering", "PointEvaluator", "SampleEvaluator",
+    "ValueKernel", "eval_jet", "finite_difference_jet", "int_power", "inverse",
 ]
 
 
@@ -634,48 +638,53 @@ def _kernel_power(a: str, b: str, k: int | None) -> str:
     return f"power({a}, {b}, {k!r})"
 
 
-class ValueKernel:
-    """Values of a fixed tuple of trees, compiled once and then called at
-    many points: ``kernel(values)`` returns one float per tree, for
-    ``values`` in the order of ``names``.
+class Lowering:
+    """The one lowering of trees to straight-line Python, shared by
+    :class:`ValueKernel` and the RK4 loop of
+    :func:`~algmech.lagrangian.integrate_sode`.
 
-    The unique nodes the trees reach are lowered, in the post-order that
-    :meth:`PointEvaluator.value` walks and memoised by identity as it is, to
-    one straight-line function with one statement per node (Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed., 2008, ch. 3).  Each statement is the
-    walker's own float operation, so every value is the walker's bit for
-    bit.  Constants are names bound in the function's globals, never printed.
-    The kernel formats no errors: when a math error escapes it (as one does
-    for a solve's matrix without an inverse), the trees are walked again at
-    the same values, which raises the error that names the fault, and the
-    point as the :class:`EvalPoint` whose ``x`` are the first ``n`` values
-    (a domain error gets ``at <point>`` appended, as a batch's does)."""
+    ``lowering(trees, inputs)`` returns the statements that compute the
+    trees, one per unique inner node in the post-order that
+    :meth:`PointEvaluator.value` walks and memoised by identity as it is
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3), and
+    the name that holds each tree's value.  Each statement is the walker's
+    own float operation, so every value is the walker's bit for bit.  A
+    ``Var`` is the local named in ``inputs`` for its coordinate and has no
+    statement; a ``Num`` is a name bound once in :attr:`env` (the compiled
+    code's globals), shared by every call, and never printed.  Inner nodes
+    are ``_<i>`` locals, which a later call reuses."""
 
-    __slots__ = ("names", "n", "trees", "source", "_run")
+    __slots__ = ("index", "env", "_consts")
 
-    def __init__(self, names: Sequence[str], trees: Sequence[Expr], n: int):
-        self.names, self.n = tuple(names), n
-        self.trees = tuple(trees)  # keeps every node, hence its id, alive
-        index = {name: i for i, name in enumerate(self.names)}
-        env: dict = {"power": _power, "dot": _dot, "inverse": _kernel_inverse}
+    def __init__(self, names: Sequence[str]):
+        self.index = {name: i for i, name in enumerate(names)}
+        self.env: dict = {"power": _power, "dot": _dot, "inverse": _kernel_inverse}
+        self._consts: dict[int, tuple[Num, str]] = {}  # id -> (the Num, its name in env)
+
+    def __call__(self, trees: Sequence[Expr], inputs: Sequence[str]) -> tuple[list[str], list[str]]:
+        env, consts = self.env, self._consts
         slot: dict[int, str] = {}
         inverses: dict[int, str] = {}  # id of a solve's matrix -> its inverse's name
-        lines = ["def kernel(v):"]
-        for t in self.trees:
-            for e in postorder(t, slot):
-                name = slot[id(e)] = f"_{len(slot)}"
+        lines: list[str] = []
+        for tree in trees:
+            for e in postorder(tree, slot):
                 t = type(e)
+                if t is Var:
+                    slot[id(e)] = inputs[self.index[e.name]]
+                    continue
+                if t is Num:
+                    if id(e) not in consts:
+                        consts[id(e)] = (e, f"c_{len(consts)}")
+                        env[consts[id(e)][1]] = e.value
+                    slot[id(e)] = consts[id(e)][1]
+                    continue
+                name = slot[id(e)] = f"_{len(lines)}"
                 if t is BinOp:
                     a, b = slot[id(e.left)], slot[id(e.right)]
                     if e.op == "^":
                         rhs = _kernel_power(a, b, _integer_exponent(e))
                     else:
                         rhs = f"{a} {e.op} {b}"
-                elif t is Num:
-                    rhs = f"c{name}"
-                    env[rhs] = e.value
-                elif t is Var:
-                    rhs = f"v[{index[e.name]}]"
                 elif t is Neg:
                     rhs = f"-{slot[id(e.operand)]}"
                 elif t is Solve:
@@ -685,17 +694,52 @@ class ValueKernel:
                     if inv is None:
                         inv = inverses[id(e.matrix)] = f"inv{name}"
                         g = ", ".join(slot[id(x)] for x in e.operands[: -len(e.rhs)])
-                        lines.append(f"    {inv} = inverse({len(e.rhs)}, {g})")
+                        lines.append(f"{inv} = inverse({len(e.rhs)}, {g})")
                     b = ", ".join(slot[id(x)] for x in e.rhs)
                     rhs = f"[dot(row, ({b},)) for row in {inv}]"
                 else:
                     env[f"f_{e.func}"] = FUNCTIONS[e.func].f
                     rhs = f"f_{e.func}({slot[id(e.operand)]})"
-                lines.append(f"    {name} = {rhs}")
-        lines.append(f"    return [{', '.join(slot[id(t)] for t in self.trees)}]")
-        self.source = "\n".join(lines) + "\n"
-        exec(compile(self.source, "<value kernel>", "exec"), env)
-        self._run = env["kernel"]
+                lines.append(f"{name} = {rhs}")
+        return lines, [slot[id(t)] for t in trees]
+
+    def compile(self, source: str, name: str):
+        """The function ``name`` that ``source`` defines, run in :attr:`env`."""
+        exec(compile(source, f"<{name}>", "exec"), self.env)
+        return self.env[name]
+
+
+class ValueKernel:
+    """Values of a fixed tuple of trees, compiled once and then called at
+    many points: ``kernel(values)`` returns one float per tree, for
+    ``values`` in the order of ``names``.
+
+    The trees are lowered by :class:`Lowering` to one straight-line function,
+    which unpacks ``values`` into one local per coordinate and runs one
+    statement per unique inner node, so every value is the walker's bit for
+    bit.  The kernel formats no errors: when a math error escapes it (as one
+    does for a solve's matrix without an inverse), the trees are walked
+    again at the same values, which raises the error that names the fault,
+    and the point as the :class:`EvalPoint` whose ``x`` are the first ``n``
+    values (a domain error gets ``at <point>`` appended, as a batch's does)."""
+
+    __slots__ = ("names", "n", "trees", "source", "_run")
+
+    def __init__(self, names: Sequence[str], trees: Sequence[Expr], n: int):
+        self.names, self.n = tuple(names), n
+        self.trees = tuple(trees)  # keeps every node, hence its id, alive
+        lower = Lowering(self.names)
+        inputs = [f"v{i}" for i in range(len(self.names))]
+        body, out = lower(self.trees, inputs)
+        self.source = "".join(
+            [
+                "def kernel(v):\n",
+                f"    ({''.join(f'{i}, ' for i in inputs)}) = v\n",
+                *(f"    {line}\n" for line in body),
+                f"    return [{', '.join(out)}]\n",
+            ]
+        )
+        self._run = lower.compile(self.source, "kernel")
 
     def __call__(self, values: Sequence[float]) -> list[float]:
         try:

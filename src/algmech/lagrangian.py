@@ -31,7 +31,7 @@ import numpy as np
 from .algebroid import Algebroid
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
-from .jets import PointEvaluator, SampleEvaluator, ValueKernel, inverse
+from .jets import Lowering, PointEvaluator, SampleEvaluator, ValueKernel, inverse
 from .prolongation import ProlongationSection, Semispray, directional_derivative, sode_flow
 
 __all__ = [
@@ -192,7 +192,7 @@ def symplectic_residual(
     """omega(S, A) + dE(A); vanishes for the canonical field, any A."""
     pairing = cartan_two_section(alg, L, S.section(alg), A, ev)
     ax, av = A.values_at(ev)
-    return pairing + directional_derivative(alg, ev, ax, av, L.energy_expr)
+    return pairing + directional_derivative(alg, ev, ax, av, (L.energy_expr,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +231,61 @@ class Trajectory:
         return float(np.max(np.abs(np.array(self.energy) - self.energy[0])))
 
 
+def _rk4_loop(names: Sequence[str], flow: tuple[Expr, ...], energy: tuple[Expr, ...], n: int):
+    """The RK4 run of :func:`integrate_sode` as one compiled function
+    ``run(traj, k, state, steps, dt)``: from ``state``, the state after
+    ``k`` steps, it records row 0 if ``traj`` has none, then steps to
+    ``steps``, appending each row to ``traj``, and returns ``(steps, None)``.
+
+    The state is held in locals, and each step inlines :class:`Lowering`'s
+    statements of ``flow`` once per stage and those of ``energy`` (empty, or
+    the energy tree) once, with the float operations of the per-stage
+    kernels in their order.  On a math error, or a state or energy that is
+    not finite, it appends nothing more and returns ``(k, start state)`` of
+    the step (of row 0 if ``traj`` has none)."""
+    lower, K = Lowering(names), len(names)
+    s, z, new = ([f"{p}{i}" for i in range(K)] for p in "szn")
+    stop = f"return k, [{', '.join(s)}]"
+
+    def tup(items: list[str]) -> str:  # a tuple display, of one item too
+        return f"({''.join(f'{v}, ' for v in items)})"
+
+    def record(state: list[str], t: str) -> list[str]:
+        lines = [f"if not ({' and '.join(f'isfinite({v})' for v in state)}): {stop}"]
+        if energy:
+            body, (e,) = lower(energy, state)
+            lines += [*body, f"if not isfinite({e}): {stop}", f"add_e({e})"]
+        return lines + [f"add_t({t})", f"add_s(({tup(state[:n])}, {tup(state[n:])}))"]
+
+    step, inputs = [], s
+    for j, scale in enumerate(("half", "half", "dt", None), 1):  # stage j's slopes k{j}_i
+        body, out = lower(flow, inputs)
+        step += body + [f"k{j}_{i} = {v}" for i, v in enumerate(out)]
+        if scale:  # the next stage's inputs
+            step += [f"z{i} = s{i} + {scale} * k{j}_{i}" for i in range(K)]
+        inputs = z
+    rk4 = "s{0} + sixth * (((k1_{0} + 2.0 * k2_{0}) + 2.0 * k3_{0}) + k4_{0})"
+    step += [f"n{i} = {rk4.format(i)}" for i in range(K)]
+    step += [*record(new, "(k + 1) * dt"), f"{tup(s)} = {tup(new)}"]
+    lines = [
+        "def run(traj, k, state, steps, dt):",
+        "    half, sixth = 0.5 * dt, dt / 6.0",
+        "    add_t, add_s, add_e = traj.times.append, traj.states.append, traj.energy.append"
+        if energy else "    add_t, add_s = traj.times.append, traj.states.append",
+        f"    {tup(s)} = state",
+        "    try:",
+        "        if not traj.times:",
+        *(f"            {line}" for line in record(s, "0.0")),
+        "        for k in range(k, steps):",
+        *(f"            {line}" for line in step),
+        "    except (ValueError, ZeroDivisionError, OverflowError):",
+        f"        {stop}",
+        "    return steps, None",
+    ]
+    lower.env["isfinite"] = math.isfinite
+    return lower.compile("\n".join(lines) + "\n", "run")
+
+
 def integrate_sode(
     alg: Algebroid,
     S: Semispray,
@@ -243,23 +298,53 @@ def integrate_sode(
     """Classical fixed-step RK4 for dx = sigma(x) y dt, dy = S(x, y) dt.
 
     The right-hand side is the anchored flow of S, :func:`sode_flow`'s trees
-    (sigma y included), compiled once into a :class:`ValueKernel`; a step
-    runs that kernel four times and combines the stages in plain float
-    arithmetic, with no numpy call.  The step is fixed (no adaptivity) so
-    repeated runs are byte-identical.  A domain error, a singular fiber
-    metric, or a state or energy that is not finite, aborts with
-    :class:`IntegrationAbortError` carrying the trajectory up to the last
-    finite step.
+    (sigma y included).  The whole run is one compiled loop (``_rk4_loop``):
+    the state lives in locals and every step inlines the flow's straight-line
+    statements once per stage and the energy's once, then combines the
+    stages in plain float arithmetic, as per-stage :class:`ValueKernel` calls
+    would, bit for bit.  A step runs no numpy call unless S solves with a
+    fiber metric that is not constant: that solve's inverse is
+    :func:`~algmech.jets.inverse`, which calls LAPACK.  The step is fixed (no
+    adaptivity) so repeated runs are byte-identical.
+
+    A domain error, a singular fiber metric, or a state or energy that is
+    not finite, aborts with :class:`IntegrationAbortError` carrying the
+    trajectory up to the last finite step: the loop stops before the row
+    that faults, and that one step is replayed through per-stage
+    :class:`ValueKernel` calls and the state and energy checks, which raise
+    the error that names the fault.  ``steps * dt`` must be finite, so every
+    time is.
     """
     if dt <= 0.0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
+    if not math.isfinite(steps * dt):
+        raise ValueError("steps * dt must be finite")
     n, m = alg.n, alg.m
     state = [float(v) for v in (*x0, *y0)]
     if len(state) != n + m:
         raise ValueError("initial condition has wrong dimension")
-    rhs = ValueKernel(alg.coords, tuple(v for _, v in sode_flow(alg, S)), n)
-    energy_at = None if lagrangian is None else ValueKernel(alg.coords, (lagrangian.energy_expr,), n)
+    flow = tuple(v for _, v in sode_flow(alg, S))
+    energy = () if lagrangian is None else (lagrangian.energy_expr,)
+    run = _rk4_loop(alg.coords, flow, energy, n)
     traj = Trajectory([], [], [] if lagrangian is not None else None)
+    k = 0
+    while True:
+        k, state = run(traj, k, state, steps, dt)
+        if k == steps:
+            return traj
+        try:
+            k, state = _replay(alg, flow, energy, traj, k, state, dt)
+        except (EvaluationDomainError, SingularMetricError) as err:
+            raise IntegrationAbortError(str(err), traj) from err
+
+
+def _replay(alg: Algebroid, flow, energy, traj: Trajectory, k: int, state: list[float], dt: float):
+    """The row the loop stopped before, through the checked path: row 0 of
+    ``state`` for an empty ``traj``, else step ``k`` from ``state``, with
+    one :class:`ValueKernel` call per stage; returns the next ``(k,
+    state)``.  A fault raises its error here."""
+    n = alg.n
+    energy_at = ValueKernel(alg.coords, energy, n) if energy else None
 
     def record(t: float, z: list[float]) -> None:
         if not all(map(math.isfinite, z)):
@@ -272,22 +357,21 @@ def integrate_sode(
         traj.times.append(t)
         traj.states.append((tuple(z[:n]), tuple(z[n:])))
 
-    half, sixth = 0.5 * dt, dt / 6.0
-    try:
+    if not traj.times:
         record(0.0, state)
-        for k in range(steps):
-            k1 = rhs(state)
-            k2 = rhs([s + half * d for s, d in zip(state, k1)])
-            k3 = rhs([s + half * d for s, d in zip(state, k2)])
-            k4 = rhs([s + dt * d for s, d in zip(state, k3)])
-            state = [
-                s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-            ]
-            record((k + 1) * dt, state)
-    except (EvaluationDomainError, SingularMetricError) as err:
-        raise IntegrationAbortError(str(err), traj) from err
-    return traj
+        return k, state
+    rhs = ValueKernel(alg.coords, flow, n)
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = rhs(state)
+    k2 = rhs([s + half * d for s, d in zip(state, k1)])
+    k3 = rhs([s + half * d for s, d in zip(state, k2)])
+    k4 = rhs([s + dt * d for s, d in zip(state, k3)])
+    state = [
+        s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
+    record((k + 1) * dt, state)
+    return k + 1, state
 
 
 def euler_lagrange_residual(

@@ -31,6 +31,13 @@ batch evaluator applies ``math``'s elementary functions per element (numpy's
 ``exp`` and ``log`` differ from them on some inputs on x86-64 with AVX-512;
 ``sin``, ``cos`` and ``sqrt`` matched).  :func:`spray_test` sweeps the
 samples of the evaluator its caller passes this way.
+
+The derivations are stacked over trees as well as samples:
+:func:`directional_derivative` takes a tuple of trees and reads their
+anchored gradients as one (C, ..., m) stack, whose (1, m) @ (m, 1) slices
+are the same BLAS dots a call per tree makes.  A bracket is one such call
+per side over all 2m components, and a covariant derivative one per tuple
+of components.
 """
 
 from __future__ import annotations
@@ -179,9 +186,12 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
 # ---------------------------------------------------------------------------
 
 
-def directional_derivative(alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np.ndarray, f: Expr):
-    """sigma1(A)(f) with A given by component values ax, av: a float at the
-    point of a :class:`PointEvaluator`, a (P,) array over the samples of a
+def directional_derivative(
+    alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np.ndarray, fs: Sequence[Expr]
+) -> np.ndarray:
+    """sigma1(A)(f) for each tree f of ``fs``, stacked on the last axis, with
+    A given by component values ax, av: a (C,) array at the point of a
+    :class:`PointEvaluator`, (P, C) over the samples of a
     :class:`SampleEvaluator` (ax, av then carry the sample axis first).
 
     The one directional derivative of the package: brackets, Lie derivatives,
@@ -189,37 +199,42 @@ def directional_derivative(alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np
     derivative (:class:`~algmech.connection.CovariantDerivative`, with ax = y
     and av = the values of S), which serves nabla T, the Newtonoid projection
     and the S(N) term of the Jacobi endomorphism, all go through here.  A
-    constant ``f`` (such as a component of a frame section) is answered 0
-    without evaluation; the gradient parts of any other ``f`` are taken once
-    per evaluator (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`).
+    constant ``f`` (such as a component of a frame section) is answered an
+    exact 0 without evaluation; the gradient parts of any other ``f`` are
+    taken once per evaluator
+    (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`) and stacked into
+    (C, ..., m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``.
 
-    One formula serves a point and a batch: numpy's stacked ``matmul`` hands
-    every slice to the BLAS call that the unstacked product makes, so each
-    sample gets the bits of a single-point call.  (An elementwise product
-    summed with ``np.sum`` would not: BLAS's short dot is a chain of fused
-    multiply-adds.)
+    One formula serves a point, a batch and any number of trees: numpy's
+    stacked ``matmul`` hands every (1, m) @ (m, 1) slice to the unit-stride
+    BLAS dot that a single product makes, so each sample and each tree gets
+    the bits of a single-point, single-tree call.  (An elementwise product
+    summed with ``np.sum`` would not, since BLAS's short dot is a chain of
+    fused multiply-adds, and neither would the matrix-vector product Gx @ ax,
+    another BLAS call.)
     """
-    if isinstance(f, Num):
-        return np.zeros(np.shape(ax)[:-1])[()]  # a scalar 0.0 at a point, (P,) zeros
-    gx, gy = alg.anchored_gradient(ev, f)
-    return inner(ax, gx) + inner(av, gy)
+    out = np.zeros((len(fs), *np.shape(ax)[:-1]))  # the tree axis first, until the return
+    live = [c for c, f in enumerate(fs) if not isinstance(f, Num)]
+    if live:
+        gx, gy = zip(*(alg.anchored_gradient(ev, fs[c]) for c in live))
+        out[live] = inner(ax, np.array(gx)) + inner(av, np.array(gy))
+    return out.T.copy()
 
 
 def bracket(
     alg: Algebroid, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Components of [A, B] at the evaluator's point, or over its samples
-    with the sample axis first."""
-    L = alg.structure_at(ev)
+    with the sample axis first; each side's 2m derivations are one stacked
+    :func:`directional_derivative`."""
+    m, L = alg.m, alg.structure_at(ev)
     ax, av = A.values_at(ev)
     bx, bv = B.values_at(ev)
+    dB = directional_derivative(alg, ev, ax, av, B.x_comps + B.v_comps)
+    dA = directional_derivative(alg, ev, bx, bv, A.x_comps + A.v_comps)
     x_part = np.einsum("...a,...b,...abg->...g", ax, bx, L)
-    v_part = np.zeros_like(x_part)
-    d = directional_derivative
-    for g in range(alg.m):
-        x_part[..., g] += d(alg, ev, ax, av, B.x_comps[g]) - d(alg, ev, bx, bv, A.x_comps[g])
-        v_part[..., g] = d(alg, ev, ax, av, B.v_comps[g]) - d(alg, ev, bx, bv, A.v_comps[g])
-    return x_part, v_part
+    x_part += dB[..., :m] - dA[..., :m]
+    return x_part, dB[..., m:] - dA[..., m:]
 
 
 # ---------------------------------------------------------------------------

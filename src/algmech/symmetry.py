@@ -280,20 +280,19 @@ def cartan_symmetry_check(
 ) -> SymmetryVerdict:
     """Invariance of the symplectic two-section and of the energy along A:
     the two-section part is the max over frame pairs r < c of
-    |(L_A omega)(B_r, B_c)|, with the brackets [A, B_k] stacked."""
+    |(L_A omega)(B_r, B_c)|, with the brackets [A, B_k] stacked and A(W_rc),
+    A(E) one stacked directional derivative."""
     ax, av = A.values_at(ev)
     W_exprs, W = cartan_pairing_exprs(alg, L), cartan_pairing(alg, L, ev)
     brk = [np.concatenate(bracket(alg, A, B, ev), axis=-1) for B in basis_sections(alg.m)]
+    pairs = [(r, c) for r in range(len(brk)) for c in range(r + 1, len(brk))]
+    trees = [*(W_exprs[r][c] for r, c in pairs), L.energy_expr]
+    dW = directional_derivative(alg, ev, ax, av, trees)
     two = [
-        np.abs(
-            directional_derivative(alg, ev, ax, av, W_exprs[r][c])
-            - inner(brk[r], W[..., :, c])
-            - inner(W[..., r, :], brk[c])
-        )
-        for r in range(len(brk))
-        for c in range(r + 1, len(brk))
+        np.abs(dW[..., j] - inner(brk[r], W[..., :, c]) - inner(W[..., r, :], brk[c]))
+        for j, (r, c) in enumerate(pairs)
     ]
-    energy = np.abs(directional_derivative(alg, ev, ax, av, L.energy_expr))
+    energy = np.abs(dW[..., -1])
     res = np.stack([np.max(two, axis=0, initial=0.0), energy], axis=-1)
     two_max = sweep_max("cartan two-section", ev, res[:, 0])
     energy_max = sweep_max("cartan energy", ev, res[:, 1])
@@ -319,7 +318,7 @@ def conservation_check(
 ) -> ConservedQuantity:
     """Constancy of f along the dynamics: S(f) = 0 on the sample set."""
     ax, av = S.section(alg).values_at(ev)
-    sdot = directional_derivative(alg, ev, ax, av, f)
+    sdot = directional_derivative(alg, ev, ax, av, (f,))[..., 0]
     worst = sweep_max("conservation", ev, np.abs(sdot))
     return ConservedQuantity(
         expr=f,
@@ -353,10 +352,11 @@ def conserved_from_cartan(
     ax, av = A.values_at(ev)
     theta_vals = ev.values_of(L.dy)
     df = np.concatenate(alg.anchored_gradient(ev, f), axis=-1)  # (d f)(B) over the frame sections
+    d_theta = directional_derivative(alg, ev, ax, av, theta_trees)
     res = []
     for k, B in enumerate(basis_sections(m)):
         bx, _ = bracket(alg, A, B, ev)
-        lie_theta = directional_derivative(alg, ev, ax, av, theta_trees[k]) - inner(theta_vals, bx)
+        lie_theta = d_theta[..., k] - inner(theta_vals, bx)
         res.append(np.abs(lie_theta - df[:, k]))
     worst = sweep_max("exactness witness", ev, np.stack(res, axis=-1))
     if worst > tol:

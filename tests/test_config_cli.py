@@ -823,6 +823,16 @@ class TestBadArguments:
         assert flag in self.usage_error(capsys, argv)
         assert not (tmp_path / "t.csv").exists()
 
+    def test_last_time_that_is_not_finite(self, tmp_path, capsys):
+        # on abelian from rest the state stays finite, but 3 * 1e308 overflows
+        out = tmp_path / "t.csv"
+        argv = ["integrate", "--config", str(fixture_path(tmp_path, "abelian")), "--x0=0.1,0.2"]
+        argv += ["--y0=0,0", "--dt", "1e308", "--steps", "3", "--output", str(out)]
+        assert self.usage_error(capsys, argv) == (
+            "config error: --dt: the last time, --steps times --dt, must be finite"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "config_value,flag",
         [

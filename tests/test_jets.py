@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algmech.errors import EvaluationDomainError
-from algmech.expr import FUNCTIONS, differentiate, parse_expression, to_source
+from algmech.expr import FUNCTIONS, differentiate, parse_expression, postorder, to_source
 from algmech.jets import PointEvaluator, eval_jet, finite_difference_jet, int_power
 from algmech.sampling import SplitMix64
 
@@ -461,16 +461,28 @@ def test_kernel_equals_walker_on_random_trees(tree, values):
     assert _outcome(lambda: kernel(values)) == walker
 
 
+def _inner_nodes(*roots) -> int:
+    """The distinct nodes under ``roots`` other than leaves: a kernel writes
+    one statement for each, and none for a ``Var`` or a ``Num``."""
+    seen: set = set()
+    for root in roots:
+        seen.update(id(n) for n in postorder(root, seen) if not isinstance(n, (Var, Num)))
+    return len(seen)
+
+
 def test_kernel_source_has_one_line_per_node():
+    """One statement per inner node, between the header, the line that
+    unpacks the coordinates and the return."""
     power = parse_expression("x1^200000", COORDS)
     kernel = ValueKernel(COORDS, (power,), len(COORDS))
     point = [1.0 + 1e-6, 0.0, 0.0, 0.0]
     assert kernel(point) == [PointEvaluator(COORDS, point).value(power)]
-    assert len(kernel.source.splitlines()) == unique_nodes(power) + 2
+    assert _inner_nodes(power) == unique_nodes(power) - 2
+    assert len(kernel.source.splitlines()) == _inner_nodes(power) + 3
     # 3,000 nested sums: deeper than the recursion limit
     long_sum = parse_expression("+".join(f"{k % 7}*x1" for k in range(3000)), COORDS)
     kernel = ValueKernel(COORDS, (long_sum, power), len(COORDS))
-    assert len(kernel.source.splitlines()) == unique_nodes(long_sum, power) + 2
+    assert len(kernel.source.splitlines()) == _inner_nodes(long_sum, power) + 3
     point = [2.0, 0.0, 0.0, 0.0]
     assert kernel(point)[0] == PointEvaluator(COORDS, point).value(long_sum)
 
@@ -655,7 +667,7 @@ def test_batched_bracket_slices_equal_the_point_call(config):
         out = [np.concatenate(bracket(alg, A, B, ev), axis=-1) for A, B in pairs]
         out.append(jacobi_endomorphism(alg, S, N, ev))
         out += [berwald_derivative(alg, N, f, ev) for f in fs]
-        out += [directional_derivative(alg, ev, *Ssec.values_at(ev), f) for f in fs]
+        out.append(directional_derivative(alg, ev, *Ssec.values_at(ev), fs))
         out.append(spray_homogeneity(alg, S, ev))
         return out
 

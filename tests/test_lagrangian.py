@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from algmech.config import load_config, parse_config
-from algmech.errors import IntegrationAbortError, SingularMetricError, SingularPairingError
+from algmech.errors import (
+    EvaluationDomainError,
+    IntegrationAbortError,
+    SingularMetricError,
+    SingularPairingError,
+)
 from algmech.expr import parse_expression, to_source
-from algmech.jets import EvalPoint, PointEvaluator
+from algmech.jets import EvalPoint, PointEvaluator, ValueKernel
 from algmech.lagrangian import (
     Lagrangian,
     Trajectory,
@@ -488,6 +493,185 @@ class TestIntegration:
         assert lines[0] == "t,x1,x2,x3,u1,u2,E"
         assert len(lines) == 7
         assert float(lines[1].split(",")[-1]) == pytest.approx(0.5, abs=1e-15)
+
+
+def reference_rk4(alg, S, x0, y0, dt, steps, lagrangian=None, calls=None):
+    """RK4 through one :class:`ValueKernel` call per stage and the state and
+    energy checks after each step: the integrator's checked path, kept here
+    as the fused loop's oracle.  ``calls`` gets one entry per stage call."""
+    n = alg.n
+    rhs = ValueKernel(alg.coords, tuple(v for _, v in sode_flow(alg, S)), n)
+    energy = None if lagrangian is None else lagrangian.energy_expr
+    energy_at = None if energy is None else ValueKernel(alg.coords, (energy,), n)
+    traj = Trajectory([], [], [] if lagrangian is not None else None)
+
+    def f(z):
+        if calls is not None:
+            calls.append(len(traj.times))
+        return rhs(z)
+
+    def record(t, z):
+        if not all(map(math.isfinite, z)):
+            raise IntegrationAbortError(f"non-finite state at t = {t!r}", traj)
+        if energy_at is not None:
+            e = energy_at(z)[0]
+            if not math.isfinite(e):
+                raise IntegrationAbortError(f"non-finite energy at t = {t!r}", traj)
+            traj.energy.append(e)
+        traj.times.append(t)
+        traj.states.append((tuple(z[:n]), tuple(z[n:])))
+
+    state = [float(v) for v in (*x0, *y0)]
+    half, sixth = 0.5 * dt, dt / 6.0
+    try:
+        record(0.0, state)
+        for k in range(steps):
+            k1 = f(state)
+            k2 = f([s + half * d for s, d in zip(state, k1)])
+            k3 = f([s + half * d for s, d in zip(state, k2)])
+            k4 = f([s + dt * d for s, d in zip(state, k3)])
+            state = [
+                s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+            ]
+            record((k + 1) * dt, state)
+    except (EvaluationDomainError, SingularMetricError) as err:
+        raise IntegrationAbortError(str(err), traj) from err
+    return traj
+
+
+def rows(traj):
+    """Every number of a trajectory as its exact hex string, row by row."""
+    energy = traj.energy if traj.energy is not None else [None] * len(traj.times)
+    return [
+        [v.hex() for v in (t, *x, *y, *([] if e is None else [e]))]
+        for t, (x, y), e in zip(traj.times, traj.states, energy)
+    ]
+
+
+def outcome(run):
+    """The rows of a finished run, or the message and rows of an abort."""
+    try:
+        return None, rows(run())
+    except IntegrationAbortError as err:
+        return str(err), rows(err.partial)
+
+
+# L = 1/2 exp(sin x1) v1^2 + 1/2 v2^2 + cos(x2): exp, sin and cos in the flow,
+# over a diagonal metric that depends on x (its solve folds to quotients)
+TRIG = {
+    "name": "trig",
+    "base_dim": 2,
+    "fiber_rank": 2,
+    "base_coords": ["x1", "x2"],
+    "fiber_coords": ["v1", "v2"],
+    "anchor": [["1", "0"], ["0", "1"]],
+    "lagrangian": "0.5*exp(sin(x1))*v1^2+0.5*v2^2+cos(x2)",
+}
+
+
+class TestFusedLoop:
+    """The one compiled RK4 loop against :func:`reference_rk4`: the same rows
+    bit for bit, and at a fault the same message and partial rows."""
+
+    @pytest.mark.parametrize(
+        "system, x0, y0, dt, steps",
+        [
+            ("driftless", [0.3, -0.2, 0.1], [1.0, 0.5], 1e-2, 300),
+            ("heisenberg", [0.3, -0.2, 0.1], [1.0, 0.5, 0.2], 1e-2, 300),
+            ("dense-4", [0.3, -0.2, 0.1, 0.7], [1.0, 0.5, -0.4, 0.2], 1e-2, 100),
+            ("trig", [0.3, -0.2], [1.0, 0.5], 5e-2, 300),
+        ],
+    )
+    @pytest.mark.parametrize("with_energy", [True, False])
+    def test_rows_are_the_per_stage_kernels_bits(
+        self, request, system, x0, y0, dt, steps, with_energy
+    ):
+        if system == "dense-4":
+            cfg = load_config(GOLDEN / "dense-4.json")
+        elif system == "trig":
+            cfg = parse_config(TRIG)
+        else:
+            cfg = request.getfixturevalue(system)
+        alg, S = cfg.algebroid, cfg.semispray()
+        L = cfg.lagrangian if with_energy else None
+        fused = integrate_sode(alg, S, x0, y0, dt, steps, L)
+        assert len(fused.times) == steps + 1
+        assert rows(fused) == rows(reference_rk4(alg, S, x0, y0, dt, steps, L))
+
+    def abort(self, cfg, S, x0, y0, dt, steps, L, calls=None):
+        """The abort's message and rows, asserted equal to the reference's."""
+        alg = cfg.algebroid
+        got = outcome(lambda: integrate_sode(alg, S, x0, y0, dt, steps, L))
+        want = outcome(lambda: reference_rk4(alg, S, x0, y0, dt, steps, L, calls))
+        assert got == want
+        message, partial = got
+        assert message is not None and 2 <= len(partial) < steps
+        return message
+
+    def test_domain_error_in_a_middle_stage(self, abelian):
+        # x1 = t, so ln(1.6 - x1) is defined at the start of step 3 (x1 = 1.5)
+        # and undefined at its second stage (x1 = 1.75)
+        alg = abelian.algebroid
+        S = Semispray(tuple(parse_expression(c, alg.coords) for c in ("0", "ln(1.6-x1)")))
+        calls = []
+        message = self.abort(abelian, S, [0.0, 0.0], [1.0, 0.0], 0.5, 10, abelian.lagrangian, calls)
+        assert message.startswith("ln is undefined at ")
+        assert len(calls) == 4 * 3 + 2  # the fault is stage 2 of step 3
+
+    def test_singular_metric(self):
+        # y1 = y2 = 0 stay at rest and x = t, so the metric's block
+        # [[1, x], [x, 1]] turns singular at x = 1, the last stage of step 3
+        cfg = parse_config(
+            {
+                "name": "clock",
+                "base_dim": 1,
+                "fiber_rank": 3,
+                "base_coords": ["x"],
+                "fiber_coords": ["y1", "y2", "y3"],
+                "anchor": [["0", "0", "1"]],
+                "lagrangian": "0.5*(y1^2+2*x*y1*y2+y2^2+y3^2)",
+            }
+        )
+        S, L = cfg.semispray(), cfg.lagrangian
+        message = self.abort(cfg, S, [0.0], [0.0, 0.0, 1.0], 0.25, 10, L)
+        assert message.startswith("singular fiber metric at (x=[1.0], ")
+
+    def test_non_finite_state(self, abelian):
+        # v1' = v1^2 blows up in finite time (t = 1 from v1 = 1)
+        alg = abelian.algebroid
+        S = Semispray(tuple(parse_expression(c, alg.coords) for c in ("v1^2", "0")))
+        message = self.abort(abelian, S, [0.0, 0.0], [1.0, 0.0], 0.25, 100, None)
+        assert message.startswith("non-finite state at t = ")
+
+    def test_non_finite_energy(self, abelian):
+        # v1' = v1 from 1e150: v1^2 in the energy overflows near v1 = 1.3e154,
+        # long before the state does
+        alg = abelian.algebroid
+        S = Semispray(tuple(parse_expression(c, alg.coords) for c in ("v1", "0")))
+        message = self.abort(abelian, S, [0.0, 0.0], [1e150, 0.0], 1.0, 20, abelian.lagrangian)
+        assert message.startswith("non-finite energy at t = ")
+
+    def test_a_fault_free_run_makes_no_per_stage_kernel_call(self, heisenberg, monkeypatch):
+        calls, call = [], ValueKernel.__call__
+
+        def counted(kernel, values):
+            calls.append(values)
+            return call(kernel, values)
+
+        monkeypatch.setattr(ValueKernel, "__call__", counted)
+        traj = integrate_sode(
+            heisenberg.algebroid, heisenberg.semispray(), [0.3, -0.2, 0.1], [1.0, 0.5, 0.2],
+            1e-3, 1000, heisenberg.lagrangian,
+        )
+        assert len(traj.times) == 1001
+        assert calls == []
+
+    def test_a_last_time_that_is_not_finite_is_rejected(self, abelian):
+        # the state stays finite from rest, but 3 * 1e308 overflows
+        alg = abelian.algebroid
+        with pytest.raises(ValueError, match="steps \\* dt must be finite"):
+            integrate_sode(alg, abelian.semispray(), [0.1, 0.2], [0.0, 0.0], 1e308, 3)
 
 
 class TestEulerLagrange:

@@ -1,7 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
-from algmech.expr import parse_expression
+from algmech.algebroid import inner
+from algmech.config import parse_config
+from algmech.expr import Num, parse_expression
 from algmech.jets import EvalPoint
 from algmech.prolongation import (
     ProlongationSection,
@@ -15,6 +19,8 @@ from algmech.prolongation import (
     spray_test,
 )
 from algmech.sampling import sample_points
+
+import test_pinned_library as rank3
 
 
 def sec(cfg, xs, vs):
@@ -93,7 +99,7 @@ class TestBracket:
         for p in pts(driftless, 10, seed=9):
             ev = alg.evaluator(p)
             lhs_x, lhs_v = bracket(alg, A, B, ev)
-            lhs = directional_derivative(alg, ev, lhs_x, lhs_v, f)
+            (lhs,) = directional_derivative(alg, ev, lhs_x, lhs_v, (f,))
             rhs = _commutator_action(alg, A, B, f, ev)
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
@@ -114,15 +120,15 @@ def _dir_tree(alg, A, f):
 
 
 def _commutator_action(alg, A, B, f, ev):
-    return directional_derivative(
-        alg, ev, *A.values_at(ev), _dir_tree(alg, B, f)
-    ) - directional_derivative(alg, ev, *B.values_at(ev), _dir_tree(alg, A, f))
+    (ab,) = directional_derivative(alg, ev, *A.values_at(ev), (_dir_tree(alg, B, f),))
+    (ba,) = directional_derivative(alg, ev, *B.values_at(ev), (_dir_tree(alg, A, f),))
+    return ab - ba
 
 
 def _nested_bracket_action(alg, X, Y, Z, f, ev):
     """sigma1([X, [Y, Z]]) f via derivation composition (Jacobi oracle)."""
     inner = _commutator_tree_action(alg, Y, Z, f)
-    first = directional_derivative(alg, ev, *X.values_at(ev), inner)
+    (first,) = directional_derivative(alg, ev, *X.values_at(ev), (inner,))
     outer = _dir_tree(alg, X, f)
     second = _commutator_action(alg, Y, Z, outer, ev)
     return first - second
@@ -136,6 +142,64 @@ def _sub(a, b):
     from algmech.expr import e_sub
 
     return e_sub(a, b)
+
+
+def reference_bracket(alg, A, B, ev):
+    """[A, B] with one directional derivative, one ``inner`` pair, per
+    component and side: the per-component form the stacked bracket keeps the
+    bits of."""
+    L = alg.structure_at(ev)
+    ax, av = A.values_at(ev)
+    bx, bv = B.values_at(ev)
+
+    def d(cx, cv, f):
+        if isinstance(f, Num):
+            return np.zeros(np.shape(cx)[:-1])[()]
+        gx, gy = alg.anchored_gradient(ev, f)
+        return inner(cx, gx) + inner(cv, gy)
+
+    x_part = np.einsum("...a,...b,...abg->...g", ax, bx, L)
+    v_part = np.zeros_like(x_part)
+    for g in range(alg.m):
+        x_part[..., g] += d(ax, av, B.x_comps[g]) - d(bx, bv, A.x_comps[g])
+        v_part[..., g] = d(ax, av, B.v_comps[g]) - d(bx, bv, A.v_comps[g])
+    return x_part, v_part
+
+
+def random_section(cfg, rng):
+    """Components that mix base and fiber coordinates, with a constant among
+    them, from a seeded ``random.Random``."""
+    coords = cfg.algebroid.coords
+
+    def component():
+        if rng.random() < 0.2:
+            return f"{rng.uniform(-2, 2)!r}"
+        a, b, c = (rng.choice(coords) for _ in range(3))
+        k1, k2 = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        return f"{k1!r}*{a}*{b}+sin({c})*{k2!r}+{a}^2*{c}"
+
+    m = cfg.algebroid.m
+    return sec(cfg, [component() for _ in range(m)], [component() for _ in range(m)])
+
+
+@pytest.mark.parametrize("system", ["heisenberg", "rank3"])
+def test_stacked_bracket_has_the_per_component_bits(system, heisenberg):
+    """For random fiber-dependent sections, at a point and over a batch, the
+    bracket (each side one stacked directional derivative) is the
+    per-component reference bit for bit."""
+    if system == "rank3":
+        cfg, points = parse_config(rank3.RAW), list(rank3.POINTS)
+    else:
+        cfg, points = heisenberg, pts(heisenberg, 8)
+    alg, rng = cfg.algebroid, random.Random(f"bracket:{system}")
+    for _ in range(6):
+        A, B = random_section(cfg, rng), random_section(cfg, rng)
+        evaluators = [alg.sample_evaluator(points)] + [alg.evaluator(p) for p in points]
+        for ev in evaluators:
+            got = np.concatenate(bracket(alg, A, B, ev), axis=-1)
+            want = np.concatenate(reference_bracket(alg, A, B, ev), axis=-1)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTangentStructure:
