@@ -1,8 +1,8 @@
 """Geometry of second-order differential equations on Lie algebroids.
 
 The package evaluates everything numerically at sample points, with exact
-first and second partial derivatives supplied by jet arithmetic over parsed
-expression trees.
+first partial derivatives supplied by jet arithmetic over parsed expression
+trees; a second partial is the jet of a derivative tree.
 """
 
 from .algebroid import Algebroid, BaseSection, ValidationReport
@@ -41,7 +41,7 @@ from .errors import (
     UnknownIdentifierError,
 )
 from .expr import Expr, differentiate, parse_expression, to_source, variables
-from .jets import EvalPoint, Jet2, PointEvaluator, eval_jet, finite_difference_jet
+from .jets import EvalPoint, Jet, SampleEvaluator
 from .lagrangian import (
     Lagrangian,
     Trajectory,

@@ -21,10 +21,10 @@ evaluation shared: the derivative memo (:meth:`Algebroid.derivative`), the
 trees that depend on the system alone (:attr:`Algebroid.base_velocity`,
 :attr:`Algebroid.twisted_structure`), built on first use, and those that
 depend on objects built from it (:meth:`Algebroid.derived`).  It keeps no
-evaluator: a pointwise quantity takes the evaluator its caller holds, a
-point's (:meth:`Algebroid.evaluator` makes one) or a sample set's
-(:meth:`Algebroid.sample_evaluator`), and every sweep takes the latter and
-names a failing sample from its ``points``.
+evaluator: a pointwise quantity takes the sample set's evaluator its caller
+holds (:meth:`Algebroid.sample_evaluator`; a point's is a set of one,
+:meth:`Algebroid.evaluator`), and every sweep names a failing sample from
+its ``points``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EvaluationDomainError, FiberDependenceError
 from .expr import ZERO, Expr, Num, Var, cached_derivative, e_mul, e_sub, e_sum, variables
-from .jets import EvalPoint, Evaluator, PointEvaluator, SampleEvaluator
+from .jets import EvalPoint, SampleEvaluator
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
 
@@ -146,11 +146,9 @@ class Algebroid:
             hit = self._derived[key] = (args, build(self, *args))
         return hit[1]
 
-    def evaluator(self, p: EvalPoint) -> PointEvaluator:
-        """A new evaluator at ``p``; pass it to every quantity computed there,
-        so they share its memo."""
-        self._check_dims(p)
-        return PointEvaluator(self.coords, p.values(), p)
+    def evaluator(self, p: EvalPoint) -> SampleEvaluator:
+        """A new evaluator at ``p``, a sample set of one."""
+        return self.sample_evaluator([p])
 
     def sample_evaluator(self, samples: Sequence[EvalPoint]) -> SampleEvaluator:
         """A new evaluator over ``samples``; pass it to every sweep over that
@@ -167,23 +165,22 @@ class Algebroid:
 
     # -- pointwise data ----------------------------------------------------
 
-    def anchor_at(self, ev: Evaluator) -> np.ndarray:
+    def anchor_at(self, ev: SampleEvaluator) -> np.ndarray:
         return ev.array(self.anchor)
 
-    def structure_at(self, ev: Evaluator) -> np.ndarray:
+    def structure_at(self, ev: SampleEvaluator) -> np.ndarray:
         return ev.array(self.structure)
 
-    def anchored(self, ev: Evaluator, g: np.ndarray) -> np.ndarray:
+    def anchored(self, ev: SampleEvaluator, g: np.ndarray) -> np.ndarray:
         """sigma_a^i g_i: the anchored x-part of gradients ``g`` over all
-        coordinates, an (m,) vector per point (sample axis first for a
-        batch).  A stacked ``matmul`` makes the BLAS call of the unstacked
+        coordinates, (P, m) with the sample axis first.  A stacked ``matmul`` makes the BLAS call of the unstacked
         product for every slice, so each sample has the single-point bits."""
         return (g[..., None, : self.n] @ self.anchor_at(ev))[..., 0, :]
 
-    def anchored_gradient(self, ev: Evaluator, f: Expr) -> tuple[np.ndarray, np.ndarray]:
+    def anchored_gradient(self, ev: SampleEvaluator, f: Expr) -> tuple[np.ndarray, np.ndarray]:
         """``(sigma^T d_x f, d_y f)``: the anchored x-part and the fiber part
         of the gradient of ``f``, taken once per evaluator, system and tree
-        (:meth:`~algmech.jets.PointEvaluator.derived`); every directional and
+        (:meth:`~algmech.jets.SampleEvaluator.derived`); every directional and
         horizontal derivative of a tree reads them."""
         return ev.derived(_anchored_gradient, self, f)
 
@@ -196,15 +193,15 @@ class Algebroid:
                 f"{what} depends on fiber coordinates {sorted(bad)}"
             )
 
-    def anchor_apply(self, s: BaseSection, f: Expr, ev: PointEvaluator) -> float:
-        """Derivative of a base function along the anchored vector field of s."""
+    def anchor_apply(self, s: BaseSection, f: Expr, ev: SampleEvaluator) -> np.ndarray:
+        """Derivative of a base function along the anchored vector field of
+        s, one per sample."""
         if not s.x_only:
             raise FiberDependenceError("section must not depend on fiber coordinates")
-        df = self.differential(f, ev)
-        return float(ev.values_of(s.components) @ df)
+        return inner(ev.values_of(s.components), self.differential(f, ev))
 
-    def differential(self, f: Expr, ev: PointEvaluator) -> np.ndarray:
-        """Components of the exterior derivative of a base function."""
+    def differential(self, f: Expr, ev: SampleEvaluator) -> np.ndarray:
+        """Components of the exterior derivative of a base function, (P, m)."""
         self._require_x_only(f, "function")
         return self.anchored_gradient(ev, f)[0]
 
@@ -249,9 +246,9 @@ class Algebroid:
         # first partials of structure functions and anchor entries, (P, ..., n)
         n = self.n
         dL = np.array(
-            [[[ev.jet1(e).grad[:, :n] for e in row] for row in plane] for plane in self.structure]
+            [[[ev.jet(e).grad[:, :n] for e in row] for row in plane] for plane in self.structure]
         )
-        dsig = np.array([[ev.jet1(e).grad[:, :n] for e in row] for row in self.anchor])
+        dsig = np.array([[ev.jet(e).grad[:, :n] for e in row] for row in self.anchor])
         dL, dsig = np.moveaxis(dL, 3, 0), np.moveaxis(dsig, 2, 0)
         sigma_t = sigma.swapaxes(1, 2)
 
@@ -282,8 +279,8 @@ class Algebroid:
         )
 
 
-def _anchored_gradient(ev: Evaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:
-    g = ev.jet1(f).grad
+def _anchored_gradient(ev: SampleEvaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:
+    g = ev.jet(f).grad
     return alg.anchored(ev, g), g[..., alg.n :]
 
 

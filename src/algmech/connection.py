@@ -25,10 +25,10 @@ of jets, so nabla J and the Newtonoid projection build no tree, and nabla^2
 (the invariant equation and the Lie check's second-order form) builds only
 the trees S(c) of the components it is applied to.
 
-Every pointwise formula here takes the caller's evaluator, a point's or a
-sample set's, and is written once for both, with the sample axis first and
-its products stacked ``matmul`` (see :mod:`algmech.prolongation`), so a
-sample gets a point's bits.  The vertical Berwald part cv + N^T cx of a
+Every pointwise formula here takes the caller's sample set's evaluator
+(a point's is a set of one), with the sample axis first and its products
+stacked ``matmul`` (see :mod:`algmech.prolongation`), so a sample gets the
+bits of the set of one at it.  The vertical Berwald part cv + N^T cx of a
 bracket, which the curvature and Jacobi oracles and the Berwald connection
 read, is one helper.  :func:`geometry_frames` takes every frame of a sample
 set as one batch.
@@ -57,7 +57,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import EvalPoint, Evaluator, SampleEvaluator
+from .jets import EvalPoint, SampleEvaluator
 from .prolongation import (
     ExprTensor,
     ProlongationSection,
@@ -106,7 +106,7 @@ class Connection:
     def m(self) -> int:
         return len(self.coeffs)
 
-    def at(self, ev: Evaluator) -> np.ndarray:
+    def at(self, ev: SampleEvaluator) -> np.ndarray:
         return ev.array(self.coeffs)
 
 
@@ -122,7 +122,7 @@ def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
     return Connection(tuple(tuple(coeff(a, b) for b in r) for a in r), canonical=True)
 
 
-def connection_from_lie_derivative(alg: Algebroid, S: Semispray, ev: Evaluator) -> np.ndarray:
+def connection_from_lie_derivative(alg: Algebroid, S: Semispray, ev: SampleEvaluator) -> np.ndarray:
     """Independent oracle for the canonical coefficients via -L_S J.
 
     An almost product structure acts as X_a -> X_a - 2 N_a^g V_g, so the
@@ -139,15 +139,14 @@ def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> Prolongatio
     return alg.derived(h_tensor, N).frame_images[a]
 
 
-def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: Evaluator) -> np.ndarray:
+def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: SampleEvaluator) -> np.ndarray:
     """delta_a(f), the derivative of f along the horizontal frame section
-    delta_a, for every a at once: an (m,) vector at the evaluator's point,
-    (P, m) over its samples."""
+    delta_a, for every a at once: (P, m) over the evaluator's samples."""
     gx, gy = alg.anchored_gradient(ev, f)
     return gx - (N.at(ev) @ gy[..., None])[..., 0]
 
 
-def curvature(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:
+def curvature(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """R[a][b][g]: obstruction to integrability of the horizontal subbundle,
     R_ab^g = delta_b(N_a^g) - delta_a(N_b^g) + L_ab^e N_e^g."""
     Nv = N.at(ev)
@@ -163,7 +162,7 @@ def _vertical_part(cx: np.ndarray, cv: np.ndarray, Nv: np.ndarray) -> np.ndarray
     return cv + _vecmat(cx, Nv)
 
 
-def curvature_from_brackets(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:
+def curvature_from_brackets(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """Oracle: vertical Berwald part of the horizontal frame brackets."""
     Nv = N.at(ev)
     deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
@@ -174,22 +173,23 @@ def curvature_from_brackets(alg: Algebroid, N: Connection, ev: Evaluator) -> np.
 
 
 def curvature_apply(
-    alg: Algebroid, N: Connection, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
+    alg: Algebroid, N: Connection, A: ProlongationSection, B: ProlongationSection,
+    ev: SampleEvaluator,
 ) -> np.ndarray:
-    """Vertical components of Omega(A, B) = v[hA, hB] at the evaluator's point."""
+    """Vertical components of Omega(A, B) = v[hA, hB] over the evaluator's samples."""
     h = alg.derived(h_tensor, N)
     return _vertical_part(*bracket(alg, h.apply(A), h.apply(B), ev), N.at(ev))
 
 
-def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: Evaluator) -> np.ndarray:
+def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """R[b][g] with the vertical-valued tensor acting as X_b -> R_b^g V_g:
 
         R_b^g = -delta_b(S^g) - S(N_b^g) + N_b^a N_a^g + N_e^g L_ab^e y^a,
 
     one formula for canonical and arbitrary coefficients alike; it is the
     vertical Berwald part of [S, delta_b], which :func:`jacobi_from_bracket`
-    takes from the bracket itself.  An (m, m) array at the evaluator's point,
-    (P, m, m) over its samples; the sums over a and e run in the order of the
+    takes from the bracket itself.  A (P, m, m) array over the evaluator's
+    samples; the sums over a and e run in the order of the
     formula, one term at a time for every (b, g) at once.
     """
     m = alg.m
@@ -207,7 +207,7 @@ def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: Evaluat
     return -dS - SN + quad + mixed
 
 
-def jacobi_from_bracket(alg: Algebroid, S: Semispray, N: Connection, ev: Evaluator) -> np.ndarray:
+def jacobi_from_bracket(alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """Oracle: R_b^g as the vertical Berwald part of [S, delta_b]."""
     Nv, Ssec = N.at(ev), S.section(alg)
     deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
@@ -254,8 +254,8 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 
 
 class CovariantDerivative:
-    """The dynamical covariant derivative at the evaluator's point, or over
-    its samples with the sample axis first: ``nabla(A)`` is the pair (hor,
+    """The dynamical covariant derivative over the evaluator's samples, with
+    the sample axis first: ``nabla(A)`` is the pair (hor,
     ver - N^T hor) of component values of A = (x, v), where
 
         hor = S(x) + (N + yL)^T x,   w = v + N^T x,
@@ -264,7 +264,8 @@ class CovariantDerivative:
     with (N + yL)[b][a] = N_b^a + y^e L_eb^a and (N + dS/dy)[b][a] = N_b^a +
     dS^a/dy^b kept apart, so nabla J = 0 tests the canonical relation.  Each
     S(.) is :func:`~algmech.prolongation.directional_derivative` along (y, S)
-    and each product a stacked ``matmul``, so a sample gets a point's bits.
+    and each product a stacked ``matmul``, so a sample gets the bits of the
+    set of one at it.
 
     nabla applied twice (:meth:`twice`) is numeric too.  The per-point terms
     (S(N) and the coefficients, each S(coefficient) only where read) are
@@ -282,7 +283,7 @@ class CovariantDerivative:
     @staticmethod
     def of(alg: Algebroid, S: Semispray, N: Connection, ev) -> "CovariantDerivative":
         """The one object of the evaluator, system, field and connection
-        (:meth:`~algmech.jets.PointEvaluator.derived`)."""
+        (:meth:`~algmech.jets.SampleEvaluator.derived`)."""
         return ev.derived(_covariant_derivative, alg, S, N)
 
     def _along(self, comps: Sequence[Expr]) -> np.ndarray:
@@ -292,7 +293,7 @@ class CovariantDerivative:
     @cached_property
     def ver_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """S(N)[a][b] = S(N_a^b), and the vertical coefficient N + dS/dy."""
-        dS = np.stack([self.ev.jet1(c).grad[..., self.alg.n :] for c in self.S.components], -1)
+        dS = np.stack([self.ev.jet(c).grad[..., self.alg.n :] for c in self.S.components], -1)
         return np.stack([self._along(row) for row in self.N.coeffs], axis=-2), self.Nv + dS
 
     @cached_property
@@ -351,7 +352,7 @@ def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def nabla_tensor(
-    alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: Evaluator
+    alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: SampleEvaluator
 ) -> np.ndarray:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
     (2m, 2m) matrix (per sample over a batch), through one
@@ -366,7 +367,8 @@ def nabla_tensor(
 
 
 def berwald_connection(
-    alg: Algebroid, N: Connection, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
+    alg: Algebroid, N: Connection, A: ProlongationSection, B: ProlongationSection,
+    ev: SampleEvaluator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """D_A B through the four-bracket formula
 
@@ -404,9 +406,9 @@ def berwald_connection(
     return x, v
 
 
-def berwald_coefficients(alg: Algebroid, N: Connection, ev: Evaluator) -> np.ndarray:
+def berwald_coefficients(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """B[a][b][g] = dN_a^g/dy^b, the linear-connection coefficients."""
-    grads = [[ev.jet1(c).grad[..., alg.n :] for c in row] for row in N.coeffs]  # [a][g][..., b]
+    grads = [[ev.jet(c).grad[..., alg.n :] for c in row] for row in N.coeffs]  # [a][g][..., b]
     return np.moveaxis(np.array(grads), (0, 1), (-3, -1))
 
 

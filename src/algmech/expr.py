@@ -26,9 +26,10 @@ collection of matrix derivative results for forward and reverse mode AD",
 2008), is a system on the same G, built once per system and name, so an
 evaluator factorises each G once.
 
-:data:`FUNCTIONS` is the one table of elementary functions (f, f', f'' and
-the derivative-tree rule); the parser, :func:`cached_derivative` and every
-evaluation mode of :class:`~algmech.jets.PointEvaluator` read it.
+:data:`FUNCTIONS` is the one table of elementary functions (f, f' and the
+derivative-tree rule); the parser, :func:`cached_derivative`, every
+evaluation mode of :class:`~algmech.jets.SampleEvaluator` and the compiled
+kernels read it.
 
 Derivative trees apply light constant folding (0/1 absorption) so repeated
 differentiation stays compact; folding never changes the value of any
@@ -453,25 +454,20 @@ def solve(matrix: tuple[tuple[Expr, ...], ...], rhs: Sequence[Expr]) -> tuple[Ex
 
 
 class Elementary(NamedTuple):
-    """f, f', f'' on floats (math's errors mark the domain); rule(x, dx) = d f(x)."""
+    """f and f' on floats (math's errors mark the domain); rule(x, dx) = d f(x)."""
 
     f: Callable[[float], float]
     d1: Callable[[float], float]
-    d2: Callable[[float], float]
     rule: Callable[[Expr, Expr], Expr]
 
 
 FUNCTIONS: dict[str, Elementary] = {
-    "sin": Elementary(math.sin, math.cos, lambda v: -math.sin(v),
-                      lambda x, dx: e_mul(Call("cos", x), dx)),
-    "cos": Elementary(math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v),
+    "sin": Elementary(math.sin, math.cos, lambda x, dx: e_mul(Call("cos", x), dx)),
+    "cos": Elementary(math.cos, lambda v: -math.sin(v),
                       lambda x, dx: e_neg(e_mul(Call("sin", x), dx))),
-    "exp": Elementary(math.exp, math.exp, math.exp,
-                      lambda x, dx: e_mul(Call("exp", x), dx)),
-    "ln": Elementary(math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v),
-                     lambda x, dx: e_div(dx, x)),
+    "exp": Elementary(math.exp, math.exp, lambda x, dx: e_mul(Call("exp", x), dx)),
+    "ln": Elementary(math.log, lambda v: 1.0 / v, lambda x, dx: e_div(dx, x)),
     "sqrt": Elementary(math.sqrt, lambda v: 0.5 / math.sqrt(v),
-                       lambda v: -0.25 / (math.sqrt(v) * v),
                        lambda x, dx: e_div(dx, e_mul(Num(2.0), Call("sqrt", x)))),
 }
 

@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid
+from .algebroid import Algebroid, inner
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
-from .jets import Lowering, PointEvaluator, SampleEvaluator, ValueKernel, inverse
+from .jets import Lowering, SampleEvaluator, ValueKernel, inverse
 from .prolongation import ProlongationSection, Semispray, directional_derivative, sode_flow
 
 __all__ = [
@@ -163,8 +163,9 @@ def cartan_pairing_exprs(alg: Algebroid, L: Lagrangian) -> tuple[tuple[Expr, ...
     return L.pairing_exprs
 
 
-def cartan_pairing(alg: Algebroid, L: Lagrangian, ev: PointEvaluator) -> np.ndarray:
-    """Values of :func:`cartan_pairing_exprs` at the evaluator's point."""
+def cartan_pairing(alg: Algebroid, L: Lagrangian, ev: SampleEvaluator) -> np.ndarray:
+    """Values of :func:`cartan_pairing_exprs` over the evaluator's samples,
+    (P, 2m, 2m)."""
     return ev.array(cartan_pairing_exprs(alg, L))
 
 
@@ -173,13 +174,14 @@ def cartan_two_section(
     L: Lagrangian,
     A: ProlongationSection,
     B: ProlongationSection,
-    ev: PointEvaluator,
-) -> float:
-    """The symplectic two-section evaluated on a pair of sections."""
+    ev: SampleEvaluator,
+) -> np.ndarray:
+    """The symplectic two-section evaluated on a pair of sections, one value
+    per sample."""
     W = cartan_pairing(alg, L, ev)
-    ax, av = A.values_at(ev)
-    bx, bv = B.values_at(ev)
-    return float(np.concatenate([ax, av]) @ W @ np.concatenate([bx, bv]))
+    a = np.concatenate(A.values_at(ev), axis=-1)
+    b = np.concatenate(B.values_at(ev), axis=-1)
+    return inner((a[..., None, :] @ W)[..., 0, :], b)
 
 
 def symplectic_residual(
@@ -187,12 +189,13 @@ def symplectic_residual(
     L: Lagrangian,
     S: Semispray,
     A: ProlongationSection,
-    ev: PointEvaluator,
-) -> float:
-    """omega(S, A) + dE(A); vanishes for the canonical field, any A."""
+    ev: SampleEvaluator,
+) -> np.ndarray:
+    """omega(S, A) + dE(A), one value per sample; vanishes for the canonical
+    field, any A."""
     pairing = cartan_two_section(alg, L, S.section(alg), A, ev)
     ax, av = A.values_at(ev)
-    return pairing + directional_derivative(alg, ev, ax, av, (L.energy_expr,))[0]
+    return pairing + directional_derivative(alg, ev, ax, av, (L.energy_expr,))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +378,20 @@ def _replay(alg: Algebroid, flow, energy, traj: Trajectory, k: int, state: list[
 
 
 def euler_lagrange_residual(
-    alg: Algebroid, L: Lagrangian, ev: PointEvaluator, ydot: Sequence[float]
+    alg: Algebroid, L: Lagrangian, ev: SampleEvaluator, ydot: np.ndarray
 ) -> np.ndarray:
     """Residual of the variational equations with d/dt expanded along
-    (xdot = sigma y, ydot = given), at the evaluator's point."""
+    (xdot = sigma y, ydot = given, (m,) or (P, m)), (P, m) over the
+    evaluator's samples.  The second partials h_xy and h_yy are the
+    gradients of the jets of dL/dy, so the oracle reads neither the
+    semispray's solve nor the metric trees."""
     n = alg.n
-    jet = ev.jet(L.expr)
-    grad_y = jet.grad[n:]
-    h_xy = jet.hess[:n, n:]
-    h_yy = jet.hess[n:, n:]
-    sigma = alg.anchor_at(ev)
-    Ls = alg.structure_at(ev)
-    y = np.array(ev.values[n:])
-    xdot = sigma @ y
+    grad = ev.jet(L.expr).grad
+    h = np.stack([ev.jet(t).grad for t in L.dy], axis=-2)  # [..., a, j] = d2L/dy^a dz^j
+    y = ev.values[:, n:]
+    xdot = (alg.anchor_at(ev) @ y[..., None])[..., 0]
     ydot = np.asarray(ydot, dtype=float)
-    ddt = h_xy.T @ xdot + h_yy @ ydot
-    rhs = alg.anchored(ev, jet.grad) - np.einsum("abe,b,e->a", Ls, y, grad_y)
+    ddt = inner(h[..., :n], xdot[..., None, :]) + inner(h[..., n:], ydot[..., None, :])
+    twist = np.einsum("...abe,...b,...e->...a", alg.structure_at(ev), y, grad[:, n:])
+    rhs = alg.anchored(ev, grad) - twist
     return ddt - rhs

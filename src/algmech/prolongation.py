@@ -17,14 +17,13 @@ return (2m, 2m) arrays.  The trees of S(f) read the system's anchored
 velocity (:attr:`Algebroid.base_velocity`), and the complete lift is built
 from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 
-Every pointwise quantity takes the evaluator its caller holds: a
-:class:`~algmech.jets.PointEvaluator` for one point, or a
-:class:`~algmech.jets.SampleEvaluator` for a sample set, with a leading
-sample axis on every array.  :func:`directional_derivative`,
-:func:`bracket`, :func:`frame_derivation` and :func:`lie_derivative_tensor`
-are written once for both: their products are numpy
-``matmul`` and ``einsum`` over optional leading axes, which give every
-sample slice the bits of the single-point product (stacked ``matmul`` makes
+Every pointwise quantity takes the
+:class:`~algmech.jets.SampleEvaluator` its caller holds, a point's being a
+sample set of one, with a leading sample axis on every array.  In
+:func:`directional_derivative`, :func:`bracket`, :func:`frame_derivation`
+and :func:`lie_derivative_tensor` the products are numpy ``matmul`` and
+``einsum`` over the leading axes, which give every sample slice the bits of
+the single-point product (stacked ``matmul`` makes
 the same BLAS call per slice; an elementwise product summed by numpy would
 not, since BLAS's short dot is a chain of fused multiply-adds), and the
 batch evaluator applies ``math``'s elementary functions per element (numpy's
@@ -60,7 +59,7 @@ from .expr import (
     e_sub,
     e_sum,
 )
-from .jets import Evaluator, SampleEvaluator
+from .jets import SampleEvaluator
 
 __all__ = [
     "ProlongationSection",
@@ -112,9 +111,9 @@ class ProlongationSection:
     def basis_v(m: int, a: int) -> "ProlongationSection":
         return ProlongationSection.constant(np.zeros(m), np.eye(m)[a])
 
-    def values_at(self, ev: Evaluator) -> tuple[np.ndarray, np.ndarray]:
+    def values_at(self, ev: SampleEvaluator) -> tuple[np.ndarray, np.ndarray]:
         """The component values, read-only and computed once per evaluator
-        (:meth:`~algmech.jets.PointEvaluator.array`)."""
+        (:meth:`~algmech.jets.SampleEvaluator.array`)."""
         return ev.array(self.x_comps), ev.array(self.v_comps)
 
 
@@ -187,12 +186,11 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
 
 
 def directional_derivative(
-    alg: Algebroid, ev: Evaluator, ax: np.ndarray, av: np.ndarray, fs: Sequence[Expr]
+    alg: Algebroid, ev: SampleEvaluator, ax: np.ndarray, av: np.ndarray, fs: Sequence[Expr]
 ) -> np.ndarray:
     """sigma1(A)(f) for each tree f of ``fs``, stacked on the last axis, with
-    A given by component values ax, av: a (C,) array at the point of a
-    :class:`PointEvaluator`, (P, C) over the samples of a
-    :class:`SampleEvaluator` (ax, av then carry the sample axis first).
+    A given by component values ax, av: a (P, C) array over the samples of
+    ``ev`` (ax, av carry the sample axis first).
 
     The one directional derivative of the package: brackets, Lie derivatives,
     conservation checks and every S(.) of the first-order covariant
@@ -205,7 +203,7 @@ def directional_derivative(
     (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`) and stacked into
     (C, ..., m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``.
 
-    One formula serves a point, a batch and any number of trees: numpy's
+    One formula serves any number of samples and trees: numpy's
     stacked ``matmul`` hands every (1, m) @ (m, 1) slice to the unit-stride
     BLAS dot that a single product makes, so each sample and each tree gets
     the bits of a single-point, single-tree call.  (An elementwise product
@@ -222,10 +220,10 @@ def directional_derivative(
 
 
 def bracket(
-    alg: Algebroid, A: ProlongationSection, B: ProlongationSection, ev: Evaluator
+    alg: Algebroid, A: ProlongationSection, B: ProlongationSection, ev: SampleEvaluator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Components of [A, B] at the evaluator's point, or over its samples
-    with the sample axis first; each side's 2m derivations are one stacked
+    """Components of [A, B] over the evaluator's samples, with the sample
+    axis first; each side's 2m derivations are one stacked
     :func:`directional_derivative`."""
     m, L = alg.m, alg.structure_at(ev)
     ax, av = A.values_at(ev)
@@ -256,12 +254,12 @@ def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
     return alg.derivative_along(f, sode_flow(alg, S))
 
 
-def spray_homogeneity(alg: Algebroid, S: Semispray, ev: Evaluator):
-    """max_a |y . dS^a/dy - 2 S^a| at the evaluator's point (or per sample),
+def spray_homogeneity(alg: Algebroid, S: Semispray, ev: SampleEvaluator):
+    """max_a |y . dS^a/dy - 2 S^a| per sample of the evaluator,
     which vanishes where S is degree-2 homogeneous in y (Euler's theorem)."""
     n = alg.n
     y = np.asarray(ev.values)[..., n:]
-    jets = [ev.jet1(c) for c in S.components]
+    jets = [ev.jet(c) for c in S.components]
     return np.max([np.abs(inner(y, j.grad[..., n:]) - 2.0 * j.value) for j in jets], axis=0)
 
 
@@ -332,7 +330,7 @@ class ExprTensor:
     def m(self) -> int:
         return len(self.rows) // 2
 
-    def at(self, ev: Evaluator) -> np.ndarray:
+    def at(self, ev: SampleEvaluator) -> np.ndarray:
         """The (2m, 2m) matrix at the evaluator's point, (P, 2m, 2m) over its
         samples."""
         return ev.array(self.rows)
@@ -364,7 +362,8 @@ def identity_tensor(m: int) -> ExprTensor:
 
 
 def frame_derivation(
-    T: ExprTensor, ev: Evaluator, D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]]
+    T: ExprTensor, ev: SampleEvaluator,
+    D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """(D T)(B) = D(T(B)) - T(D B) on every frame section B, as the (2m, 2m)
     matrix whose columns are those images (sample axis first over a batch),
@@ -389,7 +388,7 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def lie_derivative_tensor(
-    alg: Algebroid, A: ProlongationSection, T: ExprTensor, ev: Evaluator
+    alg: Algebroid, A: ProlongationSection, T: ExprTensor, ev: SampleEvaluator
 ) -> np.ndarray:
     """(L_A T)(B) = [A, T(B)] - T([A, B]) evaluated on every frame section,
     as a (2m, 2m) matrix (per sample over a batch).

@@ -30,7 +30,7 @@ from .errors import (
     SingularPairingError,
 )
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
-from .jets import EvalPoint, Evaluator, SampleEvaluator
+from .jets import EvalPoint, SampleEvaluator
 from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
     ProlongationSection,
@@ -171,11 +171,12 @@ def newtonoid_check(
 
 
 def invariant_equation_residual(
-    alg: Algebroid, S: Semispray, A: ProlongationSection, ev: Evaluator, N: Connection | None = None
+    alg: Algebroid, S: Semispray, A: ProlongationSection, ev: SampleEvaluator,
+    N: Connection | None = None,
 ) -> np.ndarray:
     """Second-order invariant equation on the frame components:
-    nabla^2 X^a + R_b^a X^b, meaningful for Newtonoid candidates, (m,) at a
-    point and (P, m) over samples; nabla^2 is numeric and builds only S(X^a)."""
+    nabla^2 X^a + R_b^a X^b, meaningful for Newtonoid candidates, (P, m)
+    over the evaluator's samples; nabla^2 is numeric and builds only S(X^a)."""
     if N is None:
         N = alg.derived(canonical_connection, S)
     along = tuple(sode_derivative_expr(alg, S, c) for c in A.x_comps)
@@ -234,11 +235,11 @@ def lie_symmetry_check(
     pde1 = []
     pde2 = []
     for b in range(m):
-        grad_xt = ev.jet1(Xt.components[b]).grad
+        grad_xt = ev.jet(Xt.components[b]).grad
         pde1.append(sum(s_vals[:, a] * grad_xt[:, n + a] for a in range(m)))
-        grad_s = ev.jet1(S.components[b]).grad
+        grad_s = ev.jet(S.components[b]).grad
         term1 = sum(
-            y[:, al] * y[:, e] * inner(sigma[:, :, al], ev.jet1(slash[e][b]).grad[:, :n])
+            y[:, al] * y[:, e] * inner(sigma[:, :, al], ev.jet(slash[e][b]).grad[:, :n])
             for al in range(m)
             for e in range(m)
         )

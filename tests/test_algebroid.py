@@ -15,7 +15,7 @@ def expr(cfg, src):
 
 def bracket_values(alg, r, s, p):
     """Components of the section bracket [r, s] at p."""
-    return alg.evaluator(p).values_of(alg.bracket_exprs(r, s).components)
+    return alg.evaluator(p).values_of(alg.bracket_exprs(r, s).components)[0]
 
 
 def section(cfg, *comps):
@@ -252,7 +252,7 @@ class TestDifferential:
         alg = driftless.algebroid
         p = EvalPoint.of([0.5, 1.5, 0.2], [1, 1])
         assert np.array_equal(
-            alg.differential(expr(driftless, "3"), alg.evaluator(p)), np.zeros(2)
+            alg.differential(expr(driftless, "3"), alg.evaluator(p))[0], np.zeros(2)
         )
 
     def test_first_base_coordinate(self, driftless):
@@ -278,13 +278,13 @@ class TestDifferential:
             ]
             for p in pts(driftless, 10):
                 ev = alg.evaluator(p)
-                sigma = alg.anchor_at(ev)
-                L = alg.structure_at(ev)
-                th = np.array([ev.value(t) for t in theta])
+                sigma = alg.anchor_at(ev)[0]
+                L = alg.structure_at(ev)[0]
+                th = ev.values_of(theta)[0]
                 for a in range(alg.m):
                     for b in range(alg.m):
-                        da_thb = float(sigma[:, a] @ ev.jet(theta[b]).grad[: alg.n])
-                        db_tha = float(sigma[:, b] @ ev.jet(theta[a]).grad[: alg.n])
+                        da_thb = float(sigma[:, a] @ ev.jet(theta[b]).grad[0, : alg.n])
+                        db_tha = float(sigma[:, b] @ ev.jet(theta[a]).grad[0, : alg.n])
                         coeff = da_thb - db_tha - float(th @ L[a, b])
                         assert abs(coeff) <= 1e-9
 
@@ -301,7 +301,7 @@ class TestLifts:
         lift = vertical_lift(driftless.algebroid, section(driftless, "1", "0"))
         ev = driftless.algebroid.evaluator(EvalPoint.of([0, 0, 0], [1.0, 2.0]))
         x, v = lift.values_at(ev)
-        assert np.array_equal(x, np.zeros(2))
+        assert np.array_equal(x[0], np.zeros(2))
         assert np.allclose(v, [1.0, 0.0], atol=0)
 
     def test_complete_lift_constant_on_abelian_is_horizontal(self, abelian):
@@ -309,7 +309,7 @@ class TestLifts:
         ev = abelian.algebroid.evaluator(EvalPoint.of([0.3, -0.7], [1.0, 2.0]))
         x, v = lift.values_at(ev)
         assert np.allclose(x, [2.0, -1.0], atol=0)
-        assert np.array_equal(v, np.zeros(2))
+        assert np.array_equal(v[0], np.zeros(2))
 
     def test_complete_lift_requires_x_only(self, driftless):
         s = section(driftless, "u1", "0")

@@ -143,7 +143,7 @@ class TestCanonicalConnection:
         N = driftless.connection()
         for p in pts(driftless, 25):
             u1, u2 = p.y
-            Nv = N.at(driftless.algebroid.evaluator(p))
+            Nv = N.at(driftless.algebroid.evaluator(p))[0]
             assert Nv[0, 0] == pytest.approx(u2, abs=1e-15)
             assert Nv[1, 0] == 0.0
             assert Nv[1, 1] == 0.0
@@ -174,7 +174,7 @@ class TestCanonicalConnection:
         N = canonical_connection(alg, S)
         for p in pts(abelian, 10):
             y1, y2 = p.y
-            Nv = N.at(alg.evaluator(p))
+            Nv = N.at(alg.evaluator(p))[0]
             assert Nv[0, 0] == pytest.approx(y1 + 0.5 * y2, abs=1e-14)
             assert Nv[1, 0] == pytest.approx(0.5 * y1, abs=1e-14)
             assert Nv[0, 1] == pytest.approx(0.0, abs=1e-14)
@@ -186,9 +186,10 @@ class TestBerwaldDerivative:
         alg = driftless.algebroid
         N = driftless.connection()
         ev = alg.evaluator(P0)
-        Nv = N.at(ev)
+        Nv = N.at(ev)[0]
         for g in range(2):
-            got = berwald_derivative(alg, N, parse_expression(alg.fiber_coords[g], alg.coords), ev)
+            yg = parse_expression(alg.fiber_coords[g], alg.coords)
+            got = berwald_derivative(alg, N, yg, ev)[0]
             for a in range(2):
                 assert got[a] == pytest.approx(-Nv[a, g], abs=1e-15)
 
@@ -196,7 +197,7 @@ class TestBerwaldDerivative:
         alg = driftless.algebroid
         N = driftless.connection()
         f = parse_expression("x1*x2", alg.coords)
-        got = berwald_derivative(alg, N, f, alg.evaluator(P0))[1]
+        got = berwald_derivative(alg, N, f, alg.evaluator(P0))[0, 1]
         # second anchored field: x1 d/dx1 + x2 d/dx2 + d/dx3 applied to x1 x2
         assert got == pytest.approx(0.5 * 1.0 + 1.0 * 0.5, abs=1e-15)
 
@@ -204,7 +205,7 @@ class TestBerwaldDerivative:
         alg = driftless.algebroid
         N = driftless.connection()
         S1 = driftless.semispray().components[0]
-        got = berwald_derivative(alg, N, S1, alg.evaluator(P0))[0]
+        got = berwald_derivative(alg, N, S1, alg.evaluator(P0))[0, 0]
         # -(N_1^1 dS1/du1 + N_1^2 dS1/du2) = -(2*(-2) + (-1)*(-1)) = 3
         assert got == pytest.approx(3.0, abs=1e-14)
 
@@ -212,7 +213,7 @@ class TestBerwaldDerivative:
 class TestCurvature:
     def test_driftless_values(self, driftless):
         alg = driftless.algebroid
-        R = curvature(alg, driftless.connection(), alg.evaluator(P0))
+        R = curvature(alg, driftless.connection(), alg.evaluator(P0))[0]
         assert R[0, 1, 0] == pytest.approx(2.0, abs=1e-15)  # u2
         assert R[1, 0, 0] == pytest.approx(-2.0, abs=1e-15)
         assert R[0, 1, 1] == pytest.approx(-1.0, abs=1e-15)  # formula sign
@@ -226,7 +227,7 @@ class TestCurvature:
         for cfg in all_systems:
             N = cfg.connection()
             for p in pts(cfg, 50, seed=23):
-                R = curvature(cfg.algebroid, N, cfg.algebroid.evaluator(p))
+                R = curvature(cfg.algebroid, N, cfg.algebroid.evaluator(p))[0]
                 assert np.max(np.abs(R + R.transpose(1, 0, 2))) == 0.0
 
     def test_bracket_oracle(self, all_systems):
@@ -252,7 +253,7 @@ class TestCurvature:
                             R3 = curvature(alg, N, ev)
                             ax, _ = A.values_at(ev)
                             bx, _ = B.values_at(ev)
-                            want = np.einsum("abg,a,b->g", R3, ax, bx)
+                            want = np.einsum("...abg,...a,...b->...g", R3, ax, bx)
                             got = curvature_apply(alg, N, A, B, ev)
                             assert np.max(np.abs(got - want)) <= 1e-9
 
@@ -270,7 +271,8 @@ class TestCurvature:
 class TestJacobiEndomorphism:
     def test_driftless_values(self, driftless):
         alg = driftless.algebroid
-        R = jacobi_endomorphism(alg, driftless.semispray(), driftless.connection(), alg.evaluator(P0))
+        S, N = driftless.semispray(), driftless.connection()
+        R = jacobi_endomorphism(alg, S, N, alg.evaluator(P0))[0]
         assert R[0, 0] == pytest.approx(-4.0, abs=1e-14)  # -(u2)^2
         assert R[1, 0] == pytest.approx(2.0, abs=1e-14)  # u1 u2
         assert R[0, 1] == pytest.approx(2.0, abs=1e-14)
@@ -307,14 +309,15 @@ class TestJacobiEndomorphism:
                 ev = alg.evaluator(p)
                 R2 = jacobi_endomorphism(alg, S, N, ev)
                 R3 = curvature(alg, N, ev)
-                contraction = np.einsum("e,ebg->bg", np.array(p.y), R3)
+                contraction = np.einsum("e,...ebg->...bg", np.array(p.y), R3)
                 assert np.max(np.abs(R2 - contraction)) <= 1e-10
 
     def test_annihilates_the_spray(self, all_systems):
         for cfg in all_systems:
             alg = cfg.algebroid
             for p in pts(cfg, 50, seed=43):
-                R2 = jacobi_endomorphism(alg, cfg.semispray(), cfg.connection(), alg.evaluator(p))
+                S, N = cfg.semispray(), cfg.connection()
+                R2 = jacobi_endomorphism(alg, S, N, alg.evaluator(p))[0]
                 out = R2.T @ np.array(p.y)
                 assert np.max(np.abs(out)) <= 1e-10
 
@@ -333,13 +336,13 @@ class TestJacobiEndomorphism:
             basis = basis_sections(alg.m)
             for p in pts(driftless, 10, seed=47):
                 ev = alg.evaluator(p)
-                Nv = N.at(ev)
-                R2 = jacobi_endomorphism(alg, S, N, ev)
+                Nv = N.at(ev)[0]
+                R2 = jacobi_endomorphism(alg, S, N, ev)[0]
                 for b in range(alg.m):
-                    omega = curvature_apply(alg, N, Ssec, basis[b], ev)
+                    omega = curvature_apply(alg, N, Ssec, basis[b], ev)[0]
                     hB = h_tensor(alg, N).apply(basis[b])
                     t1x, t1v = bracket(alg, vS, hB, ev)
-                    got = omega + (t1v + t1x @ Nv)
+                    got = omega + (t1v[0] + t1x[0] @ Nv)
                     assert np.max(np.abs(got - R2[b])) <= 1e-9
                 # vertical frame inputs are annihilated on both sides
                 for b in range(alg.m):
@@ -385,7 +388,7 @@ class TestStructureTensors:
         N = driftless.connection()
         for p in pts(driftless, 10, seed=67):
             ev = alg.evaluator(p)
-            h, v, F = structure_tensors(N.at(ev))
+            h, v, F = structure_tensors(N.at(ev)[0])
             assert np.max(np.abs(h_tensor(alg, N).at(ev) - h)) == 0.0
             assert np.max(np.abs(v_tensor(alg, N).at(ev) - v)) == 0.0
             assert np.max(np.abs(f_tensor(alg, N).at(ev) - F)) <= 1e-15
@@ -399,14 +402,14 @@ class TestNabla:
         d1 = horizontal_basis_exprs(alg, N, 0)
         x, v = CovariantDerivative(alg, S, N, alg.evaluator(P0))(d1)
         # coefficient N_1^1 - L_12^1 u2 = 0 on the first slot
-        assert x[0] == pytest.approx(0.0, abs=1e-14)
+        assert x[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_scalar_rule_on_energy(self, driftless):
         alg = driftless.algebroid
         ev = alg.evaluator(P0)
         Ssec = driftless.semispray().section(alg)
         energy = driftless.lagrangian.energy_expr
-        assert directional_derivative(alg, ev, *Ssec.values_at(ev), (energy,))[0] == pytest.approx(
+        assert directional_derivative(alg, ev, *Ssec.values_at(ev), (energy,))[0, 0] == pytest.approx(
             0.0, abs=1e-14
         )
 
@@ -442,14 +445,14 @@ class TestNabla:
         N = arbitrary_connection(driftless)
         for p in pts(driftless, 15, seed=79):
             ev = alg.evaluator(p)
-            Nv = N.at(ev)
+            Nv = N.at(ev)[0]
             y = np.array(p.y)
-            L = alg.structure_at(ev)
-            out = nabla_tensor(alg, S, N, j_tensor(alg.m), ev)
+            L = alg.structure_at(ev)[0]
+            out = nabla_tensor(alg, S, N, j_tensor(alg.m), ev)[0]
             expected_vx = np.zeros((alg.m, alg.m))
             for a in range(alg.m):
                 for b in range(alg.m):
-                    dS = ev.jet(S.components[b]).grad[alg.n + a]
+                    dS = ev.jet(S.components[b]).grad[0, alg.n + a]
                     twist = float(np.einsum("e,e->", y, L[a, :, b]))
                     expected_vx[b, a] = -(dS - twist + 2.0 * Nv[a, b])
             m = alg.m
@@ -490,10 +493,10 @@ class TestNabla:
                 for p in pts(cfg, 10, seed=91):
                     ev = alg.evaluator(p)
                     _, _, F = tree_structure_tensors(alg, N, ev)
-                    R2 = jacobi_endomorphism(alg, S, N, ev)
-                    ax, av = A.values_at(ev)
+                    R2 = jacobi_endomorphism(alg, S, N, ev)[0]
+                    ax, av = (c[0] for c in A.values_at(ev))
                     lx, lv = bracket(alg, Ssec, A, ev)
-                    fx, fv = apply(F, ax, av)
+                    fx, fv = apply(F[0], ax, av)
                     jx, jv = np.zeros(alg.m), ax
                     px, pv = apply(phi_block(R2), ax, av)
                     wx, wv = CovariantDerivative(alg, S, N, ev)(A)
@@ -518,16 +521,16 @@ class TestNabla:
         for N in (driftless.connection(), arbitrary_connection(driftless)):
             for p in pts(driftless, 10, seed=95):
                 ev = alg.evaluator(p)
-                h, v, _ = tree_structure_tensors(alg, N, ev)
+                h, v, _ = (t[0] for t in tree_structure_tensors(alg, N, ev))
                 cols_h = []
                 cols_j = []
                 for k, B in enumerate(basis_sections(alg.m)):
                     jB = j_tensor(alg.m).apply(B)
                     bx, bv = bracket(alg, Ssec, jB, ev)
-                    cols_h.append(np.concatenate(apply(h, bx, bv)))
+                    cols_h.append(np.concatenate(apply(h, bx[0], bv[0])))
                     vB = v_tensor(alg, N).apply(B)
                     cx, cv = bracket(alg, Ssec, vB, ev)
-                    cols_j.append(np.concatenate([np.zeros(alg.m), cx]))
+                    cols_j.append(np.concatenate([np.zeros(alg.m), cx[0]]))
                 got_h = np.stack(cols_h, axis=1)
                 got_j = np.stack(cols_j, axis=1)
                 assert np.max(np.abs(got_h + h)) <= 1e-9
@@ -536,8 +539,8 @@ class TestNabla:
 
     @pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg", "forced", "rank3"])
     def test_batch_rows_are_the_point_bits(self, request, name):
-        """Over a sample evaluator every row of nabla A, and of its
-        horizontal part alone, is the point call at that sample bit for bit."""
+        """Row k of nabla A over a sample evaluator, and of its horizontal
+        part alone, has the bits of the batch of one at sample k."""
         if name == "rank3":
             cfg = parse_config(rank3.RAW)
             N_arb = rank3._arbitrary(cfg)
@@ -556,15 +559,17 @@ class TestNabla:
                 hor = nabla.horizontal(A.x_comps)
                 for i, p in enumerate(samples):
                     at_p = CovariantDerivative(alg, S, N, alg.evaluator(p))
-                    px, pv = at_p(A)
+                    px, pv = (c[0] for c in at_p(A))
                     assert x[i].tobytes() == px.tobytes() and v[i].tobytes() == pv.tobytes()
-                    assert hor[i].tobytes() == at_p.horizontal(A.x_comps).tobytes() == px.tobytes()
+                    one_hor = at_p.horizontal(A.x_comps)[0]
+                    assert hor[i].tobytes() == one_hor.tobytes() == px.tobytes()
 
     @pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg", "forced", "rank3"])
     def test_numeric_nabla_twice_is_the_tree_builders_applied_twice(self, request, name):
         """nabla^2 by the product rule (CovariantDerivative.twice) equals the
-        reference trees applied twice, on both frames, at a point and over a
-        batch, for the canonical and an arbitrary connection."""
+        reference trees applied twice, on both frames, over a batch and on
+        the batch of one at each sample, for the canonical and an arbitrary
+        connection; row k of the batch has the bits of the batch of one."""
         if name == "rank3":
             cfg = parse_config(rank3.RAW)
             N_arb = rank3._arbitrary(cfg)
@@ -590,7 +595,7 @@ class TestNabla:
                         at_p = CovariantDerivative(alg, S, N, ev).twice(comps, along, vertical)
                         want = ev.values_of(want_trees)
                         assert np.all(np.abs(at_p - want) <= 1e-12 * (1.0 + np.abs(want)))
-                        assert at_p.tobytes() == got[i].tobytes()
+                        assert at_p[0].tobytes() == got[i].tobytes()
 
     def test_second_order_builders_start_with_the_numeric_nabla(self, all_systems):
         """The reference trees of nabla^2 give, applied once, the numeric
@@ -641,7 +646,7 @@ class TestBerwaldConnection:
         alg = driftless.algebroid
         N = driftless.connection()
         ev = alg.evaluator(P0)
-        B = berwald_coefficients(alg, N, ev)
+        B = berwald_coefficients(alg, N, ev)[0]
         for a in range(2):
             for b in range(2):
                 da = horizontal_basis_exprs(alg, N, a)

@@ -5,15 +5,25 @@ import pytest
 
 from algmech.errors import EvaluationDomainError
 from algmech.expr import FUNCTIONS, differentiate, parse_expression, postorder, to_source
-from algmech.jets import PointEvaluator, eval_jet, finite_difference_jet, int_power
+from algmech.jets import EvalPoint, SampleEvaluator, int_power
 from algmech.sampling import SplitMix64
+
+from jet_reference import finite_difference_jet, one_point, second_order
 
 COORDS = ("x1", "x2", "u1", "u2")
 
 
 def jet(src, **vals):
     values = [vals.get(c, 0.0) for c in COORDS]
-    return eval_jet(parse_expression(src, COORDS), COORDS, values)
+    return second_order(parse_expression(src, COORDS), COORDS, values)
+
+
+def _defined(tree, x1) -> bool:
+    try:
+        one_point(COORDS, [x1, 0.0, 0.0, 0.0]).jet(tree)
+    except EvaluationDomainError:
+        return False
+    return True
 
 
 class TestJetValues:
@@ -34,10 +44,6 @@ class TestJetValues:
         assert j.value == 0.3
         assert np.array_equal(j.grad, np.array([1.0, 0.0, 0.0, 0.0]))
         assert np.count_nonzero(j.hess) == 0
-
-    def test_hessian_symmetric_bit_exact(self):
-        j = jet("exp(x1*u1)*sin(x2+u2^3)/sqrt(1+x1^2)", x1=0.4, x2=1.1, u1=0.7, u2=0.3)
-        assert np.array_equal(j.hess, j.hess.T)
 
     def test_integer_power_of_negative_base(self):
         j = jet("x1^3", x1=-2.0)
@@ -73,11 +79,12 @@ class TestJetValues:
     )
     def test_domain_errors(self, src, kwargs):
         tree = parse_expression(src, COORDS)
-        ev = PointEvaluator(COORDS, [kwargs.get(c, 0.0) for c in COORDS])
-        for mode in (ev.value, ev.jet1, ev.jet):
+        p = EvalPoint.of([kwargs.get(c, 0.0) for c in COORDS], ())
+        ev = SampleEvaluator(COORDS, [p])
+        for mode in (ev.value, ev.jet):
             with pytest.raises(EvaluationDomainError) as exc:
                 mode(tree)
-            assert str(exc.value).endswith(f" in '{to_source(tree)}'")
+            assert str(exc.value).endswith(f" in '{to_source(tree)}' at {p}")
 
     @pytest.mark.parametrize(
         "src,x1,says",
@@ -86,35 +93,41 @@ class TestJetValues:
             ("exp(x1)", 1000.0, "exp overflows at 1000.0"),
             ("sin(x1*x1)", 1e200, "sin is undefined at inf"),
             ("x1^2.5", 1e300, "power overflows at base 1e+300"),
+            ("(1e-200*x1)^-2.0", 1.0, "power is undefined at base 1e-200"),
         ],
     )
     def test_math_errors_name_the_function_and_its_argument(self, src, x1, says):
-        with pytest.raises(EvaluationDomainError) as exc:
-            PointEvaluator(COORDS, [x1, 0.0, 0.0, 0.0]).value(parse_expression(src, COORDS))
-        assert str(exc.value) == f"{says} in '{src}'"
+        """Values and jets, on a batch of one and at sample 1 of a batch of
+        three where only that sample faults: the error names the failing
+        operand as a float and the sample."""
+        tree = parse_expression(src, COORDS)
+        fine = next(v for v in (2.0, 1e150) if _defined(tree, v))
+        points = [EvalPoint.of([v, 0.0, 0.0, 0.0], ()) for v in (fine, x1, fine)]
+        for samples in ([points[1]], points):
+            for mode in (SampleEvaluator.value, SampleEvaluator.jet):
+                with pytest.raises(EvaluationDomainError) as exc:
+                    mode(SampleEvaluator(COORDS, samples), tree)
+                assert str(exc.value) == f"{says} in '{src}' at {points[1]}"
 
     def test_jet_division_with_an_underflowing_cube(self):
-        # 1/v^3 underflows to a division by zero; only the Hessian needs it
+        # 1/v^3 underflows to a division by zero, but a first-order jet
+        # needs no cube: the jet is defined wherever its value and gradient are
         tree = parse_expression("x1/x2", COORDS)
-        ev = PointEvaluator(COORDS, [1.0, 1e-110, 0.0, 0.0])
-        assert ev.value(tree) == 1e110
-        assert ev.jet1(tree).value == 1e110
-        with pytest.raises(EvaluationDomainError) as exc:
-            ev.jet(tree)
-        assert str(exc.value).endswith(" in 'x1/x2'")
+        ev = one_point(COORDS, [1.0, 1e-110, 0.0, 0.0])
+        assert ev.value(tree)[0] == 1e110
+        assert ev.jet(tree).value[0] == 1e110
+        assert np.isfinite(ev.jet(tree).grad).all()
 
     @pytest.mark.parametrize("x1", [-2.0, 3.0])
     def test_negative_literal_exponent_is_an_integer_power(self, x1):
         power = parse_expression("x1^-2", COORDS)
         quotient = parse_expression("1/x1^2", COORDS)
-        ev = PointEvaluator(COORDS, [x1, 0.0, 0.0, 0.0])
-        assert ev.value(power) == ev.value(quotient)
-        for mode in (ev.jet1, ev.jet):
-            assert mode(power).value == mode(quotient).value
-            assert np.array_equal(mode(power).grad, mode(quotient).grad)
-        assert np.array_equal(ev.jet(power).hess, ev.jet(quotient).hess)
+        ev = one_point(COORDS, [x1, 0.0, 0.0, 0.0])
+        assert ev.value(power)[0] == ev.value(quotient)[0]
+        assert ev.jet(power).value[0] == ev.jet(quotient).value[0]
+        assert np.array_equal(ev.jet(power).grad, ev.jet(quotient).grad)
         d_power, d_quotient = differentiate(power, "x1"), differentiate(quotient, "x1")
-        assert ev.value(d_power) == ev.value(d_quotient)
+        assert ev.value(d_power)[0] == ev.value(d_quotient)[0]
 
     def test_domain_error_carries_subexpression(self):
         with pytest.raises(EvaluationDomainError) as exc:
@@ -163,17 +176,17 @@ class TestIntegerPower:
     def test_value_and_jets_of_a_power(self, k, x1):
         tree = parse_expression(f"x1^{k}", COORDS)
         point = [x1, 0.0, 0.0, 0.0]
-        ev = PointEvaluator(COORDS, point)
-        value = ev.value(tree)
+        ev = one_point(COORDS, point)
+        value = ev.value(tree)[0]
         assert value == pytest.approx(math.pow(x1, k), rel=1e-13)
         d1, d2 = k * math.pow(x1, k - 1), k * (k - 1) * math.pow(x1, k - 2)
         fd = finite_difference_jet(tree, COORDS, point, h=1e-4 / abs(k))
-        for j in (ev.jet1(tree), ev.jet(tree)):
-            assert j.value == value
-            assert j.grad[0] == pytest.approx(d1, rel=1e-12)
-            assert j.grad[0] == pytest.approx(fd.grad[0], rel=1e-6)
-            assert np.count_nonzero(j.grad[1:]) == 0
-        hess = ev.jet(tree).hess[0, 0]
+        j = ev.jet(tree)
+        assert j.value[0] == value
+        assert j.grad[0, 0] == pytest.approx(d1, rel=1e-12)
+        assert j.grad[0, 0] == pytest.approx(fd.grad[0], rel=1e-6)
+        assert np.count_nonzero(j.grad[0, 1:]) == 0
+        hess = second_order(tree, COORDS, point).hess[0, 0]
         assert hess == pytest.approx(d2, rel=1e-12)
         assert hess == pytest.approx(fd.hess[0, 0], rel=1e-4)
 
@@ -239,37 +252,16 @@ def corpus_points(count=100, seed=74201):
 
 
 def test_jets_match_finite_differences_on_corpus():
-    """Gradient within 1e-6 and Hessian within 1e-4 of central differences."""
+    """Gradient within 1e-6 and Hessian (the jets of the derivative trees)
+    within 1e-4 of central differences."""
     h = 1e-4
     for src in CORPUS:
         tree = parse_expression(src, COORDS)
         for values in corpus_points():
-            exact = eval_jet(tree, COORDS, values)
+            exact = second_order(tree, COORDS, values)
             approx = finite_difference_jet(tree, COORDS, values, h)
             assert np.max(np.abs(exact.grad - approx.grad)) <= 1e-6, src
             assert np.max(np.abs(exact.hess - approx.hess)) <= 1e-4, src
-
-
-def test_first_order_jets_equal_second_order_on_corpus():
-    """jet1 runs the same arithmetic without the Hessian, so its value and
-    gradient are those of the second-order jet bit for bit."""
-    for src in CORPUS:
-        tree = parse_expression(src, COORDS)
-        for values in corpus_points(count=20, seed=5150):
-            full = eval_jet(tree, COORDS, values)
-            first = PointEvaluator(COORDS, values).jet1(tree)
-            assert first.hess is None
-            assert first.value == full.value, src
-            assert np.array_equal(first.grad, full.grad), src
-
-
-def test_first_and_second_order_memos_are_separate():
-    tree = parse_expression("sin(x1)*u1/(1+x2^2)", COORDS)
-    ev = PointEvaluator(COORDS, [0.3, -0.4, 1.2, 0.0])
-    first = ev.jet1(tree)
-    full = ev.jet(tree)
-    assert first.hess is None and full.hess is not None
-    assert ev.jet1(tree) is first and ev.jet(tree) is full
 
 
 def test_sum_and_product_rules_exact():
@@ -277,19 +269,17 @@ def test_sum_and_product_rules_exact():
     b = parse_expression("exp(0.2*x2)-u2*x1", COORDS)
     plus = parse_expression("(sin(x1)*u1+x2^2)+(exp(0.2*x2)-u2*x1)", COORDS)
     for values in corpus_points(count=25, seed=3):
-        ja = eval_jet(a, COORDS, values)
-        jb = eval_jet(b, COORDS, values)
-        jsum = eval_jet(plus, COORDS, values)
+        ev = one_point(COORDS, values)
+        ja, jb, jsum = ev.jet(a), ev.jet(b), ev.jet(plus)
         assert jsum.value == ja.value + jb.value
         assert np.array_equal(jsum.grad, ja.grad + jb.grad)
-        assert np.array_equal(jsum.hess, ja.hess + jb.hess)
 
 
 def test_memo_shared_subtrees():
     tree = parse_expression("(x1+x2)^2*(x1+x2)", COORDS)
-    ev = PointEvaluator(COORDS, [0.5, 1.5, 0, 0])
-    assert ev.value(tree) == pytest.approx(8.0, abs=1e-12)
-    assert ev.jet(tree).value == pytest.approx(8.0, abs=1e-12)
+    ev = one_point(COORDS, [0.5, 1.5, 0, 0])
+    assert ev.value(tree)[0] == pytest.approx(8.0, abs=1e-12)
+    assert ev.jet(tree).value[0] == pytest.approx(8.0, abs=1e-12)
 
 
 # -- random-tree linearity properties ---------------------------------------
@@ -347,29 +337,19 @@ _tree = st.recursive(_leaf, _node, max_leaves=12)
 @given(_tree, _tree, st.integers(min_value=0, max_value=2**32 - 1))
 def test_sum_rule_is_componentwise_exact(a, b, seed):
     rng = SplitMix64(seed)
-    values = [rng.uniform(-2.0, 2.0) for _ in COORDS]
-    ja = eval_jet(a, COORDS, values)
-    jb = eval_jet(b, COORDS, values)
-    jsum = eval_jet(BinOp("+", a, b), COORDS, values)
+    ev = one_point(COORDS, [rng.uniform(-2.0, 2.0) for _ in COORDS])
+    ja, jb, jsum = ev.jet(a), ev.jet(b), ev.jet(BinOp("+", a, b))
     assert jsum.value == ja.value + jb.value
     assert np.array_equal(jsum.grad, ja.grad + jb.grad)
-    assert np.array_equal(jsum.hess, ja.hess + jb.hess)
 
 
 @given(_tree, _tree, st.integers(min_value=0, max_value=2**32 - 1))
 def test_product_rule_is_componentwise_exact(a, b, seed):
     rng = SplitMix64(seed)
-    values = [rng.uniform(-2.0, 2.0) for _ in COORDS]
-    ja = eval_jet(a, COORDS, values)
-    jb = eval_jet(b, COORDS, values)
-    jprod = eval_jet(BinOp("*", a, b), COORDS, values)
-    cross = np.outer(ja.grad, jb.grad)
+    ev = one_point(COORDS, [rng.uniform(-2.0, 2.0) for _ in COORDS])
+    ja, jb, jprod = ev.jet(a), ev.jet(b), ev.jet(BinOp("*", a, b))
     assert jprod.value == ja.value * jb.value
-    assert np.array_equal(jprod.grad, ja.value * jb.grad + jb.value * ja.grad)
-    assert np.array_equal(
-        jprod.hess,
-        ja.value * jb.hess + jb.value * ja.hess + cross + cross.T,
-    )
+    assert np.array_equal(jprod.grad, ja.value[:, None] * jb.grad + jb.value[:, None] * ja.grad)
 
 
 # -- the value kernel equals the walker --------------------------------------
@@ -381,7 +361,7 @@ from pathlib import Path  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from algmech.config import load_config  # noqa: E402
-from algmech.jets import EvalPoint, ValueKernel  # noqa: E402
+from algmech.jets import ValueKernel  # noqa: E402
 
 from test_sharing import unique_nodes  # noqa: E402
 
@@ -413,8 +393,8 @@ def test_kernel_equals_walker_at_config_samples(config):
     )
     kernel = ValueKernel(alg.coords, trees, alg.n)
     for p in cfg.sample_points():
-        ev = PointEvaluator(alg.coords, p.values())
-        assert bits(kernel(list(p.values()))) == bits(ev.value(t) for t in trees), p
+        ev = alg.evaluator(p)
+        assert bits(kernel(list(p.values()))) == bits(ev.value(t)[0] for t in trees), p
 
 
 _EDGE_VALUES = [0.0, -0.0, -1.5, 0.7, 2.0, -3.0, 1e200, -1e200, 1e-200]
@@ -453,11 +433,9 @@ def _outcome(run):
 )
 def test_kernel_equals_walker_on_random_trees(tree, values):
     """Same bits, or the same EvaluationDomainError, on any tree and point;
-    the kernel's error names the point too."""
+    the kernel's error names the point, as the walk of a batch of one does."""
     kernel = ValueKernel(COORDS, (tree,), len(COORDS))
-    walker = _outcome(lambda: [PointEvaluator(COORDS, values).value(tree)])
-    if isinstance(walker, str):
-        walker += f" at {EvalPoint.of(values, ())}"
+    walker = _outcome(lambda: one_point(COORDS, values).value(tree).tolist())
     assert _outcome(lambda: kernel(values)) == walker
 
 
@@ -476,7 +454,7 @@ def test_kernel_source_has_one_line_per_node():
     power = parse_expression("x1^200000", COORDS)
     kernel = ValueKernel(COORDS, (power,), len(COORDS))
     point = [1.0 + 1e-6, 0.0, 0.0, 0.0]
-    assert kernel(point) == [PointEvaluator(COORDS, point).value(power)]
+    assert kernel(point) == one_point(COORDS, point).value(power).tolist()
     assert _inner_nodes(power) == unique_nodes(power) - 2
     assert len(kernel.source.splitlines()) == _inner_nodes(power) + 3
     # 3,000 nested sums: deeper than the recursion limit
@@ -484,7 +462,7 @@ def test_kernel_source_has_one_line_per_node():
     kernel = ValueKernel(COORDS, (long_sum, power), len(COORDS))
     assert len(kernel.source.splitlines()) == _inner_nodes(long_sum, power) + 3
     point = [2.0, 0.0, 0.0, 0.0]
-    assert kernel(point)[0] == PointEvaluator(COORDS, point).value(long_sum)
+    assert kernel(point)[0] == one_point(COORDS, point).value(long_sum)[0]
 
 
 _WRITTEN_OUT = ["x1^1", "x1^2", "x1^3", "x1^(-1)", "x1^(-2)", "x1^(-3)"]
@@ -502,9 +480,7 @@ def test_kernel_powers_equal_walker(src):
     xs = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-200.0, 200.0, 300)
     for x in [0.0, -0.0, *xs.tolist()]:
         values = [x, 0.0, 0.0, 0.0]
-        walker = _outcome(lambda: [PointEvaluator(COORDS, values).value(tree)])
-        if isinstance(walker, str):
-            walker += f" at {EvalPoint.of(values, ())}"
+        walker = _outcome(lambda: one_point(COORDS, values).value(tree).tolist())
         assert _outcome(lambda: kernel(values)) == walker, x
 
 
@@ -515,7 +491,6 @@ from algmech.connection import (  # noqa: E402
     canonical_connection,
     jacobi_endomorphism,
 )
-from algmech.jets import EvalPoint, SampleEvaluator  # noqa: E402
 from algmech.prolongation import (  # noqa: E402
     basis_sections,
     bracket,
@@ -543,39 +518,40 @@ def _batch_outcome(run):
 
 
 def _walker_outcome(run, points):
-    """The walker's per-sample bits, or the error of the first failing
-    sample with that sample named, as the batch must give them."""
+    """The bits of the batch of one at each sample, or the error of the
+    first failing one, which names its sample, as the batch must give them."""
     rows = []
     for p in points:
         try:
-            with np.errstate(all="ignore"):  # the walker's jets warn of inf * 0
-                rows.append(bits(np.ravel(run(p))))
+            rows.append(bits(np.ravel(run(p))))
         except EvaluationDomainError as err:
-            return f"{err} at {p}"
+            return str(err)
     return rows
 
 
 def _compare(names, points, tree):
-    def point(p):
-        return PointEvaluator(names, p.values())
+    """Row k of the batch has the bits of the batch of one at sample k."""
+
+    def one(p):
+        return SampleEvaluator(names, [p])
 
     def jet_row(jet):
         return np.column_stack([jet.value, jet.grad])
 
     batch = SampleEvaluator(names, points)
     assert _batch_outcome(lambda: batch.value(tree)) == _walker_outcome(
-        lambda p: point(p).value(tree), points
+        lambda p: one(p).value(tree), points
     )
     batch = SampleEvaluator(names, points)
-    assert _batch_outcome(lambda: jet_row(batch.jet1(tree))) == _walker_outcome(
-        lambda p: [point(p).jet1(tree).value, *point(p).jet1(tree).grad], points
+    assert _batch_outcome(lambda: jet_row(batch.jet(tree))) == _walker_outcome(
+        lambda p: jet_row(one(p).jet(tree)), points
     )
 
 
 @pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
 def test_batch_equals_walker_at_config_samples(config):
-    """Values and first-order jets of the trees the sweeps read: each sample
-    of the batch has the walker's bits."""
+    """Values and jets of the trees the sweeps read: row k of the batch has
+    the bits of the batch of one at sample k."""
     cfg = load_config(config)
     alg = cfg.algebroid
     S = cfg.semispray()
@@ -601,8 +577,9 @@ _ROWS = st.lists(
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.recursive(_KERNEL_LEAF, _kernel_node, max_leaves=10), _ROWS)
 def test_batch_equals_walker_on_random_trees(tree, rows):
-    """Same bits at every sample, or the walker's EvaluationDomainError at
-    the first failing sample, with that sample named, on any tree."""
+    """Row k has the bits of the batch of one at sample k, or the batch
+    raises the EvaluationDomainError of the first failing sample, which names
+    that sample, on any tree."""
     _compare(COORDS, [EvalPoint.of(r, ()) for r in rows], tree)
 
 
@@ -637,23 +614,25 @@ def test_batch_applies_math_not_numpy_functions():
     ids=["x1^0.5", "x1^2.5", "x1^x2"],
 )
 def test_first_order_power_jet_at_a_tiny_base(src, closed):
-    """A first-order jet computes no f'' term, so at x1 = 1e-200, where the
-    f'' factor 1/x1^2 overflows, the point and batch jets are finite, agree
-    bit for bit and match the closed form (x1^2.5 underflows to 0 there)."""
+    """A jet computes no f'' term, so at x1 = 1e-200, where the f'' factor
+    1/x1^2 overflows, the jets of the batch of one and of row 1 of a batch
+    of two are finite, agree bit for bit and match the closed form (x1^2.5
+    underflows to 0 there)."""
     x1, x2 = 1e-200, 1.5
     p = EvalPoint.of([x1, x2, 0.7, 2.0], ())
     tree = parse_expression(src, COORDS)
-    point = PointEvaluator(COORDS, p.values()).jet1(tree)
-    batch = SampleEvaluator(COORDS, [p]).jet1(tree)
-    assert np.isfinite([point.value, *point.grad]).all()
-    assert bits([point.value, *point.grad]) == bits([batch.value[0], *batch.grad[0]])
-    np.testing.assert_allclose(point.grad, [*closed(x1, x2), 0.0, 0.0], rtol=1e-12, atol=1e-299)
+    one = SampleEvaluator(COORDS, [p]).jet(tree)
+    batch = SampleEvaluator(COORDS, [EvalPoint.of([0.5, x2, 0.7, 2.0], ()), p]).jet(tree)
+    point = [one.value[0], *one.grad[0]]
+    assert np.isfinite(point).all()
+    assert bits(point) == bits([batch.value[1], *batch.grad[1]])
+    np.testing.assert_allclose(one.grad[0], [*closed(x1, x2), 0.0, 0.0], rtol=1e-12, atol=1e-299)
 
 
 @pytest.mark.parametrize("config", _CONFIGS[:3], ids=_CONFIG_IDS[:3])
 def test_batched_bracket_slices_equal_the_point_call(config):
-    """Every formula written once for a point and a batch gives each sample
-    slice over the batch the bits of the call on that sample's evaluator."""
+    """Every formula gives row k over a batch the bits of the call on the
+    batch of one at sample k."""
     cfg = load_config(config)
     alg = cfg.algebroid
     S, N, E = cfg.semispray(), cfg.connection(), cfg.lagrangian.energy_expr
@@ -673,9 +652,9 @@ def test_batched_bracket_slices_equal_the_point_call(config):
 
     batch = formulas(alg.sample_evaluator(samples))
     for i, p in enumerate(samples):
-        point = formulas(PointEvaluator(alg.coords, p.values()))
-        for b, q in zip(batch, point, strict=True):
-            assert bits(np.ravel(b[i])) == bits(np.ravel(q)), p
+        one = formulas(alg.evaluator(p))
+        for b, q in zip(batch, one, strict=True):
+            assert bits(np.ravel(b[i])) == bits(np.ravel(q[0])), p
 
 
 # -- trees far deeper than Python's recursion limit ---------------------------
@@ -687,19 +666,19 @@ _DEEP_POINTS = [EvalPoint.of([0.3, -1.1], [0.7, 2.0]), EvalPoint.of([-2.5, 0.4],
 
 @pytest.mark.parametrize("src", [LONG_SUM, DEEP_CHAIN], ids=["sum", "chain"])
 def test_deep_trees_agree_in_every_mode(src):
-    """Point value, jet1 and jet, batch value and jet1, and the kernel give
-    one set of bits on a 50,000-node sum and a 5,000-deep chain."""
+    """Value and jet over a batch and over the batch of one at each sample,
+    and the kernel, give one set of bits on a 50,000-node sum and a
+    5,000-deep chain."""
     tree = parse_expression(src, COORDS)
     batch = SampleEvaluator(COORDS, _DEEP_POINTS)
-    values, jets = batch.value(tree), batch.jet1(tree)
+    values, jets = batch.value(tree), batch.jet(tree)
     kernel = ValueKernel(COORDS, (tree,), len(COORDS))
     for i, p in enumerate(_DEEP_POINTS):
-        ev = PointEvaluator(COORDS, p.values())
-        value, jet1, jet2 = ev.value(tree), ev.jet1(tree), ev.jet(tree)
+        ev = SampleEvaluator(COORDS, [p])
+        value, jet = ev.value(tree)[0], ev.jet(tree)
         assert bits([values[i], *kernel(list(p.values()))]) == bits([value, value])
-        assert bits([jet1.value, *jet1.grad]) == bits([jets.value[i], *jets.grad[i]])
-        assert bits([jet2.value, *jet2.grad]) == bits([jet1.value, *jet1.grad])
-        assert jet1.value == value
+        assert bits([jet.value[0], *jet.grad[0]]) == bits([jets.value[i], *jets.grad[i]])
+        assert jet.value[0] == value
 
 
 @pytest.mark.parametrize("src", [LONG_SUM, DEEP_CHAIN], ids=["sum", "chain"])
@@ -708,13 +687,13 @@ def test_domain_error_deep_inside_names_its_subexpression(src):
     tree = parse_expression(src[:at] + "ln(x2-x2)" + src[at + 2:], COORDS)
     named = "ln is undefined at 0.0 in 'ln(x2-x2)'"
     p = _DEEP_POINTS[0]
-    ev = PointEvaluator(COORDS, p.values())
-    for mode in (ev.value, ev.jet1, ev.jet):
+    ev = SampleEvaluator(COORDS, [p])
+    for mode in (ev.value, ev.jet):
         with pytest.raises(EvaluationDomainError) as caught:
             mode(tree)
-        assert str(caught.value) == named
+        assert str(caught.value) == f"{named} at {p}"
     batch = SampleEvaluator(COORDS, _DEEP_POINTS)
-    for mode in (batch.value, batch.jet1):
+    for mode in (batch.value, batch.jet):
         with pytest.raises(EvaluationDomainError) as caught:
             mode(tree)
         assert str(caught.value) == f"{named} at {p}"
@@ -747,11 +726,11 @@ def _box_point(seed):
 @given(_SOLVES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_solve_values_match_numpy_inverse(x, seed):
     """Every component of a solve is inv(G) @ b, with G and b evaluated."""
-    ev = PointEvaluator(COORDS, _box_point(seed))
+    ev = one_point(COORDS, _box_point(seed))
     system = x.system
-    G = np.array([[ev.value(g) for g in row] for row in system.matrix])
-    want = np.linalg.inv(G) @ np.array([ev.value(b) for b in system.rhs])
-    got = np.array([ev.value(c) for c in system.solution])
+    G = np.array([[ev.value(g)[0] for g in row] for row in system.matrix])
+    want = np.linalg.inv(G) @ ev.values_of(system.rhs)[0]
+    got = ev.values_of(system.solution)[0]
     assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
 
 
@@ -759,42 +738,43 @@ def test_solve_values_match_numpy_inverse(x, seed):
 @given(_SOLVES, st.integers(min_value=0, max_value=2**32 - 1))
 def test_solve_jets_match_finite_differences(x, seed):
     """The jet of a solve against central differences (gradient within 1e-6,
-    Hessian within 1e-4, relative to the jet's size), and its gradient
-    against the values of its derivative trees, which are solves too."""
+    and the Hessian of the jets of its derivative trees within 1e-4, relative
+    to the jet's size), and its gradient against the values of its
+    derivative trees, which are solves too."""
     values = _box_point(seed)
-    exact = eval_jet(x, COORDS, values)
+    exact = second_order(x, COORDS, values)
     approx = finite_difference_jet(x, COORDS, values, 1e-4)
     size = 1.0 + max(abs(exact.value), np.max(np.abs(exact.grad)), np.max(np.abs(exact.hess)))
     assert np.max(np.abs(exact.grad - approx.grad)) <= 1e-6 * size
     assert np.max(np.abs(exact.hess - approx.hess)) <= 1e-4 * size
-    ev = PointEvaluator(COORDS, values)
-    trees = [ev.value(differentiate(x, c)) for c in COORDS]
+    ev = one_point(COORDS, values)
+    trees = [ev.value(differentiate(x, c))[0] for c in COORDS]
     assert np.max(np.abs(np.array(trees) - exact.grad)) <= 1e-12 * size
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(_SOLVES, _BOX_ROWS)
 def test_solve_point_batch_and_kernel_agree_bit_for_bit(x, rows):
-    """Values and first-order jets of the batch, and the kernel's values,
-    have the point walker's bits at every sample."""
+    """Values and jets of row k of the batch, and the kernel's values, have
+    the bits of the batch of one at sample k."""
     points = [EvalPoint.of(r, ()) for r in rows]
     _compare(COORDS, points, x)
     kernel = ValueKernel(COORDS, (x,), len(COORDS))
-    walker = [bits([PointEvaluator(COORDS, p.values()).value(x)]) for p in points]
+    walker = [bits(SampleEvaluator(COORDS, [p]).value(x)) for p in points]
     assert [bits(kernel(list(p.values()))) for p in points] == walker
 
 
 def test_singular_matrix_names_its_sample():
     """G = [[x1, 1], [1, 1]] is singular at x1 = 1, the third sample: the
-    batch names it and its index, the point walker and the kernel, which
+    batch names it and its index, the batch of one and the kernel, which
     walks again, its point."""
     x = solve(((Var("x1"), Num(1.0)), (Num(1.0), Num(1.0))), (Var("x2"), Num(1.0)))[0]
     points = [EvalPoint.of([v, 0.5, 0.0, 0.0], ()) for v in (2.0, 3.0, 1.0, 5.0)]
     p = points[2]
     runs = [
         (lambda: SampleEvaluator(COORDS, points).value(x), p, 2),
-        (lambda: SampleEvaluator(COORDS, points).jet1(x), p, 2),
-        (lambda: PointEvaluator(COORDS, p.values(), p).jet(x), p, 0),
+        (lambda: SampleEvaluator(COORDS, points).jet(x), p, 2),
+        (lambda: SampleEvaluator(COORDS, [p]).jet(x), p, 0),
         (lambda: ValueKernel(COORDS, (x,), len(COORDS))(list(p.values())), p, 0),
     ]
     for run, point, index in runs:

@@ -13,7 +13,7 @@ from algmech.errors import (
     SingularPairingError,
 )
 from algmech.expr import parse_expression, to_source
-from algmech.jets import EvalPoint, PointEvaluator, ValueKernel
+from algmech.jets import EvalPoint, ValueKernel
 from algmech.lagrangian import (
     Lagrangian,
     Trajectory,
@@ -38,6 +38,7 @@ from algmech.sampling import sample_points
 from algmech.symmetry import cartan_from_conservation
 
 import test_pinned_library as rank3
+from jet_reference import one_point
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -84,7 +85,8 @@ class TestFiberMetric:
             fiber_metric(L, L.alg.sample_evaluator([P0]))
 
     def test_trees_give_the_hessian_bits(self, all_systems):
-        """The metric trees over the batch against the Hessian jet of L, and
+        """The metric trees over the batch against the fiber Hessian of L
+        from the first-order jets of dL/dy, and
         the stacked inverse and condition number against the per-sample
         calls, bit for bit."""
         from test_pinned_library import POINTS, RAW
@@ -97,7 +99,9 @@ class TestFiberMetric:
             g, ginv, cond = fiber_metric(L, alg.sample_evaluator(samples))
             eye = np.eye(alg.m)
             for k, p in enumerate(samples):
-                hess = PointEvaluator(alg.coords, p.values()).jet(L.expr).hess[alg.n :, alg.n :]
+                # the fiber Hessian from the first-order jets of dL/dy
+                ev = alg.evaluator(p)
+                hess = np.stack([ev.jet(t).grad[0, alg.n :] for t in L.dy])
                 inv = np.linalg.inv(hess)
                 if np.max(np.abs(hess @ inv - eye)) > 1e-12:
                     inv = inv @ (2.0 * eye - hess @ inv)
@@ -158,7 +162,7 @@ class TestCanonicalSemispray:
         for p in pts(driftless, 25):
             ev = driftless.algebroid.evaluator(p)
             u1, u2 = p.y
-            got = ev.values_of(S.components)
+            got = ev.values_of(S.components)[0]
             assert abs(got[0] - (-u1 * u2)) <= 1e-15
             assert abs(got[1] - u1 * u1) <= 1e-15
 
@@ -166,7 +170,7 @@ class TestCanonicalSemispray:
         S = abelian.semispray()
         for p in pts(abelian, 10):
             ev = abelian.algebroid.evaluator(p)
-            assert np.array_equal(ev.values_of(S.components), np.zeros(2))
+            assert np.array_equal(ev.values_of(S.components), np.zeros((1, 2)))
 
     def test_base_potential_adds_force(self, driftless):
         L = define(driftless, "0.5*(u1^2+u2^2)+x3")
@@ -174,7 +178,7 @@ class TestCanonicalSemispray:
         for p in pts(driftless, 10):
             ev = driftless.algebroid.evaluator(p)
             u1, u2 = p.y
-            got = ev.values_of(S.components)
+            got = ev.values_of(S.components)[0]
             # anchored gradient of the potential contributes (0, 1)
             assert got[0] == pytest.approx(-u1 * u2 + 0.0, abs=1e-14)
             assert got[1] == pytest.approx(u1 * u1 + 1.0, abs=1e-14)
@@ -194,7 +198,7 @@ class TestPositionDependentMetric:
         for p in pts(abelian, 15):
             x1 = p.x[0]
             v1 = p.y[0]
-            got = abelian.algebroid.evaluator(p).values_of(S.components)
+            got = abelian.algebroid.evaluator(p).values_of(S.components)[0]
             assert got[0] == pytest.approx(-x1 * v1 * v1 / (1 + x1 * x1), rel=1e-13)
             assert got[1] == pytest.approx(0.0, abs=1e-13)
 
@@ -246,7 +250,7 @@ class TestCartanSections:
 
     def test_one_section_fiber_independent_lagrangian(self, driftless):
         L = define(driftless, "x1+x2")
-        assert np.array_equal(L.alg.evaluator(P0).values_of(L.dy), np.zeros(2))
+        assert np.array_equal(L.alg.evaluator(P0).values_of(L.dy), np.zeros((1, 2)))
 
     def test_one_section_cross_term(self, driftless):
         L = define(driftless, "0.5*u1*u2")
@@ -273,7 +277,7 @@ class TestCartanSections:
         ev = alg.evaluator(P0)
         W1 = cartan_pairing(alg, L1, ev)
         W2 = cartan_pairing(alg, L2, ev)
-        fresh = PointEvaluator(alg.coords, P0.values())
+        fresh = alg.evaluator(P0)
         assert np.array_equal(W2, cartan_pairing(alg, L2, fresh))
         assert not np.array_equal(W1, W2)
         assert cartan_pairing(alg, L1, ev) is W1
@@ -310,11 +314,11 @@ class TestCartanSections:
         k = len(basis)
         for p in pts(driftless, 10, seed=8):
             ev = alg.evaluator(p)
-            Wv = np.array([[ev.value(e) for e in row] for row in W])
-            sigma = alg.anchor_at(ev)
+            Wv = np.array([[ev.value(e)[0] for e in row] for row in W])
+            sigma = alg.anchor_at(ev)[0]
 
             def dir_frame(idx, tree):
-                g = ev.jet(tree).grad
+                g = ev.jet(tree).grad[0]
                 if idx < alg.m:
                     return float(sigma[:, idx] @ g[: alg.n])
                 return float(g[alg.n + idx - alg.m])
@@ -323,7 +327,7 @@ class TestCartanSections:
             for i in range(k):
                 for j in range(k):
                     bx, bv = bracket(alg, basis[i], basis[j], ev)
-                    br[i, j] = np.concatenate([bx, bv])
+                    br[i, j] = np.concatenate([bx[0], bv[0]])
             for i in range(k):
                 for j in range(i + 1, k):
                     for l in range(j + 1, k):
@@ -461,8 +465,8 @@ class TestIntegration:
         flow = [v for _, v in sode_flow(alg, S)]
 
         def f(z):
-            ev = PointEvaluator(alg.coords, z)
-            return [ev.value(v) for v in flow]
+            ev = one_point(alg.coords, z)
+            return [ev.value(v)[0] for v in flow]
 
         z = [*x0, *y0]
         k1 = f(z)
@@ -694,7 +698,7 @@ class TestEulerLagrange:
         p = EvalPoint.of([0.4, -0.8], [1.0, 2.0])
         alg = abelian.algebroid
         res = euler_lagrange_residual(alg, abelian.lagrangian, alg.evaluator(p), [0.0, 0.0])
-        assert np.array_equal(res, np.zeros(2))
+        assert np.array_equal(res, np.zeros((1, 2)))
 
     def test_consistency_with_canonical_field(self, all_systems):
         """The canonical components satisfy the variational equations."""
@@ -706,3 +710,40 @@ class TestEulerLagrange:
                 ydot = ev.values_of(S.components)
                 res = euler_lagrange_residual(alg, cfg.lagrangian, ev, ydot)
                 assert np.max(np.abs(res)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg", "forced"])
+def test_pointwise_quantities_take_a_batch(request, name):
+    """Row k of the Euler-Lagrange residual, the two-section, the symplectic
+    residual and the anchored derivative over a 3-sample evaluator has the
+    bits of the batch of one at sample k."""
+    from algmech.algebroid import BaseSection
+
+    cfg = request.getfixturevalue(name)
+    alg, L, S = cfg.algebroid, cfg.lagrangian, cfg.semispray()
+    x, y = alg.base_coords, alg.fiber_coords
+    A = ProlongationSection(
+        tuple(parse_expression(f"{y[a]}*{x[a % alg.n]}", alg.coords) for a in range(alg.m)),
+        tuple(parse_expression(f"sin({x[0]})+{y[-1 - a]}^2", alg.coords) for a in range(alg.m)),
+    )
+    B = basis_sections(alg.m)[-1]
+    s = BaseSection.define(
+        alg, [parse_expression(f"1+{x[a % alg.n]}", alg.coords) for a in range(alg.m)]
+    )
+    f = parse_expression(f"{x[0]}*{x[-1]}+cos({x[-1]})", alg.coords)
+
+    def quantities(ev):
+        return [
+            euler_lagrange_residual(alg, L, ev, ev.values_of(S.components)),
+            euler_lagrange_residual(alg, L, ev, [0.5] * alg.m),
+            cartan_two_section(alg, L, A, B, ev),
+            symplectic_residual(alg, L, S, A, ev),
+            alg.anchor_apply(s, f, ev),
+        ]
+
+    samples = pts(cfg, 3, seed=5)
+    batch = quantities(alg.sample_evaluator(samples))
+    for k, p in enumerate(samples):
+        for rows, one in zip(batch, quantities(alg.evaluator(p)), strict=True):
+            assert len(rows) == 3 and len(one) == 1
+            assert rows[k].tobytes() == one[0].tobytes(), (name, k)

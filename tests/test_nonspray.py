@@ -44,7 +44,7 @@ def test_forced_field_components(forced):
     S = forced.semispray()
     for p in pts(forced, 10):
         u1, u2 = p.y
-        got = alg.evaluator(p).values_of(S.components)
+        got = alg.evaluator(p).values_of(S.components)[0]
         assert got[0] == pytest.approx(-u1 * u2, abs=1e-14)
         assert got[1] == pytest.approx(u1 * u1 + 1.0, abs=1e-14)
 
@@ -87,12 +87,12 @@ def test_nabla_j_vanishes_and_decomposition_holds(forced):
         ev = alg.evaluator(p)
         assert np.max(np.abs(nabla_tensor(alg, S, N, j_tensor(alg.m), ev))) <= 1e-9
         _, _, F = tree_structure_tensors(alg, N, ev)
-        phi = phi_block(jacobi_endomorphism(alg, S, N, ev))
+        phi = phi_block(jacobi_endomorphism(alg, S, N, ev)[0])
         nabla = CovariantDerivative(alg, S, N, ev)
         for A in sections:
-            ax, av = A.values_at(ev)
+            ax, av = (c[0] for c in A.values_at(ev))
             lx, lv = bracket(alg, Ssec, A, ev)
-            fx, fv = apply(F, ax, av)
+            fx, fv = apply(F[0], ax, av)
             px, pv = apply(phi, ax, av)
             wx, wv = nabla(A)
             assert np.max(np.abs(wx - (lx + fx - px))) <= 1e-8

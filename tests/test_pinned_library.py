@@ -96,6 +96,11 @@ def _arrays(*arrays) -> list:
     return [np.asarray(a).tolist() for a in arrays]
 
 
+def _one(*arrays) -> list:
+    """Arrays over a batch of one, its sample axis dropped."""
+    return _arrays(*(a[0] for a in arrays))
+
+
 def compute() -> dict:
     cfg = parse_config(RAW)
     alg, S, L = cfg.algebroid, cfg.semispray(), cfg.lagrangian
@@ -123,7 +128,7 @@ def compute() -> dict:
         out[f"newtonoid_check_{key}"] = newtonoid_check(alg, S, A, batch, 1e-9, N).components
     for k, p in enumerate(POINTS):
         ev = alg.evaluator(p)
-        row: dict = {"complete_lift": _arrays(*lift.values_at(ev))}
+        row: dict = {"complete_lift": _one(*lift.values_at(ev))}
         for N in (cfg.connection(), _arbitrary(cfg)):
             key = "canonical" if N.canonical else "arbitrary"
             tensors = {
@@ -134,23 +139,23 @@ def compute() -> dict:
             }
             row[key] = {
                 "berwald": {
-                    "A,B": _arrays(*berwald_connection(alg, N, A, B, ev)),
-                    "S,A": _arrays(*berwald_connection(alg, N, Ssec, A, ev)),
-                    "B,S": _arrays(*berwald_connection(alg, N, B, Ssec, ev)),
+                    "A,B": _one(*berwald_connection(alg, N, A, B, ev)),
+                    "S,A": _one(*berwald_connection(alg, N, Ssec, A, ev)),
+                    "B,S": _one(*berwald_connection(alg, N, B, Ssec, ev)),
                 },
                 "curvature_apply": {
-                    "A,B": _arrays(curvature_apply(alg, N, A, B, ev)),
-                    "S,B": _arrays(curvature_apply(alg, N, Ssec, B, ev)),
+                    "A,B": _one(curvature_apply(alg, N, A, B, ev)),
+                    "S,B": _one(curvature_apply(alg, N, Ssec, B, ev)),
                 },
                 "nabla_tensor": {
-                    k: _arrays(nabla_tensor(alg, S, N, T, ev))
+                    k: _one(nabla_tensor(alg, S, N, T, ev))
                     for k, T in tensors.items()
                 },
                 "lie_derivative_tensor": {
-                    k: _arrays(lie_derivative_tensor(alg, Ssec, T, ev))
+                    k: _one(lie_derivative_tensor(alg, Ssec, T, ev))
                     for k, T in tensors.items()
                 },
-                "invariant_equation_residual": _arrays(
+                "invariant_equation_residual": _one(
                     invariant_equation_residual(alg, S, A, ev, N)
                 ),
                 "geometry_frame": geometry_frames(alg, S, N, batch)[k].to_dict(),

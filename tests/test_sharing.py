@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import algmech.algebroid
+import algmech.cli
 import algmech.config
 import algmech.connection
 import algmech.symmetry
@@ -27,7 +28,7 @@ from algmech.connection import f_tensor, geometry_frames, nabla_tensor
 from algmech.expr import (
     ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, e_mul, parse_expression, postorder,
 )
-from algmech.jets import EvalPoint, PointEvaluator, SampleEvaluator
+from algmech.jets import EvalPoint, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs
 from algmech.prolongation import complete_lift, directional_derivative, sode_derivative_expr, sode_flow
 from algmech.symmetry import invariant_equation_residual, lie_symmetry_check, newtonoid_check
@@ -55,9 +56,9 @@ def test_derivative_of_self_shared_dag_stays_linear():
     df = differentiate(f, "x")
     assert unique_nodes(df) <= 6 * depth
     # f = sin(x)^(2^depth), so df/dx = 2^depth f cos(x) / sin(x)
-    ev = PointEvaluator(("x",), (0.5,))
-    want = 2.0**depth * ev.value(f) * math.cos(0.5) / math.sin(0.5)
-    assert ev.value(df) == pytest.approx(want, rel=1e-9)
+    ev = SampleEvaluator(("x",), [EvalPoint.of([0.5], ())])
+    want = 2.0**depth * ev.value(f)[0] * math.cos(0.5) / math.sin(0.5)
+    assert ev.value(df)[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_system_memo_returns_one_tree_per_node(driftless):
@@ -126,8 +127,7 @@ def test_report_builds_semispray_and_connection_once(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("name", ["driftless", "abelian", "heisenberg"])
 def test_report_and_geometry_make_no_point_evaluator(tmp_path, capsys, monkeypatch, name):
-    points: list = []
-    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", lambda *a: points.append(a))
+    points = record_point_evaluators(monkeypatch)
     path = fixture_file(tmp_path, name)
     assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
     frame = json.loads((tmp_path / "r.json").read_text())["geometry"][0]["point"]
@@ -148,30 +148,38 @@ def test_frame_arrays_are_read_only(driftless):
 
 
 def test_report_takes_no_second_order_jet(tmp_path, capsys, monkeypatch):
-    # the fiber metric is read from the trees of L.metric_exprs over the batch
-    asked = []
-    real = PointEvaluator.jet
+    # the fiber metric is read from the trees of L.metric_exprs over the
+    # batch, not from the jets of L or of dL/dy, whose gradients are the
+    # second partials of L
+    asked, configs = [], []
+    real_jet, real_load = SampleEvaluator.jet, algmech.cli.load_config
 
     def recording(self, e):
         asked.append(e)
-        return real(self, e)
+        return real_jet(self, e)
 
-    monkeypatch.setattr(PointEvaluator, "jet", recording)
+    def keep(path):
+        configs.append(real_load(path))
+        return configs[-1]
+
+    monkeypatch.setattr(SampleEvaluator, "jet", recording)
+    monkeypatch.setattr(algmech.cli, "load_config", keep)
     for name in ("driftless", "abelian", "heisenberg"):
         path = fixture_file(tmp_path, name)
         assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    assert asked == []
+    second = {id(t) for cfg in configs for t in (cfg.lagrangian.expr, *cfg.lagrangian.dy)}
+    assert asked and len(configs) == 3 and not second & {id(e) for e in asked}
 
 
 def test_directional_derivative_of_a_constant_evaluates_nothing(driftless):
     alg = driftless.algebroid
-    ev = PointEvaluator(alg.coords, (0.5, 1.0, 0.0, 1.0, 2.0))
-    ax, av = np.ones(alg.m), np.ones(alg.m)
-    assert directional_derivative(alg, ev, ax, av, (Num(3.0),)).tolist() == [0.0]
-    assert not ev._jet1s and not ev._jets and not ev._floats and not ev._arrays
+    ev = alg.evaluator(EvalPoint.of([0.5, 1.0, 0.0], [1.0, 2.0]))
+    ax, av = np.ones((1, alg.m)), np.ones((1, alg.m))
+    assert directional_derivative(alg, ev, ax, av, (Num(3.0),)).tolist() == [[0.0]]
+    assert not ev._jets and not ev._floats and not ev._arrays
     f = parse_expression("x1*u2", alg.coords)
-    assert directional_derivative(alg, ev, ax, av, (f,))[0] != 0.0
-    assert ev._jet1s and not ev._jets
+    assert directional_derivative(alg, ev, ax, av, (f,))[0, 0] != 0.0
+    assert ev._jets
 
 
 def test_pairing_trees_are_built_once_per_lagrangian(driftless):
@@ -218,19 +226,18 @@ def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypa
             walks["value", id(e)] += id(e) not in self._floats
             return super()._walk_value(e)
 
-        def _walk_jet(self, e, memo, second):
-            walks["jet1", id(e)] += id(e) not in memo
-            return super()._walk_jet(e, memo, second)
+        def _walk_jet(self, e):
+            walks["jet", id(e)] += id(e) not in self._jets
+            return super()._walk_jet(e)
 
-    points: list = []
     monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
-    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", lambda *a: points.append(a))
+    points = record_point_evaluators(monkeypatch)
     path = fixture_file(tmp_path, "heisenberg")
     assert main(["symmetry", "--config", str(path)]) == 0
     assert len(evaluators) == 1 and points == []
     for c in built["S"].components:
         assert walks["value", id(c)] == 1
-        assert walks["jet1", id(c)] == 1
+        assert walks["jet", id(c)] == 1
 
 
 def test_nabla_builds_no_node(heisenberg, monkeypatch):
@@ -324,14 +331,26 @@ def test_the_system_keeps_no_evaluator(tmp_path):
         name
         for name, value in vars(cfg.algebroid).items()
         for item in (value, *(value if isinstance(value, tuple) else ()))
-        if isinstance(item, (PointEvaluator, SampleEvaluator))
+        if isinstance(item, SampleEvaluator)
     ]
     assert held == []
 
 
-def test_validate_makes_no_point_evaluator(monkeypatch):
+def record_point_evaluators(monkeypatch) -> list:
+    """The points that ``Algebroid.evaluator`` is asked for from here on."""
     points: list = []
-    monkeypatch.setattr(algmech.algebroid, "PointEvaluator", lambda *a: points.append(a))
+    real = algmech.algebroid.Algebroid.evaluator
+
+    def recording(self, p):
+        points.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(algmech.algebroid.Algebroid, "evaluator", recording)
+    return points
+
+
+def test_validate_makes_no_point_evaluator(monkeypatch):
+    points = record_point_evaluators(monkeypatch)
     cfg = algmech.config.load_config(
         resources.files("algmech").joinpath("fixtures/heisenberg.json")
     )
@@ -406,8 +425,8 @@ def test_sample_evaluator_hands_out_one_read_only_object_per_node(heisenberg):
     f = parse_expression("sin(x1)*y2 + x2", alg.coords)
     for e in (f, f.left):  # the root, then a node its walk computed
         assert ev.value(e) is ev.value(e)
-        assert ev.jet1(e) is ev.jet1(e)
-        for handed_out in (ev.value(e), ev.jet1(e).value, ev.jet1(e).grad):
+        assert ev.jet(e) is ev.jet(e)
+        for handed_out in (ev.value(e), ev.jet(e).value, ev.jet(e).grad):
             with pytest.raises(ValueError):
                 handed_out[0] = 0.0
 

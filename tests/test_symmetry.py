@@ -153,6 +153,7 @@ class TestInvariantEquation:
                 assert np.max(np.abs(res - bv)) <= 1e-8
 
     def test_batch_rows_are_the_point_bits(self, all_systems):
+        """Row k over a batch has the bits of the batch of one at sample k."""
         for cfg in all_systems:
             alg, S = cfg.algebroid, cfg.semispray()
             xs = [expr(cfg, f"{x}*{y}") for x, y in zip(alg.base_coords, alg.fiber_coords)]
@@ -160,7 +161,8 @@ class TestInvariantEquation:
             samples = pts(cfg, 4, seed=11)
             got = invariant_equation_residual(alg, S, A, alg.sample_evaluator(samples))
             for row, p in zip(got, samples):
-                assert row.tobytes() == invariant_equation_residual(alg, S, A, alg.evaluator(p)).tobytes()
+                one = invariant_equation_residual(alg, S, A, alg.evaluator(p))
+                assert one.shape == (1, alg.m) and row.tobytes() == one[0].tobytes()
 
     def test_flat_free_particle(self, abelian):
         alg = abelian.algebroid
