@@ -232,42 +232,20 @@ class Algebroid:
     @np.errstate(all="ignore")
     def validate(self, ev: SampleEvaluator, tol: float) -> ValidationReport:
         """Residuals of antisymmetry and the two structure equations, swept
-        over the evaluator's samples at once (sample axis first).
+        over the evaluator's samples at once (sample axis first), from
+        :meth:`_axiom_residuals`, which takes no dot product for a
+        structurally zero term.
 
         A domain error, or a residual that is not finite, raises
-        :class:`EvaluationDomainError` naming the first such sample.
+        :class:`EvaluationDomainError` naming the first such sample; a term
+        left out keeps the NaN that 0 * inf gives it, so a non-finite anchor
+        entry names the same sample as the full formula.
         """
         if not ev.points:
             raise ValueError("at least one sample point is required")
-        sigma = self.anchor_at(ev)
-        L = self.structure_at(ev)
-        anti = np.abs(L + L.transpose(0, 2, 1, 3))
-
-        # first partials of structure functions and anchor entries, (P, ..., n)
-        n = self.n
-        dL = np.array(
-            [[[ev.jet(e).grad[:, :n] for e in row] for row in plane] for plane in self.structure]
-        )
-        dsig = np.array([[ev.jet(e).grad[:, :n] for e in row] for row in self.anchor])
-        dL, dsig = np.moveaxis(dL, 3, 0), np.moveaxis(dsig, 2, 0)
-        sigma_t = sigma.swapaxes(1, 2)
-
-        # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
-        # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
-        flow = inner(sigma_t[:, :, None, None, None], dL[:, None])
-        prod = inner(L.transpose(0, 1, 3, 2)[:, :, None, None], L[:, None, :, :, None])
-        cyc = np.zeros_like(flow)
-        for s in ((0, 1, 2, 3, 4), (0, 3, 1, 2, 4), (0, 2, 3, 1, 4)):
-            cyc += flow.transpose(s)
-            cyc += prod.transpose(s)
-
-        # anchor compatibility with the bracket
-        lie = inner(sigma_t[:, :, None, None], dsig.transpose(0, 2, 1, 3)[:, None])
-        rhs = inner(sigma[:, None, None], L[:, :, :, None])
-        compat = np.abs(lie - lie.transpose(0, 2, 1, 3) - rhs)
-
+        anti, cyc, compat = self._axiom_residuals(ev)
         anti = sweep_max("antisymmetry", ev, anti)
-        cyc = sweep_max("cyclic", ev, np.abs(cyc, out=cyc))
+        cyc = sweep_max("cyclic", ev, cyc)
         compat = sweep_max("compatibility", ev, compat)
         return ValidationReport(
             antisymmetry=anti,
@@ -277,6 +255,78 @@ class Algebroid:
             samples=len(ev.points),
             passed=(anti <= tol and cyc <= tol and compat <= tol),
         )
+
+    @np.errstate(all="ignore")
+    def _axiom_residuals(self, ev: SampleEvaluator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|L_ab^c + L_ba^c|, the cyclic sums and the anchor compatibility
+        residuals over the evaluator's samples: (P, m, m, m), (P, m, m, m, m)
+        and (P, m, m, n) arrays, or arrays that broadcast to those shapes.
+
+        A structurally zero term takes no dot product.  A flow term
+        sigma_a^i d_i L_bc^d with a constant structure tree, and a Lie term
+        sigma_a^j d_j sigma_i^b with a constant anchor entry, are 0 * sigma_a:
+        0, or NaN at a sample where anchor column a is not finite, so the
+        sweep still names it.  A product term L_ae^d L_bc^e whose row L_bc^.
+        is all ``Num(0)`` is 0 (a sample where L is not finite fails the
+        antisymmetry sweep first), and an rhs term sigma_i^c L_ab^c whose row
+        L_ab^. is, 0 * sigma_i.  Every other term is the dot numpy's stacked
+        ``matmul`` takes on the views of the full formula, and an exact 0 left
+        out changes no sum but the sign of a zero, which ``abs`` removes.
+        """
+        m, n, P = self.m, self.n, len(ev.points)
+        sigma = self.anchor_at(ev)
+        L = self.structure_at(ev)
+        anti = np.abs(L + L.transpose(0, 2, 1, 3))
+        sigma_t = sigma.swapaxes(1, 2)  # [p, a, i] = sigma_i^a
+        # 0 * sigma_a (0 * sigma_i) summed: NaN where that column (row) is not finite
+        lost_a = np.where(np.isfinite(sigma).all(axis=1), 0.0, np.nan)
+        lost_i = np.where(np.isfinite(sigma).all(axis=2), 0.0, np.nan)
+        pairs = [row for plane in self.structure for row in plane]  # L_xy^. by (x, y)
+        rows = [k for k, row in enumerate(pairs) if any(t != ZERO for t in row)]  # Num(-0.0) == ZERO
+        Lrows = L.reshape(P, m * m, m)[:, rows]
+
+        # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
+        # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
+        flow = self._anchor_derivatives(ev, sigma_t, [t for r in pairs for t in r], lost_a, (m, m, m))
+        terms = [flow]
+        if rows:  # [p, a, (b, c), d], 0 where L_bc^. is
+            prod = np.zeros((P, m, m * m, m))
+            prod[:, :, rows] = inner(L.transpose(0, 1, 3, 2)[:, :, None], Lrows[:, None, :, None])
+            terms.append(prod.reshape(P, m, m, m, m))
+        terms = [t.transpose(s) for s in ((0, 1, 2, 3, 4), (0, 3, 1, 2, 4), (0, 2, 3, 1, 4)) for t in terms]
+        cyc = np.zeros(np.broadcast_shapes(*(t.shape for t in terms)))
+        for t in terms:
+            cyc += t
+
+        # anchor compatibility with the bracket: lie[p, a, b, i] = sigma_a(sigma_i^b)
+        column_trees = [self.anchor[i][b] for b in range(m) for i in range(n)]
+        lie = self._anchor_derivatives(ev, sigma_t, column_trees, lost_a, (m, n))
+        values = inner(sigma[:, :, None], Lrows[:, None]) if rows else None
+        rhs = _with_lost(lost_i, rows, values, (m, m))  # [p, i, a, b]
+        compat = np.abs(lie - lie.transpose(0, 2, 1, 3) - np.moveaxis(rhs, 1, -1))
+        return anti, np.abs(cyc, out=cyc), compat
+
+    def _anchor_derivatives(self, ev, sigma_t, trees: list, lost, shape: tuple) -> np.ndarray:
+        """sigma_a^i d_i t for each column a of the anchor and each tree t of
+        ``trees``, laid out as (P, m, *shape); ``lost`` where t is a constant."""
+        live = [k for k, t in enumerate(trees) if not isinstance(t, Num)]
+        values = None
+        if live:
+            grads = np.array([ev.jet(trees[k]).grad[:, : self.n] for k in live])  # (C, P, n)
+            values = inner(sigma_t[:, :, None], np.moveaxis(grads, 0, 1)[:, None])
+        return _with_lost(lost, live, values, shape)
+
+
+def _with_lost(lost: np.ndarray, live: list, values, shape: tuple) -> np.ndarray:
+    """``lost``'s axes followed by ``shape``: ``values`` at the flat
+    positions ``live``, ``lost`` (a left-out term's 0 or NaN) at the others;
+    ``lost`` with axes of length 1 if nothing is live."""
+    if not live:
+        return lost.reshape(*lost.shape, *(1 for _ in shape))
+    out = np.empty((*lost.shape, int(np.prod(shape))))
+    out[...] = lost[..., None]
+    out[..., live] = values
+    return out.reshape(*lost.shape, *shape)
 
 
 def _anchored_gradient(ev: SampleEvaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,8 @@ enforce them).  h, v, J and F have one definition each, their matrix of
 trees (``h_tensor`` and friends), built once per connection
 (:meth:`~algmech.algebroid.Algebroid.derived`), applied to sections as trees
 (:meth:`~algmech.prolongation.ExprTensor.apply`; delta_a = h(X_a) is a frame
-image) and evaluated as values, such as the F of a geometry frame.
+image, column a of h) and evaluated as values, such as the F of a geometry
+frame.
 
 The dynamical covariant derivative nabla is numeric, applied once or twice
 (:class:`CovariantDerivative`): each S(.) in it is a directional derivative
@@ -30,8 +31,12 @@ Every pointwise formula here takes the caller's sample set's evaluator
 stacked ``matmul`` (see :mod:`algmech.prolongation`), so a sample gets the
 bits of the set of one at it.  The vertical Berwald part cv + N^T cx of a
 bracket, which the curvature and Jacobi oracles and the Berwald connection
-read, is one helper.  :func:`geometry_frames` takes every frame of a sample
-set as one batch.
+read, is one helper.  The oracles bracket against whole frames, one
+stacked :func:`~algmech.prolongation.bracket` call per left-hand section:
+[delta_a, delta_b] for every b (m calls for the curvature), [S, delta_b]
+for every b (one call for the Jacobi endomorphism), and -L_S J (two).
+nabla T takes two stacked :class:`CovariantDerivative` calls.
+:func:`geometry_frames` takes every frame of a sample set as one batch.
 """
 
 from __future__ import annotations
@@ -166,10 +171,13 @@ def curvature_from_brackets(alg: Algebroid, N: Connection, ev: SampleEvaluator) 
     """Oracle: vertical Berwald part of the horizontal frame brackets."""
     Nv = N.at(ev)
     deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
-    return np.stack(
-        [np.stack([_vertical_part(*bracket(alg, a, b, ev), Nv) for b in deltas], -2) for a in deltas],
-        -3,
-    )
+    return np.stack([_vertical_images(alg, a, deltas, Nv, ev) for a in deltas], -3)
+
+
+def _vertical_images(alg: Algebroid, A: ProlongationSection, Bs, Nv: np.ndarray, ev) -> np.ndarray:
+    """The vertical Berwald parts of [A, B] for the sections B of ``Bs``, one
+    bracket call: (P, K, m), the slice [..., k, :] that of Bs[k]."""
+    return np.moveaxis(_vertical_part(*bracket(alg, A, Bs, ev), Nv), 0, -2)
 
 
 def curvature_apply(
@@ -178,7 +186,7 @@ def curvature_apply(
 ) -> np.ndarray:
     """Vertical components of Omega(A, B) = v[hA, hB] over the evaluator's samples."""
     h = alg.derived(h_tensor, N)
-    return _vertical_part(*bracket(alg, h.apply(A), h.apply(B), ev), N.at(ev))
+    return _vertical_part(*bracket(alg, h.apply(A), (h.apply(B),), ev), N.at(ev))[0]
 
 
 def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator) -> np.ndarray:
@@ -209,9 +217,8 @@ def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleE
 
 def jacobi_from_bracket(alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """Oracle: R_b^g as the vertical Berwald part of [S, delta_b]."""
-    Nv, Ssec = N.at(ev), S.section(alg)
     deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
-    return np.stack([_vertical_part(*bracket(alg, Ssec, d, ev), Nv) for d in deltas], -2)
+    return _vertical_images(alg, S.section(alg), deltas, N.at(ev), ev)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +262,8 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 
 class CovariantDerivative:
     """The dynamical covariant derivative over the evaluator's samples, with
-    the sample axis first: ``nabla(A)`` is the pair (hor,
-    ver - N^T hor) of component values of A = (x, v), where
+    the sample axis first: ``nabla(sections)`` gives, for each section
+    A = (x, v) of the tuple, the pair (hor, ver - N^T hor), where
 
         hor = S(x) + (N + yL)^T x,   w = v + N^T x,
         ver = S(v) + S(N)^T x + N^T S(x) - (N + dS/dy)^T w,
@@ -332,12 +339,17 @@ class CovariantDerivative:
         first, C = self.horizontal(comps), self.hor_coeff
         return self.horizontal(along) + _vecmat(c, self.hor_along) + _vecmat(first, C)
 
-    def __call__(self, A: ProlongationSection) -> tuple[np.ndarray, np.ndarray]:
-        x, v = A.values_at(self.ev)
-        sx, (sn, ver_coeff), Nv = self._along(A.x_comps), self.ver_terms, self.Nv
+    def __call__(self, sections: Sequence[ProlongationSection]) -> tuple[np.ndarray, np.ndarray]:
+        """nabla of each section of ``sections``: (K, P, m) X and V parts, the
+        S(.) of every component one stacked :meth:`_along` call."""
+        ev, m = self.ev, self.alg.m
+        x, v = (np.array(c) for c in zip(*(A.values_at(ev) for A in sections)))
+        comps = tuple(c for A in sections for c in A.x_comps + A.v_comps)
+        s = self._along(comps).reshape(-1, len(sections), 2 * m).swapaxes(0, 1)
+        sx, (sn, ver_coeff), Nv = s[..., :m], self.ver_terms, self.Nv
         hor = sx + _vecmat(x, self.hor_coeff)
         w = v + _vecmat(x, Nv)
-        ver = self._along(A.v_comps) + _vecmat(x, sn) + _vecmat(sx, Nv) - _vecmat(w, ver_coeff)
+        ver = s[..., m:] + _vecmat(x, sn) + _vecmat(sx, Nv) - _vecmat(w, ver_coeff)
         return hor, ver - _vecmat(hor, Nv)
 
 
@@ -355,9 +367,9 @@ def nabla_tensor(
     alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: SampleEvaluator
 ) -> np.ndarray:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
-    (2m, 2m) matrix (per sample over a batch), through one
-    :class:`CovariantDerivative` at the evaluator: no tree is built once T's
-    frame images exist."""
+    (2m, 2m) matrix (per sample over a batch), through two calls of the one
+    :class:`CovariantDerivative` at the evaluator, on T's frame images and on
+    the frame: no tree is built."""
     return frame_derivation(T, ev, CovariantDerivative.of(alg, S, N, ev))
 
 
@@ -396,14 +408,14 @@ def berwald_connection(
         return c, -_vecmat(c, Nv)
 
     terms = [
-        v_proj(*bracket(alg, hA, vB, ev)),
-        h_proj(*bracket(alg, vA, hB, ev)),
-        j_proj(*bracket(alg, vA, fjB, ev)),
-        fj_proj(*bracket(alg, hA, jB, ev)),
+        v_proj(*bracket(alg, hA, (vB,), ev)),
+        h_proj(*bracket(alg, vA, (hB,), ev)),
+        j_proj(*bracket(alg, vA, (fjB,), ev)),
+        fj_proj(*bracket(alg, hA, (jB,), ev)),
     ]
     x = sum(t[0] for t in terms)
     v = sum(t[1] for t in terms)
-    return x, v
+    return x[0], v[0]
 
 
 def berwald_coefficients(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:

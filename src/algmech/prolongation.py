@@ -11,9 +11,10 @@ A (1,1)-tensor is one 2m-by-2m matrix of trees (:class:`ExprTensor`),
 X-frame rows and columns first, acting on stacked component columns; its
 value at a point is the (2m, 2m) array of those trees, and Lie and covariant
 derivatives differentiate the trees.  :meth:`ExprTensor.apply` is the one way
-to apply such a tensor to a section, and :func:`frame_derivation` the one
-loop (D T)(B) = D(T B) - T(D B) behind both derivatives of a tensor, which
-return (2m, 2m) arrays.  The trees of S(f) read the system's anchored
+to apply such a tensor to a section (a frame section's image is a column of
+the tensor, :attr:`ExprTensor.frame_images`), and :func:`frame_derivation`
+the one formula (D T)(B) = D(T B) - T(D B) behind both derivatives of a
+tensor, which return (2m, 2m) arrays.  The trees of S(f) read the system's anchored
 velocity (:attr:`Algebroid.base_velocity`), and the complete lift is built
 from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 
@@ -31,12 +32,16 @@ batch evaluator applies ``math``'s elementary functions per element (numpy's
 ``sin``, ``cos`` and ``sqrt`` matched).  :func:`spray_test` sweeps the
 samples of the evaluator its caller passes this way.
 
-The derivations are stacked over trees as well as samples:
+The derivations are stacked over trees and sections as well as samples:
 :func:`directional_derivative` takes a tuple of trees and reads their
 anchored gradients as one (C, ..., m) stack, whose (1, m) @ (m, 1) slices
-are the same BLAS dots a call per tree makes.  A bracket is one such call
-per side over all 2m components, and a covariant derivative one per tuple
-of components.
+are the same BLAS dots a call per tree makes.  :func:`bracket` takes a
+tuple of right-hand sections: their components along A are one such call
+over all their trees, and A's along all of them one call with the K
+fields stacked.  So a bracket against the whole frame is one call, and
+:func:`frame_derivation` calls its derivation twice, on the tensor's frame
+images and on the frame; every slice keeps the bits of a call for one
+pair.
 """
 
 from __future__ import annotations
@@ -105,16 +110,20 @@ class ProlongationSection:
 
     @staticmethod
     def basis_x(m: int, a: int) -> "ProlongationSection":
-        return ProlongationSection.constant(np.eye(m)[a], np.zeros(m))
+        return ProlongationSection(_unit(m, a), (ZERO,) * m)
 
     @staticmethod
     def basis_v(m: int, a: int) -> "ProlongationSection":
-        return ProlongationSection.constant(np.zeros(m), np.eye(m)[a])
+        return ProlongationSection((ZERO,) * m, _unit(m, a))
 
     def values_at(self, ev: SampleEvaluator) -> tuple[np.ndarray, np.ndarray]:
         """The component values, read-only and computed once per evaluator
         (:meth:`~algmech.jets.SampleEvaluator.array`)."""
         return ev.array(self.x_comps), ev.array(self.v_comps)
+
+
+def _unit(m: int, a: int) -> tuple[Expr, ...]:
+    return tuple(ONE if b == a else ZERO for b in range(m))
 
 
 @cache
@@ -201,7 +210,9 @@ def directional_derivative(
     exact 0 without evaluation; the gradient parts of any other ``f`` are
     taken once per evaluator
     (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`) and stacked into
-    (C, ..., m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``.
+    (C, P, m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``;
+    leading axes of ax, av before the sample axis (K fields) broadcast
+    against the stack and come first in the result, (K, P, C).
 
     One formula serves any number of samples and trees: numpy's
     stacked ``matmul`` hands every (1, m) @ (m, 1) slice to the unit-stride
@@ -211,24 +222,29 @@ def directional_derivative(
     fused multiply-adds, and neither would the matrix-vector product Gx @ ax,
     another BLAS call.)
     """
-    out = np.zeros((len(fs), *np.shape(ax)[:-1]))  # the tree axis first, until the return
+    out = np.zeros((*np.shape(ax)[:-1], len(fs)))
     live = [c for c, f in enumerate(fs) if not isinstance(f, Num)]
     if live:
-        gx, gy = zip(*(alg.anchored_gradient(ev, fs[c]) for c in live))
-        out[live] = inner(ax, np.array(gx)) + inner(av, np.array(gy))
-    return out.T.copy()
+        gx, gy = (np.array(g) for g in zip(*(alg.anchored_gradient(ev, fs[c]) for c in live)))
+        d = inner(ax[..., None, :, :], gx) + inner(av[..., None, :, :], gy)
+        out[..., live] = np.swapaxes(d, -1, -2)
+    return out
 
 
 def bracket(
-    alg: Algebroid, A: ProlongationSection, B: ProlongationSection, ev: SampleEvaluator
+    alg: Algebroid, A: ProlongationSection, Bs: Sequence[ProlongationSection],
+    ev: SampleEvaluator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Components of [A, B] over the evaluator's samples, with the sample
-    axis first; each side's 2m derivations are one stacked
-    :func:`directional_derivative`."""
+    """[A, B] for each section B of ``Bs`` over the evaluator's samples: X
+    and V parts as (K, P, m) arrays, slice k that of [A, Bs[k]].  Each side
+    is one stacked :func:`directional_derivative`: the components of every B
+    along A, and A's along every B (bx, bv broadcast over A's gradient
+    stack); each slice is a one-pair call's dot."""
     m, L = alg.m, alg.structure_at(ev)
     ax, av = A.values_at(ev)
-    bx, bv = B.values_at(ev)
-    dB = directional_derivative(alg, ev, ax, av, B.x_comps + B.v_comps)
+    bx, bv = (np.array(v) for v in zip(*(B.values_at(ev) for B in Bs)))
+    comps = tuple(c for B in Bs for c in B.x_comps + B.v_comps)
+    dB = directional_derivative(alg, ev, ax, av, comps).reshape(-1, len(Bs), 2 * m).swapaxes(0, 1)
     dA = directional_derivative(alg, ev, bx, bv, A.x_comps + A.v_comps)
     x_part = np.einsum("...a,...b,...abg->...g", ax, bx, L)
     x_part += dB[..., :m] - dA[..., :m]
@@ -280,7 +296,7 @@ def spray_test(alg: Algebroid, S: Semispray, ev: SampleEvaluator, tol: float) ->
     sample."""
     Ssec = S.section(alg)
     hom = spray_homogeneity(alg, S, ev)
-    bx, bv = bracket(alg, euler_section(alg), Ssec, ev)
+    (bx,), (bv,) = bracket(alg, euler_section(alg), (Ssec,), ev)
     sx, sv = Ssec.values_at(ev)
     brk = np.abs(np.concatenate([bx - sx, bv - sv], axis=-1))
     hom_max = sweep_max("homogeneity", ev, hom)
@@ -337,9 +353,13 @@ class ExprTensor:
 
     @cached_property
     def frame_images(self) -> tuple[ProlongationSection, ...]:
-        """T(B) for the frame sections B of :func:`basis_sections`, built once
-        per tensor."""
-        return tuple(self.apply(B) for B in basis_sections(self.m))
+        """T(B) for the frame sections B of :func:`basis_sections`, once per
+        tensor: the image of B_j is column j of T, each entry the tree that
+        :meth:`apply` folds it to (``e_mul(t, ONE)``: ``ZERO`` for a constant
+        0, ``ONE`` for a constant 1, else ``t`` itself), so no tree is built."""
+        m = self.m
+        cols = (tuple(e_mul(t, ONE) for t in col) for col in zip(*self.rows))
+        return tuple(ProlongationSection(c[:m], c[m:]) for c in cols)
 
     def apply(self, A: ProlongationSection) -> ProlongationSection:
         """T(A) as trees: each output component sums row entry times input
@@ -363,22 +383,20 @@ def identity_tensor(m: int) -> ExprTensor:
 
 def frame_derivation(
     T: ExprTensor, ev: SampleEvaluator,
-    D: Callable[[ProlongationSection], tuple[np.ndarray, np.ndarray]],
+    D: Callable[[Sequence[ProlongationSection]], tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """(D T)(B) = D(T(B)) - T(D B) on every frame section B, as the (2m, 2m)
     matrix whose columns are those images (sample axis first over a batch),
-    for a derivation D of sections that returns component values at the
-    evaluator.  T(D B) is applied block by block, each block a stacked
+    for a derivation D that maps a tuple of sections to their (K, P, m)
+    component values at the evaluator: one call on T's frame images, one on
+    the frame.  T(D B) is applied block by block, each block a stacked
     matrix-vector product."""
     M, m = T.at(ev), T.m
-    cols = []
-    for B, TB in zip(basis_sections(m), T.frame_images):
-        dx, dv = D(TB)
-        bx, bv = D(B)
-        tx = _matvec(M[..., :m, :m], bx) + _matvec(M[..., :m, m:], bv)
-        tv = _matvec(M[..., m:, :m], bx) + _matvec(M[..., m:, m:], bv)
-        cols.append(np.concatenate([dx - tx, dv - tv], axis=-1))
-    return np.stack(cols, axis=-1)
+    dx, dv = D(T.frame_images)
+    bx, bv = D(basis_sections(m))
+    tx = _matvec(M[..., :m, :m], bx) + _matvec(M[..., :m, m:], bv)
+    tv = _matvec(M[..., m:, :m], bx) + _matvec(M[..., m:, m:], bv)
+    return np.moveaxis(np.concatenate([dx - tx, dv - tv], axis=-1), 0, -1)
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -394,6 +412,7 @@ def lie_derivative_tensor(
     as a (2m, 2m) matrix (per sample over a batch).
 
     T must be expression-backed: the first bracket differentiates the
-    coefficient functions of T(B).
+    coefficient functions of T(B).  Two bracket calls, each against 2m
+    sections: T's frame images and the frame.
     """
-    return frame_derivation(T, ev, lambda X: bracket(alg, A, X, ev))
+    return frame_derivation(T, ev, lambda Bs: bracket(alg, A, Bs, ev))

@@ -185,16 +185,16 @@ def test_c3_structural_properties(all_systems):
             phi = phi_block(R2)
             for A in sections:
                 ax, av = (c[0] for c in A.values_at(ev))
-                lx, lv = bracket(alg, Ssec, A, ev)
+                (lx,), (lv,) = bracket(alg, Ssec, (A,), ev)
                 fx, fv = apply(Fm[0], ax, av)
                 px, pv = apply(phi, ax, av)
-                wx, wv = nabla(A)
+                (wx,), (wv,) = nabla((A,))
                 assert np.max(np.abs(wx - (lx + fx - px))) <= 1e-8
                 assert np.max(np.abs(wv - (lv + fv + ax - pv))) <= 1e-8
 
             # spray specials
-            sx, sv = nabla(Ssec)
-            cx, cv = nabla(euler_section(alg))
+            (sx,), (sv,) = nabla((Ssec,))
+            (cx,), (cv,) = nabla((euler_section(alg),))
             assert np.max(np.abs(np.concatenate([sx, sv]))) <= 1e-8
             assert np.max(np.abs(np.concatenate([cx, cv]))) <= 1e-8
 
@@ -203,7 +203,7 @@ def test_c3_structural_properties(all_systems):
             for p in samples[:10]:
                 ev = alg.evaluator(p)
                 dx, dv = berwald_connection(alg, N, Ssec, A, ev)
-                wx, wv = CovariantDerivative(alg, S, N, ev)(A)
+                (wx,), (wv,) = CovariantDerivative(alg, S, N, ev)((A,))
                 assert np.max(np.abs(dx - wx)) <= 1e-8
                 assert np.max(np.abs(dv - wv)) <= 1e-8
 
@@ -286,9 +286,9 @@ def test_c5_symmetry_equivalences(all_systems):
         for p in samples:
             ev = alg.evaluator(p)
             nabla = CovariantDerivative(alg, S, N, ev)
-            lx, lv = nabla(f_star_A)
+            (lx,), (lv,) = nabla((f_star_A,))
             t1x, t1v = sf_star_A.values_at(ev)
-            nx, nv = nabla(A)
+            (nx,), (nv,) = nabla((A,))
             fv, sfv = ev.value(f), ev.value(sf)
             assert np.max(np.abs(lx - (t1x + fv * nx))) <= 1e-8
             assert np.max(np.abs(lv - (t1v + fv * nv + sfv * nx))) <= 1e-8

@@ -264,7 +264,7 @@ class TestCurvature:
         ev = alg.evaluator(P0)
         d1 = horizontal_basis_exprs(alg, N, 0)
         d2 = horizontal_basis_exprs(alg, N, 1)
-        cx, cv = bracket(alg, d1, d2, ev)
+        (cx,), (cv,) = bracket(alg, d1, (d2,), ev)
         assert np.allclose(cx, [1.0, 0.0], atol=1e-15)
 
 
@@ -341,7 +341,7 @@ class TestJacobiEndomorphism:
                 for b in range(alg.m):
                     omega = curvature_apply(alg, N, Ssec, basis[b], ev)[0]
                     hB = h_tensor(alg, N).apply(basis[b])
-                    t1x, t1v = bracket(alg, vS, hB, ev)
+                    (t1x,), (t1v,) = bracket(alg, vS, (hB,), ev)
                     got = omega + (t1v[0] + t1x[0] @ Nv)
                     assert np.max(np.abs(got - R2[b])) <= 1e-9
                 # vertical frame inputs are annihilated on both sides
@@ -400,7 +400,7 @@ class TestNabla:
         S = driftless.semispray()
         N = driftless.connection()
         d1 = horizontal_basis_exprs(alg, N, 0)
-        x, v = CovariantDerivative(alg, S, N, alg.evaluator(P0))(d1)
+        (x,), (v,) = CovariantDerivative(alg, S, N, alg.evaluator(P0))((d1,))
         # coefficient N_1^1 - L_12^1 u2 = 0 on the first slot
         assert x[0, 0] == pytest.approx(0.0, abs=1e-14)
 
@@ -424,8 +424,8 @@ class TestNabla:
                     for p in pts(cfg, 10, seed=71):
                         ev = alg.evaluator(p)
                         Nv = N.at(ev)
-                        dx, dv = CovariantDerivative(alg, S, N, ev)(Vb)
-                        bx, bv = bracket(alg, Ssec, Vb, ev)
+                        (dx,), (dv,) = CovariantDerivative(alg, S, N, ev)((Vb,))
+                        (bx,), (bv,) = bracket(alg, Ssec, (Vb,), ev)
                         want_v = bv + bx @ Nv  # vertical Berwald part
                         assert np.max(np.abs(dx)) <= 1e-12
                         assert np.max(np.abs((dv + dx @ Nv) - want_v)) <= 1e-9
@@ -495,11 +495,11 @@ class TestNabla:
                     _, _, F = tree_structure_tensors(alg, N, ev)
                     R2 = jacobi_endomorphism(alg, S, N, ev)[0]
                     ax, av = (c[0] for c in A.values_at(ev))
-                    lx, lv = bracket(alg, Ssec, A, ev)
+                    (lx,), (lv,) = bracket(alg, Ssec, (A,), ev)
                     fx, fv = apply(F[0], ax, av)
                     jx, jv = np.zeros(alg.m), ax
                     px, pv = apply(phi_block(R2), ax, av)
-                    wx, wv = CovariantDerivative(alg, S, N, ev)(A)
+                    (wx,), (wv,) = CovariantDerivative(alg, S, N, ev)((A,))
                     assert np.max(np.abs(wx - (lx + fx + jx - px))) <= 1e-8
                     assert np.max(np.abs(wv - (lv + fv + jv - pv))) <= 1e-8
 
@@ -510,7 +510,7 @@ class TestNabla:
             N = cfg.connection()
             for A in (S.section(alg), euler_section(alg)):
                 for p in pts(cfg, 20, seed=93):
-                    x, v = CovariantDerivative(alg, S, N, alg.evaluator(p))(A)
+                    (x,), (v,) = CovariantDerivative(alg, S, N, alg.evaluator(p))((A,))
                     assert np.max(np.abs(np.concatenate([x, v]))) <= 1e-8
 
     def test_projector_compositions_with_lie_derivative(self, driftless):
@@ -526,10 +526,10 @@ class TestNabla:
                 cols_j = []
                 for k, B in enumerate(basis_sections(alg.m)):
                     jB = j_tensor(alg.m).apply(B)
-                    bx, bv = bracket(alg, Ssec, jB, ev)
+                    (bx,), (bv,) = bracket(alg, Ssec, (jB,), ev)
                     cols_h.append(np.concatenate(apply(h, bx[0], bv[0])))
                     vB = v_tensor(alg, N).apply(B)
-                    cx, cv = bracket(alg, Ssec, vB, ev)
+                    (cx,), (cv,) = bracket(alg, Ssec, (vB,), ev)
                     cols_j.append(np.concatenate([np.zeros(alg.m), cx[0]]))
                 got_h = np.stack(cols_h, axis=1)
                 got_j = np.stack(cols_j, axis=1)
@@ -555,11 +555,11 @@ class TestNabla:
             sections += f_tensor(alg, N).frame_images
             nabla = CovariantDerivative(alg, S, N, batch)
             for A in sections:
-                x, v = nabla(A)
+                (x,), (v,) = nabla((A,))
                 hor = nabla.horizontal(A.x_comps)
                 for i, p in enumerate(samples):
                     at_p = CovariantDerivative(alg, S, N, alg.evaluator(p))
-                    px, pv = (c[0] for c in at_p(A))
+                    px, pv = (c[0, 0] for c in at_p((A,)))
                     assert x[i].tobytes() == px.tobytes() and v[i].tobytes() == pv.tobytes()
                     one_hor = at_p.horizontal(A.x_comps)[0]
                     assert hor[i].tobytes() == one_hor.tobytes() == px.tobytes()
@@ -612,7 +612,7 @@ class TestNabla:
                     ver_trees = nabla_vertical_coeffs(alg, S, N, w)
                     for p in pts(cfg, 5, seed=103):
                         ev = alg.evaluator(p)
-                        hor, ver = CovariantDerivative(alg, S, N, ev)(A)
+                        (hor,), (ver,) = CovariantDerivative(alg, S, N, ev)((A,))
                         assert np.max(np.abs(ev.values_of(hor_trees) - hor)) <= 1e-12
                         assert np.max(np.abs(ev.values_of(ver_trees) - (ver + hor @ N.at(ev)))) <= 1e-12
 
@@ -666,7 +666,7 @@ class TestBerwaldConnection:
                 for p in pts(cfg, 12, seed=99):
                     ev = alg.evaluator(p)
                     dx, dv = berwald_connection(alg, N, Ssec, A, ev)
-                    wx, wv = CovariantDerivative(alg, S, N, ev)(A)
+                    (wx,), (wv,) = CovariantDerivative(alg, S, N, ev)((A,))
                     assert np.max(np.abs(dx - wx)) <= 1e-8
                     assert np.max(np.abs(dv - wv)) <= 1e-8
 

@@ -643,7 +643,7 @@ def test_batched_bracket_slices_equal_the_point_call(config):
     fs = (*S.components, E)
 
     def formulas(ev):
-        out = [np.concatenate(bracket(alg, A, B, ev), axis=-1) for A, B in pairs]
+        out = [np.concatenate(bracket(alg, A, (B,), ev), axis=-1)[0] for A, B in pairs]
         out.append(jacobi_endomorphism(alg, S, N, ev))
         out += [berwald_derivative(alg, N, f, ev) for f in fs]
         out.append(directional_derivative(alg, ev, *Ssec.values_at(ev), fs))

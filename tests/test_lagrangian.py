@@ -326,7 +326,7 @@ class TestCartanSections:
             br = {}
             for i in range(k):
                 for j in range(k):
-                    bx, bv = bracket(alg, basis[i], basis[j], ev)
+                    (bx,), (bv,) = bracket(alg, basis[i], (basis[j],), ev)
                     br[i, j] = np.concatenate([bx[0], bv[0]])
             for i in range(k):
                 for j in range(i + 1, k):

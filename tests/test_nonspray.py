@@ -91,10 +91,10 @@ def test_nabla_j_vanishes_and_decomposition_holds(forced):
         nabla = CovariantDerivative(alg, S, N, ev)
         for A in sections:
             ax, av = (c[0] for c in A.values_at(ev))
-            lx, lv = bracket(alg, Ssec, A, ev)
+            (lx,), (lv,) = bracket(alg, Ssec, (A,), ev)
             fx, fv = apply(F[0], ax, av)
             px, pv = apply(phi, ax, av)
-            wx, wv = nabla(A)
+            (wx,), (wv,) = nabla((A,))
             assert np.max(np.abs(wx - (lx + fx - px))) <= 1e-8
             assert np.max(np.abs(wv - (lv + fv + ax - pv))) <= 1e-8
 

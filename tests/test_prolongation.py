@@ -43,14 +43,14 @@ class TestBracket:
         alg = driftless.algebroid
         A = ProlongationSection.basis_x(2, 0)
         B = ProlongationSection.basis_x(2, 1)
-        x, v = bracket(alg, A, B, alg.evaluator(P0))
+        (x,), (v,) = bracket(alg, A, (B,), alg.evaluator(P0))
         assert np.allclose(x, [1.0, 0.0], atol=0)
         assert np.array_equal(v, np.zeros((1, 2)))
 
     def test_self_bracket_zero(self, driftless):
         A = sec(driftless, ["u1*x1", "x2"], ["u2^2", "x3*u1"])
         alg = driftless.algebroid
-        x, v = bracket(alg, A, A, alg.evaluator(P0))
+        (x,), (v,) = bracket(alg, A, (A,), alg.evaluator(P0))
         assert np.array_equal(x, np.zeros((1, 2)))
         assert np.array_equal(v, np.zeros((1, 2)))
 
@@ -58,7 +58,7 @@ class TestBracket:
         alg = driftless.algebroid
         S = driftless.semispray().section(alg)
         V1 = ProlongationSection.basis_v(2, 0)
-        x, v = bracket(alg, S, V1, alg.evaluator(P0))
+        (x,), (v,) = bracket(alg, S, (V1,), alg.evaluator(P0))
         assert np.allclose(x, [-1.0, 0.0], atol=0)
         assert np.allclose(v, [2.0, -2.0], atol=0)  # -(dS/du1) at (1,2)
 
@@ -74,8 +74,8 @@ class TestBracket:
             ev = alg.evaluator(p)
             for A in corpus:
                 for B in corpus:
-                    ax, av = bracket(alg, A, B, ev)
-                    bx, bv = bracket(alg, B, A, ev)
+                    (ax,), (av,) = bracket(alg, A, (B,), ev)
+                    (bx,), (bv,) = bracket(alg, B, (A,), ev)
                     assert np.array_equal(ax, -bx)
                     assert np.array_equal(av, -bv)
         # Jacobi via nested numeric brackets needs expression-backed inner
@@ -98,7 +98,7 @@ class TestBracket:
         h = 1e-6
         for p in pts(driftless, 10, seed=9):
             ev = alg.evaluator(p)
-            lhs_x, lhs_v = bracket(alg, A, B, ev)
+            (lhs_x,), (lhs_v,) = bracket(alg, A, (B,), ev)
             (lhs,) = directional_derivative(alg, ev, lhs_x, lhs_v, (f,))
             rhs = _commutator_action(alg, A, B, f, ev)
             assert lhs == pytest.approx(rhs, abs=1e-7)
@@ -196,7 +196,7 @@ def test_stacked_bracket_has_the_per_component_bits(system, heisenberg):
         A, B = random_section(cfg, rng), random_section(cfg, rng)
         evaluators = [alg.sample_evaluator(points)] + [alg.evaluator(p) for p in points]
         for ev in evaluators:
-            got = np.concatenate(bracket(alg, A, B, ev), axis=-1)
+            got = np.concatenate(bracket(alg, A, (B,), ev), axis=-1)[0]
             want = np.concatenate(reference_bracket(alg, A, B, ev), axis=-1)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -326,7 +326,7 @@ class TestLieDerivativeTensor:
                 JA = j_tensor(m).apply(A)
                 for p in pts(cfg, 50, seed=13):
                     ev = alg.evaluator(p)
-                    bx, bv = bracket(alg, S, JA, ev)
+                    (bx,), (bv,) = bracket(alg, S, (JA,), ev)
                     jx, jv = np.zeros(m), bx
                     ja_x, ja_v = JA.values_at(ev)
                     assert np.max(np.abs(jx - (-ja_x))) <= 1e-9

@@ -21,6 +21,7 @@ import algmech.algebroid
 import algmech.cli
 import algmech.config
 import algmech.connection
+import algmech.prolongation
 import algmech.symmetry
 from algmech.cli import main
 from algmech.report import build_report
@@ -454,3 +455,34 @@ def test_anchored_gradients_are_kept_per_system(driftless):
     dx, dy = doubled.anchored_gradient(ev, f)
     assert np.array_equal(dx, 2.0 * gx) and not np.array_equal(dx, gx)
     assert np.array_equal(dy, gy) and alg.anchored_gradient(ev, f)[0] is gx
+
+
+def test_diag8_report_brackets_against_the_whole_frame_at_once(tmp_path, capsys, monkeypatch):
+    """A frame-wide bracket is one call: the curvature oracle makes m, the
+    Jacobi oracle, -L_S J and each Cartan check one or two; one call per
+    pair made 123 here."""
+    counts: dict = {}
+    for module in (algmech.prolongation, algmech.connection, algmech.symmetry):
+        counting(monkeypatch, module, "bracket", counts)
+    path = synth.write_system(tmp_path, "diag", 8, 20261018)
+    assert main(["report", "--config", str(path), "--format", "md", "--output", str(tmp_path / "r.md")]) == 0
+    assert 0 < counts["bracket"] <= 16
+
+
+def test_validate_takes_no_dot_for_zero_structure_and_a_constant_anchor(monkeypatch):
+    """Every flow, product, Lie and rhs term of such a system is a
+    structural zero, so validation takes no (P, m, m, m, m) inner product;
+    it takes none at all."""
+    shapes = []
+    real = algmech.algebroid.inner
+
+    def recording(x, y):
+        shapes.append(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+        return real(x, y)
+
+    monkeypatch.setattr(algmech.algebroid, "inner", recording)
+    cfg = algmech.config.parse_config(synth.system("diag", 4, 20261018))
+    alg = cfg.algebroid
+    ev = alg.sample_evaluator(cfg.sample_points())
+    assert alg.validate(ev, tol=1e-9).passed
+    assert shapes == []

@@ -83,7 +83,7 @@ class TestDynamicalSymmetry:
         alg = driftless.algebroid
         from algmech.prolongation import bracket
 
-        x, v = bracket(alg, S.section(alg), C, alg.evaluator(P0))
+        (x,), (v,) = bracket(alg, S.section(alg), (C,), alg.evaluator(P0))
         assert np.allclose(x, [-1.0, -2.0], atol=1e-14)
         assert np.allclose(v, [-(-2.0), -1.0], atol=1e-14)  # -S^a
 
@@ -149,7 +149,7 @@ class TestInvariantEquation:
             for p in pts(driftless, 10, seed=7):
                 ev = alg.evaluator(p)
                 res = invariant_equation_residual(alg, S, A, ev)
-                _, bv = bracket(alg, Ssec, A, ev)
+                (_,), (bv,) = bracket(alg, Ssec, (A,), ev)
                 assert np.max(np.abs(res - bv)) <= 1e-8
 
     def test_batch_rows_are_the_point_bits(self, all_systems):
@@ -487,9 +487,9 @@ class TestStarProduct:
                     for p in pts(cfg, 10, seed=117):
                         ev = alg.evaluator(p)
                         nabla = CovariantDerivative(alg, S, N, ev)
-                        lx, lv = nabla(star_fA)
+                        (lx,), (lv,) = nabla((star_fA,))
                         t1x, t1v = sf_star_A.values_at(ev)
-                        nx, nv = nabla(A)
+                        (nx,), (nv,) = nabla((A,))
                         fv = ev.value(f)
                         sfv = ev.value(sf)
                         # f * (nabla A) = f nabla A + S(f) J(nabla A)
