@@ -3,7 +3,26 @@
 The package evaluates everything numerically at sample points, with exact
 first partial derivatives supplied by jet arithmetic over parsed expression
 trees; a second partial is the jet of a derivative tree.
+
+Every BLAS and LAPACK call made here is rank-sized, which OpenBLAS does not
+split across threads, yet starting its thread pool is more than half of
+``import numpy``.  So when numpy is not imported yet and none of OpenBLAS's
+thread variables is set, numpy is imported with ``OPENBLAS_NUM_THREADS=1``,
+which OpenBLAS reads once, when it loads; the variable is then removed, so
+the caller's environment and child processes are as they were.  Setting any
+of the variables, or importing numpy first, keeps OpenBLAS's own choice.
 """
+
+import os as _os
+import sys as _sys
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _THREAD_VARIABLES):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .algebroid import Algebroid, BaseSection, ValidationReport
 from .config import Candidate, SampleSpec, SystemConfig, load_config, parse_config

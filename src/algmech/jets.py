@@ -295,13 +295,17 @@ class SampleEvaluator:
         Read-only, since every later reader gets the same array."""
         hit = self._arrays.get(id(trees))
         if hit is None:
-            out = np.ascontiguousarray(np.moveaxis(np.array(self._nested(trees)), -1, 0))
+            shape, flat = [], [trees]  # flattened a level at a time, row-major
+            while flat and isinstance(flat[0], tuple):
+                shape.append(len(flat[0]))
+                flat = [u for t in flat for u in t]
+            out = np.empty((len(self.points), len(flat)))
+            for j, e in enumerate(flat):  # a constant needs no walk and no memo entry
+                out[:, j] = e.value if type(e) is Num else self.value(e)
+            out = out.reshape(len(self.points), *shape)
             out.flags.writeable = False
             hit = self._arrays[id(trees)] = (trees, out)
         return hit[1]
-
-    def _nested(self, t):
-        return [self._nested(u) for u in t] if isinstance(t, tuple) else self.value(t)
 
     def derived(self, build, *args):
         """``build(self, *args)``, computed once per evaluator and tuple of
@@ -447,8 +451,12 @@ class SampleEvaluator:
         k = self._exponent(e, v)
         try:
             if k is not None:
-                r = int_power(a, abs(k), self._seed(self._one, None))
-                return r.reciprocal() if k < 0 else r
+                if k >= 0:
+                    return int_power(a, k, self._seed(self._one, None))
+                # value's bits, and the chain rule on the base, where the
+                # reciprocal of a^|k| would square it and underflow
+                f0 = _power(v, None, k, self._one)
+                return a.chain(f0, k * f0 / v)
             exp, ln = _ELEMENTWISE["exp"], _ELEMENTWISE["ln"]
             c = literal_value(e.right)
             if c is not None:

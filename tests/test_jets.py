@@ -118,6 +118,15 @@ class TestJetValues:
         assert ev.jet(tree).value[0] == 1e110
         assert np.isfinite(ev.jet(tree).grad).all()
 
+    def test_jet_of_a_negative_power_of_a_tiny_base(self):
+        # (1e-100)^-2 = 1e200, and its derivative -2e100 is finite, though
+        # the square of (1e-100)^2 underflows
+        tree = parse_expression("(1e-200*x1)^-2", COORDS)
+        ev = one_point(COORDS, [1e100, 0.0, 0.0, 0.0])
+        j = ev.jet(tree)
+        assert j.value[0] == ev.value(tree)[0] == pytest.approx(1e200, rel=1e-15)
+        np.testing.assert_allclose(j.grad[0], [-2e100, 0.0, 0.0, 0.0], rtol=4e-16)
+
     @pytest.mark.parametrize("x1", [-2.0, 3.0])
     def test_negative_literal_exponent_is_an_integer_power(self, x1):
         power = parse_expression("x1^-2", COORDS)
