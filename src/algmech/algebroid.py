@@ -173,9 +173,8 @@ class Algebroid:
 
     def anchored(self, ev: SampleEvaluator, g: np.ndarray) -> np.ndarray:
         """sigma_a^i g_i: the anchored x-part of gradients ``g`` over all
-        coordinates, (P, m) with the sample axis first.  A stacked ``matmul`` makes the BLAS call of the unstacked
-        product for every slice, so each sample has the single-point bits."""
-        return (g[..., None, : self.n] @ self.anchor_at(ev))[..., 0, :]
+        coordinates, (P, m) with the sample axis first."""
+        return vecmat(g[..., : self.n], self.anchor_at(ev))
 
     def anchored_gradient(self, ev: SampleEvaluator, f: Expr) -> tuple[np.ndarray, np.ndarray]:
         """``(sigma^T d_x f, d_y f)``: the anchored x-part and the fiber part
@@ -339,6 +338,19 @@ def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     (1, k) @ (k, 1) product to the BLAS dot, so entries round as ``np.dot``
     does on the same views (einsum adds in another order)."""
     return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x^T M over broadcast leading axes.  A stacked ``matmul`` makes the BLAS
+    call of the unstacked product for every slice, so each sample has the
+    single-point bits."""
+    return (x[..., None, :] @ M)[..., 0, :]
+
+
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x over broadcast leading axes, one BLAS call per slice as in
+    :func:`vecmat`."""
+    return (M @ x[..., None])[..., 0]
 
 
 def sweep_max(what: str, ev: SampleEvaluator, residuals: np.ndarray) -> float:

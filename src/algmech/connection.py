@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid
+from .algebroid import Algebroid, matvec, vecmat
 from .errors import EvaluationDomainError
 from .expr import (
     Expr,
@@ -148,7 +148,7 @@ def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: SampleEvaluat
     """delta_a(f), the derivative of f along the horizontal frame section
     delta_a, for every a at once: (P, m) over the evaluator's samples."""
     gx, gy = alg.anchored_gradient(ev, f)
-    return gx - (N.at(ev) @ gy[..., None])[..., 0]
+    return gx - matvec(N.at(ev), gy)
 
 
 def curvature(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
@@ -164,7 +164,7 @@ def curvature(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
 def _vertical_part(cx: np.ndarray, cv: np.ndarray, Nv: np.ndarray) -> np.ndarray:
     """cv + N^T cx: the V-frame components of v(A) for A = (cx, cv), the
     vertical Berwald part of a bracket's components."""
-    return cv + _vecmat(cx, Nv)
+    return cv + vecmat(cx, Nv)
 
 
 def curvature_from_brackets(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
@@ -319,11 +319,11 @@ class CovariantDerivative:
     def horizontal(self, comps: Sequence[Expr]) -> np.ndarray:
         """nabla on the horizontal frame, S(c) + c (N + yL), of the components
         ``comps``: the X-frame part of nabla A for A.x_comps."""
-        return self._along(comps) + _vecmat(self.ev.values_of(comps), self.hor_coeff)
+        return self._along(comps) + vecmat(self.ev.values_of(comps), self.hor_coeff)
 
     def vertical(self, comps: Sequence[Expr]) -> np.ndarray:
         """nabla on the vertical frame, S(w) - w (N + dS/dy), of ``comps``."""
-        return self._along(comps) - _vecmat(self.ev.values_of(comps), self.ver_terms[1])
+        return self._along(comps) - vecmat(self.ev.values_of(comps), self.ver_terms[1])
 
     def twice(self, comps: Sequence[Expr], along: Sequence[Expr], vertical: bool = False):
         """nabla^2 of the components ``comps`` on the horizontal frame (on the
@@ -335,9 +335,9 @@ class CovariantDerivative:
         c = self.ev.values_of(comps)
         if vertical:
             first, C = self.vertical(comps), self.ver_terms[1]
-            return self.vertical(along) - _vecmat(c, self.ver_along) - _vecmat(first, C)
+            return self.vertical(along) - vecmat(c, self.ver_along) - vecmat(first, C)
         first, C = self.horizontal(comps), self.hor_coeff
-        return self.horizontal(along) + _vecmat(c, self.hor_along) + _vecmat(first, C)
+        return self.horizontal(along) + vecmat(c, self.hor_along) + vecmat(first, C)
 
     def __call__(self, sections: Sequence[ProlongationSection]) -> tuple[np.ndarray, np.ndarray]:
         """nabla of each section of ``sections``: (K, P, m) X and V parts, the
@@ -347,20 +347,15 @@ class CovariantDerivative:
         comps = tuple(c for A in sections for c in A.x_comps + A.v_comps)
         s = self._along(comps).reshape(-1, len(sections), 2 * m).swapaxes(0, 1)
         sx, (sn, ver_coeff), Nv = s[..., :m], self.ver_terms, self.Nv
-        hor = sx + _vecmat(x, self.hor_coeff)
-        w = v + _vecmat(x, Nv)
-        ver = s[..., m:] + _vecmat(x, sn) + _vecmat(sx, Nv) - _vecmat(w, ver_coeff)
-        return hor, ver - _vecmat(hor, Nv)
+        hor = sx + vecmat(x, self.hor_coeff)
+        w = v + vecmat(x, Nv)
+        ver = s[..., m:] + vecmat(x, sn) + vecmat(sx, Nv) - vecmat(w, ver_coeff)
+        return hor, ver - vecmat(hor, Nv)
 
 
 def _covariant_derivative(ev, alg: Algebroid, S: Semispray, N: Connection) -> CovariantDerivative:
     # held by the evaluator's memo, it holds the evaluator weakly: no cycle
     return CovariantDerivative(alg, S, N, weakref.proxy(ev))
-
-
-def _vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x^T M over optional leading axes, one BLAS call per sample."""
-    return (x[..., None, :] @ M)[..., 0, :]
 
 
 def nabla_tensor(
@@ -398,14 +393,14 @@ def berwald_connection(
         return np.zeros_like(cx), _vertical_part(cx, cv, Nv)
 
     def h_proj(cx, cv):
-        return cx, -_vecmat(cx, Nv)
+        return cx, -vecmat(cx, Nv)
 
     def j_proj(cx, cv):
         return np.zeros_like(cx), cx.copy()
 
     def fj_proj(cx, cv):
         c = _vertical_part(cx, cv, Nv)
-        return c, -_vecmat(c, Nv)
+        return c, -vecmat(c, Nv)
 
     terms = [
         v_proj(*bracket(alg, hA, (vB,), ev)),

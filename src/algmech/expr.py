@@ -29,7 +29,7 @@ evaluator factorises each G once.
 :data:`FUNCTIONS` is the one table of elementary functions (f, f' and the
 derivative-tree rule); the parser, :func:`cached_derivative`, every
 evaluation mode of :class:`~algmech.jets.SampleEvaluator` and the compiled
-kernels read it.
+RK4 loop read it.
 
 Derivative trees apply light constant folding (0/1 absorption) so repeated
 differentiation stays compact; folding never changes the value of any

@@ -29,16 +29,15 @@ memo; :meth:`SampleEvaluator.array` keeps arrays of trees.
 
 :class:`Lowering` is the one lowering of trees to straight-line Python:
 one statement per unique inner node, each the walker's own float operation,
-so compiled code gets ``value``'s bits, bit for bit, at any point.  Two
-things are built on it.  :class:`ValueKernel` compiles a fixed tuple of
-trees once into a function of the coordinate values: about 10 us per unique
-node to compile, then a few hundred ns per call.  The RK4 loop of
-:func:`~algmech.lagrangian.integrate_sode` inlines the statements of the
-flow four times per step, and those of the energy once, into one compiled
-loop over every step.  A batch and compiled code get the same bits for
-every node kind, solves included.  Integer powers come from one routine,
-:func:`int_power`, so their cost grows with log2 of the exponent; compiled
-code writes its products out for exponents up to 3 in size.
+so compiled code gets ``value``'s bits, bit for bit, at any point.  The RK4
+loop of :func:`~algmech.lagrangian.integrate_sode` is built on it: it
+inlines the statements of the flow four times per step, and those of the
+energy once, into one compiled loop over every step.  A batch and compiled
+code get the same bits for every node kind, solves included.  Compiled code
+formats no errors: a step that faults is walked again, which names it.
+Integer powers come from one routine, :func:`int_power`, so their cost
+grows with log2 of the exponent; compiled code writes its products out for
+exponents up to 3 in size.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from .errors import EvaluationDomainError, SingularMetricError
 from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Solve, System, Var, literal_value, postorder
 
 __all__ = [
-    "EvalPoint", "Jet", "Lowering", "SampleEvaluator", "ValueKernel", "int_power", "inverse",
+    "EvalPoint", "Jet", "Lowering", "SampleEvaluator", "int_power", "inverse",
 ]
 
 
@@ -151,9 +150,9 @@ def _power(a, c, k: int | None, one=1.0):
     """``a^c`` as every value path computes it: :func:`int_power` of ``|k|``
     (``one`` over it for ``k < 0``) for an integer exponent ``k`` (see
     ``_integer_exponent``), else ``exp(c ln a)``; the rules apply that exp and
-    ln per element (``_ELEMENTWISE``), so only the kernel runs this float form.
-    Outside the domain math's own errors signal it: ``ln`` of a non-positive
-    base, or ``1/0`` for a zero base and ``k < 0``."""
+    ln per element (``_ELEMENTWISE``), so only compiled code runs this float
+    form.  Outside the domain math's own errors signal it: ``ln`` of a
+    non-positive base, or ``1/0`` for a zero base and ``k < 0``."""
     if k is None:
         return math.exp(c * math.log(a))
     r = int_power(a, abs(k), one)
@@ -527,7 +526,7 @@ def _kernel_inverse(m: int, *g: float) -> list[list[float]]:
 
 
 def _kernel_power(a: str, b: str, k: int | None) -> str:
-    """The kernel's statement for ``a^b``: for an integer exponent up to 3 in
+    """The compiled statement for ``a^b``: for an integer exponent up to 3 in
     size the products :func:`int_power` makes, written out, else a call."""
     if k is not None and 1 <= abs(k) <= 3:
         product = " * ".join([a] * abs(k))
@@ -536,9 +535,8 @@ def _kernel_power(a: str, b: str, k: int | None) -> str:
 
 
 class Lowering:
-    """The one lowering of trees to straight-line Python, shared by
-    :class:`ValueKernel` and the RK4 loop of
-    :func:`~algmech.lagrangian.integrate_sode`.
+    """The one lowering of trees to straight-line Python, which the RK4 loop
+    of :func:`~algmech.lagrangian.integrate_sode` inlines.
 
     ``lowering(trees, inputs)`` returns the statements that compute the
     trees, one per unique inner node in the post-order that
@@ -604,46 +602,3 @@ class Lowering:
         """The function ``name`` that ``source`` defines, run in :attr:`env`."""
         exec(compile(source, f"<{name}>", "exec"), self.env)
         return self.env[name]
-
-
-class ValueKernel:
-    """Values of a fixed tuple of trees, compiled once and then called at
-    many points: ``kernel(values)`` returns one float per tree, for
-    ``values`` in the order of ``names``.
-
-    The trees are lowered by :class:`Lowering` to one straight-line function,
-    which unpacks ``values`` into one local per coordinate and runs one
-    statement per unique inner node, so every value is the walker's bit for
-    bit.  The kernel formats no errors: when a math error escapes it (as one
-    does for a solve's matrix without an inverse), the trees are walked
-    again at the same values, which raises the error that names the fault,
-    and the point as the :class:`EvalPoint` whose ``x`` are the first ``n``
-    values: they are walked as a batch of one, which appends ``at <point>``
-    to a domain error."""
-
-    __slots__ = ("names", "n", "trees", "source", "_run")
-
-    def __init__(self, names: Sequence[str], trees: Sequence[Expr], n: int):
-        self.names, self.n = tuple(names), n
-        self.trees = tuple(trees)  # keeps every node, hence its id, alive
-        lower = Lowering(self.names)
-        inputs = [f"v{i}" for i in range(len(self.names))]
-        body, out = lower(self.trees, inputs)
-        self.source = "".join(
-            [
-                "def kernel(v):\n",
-                f"    ({''.join(f'{i}, ' for i in inputs)}) = v\n",
-                *(f"    {line}\n" for line in body),
-                f"    return [{', '.join(out)}]\n",
-            ]
-        )
-        self._run = lower.compile(self.source, "kernel")
-
-    def __call__(self, values: Sequence[float]) -> list[float]:
-        try:
-            return self._run(values)
-        except _MATH_ERRORS:
-            ev = SampleEvaluator(self.names, [EvalPoint.of(values[: self.n], values[self.n :])])
-            for t in self.trees:
-                ev.value(t)  # raises the domain error that names the node and the point
-            raise

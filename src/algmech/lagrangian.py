@@ -28,10 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, inner
+from .algebroid import Algebroid, inner, matvec, vecmat
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
-from .jets import Lowering, SampleEvaluator, ValueKernel, inverse
+from .jets import EvalPoint, Lowering, SampleEvaluator, inverse
 from .prolongation import ProlongationSection, Semispray, directional_derivative, sode_flow
 
 __all__ = [
@@ -181,7 +181,7 @@ def cartan_two_section(
     W = cartan_pairing(alg, L, ev)
     a = np.concatenate(A.values_at(ev), axis=-1)
     b = np.concatenate(B.values_at(ev), axis=-1)
-    return inner((a[..., None, :] @ W)[..., 0, :], b)
+    return inner(vecmat(a, W), b)
 
 
 def symplectic_residual(
@@ -242,10 +242,10 @@ def _rk4_loop(names: Sequence[str], flow: tuple[Expr, ...], energy: tuple[Expr, 
 
     The state is held in locals, and each step inlines :class:`Lowering`'s
     statements of ``flow`` once per stage and those of ``energy`` (empty, or
-    the energy tree) once, with the float operations of the per-stage
-    kernels in their order.  On a math error, or a state or energy that is
-    not finite, it appends nothing more and returns ``(k, start state)`` of
-    the step (of row 0 if ``traj`` has none)."""
+    the energy tree) once, with the walker's float operations in its order.
+    On a math error, or a state or energy that is not finite, it appends
+    nothing more and returns ``(k, start state)`` of the step (of row 0 if
+    ``traj`` has none)."""
     lower, K = Lowering(names), len(names)
     s, z, new = ([f"{p}{i}" for i in range(K)] for p in "szn")
     stop = f"return k, [{', '.join(s)}]"
@@ -304,18 +304,18 @@ def integrate_sode(
     (sigma y included).  The whole run is one compiled loop (``_rk4_loop``):
     the state lives in locals and every step inlines the flow's straight-line
     statements once per stage and the energy's once, then combines the
-    stages in plain float arithmetic, as per-stage :class:`ValueKernel` calls
-    would, bit for bit.  A step runs no numpy call unless S solves with a
-    fiber metric that is not constant: that solve's inverse is
-    :func:`~algmech.jets.inverse`, which calls LAPACK.  The step is fixed (no
-    adaptivity) so repeated runs are byte-identical.
+    stages in plain float arithmetic, each value the walker's bit for bit.
+    A step runs no numpy call unless S solves with a fiber metric that is
+    not constant: that solve's inverse is :func:`~algmech.jets.inverse`,
+    which calls LAPACK.  The step is fixed (no adaptivity) so repeated runs
+    are byte-identical.
 
     A domain error, a singular fiber metric, or a state or energy that is
     not finite, aborts with :class:`IntegrationAbortError` carrying the
     trajectory up to the last finite step: the loop stops before the row
-    that faults, and that one step is replayed through per-stage
-    :class:`ValueKernel` calls and the state and energy checks, which raise
-    the error that names the fault.  ``steps * dt`` must be finite, so every
+    that faults, and that one step is replayed through the walker at a
+    batch of one per stage and the state and energy checks, which raise the
+    error that names the fault.  ``steps * dt`` must be finite, so every
     time is.
     """
     if dt <= 0.0 or steps < 1:
@@ -342,18 +342,21 @@ def integrate_sode(
 
 
 def _replay(alg: Algebroid, flow, energy, traj: Trajectory, k: int, state: list[float], dt: float):
-    """The row the loop stopped before, through the checked path: row 0 of
-    ``state`` for an empty ``traj``, else step ``k`` from ``state``, with
-    one :class:`ValueKernel` call per stage; returns the next ``(k,
-    state)``.  A fault raises its error here."""
+    """The row the loop stopped before, through the walker: row 0 of
+    ``state`` for an empty ``traj``, else step ``k`` from ``state``, each
+    stage and the energy the values of a batch of one
+    (:meth:`~algmech.algebroid.Algebroid.evaluator`); returns the next
+    ``(k, state)``.  A fault raises its error here."""
     n = alg.n
-    energy_at = ValueKernel(alg.coords, energy, n) if energy else None
+
+    def values(trees, z: list[float]) -> list[float]:
+        return alg.evaluator(EvalPoint.of(z[:n], z[n:])).values_of(trees)[0].tolist()
 
     def record(t: float, z: list[float]) -> None:
         if not all(map(math.isfinite, z)):
             raise IntegrationAbortError(f"non-finite state at t = {t!r}", traj)
-        if energy_at is not None:
-            e = energy_at(z)[0]
+        if energy:
+            e = values(energy, z)[0]
             if not math.isfinite(e):
                 raise IntegrationAbortError(f"non-finite energy at t = {t!r}", traj)
             traj.energy.append(e)
@@ -363,12 +366,11 @@ def _replay(alg: Algebroid, flow, energy, traj: Trajectory, k: int, state: list[
     if not traj.times:
         record(0.0, state)
         return k, state
-    rhs = ValueKernel(alg.coords, flow, n)
     half, sixth = 0.5 * dt, dt / 6.0
-    k1 = rhs(state)
-    k2 = rhs([s + half * d for s, d in zip(state, k1)])
-    k3 = rhs([s + half * d for s, d in zip(state, k2)])
-    k4 = rhs([s + dt * d for s, d in zip(state, k3)])
+    k1 = values(flow, state)
+    k2 = values(flow, [s + half * d for s, d in zip(state, k1)])
+    k3 = values(flow, [s + half * d for s, d in zip(state, k2)])
+    k4 = values(flow, [s + dt * d for s, d in zip(state, k3)])
     state = [
         s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
@@ -389,7 +391,7 @@ def euler_lagrange_residual(
     grad = ev.jet(L.expr).grad
     h = np.stack([ev.jet(t).grad for t in L.dy], axis=-2)  # [..., a, j] = d2L/dy^a dz^j
     y = ev.values[:, n:]
-    xdot = (alg.anchor_at(ev) @ y[..., None])[..., 0]
+    xdot = matvec(alg.anchor_at(ev), y)
     ydot = np.asarray(ydot, dtype=float)
     ddt = inner(h[..., :n], xdot[..., None, :]) + inner(h[..., n:], ydot[..., None, :])
     twist = np.einsum("...abe,...b,...e->...a", alg.structure_at(ev), y, grad[:, n:])

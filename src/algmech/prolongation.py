@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection, inner, sweep_max
+from .algebroid import Algebroid, BaseSection, inner, matvec, sweep_max
 from .expr import (
     Expr,
     Num,
@@ -151,11 +151,13 @@ def _sode_section(alg: Algebroid, S: Semispray) -> ProlongationSection:
 
 
 def euler_section(alg: Algebroid) -> ProlongationSection:
-    """The canonical vertical section with components (0, y^a)."""
-    m = alg.m
-    return ProlongationSection(
-        tuple(ZERO for _ in range(m)), tuple(Var(n) for n in alg.fiber_coords)
-    )
+    """The canonical vertical section with components (0, y^a), built once
+    per system."""
+    return alg.derived(_euler_section)
+
+
+def _euler_section(alg: Algebroid) -> ProlongationSection:
+    return ProlongationSection((ZERO,) * alg.m, tuple(Var(n) for n in alg.fiber_coords))
 
 
 def vertical_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
@@ -394,15 +396,9 @@ def frame_derivation(
     M, m = T.at(ev), T.m
     dx, dv = D(T.frame_images)
     bx, bv = D(basis_sections(m))
-    tx = _matvec(M[..., :m, :m], bx) + _matvec(M[..., :m, m:], bv)
-    tv = _matvec(M[..., m:, :m], bx) + _matvec(M[..., m:, m:], bv)
+    tx = matvec(M[..., :m, :m], bx) + matvec(M[..., :m, m:], bv)
+    tv = matvec(M[..., m:, :m], bx) + matvec(M[..., m:, m:], bv)
     return np.moveaxis(np.concatenate([dx - tx, dv - tv], axis=-1), 0, -1)
-
-
-def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x over optional leading axes, the BLAS call of the unstacked product
-    per sample."""
-    return (M @ x[..., None])[..., 0]
 
 
 def lie_derivative_tensor(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection, inner, sweep_max
+from .algebroid import Algebroid, BaseSection, inner, matvec, sweep_max, vecmat
 from .connection import (
     Connection,
     CovariantDerivative,
@@ -155,7 +155,7 @@ def newtonoid_check(
     (bx,), _ = bracket(alg, S.section(alg), (A,), ev)
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
-    vert = av + (ax[..., None, :] @ N.at(ev))[..., 0, :]  # v(A) fiber components
+    vert = av + vecmat(ax, N.at(ev))  # v(A) fiber components
     jx = CovariantDerivative.of(alg, S, N, ev).horizontal(A.x_comps)  # J(nabla A): the frame part
     return SymmetryVerdict(
         kind="newtonoid",
@@ -188,7 +188,7 @@ def _invariant_form(alg, S, N, ev, comps, along, vertical: bool) -> np.ndarray:
     ``along`` = S(c) (:meth:`~algmech.connection.CovariantDerivative.twice`)."""
     second = CovariantDerivative.of(alg, S, N, ev).twice(comps, along, vertical)
     R = jacobi_endomorphism(alg, S, N, ev)
-    return second + (np.swapaxes(R, -1, -2) @ ev.values_of(comps)[..., None])[..., 0]
+    return second + matvec(np.swapaxes(R, -1, -2), ev.values_of(comps))
 
 
 # ---------------------------------------------------------------------------

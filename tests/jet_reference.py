@@ -1,16 +1,19 @@
-"""Reference derivatives for the jet tests.
+"""Reference derivatives for the jet tests, and trees compiled by the one
+lowering.
 
 The evaluator computes first-order jets only.  A test that needs a second
 derivative takes the first-order jets of the derivative trees
 (:func:`second_order`), and both orders are checked against central
-differences of values (:func:`finite_difference_jet`)."""
+differences of values (:func:`finite_difference_jet`).  :func:`compiled`
+runs :class:`~algmech.jets.Lowering`'s statements on their own, for the
+tests that hold them to the walker's bits."""
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from algmech.expr import Expr, differentiate
-from algmech.jets import EvalPoint, SampleEvaluator
+from algmech.jets import EvalPoint, Lowering, SampleEvaluator
 
 
 class Taylor(NamedTuple):
@@ -70,3 +73,16 @@ def finite_difference_jet(
             fpp, fpm, fmp, fmm = next(f), next(f), next(f), next(f)
             hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
     return Taylor(f0, grad, hess)
+
+
+def compiled(names: Sequence[str], trees: Sequence[Expr]) -> tuple[Callable, list[str]]:
+    """``(run, lines)``: ``lines`` are the statements :class:`Lowering` writes
+    for ``trees``, and ``run(values)`` runs them at the coordinate values
+    ``values``, in the order of ``names``, returning one float per tree.
+    Compiled code formats no errors: a fault escapes as math's own."""
+    lower = Lowering(names)
+    inputs = [f"v{i}" for i in range(len(names))]
+    lines, out = lower(trees, inputs)
+    body = [*lines, f"return [{', '.join(out)}]"]
+    run = lower.compile(f"def run({', '.join(inputs)}):\n" + "".join(f"    {s}\n" for s in body), "run")
+    return (lambda values: run(*values)), lines

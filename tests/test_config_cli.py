@@ -760,8 +760,8 @@ class TestIntegrateCommand:
         assert len(out.read_text().splitlines()) == 1 + rows
 
     def test_singular_metric_is_named_as_geometry_names_it(self, tmp_path, capsys):
-        # g = [[1, x], [x, 1]] is singular at x = 1: the RK4 kernel, which
-        # walks its trees again to name the fault, words the point as the
+        # g = [[1, x], [x, 1]] is singular at x = 1: integrate, which walks
+        # the faulting step again to name the fault, words the point as the
         # frame batch of ``geometry`` does
         raw = line_system("0.5*(y1^2+y2^2)+x*y1*y2", fiber_rank=2)
         raw.update(fiber_coords=["y1", "y2"], anchor=[["1", "0"]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from algmech.errors import EvaluationDomainError
+from algmech.errors import EvaluationDomainError, SingularMetricError
 from algmech.expr import FUNCTIONS, differentiate, parse_expression, postorder, to_source
 from algmech.jets import EvalPoint, SampleEvaluator, int_power
 from algmech.sampling import SplitMix64
@@ -361,7 +361,7 @@ def test_product_rule_is_componentwise_exact(a, b, seed):
     assert np.array_equal(jprod.grad, ja.value[:, None] * jb.grad + jb.value[:, None] * ja.grad)
 
 
-# -- the value kernel equals the walker --------------------------------------
+# -- compiled code equals the walker -----------------------------------------
 
 import struct  # noqa: E402
 from importlib import resources  # noqa: E402
@@ -370,8 +370,7 @@ from pathlib import Path  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from algmech.config import load_config  # noqa: E402
-from algmech.jets import ValueKernel  # noqa: E402
-
+from jet_reference import compiled  # noqa: E402
 from test_sharing import unique_nodes  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -392,7 +391,7 @@ def bits(values):
     ids=["driftless", "abelian", "heisenberg", "dense-4", "diag-8"],
 )
 def test_kernel_equals_walker_at_config_samples(config):
-    """Anchor, semispray and energy: the kernel's bits are the walker's."""
+    """Anchor, semispray and energy: compiled code has the walker's bits."""
     cfg = load_config(config)
     alg = cfg.algebroid
     trees = (
@@ -400,10 +399,10 @@ def test_kernel_equals_walker_at_config_samples(config):
         *cfg.semispray().components,
         cfg.lagrangian.energy_expr,
     )
-    kernel = ValueKernel(alg.coords, trees, alg.n)
+    run, _ = compiled(alg.coords, trees)
     for p in cfg.sample_points():
         ev = alg.evaluator(p)
-        assert bits(kernel(list(p.values()))) == bits(ev.value(t)[0] for t in trees), p
+        assert bits(run(p.values())) == bits(ev.value(t)[0] for t in trees), p
 
 
 _EDGE_VALUES = [0.0, -0.0, -1.5, 0.7, 2.0, -3.0, 1e200, -1e200, 1e-200]
@@ -428,11 +427,25 @@ def _kernel_node(children):
     )
 
 
-def _outcome(run):
+FAULT = "fault"
+
+
+def _walked(tree, values):
+    """The walker's bits at ``values``, or FAULT where it raises the error
+    that names a fault."""
     try:
-        return bits(run())
-    except EvaluationDomainError as err:
-        return str(err)
+        return bits(one_point(COORDS, values).value(tree).tolist())
+    except (EvaluationDomainError, SingularMetricError):
+        return FAULT
+
+
+def _ran(run, values):
+    """Compiled code's bits at ``values``, or FAULT where math's own error
+    escapes it: where it does, the integrator walks the trees again."""
+    try:
+        return bits(run(values))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return FAULT
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -441,16 +454,15 @@ def _outcome(run):
     st.lists(st.sampled_from(_EDGE_VALUES), min_size=len(COORDS), max_size=len(COORDS)),
 )
 def test_kernel_equals_walker_on_random_trees(tree, values):
-    """Same bits, or the same EvaluationDomainError, on any tree and point;
-    the kernel's error names the point, as the walk of a batch of one does."""
-    kernel = ValueKernel(COORDS, (tree,), len(COORDS))
-    walker = _outcome(lambda: one_point(COORDS, values).value(tree).tolist())
-    assert _outcome(lambda: kernel(values)) == walker
+    """Same bits on any tree and point, and a math error exactly where the
+    walker raises the error that names the fault."""
+    run, _ = compiled(COORDS, (tree,))
+    assert _ran(run, values) == _walked(tree, values)
 
 
 def _inner_nodes(*roots) -> int:
-    """The distinct nodes under ``roots`` other than leaves: a kernel writes
-    one statement for each, and none for a ``Var`` or a ``Num``."""
+    """The distinct nodes under ``roots`` other than leaves: the lowering
+    writes one statement for each, and none for a ``Var`` or a ``Num``."""
     seen: set = set()
     for root in roots:
         seen.update(id(n) for n in postorder(root, seen) if not isinstance(n, (Var, Num)))
@@ -458,20 +470,19 @@ def _inner_nodes(*roots) -> int:
 
 
 def test_kernel_source_has_one_line_per_node():
-    """One statement per inner node, between the header, the line that
-    unpacks the coordinates and the return."""
+    """One statement per inner node."""
     power = parse_expression("x1^200000", COORDS)
-    kernel = ValueKernel(COORDS, (power,), len(COORDS))
+    run, lines = compiled(COORDS, (power,))
     point = [1.0 + 1e-6, 0.0, 0.0, 0.0]
-    assert kernel(point) == one_point(COORDS, point).value(power).tolist()
+    assert run(point) == one_point(COORDS, point).value(power).tolist()
     assert _inner_nodes(power) == unique_nodes(power) - 2
-    assert len(kernel.source.splitlines()) == _inner_nodes(power) + 3
+    assert len(lines) == _inner_nodes(power)
     # 3,000 nested sums: deeper than the recursion limit
     long_sum = parse_expression("+".join(f"{k % 7}*x1" for k in range(3000)), COORDS)
-    kernel = ValueKernel(COORDS, (long_sum, power), len(COORDS))
-    assert len(kernel.source.splitlines()) == _inner_nodes(long_sum, power) + 3
+    run, lines = compiled(COORDS, (long_sum, power))
+    assert len(lines) == _inner_nodes(long_sum, power)
     point = [2.0, 0.0, 0.0, 0.0]
-    assert kernel(point)[0] == one_point(COORDS, point).value(long_sum)[0]
+    assert run(point)[0] == one_point(COORDS, point).value(long_sum)[0]
 
 
 _WRITTEN_OUT = ["x1^1", "x1^2", "x1^3", "x1^(-1)", "x1^(-2)", "x1^(-3)"]
@@ -480,17 +491,16 @@ _WRITTEN_OUT = ["x1^1", "x1^2", "x1^3", "x1^(-1)", "x1^(-2)", "x1^(-3)"]
 @pytest.mark.parametrize("src", [*_WRITTEN_OUT, "x1^0", "x1^13", "x1^1000001", "x1^2.5"])
 def test_kernel_powers_equal_walker(src):
     """Integer powers up to 3 in size are written out as products, the rest
-    call the power helper; both give the walker's bits, or its error, on 300
-    random points with |x| up to 1e200 and at zero."""
+    call the power helper; both give the walker's bits, or fault where it
+    does, on 300 random points with |x| up to 1e200 and at zero."""
     tree = parse_expression(src, COORDS)
-    kernel = ValueKernel(COORDS, (tree,), len(COORDS))
-    assert ("power(" in kernel.source) == (src not in _WRITTEN_OUT)
+    run, lines = compiled(COORDS, (tree,))
+    assert any("power(" in line for line in lines) == (src not in _WRITTEN_OUT)
     rng = np.random.default_rng(0)
     xs = rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-200.0, 200.0, 300)
     for x in [0.0, -0.0, *xs.tolist()]:
         values = [x, 0.0, 0.0, 0.0]
-        walker = _outcome(lambda: one_point(COORDS, values).value(tree).tolist())
-        assert _outcome(lambda: kernel(values)) == walker, x
+        assert _ran(run, values) == _walked(tree, values), x
 
 
 # -- the sample batch equals the walker --------------------------------------
@@ -676,16 +686,16 @@ _DEEP_POINTS = [EvalPoint.of([0.3, -1.1], [0.7, 2.0]), EvalPoint.of([-2.5, 0.4],
 @pytest.mark.parametrize("src", [LONG_SUM, DEEP_CHAIN], ids=["sum", "chain"])
 def test_deep_trees_agree_in_every_mode(src):
     """Value and jet over a batch and over the batch of one at each sample,
-    and the kernel, give one set of bits on a 50,000-node sum and a
+    and compiled code, give one set of bits on a 50,000-node sum and a
     5,000-deep chain."""
     tree = parse_expression(src, COORDS)
     batch = SampleEvaluator(COORDS, _DEEP_POINTS)
     values, jets = batch.value(tree), batch.jet(tree)
-    kernel = ValueKernel(COORDS, (tree,), len(COORDS))
+    run, _ = compiled(COORDS, (tree,))
     for i, p in enumerate(_DEEP_POINTS):
         ev = SampleEvaluator(COORDS, [p])
         value, jet = ev.value(tree)[0], ev.jet(tree)
-        assert bits([values[i], *kernel(list(p.values()))]) == bits([value, value])
+        assert bits([values[i], *run(p.values())]) == bits([value, value])
         assert bits([jet.value[0], *jet.grad[0]]) == bits([jets.value[i], *jets.grad[i]])
         assert jet.value[0] == value
 
@@ -706,16 +716,12 @@ def test_domain_error_deep_inside_names_its_subexpression(src):
         with pytest.raises(EvaluationDomainError) as caught:
             mode(tree)
         assert str(caught.value) == f"{named} at {p}"
-    batch_error = caught.value
-    with pytest.raises(EvaluationDomainError) as caught:
-        ValueKernel(COORDS, (tree,), len(p.x))(list(p.values()))
-    assert str(caught.value) == f"{named} at {p}"
-    assert caught.value.subexpression is batch_error.subexpression
+    run, _ = compiled(COORDS, (tree,))
+    with pytest.raises(ValueError):
+        run(p.values())
 
 
 # -- solve nodes ----------------------------------------------------------------
-
-from algmech.errors import SingularMetricError  # noqa: E402
 
 # a solve over random trees, themselves with solves inside
 _SOLVES = _solve_node(_tree).filter(lambda x: type(x) is Solve)
@@ -764,19 +770,18 @@ def test_solve_jets_match_finite_differences(x, seed):
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(_SOLVES, _BOX_ROWS)
 def test_solve_point_batch_and_kernel_agree_bit_for_bit(x, rows):
-    """Values and jets of row k of the batch, and the kernel's values, have
-    the bits of the batch of one at sample k."""
+    """Values and jets of row k of the batch, and compiled code's values,
+    have the bits of the batch of one at sample k, or fault where it does."""
     points = [EvalPoint.of(r, ()) for r in rows]
     _compare(COORDS, points, x)
-    kernel = ValueKernel(COORDS, (x,), len(COORDS))
-    walker = [bits(SampleEvaluator(COORDS, [p]).value(x)) for p in points]
-    assert [bits(kernel(list(p.values()))) for p in points] == walker
+    run, _ = compiled(COORDS, (x,))
+    assert [_ran(run, p.values()) for p in points] == [_walked(x, p.values()) for p in points]
 
 
 def test_singular_matrix_names_its_sample():
     """G = [[x1, 1], [1, 1]] is singular at x1 = 1, the third sample: the
-    batch names it and its index, the batch of one and the kernel, which
-    walks again, its point."""
+    batch names it and its index, the batch of one its point, and compiled
+    code faults there alone."""
     x = solve(((Var("x1"), Num(1.0)), (Num(1.0), Num(1.0))), (Var("x2"), Num(1.0)))[0]
     points = [EvalPoint.of([v, 0.5, 0.0, 0.0], ()) for v in (2.0, 3.0, 1.0, 5.0)]
     p = points[2]
@@ -784,10 +789,11 @@ def test_singular_matrix_names_its_sample():
         (lambda: SampleEvaluator(COORDS, points).value(x), p, 2),
         (lambda: SampleEvaluator(COORDS, points).jet(x), p, 2),
         (lambda: SampleEvaluator(COORDS, [p]).jet(x), p, 0),
-        (lambda: ValueKernel(COORDS, (x,), len(COORDS))(list(p.values())), p, 0),
     ]
     for run, point, index in runs:
         with pytest.raises(SingularMetricError) as caught:
             run()
         assert (caught.value.point, caught.value.index) == (point, index)
         assert str(caught.value).startswith(f"singular fiber metric at {point} (det = ")
+    run, _ = compiled(COORDS, (x,))
+    assert [_ran(run, q.values()) == FAULT for q in points] == [False, False, True, False]

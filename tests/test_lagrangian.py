@@ -13,7 +13,7 @@ from algmech.errors import (
     SingularPairingError,
 )
 from algmech.expr import parse_expression, to_source
-from algmech.jets import EvalPoint, ValueKernel
+from algmech.jets import EvalPoint, SampleEvaluator
 from algmech.lagrangian import (
     Lagrangian,
     Trajectory,
@@ -500,25 +500,26 @@ class TestIntegration:
 
 
 def reference_rk4(alg, S, x0, y0, dt, steps, lagrangian=None, calls=None):
-    """RK4 through one :class:`ValueKernel` call per stage and the state and
-    energy checks after each step: the integrator's checked path, kept here
-    as the fused loop's oracle.  ``calls`` gets one entry per stage call."""
+    """RK4 through the walker at a batch of one per stage and the state and
+    energy checks after each step, with no compiled code: the fused loop's
+    oracle.  ``calls`` gets one entry per stage."""
     n = alg.n
-    rhs = ValueKernel(alg.coords, tuple(v for _, v in sode_flow(alg, S)), n)
-    energy = None if lagrangian is None else lagrangian.energy_expr
-    energy_at = None if energy is None else ValueKernel(alg.coords, (energy,), n)
+    flow = tuple(v for _, v in sode_flow(alg, S))
     traj = Trajectory([], [], [] if lagrangian is not None else None)
+
+    def walk(trees, z):
+        return alg.evaluator(EvalPoint.of(z[:n], z[n:])).values_of(trees)[0].tolist()
 
     def f(z):
         if calls is not None:
             calls.append(len(traj.times))
-        return rhs(z)
+        return walk(flow, z)
 
     def record(t, z):
         if not all(map(math.isfinite, z)):
             raise IntegrationAbortError(f"non-finite state at t = {t!r}", traj)
-        if energy_at is not None:
-            e = energy_at(z)[0]
+        if lagrangian is not None:
+            e = walk((lagrangian.energy_expr,), z)[0]
             if not math.isfinite(e):
                 raise IntegrationAbortError(f"non-finite energy at t = {t!r}", traj)
             traj.energy.append(e)
@@ -656,20 +657,37 @@ class TestFusedLoop:
         message = self.abort(abelian, S, [0.0, 0.0], [1e150, 0.0], 1.0, 20, abelian.lagrangian)
         assert message.startswith("non-finite energy at t = ")
 
-    def test_a_fault_free_run_makes_no_per_stage_kernel_call(self, heisenberg, monkeypatch):
-        calls, call = [], ValueKernel.__call__
+    @staticmethod
+    def count_evaluators(monkeypatch) -> list:
+        """One entry per :class:`SampleEvaluator` made from now on."""
+        made, init = [], SampleEvaluator.__init__
 
-        def counted(kernel, values):
-            calls.append(values)
-            return call(kernel, values)
+        def counted(ev, names, points):
+            made.append(points)
+            init(ev, names, points)
 
-        monkeypatch.setattr(ValueKernel, "__call__", counted)
+        monkeypatch.setattr(SampleEvaluator, "__init__", counted)
+        return made
+
+    def test_a_fault_free_run_makes_no_evaluator(self, heisenberg, monkeypatch):
+        S = heisenberg.semispray()
+        made = self.count_evaluators(monkeypatch)
         traj = integrate_sode(
-            heisenberg.algebroid, heisenberg.semispray(), [0.3, -0.2, 0.1], [1.0, 0.5, 0.2],
-            1e-3, 1000, heisenberg.lagrangian,
+            heisenberg.algebroid, S, [0.3, -0.2, 0.1], [1.0, 0.5, 0.2], 1e-3, 1000,
+            heisenberg.lagrangian,
         )
         assert len(traj.times) == 1001
-        assert calls == []
+        assert made == []
+
+    def test_an_aborting_run_replays_one_step(self, abelian, monkeypatch):
+        # the fault of test_domain_error_in_a_middle_stage: its step is
+        # replayed through at most 4 stages and the energy of its row
+        alg = abelian.algebroid
+        S = Semispray(tuple(parse_expression(c, alg.coords) for c in ("0", "ln(1.6-x1)")))
+        made = self.count_evaluators(monkeypatch)
+        with pytest.raises(IntegrationAbortError, match="^ln is undefined at "):
+            integrate_sode(alg, S, [0.0, 0.0], [1.0, 0.0], 0.5, 10, abelian.lagrangian)
+        assert 1 <= len(made) <= 5
 
     def test_a_last_time_that_is_not_finite_is_rejected(self, abelian):
         # the state stays finite from rest, but 3 * 1e308 overflows

@@ -31,7 +31,9 @@ from algmech.expr import (
 )
 from algmech.jets import EvalPoint, SampleEvaluator
 from algmech.lagrangian import cartan_pairing_exprs
-from algmech.prolongation import complete_lift, directional_derivative, sode_derivative_expr, sode_flow
+from algmech.prolongation import (
+    complete_lift, directional_derivative, sode_derivative_expr, sode_flow, spray_test,
+)
 from algmech.symmetry import invariant_equation_residual, lie_symmetry_check, newtonoid_check
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -455,6 +457,24 @@ def test_anchored_gradients_are_kept_per_system(driftless):
     dx, dy = doubled.anchored_gradient(ev, f)
     assert np.array_equal(dx, 2.0 * gx) and not np.array_equal(dx, gx)
     assert np.array_equal(dy, gy) and alg.anchored_gradient(ev, f)[0] is gx
+
+
+@pytest.mark.parametrize("name", ["driftless", "heisenberg"])
+def test_repeated_spray_tests_leave_the_evaluator_memos_as_they_are(request, name):
+    """A spray test builds its sections once per system, so nine more on one
+    evaluator add no memo entry."""
+    cfg = request.getfixturevalue(name)
+    alg, S = cfg.algebroid, cfg.semispray()
+    ev = alg.sample_evaluator(cfg.sample_points(count=3))
+
+    def sizes():
+        return [len(ev._derived), len(ev._arrays), len(ev._jets), len(ev._floats)]
+
+    spray_test(alg, S, ev, 1e-9)
+    first = sizes()
+    for _ in range(9):
+        spray_test(alg, S, ev, 1e-9)
+    assert sizes() == first
 
 
 def test_diag8_report_brackets_against_the_whole_frame_at_once(tmp_path, capsys, monkeypatch):
