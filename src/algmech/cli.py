@@ -161,7 +161,8 @@ def cmd_validate(args) -> int:
 def cmd_geometry(args) -> int:
     cfg, tol = _load(args)
     p = _parse_at(args.at, cfg)
-    frame = frames_with_reference(cfg, cfg.semispray(), cfg.connection(), [p])[0]
+    ev = cfg.algebroid.sample_evaluator([p])
+    frame = frames_with_reference(cfg, cfg.semispray(), cfg.connection(), ev)[0]
     _emit(args, frame, markdown=None if args.fmt == "json" else render_frame_markdown(frame))
     return 0 if frames_pass([frame], tol) else 1
 

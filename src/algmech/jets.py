@@ -220,6 +220,17 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return out
 
 
+def _head_rows(r, k: int):
+    """The first ``k`` rows of a memo entry: arrays (columns, gradients, a
+    matrix's dG or inverse) have the sample axis second to last."""
+    t = type(r)
+    if t is Jet:
+        return Jet(r.value[:k], r.grad[:k])
+    if t is list or t is tuple:
+        return t(_head_rows(c, k) for c in r)
+    return r[..., :k, :]
+
+
 class SampleEvaluator:
     """Evaluates trees at P sample points at once, over a leading sample axis.
 
@@ -233,6 +244,8 @@ class SampleEvaluator:
     Every row has the bits of the batch of one at its sample: ``+ - * /``,
     :func:`int_power` and solves run elementwise on float64, and elementary
     functions are ``FUNCTIONS``' own float functions applied per element.
+    So :meth:`head` can hand its first rows' memo to an evaluator over its
+    first points, as a report's sweep evaluator does for the frames.
 
     A singular solve matrix raises :class:`SingularMetricError` naming its
     first singular sample.  Where a rule raises
@@ -317,6 +330,19 @@ class SampleEvaluator:
         if hit is None:
             hit = self._derived[key] = (args, build(self, *args))
         return hit[1]
+
+    def head(self, k: int) -> "SampleEvaluator":
+        """An evaluator over ``points[:k]`` whose memos of values, jets,
+        arrays and inverses start as views of this one's first ``k`` rows
+        (every row has its batch of one's bits, so no number moves): only
+        trees this evaluator has not walked are walked again.  What
+        :meth:`derived` holds is not copied."""
+        ev = SampleEvaluator(self.names, self.points[:k])
+        memos = (ev._floats, self._floats), (ev._jets, self._jets), (ev._inverses, self._inverses)
+        for mine, theirs in memos:
+            mine.update((key, (hit[0], _head_rows(hit[1], k))) for key, hit in theirs.items())
+        ev._arrays = {key: (trees, a[:k]) for key, (trees, a) in self._arrays.items()}
+        return ev
 
     def _batch(self, walk, run, e: Expr):
         """``run(e)`` with numpy's division by zero raised (not warned), so

@@ -8,7 +8,6 @@ report byte-identical across runs with the same config and seed.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .algebroid import sweep_max
 from .config import SystemConfig
 from .connection import Connection, geometry_frames
 from .errors import EvaluationDomainError, SingularMetricError
-from .jets import EvalPoint, SampleEvaluator
+from .jets import SampleEvaluator
 from .lagrangian import canonical_semispray, fiber_metric
 from .prolongation import Semispray, spray_test
 from .symmetry import (
@@ -123,19 +122,16 @@ def run_validation(cfg: SystemConfig, ev: SampleEvaluator, tol: float) -> dict:
 
 
 def frames_with_reference(
-    cfg: SystemConfig,
-    S: Semispray,
-    N: Connection,
-    points: Sequence[EvalPoint],
+    cfg: SystemConfig, S: Semispray, N: Connection, ev: SampleEvaluator
 ) -> list[dict]:
-    """The geometry frames at ``points``, one batch over one sample
-    evaluator.  The Lagrangian is evaluated there first, so a point where it
-    is undefined fails as it does in validation.  With a reference table, each
-    frame gets its computed minus published values: the matrices entry by
-    entry, the semispray and the curvature as their largest absolute
-    deviation; one that is not finite raises :class:`EvaluationDomainError`
-    naming the point."""
-    ev = cfg.algebroid.sample_evaluator(points)
+    """The geometry frames at the points of ``ev``, one batch: a report
+    passes the head of its sweep evaluator (:meth:`SampleEvaluator.head`),
+    ``geometry`` an evaluator at its point.  The Lagrangian is evaluated
+    there first, so a point where it is undefined fails as it does in
+    validation.  With a reference table, each frame gets its computed minus
+    published values: the matrices entry by entry, the semispray and the
+    curvature as their largest absolute deviation; one that is not finite
+    raises :class:`EvaluationDomainError` naming the point."""
     if cfg.lagrangian is not None:
         ev.value(cfg.lagrangian.expr)  # a domain error names its point
     frames = [f.to_dict() for f in geometry_frames(cfg.algebroid, S, N, ev)]
@@ -207,6 +203,9 @@ def run_symmetry(
 def build_report(
     cfg: SystemConfig, seed: int | None = None, tol: float | None = None
 ) -> dict:
+    """The report of ``cfg`` at ``seed``, over one sample evaluator: the
+    validation, spray and symmetry sweeps share it, and the geometry frames
+    read its first two rows (:meth:`SampleEvaluator.head`)."""
     tol = tol if tol is not None else cfg.tolerance
     alg = cfg.algebroid
     ev = alg.sample_evaluator(cfg.sample_points(seed=seed))
@@ -215,8 +214,9 @@ def build_report(
 
     validation = run_validation(cfg, ev, tol)
     spray = spray_test(alg, S, ev, tol)
-    frames = frames_with_reference(cfg, S, N, ev.points[:_GEOMETRY_FRAMES_IN_REPORT])
     symmetry = run_symmetry(cfg, S, N, ev, tol)
+    # after the sweeps, so the frames walk only the trees they alone read
+    frames = frames_with_reference(cfg, S, N, ev.head(_GEOMETRY_FRAMES_IN_REPORT))
     passed = validation["passed"] and frames_pass(frames, tol) and symmetry["all_ok"]
     return {
         "meta": {

@@ -100,7 +100,7 @@ def dynamical_symmetry_check(
 ) -> SymmetryVerdict:
     """Vanishing of the full bracket [S, A]; the two component families are
     reported separately (frame part and fiber part)."""
-    (bx,), (bv,) = bracket(alg, S.section(alg), (A,), ev)
+    (bx,), (bv,) = ev.derived(_sode_bracket, alg, S, A)
     res = np.concatenate([bx, bv], axis=-1)
     worst = sweep_max("dynamical", ev, np.abs(res))
     return SymmetryVerdict(
@@ -114,6 +114,11 @@ def dynamical_symmetry_check(
             "fiber_part": sweep_max("dynamical", ev, np.abs(bv)),
         },
     )
+
+
+def _sode_bracket(ev: SampleEvaluator, alg: Algebroid, S: Semispray, A: ProlongationSection):
+    """[S, A], read by the dynamical and Newtonoid checks: once per evaluator."""
+    return bracket(alg, S.section(alg), (A,), ev)
 
 
 def _per_sample(ev: SampleEvaluator, res: np.ndarray) -> tuple:
@@ -152,7 +157,7 @@ def newtonoid_check(
     v(A) = J(nabla A) for the canonical connection."""
     if N is None:
         N = alg.derived(canonical_connection, S)
-    (bx,), _ = bracket(alg, S.section(alg), (A,), ev)
+    (bx,), _ = ev.derived(_sode_bracket, alg, S, A)
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = av + vecmat(ax, N.at(ev))  # v(A) fiber components
@@ -187,8 +192,13 @@ def _invariant_form(alg, S, N, ev, comps, along, vertical: bool) -> np.ndarray:
     """nabla^2 c + R^T c on the horizontal or vertical frame, given the trees
     ``along`` = S(c) (:meth:`~algmech.connection.CovariantDerivative.twice`)."""
     second = CovariantDerivative.of(alg, S, N, ev).twice(comps, along, vertical)
-    R = jacobi_endomorphism(alg, S, N, ev)
+    R = ev.derived(_jacobi, alg, S, N)
     return second + matvec(np.swapaxes(R, -1, -2), ev.values_of(comps))
+
+
+def _jacobi(ev: SampleEvaluator, alg: Algebroid, S: Semispray, N: Connection) -> np.ndarray:
+    """The Jacobi endomorphism, taken once per evaluator for every Lie candidate."""
+    return jacobi_endomorphism(alg, S, N, ev)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_c1_golden_fixture(driftless, driftless_samples):
     from algmech.report import frames_with_reference
 
     p = driftless_samples[0]
-    frame = frames_with_reference(driftless, S, N, [p])[0]
+    frame = frames_with_reference(driftless, S, N, alg.sample_evaluator([p]))[0]
     dev = frame["reference_deviation"]["connection"]
     assert abs(dev[0][1] - (-2.0 * p.y[0])) <= 1e-10
     assert abs(dev[0][0]) <= 1e-10

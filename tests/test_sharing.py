@@ -22,9 +22,10 @@ import algmech.cli
 import algmech.config
 import algmech.connection
 import algmech.prolongation
+import algmech.report
 import algmech.symmetry
 from algmech.cli import main
-from algmech.report import build_report
+from algmech.report import build_report, emit_json
 from algmech.connection import f_tensor, geometry_frames, nabla_tensor
 from algmech.expr import (
     ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, e_mul, parse_expression, postorder,
@@ -304,21 +305,35 @@ def test_second_covariant_derivative_builds_no_nabla_tree(monkeypatch, check):
 
 
 def test_report_sweeps_share_one_sample_evaluator(tmp_path, capsys, monkeypatch):
-    """A report makes exactly one sample evaluator for its sweeps, in
-    ``build_report``, which validation, the spray test and the symmetry
-    checks sweep, and one for its frames, over their points."""
-    makers = []
+    """A report makes exactly one sample evaluator, in ``build_report``,
+    which validation, the spray test and the symmetry checks sweep; its
+    frames read that evaluator's first two rows, ``head(2)``."""
+    made, heads, framed = [], [], []
 
     class Counted(SampleEvaluator):
         def __init__(self, *args):
             super().__init__(*args)
             # the frame above Algebroid.sample_evaluator asked for it
-            makers.append(sys._getframe(2).f_code.co_name)
+            made.append((sys._getframe(2).f_code.co_name, self))
 
+    def head(self, k):
+        heads.append((self, k, real_head(self, k)))
+        return heads[-1][2]
+
+    def frames(cfg, S, N, ev):
+        framed.append(ev)
+        return real_frames(cfg, S, N, ev)
+
+    real_head, real_frames = SampleEvaluator.head, algmech.report.frames_with_reference
     monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
+    monkeypatch.setattr(SampleEvaluator, "head", head)
+    monkeypatch.setattr(algmech.report, "frames_with_reference", frames)
     path = fixture_file(tmp_path, "heisenberg")
     assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    assert makers == ["build_report", "frames_with_reference"]
+    ((maker, ev),) = made
+    assert maker == "build_report"
+    assert [(parent, k) for parent, k, _ in heads] == [(ev, 2)]
+    assert framed == [heads[0][2]] and framed[0].points == ev.points[:2]
 
 
 def test_the_system_keeps_no_evaluator(tmp_path):
@@ -506,3 +521,121 @@ def test_validate_takes_no_dot_for_zero_structure_and_a_constant_anchor(monkeypa
     ev = alg.sample_evaluator(cfg.sample_points())
     assert alg.validate(ev, tol=1e-9).passed
     assert shapes == []
+
+
+# -- a report's frames read the head of its sweep evaluator -------------------
+
+
+def swept(tmp_path, name):
+    """A system, its field and connection, and its sample evaluator once a
+    report's validation, spray and symmetry sweeps have run over it."""
+    path = GOLDEN / f"{name}.json" if name in ("dense-4", "diag-8") else fixture_file(tmp_path, name)
+    cfg = algmech.config.load_config(path)
+    S, N, tol = cfg.semispray(), cfg.connection(), cfg.tolerance
+    ev = cfg.algebroid.sample_evaluator(cfg.sample_points())
+    algmech.report.run_validation(cfg, ev, tol)
+    algmech.prolongation.spray_test(cfg.algebroid, S, ev, tol)
+    algmech.report.run_symmetry(cfg, S, N, ev, tol)
+    return cfg, S, N, ev
+
+
+def memo_bits(r) -> bytes:
+    """The bytes of a memo entry's result: an array, a jet, or a list or tuple of them."""
+    if isinstance(r, (list, tuple)):
+        return b"".join(map(memo_bits, r))
+    if hasattr(r, "grad"):
+        return memo_bits(r.value) + memo_bits(r.grad)
+    return np.ascontiguousarray(r).tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "dense-4", "diag-8"])
+def test_frames_over_the_head_equal_a_fresh_evaluators(tmp_path, name):
+    """After the sweeps, the frames over ``head(2)`` are a fresh two-point
+    evaluator's byte for byte, and so is every memo entry ``head`` hands
+    out: values, jets (a solve's stacked dG too), arrays and inverses."""
+    cfg, S, N, ev = swept(tmp_path, name)
+    head = ev.head(2)
+    fresh = cfg.algebroid.sample_evaluator(ev.points[:2])
+    for memo, walk in ((head._floats, fresh.value), (head._jets, fresh.jet)):
+        for e, _ in memo.values():
+            if isinstance(e, System):
+                walk(e.solution[0])
+            elif not isinstance(e, tuple):
+                walk(e)
+    for trees, _ in head._arrays.values():
+        fresh.array(trees)
+    for mine, theirs in (
+        (head._floats, fresh._floats), (head._jets, fresh._jets),
+        (head._arrays, fresh._arrays), (head._inverses, fresh._inverses),
+    ):
+        assert mine.keys() <= theirs.keys()
+        for key, (_, r, *_) in mine.items():
+            assert memo_bits(r) == memo_bits(theirs[key][1])
+    assert head._floats and head._jets and head._arrays
+    if name == "dense-4":  # a dense fiber metric: a solve, its inverse and its dG
+        assert head._inverses and any(isinstance(e, tuple) for e, *_ in head._jets.values())
+    ours = algmech.report.frames_with_reference(cfg, S, N, head)
+    theirs = algmech.report.frames_with_reference(cfg, S, N, fresh)
+    assert emit_json(ours) == emit_json(theirs)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "dense-4", "diag-8"])
+def test_the_head_walks_no_node_its_parent_holds(tmp_path, monkeypatch, name):
+    """The frames' evaluator walks only nodes the sweeps never walked in
+    that mode (value or jet)."""
+    cfg, S, N, ev = swept(tmp_path, name)
+    head = ev.head(2)
+    walked: dict = {id(head._floats): [], id(head._jets): []}
+    real = algmech.jets.postorder
+
+    def recording(e, memo):
+        for n in real(e, memo):
+            walked.get(id(memo), []).append(n)
+            yield n
+
+    monkeypatch.setattr(algmech.jets, "postorder", recording)
+    algmech.report.frames_with_reference(cfg, S, N, head)
+    for mine, parents in ((head._floats, ev._floats), (head._jets, ev._jets)):
+        assert walked[id(mine)]
+        assert not [n for n in walked[id(mine)] if id(n) in parents]
+
+
+def test_a_tree_only_the_frames_read_names_its_sample(tmp_path, capsys):
+    """A reference tree undefined at sample 1 alone: the report names that
+    sample with the message ``geometry`` gives there, and exits 1."""
+    raw = json.loads(fixture_file(tmp_path).read_text())
+    cfg = algmech.config.parse_config(raw)
+    p, q = cfg.sample_points()[:2]
+    t, sign = (p.x[0] + q.x[0]) / 2, 1.0 if p.x[0] > q.x[0] else -1.0
+    raw["reference"]["semispray"][0] = f"ln({sign!r} * (x1 - {t!r}))"
+    path = tmp_path / "bad-reference.json"
+    path.write_text(json.dumps(raw))
+    assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    at = f"x={','.join(map(repr, q.x))},y={','.join(map(repr, q.y))}"
+    assert main(["geometry", "--config", str(path), "--at", at, "--output", str(tmp_path / "g.json")]) == 1
+    assert err == capsys.readouterr().err
+    assert err.count("\n") == 1 and "ln" in err and str(q) in err
+
+
+def test_symmetry_takes_each_bracket_and_the_jacobi_endomorphism_once(tmp_path, capsys, monkeypatch):
+    """The dynamical and Newtonoid checks read one [S, A] per candidate, and
+    every Lie candidate's invariant form one Jacobi endomorphism."""
+    brackets: Counter = Counter()
+    jacobis: list = []
+    real_bracket, real_jacobi = algmech.symmetry.bracket, algmech.symmetry.jacobi_endomorphism
+
+    def bracket(alg, A, Bs, ev):
+        brackets[id(A), *map(id, Bs)] += 1
+        return real_bracket(alg, A, Bs, ev)
+
+    def jacobi(*args):
+        jacobis.append(args)
+        return real_jacobi(*args)
+
+    monkeypatch.setattr(algmech.symmetry, "bracket", bracket)
+    monkeypatch.setattr(algmech.symmetry, "jacobi_endomorphism", jacobi)
+    path = fixture_file(tmp_path, "driftless")
+    assert main(["symmetry", "--config", str(path)]) == 0
+    assert len(brackets) >= 5 and max(brackets.values()) == 1
+    assert len(jacobis) == 1
