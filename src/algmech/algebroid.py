@@ -35,6 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import EvaluationDomainError, FiberDependenceError
 from .expr import ZERO, Expr, Num, Var, cached_derivative, e_mul, e_sub, e_sum, variables
 from .jets import EvalPoint, SampleEvaluator
@@ -174,7 +175,7 @@ class Algebroid:
     def anchored(self, ev: SampleEvaluator, g: np.ndarray) -> np.ndarray:
         """sigma_a^i g_i: the anchored x-part of gradients ``g`` over all
         coordinates, (P, m) with the sample axis first."""
-        return vecmat(g[..., : self.n], self.anchor_at(ev))
+        return linalg.vecmat(g[..., : self.n], self.anchor_at(ev))
 
     def anchored_gradient(self, ev: SampleEvaluator, f: Expr) -> tuple[np.ndarray, np.ndarray]:
         """``(sigma^T d_x f, d_y f)``: the anchored x-part and the fiber part
@@ -197,7 +198,7 @@ class Algebroid:
         s, one per sample."""
         if not s.x_only:
             raise FiberDependenceError("section must not depend on fiber coordinates")
-        return inner(ev.values_of(s.components), self.differential(f, ev))
+        return linalg.inner(ev.values_of(s.components), self.differential(f, ev))
 
     def differential(self, f: Expr, ev: SampleEvaluator) -> np.ndarray:
         """Components of the exterior derivative of a base function, (P, m)."""
@@ -268,9 +269,10 @@ class Algebroid:
         sweep still names it.  A product term L_ae^d L_bc^e whose row L_bc^.
         is all ``Num(0)`` is 0 (a sample where L is not finite fails the
         antisymmetry sweep first), and an rhs term sigma_i^c L_ab^c whose row
-        L_ab^. is, 0 * sigma_i.  Every other term is the dot numpy's stacked
-        ``matmul`` takes on the views of the full formula, and an exact 0 left
-        out changes no sum but the sign of a zero, which ``abs`` removes.
+        L_ab^. is, 0 * sigma_i.  Every other term is the
+        :func:`~algmech.linalg.inner` of the views of the full formula, and an
+        exact 0 left out changes no sum but the sign of a zero, which ``abs``
+        removes.
         """
         m, n, P = self.m, self.n, len(ev.points)
         sigma = self.anchor_at(ev)
@@ -290,7 +292,7 @@ class Algebroid:
         terms = [flow]
         if rows:  # [p, a, (b, c), d], 0 where L_bc^. is
             prod = np.zeros((P, m, m * m, m))
-            prod[:, :, rows] = inner(L.transpose(0, 1, 3, 2)[:, :, None], Lrows[:, None, :, None])
+            prod[:, :, rows] = linalg.inner(L.transpose(0, 1, 3, 2)[:, :, None], Lrows[:, None, :, None])
             terms.append(prod.reshape(P, m, m, m, m))
         terms = [t.transpose(s) for s in ((0, 1, 2, 3, 4), (0, 3, 1, 2, 4), (0, 2, 3, 1, 4)) for t in terms]
         cyc = np.zeros(np.broadcast_shapes(*(t.shape for t in terms)))
@@ -300,7 +302,7 @@ class Algebroid:
         # anchor compatibility with the bracket: lie[p, a, b, i] = sigma_a(sigma_i^b)
         column_trees = [self.anchor[i][b] for b in range(m) for i in range(n)]
         lie = self._anchor_derivatives(ev, sigma_t, column_trees, lost_a, (m, n))
-        values = inner(sigma[:, :, None], Lrows[:, None]) if rows else None
+        values = linalg.inner(sigma[:, :, None], Lrows[:, None]) if rows else None
         rhs = _with_lost(lost_i, rows, values, (m, m))  # [p, i, a, b]
         compat = np.abs(lie - lie.transpose(0, 2, 1, 3) - np.moveaxis(rhs, 1, -1))
         return anti, np.abs(cyc, out=cyc), compat
@@ -312,7 +314,7 @@ class Algebroid:
         values = None
         if live:
             grads = np.array([ev.jet(trees[k]).grad[:, : self.n] for k in live])  # (C, P, n)
-            values = inner(sigma_t[:, :, None], np.moveaxis(grads, 0, 1)[:, None])
+            values = linalg.inner(sigma_t[:, :, None], np.moveaxis(grads, 0, 1)[:, None])
         return _with_lost(lost, live, values, shape)
 
 
@@ -331,26 +333,6 @@ def _with_lost(lost: np.ndarray, live: list, values, shape: tuple) -> np.ndarray
 def _anchored_gradient(ev: SampleEvaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:
     g = ev.jet(f).grad
     return alg.anchored(ev, g), g[..., alg.n :]
-
-
-def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x[..., :] @ y[..., :]`` over broadcast leading axes.  numpy hands each
-    (1, k) @ (k, 1) product to the BLAS dot, so entries round as ``np.dot``
-    does on the same views (einsum adds in another order)."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
-def vecmat(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """x^T M over broadcast leading axes.  A stacked ``matmul`` makes the BLAS
-    call of the unstacked product for every slice, so each sample has the
-    single-point bits."""
-    return (x[..., None, :] @ M)[..., 0, :]
-
-
-def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x over broadcast leading axes, one BLAS call per slice as in
-    :func:`vecmat`."""
-    return (M @ x[..., None])[..., 0]
 
 
 def sweep_max(what: str, ev: SampleEvaluator, residuals: np.ndarray) -> float:

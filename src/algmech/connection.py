@@ -28,11 +28,11 @@ the trees S(c) of the components it is applied to.
 
 Every pointwise formula here takes the caller's sample set's evaluator
 (a point's is a set of one), with the sample axis first and its products
-stacked ``matmul`` (see :mod:`algmech.prolongation`), so a sample gets the
-bits of the set of one at it.  The vertical Berwald part cv + N^T cx of a
-bracket, which the curvature and Jacobi oracles and the Berwald connection
-read, is one helper.  The oracles bracket against whole frames, one
-stacked :func:`~algmech.prolongation.bracket` call per left-hand section:
+:mod:`algmech.linalg`'s, so a sample gets the bits of the set of one at it.
+The vertical Berwald part cv + N^T cx of a bracket, which the curvature and
+Jacobi oracles and the Berwald connection read, is one helper.  The oracles
+bracket against whole frames, one stacked
+:func:`~algmech.prolongation.bracket` call per left-hand section:
 [delta_a, delta_b] for every b (m calls for the curvature), [S, delta_b]
 for every b (one call for the Jacobi endomorphism), and -L_S J (two).
 nabla T takes two stacked :class:`CovariantDerivative` calls.
@@ -48,7 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, matvec, vecmat
+from . import linalg
+from .algebroid import Algebroid
 from .errors import EvaluationDomainError
 from .expr import (
     Expr,
@@ -148,7 +149,7 @@ def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: SampleEvaluat
     """delta_a(f), the derivative of f along the horizontal frame section
     delta_a, for every a at once: (P, m) over the evaluator's samples."""
     gx, gy = alg.anchored_gradient(ev, f)
-    return gx - matvec(N.at(ev), gy)
+    return gx - linalg.matvec(N.at(ev), gy)
 
 
 def curvature(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
@@ -158,13 +159,13 @@ def curvature(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     L = alg.structure_at(ev)
     dN = np.array([[berwald_derivative(alg, N, c, ev) for c in row] for row in N.coeffs])
     dN = np.moveaxis(dN, (0, 1), (-2, -1))  # dN[..., c, a, g] = delta_c(N_a^g)
-    return dN.swapaxes(-3, -2) - dN + np.einsum("...abe,...eg->...abg", L, Nv)
+    return dN.swapaxes(-3, -2) - dN + linalg.abe_eg(L, Nv)
 
 
 def _vertical_part(cx: np.ndarray, cv: np.ndarray, Nv: np.ndarray) -> np.ndarray:
     """cv + N^T cx: the V-frame components of v(A) for A = (cx, cv), the
     vertical Berwald part of a bracket's components."""
-    return cv + vecmat(cx, Nv)
+    return cv + linalg.vecmat(cx, Nv)
 
 
 def curvature_from_brackets(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
@@ -271,8 +272,7 @@ class CovariantDerivative:
     with (N + yL)[b][a] = N_b^a + y^e L_eb^a and (N + dS/dy)[b][a] = N_b^a +
     dS^a/dy^b kept apart, so nabla J = 0 tests the canonical relation.  Each
     S(.) is :func:`~algmech.prolongation.directional_derivative` along (y, S)
-    and each product a stacked ``matmul``, so a sample gets the bits of the
-    set of one at it.
+    and each product :func:`~algmech.linalg.vecmat`.
 
     nabla applied twice (:meth:`twice`) is numeric too.  The per-point terms
     (S(N) and the coefficients, each S(coefficient) only where read) are
@@ -319,11 +319,11 @@ class CovariantDerivative:
     def horizontal(self, comps: Sequence[Expr]) -> np.ndarray:
         """nabla on the horizontal frame, S(c) + c (N + yL), of the components
         ``comps``: the X-frame part of nabla A for A.x_comps."""
-        return self._along(comps) + vecmat(self.ev.values_of(comps), self.hor_coeff)
+        return self._along(comps) + linalg.vecmat(self.ev.values_of(comps), self.hor_coeff)
 
     def vertical(self, comps: Sequence[Expr]) -> np.ndarray:
         """nabla on the vertical frame, S(w) - w (N + dS/dy), of ``comps``."""
-        return self._along(comps) - vecmat(self.ev.values_of(comps), self.ver_terms[1])
+        return self._along(comps) - linalg.vecmat(self.ev.values_of(comps), self.ver_terms[1])
 
     def twice(self, comps: Sequence[Expr], along: Sequence[Expr], vertical: bool = False):
         """nabla^2 of the components ``comps`` on the horizontal frame (on the
@@ -335,9 +335,9 @@ class CovariantDerivative:
         c = self.ev.values_of(comps)
         if vertical:
             first, C = self.vertical(comps), self.ver_terms[1]
-            return self.vertical(along) - vecmat(c, self.ver_along) - vecmat(first, C)
+            return self.vertical(along) - linalg.vecmat(c, self.ver_along) - linalg.vecmat(first, C)
         first, C = self.horizontal(comps), self.hor_coeff
-        return self.horizontal(along) + vecmat(c, self.hor_along) + vecmat(first, C)
+        return self.horizontal(along) + linalg.vecmat(c, self.hor_along) + linalg.vecmat(first, C)
 
     def __call__(self, sections: Sequence[ProlongationSection]) -> tuple[np.ndarray, np.ndarray]:
         """nabla of each section of ``sections``: (K, P, m) X and V parts, the
@@ -347,10 +347,10 @@ class CovariantDerivative:
         comps = tuple(c for A in sections for c in A.x_comps + A.v_comps)
         s = self._along(comps).reshape(-1, len(sections), 2 * m).swapaxes(0, 1)
         sx, (sn, ver_coeff), Nv = s[..., :m], self.ver_terms, self.Nv
-        hor = sx + vecmat(x, self.hor_coeff)
-        w = v + vecmat(x, Nv)
-        ver = s[..., m:] + vecmat(x, sn) + vecmat(sx, Nv) - vecmat(w, ver_coeff)
-        return hor, ver - vecmat(hor, Nv)
+        hor = sx + linalg.vecmat(x, self.hor_coeff)
+        w = v + linalg.vecmat(x, Nv)
+        ver = s[..., m:] + linalg.vecmat(x, sn) + linalg.vecmat(sx, Nv) - linalg.vecmat(w, ver_coeff)
+        return hor, ver - linalg.vecmat(hor, Nv)
 
 
 def _covariant_derivative(ev, alg: Algebroid, S: Semispray, N: Connection) -> CovariantDerivative:
@@ -393,14 +393,14 @@ def berwald_connection(
         return np.zeros_like(cx), _vertical_part(cx, cv, Nv)
 
     def h_proj(cx, cv):
-        return cx, -vecmat(cx, Nv)
+        return cx, -linalg.vecmat(cx, Nv)
 
     def j_proj(cx, cv):
         return np.zeros_like(cx), cx.copy()
 
     def fj_proj(cx, cv):
         c = _vertical_part(cx, cv, Nv)
-        return c, -vecmat(c, Nv)
+        return c, -linalg.vecmat(c, Nv)
 
     terms = [
         v_proj(*bracket(alg, hA, (vB,), ev)),
@@ -480,13 +480,13 @@ def geometry_frames(
     residuals = {
         "jacobi_vs_bracket": gap(R2, jacobi_from_bracket(alg, S, N, ev)),
         "curvature_vs_bracket": gap(R3, curvature_from_brackets(alg, N, ev)),
-        "f_squared_plus_identity": gap(F @ F, -np.eye(2 * m)),
+        "f_squared_plus_identity": gap(linalg.matmul(F, F), -np.eye(2 * m)),
     }
     diagnostics = {"homogeneity": spray_homogeneity(alg, S, ev)}
     canonical_only = residuals if N.canonical else diagnostics
     canonical_only["connection_vs_lie_derivative"] = gap(Nv, connection_from_lie_derivative(alg, S, ev))
     canonical_only["nabla_j"] = gap(nabla_tensor(alg, S, N, j_tensor(m), ev), 0.0)
-    contraction = gap(R2, np.einsum("...e,...ebg->...bg", ev.values[:, alg.n :], R3))
+    contraction = gap(R2, linalg.e_ebg(ev.values[:, alg.n :], R3))
     semispray, berwald = ev.values_of(S.components), berwald_coefficients(alg, N, ev)
 
     frames = []

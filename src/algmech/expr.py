@@ -47,6 +47,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence, Union
 
+from . import linalg
 from .errors import ExprSyntaxError, UnknownIdentifierError
 
 __all__ = [
@@ -439,8 +440,7 @@ def solve(matrix: tuple[tuple[Expr, ...], ...], rhs: Sequence[Expr]) -> tuple[Ex
     if all(_is_const(b, 0.0) for b in rhs):
         return (ZERO,) * len(rhs)
     if all(type(g) is Num for row in matrix for g in row):
-        from .jets import inverse  # the numeric helper; jets imports this module
-        inv, k = inverse([[[g.value for g in row] for row in matrix]])
+        inv, k = linalg.inverse([[[g.value for g in row] for row in matrix]])
         if k:  # regular
             return tuple(e_sum(map(e_mul, map(Num, row), rhs)) for row in inv[0].tolist())
     if all(_is_const(g, 0.0) for i, row in enumerate(matrix) for g in row[:i] + row[i + 1 :]):

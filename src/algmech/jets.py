@@ -11,10 +11,10 @@ Trees are evaluated by one rule table, written once: a value loop and a jet
 loop over :func:`~algmech.expr.postorder`, one rule per node kind, each
 reading a node's operands from its memo, so shared subtrees are visited once
 and a tree of any depth evaluates.  A :class:`~algmech.expr.System` applies
-its matrix's inverse (:func:`inverse`, once per evaluator and matrix), with
-jets dx = G^-1 (db - dG x); a :class:`~algmech.expr.Solve` picks a
-component.  A math error in a rule becomes an
-:class:`EvaluationDomainError` naming the subexpression.
+its matrix's inverse (:meth:`SampleEvaluator.inverse`, once per evaluator
+and matrix), with jets dx = G^-1 (db - dG x); a
+:class:`~algmech.expr.Solve` picks a component.  A math error in a rule
+becomes an :class:`EvaluationDomainError` naming the subexpression.
 
 :class:`SampleEvaluator` runs the rules at a sample set on (P, 1) float64
 columns, which :class:`Jet`'s arithmetic broadcasts against (P, k)
@@ -49,12 +49,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import EvaluationDomainError, SingularMetricError
 from .expr import FUNCTIONS, BinOp, Expr, Neg, Num, Solve, System, Var, literal_value, postorder
 
-__all__ = [
-    "EvalPoint", "Jet", "Lowering", "SampleEvaluator", "int_power", "inverse",
-]
+__all__ = ["EvalPoint", "Jet", "Lowering", "SampleEvaluator", "int_power"]
 
 
 @dataclass(frozen=True)
@@ -157,29 +156,6 @@ def _power(a, c, k: int | None, one=1.0):
         return math.exp(c * math.log(a))
     r = int_power(a, abs(k), one)
     return one / r if k < 0 else r
-
-
-_DET_RTOL = 1e-10  # the singularity cutoff on det(g / max |g_ij|)
-
-
-@np.errstate(all="ignore")
-def inverse(g) -> tuple[np.ndarray, int]:
-    """``(inv, k)`` for a stack of square matrices ``g`` (P, m, m): ``k`` is
-    the index of the first one that is not finite or singular (P if none),
-    ``inv`` the inverses before it.  Every solve, the fold of constant
-    matrices and :func:`~algmech.lagrangian.fiber_metric` read it.  Singular
-    means ``|det(g / max |g_ij|)| < 1e-10``, which cannot underflow or
-    overflow (NaN for a zero or non-finite g); a residual above 1e-12 gets a
-    Newton sweep.  Stacked numpy calls give each matrix its own bits."""
-    g = np.asarray(g, dtype=float)
-    unit_det = np.linalg.det(g / np.max(np.abs(g), axis=(1, 2))[:, None, None])
-    bad = ~(np.abs(unit_det) >= _DET_RTOL)
-    k = int(np.argmax(bad)) if bad.any() else len(g)
-    g, eye = g[:k], np.eye(g.shape[-1])
-    inv = np.linalg.inv(g)
-    off = np.max(np.abs(g @ inv - eye), axis=(1, 2), initial=0.0) > 1e-12
-    inv[off] = inv[off] @ (2.0 * eye - g[off] @ inv[off])
-    return inv, k
 
 
 def _dot(row, items):
@@ -522,21 +498,24 @@ class SampleEvaluator:
         return [Jet(xi, dxi) for xi, dxi in zip(x, dx)]
 
     def _inverse(self, system: System) -> tuple:
-        """The inverse for ``system`` as rows and columns of (P, 1) entry
-        columns, factorised once per matrix, which its derivative systems
-        share.  A matrix that is not finite raises
-        :class:`EvaluationDomainError` naming the system, a singular one
-        :class:`SingularMetricError` naming its first singular sample."""
-        G, points = system.matrix, self.points
+        """:meth:`inverse` for ``system``'s matrix, named if not finite."""
+        return self.inverse(system.matrix, lambda p: EvaluationDomainError("matrix is not finite", system))
+
+    def inverse(self, G: tuple, not_finite) -> tuple:
+        """The inverse of the matrix of trees ``G`` (a tuple the caller
+        keeps) as rows and columns of (P, 1) entry columns, factorised once
+        per evaluator and matrix, which every solve with ``G`` reads.  It
+        raises ``not_finite(point)`` at the first sample where ``G`` is not
+        finite, and :class:`SingularMetricError` at the first where it is
+        singular."""
         hit = self._inverses.get(id(G))
         if hit is None:
-            g = self.array(G).reshape(len(points), len(G), len(G))
-            inv, k = inverse(g)
+            g = self.array(G).reshape(len(self.points), len(G), len(G))
+            inv, k = linalg.inverse(g)
             if k < len(g):
                 if not np.isfinite(g[k]).all():
-                    raise EvaluationDomainError("matrix is not finite", system)
-                with np.errstate(all="ignore"):
-                    raise SingularMetricError(points[k], float(np.linalg.det(g[k])), k)
+                    raise not_finite(self.points[k])
+                raise SingularMetricError(self.points[k], float(linalg.det(g[k])), k)
             s = np.moveaxis(inv, 0, -1)[..., None]
             hit = self._inverses[id(G)] = (G, (s, s.swapaxes(0, 1)))
         return hit[1]
@@ -545,7 +524,7 @@ class SampleEvaluator:
 def _kernel_inverse(m: int, *g: float) -> list[list[float]]:
     """The walker's inverse of the m-by-m matrix with entries ``g``, row by
     row; a math error where it has none, for the walker to name."""
-    inv, k = inverse(np.reshape(g, (1, m, m)))
+    inv, k = linalg.inverse(np.reshape(g, (1, m, m)))
     if not k:
         raise ZeroDivisionError("singular matrix")
     return inv[0].tolist()

@@ -28,16 +28,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, inner, matvec, vecmat
+from . import linalg
+from .algebroid import Algebroid
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
 from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
-from .jets import EvalPoint, Lowering, SampleEvaluator, inverse
+from .jets import EvalPoint, Lowering, SampleEvaluator
 from .prolongation import ProlongationSection, Semispray, directional_derivative, sode_flow
 
 __all__ = [
     "Lagrangian",
     "Trajectory",
     "fiber_metric",
+    "metric_inverse",
     "canonical_semispray",
     "cartan_pairing",
     "cartan_pairing_exprs",
@@ -112,21 +114,20 @@ class Lagrangian:
         return tuple(zip(*self.pairing_exprs))
 
 
-@np.errstate(all="ignore")
+def metric_inverse(L: Lagrangian, ev: SampleEvaluator) -> np.ndarray:
+    """The inverse of the fiber metric over ``ev``'s samples, (P, m, m): the
+    factorisation the semispray's solve reads (:meth:`~algmech.jets.SampleEvaluator.inverse`),
+    which raises at the first sample where the metric is not finite or singular."""
+    rows = ev.inverse(L.metric_exprs, lambda p: EvaluationDomainError(f"fiber metric is not finite at {p}"))[0]
+    return np.moveaxis(rows[..., 0], -1, 0)
+
+
 def fiber_metric(L: Lagrangian, ev: SampleEvaluator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fiber metric ``L.metric_exprs`` over the samples of ``ev``, its
-    inverse and its condition number, arrays (P, m, m), (P, m, m) and (P,);
-    the inverse and the singularity test are every solve's
-    (:func:`~algmech.jets.inverse`).  The first sample where the metric is
-    not finite or singular raises :class:`EvaluationDomainError` or
-    :class:`SingularMetricError` naming it."""
+    inverse (:func:`metric_inverse`, which raises where the metric is not
+    regular) and its condition number, arrays (P, m, m), (P, m, m) and (P,)."""
     g = ev.array(L.metric_exprs)
-    ginv, k = inverse(g)
-    if k < len(g):
-        if not np.isfinite(g[k]).all():
-            raise EvaluationDomainError(f"fiber metric is not finite at {ev.points[k]}")
-        raise SingularMetricError(ev.points[k], float(np.linalg.det(g[k])), k)
-    return g, ginv, np.linalg.cond(g)
+    return g, metric_inverse(L, ev), linalg.cond(g)
 
 
 def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
@@ -181,7 +182,7 @@ def cartan_two_section(
     W = cartan_pairing(alg, L, ev)
     a = np.concatenate(A.values_at(ev), axis=-1)
     b = np.concatenate(B.values_at(ev), axis=-1)
-    return inner(vecmat(a, W), b)
+    return linalg.inner(linalg.vecmat(a, W), b)
 
 
 def symplectic_residual(
@@ -306,7 +307,7 @@ def integrate_sode(
     statements once per stage and the energy's once, then combines the
     stages in plain float arithmetic, each value the walker's bit for bit.
     A step runs no numpy call unless S solves with a fiber metric that is
-    not constant: that solve's inverse is :func:`~algmech.jets.inverse`,
+    not constant: that solve's inverse is :func:`~algmech.linalg.inverse`,
     which calls LAPACK.  The step is fixed (no adaptivity) so repeated runs
     are byte-identical.
 
@@ -391,9 +392,9 @@ def euler_lagrange_residual(
     grad = ev.jet(L.expr).grad
     h = np.stack([ev.jet(t).grad for t in L.dy], axis=-2)  # [..., a, j] = d2L/dy^a dz^j
     y = ev.values[:, n:]
-    xdot = matvec(alg.anchor_at(ev), y)
+    xdot = linalg.matvec(alg.anchor_at(ev), y)
     ydot = np.asarray(ydot, dtype=float)
-    ddt = inner(h[..., :n], xdot[..., None, :]) + inner(h[..., n:], ydot[..., None, :])
-    twist = np.einsum("...abe,...b,...e->...a", alg.structure_at(ev), y, grad[:, n:])
+    ddt = linalg.inner(h[..., :n], xdot[..., None, :]) + linalg.inner(h[..., n:], ydot[..., None, :])
+    twist = linalg.abe_b_e(alg.structure_at(ev), y, grad[:, n:])
     rhs = alg.anchored(ev, grad) - twist
     return ddt - rhs

@@ -20,25 +20,16 @@ from :func:`covariant_slash_exprs`, which the Lie-symmetry check reads too.
 
 Every pointwise quantity takes the
 :class:`~algmech.jets.SampleEvaluator` its caller holds, a point's being a
-sample set of one, with a leading sample axis on every array.  In
-:func:`directional_derivative`, :func:`bracket`, :func:`frame_derivation`
-and :func:`lie_derivative_tensor` the products are numpy ``matmul`` and
-``einsum`` over the leading axes, which give every sample slice the bits of
-the single-point product (stacked ``matmul`` makes
-the same BLAS call per slice; an elementwise product summed by numpy would
-not, since BLAS's short dot is a chain of fused multiply-adds), and the
-batch evaluator applies ``math``'s elementary functions per element (numpy's
-``exp`` and ``log`` differ from them on some inputs on x86-64 with AVX-512;
-``sin``, ``cos`` and ``sqrt`` matched).  :func:`spray_test` sweeps the
+sample set of one, with a leading sample axis on every array; products over
+the leading axes are :mod:`algmech.linalg`'s.  :func:`spray_test` sweeps the
 samples of the evaluator its caller passes this way.
 
 The derivations are stacked over trees and sections as well as samples:
 :func:`directional_derivative` takes a tuple of trees and reads their
-anchored gradients as one (C, ..., m) stack, whose (1, m) @ (m, 1) slices
-are the same BLAS dots a call per tree makes.  :func:`bracket` takes a
-tuple of right-hand sections: their components along A are one such call
-over all their trees, and A's along all of them one call with the K
-fields stacked.  So a bracket against the whole frame is one call, and
+anchored gradients as one (C, ..., m) stack, whose slices are the dots a
+call per tree makes.  :func:`bracket` takes a tuple of right-hand sections:
+their components along A are one such call over all their trees, and A's
+along all of them one call with the K fields stacked.  So a bracket against the whole frame is one call, and
 :func:`frame_derivation` calls its derivation twice, on the tensor's frame
 images and on the frame; every slice keeps the bits of a call for one
 pair.
@@ -52,7 +43,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection, inner, matvec, sweep_max
+from . import linalg
+from .algebroid import Algebroid, BaseSection, sweep_max
 from .expr import (
     Expr,
     Num,
@@ -212,23 +204,16 @@ def directional_derivative(
     exact 0 without evaluation; the gradient parts of any other ``f`` are
     taken once per evaluator
     (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`) and stacked into
-    (C, P, m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``;
-    leading axes of ax, av before the sample axis (K fields) broadcast
-    against the stack and come first in the result, (K, P, C).
-
-    One formula serves any number of samples and trees: numpy's
-    stacked ``matmul`` hands every (1, m) @ (m, 1) slice to the unit-stride
-    BLAS dot that a single product makes, so each sample and each tree gets
-    the bits of a single-point, single-tree call.  (An elementwise product
-    summed with ``np.sum`` would not, since BLAS's short dot is a chain of
-    fused multiply-adds, and neither would the matrix-vector product Gx @ ax,
-    another BLAS call.)
+    (C, P, m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``
+    (:func:`~algmech.linalg.inner`); leading axes of ax, av before the sample
+    axis (K fields) broadcast against the stack and come first in the
+    result, (K, P, C).
     """
     out = np.zeros((*np.shape(ax)[:-1], len(fs)))
     live = [c for c, f in enumerate(fs) if not isinstance(f, Num)]
     if live:
         gx, gy = (np.array(g) for g in zip(*(alg.anchored_gradient(ev, fs[c]) for c in live)))
-        d = inner(ax[..., None, :, :], gx) + inner(av[..., None, :, :], gy)
+        d = linalg.inner(ax[..., None, :, :], gx) + linalg.inner(av[..., None, :, :], gy)
         out[..., live] = np.swapaxes(d, -1, -2)
     return out
 
@@ -248,7 +233,7 @@ def bracket(
     comps = tuple(c for B in Bs for c in B.x_comps + B.v_comps)
     dB = directional_derivative(alg, ev, ax, av, comps).reshape(-1, len(Bs), 2 * m).swapaxes(0, 1)
     dA = directional_derivative(alg, ev, bx, bv, A.x_comps + A.v_comps)
-    x_part = np.einsum("...a,...b,...abg->...g", ax, bx, L)
+    x_part = linalg.a_b_abg(ax, bx, L)
     x_part += dB[..., :m] - dA[..., :m]
     return x_part, dB[..., m:] - dA[..., m:]
 
@@ -278,7 +263,7 @@ def spray_homogeneity(alg: Algebroid, S: Semispray, ev: SampleEvaluator):
     n = alg.n
     y = np.asarray(ev.values)[..., n:]
     jets = [ev.jet(c) for c in S.components]
-    return np.max([np.abs(inner(y, j.grad[..., n:]) - 2.0 * j.value) for j in jets], axis=0)
+    return np.max([np.abs(linalg.inner(y, j.grad[..., n:]) - 2.0 * j.value) for j in jets], axis=0)
 
 
 @dataclass(frozen=True)
@@ -396,8 +381,8 @@ def frame_derivation(
     M, m = T.at(ev), T.m
     dx, dv = D(T.frame_images)
     bx, bv = D(basis_sections(m))
-    tx = matvec(M[..., :m, :m], bx) + matvec(M[..., :m, m:], bv)
-    tv = matvec(M[..., m:, :m], bx) + matvec(M[..., m:, m:], bv)
+    tx = linalg.matvec(M[..., :m, :m], bx) + linalg.matvec(M[..., :m, m:], bv)
+    tv = linalg.matvec(M[..., m:, :m], bx) + linalg.matvec(M[..., m:, m:], bv)
     return np.moveaxis(np.concatenate([dx - tx, dv - tv], axis=-1), 0, -1)
 
 

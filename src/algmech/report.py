@@ -11,12 +11,13 @@ import math
 
 import numpy as np
 
+from . import linalg
 from .algebroid import sweep_max
 from .config import SystemConfig
 from .connection import Connection, geometry_frames
 from .errors import EvaluationDomainError, SingularMetricError
 from .jets import SampleEvaluator
-from .lagrangian import canonical_semispray, fiber_metric
+from .lagrangian import canonical_semispray, metric_inverse
 from .prolongation import Semispray, spray_test
 from .symmetry import (
     cartan_symmetry_check,
@@ -95,12 +96,13 @@ def run_validation(cfg: SystemConfig, ev: SampleEvaluator, tol: float) -> dict:
 
     if cfg.lagrangian is not None:
         ev.value(cfg.lagrangian.expr)  # a domain error names its sample
+        regular, detail = len(ev.points), None
         try:
-            conds, detail = fiber_metric(cfg.lagrangian, ev)[2], None
+            metric_inverse(cfg.lagrangian, ev)
         except SingularMetricError as err:
-            # the worst condition is that of the samples before the singular one
-            g = ev.array(cfg.lagrangian.metric_exprs)
-            conds, detail = np.linalg.cond(g[: err.index]), str(err)
+            regular, detail = err.index, str(err)
+        # the worst condition is that of the samples before the first singular one
+        conds = linalg.cond(ev.array(cfg.lagrangian.metric_exprs)[:regular])
         worst_cond = sweep_max("fiber metric condition", ev, conds)
         out["metric"] = {"regular": detail is None, "worst_condition": worst_cond}
         if detail:

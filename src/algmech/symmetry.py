@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import Algebroid, BaseSection, inner, matvec, sweep_max, vecmat
+from . import linalg
+from .algebroid import Algebroid, BaseSection, sweep_max
 from .connection import (
     Connection,
     CovariantDerivative,
@@ -160,7 +161,7 @@ def newtonoid_check(
     (bx,), _ = ev.derived(_sode_bracket, alg, S, A)
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
-    vert = av + vecmat(ax, N.at(ev))  # v(A) fiber components
+    vert = av + linalg.vecmat(ax, N.at(ev))  # v(A) fiber components
     jx = CovariantDerivative.of(alg, S, N, ev).horizontal(A.x_comps)  # J(nabla A): the frame part
     return SymmetryVerdict(
         kind="newtonoid",
@@ -193,7 +194,7 @@ def _invariant_form(alg, S, N, ev, comps, along, vertical: bool) -> np.ndarray:
     ``along`` = S(c) (:meth:`~algmech.connection.CovariantDerivative.twice`)."""
     second = CovariantDerivative.of(alg, S, N, ev).twice(comps, along, vertical)
     R = ev.derived(_jacobi, alg, S, N)
-    return second + matvec(np.swapaxes(R, -1, -2), ev.values_of(comps))
+    return second + linalg.matvec(np.swapaxes(R, -1, -2), ev.values_of(comps))
 
 
 def _jacobi(ev: SampleEvaluator, alg: Algebroid, S: Semispray, N: Connection) -> np.ndarray:
@@ -249,11 +250,11 @@ def lie_symmetry_check(
         pde1.append(sum(s_vals[:, a] * grad_xt[:, n + a] for a in range(m)))
         grad_s = ev.jet(S.components[b]).grad
         term1 = sum(
-            y[:, al] * y[:, e] * inner(sigma[:, :, al], ev.jet(slash[e][b]).grad[:, :n])
+            y[:, al] * y[:, e] * linalg.inner(sigma[:, :, al], ev.jet(slash[e][b]).grad[:, :n])
             for al in range(m)
             for e in range(m)
         )
-        term2 = sum(xt_vals[:, a] * inner(sigma[:, :, a], grad_s[:, :n]) for a in range(m))
+        term2 = sum(xt_vals[:, a] * linalg.inner(sigma[:, :, a], grad_s[:, :n]) for a in range(m))
         term3 = sum(s_vals[:, a] * slash_vals[:, a, b] for a in range(m))
         term4 = sum(
             y[:, e] * slash_vals[:, e, a] * grad_s[:, n + a]
@@ -300,7 +301,7 @@ def cartan_symmetry_check(
     trees = [*(W_exprs[r][c] for r, c in pairs), L.energy_expr]
     dW = directional_derivative(alg, ev, ax, av, trees)
     two = [
-        np.abs(dW[..., j] - inner(brk[r], W[..., :, c]) - inner(W[..., r, :], brk[c]))
+        np.abs(dW[..., j] - linalg.inner(brk[r], W[..., :, c]) - linalg.inner(W[..., r, :], brk[c]))
         for j, (r, c) in enumerate(pairs)
     ]
     energy = np.abs(dW[..., -1])
@@ -365,7 +366,7 @@ def conserved_from_cartan(
     df = np.concatenate(alg.anchored_gradient(ev, f), axis=-1)  # (d f)(B) over the frame sections
     d_theta = directional_derivative(alg, ev, ax, av, theta_trees)
     bx, _ = bracket(alg, A, basis_sections(m), ev)  # bx[k]: the X part of [A, B_k]
-    lie_theta = d_theta - inner(theta_vals, bx).T
+    lie_theta = d_theta - linalg.inner(theta_vals, bx).T
     worst = sweep_max("exactness witness", ev, np.abs(lie_theta - df))
     if worst > tol:
         raise ExactnessWitnessError(

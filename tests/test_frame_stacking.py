@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algmech.algebroid import inner
+from algmech.linalg import inner
 from algmech.cli import main
 from algmech.config import parse_config
 from algmech.connection import (

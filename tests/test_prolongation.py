@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from algmech.algebroid import inner
+from algmech.linalg import inner
 from algmech.config import parse_config
 from algmech.expr import Num, parse_expression
 from algmech.jets import EvalPoint

@@ -20,6 +20,7 @@ import pytest
 import algmech.algebroid
 import algmech.cli
 import algmech.config
+import algmech.linalg
 import algmech.connection
 import algmech.prolongation
 import algmech.report
@@ -504,23 +505,25 @@ def test_diag8_report_brackets_against_the_whole_frame_at_once(tmp_path, capsys,
     assert 0 < counts["bracket"] <= 16
 
 
-def test_validate_takes_no_dot_for_zero_structure_and_a_constant_anchor(monkeypatch):
+def test_validate_takes_no_dot_for_zero_structure_and_a_constant_anchor(monkeypatch, heisenberg):
     """Every flow, product, Lie and rhs term of such a system is a
     structural zero, so validation takes no (P, m, m, m, m) inner product;
-    it takes none at all."""
+    it takes none at all.  The recorder sees heisenberg's, whose structure
+    is not zero, so it is the name validation calls."""
     shapes = []
-    real = algmech.algebroid.inner
+    real = algmech.linalg.inner
 
     def recording(x, y):
         shapes.append(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
         return real(x, y)
 
-    monkeypatch.setattr(algmech.algebroid, "inner", recording)
+    monkeypatch.setattr(algmech.linalg, "inner", recording)
     cfg = algmech.config.parse_config(synth.system("diag", 4, 20261018))
-    alg = cfg.algebroid
-    ev = alg.sample_evaluator(cfg.sample_points())
-    assert alg.validate(ev, tol=1e-9).passed
-    assert shapes == []
+    for system, dots in ((cfg, False), (heisenberg, True)):
+        alg = system.algebroid
+        ev = alg.sample_evaluator(system.sample_points())
+        assert alg.validate(ev, tol=1e-9).passed
+        assert bool(shapes) == dots, system.name
 
 
 # -- a report's frames read the head of its sweep evaluator -------------------
@@ -564,6 +567,8 @@ def test_frames_over_the_head_equal_a_fresh_evaluators(tmp_path, name):
                 walk(e)
     for trees, _ in head._arrays.values():
         fresh.array(trees)
+    for G, _ in head._inverses.values():  # a solve's matrix, or the fiber metric
+        fresh.inverse(G, AssertionError)
     for mine, theirs in (
         (head._floats, fresh._floats), (head._jets, fresh._jets),
         (head._arrays, fresh._arrays), (head._inverses, fresh._inverses),
