@@ -77,6 +77,7 @@ from .prolongation import (
     Semispray,
     SprayReport,
     bracket,
+    brackets,
     complete_lift,
     directional_derivative,
     euler_section,
@@ -101,6 +102,7 @@ from .symmetry import (
     lie_symmetry_check,
     newtonoid_check,
     newtonoid_completion,
+    prepare_checks,
     star_product_exprs,
 )
 

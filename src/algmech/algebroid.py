@@ -29,6 +29,7 @@ its ``points``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -126,6 +127,12 @@ class Algebroid:
         return tuple(
             e_sum(e_mul(y[a], self.anchor[i][a]) for a in range(self.m)) for i in range(self.n)
         )
+
+    @cached_property
+    def zero_structure(self) -> bool:
+        """Whether every structure tree is a constant zero (0.0 or -0.0)."""
+        trees = (t for plane in self.structure for row in plane for t in row)
+        return all(type(t) is Num and t.value == 0.0 for t in trees)
 
     @cached_property
     def twisted_structure(self) -> tuple[tuple[Expr, ...], ...]:
@@ -339,9 +346,11 @@ def sweep_max(what: str, ev: SampleEvaluator, residuals: np.ndarray) -> float:
     """The largest of ``residuals`` (over ``ev``'s samples, sample axis first,
     all >= 0) as a float, 0.0 for no samples; a residual that is not finite
     raises :class:`EvaluationDomainError` naming its sample point, so no inf
-    or NaN reaches a report."""
-    bad = ~np.isfinite(residuals).all(axis=tuple(range(1, residuals.ndim)))
-    if bad.any():
-        p = ev.points[int(np.argmax(bad))]
-        raise EvaluationDomainError(f"{what} residual is not finite at {p}")
-    return float(np.max(residuals, initial=0.0))
+    or NaN reaches a report.  One reduction where every residual is finite;
+    the sample is looked for only where the maximum is not."""
+    with np.errstate(invalid="ignore"):  # a NaN operand of the reduction warns of nothing
+        worst = float(np.max(residuals, initial=0.0))
+    if not math.isfinite(worst):
+        bad = ~np.isfinite(residuals).all(axis=tuple(range(1, residuals.ndim)))
+        raise EvaluationDomainError(f"{what} residual is not finite at {ev.points[int(np.argmax(bad))]}")
+    return worst

@@ -30,12 +30,12 @@ Every pointwise formula here takes the caller's sample set's evaluator
 (a point's is a set of one), with the sample axis first and its products
 :mod:`algmech.linalg`'s, so a sample gets the bits of the set of one at it.
 The vertical Berwald part cv + N^T cx of a bracket, which the curvature and
-Jacobi oracles and the Berwald connection read, is one helper.  The oracles
-bracket against whole frames, one stacked
-:func:`~algmech.prolongation.bracket` call per left-hand section:
-[delta_a, delta_b] for every b (m calls for the curvature), [S, delta_b]
-for every b (one call for the Jacobi endomorphism), and -L_S J (two).
-nabla T takes two stacked :class:`CovariantDerivative` calls.
+Jacobi oracles and the Berwald connection read, is one helper.  Each oracle
+is one stacked bracket call: [delta_a, delta_b] for every a and b
+(:func:`~algmech.prolongation.brackets`), [S, delta_b] for every b, and
+-L_S J, on J's frame images and the frame together; nabla T is one stacked
+:class:`CovariantDerivative` call the same way, and every delta_c
+derivative of a tensor one stacked product.
 :func:`geometry_frames` takes every frame of a sample set as one batch.
 """
 
@@ -69,6 +69,7 @@ from .prolongation import (
     ProlongationSection,
     Semispray,
     bracket,
+    brackets,
     directional_derivative,
     eye_block,
     frame_derivation,
@@ -79,25 +80,11 @@ from .prolongation import (
 )
 
 __all__ = [
-    "Connection",
-    "canonical_connection",
-    "connection_from_lie_derivative",
-    "horizontal_basis_exprs",
-    "berwald_derivative",
-    "curvature",
-    "curvature_from_brackets",
-    "curvature_apply",
-    "jacobi_endomorphism",
-    "jacobi_from_bracket",
-    "h_tensor",
-    "v_tensor",
-    "f_tensor",
-    "CovariantDerivative",
-    "nabla_tensor",
-    "berwald_connection",
-    "berwald_coefficients",
-    "GeometryFrame",
-    "geometry_frames",
+    "Connection", "canonical_connection", "connection_from_lie_derivative",
+    "horizontal_basis_exprs", "berwald_derivative", "curvature", "curvature_from_brackets",
+    "curvature_apply", "jacobi_endomorphism", "jacobi_from_bracket", "h_tensor", "v_tensor",
+    "f_tensor", "CovariantDerivative", "nabla_tensor", "berwald_connection",
+    "berwald_coefficients", "GeometryFrame", "geometry_frames",
 ]
 
 
@@ -148,16 +135,23 @@ def horizontal_basis_exprs(alg: Algebroid, N: Connection, a: int) -> Prolongatio
 def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: SampleEvaluator) -> np.ndarray:
     """delta_a(f), the derivative of f along the horizontal frame section
     delta_a, for every a at once: (P, m) over the evaluator's samples."""
-    gx, gy = alg.anchored_gradient(ev, f)
+    return _berwald_derivatives(alg, N, (f,), ev)[0]
+
+
+def _berwald_derivatives(alg: Algebroid, N: Connection, fs: Sequence[Expr], ev) -> np.ndarray:
+    """delta_a(f) for each tree f of ``fs``: (C, P, m), the anchored
+    gradients stacked into one product with N, each slice a one-tree call's."""
+    gx, gy = (np.array(g) for g in zip(*(alg.anchored_gradient(ev, f) for f in fs)))
     return gx - linalg.matvec(N.at(ev), gy)
 
 
 def curvature(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """R[a][b][g]: obstruction to integrability of the horizontal subbundle,
-    R_ab^g = delta_b(N_a^g) - delta_a(N_b^g) + L_ab^e N_e^g."""
-    Nv = N.at(ev)
+    R_ab^g = delta_b(N_a^g) - delta_a(N_b^g) + L_ab^e N_e^g, with every
+    delta_c(N_a^g) one stacked derivative."""
+    Nv, m = N.at(ev), alg.m
     L = alg.structure_at(ev)
-    dN = np.array([[berwald_derivative(alg, N, c, ev) for c in row] for row in N.coeffs])
+    dN = _berwald_derivatives(alg, N, [c for row in N.coeffs for c in row], ev).reshape(m, m, -1, m)
     dN = np.moveaxis(dN, (0, 1), (-2, -1))  # dN[..., c, a, g] = delta_c(N_a^g)
     return dN.swapaxes(-3, -2) - dN + linalg.abe_eg(L, Nv)
 
@@ -169,16 +163,10 @@ def _vertical_part(cx: np.ndarray, cv: np.ndarray, Nv: np.ndarray) -> np.ndarray
 
 
 def curvature_from_brackets(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:
-    """Oracle: vertical Berwald part of the horizontal frame brackets."""
-    Nv = N.at(ev)
+    """Oracle: vertical Berwald part of the horizontal frame brackets
+    [delta_a, delta_b], one :func:`~algmech.prolongation.brackets` call."""
     deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
-    return np.stack([_vertical_images(alg, a, deltas, Nv, ev) for a in deltas], -3)
-
-
-def _vertical_images(alg: Algebroid, A: ProlongationSection, Bs, Nv: np.ndarray, ev) -> np.ndarray:
-    """The vertical Berwald parts of [A, B] for the sections B of ``Bs``, one
-    bracket call: (P, K, m), the slice [..., k, :] that of Bs[k]."""
-    return np.moveaxis(_vertical_part(*bracket(alg, A, Bs, ev), Nv), 0, -2)
+    return np.moveaxis(_vertical_part(*brackets(alg, deltas, deltas, ev), N.at(ev)), -2, 0)
 
 
 def curvature_apply(
@@ -186,8 +174,8 @@ def curvature_apply(
     ev: SampleEvaluator,
 ) -> np.ndarray:
     """Vertical components of Omega(A, B) = v[hA, hB] over the evaluator's samples."""
-    h = alg.derived(h_tensor, N)
-    return _vertical_part(*bracket(alg, h.apply(A), (h.apply(B),), ev), N.at(ev))[0]
+    hA, _, hB = alg.derived(_berwald_sections, N, A, B)[:3]
+    return _vertical_part(*bracket(alg, hA, (hB,), ev), N.at(ev))[0]
 
 
 def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator) -> np.ndarray:
@@ -205,13 +193,12 @@ def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleE
     nabla = CovariantDerivative.of(alg, S, N, ev)
     Nv, y, L = nabla.Nv, nabla.y, alg.structure_at(ev)
     # [..., b, g] = delta_b(S^g), and S(N_b^g) as nabla takes it
-    dS = np.stack([berwald_derivative(alg, N, c, ev) for c in S.components], axis=-1)
+    dS = np.moveaxis(_berwald_derivatives(alg, N, S.components, ev), 0, -1)
     SN = nabla.ver_terms[0]
     quad = sum(Nv[..., :, a, None] * Nv[..., None, a, :] for a in range(m))
-    mixed = sum(
-        Nv[..., None, e, :] * L[..., a, :, e, None] * y[..., a, None, None]
-        for a in range(m)
-        for e in range(m)
+    # a sum of zeros is +0.0 where finite: the same bits as adding 0.0
+    mixed = 0.0 if alg.zero_structure else sum(
+        Nv[..., None, e, :] * L[..., a, :, e, None] * y[..., a, None, None] for a in range(m) for e in range(m)
     )
     return -dS - SN + quad + mixed
 
@@ -219,7 +206,7 @@ def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleE
 def jacobi_from_bracket(alg: Algebroid, S: Semispray, N: Connection, ev: SampleEvaluator) -> np.ndarray:
     """Oracle: R_b^g as the vertical Berwald part of [S, delta_b]."""
     deltas = alg.derived(h_tensor, N).frame_images[: alg.m]
-    return _vertical_images(alg, S.section(alg), deltas, N.at(ev), ev)
+    return np.moveaxis(_vertical_part(*bracket(alg, S.section(alg), deltas, ev), N.at(ev)), 0, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +284,27 @@ class CovariantDerivative:
         """S(c) for each tree c of ``comps``, stacked on the last axis."""
         return directional_derivative(self.alg, self.ev, self.y, self.s, comps)
 
+    def _along_rows(self, rows) -> np.ndarray:
+        """S(.) of an m-by-m matrix of trees, one :meth:`_along` call: (P, m, m)."""
+        return self._along([c for row in rows for c in row]).reshape(-1, self.alg.m, self.alg.m)
+
     @cached_property
     def ver_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """S(N)[a][b] = S(N_a^b), and the vertical coefficient N + dS/dy."""
         dS = np.stack([self.ev.jet(c).grad[..., self.alg.n :] for c in self.S.components], -1)
-        return np.stack([self._along(row) for row in self.N.coeffs], axis=-2), self.Nv + dS
+        return self._along_rows(self.N.coeffs), self.Nv + dS
 
     @cached_property
     def hor_along(self) -> np.ndarray:
         """S(N + yL)[b][a], the horizontal coefficient differentiated along S."""
-        twist = self.alg.twisted_structure
-        return self.ver_terms[0] + np.stack([self._along(row) for row in twist], axis=-2)
+        return self.ver_terms[0] + self._along_rows(self.alg.twisted_structure)
 
     @cached_property
     def ver_along(self) -> np.ndarray:
         """S(N + dS/dy)[b][a], the vertical coefficient differentiated along S."""
         alg, comps = self.alg, self.S.components
-        dS = [self._along([alg.derivative(c, yb) for c in comps]) for yb in alg.fiber_coords]
-        return self.ver_terms[0] + np.stack(dS, axis=-2)
+        dS = [[alg.derivative(c, yb) for c in comps] for yb in alg.fiber_coords]
+        return self.ver_terms[0] + self._along_rows(dS)
 
     def horizontal(self, comps: Sequence[Expr]) -> np.ndarray:
         """nabla on the horizontal frame, S(c) + c (N + yL), of the components
@@ -362,8 +352,8 @@ def nabla_tensor(
     alg: Algebroid, S: Semispray, N: Connection, T: ExprTensor, ev: SampleEvaluator
 ) -> np.ndarray:
     """(nabla T)(B) = nabla(T(B)) - T(nabla B) on every frame section, as a
-    (2m, 2m) matrix (per sample over a batch), through two calls of the one
-    :class:`CovariantDerivative` at the evaluator, on T's frame images and on
+    (2m, 2m) matrix (per sample over a batch), through one call of the one
+    :class:`CovariantDerivative` at the evaluator, on T's frame images and
     the frame: no tree is built."""
     return frame_derivation(T, ev, CovariantDerivative.of(alg, S, N, ev))
 
@@ -379,38 +369,28 @@ def berwald_connection(
 ) -> tuple[np.ndarray, np.ndarray]:
     """D_A B through the four-bracket formula
 
-    v[hA, vB] + h[vA, hB] + J[vA, (F+J)B] + (F+J)[hA, JB].
+    v[hA, vB] + h[vA, hB] + J[vA, (F+J)B] + (F+J)[hA, JB],
+
+    in two bracket calls, one per left-hand section.
     """
     Nv = N.at(ev)
+    hA, vA, hB, vB, jB, fjB = alg.derived(_berwald_sections, N, A, B)
+    (x1, x4), (v1, v4) = bracket(alg, hA, (vB, jB), ev)  # [hA, vB] and [hA, JB]
+    (x2, x3), _ = bracket(alg, vA, (hB, fjB), ev)  # [vA, hB] and [vA, (F+J)B]
+    c4 = _vertical_part(x4, v4, Nv)
+    # the four terms' X and V parts (v, h, J and F+J of those), added from 0.0 in that order
+    x = 0.0 + x2 + c4
+    return x, 0.0 + _vertical_part(x1, v1, Nv) - linalg.vecmat(x2, Nv) + x3 - linalg.vecmat(c4, Nv)
+
+
+def _berwald_sections(alg: Algebroid, N: Connection, A, B) -> tuple[ProlongationSection, ...]:
+    """hA, vA, hB, vB, JB and (F + J)B, built once per system, connection
+    and pair, so a loop over one evaluator walks no new tree."""
     h, v = alg.derived(h_tensor, N), alg.derived(v_tensor, N)
-    hA, vA = h.apply(A), v.apply(A)
-    hB, vB = h.apply(B), v.apply(B)
-    jB = j_tensor(alg.m).apply(B)
+    vB = v.apply(B)
     # (F + J)B = h of the X-frame section carrying the V-components of vB
-    fjB = h.apply(ProlongationSection(vB.v_comps, tuple(ZERO for _ in range(alg.m))))
-
-    def v_proj(cx, cv):
-        return np.zeros_like(cx), _vertical_part(cx, cv, Nv)
-
-    def h_proj(cx, cv):
-        return cx, -linalg.vecmat(cx, Nv)
-
-    def j_proj(cx, cv):
-        return np.zeros_like(cx), cx.copy()
-
-    def fj_proj(cx, cv):
-        c = _vertical_part(cx, cv, Nv)
-        return c, -linalg.vecmat(c, Nv)
-
-    terms = [
-        v_proj(*bracket(alg, hA, (vB,), ev)),
-        h_proj(*bracket(alg, vA, (hB,), ev)),
-        j_proj(*bracket(alg, vA, (fjB,), ev)),
-        fj_proj(*bracket(alg, hA, (jB,), ev)),
-    ]
-    x = sum(t[0] for t in terms)
-    v = sum(t[1] for t in terms)
-    return x[0], v[0]
+    fjB = h.apply(ProlongationSection(vB.v_comps, (ZERO,) * alg.m))
+    return h.apply(A), v.apply(A), h.apply(B), vB, j_tensor(alg.m).apply(B), fjB
 
 
 def berwald_coefficients(alg: Algebroid, N: Connection, ev: SampleEvaluator) -> np.ndarray:

@@ -207,6 +207,26 @@ def _head_rows(r, k: int):
     return r[..., :k, :]
 
 
+class _Head(dict):
+    """A memo over a parent evaluator's first rows: a parent entry is sliced
+    (``rows``) and kept when it is first read."""
+
+    def __init__(self, parent: dict, rows):
+        super().__init__()
+        self.parent, self.rows = parent, rows
+
+    def __missing__(self, key):
+        hit = self.parent[key]
+        hit = self[key] = (hit[0], self.rows(hit[1]))
+        return hit
+
+    def __contains__(self, key) -> bool:
+        return dict.__contains__(self, key) or key in self.parent
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 class SampleEvaluator:
     """Evaluates trees at P sample points at once, over a leading sample axis.
 
@@ -309,15 +329,14 @@ class SampleEvaluator:
 
     def head(self, k: int) -> "SampleEvaluator":
         """An evaluator over ``points[:k]`` whose memos of values, jets,
-        arrays and inverses start as views of this one's first ``k`` rows
-        (every row has its batch of one's bits, so no number moves): only
-        trees this evaluator has not walked are walked again.  What
-        :meth:`derived` holds is not copied."""
+        arrays and inverses read this one's first ``k`` rows, each entry
+        sliced when it is first read (every row has its batch of one's bits,
+        so no number moves): only trees this evaluator has not walked are
+        walked again.  What :meth:`derived` holds is not shared."""
         ev = SampleEvaluator(self.names, self.points[:k])
-        memos = (ev._floats, self._floats), (ev._jets, self._jets), (ev._inverses, self._inverses)
-        for mine, theirs in memos:
-            mine.update((key, (hit[0], _head_rows(hit[1], k))) for key, hit in theirs.items())
-        ev._arrays = {key: (trees, a[:k]) for key, (trees, a) in self._arrays.items()}
+        rows = partial(_head_rows, k=k)
+        ev._floats, ev._jets = _Head(self._floats, rows), _Head(self._jets, rows)
+        ev._inverses, ev._arrays = _Head(self._inverses, rows), _Head(self._arrays, lambda a: a[:k])
         return ev
 
     def _batch(self, walk, run, e: Expr):

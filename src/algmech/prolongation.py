@@ -27,12 +27,12 @@ samples of the evaluator its caller passes this way.
 The derivations are stacked over trees and sections as well as samples:
 :func:`directional_derivative` takes a tuple of trees and reads their
 anchored gradients as one (C, ..., m) stack, whose slices are the dots a
-call per tree makes.  :func:`bracket` takes a tuple of right-hand sections:
-their components along A are one such call over all their trees, and A's
-along all of them one call with the K fields stacked.  So a bracket against the whole frame is one call, and
-:func:`frame_derivation` calls its derivation twice, on the tensor's frame
-images and on the frame; every slice keeps the bits of a call for one
-pair.
+call per tree makes.  :func:`brackets` takes tuples of left- and right-hand
+sections, each side one such call with the fields stacked, and
+:func:`bracket` is its one-row slice; so a bracket of every candidate
+against the whole frame is one call, and :func:`frame_derivation` calls its
+derivation once, on the tensor's frame images and the frame together.
+Every slice keeps the bits of a call for one pair.
 """
 
 from __future__ import annotations
@@ -59,27 +59,11 @@ from .expr import (
 from .jets import SampleEvaluator
 
 __all__ = [
-    "ProlongationSection",
-    "Semispray",
-    "ExprTensor",
-    "bracket",
-    "directional_derivative",
-    "euler_section",
-    "vertical_lift",
-    "complete_lift",
-    "covariant_slash_exprs",
-    "sode_flow",
-    "sode_derivative_expr",
-    "spray_homogeneity",
-    "spray_test",
-    "SprayReport",
-    "j_tensor",
-    "zeros_block",
-    "eye_block",
-    "basis_sections",
-    "identity_tensor",
-    "frame_derivation",
-    "lie_derivative_tensor",
+    "ProlongationSection", "Semispray", "ExprTensor", "bracket", "brackets",
+    "directional_derivative", "euler_section", "vertical_lift", "complete_lift",
+    "covariant_slash_exprs", "sode_flow", "sode_derivative_expr", "spray_homogeneity",
+    "spray_test", "SprayReport", "j_tensor", "zeros_block", "eye_block", "basis_sections",
+    "identity_tensor", "frame_derivation", "lie_derivative_tensor",
 ]
 
 
@@ -218,24 +202,47 @@ def directional_derivative(
     return out
 
 
-def bracket(
-    alg: Algebroid, A: ProlongationSection, Bs: Sequence[ProlongationSection],
+def brackets(
+    alg: Algebroid, As: Sequence[ProlongationSection], Bs: Sequence[ProlongationSection],
     ev: SampleEvaluator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """[A, B] for each section B of ``Bs`` over the evaluator's samples: X
-    and V parts as (K, P, m) arrays, slice k that of [A, Bs[k]].  Each side
-    is one stacked :func:`directional_derivative`: the components of every B
-    along A, and A's along every B (bx, bv broadcast over A's gradient
-    stack); each slice is a one-pair call's dot."""
-    m, L = alg.m, alg.structure_at(ev)
-    ax, av = A.values_at(ev)
-    bx, bv = (np.array(v) for v in zip(*(B.values_at(ev) for B in Bs)))
-    comps = tuple(c for B in Bs for c in B.x_comps + B.v_comps)
-    dB = directional_derivative(alg, ev, ax, av, comps).reshape(-1, len(Bs), 2 * m).swapaxes(0, 1)
-    dA = directional_derivative(alg, ev, bx, bv, A.x_comps + A.v_comps)
-    x_part = linalg.a_b_abg(ax, bx, L)
+    """[A, B] for each section A of ``As`` and B of ``Bs`` over the
+    evaluator's samples: X and V parts as (I, K, P, m) arrays, slice [i, k]
+    that of [As[i], Bs[k]] with a one-pair call's bits.  Each side is one
+    stacked :func:`directional_derivative` (the components of every B along
+    every A, and every A's along every B), and the structure term one
+    :func:`~algmech.linalg.a_b_abg`, left out if every structure tree is a
+    constant zero (which changes no bit but the sign of a zero)."""
+    m = alg.m
+    (ax, av), (bx, bv) = _values(As, ev), _values(Bs, ev)
+
+    def along(cx, cv, Cs):  # every component of each of Cs along each field: (I, K, P, 2m)
+        d = directional_derivative(alg, ev, cx, cv, [c for C in Cs for c in C.x_comps + C.v_comps])
+        return d.reshape(*d.shape[:-1], len(Cs), 2 * m).swapaxes(-2, -3)
+
+    dB, dA = along(ax, av, Bs), along(bx, bv, As).swapaxes(0, 1)
+    if alg.zero_structure:
+        return dB[..., :m] - dA[..., :m], dB[..., m:] - dA[..., m:]
+    x_part = linalg.a_b_abg(ax[:, None], bx, alg.structure_at(ev))
     x_part += dB[..., :m] - dA[..., :m]
     return x_part, dB[..., m:] - dA[..., m:]
+
+
+def _values(Cs: Sequence[ProlongationSection], ev: SampleEvaluator) -> tuple[np.ndarray, ...]:
+    """The X and V component values of the sections ``Cs``, (K, P, m) each;
+    for one section a view, with a copy's strides."""
+    if len(Cs) == 1:
+        return tuple(v[None] for v in Cs[0].values_at(ev))
+    return tuple(np.array(v) for v in zip(*(C.values_at(ev) for C in Cs)))
+
+
+def bracket(
+    alg: Algebroid, A: ProlongationSection, Bs: Sequence[ProlongationSection], ev: SampleEvaluator
+) -> tuple[np.ndarray, np.ndarray]:
+    """[A, B] for each section B of ``Bs``, X and V parts as (K, P, m)
+    arrays: the one-row slice of :func:`brackets`."""
+    (x,), (v,) = brackets(alg, (A,), Bs, ev)
+    return x, v
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +265,11 @@ def sode_derivative_expr(alg: Algebroid, S: Semispray, f: Expr) -> Expr:
 
 
 def spray_homogeneity(alg: Algebroid, S: Semispray, ev: SampleEvaluator):
-    """max_a |y . dS^a/dy - 2 S^a| per sample of the evaluator,
-    which vanishes where S is degree-2 homogeneous in y (Euler's theorem)."""
-    n = alg.n
-    y = np.asarray(ev.values)[..., n:]
-    jets = [ev.jet(c) for c in S.components]
-    return np.max([np.abs(linalg.inner(y, j.grad[..., n:]) - 2.0 * j.value) for j in jets], axis=0)
+    """max_a |y . dS^a/dy - 2 S^a| per sample of the evaluator (every a one
+    stacked dot), which vanishes where S is degree-2 homogeneous in y."""
+    n, jets = alg.n, [ev.jet(c) for c in S.components]
+    grads, values = np.array([j.grad[..., n:] for j in jets]), np.array([j.value for j in jets])
+    return np.max(np.abs(linalg.inner(np.asarray(ev.values)[..., n:], grads) - 2.0 * values), axis=0)
 
 
 @dataclass(frozen=True)
@@ -375,12 +381,12 @@ def frame_derivation(
     """(D T)(B) = D(T(B)) - T(D B) on every frame section B, as the (2m, 2m)
     matrix whose columns are those images (sample axis first over a batch),
     for a derivation D that maps a tuple of sections to their (K, P, m)
-    component values at the evaluator: one call on T's frame images, one on
-    the frame.  T(D B) is applied block by block, each block a stacked
+    component values at the evaluator: one call on T's frame images and the
+    frame together.  T(D B) is applied block by block, each block a stacked
     matrix-vector product."""
     M, m = T.at(ev), T.m
-    dx, dv = D(T.frame_images)
-    bx, bv = D(basis_sections(m))
+    x, v = D(T.frame_images + basis_sections(m))
+    (dx, bx), (dv, bv) = np.split(x, 2), np.split(v, 2)
     tx = linalg.matvec(M[..., :m, :m], bx) + linalg.matvec(M[..., :m, m:], bv)
     tv = linalg.matvec(M[..., m:, :m], bx) + linalg.matvec(M[..., m:, m:], bv)
     return np.moveaxis(np.concatenate([dx - tx, dv - tv], axis=-1), 0, -1)
@@ -393,7 +399,7 @@ def lie_derivative_tensor(
     as a (2m, 2m) matrix (per sample over a batch).
 
     T must be expression-backed: the first bracket differentiates the
-    coefficient functions of T(B).  Two bracket calls, each against 2m
-    sections: T's frame images and the frame.
+    coefficient functions of T(B).  One bracket call against 4m sections:
+    T's frame images and the frame.
     """
     return frame_derivation(T, ev, lambda Bs: bracket(alg, A, Bs, ev))

@@ -7,6 +7,7 @@ report byte-identical across runs with the same config and seed.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from . import linalg
 from .algebroid import sweep_max
 from .config import SystemConfig
 from .connection import Connection, geometry_frames
-from .errors import EvaluationDomainError, SingularMetricError
+from .errors import AlgmechError, EvaluationDomainError, SingularMetricError
 from .jets import SampleEvaluator
 from .lagrangian import canonical_semispray, metric_inverse
 from .prolongation import Semispray, spray_test
@@ -25,17 +26,12 @@ from .symmetry import (
     dynamical_symmetry_check,
     lie_symmetry_check,
     newtonoid_check,
+    prepare_checks,
 )
 
 __all__ = [
-    "format_float",
-    "emit_json",
-    "render_markdown",
-    "build_report",
-    "run_validation",
-    "run_symmetry",
-    "frames_with_reference",
-    "frames_pass",
+    "format_float", "emit_json", "render_markdown", "build_report", "run_validation",
+    "run_symmetry", "frames_with_reference", "frames_pass",
 ]
 
 _GEOMETRY_FRAMES_IN_REPORT = 2
@@ -166,6 +162,14 @@ def run_symmetry(
     alg = cfg.algebroid
     # the invariant form of the Lie check is stated for the canonical connection
     N_lie = N if N.canonical else None
+    cands = cfg.candidates
+    with contextlib.suppress(AlgmechError):  # else each check below raises in candidate order
+        prepare_checks(
+            alg, S, cfg.lagrangian, ev,
+            [c.section for c in cands if c.kind == "prolongation_section"],
+            [c.base for c in cands if c.kind == "base_section"],
+            [c.function for c in cands if c.kind == "conserved_function"],
+        )
     rows = []
     all_ok = True
     for cand in cfg.candidates:
@@ -186,18 +190,10 @@ def run_symmetry(
                 "passed": cons.passed,
                 "tol": tol,
             }
-        ok = all(
-            checks[k]["passed"] == want for k, want in cand.expect.items() if k in checks
-        )
+        ok = all(checks[k]["passed"] == want for k, want in cand.expect.items() if k in checks)
         all_ok = all_ok and ok
         rows.append(
-            {
-                "name": cand.name,
-                "kind": cand.kind,
-                "checks": checks,
-                "expect": dict(cand.expect),
-                "ok": ok,
-            }
+            {"name": cand.name, "kind": cand.kind, "checks": checks, "expect": dict(cand.expect), "ok": ok}
         )
     return {"candidates": rows, "all_ok": all_ok}
 

@@ -11,6 +11,7 @@ Verification only; no symmetry discovery is attempted.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +39,7 @@ from .prolongation import (
     Semispray,
     basis_sections,
     bracket,
+    brackets,
     complete_lift,
     covariant_slash_exprs,
     directional_derivative,
@@ -45,19 +47,10 @@ from .prolongation import (
 )
 
 __all__ = [
-    "SymmetryVerdict",
-    "ConservedQuantity",
-    "CartanReconstruction",
-    "dynamical_symmetry_check",
-    "newtonoid_check",
-    "newtonoid_completion",
-    "invariant_equation_residual",
-    "lie_symmetry_check",
-    "cartan_symmetry_check",
-    "conservation_check",
-    "conserved_from_cartan",
-    "cartan_from_conservation",
-    "star_product_exprs",
+    "SymmetryVerdict", "ConservedQuantity", "CartanReconstruction", "dynamical_symmetry_check",
+    "newtonoid_check", "newtonoid_completion", "invariant_equation_residual", "lie_symmetry_check",
+    "cartan_symmetry_check", "conservation_check", "conserved_from_cartan",
+    "cartan_from_conservation", "star_product_exprs", "prepare_checks",
 ]
 
 
@@ -101,30 +94,68 @@ def dynamical_symmetry_check(
 ) -> SymmetryVerdict:
     """Vanishing of the full bracket [S, A]; the two component families are
     reported separately (frame part and fiber part)."""
-    (bx,), (bv,) = ev.derived(_sode_bracket, alg, S, A)
+    (bx, bv), = _rows(ev, _sode_brackets, (alg, S), (A,))
     res = np.concatenate([bx, bv], axis=-1)
     worst = sweep_max("dynamical", ev, np.abs(res))
-    return SymmetryVerdict(
-        kind="dynamical",
-        max_residual=worst,
-        per_sample=_per_sample(ev, res),
-        passed=worst <= tol,
-        tol=tol,
-        components={
-            "frame_part": sweep_max("dynamical", ev, np.abs(bx)),
-            "fiber_part": sweep_max("dynamical", ev, np.abs(bv)),
-        },
-    )
+    frame, fiber = (sweep_max("dynamical", ev, np.abs(b)) for b in (bx, bv))
+    return _verdict("dynamical", ev, res, worst, tol, frame_part=frame, fiber_part=fiber)
 
 
-def _sode_bracket(ev: SampleEvaluator, alg: Algebroid, S: Semispray, A: ProlongationSection):
-    """[S, A], read by the dynamical and Newtonoid checks: once per evaluator."""
-    return bracket(alg, S.section(alg), (A,), ev)
+def _rows(ev: SampleEvaluator, build, args: tuple, items: Sequence) -> list:
+    """``build(ev, *args, items)``'s row for each of ``items``, kept by the
+    evaluator per ``build``, ``args`` and item (by identity; the entry keeps
+    the item alive): the items not seen yet take one stacked call."""
+    table = ev.derived(_table, build, *args)
+    new = [x for x in items if id(x) not in table]
+    if new:
+        table.update((id(x), (x, row)) for x, row in zip(new, build(ev, *args, new)))
+    return [table[id(x)][1] for x in items]
 
 
-def _per_sample(ev: SampleEvaluator, res: np.ndarray) -> tuple:
-    """(point, residuals as floats) per sample of ``ev``, from a (P, k) array."""
-    return tuple(zip(ev.points, map(tuple, res.tolist())))
+def _table(ev: SampleEvaluator, *args) -> dict:
+    return {}
+
+
+def _sode_brackets(ev: SampleEvaluator, alg: Algebroid, S: Semispray, As) -> zip:
+    """[S, A] for each section A of ``As``, one bracket call: the rows the
+    dynamical, Newtonoid and Lie checks read."""
+    return zip(*bracket(alg, S.section(alg), As, ev))
+
+
+def _frame_brackets(ev: SampleEvaluator, alg: Algebroid, As) -> np.ndarray:
+    """[A, B_k] over the frame sections B_k for each section A of ``As``, one
+    :func:`~algmech.prolongation.brackets` call: (2m, P, 2m) per A, the
+    rows the Cartan check reads."""
+    return np.concatenate(brackets(alg, As, basis_sections(alg.m), ev), axis=-1)
+
+
+def _sode_derivatives(ev: SampleEvaluator, alg: Algebroid, S: Semispray, fs) -> np.ndarray:
+    """S(f) for each tree f of ``fs``, one stacked directional derivative."""
+    return directional_derivative(alg, ev, *S.section(alg).values_at(ev), fs).T
+
+
+@np.errstate(all="ignore")
+def prepare_checks(
+    alg: Algebroid, S: Semispray, L: Lagrangian | None, ev: SampleEvaluator,
+    sections: Sequence[ProlongationSection] = (), bases: Sequence[BaseSection] = (),
+    functions: Sequence[Expr] = (),
+) -> None:
+    """Takes the stacked parts of every check on a candidate list at once:
+    [S, .] for each prolongation section and each x-only base section's
+    complete lift, [A, frame] for each prolongation section (with a
+    Lagrangian ``L``) and S(f) for each function, one call each.  The checks
+    then read their rows; each row has the bits of a batch of one."""
+    lifts = [alg.derived(_lie_trees, S, b)[0] for b in bases if b.x_only]
+    _rows(ev, _sode_brackets, (alg, S), [*sections, *lifts])
+    if L is not None:
+        _rows(ev, _frame_brackets, (alg,), sections)
+    _rows(ev, _sode_derivatives, (alg, S), functions)
+
+
+def _verdict(kind: str, ev: SampleEvaluator, res: np.ndarray, worst: float, tol: float, **components):
+    """The verdict with the (P, k) residuals ``res`` as floats per point."""
+    per_sample = tuple(zip(ev.points, map(tuple, res.tolist())))
+    return SymmetryVerdict(kind, worst, per_sample, worst <= tol, tol, components)
 
 
 def newtonoid_completion(
@@ -147,33 +178,20 @@ def newtonoid_completion(
 
 @np.errstate(all="ignore")
 def newtonoid_check(
-    alg: Algebroid,
-    S: Semispray,
-    A: ProlongationSection,
-    ev: SampleEvaluator,
-    tol: float,
+    alg: Algebroid, S: Semispray, A: ProlongationSection, ev: SampleEvaluator, tol: float,
     N: Connection | None = None,
 ) -> SymmetryVerdict:
     """Vanishing of J[S, A]; cross-checked against the projection criterion
     v(A) = J(nabla A) for the canonical connection."""
     if N is None:
         N = alg.derived(canonical_connection, S)
-    (bx,), _ = ev.derived(_sode_bracket, alg, S, A)
+    (bx, _), = _rows(ev, _sode_brackets, (alg, S), (A,))
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = av + linalg.vecmat(ax, N.at(ev))  # v(A) fiber components
     jx = CovariantDerivative.of(alg, S, N, ev).horizontal(A.x_comps)  # J(nabla A): the frame part
-    return SymmetryVerdict(
-        kind="newtonoid",
-        max_residual=worst,
-        per_sample=_per_sample(ev, bx),
-        passed=worst <= tol,
-        tol=tol,
-        components={
-            "bracket": worst,
-            "projection": sweep_max("newtonoid projection", ev, np.abs(vert - jx)),
-        },
-    )
+    projection = sweep_max("newtonoid projection", ev, np.abs(vert - jx))
+    return _verdict("newtonoid", ev, bx, worst, tol, bracket=worst, projection=projection)
 
 
 def invariant_equation_residual(
@@ -216,11 +234,7 @@ def _lie_trees(alg: Algebroid, S: Semispray, Xt: BaseSection) -> tuple:
 
 @np.errstate(all="ignore")
 def lie_symmetry_check(
-    alg: Algebroid,
-    S: Semispray,
-    Xt: BaseSection,
-    ev: SampleEvaluator,
-    tol: float,
+    alg: Algebroid, S: Semispray, Xt: BaseSection, ev: SampleEvaluator, tol: float,
     N: Connection | None = None,
 ) -> SymmetryVerdict:
     """A base section is a Lie symmetry when its complete lift is a dynamical
@@ -232,53 +246,46 @@ def lie_symmetry_check(
     field and section; nabla^2 of the invariant form is numeric."""
     if not Xt.x_only:
         raise FiberDependenceError("Lie-symmetry candidates must be x-only sections")
-    m, n = alg.m, alg.n
     if N is None:
         N = alg.derived(canonical_connection, S)
     lift, slash, along = alg.derived(_lie_trees, S, Xt)
     dyn = dynamical_symmetry_check(alg, S, lift, ev, tol)
 
-    y = ev.values[:, n:]
-    sigma = alg.anchor_at(ev)
-    s_vals = ev.values_of(S.components)
-    slash_vals = ev.array(slash)
-    xt_vals = ev.values_of(Xt.components)
-    pde1 = []
-    pde2 = []
-    for b in range(m):
-        grad_xt = ev.jet(Xt.components[b]).grad
-        pde1.append(sum(s_vals[:, a] * grad_xt[:, n + a] for a in range(m)))
-        grad_s = ev.jet(S.components[b]).grad
-        term1 = sum(
-            y[:, al] * y[:, e] * linalg.inner(sigma[:, :, al], ev.jet(slash[e][b]).grad[:, :n])
-            for al in range(m)
-            for e in range(m)
-        )
-        term2 = sum(xt_vals[:, a] * linalg.inner(sigma[:, :, a], grad_s[:, :n]) for a in range(m))
-        term3 = sum(s_vals[:, a] * slash_vals[:, a, b] for a in range(m))
-        term4 = sum(
-            y[:, e] * slash_vals[:, e, a] * grad_s[:, n + a]
-            for e in range(m)
-            for a in range(m)
-        )
-        pde2.append(term1 - term2 + term3 - term4)
+    pde1, pde2 = _lie_pde(alg, S, Xt, slash, ev)
     second_order = _invariant_form(alg, S, N, ev, Xt.components, along, vertical=True)
-    pde1_max = sweep_max("lie pde_fiber", ev, np.abs(np.stack(pde1, axis=-1)))
-    pde2_max = sweep_max("lie pde_flow", ev, np.abs(np.stack(pde2, axis=-1)))
-    second_order_max = sweep_max("lie invariant", ev, np.abs(second_order))
-    return SymmetryVerdict(
-        kind="lie",
-        max_residual=dyn.max_residual,
-        per_sample=dyn.per_sample,
-        passed=dyn.passed,
-        tol=tol,
-        components={
-            "bracket": dyn.max_residual,
-            "pde_fiber": pde1_max,
-            "pde_flow": pde2_max,
-            "invariant_second_order": second_order_max,
-        },
+    return dataclasses.replace(dyn, kind="lie", components={
+        "bracket": dyn.max_residual,
+        "pde_fiber": sweep_max("lie pde_fiber", ev, np.abs(pde1)),
+        "pde_flow": sweep_max("lie pde_flow", ev, np.abs(pde2)),
+        "invariant_second_order": sweep_max("lie invariant", ev, np.abs(second_order)),
+    })
+
+
+def _lie_pde(alg: Algebroid, S: Semispray, Xt: BaseSection, slash, ev: SampleEvaluator):
+    """The local Lie-symmetry equations of Xt, (P, m) each with component b
+    last: the fiber one sum_a S^a dXt^b/dy^a, and the flow one
+
+        y^al y^e sigma_al(slash[e][b]) - Xt^a sigma_a(S^b) + S^a slash[a][b]
+        - y^e slash[e][a] dS^b/dy^a,
+
+    every sum in the order of its indices, every b at once; sigma_a(f) is an
+    :func:`~algmech.linalg.inner` of anchor column a with d_x f."""
+    m, n = alg.m, alg.n
+    y, s_vals, xt_vals = ev.values[:, n:], ev.values_of(S.components), ev.values_of(Xt.components)
+    sigma_t = alg.anchor_at(ev).swapaxes(1, 2)  # [p, a, i] = sigma_i^a, a strided view
+    slash_vals = ev.array(slash)
+    g_xt, g_s = (np.stack([ev.jet(c).grad for c in cs], axis=1) for cs in (Xt.components, S.components))
+    g_slash = np.array([[ev.jet(t).grad[:, :n] for t in row] for row in slash]).transpose(2, 0, 1, 3)
+    d_slash = linalg.inner(sigma_t[:, :, None, None], g_slash[:, None])  # [p, al, e, b]
+    d_s = linalg.inner(sigma_t[:, :, None], g_s[:, None, :, :n])  # [p, a, b] = sigma_a(S^b)
+    pde1 = sum(s_vals[:, a, None] * g_xt[:, :, n + a] for a in range(m))
+    term1 = sum(y[:, al, None] * y[:, e, None] * d_slash[:, al, e] for al in range(m) for e in range(m))
+    term2 = sum(xt_vals[:, a, None] * d_s[:, a] for a in range(m))
+    term3 = sum(s_vals[:, a, None] * slash_vals[:, a] for a in range(m))
+    term4 = sum(
+        y[:, e, None] * slash_vals[:, e, a, None] * g_s[:, :, n + a] for e in range(m) for a in range(m)
     )
+    return pde1, term1 - term2 + term3 - term4
 
 
 # ---------------------------------------------------------------------------
@@ -292,54 +299,39 @@ def cartan_symmetry_check(
 ) -> SymmetryVerdict:
     """Invariance of the symplectic two-section and of the energy along A:
     the two-section part is the max over frame pairs r < c of
-    |(L_A omega)(B_r, B_c)|, with the brackets [A, B_k] one frame-wide
-    bracket call and A(W_rc), A(E) one stacked directional derivative."""
+
+        |A(W_rc) - [A, B_r] . W[:, c] - W[r, :] . [A, B_c]|,
+
+    with the brackets [A, B_k] one frame-wide bracket call (a row that
+    :func:`prepare_checks` took for every candidate at once), A(W_rc) and
+    A(E) one stacked directional derivative, and each of the two dot
+    families one :func:`~algmech.linalg.inner` over every (r, c), on strided
+    views that keep the bits of one dot per pair."""
     ax, av = A.values_at(ev)
     W_exprs, W = cartan_pairing_exprs(alg, L), cartan_pairing(alg, L, ev)
-    brk = np.concatenate(bracket(alg, A, basis_sections(alg.m), ev), axis=-1)
-    pairs = [(r, c) for r in range(len(brk)) for c in range(r + 1, len(brk))]
-    trees = [*(W_exprs[r][c] for r, c in pairs), L.energy_expr]
-    dW = directional_derivative(alg, ev, ax, av, trees)
-    two = [
-        np.abs(dW[..., j] - linalg.inner(brk[r], W[..., :, c]) - linalg.inner(W[..., r, :], brk[c]))
-        for j, (r, c) in enumerate(pairs)
-    ]
-    energy = np.abs(dW[..., -1])
-    res = np.stack([np.max(two, axis=0, initial=0.0), energy], axis=-1)
+    brk, = _rows(ev, _frame_brackets, (alg,), (A,))
+    r, c = np.triu_indices(len(brk), 1)  # the pairs r < c, row by row
+    dW = directional_derivative(alg, ev, ax, av, [*(W_exprs[i][j] for i, j in zip(r, c)), L.energy_expr])
+    left = linalg.inner(brk[:, None], np.moveaxis(W, -1, 0))  # [r, c] = [A, B_r] . W[:, c]
+    right = linalg.inner(np.moveaxis(W, -2, 0)[:, None], brk)  # [r, c] = W[r, :] . [A, B_c]
+    two = np.abs(dW[..., :-1] - left[r, c].T - right[r, c].T)
+    res = np.stack([np.max(two, axis=-1, initial=0.0), np.abs(dW[..., -1])], axis=-1)
     two_max = sweep_max("cartan two-section", ev, res[:, 0])
     energy_max = sweep_max("cartan energy", ev, res[:, 1])
     worst = max(two_max, energy_max)
-    return SymmetryVerdict(
-        kind="cartan",
-        max_residual=worst,
-        per_sample=_per_sample(ev, res),
-        passed=worst <= tol,
-        tol=tol,
-        components={"two_section": two_max, "energy": energy_max},
-    )
+    return _verdict("cartan", ev, res, worst, tol, two_section=two_max, energy=energy_max)
 
 
 @np.errstate(all="ignore")
 def conservation_check(
-    alg: Algebroid,
-    S: Semispray,
-    f: Expr,
-    ev: SampleEvaluator,
-    tol: float,
-    provenance: str = "user",
+    alg: Algebroid, S: Semispray, f: Expr, ev: SampleEvaluator, tol: float, provenance: str = "user",
 ) -> ConservedQuantity:
-    """Constancy of f along the dynamics: S(f) = 0 on the sample set."""
-    ax, av = S.section(alg).values_at(ev)
-    sdot = directional_derivative(alg, ev, ax, av, (f,))[..., 0]
+    """Constancy of f along the dynamics: S(f) = 0 on the sample set, a row
+    that :func:`prepare_checks` may have taken for every function at once."""
+    sdot, = _rows(ev, _sode_derivatives, (alg, S), (f,))
     worst = sweep_max("conservation", ev, np.abs(sdot))
-    return ConservedQuantity(
-        expr=f,
-        provenance=provenance,
-        sdot_max=worst,
-        per_sample=tuple(zip(ev.points, sdot.tolist())),
-        passed=worst <= tol,
-        tol=tol,
-    )
+    per_sample = tuple(zip(ev.points, sdot.tolist()))
+    return ConservedQuantity(f, provenance, worst, per_sample, worst <= tol, tol)
 
 
 @np.errstate(all="ignore")

@@ -11,6 +11,7 @@ taken over every index tuple.  They are compared by ``tobytes()``.
 import json
 import random
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,25 +20,34 @@ import pytest
 from algmech.linalg import inner
 from algmech.cli import main
 from algmech.config import parse_config
+import algmech.symmetry as symmetry
+from algmech.algebroid import BaseSection
 from algmech.connection import (
     CovariantDerivative,
+    berwald_connection,
+    berwald_derivative,
+    curvature,
     curvature_from_brackets,
     f_tensor,
     h_tensor,
+    jacobi_endomorphism,
     jacobi_from_bracket,
     nabla_tensor,
     v_tensor,
 )
-from algmech.expr import Num
+from algmech.expr import Num, parse_expression
 from algmech.lagrangian import cartan_pairing, cartan_pairing_exprs
 from algmech.prolongation import (
+    ProlongationSection,
     basis_sections,
     bracket,
+    brackets,
     directional_derivative,
     j_tensor,
     lie_derivative_tensor,
+    spray_homogeneity,
 )
-from algmech.symmetry import cartan_symmetry_check
+from algmech.symmetry import _lie_trees, cartan_symmetry_check, prepare_checks
 
 import test_pinned_library as rank3
 from test_prolongation import random_section, reference_bracket
@@ -233,3 +243,170 @@ def test_overflow_at_a_later_sample_names_that_sample(tmp_path, capsys, command)
     assert main([command, "--config", str(path), "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"check failed: cyclic residual is not finite at {points[k]}\n"
     assert not out.exists()
+
+
+STACKS = ["heisenberg", "rank3", "dense-4", "diag-8"]
+
+
+def sections(cfg, name):
+    """The field's section, the frame images of h, the frame and three
+    random sections: the left and right sides of the stacked brackets."""
+    alg, N = cfg.algebroid, cfg.connection()
+    rng = random.Random(f"stacks:{name}")
+    return (
+        cfg.semispray().section(alg), *alg.derived(h_tensor, N).frame_images,
+        *basis_sections(alg.m), *(random_section(cfg, rng) for _ in range(3)),
+    )
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_each_row_of_the_stacked_brackets_is_a_one_row_call(name, request):
+    cfg = load(name, request)
+    alg = cfg.algebroid
+    ev = alg.sample_evaluator(cfg.sample_points())
+    As = sections(cfg, name)
+    Bs = As[::-2]
+    x, v = brackets(alg, As, Bs, ev)
+    assert x.shape == v.shape == (len(As), len(Bs), len(ev.points), alg.m)
+    for i, A in enumerate(As):
+        wx, wv = bracket(alg, A, Bs, ev)
+        same(x[i], wx)
+        same(v[i], wv)
+        for k in (0, len(Bs) - 1):
+            same(x[i, k], reference_bracket(alg, A, Bs[k], ev)[0])
+
+
+def base_sections(cfg, name):
+    """The system's base-section candidates and a random x-only section."""
+    alg = cfg.algebroid
+    rng = random.Random(f"lie:{name}")
+    sources = [f"{rng.uniform(-2, 2)!r}*{rng.choice(alg.base_coords)}^2" for _ in range(alg.m)]
+    random_base = BaseSection.define(alg, [parse_expression(src, alg.coords) for src in sources])
+    return [*(c.base for c in cfg.candidates if c.kind == "base_section"), random_base]
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_the_candidate_wide_rows_are_one_candidate_calls(name, request):
+    """[S, A], [A, frame] and S(f) taken for every candidate at once have the
+    bits of a batch of one, which a check alone takes."""
+    cfg = load(name, request)
+    alg, S, m = cfg.algebroid, cfg.semispray(), cfg.algebroid.m
+    ev = alg.sample_evaluator(cfg.sample_points())
+    As, bases = sections(cfg, name)[-4:], base_sections(cfg, name)
+    fs = [cfg.lagrangian.energy_expr, *(A.v_comps[0] for A in As)]
+    prepare_checks(alg, S, cfg.lagrangian, ev, As, bases, fs)
+    rows = partial(symmetry._rows, ev)
+    lifts = [alg.derived(_lie_trees, S, b)[0] for b in bases]
+    Ssec, (ax, av) = S.section(alg), S.section(alg).values_at(ev)
+    for A, (bx, bv) in zip([*As, *lifts], rows(symmetry._sode_brackets, (alg, S), [*As, *lifts])):
+        (wx,), (wv,) = bracket(alg, Ssec, (A,), ev)
+        same(bx, wx)
+        same(bv, wv)
+    for A, row in zip(As, rows(symmetry._frame_brackets, (alg,), As)):
+        same(row, np.concatenate(bracket(alg, A, basis_sections(m), ev), axis=-1))
+    for f, row in zip(fs, rows(symmetry._sode_derivatives, (alg, S), fs)):
+        same(row, directional_derivative(alg, ev, ax, av, (f,))[..., 0])
+
+
+def reference_lie_pde(alg, S, Xt, slash, ev):
+    """The local Lie-symmetry equations one component b at a time, as the
+    check took them before they were stacked over b."""
+    m, n = alg.m, alg.n
+    y = ev.values[:, n:]
+    sigma = alg.anchor_at(ev)
+    s_vals = ev.values_of(S.components)
+    slash_vals = ev.array(slash)
+    xt_vals = ev.values_of(Xt.components)
+    pde1 = []
+    pde2 = []
+    for b in range(m):
+        grad_xt = ev.jet(Xt.components[b]).grad
+        pde1.append(sum(s_vals[:, a] * grad_xt[:, n + a] for a in range(m)))
+        grad_s = ev.jet(S.components[b]).grad
+        term1 = sum(
+            y[:, al] * y[:, e] * inner(sigma[:, :, al], ev.jet(slash[e][b]).grad[:, :n])
+            for al in range(m)
+            for e in range(m)
+        )
+        term2 = sum(xt_vals[:, a] * inner(sigma[:, :, a], grad_s[:, :n]) for a in range(m))
+        term3 = sum(s_vals[:, a] * slash_vals[:, a, b] for a in range(m))
+        term4 = sum(
+            y[:, e] * slash_vals[:, e, a] * grad_s[:, n + a]
+            for e in range(m)
+            for a in range(m)
+        )
+        pde2.append(term1 - term2 + term3 - term4)
+    return np.stack(pde1, axis=-1), np.stack(pde2, axis=-1)
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_the_lie_equations_stacked_over_the_component_keep_its_bits(name, request):
+    cfg = load(name, request)
+    alg, S = cfg.algebroid, cfg.semispray()
+    ev = alg.sample_evaluator(cfg.sample_points())
+    for Xt in base_sections(cfg, name):
+        slash = _lie_trees(alg, S, Xt)[1]
+        for got, want in zip(symmetry._lie_pde(alg, S, Xt, slash, ev), reference_lie_pde(alg, S, Xt, slash, ev)):
+            same(got, want)
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_covariant_rows_curvature_and_jacobi_keep_the_one_call_bits(name, request):
+    """nabla's S(N), S(N + yL) and S(N + dS/dy), the curvature's
+    delta_c(N_a^g), the Jacobi endomorphism's delta_b(S^g) and the spray
+    homogeneity's y . dS^a/dy, each one stacked call, against one call per
+    row or per tree."""
+    cfg = load(name, request)
+    alg, S, N, m = cfg.algebroid, cfg.semispray(), cfg.connection(), cfg.algebroid.m
+    ev = alg.sample_evaluator(cfg.sample_points())
+    nabla = CovariantDerivative(alg, S, N, ev)
+    along = nabla._along
+    sn = np.stack([along(row) for row in N.coeffs], axis=-2)
+    same(nabla.ver_terms[0], sn)
+    same(nabla.hor_along, sn + np.stack([along(row) for row in alg.twisted_structure], axis=-2))
+    dS = [along([alg.derivative(c, yb) for c in S.components]) for yb in alg.fiber_coords]
+    same(nabla.ver_along, sn + np.stack(dS, axis=-2))
+
+    Nv, L, y = N.at(ev), alg.structure_at(ev), ev.values[:, alg.n :]
+    dN = np.array([[berwald_derivative(alg, N, c, ev) for c in row] for row in N.coeffs])
+    dN = np.moveaxis(dN, (0, 1), (-2, -1))
+    same(curvature(alg, N, ev), dN.swapaxes(-3, -2) - dN + np.einsum("...abe,...eg->...abg", L, Nv))
+    dS = np.stack([berwald_derivative(alg, N, c, ev) for c in S.components], axis=-1)
+    quad = sum(Nv[..., :, a, None] * Nv[..., None, a, :] for a in range(m))
+    mixed = sum(
+        Nv[..., None, e, :] * L[..., a, :, e, None] * y[..., a, None, None] for a in range(m) for e in range(m)
+    )
+    same(jacobi_endomorphism(alg, S, N, ev), -dS - sn + quad + mixed)
+    n, jets = alg.n, [ev.jet(c) for c in S.components]
+    want = np.max([np.abs(inner(y, j.grad[..., n:]) - 2.0 * j.value) for j in jets], axis=0)
+    same(spray_homogeneity(alg, S, ev), want)
+
+
+def reference_berwald(alg, N, A, B, ev):
+    """D_A B with one bracket per term of v[hA, vB] + h[vA, hB] +
+    J[vA, (F+J)B] + (F+J)[hA, JB], each term's parts summed from 0."""
+    Nv, (h, v) = N.at(ev), (alg.derived(h_tensor, N), alg.derived(v_tensor, N))
+    vB = v.apply(B)
+    fjB = h.apply(ProlongationSection(vB.v_comps, (Num(0.0),) * alg.m))
+    pair = lambda P, Q: reference_bracket(alg, P, Q, ev)  # noqa: E731
+    cx, cv = pair(h.apply(A), vB)
+    terms = [(np.zeros_like(cx), vertical_part(cx, cv, Nv))]
+    cx, cv = pair(v.apply(A), h.apply(B))
+    terms.append((cx, -vecmat(cx, Nv)))
+    cx, cv = pair(v.apply(A), fjB)
+    terms.append((np.zeros_like(cx), cx.copy()))
+    c = vertical_part(*pair(h.apply(A), j_tensor(alg.m).apply(B)), Nv)
+    terms.append((c, -vecmat(c, Nv)))
+    return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_berwald_connection_in_two_brackets_keeps_the_four_term_bits(name, request):
+    cfg = load(name, request)
+    alg, N = cfg.algebroid, cfg.connection()
+    ev = alg.sample_evaluator(cfg.sample_points())
+    As = sections(cfg, name)[::3]
+    for A in As:
+        for B in As:
+            for got, want in zip(berwald_connection(alg, N, A, B, ev), reference_berwald(alg, N, A, B, ev)):
+                same(got, want)

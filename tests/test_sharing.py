@@ -493,16 +493,62 @@ def test_repeated_spray_tests_leave_the_evaluator_memos_as_they_are(request, nam
     assert sizes() == first
 
 
+@pytest.mark.parametrize("name", ["driftless", "heisenberg"])
+def test_repeated_curvature_and_berwald_calls_leave_every_memo_as_it_is(request, name):
+    """``curvature_apply`` and ``berwald_connection`` build their applied
+    sections once per system, connection and pair, so nine more calls on
+    one evaluator add no entry to any memo of the evaluator or the system."""
+    cfg = request.getfixturevalue(name)
+    alg, S, N = cfg.algebroid, cfg.semispray(), cfg.connection()
+    ev = alg.sample_evaluator(cfg.sample_points(count=3))
+    A, B = S.section(alg), algmech.prolongation.euler_section(alg)
+
+    def sizes():
+        memos = (ev._derived, ev._arrays, ev._jets, ev._floats, ev._inverses, alg._derived)
+        return [len(m) for m in memos] + [sum(map(len, alg._derivatives.values()))]
+
+    def calls():
+        algmech.connection.curvature_apply(alg, N, A, B, ev)
+        algmech.connection.berwald_connection(alg, N, A, B, ev)
+
+    calls()
+    first = sizes()
+    for _ in range(9):
+        calls()
+    assert sizes() == first
+
+
+def test_a_failing_candidate_is_named_in_candidate_order(tmp_path, capsys):
+    """The candidate-wide sweeps run before the checks, but the first
+    candidate whose check fails is the one named: here a conserved function
+    comes before a section whose bracket would fail first when stacked."""
+    raw = json.loads(fixture_file(tmp_path).read_text())
+    points = algmech.config.parse_config(raw).sample_points()
+    t1, t2 = (float(np.median([p.x[i] for p in points])) for i in (0, 1))
+    raw["candidates"] = [
+        {"kind": "conserved_function", "name": "early", "expr": f"ln(x1 - {t1!r})", "expect": {}},
+        {"kind": "prolongation_section", "name": "late", "x": ["0", "0"], "v": [f"ln(x2 - {t2!r})", "0"],
+         "expect": {}},
+    ]
+    path = tmp_path / "bad-candidates.json"
+    path.write_text(json.dumps(raw))
+    assert main(["symmetry", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "x1" in err and "x2" not in err
+
+
 def test_diag8_report_brackets_against_the_whole_frame_at_once(tmp_path, capsys, monkeypatch):
-    """A frame-wide bracket is one call: the curvature oracle makes m, the
-    Jacobi oracle, -L_S J and each Cartan check one or two; one call per
-    pair made 123 here."""
+    """A frame-wide bracket is one call, and so is every sweep family: the
+    spray test, the Jacobi and curvature oracles, the candidates' [S, .] and
+    [A, frame] and -L_S J one each, so a report makes 6 ``brackets`` calls
+    (``bracket`` is its one-row slice); one call per pair made 123 here, one
+    per left-hand section 15."""
     counts: dict = {}
     for module in (algmech.prolongation, algmech.connection, algmech.symmetry):
-        counting(monkeypatch, module, "bracket", counts)
+        counting(monkeypatch, module, "brackets", counts)
     path = synth.write_system(tmp_path, "diag", 8, 20261018)
     assert main(["report", "--config", str(path), "--format", "md", "--output", str(tmp_path / "r.md")]) == 0
-    assert 0 < counts["bracket"] <= 16
+    assert counts["brackets"] == 6
 
 
 def test_validate_takes_no_dot_for_zero_structure_and_a_constant_anchor(monkeypatch, heisenberg):
@@ -555,9 +601,18 @@ def memo_bits(r) -> bytes:
 def test_frames_over_the_head_equal_a_fresh_evaluators(tmp_path, name):
     """After the sweeps, the frames over ``head(2)`` are a fresh two-point
     evaluator's byte for byte, and so is every memo entry ``head`` hands
-    out: values, jets (a solve's stacked dG too), arrays and inverses."""
+    out: values, jets (a solve's stacked dG too), arrays and inverses.  The
+    head slices an entry of its parent when it is first read, so it holds
+    none until each is read here."""
     cfg, S, N, ev = swept(tmp_path, name)
     head = ev.head(2)
+    for mine, parent in (
+        (head._floats, ev._floats), (head._jets, ev._jets), (head._arrays, ev._arrays), (head._inverses, ev._inverses),
+    ):
+        assert len(mine) == 0
+        for key in list(parent):
+            mine[key]
+        assert mine.keys() == parent.keys()
     fresh = cfg.algebroid.sample_evaluator(ev.points[:2])
     for memo, walk in ((head._floats, fresh.value), (head._jets, fresh.jet)):
         for e, _ in memo.values():
@@ -624,23 +679,33 @@ def test_a_tree_only_the_frames_read_names_its_sample(tmp_path, capsys):
 
 
 def test_symmetry_takes_each_bracket_and_the_jacobi_endomorphism_once(tmp_path, capsys, monkeypatch):
-    """The dynamical and Newtonoid checks read one [S, A] per candidate, and
-    every Lie candidate's invariant form one Jacobi endomorphism."""
-    brackets: Counter = Counter()
+    """One [S, .] call per evaluator covers every prolongation candidate and
+    Lie lift (the dynamical, Newtonoid and Lie checks read its rows), one
+    [A, frame] call every prolongation candidate (the Cartan checks read
+    those), and every Lie candidate's invariant form one Jacobi
+    endomorphism."""
+    calls: list = []
     jacobis: list = []
-    real_bracket, real_jacobi = algmech.symmetry.bracket, algmech.symmetry.jacobi_endomorphism
+    real = algmech.symmetry.bracket, algmech.symmetry.brackets, algmech.symmetry.jacobi_endomorphism
 
     def bracket(alg, A, Bs, ev):
-        brackets[id(A), *map(id, Bs)] += 1
-        return real_bracket(alg, A, Bs, ev)
+        calls.append(("[S, .]", A, Bs))
+        return real[0](alg, A, Bs, ev)
+
+    def brackets(alg, As, Bs, ev):
+        calls.append(("[A, frame]", As, Bs))
+        return real[1](alg, As, Bs, ev)
 
     def jacobi(*args):
         jacobis.append(args)
-        return real_jacobi(*args)
+        return real[2](*args)
 
     monkeypatch.setattr(algmech.symmetry, "bracket", bracket)
+    monkeypatch.setattr(algmech.symmetry, "brackets", brackets)
     monkeypatch.setattr(algmech.symmetry, "jacobi_endomorphism", jacobi)
     path = fixture_file(tmp_path, "driftless")
     assert main(["symmetry", "--config", str(path)]) == 0
-    assert len(brackets) >= 5 and max(brackets.values()) == 1
+    # driftless: three prolongation candidates, two base sections, rank 2
+    assert [(kind, len(right)) for kind, _, right in calls] == [("[S, .]", 5), ("[A, frame]", 4)]
+    assert len(calls[1][1]) == 3 and len({id(B) for B in calls[0][2]}) == 5
     assert len(jacobis) == 1
