@@ -38,8 +38,8 @@ import numpy as np
 
 from . import linalg
 from .errors import EvaluationDomainError, FiberDependenceError
-from .expr import ZERO, Expr, Num, Var, cached_derivative, e_mul, e_sub, e_sum, variables
-from .jets import EvalPoint, SampleEvaluator
+from .expr import ZERO, Expr, Num, Var, cached_derivative, e_add, e_dot, e_sub, variables
+from .jets import EvalPoint, SampleEvaluator, identity_memo
 
 __all__ = ["Algebroid", "BaseSection", "ValidationReport"]
 
@@ -112,20 +112,21 @@ class Algebroid:
         """
         return cached_derivative(e, name, self._derivatives)
 
-    def derivative_along(self, f: Expr, flow: Iterable[tuple[str, Expr]]) -> Expr:
+    def derivative_along(self, f: Expr, flow: Iterable[tuple]) -> Expr:
         """The one tree of a derivative along a field given by (coordinate,
-        velocity) pairs: the sum of velocity * df/dcoordinate in their order,
-        ZERO for a constant ``f`` with no memo entry and no pair read."""
+        velocity factors...) tuples: the sum of velocity * df/dcoordinate in
+        their order, ZERO for a constant ``f`` with no memo entry and no
+        tuple read."""
         if isinstance(f, Num):
             return ZERO
-        return e_sum(e_mul(vel, self.derivative(f, name)) for name, vel in flow)
+        return e_dot((*vel, self.derivative(f, name)) for name, *vel in flow)
 
     @cached_property
     def base_velocity(self) -> tuple[Expr, ...]:
         """The anchored velocity trees xdot^i = sigma_a^i y^a."""
         y = [Var(c) for c in self.fiber_coords]
         return tuple(
-            e_sum(e_mul(y[a], self.anchor[i][a]) for a in range(self.m)) for i in range(self.n)
+            e_dot((y[a], self.anchor[i][a]) for a in range(self.m)) for i in range(self.n)
         )
 
     @cached_property
@@ -139,20 +140,15 @@ class Algebroid:
         """[b][a] = y^e L_eb^a, the structure functions contracted with the fiber."""
         m, y = self.m, [Var(c) for c in self.fiber_coords]
         return tuple(
-            tuple(e_sum(e_mul(y[e], self.structure[e][b][a]) for e in range(m)) for a in range(m))
+            tuple(e_dot((y[e], self.structure[e][b][a]) for e in range(m)) for a in range(m))
             for b in range(m)
         )
 
     def derived(self, build, *args):
-        """``build(self, *args)``, built once per system and per tuple of
-        argument objects (by identity; the entry keeps them alive, so their
-        ids are never reused).  For trees that depend on objects callers keep,
-        such as the semispray, a connection and a tensor."""
-        key = (build, *map(id, args))
-        hit = self._derived.get(key)
-        if hit is None:
-            hit = self._derived[key] = (args, build(self, *args))
-        return hit[1]
+        """``build(self, *args)``, built once per system and tuple of argument
+        objects (:func:`~algmech.jets.identity_memo`): for trees that depend on
+        objects callers keep, such as the semispray, a connection and a tensor."""
+        return identity_memo(self._derived, build, self, args)
 
     def evaluator(self, p: EvalPoint) -> SampleEvaluator:
         """A new evaluator at ``p``, a sample set of one."""
@@ -218,20 +214,20 @@ class Algebroid:
             raise FiberDependenceError("bracket is defined for x-only sections")
         m, n = self.m, self.n
 
-        def flow(t: BaseSection):  # the anchored field of t, pair by pair
-            return ((self.base_coords[i], e_mul(t.components[a], self.anchor[i][a]))
+        def flow(t: BaseSection):  # the anchored field of t: (x^i, t^a, sigma_a^i)
+            return ((self.base_coords[i], t.components[a], self.anchor[i][a])
                     for a in range(m) for i in range(n))
 
         comps = []
         for c in range(m):
-            quad = e_sum(
-                e_mul(e_mul(r.components[a], s.components[b]), self.structure[a][b][c])
+            quad = e_dot(
+                (r.components[a], s.components[b], self.structure[a][b][c])
                 for a in range(m)
                 for b in range(m)
             )
             flow_r = self.derivative_along(s.components[c], flow(r))
             flow_s = self.derivative_along(r.components[c], flow(s))
-            comps.append(e_sum([quad, e_sub(flow_r, flow_s)]))
+            comps.append(e_add(quad, e_sub(flow_r, flow_s)))
         return BaseSection.define(self, comps)
 
     # -- axiom validation ----------------------------------------------------

@@ -57,17 +57,18 @@ from .expr import (
     ZERO,
     Var,
     e_add,
+    e_dot,
     e_mul,
     e_neg,
     e_num,
     e_sub,
-    e_sum,
 )
 from .jets import EvalPoint, SampleEvaluator
 from .prolongation import (
     ExprTensor,
     ProlongationSection,
     Semispray,
+    _values,
     bracket,
     brackets,
     directional_derivative,
@@ -109,7 +110,7 @@ def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
     half, y, r = e_num(0.5), [Var(c) for c in alg.fiber_coords], range(alg.m)
 
     def coeff(a: int, b: int) -> Expr:
-        twist = e_sum(e_mul(y[e], alg.structure[a][e][b]) for e in r)
+        twist = e_dot((y[e], alg.structure[a][e][b]) for e in r)
         return e_mul(half, e_add(e_neg(alg.derivative(S.components[b], y[a].name)), twist))
 
     return Connection(tuple(tuple(coeff(a, b) for b in r) for a in r), canonical=True)
@@ -238,7 +239,7 @@ def v_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
     """The almost complex structure: X_b -> N_b^a delta_a - V_b, V_b -> delta_b."""
     m, r, Nc = alg.m, range(alg.m), N.coeffs
-    nn = [[e_sum(e_mul(Nc[b][a], Nc[a][g]) for a in r) for g in r] for b in r]  # (N N)_b^g
+    nn = [[e_dot((Nc[b][a], Nc[a][g]) for a in r) for g in r] for b in r]  # (N N)_b^g
     vx = tuple(tuple(e_sub(e_neg(nn[b][g]), ONE if b == g else ZERO) for b in r) for g in r)
     return ExprTensor.of_blocks(_transpose(Nc), eye_block(m), vx, _neg_block(_transpose(Nc)))
 
@@ -333,7 +334,7 @@ class CovariantDerivative:
         """nabla of each section of ``sections``: (K, P, m) X and V parts, the
         S(.) of every component one stacked :meth:`_along` call."""
         ev, m = self.ev, self.alg.m
-        x, v = (np.array(c) for c in zip(*(A.values_at(ev) for A in sections)))
+        x, v = _values(sections, ev)
         comps = tuple(c for A in sections for c in A.x_comps + A.v_comps)
         s = self._along(comps).reshape(-1, len(sections), 2 * m).swapaxes(0, 1)
         sx, (sn, ver_coeff), Nv = s[..., :m], self.ver_terms, self.Nv

@@ -63,15 +63,17 @@ class FiberDependenceError(AlgmechError):
 
 class SingularMetricError(AlgmechError):
     """The fiber Hessian of the Lagrangian is (numerically) singular at
-    ``point``, the sample at place ``index`` of the list checked."""
+    ``point``, the sample at place ``index`` of the list checked: its 1-norm
+    reciprocal condition number ``rcond`` is below 1e-10 (0 at a zero pivot)."""
 
-    def __init__(self, point, determinant: float, index: int):
+    def __init__(self, point, determinant: float, index: int, rcond: float):
         super().__init__(
-            f"singular fiber metric at {point} (det = {determinant:.6e})"
+            f"singular fiber metric at {point} (det = {determinant:.6e}, rcond1 = {rcond:.6e})"
         )
         self.point = point
         self.determinant = determinant
         self.index = index
+        self.rcond = rcond
 
 
 class SingularPairingError(AlgmechError):

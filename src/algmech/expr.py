@@ -33,9 +33,13 @@ RK4 loop read it.
 
 Derivative trees apply light constant folding (0/1 absorption) so repeated
 differentiation stays compact; folding never changes the value of any
-expression at any point.  Derivatives are memoised by node identity, so a
-subtree shared in the input is differentiated once and its derivative is
-shared in the output: :func:`differentiate` keeps a memo for one call, and
+expression at any point.  :func:`e_dot` is the one constructor of a sum of
+products (every index contraction of the package): it skips a term with a
+constant-zero factor, 0.0 or -0.0, before building any of it, which for
+terms of two or more factors gives the tree that folding it would.
+Derivatives are memoised by node identity, so a subtree shared in the input
+is differentiated once and its derivative is shared in the output:
+:func:`differentiate` keeps a memo for one call, and
 :func:`cached_derivative` takes a memo that the caller keeps across calls
 (each :class:`~algmech.algebroid.Algebroid` owns one for its system).
 """
@@ -75,6 +79,7 @@ __all__ = [
     "e_neg",
     "e_pow",
     "e_sum",
+    "e_dot",
     "solve",
     "ZERO",
     "ONE",
@@ -431,6 +436,25 @@ def e_sum(terms: Iterable[Expr]) -> Expr:
     return acc
 
 
+def e_dot(terms: Iterable[Sequence[Expr]]) -> Expr:
+    """The sum of products ``t[0] * t[1] * ...`` over the ``terms``, added
+    from ``ZERO`` in order with :func:`e_add`, each multiplied left to right
+    with :func:`e_mul`.  A term with a constant-zero factor (0.0 or -0.0) is
+    skipped unbuilt: for terms of two or more factors, the tree :func:`e_sum`
+    of the products builds, but a lone ``Num(-0.0)`` term is dropped."""
+    acc: Expr = ZERO
+    for factors in terms:
+        for f in factors:
+            if type(f) is Num and f.value == 0.0:
+                break
+        else:
+            p = factors[0]
+            for f in factors[1:]:
+                p = e_mul(p, f)
+            acc = e_add(acc, p)
+    return acc
+
+
 def solve(matrix: tuple[tuple[Expr, ...], ...], rhs: Sequence[Expr]) -> tuple[Expr, ...]:
     """The solution components of ``matrix`` x = ``rhs``, ``matrix`` a tuple
     the caller keeps: zeros for a zero ``rhs``; for a regular matrix of
@@ -442,7 +466,7 @@ def solve(matrix: tuple[tuple[Expr, ...], ...], rhs: Sequence[Expr]) -> tuple[Ex
     if all(type(g) is Num for row in matrix for g in row):
         inv, k = linalg.inverse([[[g.value for g in row] for row in matrix]])
         if k:  # regular
-            return tuple(e_sum(map(e_mul, map(Num, row), rhs)) for row in inv[0].tolist())
+            return tuple(e_dot(zip(map(Num, row), rhs)) for row in inv[0].tolist())
     if all(_is_const(g, 0.0) for i, row in enumerate(matrix) for g in row[:i] + row[i + 1 :]):
         return tuple(e_div(b, row[i]) for i, (row, b) in enumerate(zip(matrix, rhs)))
     return System(matrix, tuple(rhs)).solution
@@ -515,7 +539,7 @@ def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
             r = done[id(n.system)][1][n.index]
         elif t is System:  # G^-1 (db - dG x), x this system's solution
             dG = ([done[id(g)][1] for g in row] for row in n.matrix)
-            dGx = (e_sum(e_mul(d, x) for d, x in zip(ds, n.solution) if d is not ZERO) for ds in dG)
+            dGx = (e_dot(zip(ds, n.solution)) for ds in dG)
             r = solve(n.matrix, [e_sub(done[id(b)][1], d) for b, d in zip(n.rhs, dGx)])
         else:
             r = FUNCTIONS[n.func].rule(n.operand, done[id(n.operand)][1])

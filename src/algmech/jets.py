@@ -189,6 +189,17 @@ def _operand(x: np.ndarray) -> str:
     return repr(float(x.flat[0]))
 
 
+def identity_memo(memo: dict, build, owner, args: tuple):
+    """``build(owner, *args)``, computed once per ``memo``, ``build`` and
+    tuple of argument objects, keyed by their identity: the entry keeps
+    ``args`` alive, so their ids are never reused."""
+    key = (build, *map(id, args))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (args, build(owner, *args))
+    return hit[1]
+
+
 def _read_only(column: np.ndarray) -> np.ndarray:
     """A (P, 1) memo column as the read-only (P,) array handed out."""
     out = column[:, 0]
@@ -317,15 +328,9 @@ class SampleEvaluator:
 
     def derived(self, build, *args):
         """``build(self, *args)``, computed once per evaluator and tuple of
-        argument objects (by identity; the entry keeps them alive, so their
-        ids are never reused), as :meth:`~algmech.algebroid.Algebroid.derived`
-        builds trees once per system: for what callers derive from this
-        evaluator's outputs, such as a tree's anchored gradient."""
-        key = (build, *map(id, args))
-        hit = self._derived.get(key)
-        if hit is None:
-            hit = self._derived[key] = (args, build(self, *args))
-        return hit[1]
+        argument objects (:func:`identity_memo`): for what callers derive from
+        this evaluator's outputs, such as a tree's anchored gradient."""
+        return identity_memo(self._derived, build, self, args)
 
     def head(self, k: int) -> "SampleEvaluator":
         """An evaluator over ``points[:k]`` whose memos of values, jets,
@@ -534,7 +539,8 @@ class SampleEvaluator:
             if k < len(g):
                 if not np.isfinite(g[k]).all():
                     raise not_finite(self.points[k])
-                raise SingularMetricError(self.points[k], float(linalg.det(g[k])), k)
+                det, rcond = float(linalg.det(g[k])), float(1.0 / linalg.cond(g[k], 1))
+                raise SingularMetricError(self.points[k], det, k, rcond)
             s = np.moveaxis(inv, 0, -1)[..., None]
             hit = self._inverses[id(G)] = (G, (s, s.swapaxes(0, 1)))
         return hit[1]

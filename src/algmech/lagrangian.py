@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .algebroid import Algebroid
 from .errors import EvaluationDomainError, IntegrationAbortError, SingularMetricError
-from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
+from .expr import Expr, Var, ZERO, e_dot, e_neg, e_sub, solve
 from .jets import EvalPoint, Lowering, SampleEvaluator
 from .prolongation import ProlongationSection, Semispray, directional_derivative, sode_flow
 
@@ -74,12 +74,7 @@ class Lagrangian:
             tuple(alg.derivative(dy[a], c) for c in alg.fiber_coords)
             for a in range(alg.m)
         )
-        e = e_sub(
-            e_sum(
-                e_mul(Var(alg.fiber_coords[a]), dy[a]) for a in range(alg.m)
-            ),
-            expr,
-        )
+        e = e_sub(e_dot((Var(alg.fiber_coords[a]), dy[a]) for a in range(alg.m)), expr)
         return Lagrangian(alg, expr, dx, dy, dxy, g, e)
 
     @cached_property
@@ -92,12 +87,10 @@ class Lagrangian:
         for a in range(m):
             for b in range(m):
                 mixed = e_sub(
-                    e_sum(e_mul(alg.anchor[i][a], self.dxy[i][b]) for i in range(n)),
-                    e_sum(e_mul(alg.anchor[i][b], self.dxy[i][a]) for i in range(n)),
+                    e_dot((alg.anchor[i][a], self.dxy[i][b]) for i in range(n)),
+                    e_dot((alg.anchor[i][b], self.dxy[i][a]) for i in range(n)),
                 )
-                torsion = e_sum(
-                    e_mul(self.dy[e], alg.structure[a][b][e]) for e in range(m)
-                )
+                torsion = e_dot((self.dy[e], alg.structure[a][b][e]) for e in range(m))
                 c_block[a][b] = e_sub(mixed, torsion)
         W: list[list[Expr]] = [[ZERO] * (2 * m) for _ in range(2 * m)]
         for a in range(m):
@@ -137,17 +130,9 @@ def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
     y = [Var(c) for c in alg.fiber_coords]
     rhs = []  # force - drift - twist, one tree per b, shared by every component
     for b in range(m):
-        force = e_sum(e_mul(alg.anchor[i][b], L.dx[i]) for i in range(n))
-        drift = e_sum(
-            e_mul(e_mul(alg.anchor[i][a], L.dxy[i][b]), y[a])
-            for i in range(n)
-            for a in range(m)
-        )
-        twist = e_sum(
-            e_mul(e_mul(alg.structure[b][a][g], y[a]), L.dy[g])
-            for a in range(m)
-            for g in range(m)
-        )
+        force = e_dot((alg.anchor[i][b], L.dx[i]) for i in range(n))
+        drift = e_dot((alg.anchor[i][a], L.dxy[i][b], y[a]) for i in range(n) for a in range(m))
+        twist = e_dot((alg.structure[b][a][g], y[a], L.dy[g]) for a in range(m) for g in range(m))
         rhs.append(e_sub(e_sub(force, drift), twist))
     return Semispray(solve(L.metric_exprs, rhs))
 

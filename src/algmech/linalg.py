@@ -15,10 +15,11 @@ function is one call on the operands it is given (no copy, no transpose):
   a frame's contracted curvature) are ``np.einsum`` of the subscripts their
   names spell, numpy's own sum-of-products loops, not BLAS.
 * :func:`inverse` is LAPACK's ``dgesv`` (``np.linalg.inv``), with one
-  Newton sweep (``matmul``) where the residual is large, behind a
-  singularity test by ``np.linalg.det`` (``dgetrf``), as is :func:`det`;
-  :func:`cond` is the 2-norm condition number, ``np.linalg.cond``, from
-  singular values (``dgesdd``).
+  Newton sweep (``matmul``) where the residual is large, behind a test of
+  the 1-norm reciprocal condition number, which ``dgecon`` estimates
+  (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 15);
+  :func:`det` is ``np.linalg.det`` (``dgetrf``); :func:`cond` is the 2-norm
+  condition number, ``np.linalg.cond``, from singular values (``dgesdd``).
 
 Every function takes a stack of samples on the leading axes, and a stacked
 call gives each sample slice the bits of the call on that slice alone, on
@@ -58,20 +59,29 @@ e_ebg = partial(np.einsum, "...e,...ebg->...bg")
 det = np.errstate(all="ignore")(np.linalg.det)  # NaN or inf, not a warning
 
 
+def _norm1(g: np.ndarray) -> np.ndarray:
+    return np.abs(g).sum(axis=-2).max(axis=-1)  # the largest column sum
+
+
 @np.errstate(all="ignore")
 def inverse(g) -> tuple[np.ndarray, int]:
     """``(inv, k)`` for a stack of square matrices ``g`` (P, m, m): ``k`` is
     the index of the first one that is not finite or singular (P if none),
-    ``inv`` the inverses before it.  Singular means
-    ``|det(g / max |g_ij|)| < 1e-10``, which cannot underflow or overflow
-    (NaN for a zero or non-finite g); a residual above 1e-12 gets a Newton
-    sweep."""
+    ``inv`` the inverses before it.  Singular means an exact zero pivot
+    (where ``np.linalg.inv`` raises; the sign of ``np.linalg.slogdet``,
+    which cannot underflow, finds each such matrix, made NaN) or rcond =
+    1 / (|g|_1 |g^-1|_1) = 1 / ``cond(g, 1)`` below 1e-10, whatever the rank
+    or the scale of ``g`` (NaN where g is not finite); a residual above
+    1e-12 gets a Newton sweep."""
     g = np.asarray(g, dtype=float)
-    unit_det = np.linalg.det(g / np.max(np.abs(g), axis=(1, 2))[:, None, None])
-    bad = ~(np.abs(unit_det) >= 1e-10)  # the singularity cutoff
+    try:
+        inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:  # an exact zero pivot: NaN there, which inv passes through
+        g = np.where((np.linalg.slogdet(g)[0] == 0.0)[:, None, None], np.nan, g)
+        inv = np.linalg.inv(g)
+    bad = ~(_norm1(g) * _norm1(inv) <= 1e10)  # the singularity cutoff: rcond < 1e-10
     k = int(np.argmax(bad)) if bad.any() else len(g)
-    g, eye = g[:k], np.eye(g.shape[-1])
-    inv = np.linalg.inv(g)
+    g, inv, eye = g[:k], inv[:k], np.eye(g.shape[-1])
     off = np.max(np.abs(matmul(g, inv) - eye), axis=(1, 2), initial=0.0) > 1e-12
     inv[off] = matmul(inv[off], 2.0 * eye - matmul(g[off], inv[off]))
     return inv, k

@@ -51,10 +51,10 @@ from .expr import (
     ONE,
     ZERO,
     Var,
+    e_dot,
     e_mul,
     e_num,
     e_sub,
-    e_sum,
 )
 from .jets import SampleEvaluator
 
@@ -148,7 +148,7 @@ def covariant_slash_exprs(alg: Algebroid, s: BaseSection) -> tuple[tuple[Expr, .
         tuple(
             e_sub(
                 alg.derivative_along(s.components[a], zip(alg.base_coords, column[e])),
-                e_sum(e_mul(alg.structure[b][e][a], s.components[b]) for b in range(m)),
+                e_dot((alg.structure[b][e][a], s.components[b]) for b in range(m)),
             )
             for a in range(m)
         )
@@ -163,7 +163,7 @@ def complete_lift(alg: Algebroid, s: BaseSection) -> ProlongationSection:
         raise ValueError("complete lift requires an x-only section")
     m, y = alg.m, [Var(c) for c in alg.fiber_coords]
     slash = covariant_slash_exprs(alg, s)
-    v_comps = tuple(e_sum(e_mul(slash[e][a], y[e]) for e in range(m)) for a in range(m))
+    v_comps = tuple(e_dot((slash[e][a], y[e]) for e in range(m)) for a in range(m))
     return ProlongationSection(tuple(s.components), v_comps)
 
 
@@ -358,7 +358,7 @@ class ExprTensor:
         """T(A) as trees: each output component sums row entry times input
         component, X-frame inputs first."""
         comps = A.x_comps + A.v_comps
-        image = tuple(e_sum(e_mul(t, c) for t, c in zip(row, comps)) for row in self.rows)
+        image = tuple(e_dot(zip(row, comps)) for row in self.rows)
         return ProlongationSection(image[: self.m], image[self.m :])
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SingularMetricError,
     SingularPairingError,
 )
-from .expr import Expr, Var, ZERO, e_mul, e_neg, e_sub, e_sum, solve
+from .expr import Expr, Var, ZERO, e_add, e_dot, e_mul, e_neg, e_sub, solve
 from .jets import EvalPoint, SampleEvaluator
 from .lagrangian import Lagrangian, cartan_pairing, cartan_pairing_exprs
 from .prolongation import (
@@ -167,12 +167,8 @@ def newtonoid_completion(
     y = [Var(c) for c in alg.fiber_coords]
     v_comps = []
     for a in range(m):
-        lift = e_sum(
-            e_mul(e_mul(y[e], alg.structure[e][b][a]), x_comps[b])
-            for e in range(m)
-            for b in range(m)
-        )
-        v_comps.append(e_sum([sode_derivative_expr(alg, S, x_comps[a]), lift]))
+        lift = e_dot((y[e], alg.structure[e][b][a], x_comps[b]) for e in range(m) for b in range(m))
+        v_comps.append(e_add(sode_derivative_expr(alg, S, x_comps[a]), lift))
     return ProlongationSection(tuple(x_comps), tuple(v_comps))
 
 
@@ -364,7 +360,7 @@ def conserved_from_cartan(
         raise ExactnessWitnessError(
             f"witness fails exactness: max residual {worst:.3e} > tol {tol:.1e}"
         )
-    g_expr = e_sub(f, e_sum(e_mul(L.dy[a], A.x_comps[a]) for a in range(m)))
+    g_expr = e_sub(f, e_dot(zip(L.dy, A.x_comps)))
     return conservation_check(alg, S, g_expr, ev, tol, provenance="from_cartan")
 
 
@@ -390,7 +386,7 @@ def cartan_from_conservation(
     :class:`SingularPairingError` naming the first such sample."""
     m, n = alg.m, alg.n
     df = [alg.derivative(f, c) for c in alg.coords]
-    rhs = [e_neg(e_sum(e_mul(alg.anchor[i][a], df[i]) for i in range(n))) for a in range(m)]
+    rhs = [e_neg(e_dot((alg.anchor[i][a], df[i]) for i in range(n))) for a in range(m)]
     sol = solve(L.pairing_transpose, rhs + [e_neg(df[n + a]) for a in range(m)])
     A = ProlongationSection(sol[:m], sol[m:])
     try:
@@ -416,8 +412,5 @@ def star_product_exprs(
     """f * A = f A + S(f) J(A) for Newtonoid A; preserves the Newtonoid set."""
     sf = sode_derivative_expr(alg, S, f)
     x = tuple(e_mul(f, c) for c in A.x_comps)
-    v = tuple(
-        e_sum([e_mul(f, A.v_comps[a]), e_mul(sf, A.x_comps[a])])
-        for a in range(alg.m)
-    )
+    v = tuple(e_dot(((f, A.v_comps[a]), (sf, A.x_comps[a]))) for a in range(alg.m))
     return ProlongationSection(x, v)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -16,6 +17,9 @@ from algmech.errors import ConfigError
 from algmech.report import emit_json
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
+sys.path.insert(0, str(DOCS.parent / "perfbench"))
+
+import synth  # noqa: E402
 
 
 def fixture_bytes(name: str) -> bytes:
@@ -543,6 +547,31 @@ class TestFiberMetric:
         assert err.startswith("check failed: fiber metric is not finite at (x=[")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def validate_synthetic(self, tmp_path, kind, m, lagrangian=None):
+        raw = synth.system(kind, m, 20261018)
+        raw["lagrangian"] = lagrangian or raw["lagrangian"]
+        path, out = tmp_path / "synth.json", tmp_path / "out.json"
+        path.write_text(json.dumps(raw))
+        code = main(["validate", "--config", str(path), "--output", str(out)])
+        return code, json.loads(out.read_text())["metric"]
+
+    @pytest.mark.parametrize("kind, m", [("diag", 48), ("dense", 48), ("diag", 64), ("dense", 64)])
+    def test_well_conditioned_metric_is_regular_at_every_rank(self, tmp_path, capsys, kind, m):
+        # rcond_1 >= 0.33 (diag) and >= 0.0094 (dense-64), while the
+        # determinants of g / max|g_ij| fall to 1.6e-12 ... 2.0e-18
+        code, metric = self.validate_synthetic(tmp_path, kind, m)
+        assert code == 0 and metric["regular"] is True
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("m", [2, 8, 64])
+    def test_condition_1e13_is_singular_at_every_rank(self, tmp_path, capsys, m):
+        # g = diag(1e13, 1, ..., 1): rcond_1 = 1e-13 at every rank
+        lagrangian = "0.5*(1e13*y1^2" + "".join(f"+y{a}^2" for a in range(2, m + 1)) + ")"
+        code, metric = self.validate_synthetic(tmp_path, "diag", m, lagrangian)
+        assert code == 1 and metric["regular"] is False
+        assert metric["detail"].startswith("singular fiber metric at (x=[")
+        assert metric["detail"].endswith(", rcond1 = 1.000000e-13)")  # the quantity tested
 
     def test_overflowing_lagrangian_is_not_blamed_on_the_metric(self, tmp_path, capsys):
         # the infinite term is linear in x1, so the fiber metric read from its

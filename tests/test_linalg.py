@@ -151,3 +151,24 @@ def test_the_fiber_metric_is_the_inverse_the_solve_reads():
         for j in range(m):
             assert ginv[:, i, j].tobytes() == rows[i][j][:, 0].tobytes()
     assert ginv.tobytes() == linalg.inverse(g)[0].tobytes()
+
+
+@pytest.mark.parametrize("m", [2, 8, 64])
+def test_singular_means_rcond_below_1e10_at_every_rank_and_scale(m):
+    """diag(c, 1, ..., 1) has rcond_1 = 1 / c: regular at c = 1e9 and
+    singular at 1e11 and 1e13, scaled by 1e-150 or 1e150 or not; the first
+    matrix that is singular or not finite is the one named."""
+    def diag(c):
+        g = np.eye(m)
+        g[0, 0] = c
+        return g
+
+    for scale in (1e-150, 1.0, 1e150):
+        g = np.array([diag(1.0), diag(1e9), diag(1e11), diag(1e13)]) * scale
+        inv, k = linalg.inverse(g)
+        assert k == 2 and inv.shape == (2, m, m)
+    assert linalg.inverse(np.array([diag(1e9), diag(1e13)]))[1] == 1
+    exact = np.ones((m, m))  # an exact zero pivot: np.linalg.inv would raise
+    for bad in (exact, diag(np.nan), diag(np.inf)):
+        assert linalg.inverse(np.array([diag(2.0), bad, diag(1e13)]))[1] == 1
+        assert linalg.inverse(np.array([diag(2.0), bad, exact]))[1] == 1
