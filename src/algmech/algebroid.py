@@ -137,8 +137,11 @@ class Algebroid:
 
     @cached_property
     def twisted_structure(self) -> tuple[tuple[Expr, ...], ...]:
-        """[b][a] = y^e L_eb^a, the structure functions contracted with the fiber."""
+        """[b][a] = y^e L_eb^a, the structure functions contracted with the fiber:
+        all ``ZERO``, with no term built, when :attr:`zero_structure` holds."""
         m, y = self.m, [Var(c) for c in self.fiber_coords]
+        if self.zero_structure:
+            return ((ZERO,) * m,) * m
         return tuple(
             tuple(e_dot((y[e], self.structure[e][b][a]) for e in range(m)) for a in range(m))
             for b in range(m)
@@ -240,9 +243,8 @@ class Algebroid:
         structurally zero term.
 
         A domain error, or a residual that is not finite, raises
-        :class:`EvaluationDomainError` naming the first such sample; a term
-        left out keeps the NaN that 0 * inf gives it, so a non-finite anchor
-        entry names the same sample as the full formula.
+        :class:`EvaluationDomainError` naming the first such sample; a sample
+        whose anchor is not finite fails the cyclic sweep.
         """
         if not ev.points:
             raise ValueError("at least one sample point is required")
@@ -265,34 +267,28 @@ class Algebroid:
         residuals over the evaluator's samples: (P, m, m, m), (P, m, m, m, m)
         and (P, m, m, n) arrays, or arrays that broadcast to those shapes.
 
-        A structurally zero term takes no dot product.  A flow term
-        sigma_a^i d_i L_bc^d with a constant structure tree, and a Lie term
-        sigma_a^j d_j sigma_i^b with a constant anchor entry, are 0 * sigma_a:
-        0, or NaN at a sample where anchor column a is not finite, so the
-        sweep still names it.  A product term L_ae^d L_bc^e whose row L_bc^.
+        Every anchored derivative sigma_a(t) is :meth:`_anchor_derivatives`'s,
+        0 for a constant tree.  A product term L_ae^d L_bc^e whose row L_bc^.
         is all ``Num(0)`` is 0 (a sample where L is not finite fails the
-        antisymmetry sweep first), and an rhs term sigma_i^c L_ab^c whose row
-        L_ab^. is, 0 * sigma_i.  Every other term is the
-        :func:`~algmech.linalg.inner` of the views of the full formula, and an
-        exact 0 left out changes no sum but the sign of a zero, which ``abs``
-        removes.
+        antisymmetry sweep first), and so is an rhs term sigma_i^c L_ab^c
+        whose row L_ab^. is; with no such row left, the rhs is left out.
+        Every other term is the :func:`~algmech.linalg.inner` of the views of
+        the full formula, and an exact 0 left out changes no sum but the sign
+        of a zero, which ``abs`` removes.  The cyclic residual is NaN at each
+        sample whose anchor is not finite, so its sweep, which runs before
+        the compatibility sweep, names the first such sample.
         """
         m, n, P = self.m, self.n, len(ev.points)
         sigma = self.anchor_at(ev)
         L = self.structure_at(ev)
         anti = np.abs(L + L.transpose(0, 2, 1, 3))
-        sigma_t = sigma.swapaxes(1, 2)  # [p, a, i] = sigma_i^a
-        # 0 * sigma_a (0 * sigma_i) summed: NaN where that column (row) is not finite
-        lost_a = np.where(np.isfinite(sigma).all(axis=1), 0.0, np.nan)
-        lost_i = np.where(np.isfinite(sigma).all(axis=2), 0.0, np.nan)
         pairs = [row for plane in self.structure for row in plane]  # L_xy^. by (x, y)
         rows = [k for k, row in enumerate(pairs) if any(t != ZERO for t in row)]  # Num(-0.0) == ZERO
         Lrows = L.reshape(P, m * m, m)[:, rows]
 
         # cyclic sum of sigma_a^i dL_{bc}^d/dx^i + L_{a e}^d L_{bc}^e, added in
         # the order (a, b, c), (b, c, a), (c, a, b), flow term before product
-        flow = self._anchor_derivatives(ev, sigma_t, [t for r in pairs for t in r], lost_a, (m, m, m))
-        terms = [flow]
+        terms = [self._anchor_derivatives(ev, [t for r in pairs for t in r], (m, m, m))]
         if rows:  # [p, a, (b, c), d], 0 where L_bc^. is
             prod = np.zeros((P, m, m * m, m))
             prod[:, :, rows] = linalg.inner(L.transpose(0, 1, 3, 2)[:, :, None], Lrows[:, None, :, None])
@@ -301,36 +297,28 @@ class Algebroid:
         cyc = np.zeros(np.broadcast_shapes(*(t.shape for t in terms)))
         for t in terms:
             cyc += t
+        cyc[~np.isfinite(sigma).all(axis=(1, 2))] = np.nan
 
         # anchor compatibility with the bracket: lie[p, a, b, i] = sigma_a(sigma_i^b)
-        column_trees = [self.anchor[i][b] for b in range(m) for i in range(n)]
-        lie = self._anchor_derivatives(ev, sigma_t, column_trees, lost_a, (m, n))
-        values = linalg.inner(sigma[:, :, None], Lrows[:, None]) if rows else None
-        rhs = _with_lost(lost_i, rows, values, (m, m))  # [p, i, a, b]
-        compat = np.abs(lie - lie.transpose(0, 2, 1, 3) - np.moveaxis(rhs, 1, -1))
-        return anti, np.abs(cyc, out=cyc), compat
+        lie = self._anchor_derivatives(ev, [self.anchor[i][b] for b in range(m) for i in range(n)], (m, n))
+        compat = lie - lie.transpose(0, 2, 1, 3)
+        if rows:  # rhs[p, i, (a, b)] = sigma_i^c L_ab^c, 0 where L_ab^. is
+            rhs = np.zeros((P, n, m * m))
+            rhs[..., rows] = linalg.inner(sigma[:, :, None], Lrows[:, None])
+            compat = compat - np.moveaxis(rhs.reshape(P, n, m, m), 1, -1)
+        return anti, np.abs(cyc, out=cyc), np.abs(compat)
 
-    def _anchor_derivatives(self, ev, sigma_t, trees: list, lost, shape: tuple) -> np.ndarray:
-        """sigma_a^i d_i t for each column a of the anchor and each tree t of
-        ``trees``, laid out as (P, m, *shape); ``lost`` where t is a constant."""
-        live = [k for k, t in enumerate(trees) if not isinstance(t, Num)]
-        values = None
-        if live:
-            grads = np.array([ev.jet(trees[k]).grad[:, : self.n] for k in live])  # (C, P, n)
-            values = linalg.inner(sigma_t[:, :, None], np.moveaxis(grads, 0, 1)[:, None])
-        return _with_lost(lost, live, values, shape)
-
-
-def _with_lost(lost: np.ndarray, live: list, values, shape: tuple) -> np.ndarray:
-    """``lost``'s axes followed by ``shape``: ``values`` at the flat
-    positions ``live``, ``lost`` (a left-out term's 0 or NaN) at the others;
-    ``lost`` with axes of length 1 if nothing is live."""
-    if not live:
-        return lost.reshape(*lost.shape, *(1 for _ in shape))
-    out = np.empty((*lost.shape, int(np.prod(shape))))
-    out[...] = lost[..., None]
-    out[..., live] = values
-    return out.reshape(*lost.shape, *shape)
+    def _anchor_derivatives(self, ev: SampleEvaluator, trees: list, shape: tuple) -> np.ndarray:
+        """sigma_a(t) for each column a of the anchor and each tree t of
+        ``trees``, laid out as (P, m, *shape): :meth:`anchored_gradient`'s
+        x-part for a tree that is not constant, 0 for one that is; a 0 with
+        axes of length 1 for ``shape`` if every tree is constant."""
+        P, live = len(ev.points), [k for k, t in enumerate(trees) if not isinstance(t, Num)]
+        if not live:
+            return np.zeros((P, self.m, *(1 for _ in shape)))
+        out = np.zeros((P, self.m, len(trees)))
+        out[..., live] = np.stack([self.anchored_gradient(ev, trees[k])[0] for k in live], axis=-1)
+        return out.reshape(P, self.m, *shape)
 
 
 def _anchored_gradient(ev: SampleEvaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:

@@ -41,9 +41,7 @@ derivative of a tensor one stacked product.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -191,7 +189,7 @@ def jacobi_endomorphism(alg: Algebroid, S: Semispray, N: Connection, ev: SampleE
     formula, one term at a time for every (b, g) at once.
     """
     m = alg.m
-    nabla = CovariantDerivative.of(alg, S, N, ev)
+    nabla = CovariantDerivative(alg, S, N, ev)
     Nv, y, L = nabla.Nv, nabla.y, alg.structure_at(ev)
     # [..., b, g] = delta_b(S^g), and S(N_b^g) as nabla takes it
     dS = np.moveaxis(_berwald_derivatives(alg, N, S.components, ev), 0, -1)
@@ -249,6 +247,15 @@ def f_tensor(alg: Algebroid, N: Connection) -> ExprTensor:
 # ---------------------------------------------------------------------------
 
 
+def _kept(f):
+    """A property computed on first read and kept in the object's ``terms``."""
+    def get(self):
+        if f.__name__ not in self.terms:
+            self.terms[f.__name__] = f(self)
+        return self.terms[f.__name__]
+    return property(get, doc=f.__doc__)
+
+
 class CovariantDerivative:
     """The dynamical covariant derivative over the evaluator's samples, with
     the sample axis first: ``nabla(sections)`` gives, for each section
@@ -263,23 +270,23 @@ class CovariantDerivative:
     and each product :func:`~algmech.linalg.vecmat`.
 
     nabla applied twice (:meth:`twice`) is numeric too.  The per-point terms
-    (S(N) and the coefficients, each S(coefficient) only where read) are
-    taken once per object: :meth:`of` keeps one per evaluator, system, field
-    and connection."""
+    (N + yL, S(N) and each S(coefficient), only where read) are taken once
+    per evaluator, system, field and connection: every object over the
+    evaluator keeps them in the one dict of ``terms`` that the evaluator's
+    memo holds for those (:meth:`~algmech.jets.SampleEvaluator.derived`).
+    That dict holds no evaluator, and an object holds its evaluator, so an
+    object works for as long as its caller holds it, with no cycle."""
 
     def __init__(self, alg: Algebroid, S: Semispray, N: Connection, ev):
         self.alg, self.S, self.N, self.ev = alg, S, N, ev
-        self.Nv = N.at(ev)
-        self.y = np.asarray(ev.values)[..., alg.n :]
+        self.terms = ev.derived(_terms, alg, S, N)
+        self.Nv, self.y = N.at(ev), np.asarray(ev.values)[..., alg.n :]
         self.s = ev.values_of(S.components)
-        L, y = alg.structure_at(ev), self.y
-        self.hor_coeff = self.Nv + sum(y[..., e, None, None] * L[..., e, :, :] for e in range(alg.m))
 
-    @staticmethod
-    def of(alg: Algebroid, S: Semispray, N: Connection, ev) -> "CovariantDerivative":
-        """The one object of the evaluator, system, field and connection
-        (:meth:`~algmech.jets.SampleEvaluator.derived`)."""
-        return ev.derived(_covariant_derivative, alg, S, N)
+    @_kept
+    def hor_coeff(self) -> np.ndarray:
+        """(N + yL)[b][a] = N_b^a + y^e L_eb^a, the horizontal coefficient."""
+        return self.Nv + self.ev.array(self.alg.twisted_structure)
 
     def _along(self, comps: Sequence[Expr]) -> np.ndarray:
         """S(c) for each tree c of ``comps``, stacked on the last axis."""
@@ -289,18 +296,18 @@ class CovariantDerivative:
         """S(.) of an m-by-m matrix of trees, one :meth:`_along` call: (P, m, m)."""
         return self._along([c for row in rows for c in row]).reshape(-1, self.alg.m, self.alg.m)
 
-    @cached_property
+    @_kept
     def ver_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """S(N)[a][b] = S(N_a^b), and the vertical coefficient N + dS/dy."""
         dS = np.stack([self.ev.jet(c).grad[..., self.alg.n :] for c in self.S.components], -1)
         return self._along_rows(self.N.coeffs), self.Nv + dS
 
-    @cached_property
+    @_kept
     def hor_along(self) -> np.ndarray:
         """S(N + yL)[b][a], the horizontal coefficient differentiated along S."""
         return self.ver_terms[0] + self._along_rows(self.alg.twisted_structure)
 
-    @cached_property
+    @_kept
     def ver_along(self) -> np.ndarray:
         """S(N + dS/dy)[b][a], the vertical coefficient differentiated along S."""
         alg, comps = self.alg, self.S.components
@@ -339,14 +346,13 @@ class CovariantDerivative:
         s = self._along(comps).reshape(-1, len(sections), 2 * m).swapaxes(0, 1)
         sx, (sn, ver_coeff), Nv = s[..., :m], self.ver_terms, self.Nv
         hor = sx + linalg.vecmat(x, self.hor_coeff)
-        w = v + linalg.vecmat(x, Nv)
+        w = _vertical_part(x, v, Nv)
         ver = s[..., m:] + linalg.vecmat(x, sn) + linalg.vecmat(sx, Nv) - linalg.vecmat(w, ver_coeff)
         return hor, ver - linalg.vecmat(hor, Nv)
 
 
-def _covariant_derivative(ev, alg: Algebroid, S: Semispray, N: Connection) -> CovariantDerivative:
-    # held by the evaluator's memo, it holds the evaluator weakly: no cycle
-    return CovariantDerivative(alg, S, N, weakref.proxy(ev))
+def _terms(ev, alg: Algebroid, S: Semispray, N: Connection) -> dict:
+    return {}
 
 
 def nabla_tensor(
@@ -356,7 +362,7 @@ def nabla_tensor(
     (2m, 2m) matrix (per sample over a batch), through one call of the one
     :class:`CovariantDerivative` at the evaluator, on T's frame images and
     the frame: no tree is built."""
-    return frame_derivation(T, ev, CovariantDerivative.of(alg, S, N, ev))
+    return frame_derivation(T, ev, CovariantDerivative(alg, S, N, ev))
 
 
 # ---------------------------------------------------------------------------

@@ -389,8 +389,8 @@ class SampleEvaluator:
                             r = _ELEMENTWISE["exp"].f(b * _ELEMENTWISE["ln"].f(a))
                         else:
                             r = _power(a, b, k, self._one)
-                    except _MATH_ERRORS as err:
-                        raise _domain_error("power", f"base {_operand(a)}", n, err) from err
+                    except _MATH_ERRORS as err:  # past the domain checks: an overflow
+                        raise EvaluationDomainError(f"power overflows at base {_operand(a)}", n) from err
             elif t is Num:
                 r = n.value * self._one
             elif t is Var:
@@ -437,10 +437,9 @@ class SampleEvaluator:
                             raise EvaluationDomainError("division by zero", n)
                         try:
                             r = a / b
-                        except _MATH_ERRORS as err:
-                            raise _domain_error(
-                                "division", f"divisor {_operand(b.value)}", n, err
-                            ) from err
+                        except _MATH_ERRORS as err:  # past the zero check: b^2 underflows
+                            what = f"division overflows at divisor {_operand(b.value)}"
+                            raise EvaluationDomainError(what, n) from err
             elif t is Num:
                 r = self._seed(n.value * self._one, None)
             elif t is Var:
@@ -491,8 +490,8 @@ class SampleEvaluator:
             u = b * a.chain(ln.f(v), ln.d1(v))
             f0 = exp.f(u.value)
             return u.chain(f0, f0)
-        except _MATH_ERRORS as err:
-            raise _domain_error("power", f"base {_operand(v)}", e, err) from err
+        except _MATH_ERRORS as err:  # past the domain checks: an overflow
+            raise EvaluationDomainError(f"power overflows at base {_operand(v)}", e) from err
 
     def _exponent(self, e: BinOp, base: np.ndarray) -> int | None:
         """The integer exponent of ``e`` (None: a real power), its base

@@ -22,6 +22,7 @@ from .algebroid import Algebroid, BaseSection, sweep_max
 from .connection import (
     Connection,
     CovariantDerivative,
+    _vertical_part,
     canonical_connection,
     jacobi_endomorphism,
 )
@@ -184,8 +185,8 @@ def newtonoid_check(
     (bx, _), = _rows(ev, _sode_brackets, (alg, S), (A,))
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
-    vert = av + linalg.vecmat(ax, N.at(ev))  # v(A) fiber components
-    jx = CovariantDerivative.of(alg, S, N, ev).horizontal(A.x_comps)  # J(nabla A): the frame part
+    vert = _vertical_part(ax, av, N.at(ev))  # v(A) fiber components
+    jx = CovariantDerivative(alg, S, N, ev).horizontal(A.x_comps)  # J(nabla A): the frame part
     projection = sweep_max("newtonoid projection", ev, np.abs(vert - jx))
     return _verdict("newtonoid", ev, bx, worst, tol, bracket=worst, projection=projection)
 
@@ -206,7 +207,7 @@ def invariant_equation_residual(
 def _invariant_form(alg, S, N, ev, comps, along, vertical: bool) -> np.ndarray:
     """nabla^2 c + R^T c on the horizontal or vertical frame, given the trees
     ``along`` = S(c) (:meth:`~algmech.connection.CovariantDerivative.twice`)."""
-    second = CovariantDerivative.of(alg, S, N, ev).twice(comps, along, vertical)
+    second = CovariantDerivative(alg, S, N, ev).twice(comps, along, vertical)
     R = ev.derived(_jacobi, alg, S, N)
     return second + linalg.matvec(np.swapaxes(R, -1, -2), ev.values_of(comps))
 
@@ -264,16 +265,16 @@ def _lie_pde(alg: Algebroid, S: Semispray, Xt: BaseSection, slash, ev: SampleEva
         y^al y^e sigma_al(slash[e][b]) - Xt^a sigma_a(S^b) + S^a slash[a][b]
         - y^e slash[e][a] dS^b/dy^a,
 
-    every sum in the order of its indices, every b at once; sigma_a(f) is an
-    :func:`~algmech.linalg.inner` of anchor column a with d_x f."""
-    m, n = alg.m, alg.n
+    every sum in the order of its indices, every b at once; sigma_a(f) is
+    :meth:`~algmech.algebroid.Algebroid.anchored_gradient`'s, stacked by
+    :meth:`~algmech.algebroid.Algebroid._anchor_derivatives`."""
+    m, n, P = alg.m, alg.n, len(ev.points)
     y, s_vals, xt_vals = ev.values[:, n:], ev.values_of(S.components), ev.values_of(Xt.components)
-    sigma_t = alg.anchor_at(ev).swapaxes(1, 2)  # [p, a, i] = sigma_i^a, a strided view
     slash_vals = ev.array(slash)
     g_xt, g_s = (np.stack([ev.jet(c).grad for c in cs], axis=1) for cs in (Xt.components, S.components))
-    g_slash = np.array([[ev.jet(t).grad[:, :n] for t in row] for row in slash]).transpose(2, 0, 1, 3)
-    d_slash = linalg.inner(sigma_t[:, :, None, None], g_slash[:, None])  # [p, al, e, b]
-    d_s = linalg.inner(sigma_t[:, :, None], g_s[:, None, :, :n])  # [p, a, b] = sigma_a(S^b)
+    d_slash = alg._anchor_derivatives(ev, [t for row in slash for t in row], (m, m))
+    d_slash = np.broadcast_to(d_slash, (P, m, m, m))  # [p, al, e, b] = sigma_al(slash[e][b])
+    d_s = alg._anchor_derivatives(ev, S.components, (m,))  # [p, a, b] = sigma_a(S^b)
     pde1 = sum(s_vals[:, a, None] * g_xt[:, :, n + a] for a in range(m))
     term1 = sum(y[:, al, None] * y[:, e, None] * d_slash[:, al, e] for al in range(m) for e in range(m))
     term2 = sum(xt_vals[:, a, None] * d_s[:, a] for a in range(m))

@@ -1,12 +1,21 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from algmech.algebroid import Algebroid, BaseSection
+from algmech.config import parse_config
 from algmech.errors import FiberDependenceError
-from algmech.expr import ZERO, e_neg, parse_expression
+from algmech.expr import ZERO, Num, e_neg, parse_expression
 from algmech.jets import EvalPoint
 from algmech.prolongation import complete_lift, vertical_lift
 from algmech.sampling import DEFAULT_BASE_BOX, DEFAULT_FIBER_BOX, SplitMix64, sample_points
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import synth  # noqa: E402
 
 
 def expr(cfg, src):
@@ -86,11 +95,12 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "n,cyclic,compatibility",
-        [(2, 31.956393456450883, 44.99799731614849), (4, 48.74251985367074, 95.64180371696402)],
+        [(2, 31.956393456450883, 44.99799731614849), (4, 48.742519853670736, 95.64180371696402)],
     )
     def test_non_algebroid_residuals_are_pinned(self, n, cyclic, compatibility):
         # x-dependent anchor and structure satisfying neither structure
-        # equation; the residuals are those of one np.dot per index tuple,
+        # equation; each sigma_a(t) is the one vecmat of Algebroid.anchored
+        # per tree, and every other product one np.dot per index tuple,
         # which einsum's order of addition misses in the last bit here
         m = 3
         base, fiber = tuple(f"x{i + 1}" for i in range(n)), ("u1", "u2", "u3")
@@ -111,6 +121,39 @@ class TestValidation:
         assert rep.antisymmetry == 0.0
         assert rep.cyclic == cyclic
         assert rep.compatibility == compatibility
+
+    def test_anchor_derivatives_are_the_anchored_gradients(self, driftless, monkeypatch):
+        # validation reads sigma_a(t) from Algebroid.anchored_gradient, so the
+        # evaluator keeps it for each anchor entry that is not constant
+        alg = driftless.algebroid
+        ev = alg.sample_evaluator(driftless.sample_points())
+        alg.validate(ev, tol=1e-9)
+        anchored, real = [], Algebroid.anchored
+        monkeypatch.setattr(Algebroid, "anchored", lambda *args: anchored.append(args) or real(*args))
+        trees = [t for row in alg.anchor for t in row]
+        got = alg._anchor_derivatives(ev, trees, (len(trees),))
+        assert anchored == [] and any(not isinstance(t, Num) for t in trees)
+        for k, t in enumerate(trees):
+            want = np.zeros_like(got[..., k]) if isinstance(t, Num) else alg.anchored_gradient(ev, t)[0]
+            assert got[..., k].tobytes() == want.tobytes()
+        assert anchored == []
+        assert alg._anchor_derivatives(ev, [Num(2.0)] * 3, (3,)).shape == (len(ev.points), alg.m, 1)
+
+    @pytest.mark.parametrize("kind", ["diag", "dense"])
+    def test_rank_32_validation_stays_within_10_mb(self, kind):
+        # a term whose trees are all constant is a 0 that broadcasts: one
+        # (P, m, m^3) array would be 84 MB here
+        cfg = parse_config(synth.system(kind, 32, 20261018))
+        alg = cfg.algebroid
+        ev = alg.sample_evaluator(cfg.sample_points())
+        assert len(ev.points) == 10
+        tracemalloc.start()
+        try:
+            assert alg.validate(ev, tol=1e-9).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, f"validate's peak is {peak / 1e6:.1f} MB"
 
     def test_domain_error_names_the_sample_point(self, abelian):
         alg = abelian.algebroid

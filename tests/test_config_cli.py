@@ -746,6 +746,18 @@ class TestIntegrateCommand:
             f"wrote the 0 finite rows before it to {out}\n"
         )
 
+    def test_power_overflow_is_named_an_overflow(self, tmp_path, capsys):
+        # x^-2 at x = 1e-200: x^2 underflows to 0, so its reciprocal overflows
+        cfg = tmp_path / "power.json"
+        cfg.write_text(json.dumps(line_system("0.5*y^2*x^-2")))
+        out = tmp_path / "traj.csv"
+        argv = ["integrate", "--config", str(cfg), "--x0=1e-200", "--y0=1", "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "integration aborted: power overflows at base 1e-200 in 'x^-2.0' at (x=[1e-200], y=[1.0]); "
+            f"wrote the 0 finite rows before it to {out}\n"
+        )
+
     def test_matmul_overflow_aborts_in_one_line(self, tmp_path, capsys):
         # sigma y overflows in the first step: one abort line, no numpy warning
         out = tmp_path / "traj.csv"

@@ -103,7 +103,7 @@ def reference_frame_derivation(T, ev, D):
 def reference_nabla(alg, S, N, ev, A):
     """nabla of one section, S(.) of its X and V components one directional
     derivative each."""
-    nabla = CovariantDerivative.of(alg, S, N, ev)
+    nabla = CovariantDerivative(alg, S, N, ev)
     x, v = A.values_at(ev)
     sx = directional_derivative(alg, ev, nabla.y, nabla.s, A.x_comps)
     sv = directional_derivative(alg, ev, nabla.y, nabla.s, A.v_comps)

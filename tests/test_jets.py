@@ -93,7 +93,8 @@ class TestJetValues:
             ("exp(x1)", 1000.0, "exp overflows at 1000.0"),
             ("sin(x1*x1)", 1e200, "sin is undefined at inf"),
             ("x1^2.5", 1e300, "power overflows at base 1e+300"),
-            ("(1e-200*x1)^-2.0", 1.0, "power is undefined at base 1e-200"),
+            ("(1e-200*x1)^-2.0", 1.0, "power overflows at base 1e-200"),
+            ("x1^-400.0", -0.146, "power overflows at base -0.146"),
         ],
     )
     def test_math_errors_name_the_function_and_its_argument(self, src, x1, says):
@@ -117,6 +118,16 @@ class TestJetValues:
         assert ev.value(tree)[0] == 1e110
         assert ev.jet(tree).value[0] == 1e110
         assert np.isfinite(ev.jet(tree).grad).all()
+
+    def test_jet_division_whose_derivative_overflows(self):
+        # 1/x1 = 1e170 is defined, but its derivative -1/x1^2 = -1e340
+        # overflows, where x1^2 underflows: the jet names an overflow
+        tree = parse_expression("1/x1", COORDS)
+        ev = one_point(COORDS, [1e-170, 0.0, 0.0, 0.0])
+        assert ev.value(tree)[0] == 1e170
+        with pytest.raises(EvaluationDomainError) as exc:
+            ev.jet(tree)
+        assert str(exc.value) == f"division overflows at divisor 1e-170 in '1.0/x1' at {ev.points[0]}"
 
     def test_jet_of_a_negative_power_of_a_tiny_base(self):
         # (1e-100)^-2 = 1e200, and its derivative -2e100 is finite, though

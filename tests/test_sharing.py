@@ -7,9 +7,11 @@ values.
 """
 
 import dataclasses
+import gc
 import json
 import math
 import sys
+import weakref
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -27,7 +29,7 @@ import algmech.report
 import algmech.symmetry
 from algmech.cli import main
 from algmech.report import build_report, emit_json
-from algmech.connection import f_tensor, geometry_frames, nabla_tensor
+from algmech.connection import CovariantDerivative, f_tensor, geometry_frames, nabla_tensor
 from algmech.expr import (
     ZERO, BinOp, Call, Neg, Num, Solve, System, Var, differentiate, e_mul, parse_expression, postorder,
 )
@@ -247,11 +249,13 @@ def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypa
 
 def test_nabla_builds_no_node(heisenberg, monkeypatch):
     """Once T's frame images exist, nabla_tensor builds no node, at a first
-    point as at a second, and neither does newtonoid_check's projection."""
+    point as at a second, and neither does newtonoid_check's projection
+    (the y^e L_eb^a trees nabla reads are built once per system, here
+    before counting)."""
     alg = heisenberg.algebroid
     S, N = heisenberg.semispray(), heisenberg.connection()
     T = f_tensor(alg, N)
-    T.frame_images, S.section(alg)  # noqa: B018 - built before counting
+    T.frame_images, S.section(alg), alg.twisted_structure  # noqa: B018 - built before counting
     A = next(c.section for c in heisenberg.candidates if c.kind == "prolongation_section")
     p, q = heisenberg.sample_points(count=2)
     built = count_built_nodes(monkeypatch)
@@ -266,19 +270,61 @@ def test_nabla_builds_no_node(heisenberg, monkeypatch):
 
 def test_report_takes_one_covariant_derivative_per_sample_evaluator(tmp_path, capsys, monkeypatch):
     """The Jacobi endomorphism, nabla J, the Newtonoid projection and both
-    invariant forms share the one CovariantDerivative of their evaluator:
-    a report makes two, one per sample evaluator."""
+    invariant forms share the one set of CovariantDerivative terms of their
+    evaluator: a report keeps two, one per sample evaluator."""
     made = []
-    real = algmech.connection.CovariantDerivative.__init__
+    real = algmech.connection._terms
 
-    def recording(self, alg, S, N, ev):
+    def recording(ev, alg, S, N):
         made.append(ev)
-        real(self, alg, S, N, ev)
+        return real(ev, alg, S, N)
 
-    monkeypatch.setattr(algmech.connection.CovariantDerivative, "__init__", recording)
+    monkeypatch.setattr(algmech.connection, "_terms", recording)
     path = fixture_file(tmp_path, "heisenberg")
     assert main(["report", "--config", str(path), "--output", str(tmp_path / "r.json")]) == 0
-    assert len(made) == 2
+    assert len(made) == 2 and made[0] is not made[1]
+
+
+def test_covariant_derivative_over_an_evaluator_no_one_else_holds(heisenberg):
+    """A CovariantDerivative holds its evaluator: over one its caller does
+    not keep, it gives the bits of one over a kept evaluator."""
+    alg, S, N = heisenberg.algebroid, heisenberg.semispray(), heisenberg.connection()
+    points = heisenberg.sample_points()
+    got = CovariantDerivative(alg, S, N, alg.sample_evaluator(points)).horizontal(S.components)
+    kept = alg.sample_evaluator(points)
+    assert got.tobytes() == CovariantDerivative(alg, S, N, kept).horizontal(S.components).tobytes()
+
+
+def test_covariant_derivative_terms_are_taken_once_per_evaluator(heisenberg):
+    """S(N) is taken once per evaluator, system, field and connection,
+    however many objects read it."""
+    alg, S, N = heisenberg.algebroid, heisenberg.semispray(), heisenberg.connection()
+    ev = alg.sample_evaluator(heisenberg.sample_points())
+    SN = CovariantDerivative(alg, S, N, ev).ver_terms[0]
+    assert all(CovariantDerivative(alg, S, N, ev).ver_terms[0] is SN for _ in range(3))
+    other = alg.sample_evaluator(heisenberg.sample_points())
+    assert CovariantDerivative(alg, S, N, other).ver_terms[0] is not SN
+
+
+def test_checks_leave_no_cycle_through_the_evaluator(heisenberg):
+    """With the cycle collector off, dropping the evaluator and what the
+    checks returned frees it: its memo holds nothing that holds it."""
+    alg, S, N = heisenberg.algebroid, heisenberg.semispray(), heisenberg.connection()
+    Xt = next(c.base for c in heisenberg.candidates if c.kind == "base_section")
+    A = next(c.section for c in heisenberg.candidates if c.kind == "prolongation_section")
+    gc.disable()
+    try:
+        ev = alg.sample_evaluator(heisenberg.sample_points())
+        out = [
+            lie_symmetry_check(alg, S, Xt, ev, 1e-9, N),
+            newtonoid_check(alg, S, A, ev, 1e-9, N),
+            CovariantDerivative(alg, S, N, ev).ver_terms,
+        ]
+        gone = weakref.ref(ev)
+        del ev, out
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("check", ["lie", "invariant"])
