@@ -54,7 +54,7 @@ class BaseSection:
     @staticmethod
     def define(alg: "Algebroid", components: Sequence[Expr]) -> "BaseSection":
         fiber = set(alg.fiber_coords)
-        used = frozenset().union(*(variables(c) for c in components)) if components else frozenset()
+        used = frozenset().union(*(variables(c, alg._supports) for c in components))
         return BaseSection(tuple(components), x_only=not (used & fiber))
 
 
@@ -83,10 +83,11 @@ class Algebroid:
     fiber_coords: tuple[str, ...]
     anchor: tuple[tuple[Expr, ...], ...]  # [i][a], entries in x only
     structure: tuple[tuple[tuple[Expr, ...], ...], ...]  # [a][b][c], in x only
-    # derivative memo: name -> {id(node): (node, derivative)}, see derivative()
+    # derivative memo: name -> {id(node): (node, derivative)}, and support memo, see derivative()
     _derivatives: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _supports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # derived-tree memo: (build, id(arg), ...) -> (args, trees), see derived()
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -108,9 +109,9 @@ class Algebroid:
         Every derived-tree constructor goes through here, so a tree that two
         constructors differentiate (say S, for the connection and for the
         covariant derivative) is differentiated once and its derivative is
-        one shared subtree.
+        one shared subtree, walked only where it contains ``name``.
         """
-        return cached_derivative(e, name, self._derivatives)
+        return cached_derivative(e, name, self._derivatives, self._supports)
 
     def derivative_along(self, f: Expr, flow: Iterable[tuple]) -> Expr:
         """The one tree of a derivative along a field given by (coordinate,
@@ -135,15 +136,18 @@ class Algebroid:
         trees = (t for plane in self.structure for row in plane for t in row)
         return all(type(t) is Num and t.value == 0.0 for t in trees)
 
+    def structure_dot(self, terms: Iterable[Sequence[Expr]]) -> Expr:
+        """:func:`~algmech.expr.e_dot` of ``terms`` that each have a structure
+        factor: ``ZERO``, no term read, when :attr:`zero_structure` holds."""
+        return ZERO if self.zero_structure else e_dot(terms)
+
     @cached_property
     def twisted_structure(self) -> tuple[tuple[Expr, ...], ...]:
         """[b][a] = y^e L_eb^a, the structure functions contracted with the fiber:
-        all ``ZERO``, with no term built, when :attr:`zero_structure` holds."""
+        all ``ZERO`` (:meth:`structure_dot`) when :attr:`zero_structure` holds."""
         m, y = self.m, [Var(c) for c in self.fiber_coords]
-        if self.zero_structure:
-            return ((ZERO,) * m,) * m
         return tuple(
-            tuple(e_dot((y[e], self.structure[e][b][a]) for e in range(m)) for a in range(m))
+            tuple(self.structure_dot((y[e], self.structure[e][b][a]) for e in range(m)) for a in range(m))
             for b in range(m)
         )
 
@@ -183,17 +187,21 @@ class Algebroid:
         coordinates, (P, m) with the sample axis first."""
         return linalg.vecmat(g[..., : self.n], self.anchor_at(ev))
 
+    def anchored_gradients(self, ev: SampleEvaluator, trees: Sequence[Expr]) -> list[tuple]:
+        """``(sigma^T d_x f, d_y f)``, the anchored x- and fiber parts of the
+        gradient of each tree f of ``trees``, kept per evaluator, system and tree
+        (:meth:`~algmech.jets.SampleEvaluator.rows`, one product for the trees
+        not seen yet); every directional and horizontal derivative reads them."""
+        return ev.rows(_anchored_gradients, (self,), trees)
+
     def anchored_gradient(self, ev: SampleEvaluator, f: Expr) -> tuple[np.ndarray, np.ndarray]:
-        """``(sigma^T d_x f, d_y f)``: the anchored x-part and the fiber part
-        of the gradient of ``f``, taken once per evaluator, system and tree
-        (:meth:`~algmech.jets.SampleEvaluator.derived`); every directional and
-        horizontal derivative of a tree reads them."""
-        return ev.derived(_anchored_gradient, self, f)
+        """:meth:`anchored_gradients` of the one tree ``f``."""
+        return self.anchored_gradients(ev, (f,))[0]
 
     # -- base calculus -----------------------------------------------------
 
     def _require_x_only(self, f: Expr, what: str) -> None:
-        bad = variables(f) & set(self.fiber_coords)
+        bad = variables(f, self._supports) & set(self.fiber_coords)
         if bad:
             raise FiberDependenceError(
                 f"{what} depends on fiber coordinates {sorted(bad)}"
@@ -223,7 +231,7 @@ class Algebroid:
 
         comps = []
         for c in range(m):
-            quad = e_dot(
+            quad = self.structure_dot(
                 (r.components[a], s.components[b], self.structure[a][b][c])
                 for a in range(m)
                 for b in range(m)
@@ -282,7 +290,7 @@ class Algebroid:
         sigma = self.anchor_at(ev)
         L = self.structure_at(ev)
         anti = np.abs(L + L.transpose(0, 2, 1, 3))
-        pairs = [row for plane in self.structure for row in plane]  # L_xy^. by (x, y)
+        pairs = () if self.zero_structure else [row for plane in self.structure for row in plane]  # L_xy^.
         rows = [k for k, row in enumerate(pairs) if any(t != ZERO for t in row)]  # Num(-0.0) == ZERO
         Lrows = L.reshape(P, m * m, m)[:, rows]
 
@@ -310,20 +318,20 @@ class Algebroid:
 
     def _anchor_derivatives(self, ev: SampleEvaluator, trees: list, shape: tuple) -> np.ndarray:
         """sigma_a(t) for each column a of the anchor and each tree t of
-        ``trees``, laid out as (P, m, *shape): :meth:`anchored_gradient`'s
+        ``trees``, laid out as (P, m, *shape): :meth:`anchored_gradients`'
         x-part for a tree that is not constant, 0 for one that is; a 0 with
         axes of length 1 for ``shape`` if every tree is constant."""
         P, live = len(ev.points), [k for k, t in enumerate(trees) if not isinstance(t, Num)]
         if not live:
             return np.zeros((P, self.m, *(1 for _ in shape)))
         out = np.zeros((P, self.m, len(trees)))
-        out[..., live] = np.stack([self.anchored_gradient(ev, trees[k])[0] for k in live], axis=-1)
+        out[..., live] = np.stack([g[0] for g in self.anchored_gradients(ev, [trees[k] for k in live])], -1)
         return out.reshape(P, self.m, *shape)
 
 
-def _anchored_gradient(ev: SampleEvaluator, alg: Algebroid, f: Expr) -> tuple[np.ndarray, np.ndarray]:
-    g = ev.jet(f).grad
-    return alg.anchored(ev, g), g[..., alg.n :]
+def _anchored_gradients(ev: SampleEvaluator, alg: Algebroid, fs: Sequence[Expr]) -> zip:
+    g = np.array([ev.jet(f).grad for f in fs])
+    return zip(alg.anchored(ev, g), g[..., alg.n :])
 
 
 def sweep_max(what: str, ev: SampleEvaluator, residuals: np.ndarray) -> float:

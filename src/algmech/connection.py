@@ -108,7 +108,7 @@ def canonical_connection(alg: Algebroid, S: Semispray) -> Connection:
     half, y, r = e_num(0.5), [Var(c) for c in alg.fiber_coords], range(alg.m)
 
     def coeff(a: int, b: int) -> Expr:
-        twist = e_dot((y[e], alg.structure[a][e][b]) for e in r)
+        twist = alg.structure_dot((y[e], alg.structure[a][e][b]) for e in r)
         return e_mul(half, e_add(e_neg(alg.derivative(S.components[b], y[a].name)), twist))
 
     return Connection(tuple(tuple(coeff(a, b) for b in r) for a in r), canonical=True)
@@ -140,7 +140,7 @@ def berwald_derivative(alg: Algebroid, N: Connection, f: Expr, ev: SampleEvaluat
 def _berwald_derivatives(alg: Algebroid, N: Connection, fs: Sequence[Expr], ev) -> np.ndarray:
     """delta_a(f) for each tree f of ``fs``: (C, P, m), the anchored
     gradients stacked into one product with N, each slice a one-tree call's."""
-    gx, gy = (np.array(g) for g in zip(*(alg.anchored_gradient(ev, f) for f in fs)))
+    gx, gy = (np.array(g) for g in zip(*alg.anchored_gradients(ev, fs)))
     return gx - linalg.matvec(N.at(ev), gy)
 
 

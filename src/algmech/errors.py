@@ -95,9 +95,9 @@ class IntegrationAbortError(AlgmechError):
 class ConfigError(AlgmechError):
     """Invalid system configuration file.
 
-    ``path`` is a JSON-pointer-style location of the offending entry.
+    ``path`` is a JSON-pointer-style location of the offending entry, left out if empty.
     """
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path

@@ -41,7 +41,8 @@ Derivatives are memoised by node identity, so a subtree shared in the input
 is differentiated once and its derivative is shared in the output:
 :func:`differentiate` keeps a memo for one call, and
 :func:`cached_derivative` takes a memo that the caller keeps across calls
-(each :class:`~algmech.algebroid.Algebroid` owns one for its system).
+(each :class:`~algmech.algebroid.Algebroid` owns one for its system), and
+walks only the subtrees that contain the variable, by the support :func:`variables` reads.
 """
 
 from __future__ import annotations
@@ -342,12 +343,10 @@ def to_source(e: Expr) -> str:
     return parts[0][0]
 
 
-def variables(e: Expr) -> frozenset[str]:
-    """All identifiers occurring in the tree."""
-    seen: dict[int, Expr] = {}
-    for n in postorder(e, seen):
-        seen[id(n)] = n
-    return frozenset(n.name for n in seen.values() if type(n) is Var)
+def variables(e: Expr, supports: dict | None = None) -> frozenset[str]:
+    """All identifiers occurring in the tree: its support, read from
+    ``supports`` (see :func:`cached_derivative`), or a new memo if None."""
+    return _support(e, {} if supports is None else supports)[2]
 
 
 def literal_value(e: Expr) -> float | None:
@@ -496,20 +495,62 @@ FUNCTIONS: dict[str, Elementary] = {
 }
 
 
+def _support(e: Expr, supports: dict) -> tuple:
+    """``supports[id(e)]``, filled in under ``e`` by one post-order: (node, its
+    derivative by any variable it lacks, ``ZERO`` or ``Num(-0.0)`` alike for all
+    as the rules read the variable only at a ``Var``, the variables it has)."""
+    for n in postorder(e, supports):
+        t = type(n)
+        if t is BinOp:  # e_add of two zeros gives the right one, e_sub the left; * / ^ zero each term
+            _, ca, va = supports[id(n.left)]
+            _, cb, vb = supports[id(n.right)]
+            c = cb if n.op == "+" else ca if n.op == "-" else ZERO
+            v = va if vb <= va else vb if va <= vb else va | vb  # shared where one holds both
+        elif t is Var or t is Num:
+            c, v = ZERO, frozenset((n.name,) if t is Var else ())
+        elif t is Solve:
+            c, v = ZERO, supports[id(n.system)][2]
+        elif t is System:
+            c, v = None, frozenset().union(*(supports[id(o)][2] for o in n.operands))
+        else:
+            _, c, v = supports[id(n.operand)]
+            c = e_neg(c) if t is Neg else FUNCTIONS[n.func].rule(n.operand, c)
+        supports[id(n)] = (n, c, v)
+    return supports[id(e)]
+
+
+class _Derivatives(dict):
+    """One variable's derivative memo for the nodes that contain it: the walk
+    skips any other node (``in``), read as its ``supports`` entry (item 1)."""
+
+    def __contains__(self, key) -> bool:
+        return dict.__contains__(self, key) or self.name not in self.supports[key][2]
+
+    def __missing__(self, key):
+        return self.supports[key]
+
+
 def differentiate(e: Expr, name: str) -> Expr:
     """Partial derivative tree with respect to the named coordinate."""
-    return cached_derivative(e, name, {})
+    return cached_derivative(e, name, {}, {})
 
 
-def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
-    """:func:`differentiate` through a caller-owned memo.
-
-    ``memo`` maps ``name`` to the post-order's memo of that derivative:
-    ``id(node)`` to ``(node, derivative)``; the stored node keeps its id from
-    being reused while the entry lives.  An entry only ever receives a
+def cached_derivative(e: Expr, name: str, memo: dict, supports: dict) -> Expr:
+    """:func:`differentiate` through caller-owned memos: ``supports`` (see
+    ``_support``) and ``memo``, which maps ``name`` to the post-order's memo of
+    that derivative, ``id(node)`` to ``(node, derivative)``, for the nodes that
+    contain ``name``: no other subtree is walked.  A stored node keeps its id
+    from being reused while the entry lives.  An entry only ever receives a
     structurally identical tree, so concurrent writers agree.
     """
-    done = memo.setdefault(name, {})
+    _, c, v = _support(e, supports)
+    if name not in v:
+        return c
+    done = memo.get(name)
+    if done is None:
+        done = _Derivatives()
+        done.name, done.supports = name, supports
+        memo[name] = done
     for n in postorder(e, done):
         t = type(n)
         if t is BinOp:
@@ -529,10 +570,8 @@ def cached_derivative(e: Expr, name: str, memo: dict) -> Expr:
             else:  # general exponent: a^b * (db*ln(a) + b*da/a)
                 log_term = e_mul(db, Call("ln", n.left))
                 r = e_mul(n, e_add(log_term, e_div(e_mul(n.right, da), n.left)))
-        elif t is Var:
-            r = ONE if n.name == name else ZERO
-        elif t is Num:
-            r = ZERO
+        elif t is Var:  # the variable itself: no other leaf is walked
+            r = ONE
         elif t is Neg:
             r = e_neg(done[id(n.operand)][1])
         elif t is Solve:

@@ -200,6 +200,10 @@ def identity_memo(memo: dict, build, owner, args: tuple):
     return hit[1]
 
 
+def _table(ev, *args) -> dict:
+    return {}
+
+
 def _read_only(column: np.ndarray) -> np.ndarray:
     """A (P, 1) memo column as the read-only (P,) array handed out."""
     out = column[:, 0]
@@ -311,7 +315,8 @@ class SampleEvaluator:
         """Values of a nested tuple of trees, as a (P, *shape) array,
         computed once per evaluator: keyed by the identity of ``trees``,
         which the entry keeps alive, so callers pass a tuple they keep.
-        Read-only, since every later reader gets the same array."""
+        Read-only, since every later reader gets the same array.  Constant
+        entries are written in one operation, bits and all; only others are walked."""
         hit = self._arrays.get(id(trees))
         if hit is None:
             shape, flat = [], [trees]  # flattened a level at a time, row-major
@@ -319,8 +324,11 @@ class SampleEvaluator:
                 shape.append(len(flat[0]))
                 flat = [u for t in flat for u in t]
             out = np.empty((len(self.points), len(flat)))
-            for j, e in enumerate(flat):  # a constant needs no walk and no memo entry
-                out[:, j] = e.value if type(e) is Num else self.value(e)
+            live = [j for j, e in enumerate(flat) if type(e) is not Num]
+            if len(live) < len(flat):  # the constants' row, broadcast: no walk, no memo entry
+                out[:] = [e.value if type(e) is Num else 0.0 for e in flat]
+            for j in live:
+                out[:, j] = self.value(flat[j])
             out = out.reshape(len(self.points), *shape)
             out.flags.writeable = False
             hit = self._arrays[id(trees)] = (trees, out)
@@ -331,6 +339,16 @@ class SampleEvaluator:
         argument objects (:func:`identity_memo`): for what callers derive from
         this evaluator's outputs, such as a tree's anchored gradient."""
         return identity_memo(self._derived, build, self, args)
+
+    def rows(self, build, args: tuple, items: Sequence) -> list:
+        """``build(self, *args, items)``'s row for each of ``items``, kept
+        per ``build``, ``args`` and item (by identity; the entry keeps the
+        item alive): the items not seen yet take one stacked call."""
+        table = self.derived(_table, build, *args)
+        new = [x for x in items if id(x) not in table]
+        if new:
+            table.update((id(x), (x, row)) for x, row in zip(new, build(self, *args, new)))
+        return [table[id(x)][1] for x in items]
 
     def head(self, k: int) -> "SampleEvaluator":
         """An evaluator over ``points[:k]`` whose memos of values, jets,

@@ -90,7 +90,7 @@ class Lagrangian:
                     e_dot((alg.anchor[i][a], self.dxy[i][b]) for i in range(n)),
                     e_dot((alg.anchor[i][b], self.dxy[i][a]) for i in range(n)),
                 )
-                torsion = e_dot((self.dy[e], alg.structure[a][b][e]) for e in range(m))
+                torsion = alg.structure_dot((self.dy[e], alg.structure[a][b][e]) for e in range(m))
                 c_block[a][b] = e_sub(mixed, torsion)
         W: list[list[Expr]] = [[ZERO] * (2 * m) for _ in range(2 * m)]
         for a in range(m):
@@ -126,13 +126,13 @@ def fiber_metric(L: Lagrangian, ev: SampleEvaluator) -> tuple[np.ndarray, np.nda
 def canonical_semispray(alg: Algebroid, L: Lagrangian) -> Semispray:
     """The second-order field determined by the symplectic equation of L: the
     solve of the fiber metric against force - drift - twist."""
-    m, n = alg.m, alg.n
+    m, n, r = alg.m, alg.n, range(alg.m)
     y = [Var(c) for c in alg.fiber_coords]
     rhs = []  # force - drift - twist, one tree per b, shared by every component
     for b in range(m):
         force = e_dot((alg.anchor[i][b], L.dx[i]) for i in range(n))
         drift = e_dot((alg.anchor[i][a], L.dxy[i][b], y[a]) for i in range(n) for a in range(m))
-        twist = e_dot((alg.structure[b][a][g], y[a], L.dy[g]) for a in range(m) for g in range(m))
+        twist = alg.structure_dot((alg.structure[b][a][g], y[a], L.dy[g]) for a in r for g in r)
         rhs.append(e_sub(e_sub(force, drift), twist))
     return Semispray(solve(L.metric_exprs, rhs))
 

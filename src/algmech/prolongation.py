@@ -148,7 +148,7 @@ def covariant_slash_exprs(alg: Algebroid, s: BaseSection) -> tuple[tuple[Expr, .
         tuple(
             e_sub(
                 alg.derivative_along(s.components[a], zip(alg.base_coords, column[e])),
-                e_dot((alg.structure[b][e][a], s.components[b]) for b in range(m)),
+                alg.structure_dot((alg.structure[b][e][a], s.components[b]) for b in range(m)),
             )
             for a in range(m)
         )
@@ -187,7 +187,7 @@ def directional_derivative(
     constant ``f`` (such as a component of a frame section) is answered an
     exact 0 without evaluation; the gradient parts of any other ``f`` are
     taken once per evaluator
-    (:meth:`~algmech.algebroid.Algebroid.anchored_gradient`) and stacked into
+    (:meth:`~algmech.algebroid.Algebroid.anchored_gradients`) and stacked into
     (C, P, m) arrays Gx, Gy, read by one ``inner(ax, Gx) + inner(av, Gy)``
     (:func:`~algmech.linalg.inner`); leading axes of ax, av before the sample
     axis (K fields) broadcast against the stack and come first in the
@@ -196,7 +196,7 @@ def directional_derivative(
     out = np.zeros((*np.shape(ax)[:-1], len(fs)))
     live = [c for c, f in enumerate(fs) if not isinstance(f, Num)]
     if live:
-        gx, gy = (np.array(g) for g in zip(*(alg.anchored_gradient(ev, fs[c]) for c in live)))
+        gx, gy = (np.array(g) for g in zip(*alg.anchored_gradients(ev, [fs[c] for c in live])))
         d = linalg.inner(ax[..., None, :, :], gx) + linalg.inner(av[..., None, :, :], gy)
         out[..., live] = np.swapaxes(d, -1, -2)
     return out

@@ -95,26 +95,11 @@ def dynamical_symmetry_check(
 ) -> SymmetryVerdict:
     """Vanishing of the full bracket [S, A]; the two component families are
     reported separately (frame part and fiber part)."""
-    (bx, bv), = _rows(ev, _sode_brackets, (alg, S), (A,))
+    (bx, bv), = ev.rows(_sode_brackets, (alg, S), (A,))
     res = np.concatenate([bx, bv], axis=-1)
     worst = sweep_max("dynamical", ev, np.abs(res))
     frame, fiber = (sweep_max("dynamical", ev, np.abs(b)) for b in (bx, bv))
     return _verdict("dynamical", ev, res, worst, tol, frame_part=frame, fiber_part=fiber)
-
-
-def _rows(ev: SampleEvaluator, build, args: tuple, items: Sequence) -> list:
-    """``build(ev, *args, items)``'s row for each of ``items``, kept by the
-    evaluator per ``build``, ``args`` and item (by identity; the entry keeps
-    the item alive): the items not seen yet take one stacked call."""
-    table = ev.derived(_table, build, *args)
-    new = [x for x in items if id(x) not in table]
-    if new:
-        table.update((id(x), (x, row)) for x, row in zip(new, build(ev, *args, new)))
-    return [table[id(x)][1] for x in items]
-
-
-def _table(ev: SampleEvaluator, *args) -> dict:
-    return {}
 
 
 def _sode_brackets(ev: SampleEvaluator, alg: Algebroid, S: Semispray, As) -> zip:
@@ -147,10 +132,10 @@ def prepare_checks(
     Lagrangian ``L``) and S(f) for each function, one call each.  The checks
     then read their rows; each row has the bits of a batch of one."""
     lifts = [alg.derived(_lie_trees, S, b)[0] for b in bases if b.x_only]
-    _rows(ev, _sode_brackets, (alg, S), [*sections, *lifts])
+    ev.rows(_sode_brackets, (alg, S), [*sections, *lifts])
     if L is not None:
-        _rows(ev, _frame_brackets, (alg,), sections)
-    _rows(ev, _sode_derivatives, (alg, S), functions)
+        ev.rows(_frame_brackets, (alg,), sections)
+    ev.rows(_sode_derivatives, (alg, S), functions)
 
 
 def _verdict(kind: str, ev: SampleEvaluator, res: np.ndarray, worst: float, tol: float, **components):
@@ -164,11 +149,11 @@ def newtonoid_completion(
 ) -> ProlongationSection:
     """Fills in the fiber components S(X^a) + y^e L_eb^a X^b, which makes the
     section a Newtonoid by construction."""
-    m = alg.m
+    m, r = alg.m, range(alg.m)
     y = [Var(c) for c in alg.fiber_coords]
     v_comps = []
     for a in range(m):
-        lift = e_dot((y[e], alg.structure[e][b][a], x_comps[b]) for e in range(m) for b in range(m))
+        lift = alg.structure_dot((y[e], alg.structure[e][b][a], x_comps[b]) for e in r for b in r)
         v_comps.append(e_add(sode_derivative_expr(alg, S, x_comps[a]), lift))
     return ProlongationSection(tuple(x_comps), tuple(v_comps))
 
@@ -182,7 +167,7 @@ def newtonoid_check(
     v(A) = J(nabla A) for the canonical connection."""
     if N is None:
         N = alg.derived(canonical_connection, S)
-    (bx, _), = _rows(ev, _sode_brackets, (alg, S), (A,))
+    (bx, _), = ev.rows(_sode_brackets, (alg, S), (A,))
     worst = sweep_max("newtonoid", ev, np.abs(bx))
     ax, av = A.values_at(ev)
     vert = _vertical_part(ax, av, N.at(ev))  # v(A) fiber components
@@ -266,7 +251,7 @@ def _lie_pde(alg: Algebroid, S: Semispray, Xt: BaseSection, slash, ev: SampleEva
         - y^e slash[e][a] dS^b/dy^a,
 
     every sum in the order of its indices, every b at once; sigma_a(f) is
-    :meth:`~algmech.algebroid.Algebroid.anchored_gradient`'s, stacked by
+    :meth:`~algmech.algebroid.Algebroid.anchored_gradients`', stacked by
     :meth:`~algmech.algebroid.Algebroid._anchor_derivatives`."""
     m, n, P = alg.m, alg.n, len(ev.points)
     y, s_vals, xt_vals = ev.values[:, n:], ev.values_of(S.components), ev.values_of(Xt.components)
@@ -306,7 +291,7 @@ def cartan_symmetry_check(
     views that keep the bits of one dot per pair."""
     ax, av = A.values_at(ev)
     W_exprs, W = cartan_pairing_exprs(alg, L), cartan_pairing(alg, L, ev)
-    brk, = _rows(ev, _frame_brackets, (alg,), (A,))
+    brk, = ev.rows(_frame_brackets, (alg,), (A,))
     r, c = np.triu_indices(len(brk), 1)  # the pairs r < c, row by row
     dW = directional_derivative(alg, ev, ax, av, [*(W_exprs[i][j] for i, j in zip(r, c)), L.energy_expr])
     left = linalg.inner(brk[:, None], np.moveaxis(W, -1, 0))  # [r, c] = [A, B_r] . W[:, c]
@@ -325,7 +310,7 @@ def conservation_check(
 ) -> ConservedQuantity:
     """Constancy of f along the dynamics: S(f) = 0 on the sample set, a row
     that :func:`prepare_checks` may have taken for every function at once."""
-    sdot, = _rows(ev, _sode_derivatives, (alg, S), (f,))
+    sdot, = ev.rows(_sode_derivatives, (alg, S), (f,))
     worst = sweep_max("conservation", ev, np.abs(sdot))
     per_sample = tuple(zip(ev.points, sdot.tolist()))
     return ConservedQuantity(f, provenance, worst, per_sample, worst <= tol, tol)

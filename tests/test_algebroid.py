@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from algmech import linalg
 from algmech.algebroid import Algebroid, BaseSection
 from algmech.config import parse_config
 from algmech.errors import FiberDependenceError
@@ -20,6 +21,23 @@ import synth  # noqa: E402
 
 def expr(cfg, src):
     return parse_expression(src, cfg.algebroid.coords)
+
+
+def x_dependent_system(n: int, m: int) -> Algebroid:
+    """An anchor and structure on n base coordinates, every entry depending
+    on x (L_aa^c = 0 aside), that satisfy neither structure equation."""
+    base, fiber = tuple(f"x{i + 1}" for i in range(n)), tuple(f"u{a + 1}" for a in range(m))
+    x = lambda i: base[i % n]  # noqa: E731
+    P = lambda src: parse_expression(src, base)  # noqa: E731
+    anchor = tuple(
+        tuple(P(f"{1 + i + a}*{x(i + a)}+sin({x(i * a + 1)})") for a in range(m))
+        for i in range(n)
+    )
+    L = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    for a, b, c in ((a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)):
+        L[a][b][c] = P(f"{x(a + b + c)}*{x(c)}-{a + c + 1}*cos({x(b)})")
+        L[b][a][c] = e_neg(L[a][b][c])
+    return Algebroid(base, fiber, anchor, tuple(tuple(map(tuple, p_)) for p_ in L))
 
 
 def bracket_values(alg, r, s, p):
@@ -102,20 +120,8 @@ class TestValidation:
         # equation; each sigma_a(t) is the one vecmat of Algebroid.anchored
         # per tree, and every other product one np.dot per index tuple,
         # which einsum's order of addition misses in the last bit here
-        m = 3
-        base, fiber = tuple(f"x{i + 1}" for i in range(n)), ("u1", "u2", "u3")
-        x = lambda i: base[i % n]  # noqa: E731
-        P = lambda src: parse_expression(src, base)  # noqa: E731
-        anchor = tuple(
-            tuple(P(f"{1 + i + a}*{x(i + a)}+sin({x(i * a + 1)})") for a in range(m))
-            for i in range(n)
-        )
-        L = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
-        for a, b, c in ((a, b, c) for a in range(m) for b in range(a + 1, m) for c in range(m)):
-            L[a][b][c] = P(f"{x(a + b + c)}*{x(c)}-{a + c + 1}*cos({x(b)})")
-            L[b][a][c] = e_neg(L[a][b][c])
-        alg = Algebroid(base, fiber, anchor, tuple(tuple(map(tuple, p_)) for p_ in L))
-        samples = sample_points(base, fiber, 20, seed=11)
+        alg = x_dependent_system(n, 3)
+        samples = sample_points(alg.base_coords, alg.fiber_coords, 20, seed=11)
         rep = alg.validate(alg.sample_evaluator(samples), tol=1e-9)
         assert not rep.passed
         assert rep.antisymmetry == 0.0
@@ -138,6 +144,29 @@ class TestValidation:
             assert got[..., k].tobytes() == want.tobytes()
         assert anchored == []
         assert alg._anchor_derivatives(ev, [Num(2.0)] * 3, (3,)).shape == (len(ev.points), alg.m, 1)
+
+    def test_anchored_gradients_are_the_one_tree_products(self):
+        # every anchor and structure entry depends on x: the stacked rows have
+        # the bits of one vecmat per tree, and the evaluator keeps them
+        alg = x_dependent_system(8, 8)
+        samples = sample_points(alg.base_coords, alg.fiber_coords, 20, seed=11)
+        ev, one = alg.sample_evaluator(samples), alg.sample_evaluator(samples)
+        trees = [t for row in alg.anchor for t in row] + [alg.structure[0][1][2], alg.anchor[3][4]]
+        got = alg.anchored_gradients(ev, trees)
+        for f, (gx, gy) in zip(trees, got):
+            g = one.jet(f).grad
+            assert gx.tobytes() == alg.anchored(one, g).tobytes() and gy.tobytes() == g[:, alg.n :].tobytes()
+        assert alg.anchored_gradient(ev, trees[5]) is got[5]
+
+    def test_validation_anchors_each_stack_of_trees_in_one_product(self, monkeypatch):
+        # 448 structure trees and 64 anchor entries, all x-dependent: one
+        # vecmat for each, not one per tree
+        alg = x_dependent_system(8, 8)
+        ev = alg.sample_evaluator(sample_points(alg.base_coords, alg.fiber_coords, 20, seed=11))
+        calls, real = [], linalg.vecmat
+        monkeypatch.setattr(linalg, "vecmat", lambda *a: calls.append(a) or real(*a))
+        alg.validate(ev, tol=1e-9)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("kind", ["diag", "dense"])
     def test_rank_32_validation_stays_within_10_mb(self, kind):

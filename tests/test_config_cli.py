@@ -247,6 +247,24 @@ class TestExitCodes:
         assert main(["validate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read "),
+            ("[]", "top level must be an object"),
+            (json.dumps({**line_system("0.5*y^2"), "lagrangian": None}), "at least one of lagrangian/semispray"),
+            ("{", "invalid JSON in "),
+        ],
+        ids=["missing", "not-an-object", "no-dynamics", "invalid-json"],
+    )
+    def test_an_error_at_the_document_root_names_no_location(self, tmp_path, capsys, content, message):
+        path = tmp_path / "missing.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["symmetry", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "dims,lagrangian,command",
         [
             ((0, 1), "0.5*y^2", "validate"),

@@ -11,7 +11,6 @@ taken over every index tuple.  They are compared by ``tobytes()``.
 import json
 import random
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +294,7 @@ def test_the_candidate_wide_rows_are_one_candidate_calls(name, request):
     As, bases = sections(cfg, name)[-4:], base_sections(cfg, name)
     fs = [cfg.lagrangian.energy_expr, *(A.v_comps[0] for A in As)]
     prepare_checks(alg, S, cfg.lagrangian, ev, As, bases, fs)
-    rows = partial(symmetry._rows, ev)
+    rows = ev.rows
     lifts = [alg.derived(_lie_trees, S, b)[0] for b in bases]
     Ssec, (ax, av) = S.section(alg), S.section(alg).values_at(ev)
     for A, (bx, bv) in zip([*As, *lifts], rows(symmetry._sode_brackets, (alg, S), [*As, *lifts])):
