@@ -34,7 +34,7 @@ loop of :func:`~algmech.lagrangian.integrate_sode` is built on it: it
 inlines the statements of the flow four times per step, and those of the
 energy once, into one compiled loop over every step.  A batch and compiled
 code get the same bits for every node kind, solves included.  Compiled code
-formats no errors: a step that faults is walked again, which names it.
+formats no errors: a walk of the trees that raised, at their inputs, names it.
 Integer powers come from one routine, :func:`int_power`, so their cost
 grows with log2 of the exponent; compiled code writes its products out for
 exponents up to 3 in size.
@@ -594,7 +594,8 @@ class Lowering:
     ``Var`` is the local named in ``inputs`` for its coordinate and has no
     statement; a ``Num`` is a name bound once in :attr:`env` (the compiled
     code's globals), shared by every call, and never printed.  Inner nodes
-    are ``_<i>`` locals, which a later call reuses."""
+    are ``_<i>`` locals, which a later call reuses.  A statement raises
+    Python's math error where the walker names one, at the same node."""
 
     __slots__ = ("index", "env", "_consts")
 

@@ -222,33 +222,44 @@ class Trajectory:
 
 def _rk4_loop(names: Sequence[str], flow: tuple[Expr, ...], energy: tuple[Expr, ...], n: int):
     """The RK4 run of :func:`integrate_sode` as one compiled function
-    ``run(traj, k, state, steps, dt)``: from ``state``, the state after
-    ``k`` steps, it records row 0 if ``traj`` has none, then steps to
-    ``steps``, appending each row to ``traj``, and returns ``(steps, None)``.
+    ``run(traj, state, steps, dt)``: it records row 0 of ``state``, then
+    takes ``steps`` steps, appending each row to ``traj``, and returns None.
 
     The state is held in locals, and each step inlines :class:`Lowering`'s
     statements of ``flow`` once per stage and those of ``energy`` (empty, or
     the energy tree) once, with the walker's float operations in its order.
-    On a math error, or a state or energy that is not finite, it appends
-    nothing more and returns ``(k, start state)`` of the step (of row 0 if
-    ``traj`` has none)."""
+    Each such block runs in its own ``try``, whose handler returns the
+    block's trees and the floats it ran on; a state or energy that is not
+    finite returns its message and its time, before its row is appended."""
     lower, K = Lowering(names), len(names)
+    lower.env.update(isfinite=math.isfinite, flow=flow, energy=energy)
     s, z, new = ([f"{p}{i}" for i in range(K)] for p in "szn")
-    stop = f"return k, [{', '.join(s)}]"
 
     def tup(items: list[str]) -> str:  # a tuple display, of one item too
         return f"({''.join(f'{v}, ' for v in items)})"
 
+    def block(trees: str, inputs: list[str]) -> tuple[list[str], list[str]]:
+        body, out = lower(lower.env[trees], inputs)
+        if body:  # no try around no statements: Python rejects an empty body
+            body = [
+                "try:",
+                *(f"    {line}" for line in body),
+                "except (ValueError, ZeroDivisionError, OverflowError):",
+                f"    return {trees}, [{', '.join(inputs)}]",
+            ]
+        return body, out
+
     def record(state: list[str], t: str) -> list[str]:
-        lines = [f"if not ({' and '.join(f'isfinite({v})' for v in state)}): {stop}"]
+        finite = " and ".join(f"isfinite({v})" for v in state)
+        lines = [f"if not ({finite}): return 'non-finite state', {t}"]
         if energy:
-            body, (e,) = lower(energy, state)
-            lines += [*body, f"if not isfinite({e}): {stop}", f"add_e({e})"]
+            body, (e,) = block("energy", state)
+            lines += [*body, f"if not isfinite({e}): return 'non-finite energy', {t}", f"add_e({e})"]
         return lines + [f"add_t({t})", f"add_s(({tup(state[:n])}, {tup(state[n:])}))"]
 
     step, inputs = [], s
     for j, scale in enumerate(("half", "half", "dt", None), 1):  # stage j's slopes k{j}_i
-        body, out = lower(flow, inputs)
+        body, out = block("flow", inputs)
         step += body + [f"k{j}_{i} = {v}" for i, v in enumerate(out)]
         if scale:  # the next stage's inputs
             step += [f"z{i} = s{i} + {scale} * k{j}_{i}" for i in range(K)]
@@ -257,21 +268,15 @@ def _rk4_loop(names: Sequence[str], flow: tuple[Expr, ...], energy: tuple[Expr, 
     step += [f"n{i} = {rk4.format(i)}" for i in range(K)]
     step += [*record(new, "(k + 1) * dt"), f"{tup(s)} = {tup(new)}"]
     lines = [
-        "def run(traj, k, state, steps, dt):",
+        "def run(traj, state, steps, dt):",
         "    half, sixth = 0.5 * dt, dt / 6.0",
         "    add_t, add_s, add_e = traj.times.append, traj.states.append, traj.energy.append"
         if energy else "    add_t, add_s = traj.times.append, traj.states.append",
         f"    {tup(s)} = state",
-        "    try:",
-        "        if not traj.times:",
-        *(f"            {line}" for line in record(s, "0.0")),
-        "        for k in range(k, steps):",
-        *(f"            {line}" for line in step),
-        "    except (ValueError, ZeroDivisionError, OverflowError):",
-        f"        {stop}",
-        "    return steps, None",
+        *(f"    {line}" for line in record(s, "0.0")),
+        "    for k in range(steps):",
+        *(f"        {line}" for line in step),
     ]
-    lower.env["isfinite"] = math.isfinite
     return lower.compile("\n".join(lines) + "\n", "run")
 
 
@@ -298,11 +303,10 @@ def integrate_sode(
 
     A domain error, a singular fiber metric, or a state or energy that is
     not finite, aborts with :class:`IntegrationAbortError` carrying the
-    trajectory up to the last finite step: the loop stops before the row
-    that faults, and that one step is replayed through the walker at a
-    batch of one per stage and the state and energy checks, which raise the
-    error that names the fault.  ``steps * dt`` must be finite, so every
-    time is.
+    trajectory up to the last finite step.  The loop names a state or energy
+    that is not finite; a math error is named by one batch-of-one walk of
+    the trees that raised, at the floats they ran on.  ``steps * dt`` must
+    be finite, so every time is.
     """
     if dt <= 0.0 or steps < 1:
         raise ValueError("dt must be positive and steps >= 1")
@@ -314,55 +318,19 @@ def integrate_sode(
         raise ValueError("initial condition has wrong dimension")
     flow = tuple(v for _, v in sode_flow(alg, S))
     energy = () if lagrangian is None else (lagrangian.energy_expr,)
-    run = _rk4_loop(alg.coords, flow, energy, n)
     traj = Trajectory([], [], [] if lagrangian is not None else None)
-    k = 0
-    while True:
-        k, state = run(traj, k, state, steps, dt)
-        if k == steps:
-            return traj
-        try:
-            k, state = _replay(alg, flow, energy, traj, k, state, dt)
-        except (EvaluationDomainError, SingularMetricError) as err:
-            raise IntegrationAbortError(str(err), traj) from err
-
-
-def _replay(alg: Algebroid, flow, energy, traj: Trajectory, k: int, state: list[float], dt: float):
-    """The row the loop stopped before, through the walker: row 0 of
-    ``state`` for an empty ``traj``, else step ``k`` from ``state``, each
-    stage and the energy the values of a batch of one
-    (:meth:`~algmech.algebroid.Algebroid.evaluator`); returns the next
-    ``(k, state)``.  A fault raises its error here."""
-    n = alg.n
-
-    def values(trees, z: list[float]) -> list[float]:
-        return alg.evaluator(EvalPoint.of(z[:n], z[n:])).values_of(trees)[0].tolist()
-
-    def record(t: float, z: list[float]) -> None:
-        if not all(map(math.isfinite, z)):
-            raise IntegrationAbortError(f"non-finite state at t = {t!r}", traj)
-        if energy:
-            e = values(energy, z)[0]
-            if not math.isfinite(e):
-                raise IntegrationAbortError(f"non-finite energy at t = {t!r}", traj)
-            traj.energy.append(e)
-        traj.times.append(t)
-        traj.states.append((tuple(z[:n]), tuple(z[n:])))
-
-    if not traj.times:
-        record(0.0, state)
-        return k, state
-    half, sixth = 0.5 * dt, dt / 6.0
-    k1 = values(flow, state)
-    k2 = values(flow, [s + half * d for s, d in zip(state, k1)])
-    k3 = values(flow, [s + half * d for s, d in zip(state, k2)])
-    k4 = values(flow, [s + dt * d for s, d in zip(state, k3)])
-    state = [
-        s + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    ]
-    record((k + 1) * dt, state)
-    return k + 1, state
+    fault = _rk4_loop(alg.coords, flow, energy, n)(traj, state, steps, dt)
+    if fault is None:
+        return traj
+    cause, at = fault
+    if isinstance(cause, str):
+        raise IntegrationAbortError(f"{cause} at t = {at!r}", traj)
+    point = EvalPoint.of(at[:n], at[n:])
+    try:
+        alg.evaluator(point).values_of(cause)
+    except (EvaluationDomainError, SingularMetricError) as err:
+        raise IntegrationAbortError(str(err), traj) from err
+    raise RuntimeError(f"the compiled RK4 step faulted at {point}, where the walker does not")
 
 
 def euler_lagrange_residual(

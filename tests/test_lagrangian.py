@@ -679,15 +679,53 @@ class TestFusedLoop:
         assert len(traj.times) == 1001
         assert made == []
 
-    def test_an_aborting_run_replays_one_step(self, abelian, monkeypatch):
-        # the fault of test_domain_error_in_a_middle_stage: its step is
-        # replayed through at most 4 stages and the energy of its row
-        alg = abelian.algebroid
-        S = Semispray(tuple(parse_expression(c, alg.coords) for c in ("0", "ln(1.6-x1)")))
+    def test_only_a_math_error_is_walked(self, abelian, monkeypatch):
+        # the aborts of test_domain_error_in_a_middle_stage, test_non_finite_state
+        # and test_non_finite_energy: a math error is named by one batch-of-one
+        # walk of the stage that raised, a state or energy that is not finite
+        # by the loop itself
+        alg, L = abelian.algebroid, abelian.lagrangian
         made = self.count_evaluators(monkeypatch)
-        with pytest.raises(IntegrationAbortError, match="^ln is undefined at "):
-            integrate_sode(alg, S, [0.0, 0.0], [1.0, 0.0], 0.5, 10, abelian.lagrangian)
-        assert 1 <= len(made) <= 5
+        for components, y0, dt, steps, lagrangian, walks in [
+            (("0", "ln(1.6-x1)"), [1.0, 0.0], 0.5, 10, L, 1),
+            (("v1^2", "0"), [1.0, 0.0], 0.25, 100, None, 0),
+            (("v1", "0"), [1e150, 0.0], 1.0, 20, L, 0),
+        ]:
+            S = Semispray(tuple(parse_expression(c, alg.coords) for c in components))
+            made.clear()
+            with pytest.raises(IntegrationAbortError):
+                integrate_sode(alg, S, [0.0, 0.0], y0, dt, steps, lagrangian)
+            assert len(made) == walks
+
+    @staticmethod
+    def row_0_abort(cfg, x0, y0) -> str:
+        """The message of an abort before any row, asserted equal to the
+        reference's."""
+        alg, S, L = cfg.algebroid, cfg.semispray(), cfg.lagrangian
+        got = outcome(lambda: integrate_sode(alg, S, x0, y0, 0.1, 10, L))
+        assert got == outcome(lambda: reference_rk4(alg, S, x0, y0, 0.1, 10, L))
+        message, partial = got
+        assert partial == []
+        return message
+
+    def test_energy_domain_error_at_row_0(self):
+        cfg = parse_config(
+            {
+                "name": "log",
+                "base_dim": 1,
+                "fiber_rank": 1,
+                "base_coords": ["x"],
+                "fiber_coords": ["y"],
+                "anchor": [["1"]],
+                "lagrangian": "0.5*y^2+ln(x)",
+            }
+        )
+        message = self.row_0_abort(cfg, [-1.0], [1.0])
+        assert message == "ln is undefined at -1.0 in 'ln(x)' at (x=[-1.0], y=[1.0])"
+
+    def test_non_finite_state_at_row_0(self, abelian):
+        message = self.row_0_abort(abelian, [math.inf, 0.0], [1.0, 0.0])
+        assert message == "non-finite state at t = 0.0"
 
     def test_a_last_time_that_is_not_finite_is_rejected(self, abelian):
         # the state stays finite from rest, but 3 * 1e308 overflows
