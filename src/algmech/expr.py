@@ -439,12 +439,15 @@ def e_dot(terms: Iterable[Sequence[Expr]]) -> Expr:
     """The sum of products ``t[0] * t[1] * ...`` over the ``terms``, added
     from ``ZERO`` in order with :func:`e_add`, each multiplied left to right
     with :func:`e_mul`.  A term with a constant-zero factor (0.0 or -0.0) is
-    skipped unbuilt: for terms of two or more factors, the tree :func:`e_sum`
-    of the products builds, but a lone ``Num(-0.0)`` term is dropped."""
+    skipped unbuilt and folded as adding ``ZERO`` folds: for terms of two or
+    more factors this is the tree :func:`e_sum` of the products builds, but a
+    lone ``Num(-0.0)`` term counts as ``ZERO``."""
     acc: Expr = ZERO
     for factors in terms:
         for f in factors:
             if type(f) is Num and f.value == 0.0:
+                if _is_const(acc, 0.0):  # e_add's fold of a ZERO product
+                    acc = ZERO
                 break
         else:
             p = factors[0]

@@ -7,10 +7,11 @@ forward mode, which is all the semispray, the connection, nabla and the
 Jacobi endomorphism read (Griewank & Walther, *Evaluating Derivatives*, 2nd
 ed., 2008, ch. 3).  A second derivative is the jet of a derivative tree.
 
-Trees are evaluated by one rule table, written once: a value loop and a jet
-loop over :func:`~algmech.expr.postorder`, one rule per node kind, each
-reading a node's operands from its memo, so shared subtrees are visited once
-and a tree of any depth evaluates.  A :class:`~algmech.expr.System` applies
+Trees are evaluated by one rule table, written once: one loop over
+:func:`~algmech.expr.postorder` with one branch per node kind, which holds
+the kind's value form and its jet form side by side, reading a node's
+operands from the memo of its mode, so shared subtrees are visited once and
+a tree of any depth evaluates.  A :class:`~algmech.expr.System` applies
 its matrix's inverse (:meth:`SampleEvaluator.inverse`, once per evaluator
 and matrix), with jets dx = G^-1 (db - dG x); a
 :class:`~algmech.expr.Solve` picks a component.  A math error in a rule
@@ -247,10 +248,10 @@ class SampleEvaluator:
 
     ``value`` returns a (P,) array and ``jet`` a :class:`Jet` with a (P,)
     value and a (P, k) gradient; ``values_of`` and ``array`` put the sample
-    axis first, and ``values`` is the (P, k) array of coordinates.  The rules
-    run on (P, 1) columns, memoised per node; a node's entry also keeps the
-    read-only (P,) view or jet handed out for it, so every call for the node
-    hands out that one object.
+    axis first, and ``values`` is the (P, k) array of coordinates.  One loop
+    runs the rules on (P, 1) columns, memoised per node in a memo per mode; a
+    node's entry also keeps the read-only (P,) view or jet handed out for it,
+    so every call for the node hands out that one object.
 
     Every row has the bits of the batch of one at its sample: ``+ - * /``,
     :func:`int_power` and solves run elementwise on float64, and elementary
@@ -288,24 +289,24 @@ class SampleEvaluator:
         self._derived: dict[tuple, tuple] = {}
 
     def value(self, e: Expr) -> np.ndarray:
-        hit = self._floats.get(id(e))  # a memo hit needs no errstate
-        if hit is None:
-            self._batch(SampleEvaluator.value, self._walk_value, e)
-            hit = self._floats[id(e)]
-        if len(hit) == 2:  # computed by the rules, not handed out yet
-            hit = self._floats[id(e)] = (e, hit[1], _read_only(hit[1]))
-        return hit[2]
+        return self._hand_out(e, False)
 
     def jet(self, e: Expr) -> Jet:
         """The jets of ``e``: a (P,) value and a (P, k) gradient."""
-        hit = self._jets.get(id(e))  # a memo hit needs no errstate
+        return self._hand_out(e, True)
+
+    def _hand_out(self, e: Expr, jet: bool):
+        """The read-only (P,) value or jet of ``e``, kept in its memo entry."""
+        memo = self._jets if jet else self._floats
+        hit = memo.get(id(e))  # a memo hit needs no errstate
         if hit is None:
-            self._batch(SampleEvaluator.jet, self._walk_jet, e)
-            hit = self._jets[id(e)]
+            self._batch(e, jet)
+            hit = memo[id(e)]
         if len(hit) == 2:  # computed by the rules, not handed out yet
             r = hit[1]
-            r.grad.flags.writeable = False
-            hit = self._jets[id(e)] = (e, r, Jet(_read_only(r.value), r.grad))
+            if jet:
+                r.grad.flags.writeable = False
+            hit = memo[id(e)] = (e, r, Jet(_read_only(r.value), r.grad) if jet else _read_only(r))
         return hit[2]
 
     def values_of(self, exprs: Sequence[Expr]) -> np.ndarray:
@@ -362,25 +363,26 @@ class SampleEvaluator:
         ev._inverses, ev._arrays = _Head(self._inverses, rows), _Head(self._arrays, lambda a: a[:k])
         return ev
 
-    def _batch(self, walk, run, e: Expr):
-        """``run(e)`` with numpy's division by zero raised (not warned), so
-        that a batch stops wherever a float division would raise; a domain
-        error names its sample, found by ``walk`` on each batch of one."""
+    def _batch(self, e: Expr, jet: bool):
+        """``_walk(e, jet)`` with numpy's division by zero raised (not warned),
+        so that a batch stops wherever a float division would raise; a domain
+        error names its sample, found by walking each batch of one."""
         try:
             with np.errstate(divide="raise", over="ignore", under="ignore", invalid="ignore"):
-                return run(e)
+                return self._walk(e, jet)
         except EvaluationDomainError as err:
             if len(self.points) == 1:
                 raise err.at(self.points[0]) from err
             for p in self.points:
-                walk(SampleEvaluator(self.names, [p]), e)
+                SampleEvaluator(self.names, [p])._hand_out(e, jet)
             raise
 
-    # -- the rules: one per node kind, for values and for jets ---------------
+    # -- the rules: one per node kind, its value and jet forms side by side ---
 
-    def _walk_value(self, e: Expr) -> np.ndarray:
-        """The (P, 1) value column of ``e``."""
-        memo = self._floats
+    def _walk(self, e: Expr, jet: bool):
+        """The (P, 1) value column of ``e``, or its jet over (P, 1) value
+        columns, in the memo of its mode."""
+        memo = self._jets if jet else self._floats
         if id(e) in memo:
             return memo[id(e)][1]
         coords, index = self._coords, self.index
@@ -397,83 +399,37 @@ class SampleEvaluator:
                 elif op == "*":
                     r = a * b
                 elif op == "/":
-                    if not b.all():
+                    d = b.value if jet else b
+                    if not d.all():
                         raise EvaluationDomainError("division by zero", n)
-                    r = a / b
-                else:
-                    k = self._exponent(n, a)
                     try:
-                        if k is None:  # a^b = exp(b ln a)
-                            r = _ELEMENTWISE["exp"].f(b * _ELEMENTWISE["ln"].f(a))
-                        else:
-                            r = _power(a, b, k, self._one)
-                    except _MATH_ERRORS as err:  # past the domain checks: an overflow
-                        raise EvaluationDomainError(f"power overflows at base {_operand(a)}", n) from err
+                        r = a / b
+                    except _MATH_ERRORS as err:  # jets, past the zero check: b^2 underflows
+                        raise EvaluationDomainError(f"division overflows at divisor {_operand(d)}", n) from err
+                else:
+                    r = self._pow(n, a, b, jet)
             elif t is Num:
                 r = n.value * self._one
-            elif t is Var:
-                r = coords[index[n.name]]
-            elif t is Neg:
-                r = -memo[id(n.operand)][1]
-            elif t is Solve:
-                r = memo[id(n.system)][1][n.index]
-            elif t is System:
-                b = [memo[id(v)][1] for v in n.rhs]
-                r = [_dot(row, b) for row in self._inverse(n)[0]]
-            else:
-                v = memo[id(n.operand)][1]
-                try:
-                    r = _ELEMENTWISE[n.func].f(v)
-                except _MATH_ERRORS as err:
-                    raise _domain_error(n.func, _operand(v), n, err) from err
-            memo[id(n)] = (n, r)
-        return memo[id(e)][1]
-
-    def _walk_jet(self, e: Expr) -> Jet:
-        """The jet of ``e``, over (P, 1) value columns."""
-        memo = self._jets
-        if id(e) in memo:
-            return memo[id(e)][1]
-        coords, index = self._coords, self.index
-        for n in postorder(e, memo):
-            t = type(n)
-            if t is BinOp:
-                op = n.op
-                a = memo[id(n.left)][1]
-                if op == "^":
-                    r = self._pow_jet(n, a)
-                else:
-                    b = memo[id(n.right)][1]
-                    if op == "+":
-                        r = a + b
-                    elif op == "-":
-                        r = a - b
-                    elif op == "*":
-                        r = a * b
-                    else:
-                        if not b.value.all():
-                            raise EvaluationDomainError("division by zero", n)
-                        try:
-                            r = a / b
-                        except _MATH_ERRORS as err:  # past the zero check: b^2 underflows
-                            what = f"division overflows at divisor {_operand(b.value)}"
-                            raise EvaluationDomainError(what, n) from err
-            elif t is Num:
-                r = self._seed(n.value * self._one, None)
+                if jet:
+                    r = self._seed(r, None)
             elif t is Var:
                 i = index[n.name]
-                r = self._seed(coords[i], i)
+                r = self._seed(coords[i], i) if jet else coords[i]
             elif t is Neg:
                 r = -memo[id(n.operand)][1]
             elif t is Solve:
                 r = memo[id(n.system)][1][n.index]
             elif t is System:
-                r = self._solve_jets(n)
+                if jet:
+                    r = self._solve_jets(n)
+                else:
+                    b = [memo[id(v)][1] for v in n.rhs]
+                    r = [_dot(row, b) for row in self._inverse(n)[0]]
             else:
                 a = memo[id(n.operand)][1]
-                fn, v = _ELEMENTWISE[n.func], a.value
+                fn, v = _ELEMENTWISE[n.func], a.value if jet else a
                 try:
-                    r = a.chain(fn.f(v), fn.d1(v))
+                    r = a.chain(fn.f(v), fn.d1(v)) if jet else fn.f(v)
                 except _MATH_ERRORS as err:
                     raise _domain_error(n.func, _operand(v), n, err) from err
             memo[id(n)] = (n, r)
@@ -487,42 +443,36 @@ class SampleEvaluator:
             grad[:, i] = 1.0
         return Jet(value, grad)
 
-    def _pow_jet(self, e: BinOp, a: Jet) -> Jet:
-        """The jet of ``e = a^b``, ``b`` read from the memo unless literal."""
-        v = a.value
-        k = self._exponent(e, v)
+    def _pow(self, e: BinOp, a, b, jet: bool):
+        """``e = a^b`` on value columns or jets, its base checked against the
+        power's domain; a literal exponent is read from ``e``."""
+        v = a.value if jet else a
+        k = _integer_exponent(e)
+        if k is None:
+            if (v <= 0.0).any():
+                raise EvaluationDomainError(f"non-integer power of non-positive base {_operand(v)}", e)
+        elif k < 0 and not v.all():
+            raise EvaluationDomainError("zero base with negative exponent", e)
+        exp, ln = _ELEMENTWISE["exp"], _ELEMENTWISE["ln"]
         try:
+            if k is not None and k >= 0:
+                return int_power(a, k, self._seed(self._one, None) if jet else self._one)
             if k is not None:
-                if k >= 0:
-                    return int_power(a, k, self._seed(self._one, None))
                 # value's bits, and the chain rule on the base, where the
                 # reciprocal of a^|k| would square it and underflow
                 f0 = _power(v, None, k, self._one)
-                return a.chain(f0, k * f0 / v)
-            exp, ln = _ELEMENTWISE["exp"], _ELEMENTWISE["ln"]
+                return a.chain(f0, k * f0 / v) if jet else f0
+            if not jet:  # a^b = exp(b ln a)
+                return exp.f(b * ln.f(a))
             c = literal_value(e.right)
             if c is not None:
                 f0 = exp.f(c * ln.f(v))
                 return a.chain(f0, c * f0 / v)
-            b = self._jets[id(e.right)][1]  # a^b = exp(b ln a)
             u = b * a.chain(ln.f(v), ln.d1(v))
             f0 = exp.f(u.value)
             return u.chain(f0, f0)
         except _MATH_ERRORS as err:  # past the domain checks: an overflow
             raise EvaluationDomainError(f"power overflows at base {_operand(v)}", e) from err
-
-    def _exponent(self, e: BinOp, base: np.ndarray) -> int | None:
-        """The integer exponent of ``e`` (None: a real power), its base
-        checked against the power's domain."""
-        k = _integer_exponent(e)
-        if k is None:
-            if (base <= 0.0).any():
-                raise EvaluationDomainError(
-                    f"non-integer power of non-positive base {_operand(base)}", e
-                )
-        elif k < 0 and not base.all():
-            raise EvaluationDomainError("zero base with negative exponent", e)
-        return k
 
     def _solve_jets(self, n: System) -> list:
         """The jets of x = G^-1 b, dx = G^-1 (db - dG x); dG is stacked in

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import algmech.expr
@@ -300,15 +300,21 @@ _LEAVES = st.sampled_from(
 )
 
 
-@settings(max_examples=300, deadline=None)
+_UNDERFLOW = (Num(-1.0), Num(1e-200), Num(1e-200))  # folds to Num(-0.0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.lists(st.lists(_LEAVES, min_size=1, max_size=4), max_size=6))
+@example([_UNDERFLOW, (Num(0.0), Num(0.0))])
+@example([_UNDERFLOW, (Num(0.0),)])
+@example([_UNDERFLOW, (Num(-0.0),)])
 def test_e_dot_is_the_sum_of_folded_products_of_at_least_two_factors(terms):
     """For terms of two or more factors (every contraction's), the tree is
-    the e_sum of the e_mul products; a one-factor term of -0.0 is the one
-    case where skipping differs from e_add's fold, which keeps it as the
-    first term."""
-    kept = [t for t in terms if len(t) > 1 or not (type(t[0]) is Num and t[0].value == 0.0)]
-    want = e_sum(reduce(e_mul, t) for t in kept)
+    the e_sum of the e_mul products, also where a folded product underflows
+    to -0.0; a one-factor term of -0.0 is the one case where skipping
+    differs from e_add's fold, which keeps it: e_dot adds it as ZERO."""
+    lone = [len(t) == 1 and to_source(t[0]) == "-0.0" for t in terms]
+    want = e_sum(ZERO if z else reduce(e_mul, t) for t, z in zip(terms, lone))
     assert to_source(e_dot(terms)) == to_source(want)
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -429,9 +430,9 @@ _EXPONENT = st.sampled_from(
 )
 
 
-def _kernel_node(children):
+def _kernel_node(children, ops="+-*/"):
     return st.one_of(
-        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(*t)),
+        st.tuples(st.sampled_from(ops), children, children).map(lambda t: BinOp(*t)),
         st.tuples(children, st.one_of(_EXPONENT, children)).map(lambda t: BinOp("^", *t)),
         children.map(Neg),
         st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda t: Call(*t)),
@@ -611,6 +612,46 @@ def test_batch_equals_walker_on_random_trees(tree, rows):
     raises the EvaluationDomainError of the first failing sample, which names
     that sample, on any tree."""
     _compare(COORDS, [EvalPoint.of(r, ()) for r in rows], tree)
+
+
+def _jets_divide(e):
+    """``e`` with each ``a/b`` written ``a * (1/b)``, as jet arithmetic divides."""
+    t = type(e)
+    if t is BinOp:
+        a, b = _jets_divide(e.left), _jets_divide(e.right)
+        return BinOp("*", a, BinOp("/", Num(1.0), b)) if e.op == "/" else BinOp(e.op, a, b)
+    if t is Neg:
+        return Neg(_jets_divide(e.operand))
+    if t is Call:
+        return Call(e.func, _jets_divide(e.operand))
+    return e
+
+
+def _assert_jet_value_is_value(tree, value_tree, rows):
+    """Where both modes evaluate, the jets of ``tree`` have the values of
+    ``value_tree``, bit for bit."""
+    points = [EvalPoint.of(r, ()) for r in rows]
+    try:
+        got = SampleEvaluator(COORDS, points).jet(tree).value
+        want = SampleEvaluator(COORDS, points).value(value_tree)
+    except EvaluationDomainError:
+        return
+    assert bits(got.tolist()) == bits(want.tolist())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.recursive(_KERNEL_LEAF, partial(_kernel_node, ops="+-*"), max_leaves=10), _ROWS)
+def test_jet_value_is_the_value_on_division_free_trees(tree, rows):
+    """Each rule's value and jet forms agree: without ``/`` a jet's value has
+    the bits of the value."""
+    _assert_jet_value_is_value(tree, tree, rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.recursive(_KERNEL_LEAF, _kernel_node, max_leaves=10), _ROWS)
+def test_jet_value_divides_by_the_reciprocal(tree, rows):
+    """With ``/`` a jet's value is the value of ``a * (1/b)``."""
+    _assert_jet_value_is_value(tree, _jets_divide(tree), rows)
 
 
 def test_batch_applies_math_not_numpy_functions():

@@ -229,13 +229,9 @@ def test_symmetry_walks_each_semispray_component_once(tmp_path, capsys, monkeypa
             super().__init__(*args)
             evaluators.append(self)
 
-        def _walk_value(self, e):
-            walks["value", id(e)] += id(e) not in self._floats
-            return super()._walk_value(e)
-
-        def _walk_jet(self, e):
-            walks["jet", id(e)] += id(e) not in self._jets
-            return super()._walk_jet(e)
+        def _walk(self, e, jet):
+            walks["jet" if jet else "value", id(e)] += id(e) not in (self._jets if jet else self._floats)
+            return super()._walk(e, jet)
 
     monkeypatch.setattr(algmech.algebroid, "SampleEvaluator", Counted)
     points = record_point_evaluators(monkeypatch)
